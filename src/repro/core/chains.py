@@ -53,9 +53,9 @@ Correctness under mutation rests on two mechanisms:
 """
 
 import sys
+from functools import partial
 
-from repro.core.closures import _compile_target_fetch, compile_steps, plan_fragment
-from repro.core.translate import wrap_chain_segment
+from repro.core.closures import _compile_target_fetch, compile_steps
 from repro.core.emit import (
     CLEAN_CALL_COST,
     OP_CALL_EXIT,
@@ -70,7 +70,6 @@ from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cpu import _PARITY, compile_condition
 from repro.machine.errors import MachineFault
-from repro.machine.exec_ops import compile_noncti
 from repro.observe.events import (
     EV_CLEAN_CALL,
     EV_DISPATCH_CHECK_HIT,
@@ -539,11 +538,9 @@ class ChainManager:
         runtime = self.runtime
         base_of = {}
         bases = []
-        plans_of = []
         total = 0
         for member in members:
-            plans, step_of, table_len = plan_fragment(member.code)
-            plans_of.append((plans, step_of))
+            _plans, _step_of, table_len = member.body.plan
             base_of[id(member)] = total
             bases.append(total)
             total += table_len
@@ -559,32 +556,16 @@ class ChainManager:
             override = self._make_override(
                 member, base_of, members_by_tag
             )
+            # Multi-instruction OP_EXEC runs become unrolled
+            # generated-source segments (batched accounting, no
+            # per-instruction loop machinery) — the chain tier's in-line
+            # speedup on straight-line code.
             table.extend(
                 compile_steps(
-                    member, runtime, base=base, exit_override=override
+                    member, runtime, base=base, exit_override=override,
+                    run_override=partial(self._compile_segment, member.code),
                 )
             )
-        # Second pass: replace multi-instruction OP_EXEC runs with
-        # unrolled generated-source segments (batched accounting, no
-        # per-instruction loop machinery) — the chain tier's in-line
-        # speedup on straight-line code.
-        precise = runtime.options.precise_interrupts
-        for member, base, (plans, step_of) in zip(members, bases, plans_of):
-            code = member.code
-            sentinel = len(plans)
-            for plan_index, (plan_kind, payload) in enumerate(plans):
-                if plan_kind != "run" or len(payload) < 2:
-                    continue
-                nxt = step_of.get(payload[-1] + 1, sentinel) + base
-                segment = self._compile_segment(code, payload, nxt)
-                if precise:
-                    # The replacement clobbers compile_steps' poll
-                    # wrapper; re-wrap so chains interrupt at the same
-                    # application-consistent points as the other engines.
-                    segment = wrap_chain_segment(
-                        member, runtime, payload[0], segment
-                    )
-                table[base + plan_index] = segment
         table = tuple(table)
 
         record = _ChainRecord(root, tuple(members), table, tuple(bases))
@@ -596,7 +577,7 @@ class ChainManager:
 
     # ----------------------------------------------------- segment compilation
 
-    def _compile_segment(self, code, run, nxt):
+    def _compile_segment(self, code, run, pairs, nxt):
         """Compile one fused OP_EXEC run into an inline-semantics step.
 
         The closure engine's fused step pays a loop iteration, a tuple
@@ -607,8 +588,9 @@ class ChainManager:
         ``exec_ops`` compilers (register file and memory accessors
         bound as locals, same masking, same flags calls, same
         evaluation order), unrecognized shapes fall back to a direct
-        call of their compiled closure, and cycles/instructions land in
-        one batched update at the end.
+        call of their compiled closure (from ``pairs``, the body's
+        :func:`~repro.core.closures.compile_runs` entry), and
+        cycles/instructions land in one batched update at the end.
 
         On a mid-run fault (or program exit) the exception's traceback
         line identifies exactly how far the run got — every instruction
@@ -620,7 +602,6 @@ class ChainManager:
         runtime = self.runtime
         counter = runtime.counter
         mem = runtime.memory
-        system = runtime.system
         prefix = []
         total = 0
         env = {
@@ -649,7 +630,7 @@ class ChainManager:
             text = _inline_instr(op[1], op[2])
             if text is None:
                 name = "_f%d" % k
-                env[name] = compile_noncti(op[1], op[2], mem, system)
+                env[name] = pairs[k][1]
                 text = "%s(cpu)" % name
             lines.append("  " + text)
             line_index[len(lines)] = k

@@ -94,9 +94,10 @@ def plan_fragment(code):
     ``("run", [op indices])`` / ``("op", op index)`` entries, one per
     step; ``step_of`` maps op indices (and the one-past-the-end index)
     to step indices; ``table_len`` counts the trailing fell-through
-    sentinel step.  Shared by :func:`compile_steps` and the chain
-    compiler (which must know a member's table length before any of
-    its stitched steps are built).
+    sentinel step.  Computed once per lowered body (``FragmentBody.
+    plan``) and read by the translation table, :func:`compile_steps`
+    and the chain compiler (which must know a member's table length
+    before any of its stitched steps are built).
     """
     # Intra-fragment branch targets must begin a step of their own.
     branch_targets = set()
@@ -139,7 +140,30 @@ def compile_fragment(fragment, runtime):
     return compiled
 
 
-def compile_steps(fragment, runtime, base=0, exit_override=None):
+def compile_runs(body, runtime):
+    """The compiled instructions of ``body``'s fused ``OP_EXEC`` runs:
+    per plan entry, ``((cost, fn), ...)`` for a run and ``None`` for an
+    op.  Compiled on first use and kept on the body, so every fragment
+    and chain over it shares one ``compile_noncti`` per instruction."""
+    runs = body.runs
+    if runs is None:
+        code = body.code
+        mem = runtime.memory
+        system = runtime.system
+        runs = body.runs = tuple(
+            tuple(
+                (code[k][3], compile_noncti(code[k][1], code[k][2], mem, system))
+                for k in payload
+            )
+            if plan_kind == "run"
+            else None
+            for plan_kind, payload in body.plan[0]
+        )
+    return runs
+
+
+def compile_steps(fragment, runtime, base=0, exit_override=None,
+                  run_override=None):
     """Compile ``fragment.code`` into a list of step closures.
 
     ``base`` offsets every produced step index — the chain compiler
@@ -152,7 +176,9 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
     generic step.  ``nxt`` is the (base-offset) fall-through step
     index.  The generic steps are the single source of truth for exit
     semantics; overrides only exist so chains can stitch linked exits
-    into direct step-index transfers.
+    into direct step-index transfers.  ``run_override(payload, pairs,
+    nxt)`` likewise replaces the step of every run of two or more
+    instructions (``pairs`` as in :func:`compile_runs`).
     """
     code = fragment.code
     exits = fragment.exits
@@ -164,20 +190,18 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
     write_u32 = mem.write_u32
     tag = fragment.tag
 
-    plans, step_of, _table_len = plan_fragment(code)
+    plans, step_of, _table_len = fragment.body.plan
+    runs = compile_runs(fragment.body, runtime)
     sentinel_index = len(plans)
 
     def next_step(op_index):
         return step_of.get(op_index, sentinel_index) + base
 
     steps = []
-    for plan_kind, payload in plans:
+    for plan_index, (plan_kind, payload) in enumerate(plans):
         if plan_kind == "run":
             nxt = next_step(payload[-1] + 1)
-            pairs = tuple(
-                (code[k][3], compile_noncti(code[k][1], code[k][2], mem, system))
-                for k in payload
-            )
+            pairs = runs[plan_index]
             if len(pairs) == 1:
                 c, fn = pairs[0]
 
@@ -188,6 +212,8 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
                     return _nxt
 
                 steps.append(exec_step)
+            elif run_override is not None:
+                steps.append(run_override(payload, pairs, nxt))
             else:
 
                 def fused_step(ex, cpu, _pairs=pairs, _nxt=nxt):
@@ -513,7 +539,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
     if runtime.options.precise_interrupts and fragment.translation is not None:
         # Wrap the application-consistent steps with the interrupt poll
-        # (repro.core.translate) — after any exit_override so chains'
+        # (repro.core.translate) — after the overrides so chains'
         # stitched steps are wrapped uniformly with the generic ones.
         from repro.core.translate import wrap_poll_steps
 

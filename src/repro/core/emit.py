@@ -51,7 +51,7 @@ OP_IND_EXIT = 6
 OP_IND_CHECK = 7
 OP_CLEAN_CALL = 8
 
-from repro.core.fragments import Fragment, LinkStub
+from repro.core.fragments import Fragment, FragmentBody, LinkStub
 
 # Simulated encoded size of an exit stub in the cache (push + mov + jmp).
 STUB_SIZE = 11
@@ -152,6 +152,17 @@ def _verify_before_emit(tag, kind, ilist, runtime, options, source_tags):
         runtime.verifier_diagnostics.extend(diagnostics)
 
 
+def _emit_chokepoint(runtime, tag):
+    """drshield: the emit chokepoint is a fault-injection site, but only
+    for dispatcher-owned builds (in_chokepoint) — an emit initiated by a
+    client API call (dr_replace_fragment) is the client guard's problem,
+    not the runtime ladder's."""
+    if runtime is not None:
+        rguard = getattr(runtime, "rguard", None)
+        if rguard is not None and rguard.in_chokepoint:
+            rguard.check("emit", tag)
+
+
 def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=None,
                   reason="build", source_tags=None):
     """Lower an InstrList into a :class:`Fragment` (not yet placed).
@@ -164,33 +175,89 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
     """
     if source_tags is None:
         source_tags = (tag,)
-    # drshield: the emit chokepoint is a fault-injection site, but only
-    # for dispatcher-owned builds (in_chokepoint) — an emit initiated by
-    # a client API call (dr_replace_fragment) is the client guard's
-    # problem, not the runtime ladder's.
-    if runtime is not None:
-        rguard = getattr(runtime, "rguard", None)
-        if rguard is not None and rguard.in_chokepoint:
-            rguard.check("emit", tag)
+    _emit_chokepoint(runtime, tag)
     if options is not None and (
         getattr(options, "verify_fragments", False)
         or getattr(options, "verify_equivalence", False)
     ):
         _verify_before_emit(tag, kind, ilist, runtime, options, source_tags)
-    ilist.expand_bundles()
+    body = _lower_fragment(tag, ilist, cost_model, source_tags)
+    return _instantiate(tag, kind, body, runtime, reason)
+
+
+def emit_body(tag, kind, body, runtime):
+    """Emit a fresh fragment over a body lowered by an earlier
+    :func:`emit_fragment` (the runtime's retranslation memo).
+
+    Observably an ordinary build: the same shield chokepoint check, the
+    same ``fragment_emit`` event, and a new :class:`Fragment` with its
+    own stubs and freshly compiled exit steps — only lowering and the
+    translation table are skipped.
+    """
+    _emit_chokepoint(runtime, tag)
+    return _instantiate(tag, kind, body, runtime, "build")
+
+
+def _instantiate(tag, kind, body, runtime, reason):
+    """A new, unplaced :class:`Fragment` over ``body``; under a runtime
+    its steps are compiled and ``fragment_emit`` is recorded."""
     fragment = Fragment(tag, kind)
-    fragment.source_tags = tuple(source_tags)
+    fragment.body = body
+    fragment.code = body.code
+    fragment.exits = [
+        LinkStub(fragment, index, *desc) for index, desc in enumerate(body.exits)
+    ]
+    fragment.size = body.size
+    fragment.instrs_source = body.instrs_source
+    fragment.source_tags = body.source_tags
+    fragment.translation = body.translation
+    if runtime is not None:
+        # Encode into the cache: compile the op tuples to step closures
+        # while emission state is hot.  Lazy import — closures needs the
+        # OP_* constants from this module.
+        from repro.core.closures import compile_fragment
+
+        compile_fragment(fragment, runtime)
+        observer = runtime.observer
+        if observer is not None:
+            # regen: this tag was evicted from its unit under capacity
+            # pressure and is now being rebuilt — the retranslation
+            # churn the fifo/adaptive policies exist to reduce.
+            thread = runtime.current_thread
+            unit = (
+                thread.trace_cache
+                if kind == Fragment.KIND_TRACE
+                else thread.bb_cache
+            )
+            observer.emit(
+                EV_FRAGMENT_EMIT,
+                tag,
+                kind=kind,
+                reason=reason,
+                size=fragment.size,
+                ops=len(fragment.code),
+                exits=len(fragment.exits),
+                regen=unit.was_evicted(tag),
+            )
+    return fragment
+
+
+def _lower_fragment(tag, ilist, cost_model, source_tags):
+    """Lower ``ilist`` (bundles expanded in place) into a
+    :class:`FragmentBody`."""
+    ilist.expand_bundles()
     code = []
     exits = []
     size = 0
 
-    def new_exit(kind_, target_tag, src_instr):
-        stub = LinkStub(fragment, len(exits), kind_, target_tag)
+    def new_exit(kind_, target_tag, src_instr, is_call_exit=False):
+        stub_ops = ()
+        always_stub = False
         if src_instr is not None and src_instr.exit_stub_code is not None:
-            stub.stub_ops = _lower_stub(src_instr.exit_stub_code, cost_model)
-            stub.always_stub = bool(src_instr.exit_always_stub)
-        exits.append(stub)
-        return stub.index
+            stub_ops = _lower_stub(src_instr.exit_stub_code, cost_model)
+            always_stub = bool(src_instr.exit_always_stub)
+        exits.append((kind_, target_tag, stub_ops, always_stub, is_call_exit))
+        return len(exits) - 1
 
     # Pass 1: map LABEL instrs to op indices.  Every non-label
     # instruction lowers to exactly one op.
@@ -254,8 +321,9 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
             if _note(instr, "inline"):
                 code.append((OP_CALL_INLINE, return_addr, cost))
             else:
-                idx = new_exit(LinkStub.KIND_DIRECT, target.pc, instr)
-                exits[idx].is_call_exit = True
+                idx = new_exit(
+                    LinkStub.KIND_DIRECT, target.pc, instr, is_call_exit=True
+                )
                 code.append((OP_CALL_EXIT, idx, return_addr, cost))
             continue
 
@@ -313,10 +381,7 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
             )
         continue
 
-    fragment.code = tuple(code)
-    fragment.exits = exits
-    fragment.size = size + STUB_SIZE * len(exits)
-    fragment.instrs_source = ilist
+    code = tuple(code)
     # One source Instr per emitted op, in lowering order: clean-call
     # pseudo-labels emit one op, other labels emit none, everything else
     # emits exactly one (mirrors pass 1's op_index accounting).  The
@@ -326,38 +391,20 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
         for instr in ilist
         if _note(instr, "clean_call") is not None or not instr.is_label()
     ]
+    # Lazy imports, like compile_fragment's: closures imports this module.
+    from repro.core.closures import plan_fragment
     from repro.core.translate import build_translation
 
-    fragment.translation = build_translation(tag, fragment.code, sources)
-    if runtime is not None:
-        # Encode into the cache: compile the op tuples to step closures
-        # while emission state is hot.  Lazy import — closures needs the
-        # OP_* constants from this module.
-        from repro.core.closures import compile_fragment
-
-        compile_fragment(fragment, runtime)
-        observer = runtime.observer
-        if observer is not None:
-            # regen: this tag was evicted from its unit under capacity
-            # pressure and is now being rebuilt — the retranslation
-            # churn the fifo/adaptive policies exist to reduce.
-            thread = runtime.current_thread
-            unit = (
-                thread.trace_cache
-                if kind == Fragment.KIND_TRACE
-                else thread.bb_cache
-            )
-            observer.emit(
-                EV_FRAGMENT_EMIT,
-                tag,
-                kind=kind,
-                reason=reason,
-                size=fragment.size,
-                ops=len(fragment.code),
-                exits=len(exits),
-                regen=unit.was_evicted(tag),
-            )
-    return fragment
+    plan = plan_fragment(code)
+    return FragmentBody(
+        code,
+        tuple(exits),
+        size + STUB_SIZE * len(exits),
+        ilist,
+        tuple(source_tags),
+        build_translation(tag, code, sources, plan),
+        plan,
+    )
 
 
 def _lower_stub(stub_ilist, cost_model):

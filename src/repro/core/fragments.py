@@ -25,19 +25,20 @@ class LinkStub:
     KIND_DIRECT = "direct"
     KIND_INDIRECT = "indirect"
 
-    def __init__(self, fragment, index, kind, target_tag=None):
+    def __init__(self, fragment, index, kind, target_tag=None, stub_ops=(),
+                 always_stub=False, is_call_exit=False):
         self.fragment = fragment
         self.index = index
         self.kind = kind
         self.target_tag = target_tag  # application address, direct exits
         self.linked_to = None  # Fragment when linked
         # Lowered client custom-stub instructions: list of (opcode, ops, cost)
-        self.stub_ops = ()
-        self.always_stub = False
+        self.stub_ops = stub_ops
+        self.always_stub = always_stub
         # Call exits do not count as "backward branches" for the default
         # trace-head heuristic (calls target earlier-placed functions all
         # the time; loop backedges are what NET heads are about).
-        self.is_call_exit = False
+        self.is_call_exit = is_call_exit
 
     def __repr__(self):
         state = "->%s" % self.linked_to if self.linked_to else "unlinked"
@@ -49,12 +50,54 @@ class LinkStub:
         )
 
 
+class FragmentBody:
+    """The lowered, link-free part of a fragment.
+
+    Everything emission derives from the InstrList alone: the op tuples,
+    one exit descriptor per exit (``(kind, target_tag, stub_ops,
+    always_stub, is_call_exit)``, the :class:`LinkStub` fields that do
+    not change once lowered), the encoded size, the source list, the
+    translation table, and the fusion plan
+    (:func:`repro.core.closures.plan_fragment`).  ``runs`` holds the
+    compiled ``OP_EXEC`` closures of each fused run, filled in by the
+    first compile under a runtime.
+
+    A body carries no link state, so one body may back several
+    fragments in turn (the runtime's retranslation memo re-emits an
+    evicted block over its body); each fragment still gets its own
+    stubs and exit steps.
+    """
+
+    __slots__ = (
+        "code",
+        "exits",
+        "size",
+        "instrs_source",
+        "source_tags",
+        "translation",
+        "plan",
+        "runs",
+    )
+
+    def __init__(self, code, exits, size, instrs_source, source_tags,
+                 translation, plan):
+        self.code = code
+        self.exits = exits
+        self.size = size
+        self.instrs_source = instrs_source
+        self.source_tags = source_tags
+        self.translation = translation
+        self.plan = plan
+        self.runs = None
+
+
 class Fragment:
     """A basic block or trace in the code cache."""
 
     __slots__ = (
         "tag",
         "kind",
+        "body",
         "code",
         "exits",
         "cache_addr",
@@ -80,6 +123,10 @@ class Fragment:
     def __init__(self, tag, kind):
         self.tag = tag
         self.kind = kind
+        # The FragmentBody this fragment was emitted over; ``code``,
+        # ``size``, ``instrs_source``, ``source_tags`` and
+        # ``translation`` are copied from it.
+        self.body = None
         self.code = ()  # lowered ops (see repro.core.emit)
         self.exits = []
         self.cache_addr = None

@@ -20,7 +20,7 @@ from repro.core.bb_builder import (
 )
 from repro.core.chains import ChainManager
 from repro.core.code_cache import CacheFullError, CodeRegionMap
-from repro.core.emit import emit_fragment
+from repro.core.emit import emit_body, emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
 from repro.core.fragments import Fragment, LinkStub
 from repro.core.options import RuntimeOptions
@@ -58,6 +58,20 @@ from repro.observe.events import (
 )
 from repro.resilience.guard import RUNTIME_PASSTHROUGH, ClientGuard
 from repro.resilience.shield import RuntimeGuard, Shield
+
+
+class MemoEntry:
+    """A retranslation-memo entry for one uninstrumented basic block:
+    the bytes ``[span[0], span[1])`` it was decoded from, its application
+    instruction count, and the lowered body its fragments share."""
+
+    __slots__ = ("source", "span", "count", "body")
+
+    def __init__(self, source, span, count, body):
+        self.source = source
+        self.span = span
+        self.count = count
+        self.body = body
 
 
 class DynamoRIO:
@@ -126,6 +140,12 @@ class DynamoRIO:
         # translated application PC (consulted on error paths only).
         self._fault_context = lambda: self.current_thread.resume_tag
         self.memory.set_fault_context(self._fault_context)
+        # Retranslation memo, tag -> MemoEntry: a block rebuilt after a
+        # flush or eviction whose bytes are unchanged is re-emitted over
+        # its lowered body instead of being decoded and lowered again.
+        # Host time only — a hit charges and reports exactly what a
+        # rebuild does.  Lives and dies with this runtime.
+        self.bb_memo = {}
         # Tags the client marked as trace heads before fragments exist.
         self.pending_trace_heads = set()
         self._client_initialized = False
@@ -203,25 +223,46 @@ class DynamoRIO:
 
     def _build_bb(self, tag):
         thread = self.current_thread
-        ilist = build_basic_block(
-            self.memory, tag, max_instrs=self.options.max_bb_instrs
-        )
-        count = block_instr_count(ilist)
-        self.counter.cycles += (
-            self.cost.bb_build_base + self.cost.bb_build_per_instr * count
-        )
-        if not self.options.thread_private and len(self.threads) > 1:
-            self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
+        options = self.options
         observer = self.observer
         guard = self.guard
-        span = (
-            block_source_span(ilist, tag)
-            if self.region_map is not None
-            else None
-        )
         hooks_on = self.client is not None and (
             guard is None or not guard.quarantined
         )
+        # The retranslation memo serves only blocks that no client hook
+        # or verifier would see; a hit needs the block's bytes unchanged.
+        memo = (
+            None
+            if hooks_on
+            or options.verify_fragments
+            or options.verify_equivalence
+            else self.bb_memo
+        )
+        entry = memo.get(tag) if memo is not None else None
+        if entry is not None and (
+            self.memory.view()[tag:entry.span[1]] != entry.source
+        ):
+            entry = None  # the code was written since: decode it afresh
+        if entry is None:
+            ilist = build_basic_block(
+                self.memory, tag, max_instrs=options.max_bb_instrs
+            )
+            count = block_instr_count(ilist)
+            span = (
+                block_source_span(ilist, tag)
+                if memo is not None or self.region_map is not None
+                else None
+            )
+            if memo is not None:
+                source = bytes(self.memory.view()[tag:span[1]])
+        else:
+            count = entry.count
+            span = entry.span
+        self.counter.cycles += (
+            self.cost.bb_build_base + self.cost.bb_build_per_instr * count
+        )
+        if not options.thread_private and len(self.threads) > 1:
+            self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
         if hooks_on:
             self.stats.client_bb_hooks += 1
             if observer is not None:
@@ -230,11 +271,13 @@ class DynamoRIO:
 
         def _emit(il):
             return emit_fragment(
-                tag, Fragment.KIND_BB, il, self.cost, self.options,
+                tag, Fragment.KIND_BB, il, self.cost, options,
                 self.stats, runtime=self,
             )
 
-        if hooks_on and guard is not None:
+        if entry is not None:
+            fragment = emit_body(tag, Fragment.KIND_BB, entry.body, self)
+        elif hooks_on and guard is not None:
             client = self.client
             fragment = guard.build_hook(
                 "bb",
@@ -247,6 +290,8 @@ class DynamoRIO:
             if hooks_on:
                 self.client.basic_block(thread, tag, ilist)
             fragment = _emit(ilist)
+            if memo is not None:
+                memo[tag] = MemoEntry(source, span, count, fragment.body)
         if tag in self.pending_trace_heads:
             fragment.is_trace_head = True
             if observer is not None:

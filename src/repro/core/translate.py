@@ -38,8 +38,9 @@ The same table drives all three engines so they stay bit-identical:
 * the tuple engine consults ``poll_ops`` at the top of its op loop;
 * the closure engine wraps exactly the poll-point steps with
   :func:`make_poll_step` at compile time;
-* the chain compiler re-wraps its unrolled segment replacements at the
-  same plan indices (:func:`wrap_chain_segment`).
+* the chain compiler's stitched exits and unrolled segments replace
+  steps inside that same compile, so :func:`wrap_poll_steps` wraps
+  them at the same plan indices.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the
@@ -94,17 +95,15 @@ def _source_pc(instr):
     return None
 
 
-def build_translation(tag, code, source_instrs):
+def build_translation(tag, code, source_instrs, plan):
     """Build the :class:`TranslationTable` for a freshly lowered
     fragment.  ``source_instrs`` has one entry per op in ``code`` — the
-    Instr each op was lowered from (``None`` for clean-call pseudo-ops).
+    Instr each op was lowered from (``None`` for clean-call pseudo-ops);
+    ``plan`` is the body's :func:`~repro.core.closures.plan_fragment`
+    result, so poll points follow the engines' step boundaries.
     """
-    # Imported here: emit -> translate -> closures -> emit would cycle
-    # at module load; by build time all three are fully initialized.
-    from repro.core.closures import plan_fragment
-
     pcs = tuple(_source_pc(instr) for instr in source_instrs)
-    plans, _step_of, table_len = plan_fragment(code)
+    plans, _step_of, table_len = plan
 
     poll_ops = {}
     step_pcs = []
@@ -179,16 +178,3 @@ def wrap_poll_steps(fragment, runtime, plans, steps):
             steps[plan_index] = make_poll_step(
                 runtime, pc, steps[plan_index]
             )
-
-
-def wrap_chain_segment(member, runtime, first_op, segment):
-    """Re-wrap one chain segment replacement: the chain compiler's
-    second pass overwrites run-plan steps with unrolled segments, which
-    must keep their poll if the run started at a poll point."""
-    translation = member.translation
-    if translation is None:
-        return segment
-    pc = translation.poll_ops.get(first_op)
-    if pc is None:
-        return segment
-    return make_poll_step(runtime, pc, segment)

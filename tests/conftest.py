@@ -66,6 +66,15 @@ def indirect_native(indirect_image):
     return run_native(Process(indirect_image))
 
 
+class NeverHitMemo(dict):
+    """Stands in for ``DynamoRIO.bb_memo``: keeps what the runtime stores
+    but never serves it, so every rebuild decodes and lowers afresh (the
+    forced-miss reference a memo hit must be indistinguishable from)."""
+
+    def get(self, tag, default=None):
+        return default
+
+
 def run_under(image, options=None, client=None, cost_model=None):
     dr = DynamoRIO(
         Process(image),

@@ -18,6 +18,12 @@ runs it under all three execution engines.  The properties:
 * **Replay exactness** — when the seed enables tracing, replaying the
   (unbounded) event stream reconstructs the live counters exactly,
   including the new ``cache_fragment_evictions``/``cache_resizes``.
+* **Memo transparency** — the cell without its client at a quarter of
+  its limit (so blocks are evicted and rebuilt) runs once with the
+  runtime's retranslation memo and once with one that never hits
+  (every rebuild decodes and lowers afresh); nothing simulated
+  changes: same cycles, instructions, output, exit code, events, and
+  the same full event stream when traced.
 
 Seeds 0-15 run in tier-1; the wider sweep rides behind ``slow``.
 """
@@ -39,7 +45,7 @@ from repro.machine.interp import run_native
 from repro.minicc import compile_source
 from repro.observe import replay_stats
 
-from tests.conftest import INDIRECT_SRC, LOOP_SRC
+from tests.conftest import INDIRECT_SRC, LOOP_SRC, NeverHitMemo
 
 ENGINES = ("tuple", "closure", "chain")
 
@@ -93,13 +99,15 @@ def _options(cell, engine):
     return opts
 
 
-def _run(cell, engine):
+def _run(cell, engine, memo=None):
     runtime = DynamoRIO(
         Process(_image(cell["source"])),
         options=_options(cell, engine),
         client=cell["client"][1](),
         cost_model=CostModel(),
     )
+    if memo is not None:
+        runtime.bb_memo = memo
     result = runtime.run()
     return runtime, result
 
@@ -123,8 +131,12 @@ def _assert_cache_invariants(runtime):
                 assert fragment.cache_addr >= prev_end
                 prev_end = fragment.cache_addr + fragment.size
                 assert prev_end <= cache.cursor
-                # Linked exits must target live fragments.
                 for stub in fragment.exits:
+                    # Stubs belong to exactly one incarnation: never
+                    # shared with a fragment re-emitted over the same
+                    # lowered body.
+                    assert stub.fragment is fragment
+                    # Linked exits must target live fragments.
                     if stub.linked_to is not None:
                         assert not stub.linked_to.deleted
             # The unit's byte accounting matches its residents.  The
@@ -162,6 +174,27 @@ def _check_seed(seed):
     # Transparency under pressure: native-identical behavior.
     assert reference.output == native.output, cell
     assert reference.exit_code == native.exit_code, cell
+
+    # Memo column: a client bypasses the memo and the cell's own limit
+    # seldom forces a block out and back in, so run it without the
+    # client at a quarter of the limit, on an engine picked by seed.
+    memo_cell = dict(cell, client=CLIENTS[0], limit=cell["limit"] // 4)
+    engine = ENGINES[seed % len(ENGINES)]
+    memo_runtime, memo_result = _run(memo_cell, engine)
+    forced_runtime, forced = _run(memo_cell, engine, memo=NeverHitMemo())
+    assert memo_runtime.stats.bbs_built > len(memo_runtime.bb_memo), cell
+    assert memo_result.output == native.output, cell
+    assert memo_result.exit_code == native.exit_code, cell
+    assert forced.cycles == memo_result.cycles, cell
+    assert forced.instructions == memo_result.instructions, cell
+    assert forced.output == memo_result.output, cell
+    assert forced.exit_code == memo_result.exit_code, cell
+    assert forced.events == memo_result.events, cell
+    if cell["traced"]:
+        assert (
+            forced_runtime.observer.events() == memo_runtime.observer.events()
+        ), cell
+    runs += [(memo_runtime, memo_result), (forced_runtime, forced)]
 
     for runtime, _result in runs:
         _assert_cache_invariants(runtime)

@@ -11,11 +11,16 @@ is exactly the divergence the feature closes.
 
 import pytest
 
+from repro.clients import InstructionCounter
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
 from repro.loader import Process
 from repro.machine.interp import run_native
+from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import build_smc_image
+
+from tests.conftest import NeverHitMemo
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,132 @@ def test_smc_invalidation_charges_cycles(smc_image):
         options=_smc_options(True, consistency=False),
     ).run()
     assert with_it.cycles > without.cycles
+
+
+# ----------------------------------------------------- retranslation memo
+
+
+def _counting_decoder(monkeypatch):
+    """Count ``build_basic_block`` calls (the decodes a memo hit skips)
+    by tag."""
+    decoded = []
+    original = runtime_module.build_basic_block
+
+    def counted(memory, tag, *args, **kwargs):
+        decoded.append(tag)
+        return original(memory, tag, *args, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "build_basic_block", counted)
+    return decoded
+
+
+def _run_memo(image, options, memo=None, client=None):
+    runtime = DynamoRIO(Process(image), options=options, client=client)
+    if memo is not None:
+        runtime.bb_memo = memo
+    return runtime, runtime.run()
+
+
+def _simulated(runtime, result):
+    return (
+        result.cycles,
+        result.instructions,
+        result.output,
+        result.exit_code,
+        result.events,
+        runtime.observer.events() if runtime.observer is not None else None,
+    )
+
+
+@pytest.mark.parametrize("consistency", [True, False])
+def test_smc_under_flushes_memo_sees_the_patch(
+    smc_image, smc_native, monkeypatch, consistency
+):
+    """A 200-byte cache flushes the patched block out and back in.  With
+    or without the write watch, the rebuild must see the new bytes: the
+    memo compares them, so a hit can never serve the stale 'A' body."""
+    decoded = _counting_decoder(monkeypatch)
+    options = _smc_options(True, consistency)
+    options.code_cache_limit = 200
+    runtime, result = _run_memo(smc_image, options)
+    assert result.output == smc_native.output
+    assert result.exit_code == smc_native.exit_code
+    assert runtime.stats.cache_evictions > 0
+    assert len(decoded) < runtime.stats.bbs_built  # the memo did hit
+
+    options = _smc_options(True, consistency)
+    options.code_cache_limit = 200
+    forced = _run_memo(smc_image, options, NeverHitMemo())
+    assert _simulated(runtime, result) == _simulated(*forced)
+
+
+def test_memo_decodes_each_block_once(loop_image, loop_native, monkeypatch):
+    """No client, a tiny flushing cache: every rebuild after the first
+    decode of a block is a memo hit."""
+    decoded = _counting_decoder(monkeypatch)
+    options = RuntimeOptions.with_traces()
+    options.code_cache_limit = 300
+    runtime, result = _run_memo(loop_image, options)
+    assert result.output == loop_native.output
+    assert len(decoded) == len(set(decoded)) == len(runtime.bb_memo)
+    assert runtime.stats.bbs_built >= 3 * len(decoded)
+
+
+@pytest.mark.parametrize("site", ["bb_build", "emit"])
+def test_memo_hits_pass_the_shield_chokepoints(loop_image, monkeypatch, site):
+    """A hit is a build to drshield too: injected build/emit faults fire
+    at the same builds, and the ladder climbs identically."""
+    decoded = _counting_decoder(monkeypatch)
+
+    def run(memo=None):
+        options = RuntimeOptions.with_traces()
+        options.code_cache_limit = 300
+        options.shield = True
+        options.trace_events = True
+        options.trace_buffer = None
+        runtime = DynamoRIO(Process(loop_image), options=options)
+        runtime.rguard.plan = RuntimeFaultPlan(
+            "runtime_raise:" + site, 0, start=60, period=80
+        )
+        if memo is not None:
+            runtime.bb_memo = memo
+        return runtime, runtime.run()
+
+    runtime, result = run()
+    assert runtime.rguard.injected > 0
+    assert len(decoded) < runtime.stats.bbs_built  # the memo did hit
+    assert _simulated(runtime, result) == _simulated(*run(NeverHitMemo()))
+
+
+def test_memo_bypassed_for_clients(loop_image, monkeypatch):
+    """A client's bb hook sees every build: nothing is memoized."""
+    decoded = _counting_decoder(monkeypatch)
+    options = RuntimeOptions.with_traces()
+    options.code_cache_limit = 300
+    runtime, _result = _run_memo(
+        loop_image, options, client=InstructionCounter()
+    )
+    assert runtime.stats.client_bb_hooks == runtime.stats.bbs_built
+    assert len(decoded) == runtime.stats.bbs_built
+    assert runtime.bb_memo == {}
+
+
+def test_memo_bypassed_under_verify_equivalence(loop_image):
+    """drequiv checks every build against its source blocks, so no
+    rebuild may skip the emit-time proof."""
+
+    def options():
+        made = RuntimeOptions.with_traces()
+        made.code_cache_limit = 300
+        made.verify_equivalence = True
+        return made
+
+    runtime, result = _run_memo(loop_image, options())
+    forced, forced_result = _run_memo(loop_image, options(), NeverHitMemo())
+    assert runtime.bb_memo == {}
+    assert runtime.verifier_diagnostics == forced.verifier_diagnostics
+    assert result.cycles == forced_result.cycles
+    assert result.events == forced_result.events
 
 
 # ------------------------------------------------------------- region map
