@@ -15,11 +15,13 @@ eviction policy:
                exceeds ``cache_regen_threshold``).
 
 Every cell runs under all three execution engines (tuple, closure,
-chain) and asserts the simulated results — cycles, instructions,
-output, exit code — are bit-identical across engines; any divergence
-exits non-zero.  Output and exit code must also be identical across
-*policies* at the same limit (eviction may never change program
-behavior, only overhead cycles).  Finally the harness gates the
+chain) and is checked by the differential oracle
+(:mod:`repro.tools.oracle`): the simulated results — cycles,
+instructions, output, exit code, events, final registers — are
+bit-identical across engines, and output and exit code equal native
+in every cell, so they are identical across *policies* at the same
+limit (eviction may never change program behavior, only overhead
+cycles); any violation exits non-zero.  Finally the harness gates the
 tentpole claim: at every constrained limit, fifo must retranslate
 strictly less than flush (retranslations = bbs + traces built).
 
@@ -39,13 +41,12 @@ timings are machine-dependent and ignored.  The checked-in
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.cost import CostModel
+from repro.tools.oracle import Cell, measure
 from repro.workloads import load_benchmark
 
 # policy key -> (cache_evict_policy, cache_adaptive)
@@ -54,8 +55,6 @@ POLICIES = (
     ("fifo", ("fifo", False)),
     ("adaptive", ("fifo", True)),
 )
-
-ENGINES = ("tuple", "closure", "chain")
 
 FULL_WORKLOADS = ("crafty", "vpr", "gzip", "mcf", "mgrid")
 QUICK_WORKLOADS = ("crafty", "mgrid")
@@ -66,41 +65,18 @@ FULL_FRACTIONS = (0.4, 0.7)
 QUICK_FRACTIONS = (0.5,)
 
 
-def _options(policy_key, engine, limit):
+def pressure_cell(image, policy_key, limit):
+    """One workload x policy x limit cell, run on every engine."""
     policy, adaptive = dict(POLICIES)[policy_key]
-    options = RuntimeOptions()
-    options.code_cache_limit = limit
-    options.cache_evict_policy = policy
-    options.cache_adaptive = adaptive
-    options.closure_engine = engine in ("closure", "chain")
-    options.chain_engine = engine == "chain"
-    return options
 
+    def options():
+        made = RuntimeOptions()
+        made.code_cache_limit = limit
+        made.cache_evict_policy = policy
+        made.cache_adaptive = adaptive
+        return made
 
-def _run_once(image, policy_key, engine, limit):
-    """One timed run; returns (seconds, RunResult)."""
-    runtime = DynamoRIO(
-        Process(image), options=_options(policy_key, engine, limit),
-        cost_model=CostModel(),
-    )
-    start = time.perf_counter()
-    result = runtime.run()
-    elapsed = time.perf_counter() - start
-    return elapsed, result
-
-
-def _measure(image, policy_key, engine, limit, repeats):
-    times = []
-    result = None
-    for _ in range(repeats):
-        elapsed, result = _run_once(image, policy_key, engine, limit)
-        times.append(elapsed)
-    return statistics.median(times), result
-
-
-def _simulated(result):
-    return (result.cycles, result.instructions, result.output,
-            result.exit_code)
+    return Cell(image, options=options)
 
 
 def probe_footprint(image):
@@ -136,32 +112,16 @@ def run_sweep(workloads, scale, repeats, fractions):
         print("%-8s footprint %6d bytes -> limits %s" % (
             name, footprint, limits))
         for fraction, limit in zip(fractions, limits):
-            behavior = None  # (output, exit_code), policy-invariant
             per_policy = {}
             for policy_key, _ in POLICIES:
-                timings = {}
-                results = {}
-                for engine in ENGINES:
-                    timings[engine], results[engine] = _measure(
-                        image, policy_key, engine, limit, repeats
-                    )
-                reference = _simulated(results["closure"])
-                for engine in ENGINES:
-                    if _simulated(results[engine]) != reference:
-                        failures.append(
-                            "engine divergence: %s limit=%d %s: "
-                            "closure=%r %s=%r"
-                            % (name, limit, policy_key, reference[:2],
-                               engine, _simulated(results[engine])[:2])
-                        )
-                if behavior is None:
-                    behavior = (reference[2], reference[3])
-                elif (reference[2], reference[3]) != behavior:
-                    failures.append(
-                        "policy changed program behavior: %s limit=%d %s"
-                        % (name, limit, policy_key)
-                    )
-                result = results["closure"]
+                verdict, timings = measure(
+                    pressure_cell(image, policy_key, limit), repeats
+                )
+                failures.extend(
+                    "%s limit=%d %s: %s" % (name, limit, policy_key, failure)
+                    for failure in verdict.failures
+                )
+                result = verdict["closure"].result
                 ev = result.events
                 cell = {
                     "workload": name,

@@ -20,7 +20,8 @@ Usage::
     PYTHONPATH=src python benchmarks/verify_overhead.py --report # timings
 
 The gate compares, per workload: an off-run against an off-run (noise
-floor) and asserts the off-run cycles equal the on-run cycles.  The
+floor) and, through the differential oracle (:mod:`repro.tools.oracle`),
+asserts the off-runs and the on-run are simulated-identical.  The
 wall-clock assertion compares the *second* off-run median against the
 first: both exercise the identical code path, so exceeding the budget
 indicates the measurement is too noisy to gate — reported as a warning,
@@ -31,36 +32,17 @@ for the curious.
 """
 
 import argparse
-import statistics
 import sys
-import time
 
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.cost import CostModel
+from repro.tools.oracle import Cell, Column, check, measure
 from repro.workloads import load_benchmark
 
 WORKLOADS = ("crafty", "mgrid")
 REPEATS = 3
 
 
-def _run(image, verify):
-    options = RuntimeOptions.with_traces()
-    options.verify_fragments = verify
-    options.verify_equivalence = verify
-    runtime = DynamoRIO(Process(image), options=options, cost_model=CostModel())
-    start = time.perf_counter()
-    result = runtime.run()
-    return time.perf_counter() - start, result
-
-
-def _median_run(image, verify, repeats=REPEATS):
-    times = []
-    result = None
-    for _ in range(repeats):
-        elapsed, result = _run(image, verify)
-        times.append(elapsed)
-    return statistics.median(times), result
+def _verify(on):
+    return {"verify_fragments": on, "verify_equivalence": on}
 
 
 def main(argv=None):
@@ -78,20 +60,22 @@ def main(argv=None):
     failures = 0
     for name in WORKLOADS:
         image = load_benchmark(name, args.scale)
-        t_off_a, r_off_a = _median_run(image, verify=False)
-        t_off_b, r_off_b = _median_run(image, verify=False)
-        t_on, r_on = _median_run(image, verify=True, repeats=1)
-
-        # Hard gate: simulated results identical with verification on.
-        for label, r in (("off/off", r_off_b), ("on", r_on)):
-            if (r.cycles, r.instructions, r.output) != (
-                r_off_a.cycles, r_off_a.instructions, r_off_a.output
-            ):
-                failures += 1
-                print(
-                    "FAIL %-8s simulated drift (%s): %d cycles vs %d"
-                    % (name, label, r.cycles, r_off_a.cycles)
-                )
+        # Hard gate: simulated results identical with verification on
+        # (one verified run), and across two off-mode columns timed
+        # over REPEATS runs each.
+        on = check(Cell(image, columns=(
+            Column("off", options=_verify(False)),
+            Column("on", options=_verify(True)),
+        )))
+        off, timings = measure(Cell(image, columns=(
+            Column("off", options=_verify(False)),
+            Column("off'", options=_verify(False)),
+        )), REPEATS)
+        for failure in on.failures + off.failures:
+            failures += 1
+            print("FAIL %-8s simulated drift: %s" % (name, failure))
+        t_off_a, t_off_b = timings["off"], timings["off'"]
+        t_on = on["on"].seconds
 
         # Soft gate: two off-mode runs of the identical code path must
         # agree within the budget, showing the disabled gate costs

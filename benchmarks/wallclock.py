@@ -3,12 +3,13 @@
 
 Runs the tier-2 workload sweep through every execution engine of each
 executor — the interpreter (``engine="closure"`` / ``engine="tuple"``)
-and the DynamoRIO runtime (``options.closure_engine``, plus the chain
-compiler behind ``options.chain_engine``) — timing host seconds while
-asserting the *simulated* results (cycles, instructions, output) are
-bit-identical across engines.  Simulated numbers measure the machine
-being modelled; host seconds measure this Python implementation.  Only
-the latter may change between engines.
+and the DynamoRIO runtime (tuple, closure, and the chain compiler) —
+timing host seconds while the differential oracle
+(:mod:`repro.tools.oracle`) holds the *simulated* results (cycles,
+instructions, output, events, final registers) bit-identical across
+engines and the output equal to native.  Simulated numbers measure the
+machine being modelled; host seconds measure this Python
+implementation.  Only the latter may change between engines.
 
 Usage::
 
@@ -27,14 +28,10 @@ records which revision produced it.
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.cost import CostModel
-from repro.machine.interp import Interpreter
+from repro.core import RuntimeOptions
+from repro.tools.oracle import Cell, Column, measure
 from repro.workloads import load_benchmark
 
 # (config key, kind).  "native" exercises the interpreter's decode-time
@@ -55,80 +52,40 @@ FULL_WORKLOADS = ("crafty", "vpr", "gzip", "mcf", "mgrid")
 QUICK_WORKLOADS = ("crafty", "vpr")
 
 
-def _run_once(image, config, kind, engine):
-    """One timed run; returns (seconds, RunResult)."""
-    process = Process(image)
+def sweep_cell(image, config, kind):
+    """The engines of one executor for one workload and config.  The
+    chain engine only exists above the runtime's closure tables, so
+    interpreter rows compare closure vs tuple only."""
     if kind == "interp":
-        interp = Interpreter(
-            process, CostModel(), mode="native", engine=engine
-        )
-        start = time.perf_counter()
-        result = interp.run()
-        elapsed = time.perf_counter() - start
-    else:
-        options = OPTION_FACTORIES[config]()
-        options.closure_engine = engine in ("closure", "chain")
-        options.chain_engine = engine == "chain"
-        runtime = DynamoRIO(process, options=options, cost_model=CostModel())
-        start = time.perf_counter()
-        result = runtime.run()
-        elapsed = time.perf_counter() - start
-    return elapsed, result
-
-
-def _measure(image, config, kind, engine, repeats):
-    """Median host seconds over ``repeats`` fresh runs + one result."""
-    times = []
-    result = None
-    for _ in range(repeats):
-        elapsed, result = _run_once(image, config, kind, engine)
-        times.append(elapsed)
-    return statistics.median(times), result
-
-
-def _simulated(result):
-    return (result.cycles, result.instructions, result.output)
+        return Cell(image, columns=(
+            Column("closure", "closure", interp="native"),
+            Column("tuple", "tuple", interp="native"),
+        ))
+    return Cell(image, options=OPTION_FACTORIES[config])
 
 
 def run_sweep(workloads, scale, repeats):
     cells = []
+    failures = []
     for name in workloads:
         image = load_benchmark(name, scale)
         for config, kind in CONFIGS:
-            # The chain engine only exists above the runtime's closure
-            # tables; interp rows compare closure vs tuple only.
-            engines = (
-                ("closure", "tuple", "chain")
-                if kind == "runtime"
-                else ("closure", "tuple")
+            verdict, timings = measure(
+                sweep_cell(image, config, kind), repeats
             )
-            timings = {}
-            results = {}
-            for engine in engines:
-                timings[engine], results[engine] = _measure(
-                    image, config, kind, engine, repeats
-                )
-            reference = _simulated(results["closure"])
-            for engine in engines:
-                if _simulated(results[engine]) != reference:
-                    raise AssertionError(
-                        "engines diverged on %s/%s: closure=%r %s=%r"
-                        % (
-                            name,
-                            config,
-                            reference[:2],
-                            engine,
-                            _simulated(results[engine])[:2],
-                        )
-                    )
+            failures.extend(
+                "%s/%s: %s" % (name, config, failure)
+                for failure in verdict.failures
+            )
+            reference = verdict["closure"].result
             closure_s = timings["closure"]
             tuple_s = timings["tuple"]
             chain_s = timings.get("chain")
             cell = {
                 "workload": name,
                 "config": config,
-                "cycles": reference[0],
-                "instructions": reference[1],
+                "cycles": reference.cycles,
+                "instructions": reference.instructions,
                 "closure_s": round(closure_s, 4),
                 "tuple_s": round(tuple_s, 4),
                 "speedup": round(tuple_s / closure_s, 3),
@@ -150,14 +107,14 @@ def run_sweep(workloads, scale, repeats):
                 % (
                     name,
                     config,
-                    reference[0],
+                    reference.cycles,
                     closure_s,
                     tuple_s,
                     cell["speedup"],
                     chain_col,
                 )
             )
-    return cells
+    return cells, failures
 
 
 def geomean(values):
@@ -253,7 +210,7 @@ def main(argv=None):
     scale = args.scale or ("test" if args.quick else "small")
     repeats = args.repeats or (1 if args.quick else 3)
 
-    cells = run_sweep(workloads, scale, repeats)
+    cells, failures = run_sweep(workloads, scale, repeats)
     summary = summarize(cells)
     report = {
         "scale": scale,
@@ -282,6 +239,11 @@ def main(argv=None):
             chain_txt,
         )
     )
+
+    for line in failures:
+        print("FAIL: " + line, file=sys.stderr)
+    if failures:
+        return 1
 
     if args.check:
         drift = check_against(cells, args.check, scale)

@@ -66,6 +66,7 @@ from repro.core.emit import (
 )
 from repro.core.execute import EXIT_DISPATCH, CacheExit
 from repro.core.fragments import LinkStub
+from repro.isa.eflags import AF, CF, OF, PF, SF, ZF
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cpu import _PARITY, compile_condition
@@ -84,35 +85,41 @@ _M = "4294967295"  # _MASK32 as a source literal
 # Inline eflags templates mirroring the CPU's flag methods statement
 # for statement (repro.machine.cpu: flags_sub / flags_add / flags_inc /
 # flags_dec / flags_logic), with the flag bits as literals
-# (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048; ALL=2253) and the parity
-# table bound as ``_parity``.  ``_r`` is the 32-bit result; sub/add
-# templates consume ``_a``/``_b``.
+# (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048) and the parity table
+# bound as ``_parity``.  ``_CLEAR`` drops all six arithmetic flags
+# before the new ones are OR-ed in.  ``_r`` is the 32-bit result;
+# sub/add templates consume ``_a``/``_b``.
+_CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % (CF | PF | AF | ZF | SF | OF)
 _RESULT_FLAGS = (
     "(64 if _r == 0 else 0) | (128 if _r & 2147483648 else 0)"
     " | (4 if _parity[_r & 255] else 0)"
 )
-_LOGIC_FLAGS = "cpu.eflags = (cpu.eflags & ~2253) | " + _RESULT_FLAGS
+_LOGIC_FLAGS = _CLEAR + " | " + _RESULT_FLAGS
 _SUB_FLAGS = (
     "_r = (_a - _b) & 4294967295; "
-    "cpu.eflags = (cpu.eflags & ~2253) | (1 if _a < _b else 0)"
+    + _CLEAR
+    + " | (1 if _a < _b else 0)"
     " | (2048 if ((_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
     " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
 )
 _ADD_FLAGS = (
     "_full = _a + _b; _r = _full & 4294967295; "
-    "cpu.eflags = (cpu.eflags & ~2253) | (1 if _full > 4294967295 else 0)"
+    + _CLEAR
+    + " | (1 if _full > 4294967295 else 0)"
     " | (2048 if (~(_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
     " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
 )
 _INC_FLAGS = (
     "_a = regs[%d]; _r = (_a + 1) & 4294967295; "
-    "cpu.eflags = (cpu.eflags & ~2253) | (cpu.eflags & 1)"
+    + _CLEAR
+    + " | (cpu.eflags & 1)"
     " | (2048 if (~(_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
     " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
 )
 _DEC_FLAGS = (
     "_a = regs[%d]; _r = (_a - 1) & 4294967295; "
-    "cpu.eflags = (cpu.eflags & ~2253) | (cpu.eflags & 1)"
+    + _CLEAR
+    + " | (cpu.eflags & 1)"
     " | (2048 if ((_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
     " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
 )

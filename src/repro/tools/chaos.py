@@ -1,30 +1,29 @@
-"""Chaos harness: run client x workload x fault matrices under drguard.
+"""Chaos harness: client x workload x fault matrices under drguard.
 
 Usage::
 
     python -m repro.tools.chaos --seeds 4 --matrix small
     python -m repro.tools.chaos --seeds 2 --matrix full --verbose
 
-Every run pairs a real client wrapped in a
+Every cell pairs a real client wrapped in a
 :class:`~repro.resilience.faultinject.FaultInjectingClient` with a
 workload, under ``guard_clients`` + ``cache_consistency`` + fragment
-verification, and asserts the robustness contract:
-
-* the run completes (no crash escapes the guard);
-* output and exit code are identical to a native (no-runtime) run of
-  the same program — the injected client bugs must not perturb the
-  application;
-* the expected resilience events actually fired (the fault was
-  *exercised*, not dodged).
+verification, and is checked by the differential oracle
+(:mod:`repro.tools.oracle`: nothing escapes, native output and exit
+code, replay-exact stats, cross-engine identity).  The cell's own
+checks add that the fault was *exercised*, not dodged: the expected
+resilience events fired, the plan fired, an alarm landed mid-fragment,
+and the equivalence rule flagged every injected ``corrupt_instrlist``
+and ``cache_poison``.
 
 ``--runtime`` switches to the drshield matrix: no client at all, the
 faults target the *runtime's own* chokepoints (``runtime_raise:<site>``)
 or plant errant stores / livelock (see
-:class:`~repro.resilience.faultinject.RuntimeFaultPlan`).  The oracle
-additionally asserts that the event stream replays exactly onto the
-live stats and that the escalation ladder's events (``shield_fault``,
-``subsystem_disabled``, ``watchdog_trip``) are *identical* across the
-tuple, closure, and chain engines for every cell.
+:class:`~repro.resilience.faultinject.RuntimeFaultPlan`).  Each cell runs
+on the tuple, closure, and chain engines; beyond the oracle (whose
+full event-stream identity makes the escalation ladder's events
+identical across engines), the plan must fire and the ladder must
+engage (a ``shield_fault``, or a watchdog trip for livelock).
 
 Exit status is non-zero if any run violates the contract.
 """
@@ -32,12 +31,9 @@ Exit status is non-zero if any run violates the contract.
 import argparse
 
 from repro.asm import CodeBuilder, mem
-from repro.core import DynamoRIO, RuntimeOptions
+from repro.core import RuntimeOptions
 from repro.isa.registers import Reg
-from repro.loader import Process
-from repro.machine.interp import run_native
 from repro.minicc import compile_source
-from repro.observe.events import replay_stats
 from repro.resilience.faultinject import (
     FAULT_KINDS,
     RUNTIME_FAULT_KINDS,
@@ -45,6 +41,7 @@ from repro.resilience.faultinject import (
     FaultPlan,
     RuntimeFaultPlan,
 )
+from repro.tools.oracle import ENGINES, Cell, sweep
 from repro.tools.run import CLIENTS
 
 # ------------------------------------------------------------------ workloads
@@ -206,13 +203,87 @@ EXPECTED_EVENTS = {
 DETACH_KINDS = ("detach", "reattach", "mid_fragment_signal")
 
 
+def client_options(fault_kind):
+    options = RuntimeOptions.with_traces()
+    options.guard_clients = True
+    options.client_fault_limit = 3
+    options.client_hook_budget = 200000
+    options.cache_consistency = True
+    options.verify_fragments = True
+    options.verify_equivalence = True
+    options.trace_events = True
+    options.trace_buffer = None
+    if fault_kind in ("mid_trace_signal", "smc_write"):
+        # Make traces (and therefore trace hooks / stitched-span
+        # invalidation) happen early in these short programs.
+        options.trace_threshold = 3
+    if fault_kind in DETACH_KINDS:
+        options.precise_interrupts = True
+    return options
+
+
+def expected_events(run):
+    counts = run.runtime.observer.counts
+    for kind in EXPECTED_EVENTS[run.client.plan.kind]:
+        if not counts.get(kind):
+            yield "expected event %r never fired" % kind
+
+
+def plan_fired(run):
+    if run.client.injected == 0:
+        yield "fault plan never fired"
+
+
+def mid_fragment_delivery(run):
+    # The point of the kind: at least one alarm must have been taken
+    # *inside* a fragment via the translation table, not at a fragment
+    # boundary.
+    if not any(
+        ev.data.get("mid_fragment")
+        for ev in run.runtime.observer.events(("signal_delivered",))
+    ):
+        yield "no mid-fragment signal delivery"
+
+
+def equivalence_flagged(run):
+    # drequiv negative control: these faults corrupt instruction lists
+    # semantically, so beyond the guard's dynamic bailout the
+    # equivalence rule must have flagged them *statically* at emit.
+    if run.client.injected and not any(
+        d.is_error and d.rule == "equivalence"
+        for d in run.runtime.verifier_diagnostics
+    ):
+        yield "injected %s was never flagged by the equivalence rule" % (
+            run.client.plan.kind
+        )
+
+
+def client_cell(image, client_name, fault_kind, seed, columns=("closure",)):
+    """One chaos cell: ``client_name`` behind a seeded fault injector."""
+
+    def client():
+        return FaultInjectingClient(
+            FaultPlan(fault_kind, seed), inner=CLIENTS[client_name]()
+        )
+
+    checks = [expected_events]
+    if fault_kind not in ("smc_write", "mid_fragment_signal"):
+        checks.append(plan_fired)
+    if fault_kind == "mid_fragment_signal":
+        checks.append(mid_fragment_delivery)
+    if fault_kind in ("corrupt_instrlist", "cache_poison"):
+        checks.append(equivalence_flagged)
+    return Cell(
+        image,
+        options=lambda: client_options(fault_kind),
+        client=client,
+        columns=columns,
+        checks=tuple(checks),
+        client_faults=True,
+    )
+
+
 # ------------------------------------------------- drshield matrix (--runtime)
-
-RUNTIME_ENGINES = ("tuple", "closure", "chain")
-
-# Escalation-ladder event kinds that must be byte-identical across the
-# three engines for every (fault, workload, seed) cell.
-LADDER_EVENT_KINDS = ("shield_fault", "subsystem_disabled", "watchdog_trip")
 
 # Kinds whose chokepoint only runs under cache pressure: give them a
 # small cache so evict/unlink are actually invoked in every workload.
@@ -229,18 +300,16 @@ def runtime_engines(fault_kind):
     # The chain chokepoint only exists on the chain engine.
     if fault_kind == "runtime_raise:chain":
         return ("chain",)
-    return RUNTIME_ENGINES
+    return ENGINES
 
 
-def runtime_options(fault_kind, engine):
+def runtime_options(fault_kind):
     options = RuntimeOptions.with_traces()
     options.shield = True
     options.trace_events = True
     options.trace_buffer = None
     options.precise_interrupts = True
     options.trace_threshold = 3
-    options.closure_engine = engine != "tuple"
-    options.chain_engine = engine == "chain"
     options.chain_threshold = 3
     if fault_kind in PRESSURE_KINDS:
         options.code_cache_limit = 256
@@ -249,181 +318,40 @@ def runtime_options(fault_kind, engine):
     return options
 
 
-def run_runtime_one(image, fault_kind, seed, engine):
-    """One drshield run; returns (ok, detail, ladder_event_stream)."""
-    native = run_native(Process(image))
-    runtime = DynamoRIO(
-        Process(image), options=runtime_options(fault_kind, engine)
-    )
+def runtime_plan_fired(run):
+    if run.runtime.rguard.injected == 0:
+        yield "runtime fault plan never fired"
+
+
+def ladder_engaged(run):
+    stats = run.runtime.stats
+    if run.runtime.rguard.plan.kind == "livelock":
+        # Livelock produces no internal exception, so no shield_fault;
+        # the watchdog must have broken the loop instead.
+        if not stats.watchdog_trips:
+            yield "livelock never tripped the watchdog"
+    elif not stats.shield_faults:
+        yield "fault injected but no shield_fault recorded"
+
+
+def runtime_cell(image, fault_kind, seed):
+    """One drshield cell: a seeded runtime fault plan on every engine
+    that has the faulting chokepoint."""
     # Trace finalization only runs a handful of times in these short
     # workloads, so the plan must start at the first one to be
     # guaranteed to fire; the period still varies with the seed.
     start = 1 if fault_kind == "runtime_raise:trace" else None
-    runtime.rguard.plan = RuntimeFaultPlan(fault_kind, seed, start=start)
-    try:
-        result = runtime.run()
-    except Exception as exc:  # contract: nothing escapes the ladder
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc), None
 
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if runtime.rguard.injected == 0:
-        problems.append("runtime fault plan never fired")
-    stats = runtime.stats.as_dict()
-    if replay_stats(runtime.observer.events()) != stats:
-        problems.append("event stream does not replay onto live stats")
-    if fault_kind == "livelock":
-        # Livelock produces no internal exception, so no shield_fault;
-        # the watchdog must have broken the loop instead.
-        if not stats["watchdog_trips"]:
-            problems.append("livelock never tripped the watchdog")
-    elif not stats["shield_faults"]:
-        problems.append("fault injected but no shield_fault recorded")
-    ladder = [
-        (ev.kind, ev.tag, ev.data)
-        for ev in runtime.observer.events()
-        if ev.kind in LADDER_EVENT_KINDS
-    ]
-    if problems:
-        return False, "; ".join(problems), ladder
-    return True, "ok (%d injected, %d shield faults, %d ladder events)" % (
-        runtime.rguard.injected,
-        stats["shield_faults"],
-        len(ladder),
-    ), ladder
+    def install_plan(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(fault_kind, seed, start=start)
 
-
-def run_runtime_matrix(args, images):
-    kinds = (args.fault,) if args.fault else RUNTIME_FAULT_KINDS
-    runs = failures = 0
-    for fault_kind in kinds:
-        for workload in runtime_fault_workloads(args.matrix):
-            for seed in range(args.seeds):
-                streams = []
-                for engine in runtime_engines(fault_kind):
-                    runs += 1
-                    ok, detail, ladder = run_runtime_one(
-                        images[workload], fault_kind, seed, engine
-                    )
-                    label = "%-22s %-8s seed=%d %-7s" % (
-                        fault_kind, workload, seed, engine,
-                    )
-                    if not ok:
-                        failures += 1
-                        print("FAIL %s: %s" % (label, detail))
-                    elif args.verbose:
-                        print("ok   %s: %s" % (label, detail))
-                    if ok and ladder is not None:
-                        streams.append((engine, ladder))
-                # The ladder is part of the simulated result: every
-                # engine must have climbed exactly the same rungs.
-                for engine, ladder in streams[1:]:
-                    if ladder != streams[0][1]:
-                        failures += 1
-                        print(
-                            "FAIL %-22s %-8s seed=%d: ladder events "
-                            "diverge between %s and %s engines"
-                            % (
-                                fault_kind, workload, seed,
-                                streams[0][0], engine,
-                            )
-                        )
-    print(
-        "chaos --runtime: %d runs, %d failures (%s matrix, %d seeds)"
-        % (runs, failures, args.matrix, args.seeds)
+    return Cell(
+        image,
+        options=lambda: runtime_options(fault_kind),
+        columns=runtime_engines(fault_kind),
+        setup=install_plan,
+        checks=(runtime_plan_fired, ladder_engaged),
     )
-    return 1 if failures else 0
-
-
-def run_one(image, client_name, fault_kind, seed, closure_engine=True):
-    """One chaos run; returns (ok, detail_string, result)."""
-    native = run_native(Process(image))
-
-    options = RuntimeOptions.with_traces()
-    options.guard_clients = True
-    options.client_fault_limit = 3
-    options.client_hook_budget = 200000
-    options.cache_consistency = True
-    options.verify_fragments = True
-    options.verify_equivalence = True
-    options.trace_events = True
-    options.trace_buffer = None
-    options.closure_engine = closure_engine
-    if fault_kind in ("mid_trace_signal", "smc_write"):
-        # Make traces (and therefore trace hooks / stitched-span
-        # invalidation) happen early in these short programs.
-        options.trace_threshold = 3
-    if fault_kind in DETACH_KINDS:
-        options.precise_interrupts = True
-
-    plan = FaultPlan(fault_kind, seed)
-    client = FaultInjectingClient(plan, inner=CLIENTS[client_name]())
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:  # contract: nothing escapes the guard
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc), None
-
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    counts = runtime.observer.counts
-    for kind in EXPECTED_EVENTS[fault_kind]:
-        if not counts.get(kind):
-            problems.append("expected event %r never fired" % kind)
-    if (
-        fault_kind not in ("smc_write", "mid_fragment_signal")
-        and client.injected == 0
-    ):
-        problems.append("fault plan never fired")
-    if fault_kind == "mid_fragment_signal":
-        # The point of the kind: at least one alarm must have been
-        # taken *inside* a fragment via the translation table, not at
-        # a fragment boundary.
-        mid = sum(
-            1
-            for ev in runtime.observer.events()
-            if ev.kind == "signal_delivered" and ev.data.get("mid_fragment")
-        )
-        if not mid:
-            problems.append("no mid-fragment signal delivery")
-    if fault_kind in ("corrupt_instrlist", "cache_poison") and client.injected:
-        # drequiv negative control: these faults corrupt instruction
-        # lists semantically, so beyond the guard's dynamic bailout the
-        # equivalence rule must have flagged them *statically* at emit.
-        equiv_errors = [
-            d
-            for d in runtime.verifier_diagnostics
-            if d.is_error and d.rule == "equivalence"
-        ]
-        if not equiv_errors:
-            problems.append(
-                "injected %s was never flagged by the equivalence rule"
-                % fault_kind
-            )
-    if problems:
-        return False, "; ".join(problems), result
-    return True, "ok (%d faults, %d events)" % (
-        runtime.stats.client_faults,
-        runtime.observer.total_emitted,
-    ), result
 
 
 def main(argv=None):
@@ -456,35 +384,31 @@ def main(argv=None):
 
     images = workload_images()
     if args.runtime:
-        return run_runtime_matrix(args, images)
-    clients = SMALL_CLIENTS if args.matrix == "small" else FULL_CLIENTS
-    engines = (True,) if args.matrix == "small" else (True, False)
-    kinds = (args.fault,) if args.fault else FAULT_KINDS
-
-    runs = failures = 0
-    for fault_kind in kinds:
-        for workload in fault_workloads(fault_kind, args.matrix):
-            for client_name in clients:
-                for seed in range(args.seeds):
-                    for engine in engines:
-                        runs += 1
-                        ok, detail, _ = run_one(
-                            images[workload], client_name, fault_kind,
-                            seed, closure_engine=engine,
-                        )
-                        label = "%-16s %-8s %-7s seed=%d %s" % (
-                            fault_kind, workload, client_name, seed,
-                            "closure" if engine else "tuple",
-                        )
-                        if not ok:
-                            failures += 1
-                            print("FAIL %s: %s" % (label, detail))
-                        elif args.verbose:
-                            print("ok   %s: %s" % (label, detail))
-
+        title = "chaos --runtime"
+        cells = (
+            ("%-22s %-8s seed=%d" % (kind, workload, seed),
+             runtime_cell(images[workload], kind, seed))
+            for kind in ((args.fault,) if args.fault else RUNTIME_FAULT_KINDS)
+            for workload in runtime_fault_workloads(args.matrix)
+            for seed in range(args.seeds)
+        )
+    else:
+        title = "chaos"
+        small = args.matrix == "small"
+        clients = SMALL_CLIENTS if small else FULL_CLIENTS
+        columns = ("closure",) if small else ("closure", "tuple")
+        cells = (
+            ("%-16s %-8s %-7s seed=%d" % (kind, workload, client_name, seed),
+             client_cell(images[workload], client_name, kind, seed, columns))
+            for kind in ((args.fault,) if args.fault else FAULT_KINDS)
+            for workload in fault_workloads(kind, args.matrix)
+            for client_name in clients
+            for seed in range(args.seeds)
+        )
+    runs, failures = sweep(cells, args.verbose)
     print(
-        "chaos: %d runs, %d failures (%s matrix, %d seeds)"
-        % (runs, failures, args.matrix, args.seeds)
+        "%s: %d runs, %d failures (%s matrix, %d seeds)"
+        % (title, runs, failures, args.matrix, args.seeds)
     )
     return 1 if failures else 0
 

@@ -5,21 +5,23 @@ Usage::
     python -m repro.tools.detach_diff
     python -m repro.tools.detach_diff --benchmarks gzip --modes detach
 
-Each cell runs a benchmark under ``precise_interrupts`` with a client
-that clean-calls every block and detaches at the k-th dynamic call —
-mid-fragment, from inside cache execution.  The contract:
+Each cell runs a benchmark on all three engines under
+``precise_interrupts`` with a client that clean-calls every block and
+detaches at the k-th dynamic call, mid-fragment, from inside cache
+execution.  The differential oracle (:mod:`repro.tools.oracle`) holds
+the native continuation byte-identical to a run that was *never*
+attached, the event stream replay-exact, and the engines identical;
+the cell's own checks add:
 
-* the native continuation's output and exit code are byte-identical to
-  a run that was *never* attached;
-* ``detach`` mode stays native to program exit; ``reattach`` mode
-  resumes translated execution after a native excursion and must also
-  re-attach successfully (fragments rebuilt, stats replay-exact);
+* exactly one detach; ``detach`` mode stays native to program exit,
+  ``reattach`` mode resumes translated execution after a native
+  excursion and must re-attach exactly once;
 * the ``signal`` workload variant detaches with an alarm pending, so
   the deadline must carry across the transition and deliver natively;
 * the ``shield`` cells detach via the drshield escalation ladder
   instead of a client call: every basic-block build faults, so the
-  ladder burns its retry and flush rungs on the very first block and
-  must fail over to native — still byte-identical.
+  ladder burns its retry and flush rungs (3 faults) on the very first
+  block and must fail over to native, ending detached.
 
 Exit status is non-zero if any cell diverges.
 """
@@ -30,15 +32,12 @@ import time
 
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_insert_clean_call
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
-from repro.observe.events import replay_stats
+from repro.core import RuntimeOptions
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import workload_images
+from repro.tools.oracle import Cell, sweep
 from repro.workloads import load_benchmark
 
-ENGINES = ("tuple", "closure", "chain")
 MODES = ("detach", "reattach")
 DEFAULT_BENCHMARKS = ("gzip", "mcf")
 
@@ -62,100 +61,70 @@ class DetachClient(Client):
         dr_insert_clean_call(ilist, first, self._tick)
 
 
-def run_cell(image, native, engine, mode, at, reattach_after):
-    """One differential cell; returns (ok, detail)."""
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
+def detach_options(**overrides):
+    return RuntimeOptions(
         chain_threshold=3,
         precise_interrupts=True,
         trace_events=True,
         trace_buffer=None,
+        **overrides,
     )
-    client = DetachClient(
-        at, reattach_after=reattach_after if mode == "reattach" else None
+
+
+def detached_once(run):
+    if run.runtime.stats.detaches != 1:
+        yield "detached %d times" % run.runtime.stats.detaches
+
+
+def reattached_once(run):
+    if run.runtime.stats.reattaches != 1:
+        yield "re-attached %d times" % run.runtime.stats.reattaches
+
+
+def ended_detached(run):
+    if not run.runtime.detached:
+        yield "run ended attached"
+
+
+def ladder_faulted_thrice(run):
+    if run.runtime.stats.shield_faults != 3:
+        yield "%d shield faults (expected the ladder's 3)" % (
+            run.runtime.stats.shield_faults
+        )
+
+
+def detach_cell(image, mode, at, reattach_after):
+    """Detach at the ``at``-th clean call; ``reattach`` mode comes back
+    after ``reattach_after`` native instructions."""
+    reattach = mode == "reattach"
+    return Cell(
+        image,
+        options=detach_options,
+        client=lambda: DetachClient(
+            at, reattach_after=reattach_after if reattach else None
+        ),
+        checks=(
+            (detached_once, reattached_once) if reattach
+            else (detached_once, ended_detached)
+        ),
     )
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
-
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if runtime.stats.detaches != 1:
-        problems.append("detached %d times" % runtime.stats.detaches)
-    if mode == "reattach":
-        if runtime.stats.reattaches != 1:
-            problems.append(
-                "re-attached %d times" % runtime.stats.reattaches
-            )
-        if replay_stats(runtime.observer.events()) != runtime.stats.as_dict():
-            problems.append("event stream does not replay to live stats")
-    elif not runtime.detached:
-        problems.append("run ended attached in stay-native mode")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (detached at call %d)" % at
 
 
-def run_shield_cell(image, native, engine):
+def shield_cell(image):
     """Shield-triggered detach: no client at all — a runtime fault plan
     makes every basic-block build raise, so one ``_guarded_build``
     climbs retry → flush → detach and the program finishes natively."""
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
-        chain_threshold=3,
-        precise_interrupts=True,
-        trace_events=True,
-        trace_buffer=None,
-        shield=True,
-    )
-    runtime = DynamoRIO(Process(image), options=options)
-    runtime.rguard.plan = RuntimeFaultPlan(
-        "runtime_raise:bb_build", 0, start=1, period=1
-    )
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
 
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
+    def install_plan(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(
+            "runtime_raise:bb_build", 0, start=1, period=1
         )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if not runtime.detached:
-        problems.append("shield ladder never detached")
-    if runtime.stats.detaches != 1:
-        problems.append("detached %d times" % runtime.stats.detaches)
-    if runtime.stats.shield_faults != 3:
-        problems.append(
-            "%d shield faults (expected the ladder's 3)"
-            % runtime.stats.shield_faults
-        )
-    if replay_stats(runtime.observer.events()) != runtime.stats.as_dict():
-        problems.append("event stream does not replay to live stats")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (ladder detached after %d faults)" % (
-        runtime.stats.shield_faults
+
+    return Cell(
+        image,
+        options=lambda: detach_options(shield=True),
+        setup=install_plan,
+        checks=(ended_detached, detached_once, ladder_faulted_thrice),
     )
 
 
@@ -190,35 +159,16 @@ def main(argv=None):
     signal_image = workload_images()["signal"]
     cells.append(("signal", signal_image, 3, 300))
 
-    modes = args.modes.split(",")
-    runs = failures = 0
     start = time.perf_counter()
-    for name, image, at, reattach_after in cells:
-        native = run_native(Process(image))
-        for engine in ENGINES:
-            for mode in modes:
-                runs += 1
-                ok, detail = run_cell(
-                    image, native, engine, mode, at, reattach_after
-                )
-                label = "%-8s %-7s %-8s" % (name, engine, mode)
-                if not ok:
-                    failures += 1
-                    print("FAIL %s: %s" % (label, detail))
-                elif args.verbose:
-                    print("ok   %s: %s" % (label, detail))
+    matrix = [
+        ("%-8s %-8s" % (name, mode), detach_cell(image, mode, at, after))
+        for name, image, at, after in cells
+        for mode in args.modes.split(",")
+    ]
     # Shield-triggered detach: the failsafe ladder, not a client, pulls
     # the plug — same native-identity contract as every other cell.
-    shield_native = run_native(Process(signal_image))
-    for engine in ENGINES:
-        runs += 1
-        ok, detail = run_shield_cell(signal_image, shield_native, engine)
-        label = "%-8s %-7s %-8s" % ("signal", engine, "shield")
-        if not ok:
-            failures += 1
-            print("FAIL %s: %s" % (label, detail))
-        elif args.verbose:
-            print("ok   %s: %s" % (label, detail))
+    matrix.append(("%-8s %-8s" % ("signal", "shield"), shield_cell(signal_image)))
+    runs, failures = sweep(matrix, args.verbose)
     print(
         "detach diff: %d runs, %d failures (%.1fs)"
         % (runs, failures, time.perf_counter() - start)

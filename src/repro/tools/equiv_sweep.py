@@ -6,14 +6,12 @@ Usage::
     python -m repro.tools.equiv_sweep --benchmarks mgrid,mcf --clients all
 
 Each cell runs a benchmark under ``verify_fragments`` +
-``verify_equivalence`` and asserts three things:
-
-* the run completes (no VerificationError escapes — a clean client must
-  never trip the checker);
-* output and exit code match a native run of the same image;
-* zero error-severity diagnostics were recorded (warnings — e.g. the
-  custom-trace client's assumed return continuations — are reported but
-  do not fail the sweep).
+``verify_equivalence`` on the selected engines and is checked by the
+differential oracle (:mod:`repro.tools.oracle`): no VerificationError
+escapes (a clean client must never trip the checker), output and exit
+code match native, the engines agree, and zero error-severity
+diagnostics were recorded (warnings — e.g. the custom-trace client's
+assumed return continuations — do not fail the sweep).
 
 Exit status is non-zero on any violation.  This is the clean-run half of
 the drequiv contract (no false positives); the chaos harness covers the
@@ -24,9 +22,8 @@ import argparse
 import sys
 import time
 
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
+from repro.core import RuntimeOptions
+from repro.tools.oracle import Cell, sweep
 from repro.tools.run import CLIENTS
 from repro.workloads import all_benchmarks, load_benchmark
 
@@ -34,37 +31,23 @@ DEFAULT_CLIENTS = ("null", "rlr", "inc2add", "ctrace", "ibdisp", "all",
                    "inscount-inline")
 
 
-def run_cell(image, native, client_name, closure_engine):
-    """One sweep cell; returns (ok, detail)."""
-    options = RuntimeOptions.with_traces()
-    options.verify_fragments = True
-    options.verify_equivalence = True
-    options.closure_engine = closure_engine
+def sweep_cell(image, client_name, columns):
+    """One benchmark x client cell under both verify options."""
+
+    def options():
+        made = RuntimeOptions.with_traces()
+        made.verify_fragments = True
+        made.verify_equivalence = True
+        return made
+
     if client_name == "shepherd":
         from repro.clients import ProgramShepherding
 
-        client = ProgramShepherding(image=image)
+        def client():
+            return ProgramShepherding(image=image)
     else:
-        client = CLIENTS[client_name]()
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
-    problems = []
-    if result.output != native.output:
-        problems.append("output diverged")
-    if result.exit_code != native.exit_code:
-        problems.append("exit code diverged")
-    errors = [d for d in runtime.verifier_diagnostics if d.is_error]
-    warnings = len(runtime.verifier_diagnostics) - len(errors)
-    if errors:
-        problems.append(
-            "%d verifier errors; first:\n%s" % (len(errors), errors[0].format())
-        )
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (%d warnings)" % warnings
+        client = CLIENTS[client_name]
+    return Cell(image, options=options, client=client, columns=columns)
 
 
 def main(argv=None):
@@ -89,27 +72,22 @@ def main(argv=None):
         else [b.name for b in all_benchmarks()]
     )
     clients = args.clients.split(",")
-    engines = {
-        "closure": (True,), "tuple": (False,), "both": (True, False),
+    columns = {
+        "closure": ("closure",), "tuple": ("tuple",),
+        "both": ("closure", "tuple"),
     }[args.engine]
 
-    runs = failures = 0
-    start = time.perf_counter()
-    for name in names:
-        image = load_benchmark(name, args.scale)
-        native = run_native(Process(image))
-        for client_name in clients:
-            for engine in engines:
-                runs += 1
-                ok, detail = run_cell(image, native, client_name, engine)
-                label = "%-10s %-15s %s" % (
-                    name, client_name, "closure" if engine else "tuple"
+    def cells():
+        for name in names:
+            image = load_benchmark(name, args.scale)
+            for client_name in clients:
+                yield (
+                    "%-10s %-15s" % (name, client_name),
+                    sweep_cell(image, client_name, columns),
                 )
-                if not ok:
-                    failures += 1
-                    print("FAIL %s: %s" % (label, detail))
-                elif args.verbose:
-                    print("ok   %s: %s" % (label, detail))
+
+    start = time.perf_counter()
+    runs, failures = sweep(cells(), args.verbose)
     print(
         "equiv sweep: %d runs, %d failures (%d benchmarks, %.1fs)"
         % (runs, failures, len(names), time.perf_counter() - start)

@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.api.client import Client
+from repro.api.dr import (
+    dr_decode_fragment,
+    dr_insert_clean_call,
+    dr_replace_fragment,
+)
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.ir.create import INSTR_CREATE_nop
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
+from repro.tools.oracle import Column
 
 
 LOOP_SRC = """
@@ -66,6 +74,42 @@ def indirect_native(indirect_image):
     return run_native(Process(indirect_image))
 
 
+class ChurningClient(Client):
+    """Replaces every fragment it sees, again after each flush.
+
+    ``fragment_deleted`` clears the per-tag marker, so when an evicted
+    tag is rebuilt the rebuild gets replaced too — replacement and
+    eviction keep interleaving for the whole run.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.replaced = set()
+        self.replacements = 0
+        self.deletions = 0
+
+    def _hook(self, context, tag, ilist):
+        def replace_self(ctx, _tag=tag):
+            if _tag in self.replaced:
+                return
+            il = dr_decode_fragment(ctx, _tag)
+            if il is None:
+                return
+            il.prepend(INSTR_CREATE_nop())
+            if dr_replace_fragment(ctx, _tag, il):
+                self.replaced.add(_tag)
+                self.replacements += 1
+
+        dr_insert_clean_call(ilist, ilist.first(), replace_self)
+
+    basic_block = _hook
+    trace = _hook
+
+    def fragment_deleted(self, context, tag):
+        self.deletions += 1
+        self.replaced.discard(tag)
+
+
 class NeverHitMemo(dict):
     """Stands in for ``DynamoRIO.bb_memo``: keeps what the runtime stores
     but never serves it, so every rebuild decodes and lowers afresh (the
@@ -73,6 +117,19 @@ class NeverHitMemo(dict):
 
     def get(self, tag, default=None):
         return default
+
+
+def memo_columns(engine="closure"):
+    """Oracle columns for memo transparency: the runtime's retranslation
+    memo, and a :class:`NeverHitMemo` forced-miss reference."""
+
+    def never_hit(runtime):
+        runtime.bb_memo = NeverHitMemo()
+
+    return (
+        Column("memo", engine),
+        Column("never-hit", engine, setup=never_hit),
+    )
 
 
 def run_under(image, options=None, client=None, cost_model=None):

@@ -10,6 +10,8 @@ from repro.core.fragments import Fragment
 from repro.ir.instrlist import InstrList
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
 
+from repro.tools.oracle import Cell, check
+
 from tests.core.conftest import run_under
 
 
@@ -160,21 +162,25 @@ class TestCacheEviction:
         assert result.events["fragments_deleted"] > 0
 
     def test_eviction_traces_and_tiny_cache_stay_transparent(
-        self, indirect_image, indirect_native
+        self, indirect_image
     ):
         """Constant eviction while trace recordings are active (tiny
         cache, hair-trigger threshold) must stay transparent on both
         engines."""
-        for closure_engine in (True, False):
+
+        def options():
             opts = RuntimeOptions.with_traces()
             opts.code_cache_limit = 700
             opts.trace_threshold = 3  # recordings active most of the run
-            opts.closure_engine = closure_engine
-            _dr, result = run_under(indirect_image, opts)
-            assert result.output == indirect_native.output
-            assert result.exit_code == indirect_native.exit_code
-            assert result.events["cache_evictions"] > 0
-            assert result.events["traces_built"] > 0
+            return opts
+
+        verdict = check(
+            Cell(indirect_image, options=options, columns=("closure", "tuple"))
+        )
+        assert verdict.ok, verdict
+        for run in verdict.runs:
+            assert run.result.events["cache_evictions"] > 0
+            assert run.result.events["traces_built"] > 0
 
     def test_eviction_flush_abandons_stale_recording(self, loop_image):
         """An eviction flush must squash an in-progress trace recording
@@ -250,7 +256,6 @@ class TestCacheEviction:
         the block as sole resident."""
         from repro.core import DynamoRIO
         from repro.loader import Process
-        from repro.machine.interp import run_native
         from repro.minicc import compile_source
 
         source = (
@@ -265,7 +270,6 @@ class TestCacheEviction:
             "}\n"
         )
         image = compile_source(source)
-        native = run_native(Process(image))
 
         # Probe the biggest fragment, then pin the per-unit limit just
         # below it so the straight-line block cannot fit a full unit.
@@ -276,21 +280,16 @@ class TestCacheEviction:
             for f in probe.current_thread.bb_cache.fragments.values()
         )
 
-        reference = None
-        for engine in ("tuple", "closure", "chain"):
+        def options():
             opts = RuntimeOptions.with_traces()
             opts.code_cache_limit = 2 * (biggest - 1)
             opts.cache_evict_policy = "fifo"
-            opts.closure_engine = engine in ("closure", "chain")
-            opts.chain_engine = engine == "chain"
-            _dr, result = run_under(image, opts)
-            assert result.output == native.output
-            assert result.exit_code == native.exit_code
-            assert result.events["cache_fragment_evictions"] > 0
-            key = (result.cycles, result.instructions, result.output)
-            if reference is None:
-                reference = key
-            assert key == reference
+            return opts
+
+        verdict = check(Cell(image, options=options))
+        assert verdict.ok, verdict
+        for run in verdict.runs:
+            assert run.result.events["cache_fragment_evictions"] > 0
 
     def test_fragment_deleted_hook_fires(self, loop_image):
         deleted = []

@@ -4,8 +4,10 @@ The compiled engines (fragment step tables in ``repro.core.closures``;
 chain super-tables in ``repro.core.chains``; the interpreter's
 pre-bound decode closures) must be *bit-identical* to the
 tuple-dispatch reference path on every simulated observable: cycles,
-instruction counts, program output, exit code, and the full event/stat
-dictionaries.  Only host wall-clock time may differ.
+instruction counts, program output, exit code, the full event/stat
+dictionaries, and the final registers and eflags.  Only host
+wall-clock time may differ.  Every cell goes through the differential
+oracle (``repro.tools.oracle``), which also holds each run to native.
 
 Each sample client exercises a different lowered-op surface: redundant
 load removal rewrites straight-line exec ops, strength reduction changes
@@ -27,11 +29,9 @@ from repro.clients import (
     RedundantLoadRemoval,
     StrengthReduction,
 )
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.cost import CostModel
-from repro.machine.interp import Interpreter
+from repro.core import RuntimeOptions
 from repro.minicc import compile_source
+from repro.tools.oracle import Cell, Column, check
 
 from tests.conftest import INDIRECT_SRC, LOOP_SRC
 
@@ -70,18 +70,19 @@ SOURCES = {
     "signals": SIGNAL_SRC,
 }
 
-# The reference engine plus both compiled tiers; every differential in
-# this module runs all three and asserts pairwise identity.
-ENGINES = ("tuple", "closure", "chain")
 
+def _chaining(factory=RuntimeOptions.with_traces, **overrides):
+    """An options factory that promotes chains at the first pass, so the
+    short test workloads actually exercise stitched tables (only the
+    chain engine reads the threshold)."""
 
-def _apply_engine(options, engine):
-    options.closure_engine = engine in ("closure", "chain")
-    options.chain_engine = engine == "chain"
-    if engine == "chain":
-        # Promote at the first pass so the short test workloads
-        # actually exercise stitched tables.
-        options.chain_threshold = 1
+    def options():
+        made = factory()
+        made.chain_threshold = 1
+        for key, value in overrides.items():
+            setattr(made, key, value)
+        return made
+
     return options
 
 
@@ -90,43 +91,17 @@ def images():
     return {name: compile_source(src) for name, src in SOURCES.items()}
 
 
-def _make_runtime(image, client_factory, engine, factory=None):
-    options = _apply_engine(
-        (factory or RuntimeOptions.with_traces)(), engine
-    )
-    return DynamoRIO(
-        Process(image),
-        options=options,
-        client=client_factory(),
-        cost_model=CostModel(),
-    )
-
-
-def _run_runtime(image, client_factory, engine):
-    return _make_runtime(image, client_factory, engine).run()
-
-
-def _assert_identical(a, b):
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.output == b.output
-    assert a.exit_code == b.exit_code
-    assert a.events == b.events
-
-
-def _assert_all_identical(results):
-    reference = results[0]
-    for other in results[1:]:
-        _assert_identical(reference, other)
+def _assert_engines_identical(image, client=lambda: None, **cell):
+    verdict = check(Cell(image, client=client, **cell))
+    assert verdict.ok, verdict
+    return verdict
 
 
 @pytest.mark.parametrize("client_name", sorted(CLIENTS))
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
 def test_runtime_engines_bit_identical(images, source_name, client_name):
-    image = images[source_name]
-    factory = CLIENTS[client_name]
-    _assert_all_identical(
-        [_run_runtime(image, factory, engine) for engine in ENGINES]
+    _assert_engines_identical(
+        images[source_name], CLIENTS[client_name], options=_chaining()
     )
 
 
@@ -134,9 +109,10 @@ def test_chain_runs_actually_chain(images):
     """The three-engine differentials are only meaningful if the chain
     runs execute stitched tables; assert chains get built and stay
     live on the plain loop workload."""
-    runtime = _make_runtime(images["loop"], lambda: None, "chain")
-    runtime.run()
-    report = runtime.chains.report()
+    verdict = _assert_engines_identical(
+        images["loop"], options=_chaining(), columns=("chain",)
+    )
+    report = verdict["chain"].runtime.chains.report()
     assert report["chains_built"] > 0
     assert report["chains_live"] > 0
 
@@ -144,14 +120,10 @@ def test_chain_runs_actually_chain(images):
 @pytest.mark.parametrize("mode", ["native", "emulation"])
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
 def test_interpreter_engines_bit_identical(images, source_name, mode):
-    image = images[source_name]
-    results = [
-        Interpreter(
-            Process(image), CostModel(), mode=mode, engine=engine
-        ).run()
-        for engine in ("closure", "tuple")
-    ]
-    _assert_identical(results[0], results[1])
+    _assert_engines_identical(images[source_name], columns=(
+        Column("closure", "closure", interp=mode),
+        Column("tuple", "tuple", interp=mode),
+    ))
 
 
 def test_threaded_workload_engines_bit_identical():
@@ -175,75 +147,36 @@ int main() {
     return 0;
 }
 """
-    image = compile_source(src)
-    _assert_all_identical(
-        [_run_runtime(image, lambda: None, engine) for engine in ENGINES]
-    )
+    _assert_engines_identical(compile_source(src), options=_chaining())
 
 
 def test_ablation_rows_bit_identical(images):
     """Every Table-1 configuration row agrees across all engines."""
-    image = images["loop"]
     for factory in (
         RuntimeOptions.bb_cache_only,
         RuntimeOptions.with_direct_links,
         RuntimeOptions.with_indirect_links,
         RuntimeOptions.with_traces,
     ):
-        _assert_all_identical(
-            [
-                _make_runtime(image, lambda: None, engine, factory).run()
-                for engine in ENGINES
-            ]
-        )
+        _assert_engines_identical(images["loop"], options=_chaining(factory))
 
 
 # --------------------------------------------------- drtrace differential
 
-def _run_traced(image, client_factory, engine):
-    """Run with drtrace on (unbounded ring) and return (runtime, result)."""
-    options = _apply_engine(RuntimeOptions.with_traces(), engine)
-    options.trace_events = True
-    options.trace_buffer = None
-    runtime = DynamoRIO(
-        Process(image),
-        options=options,
-        client=client_factory(),
-        cost_model=CostModel(),
-    )
-    return runtime, runtime.run()
-
-
-def _stream(runtime):
-    """The recorded events minus the seq numbers (compared across runs)."""
-    return [(e.kind, e.tag, e.data) for e in runtime.observer.events()]
-
-
 def _check_traced_group(image, factory):
-    from repro.observe import replay_stats
-
-    runs = [_run_traced(image, factory, engine) for engine in ENGINES]
-    _assert_all_identical([res for _, res in runs])
-
-    # Replaying the event stream reconstructs every RuntimeStats counter
-    # exactly, for all engines.
-    for rt, _ in runs:
-        assert rt.observer.dropped == 0
-        assert replay_stats(rt.observer.events()) == rt.stats.as_dict()
-
-    # The streams themselves are identical event by event.
-    streams = [_stream(rt) for rt, _ in runs]
-    for other in streams[1:]:
-        assert streams[0] == other
+    # Replaying the (unbounded) event stream reconstructs every
+    # RuntimeStats counter exactly, and the streams themselves are
+    # identical event by event, for all engines.
+    traced = _chaining(trace_events=True, trace_buffer=None)
+    _assert_engines_identical(image, factory, options=traced)
 
     # Tracing must not perturb the simulated machine: tracing-off runs
     # of the compiled engines land on the same cycles/output.
-    reference = runs[0][1]
-    for engine in ("closure", "chain"):
-        plain = _run_runtime(image, factory, engine)
-        assert plain.cycles == reference.cycles
-        assert plain.instructions == reference.instructions
-        assert plain.output == reference.output
+    _assert_engines_identical(image, factory, options=_chaining(), columns=(
+        Column("traced", "tuple", {"trace_events": True}),
+        "closure",
+        "chain",
+    ))
 
 
 @pytest.mark.parametrize("client_name", ["none", "indirect_dispatch"])
@@ -263,25 +196,6 @@ def test_traced_runs_full_matrix(images, source_name, client_name):
 
 # ----------------------------------------------- drguard fault determinism
 
-def _run_faulted(image, fault_kind, seed, engine):
-    """A guarded run with a seeded fault-injecting client."""
-    from repro.resilience.faultinject import FaultInjectingClient, FaultPlan
-
-    options = _apply_engine(RuntimeOptions.with_traces(), engine)
-    options.guard_clients = True
-    options.cache_consistency = True
-    options.trace_events = True
-    options.trace_buffer = None
-    client = FaultInjectingClient(
-        FaultPlan(fault_kind, seed), inner=StrengthReduction()
-    )
-    runtime = DynamoRIO(
-        Process(image), options=options, client=client,
-        cost_model=CostModel(),
-    )
-    return runtime, runtime.run()
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "fault_kind", ["raise_in_hook", "corrupt_instrlist"]
@@ -291,16 +205,17 @@ def test_faulted_runs_bit_identical_across_engines(images, fault_kind, seed):
     are deterministic: the same fault plan produces the same faults,
     bailouts, cycles, and event stream on every engine, including the
     chain engine whose stitched tables the bailout flush dissolves."""
-    runs = [
-        _run_faulted(images["loop"], fault_kind, seed, engine)
-        for engine in ENGINES
-    ]
-    _assert_all_identical([res for _, res in runs])
-    reference = runs[0][0]
-    assert reference.stats.client_faults > 0
-    for rt, _ in runs[1:]:
-        assert rt.stats.client_faults == reference.stats.client_faults
-        assert rt.stats.fragment_bailouts == reference.stats.fragment_bailouts
-    streams = [_stream(rt) for rt, _ in runs]
-    for other in streams[1:]:
-        assert streams[0] == other
+    from repro.resilience.faultinject import FaultInjectingClient, FaultPlan
+
+    def client():
+        return FaultInjectingClient(
+            FaultPlan(fault_kind, seed), inner=StrengthReduction()
+        )
+
+    verdict = _assert_engines_identical(
+        images["loop"], client, client_faults=True, options=_chaining(
+            guard_clients=True, cache_consistency=True,
+            trace_events=True, trace_buffer=None,
+        ),
+    )
+    assert verdict.runs[0].runtime.stats.client_faults > 0

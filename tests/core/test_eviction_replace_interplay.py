@@ -12,75 +12,43 @@ reconstruct the live counters exactly.
 
 import pytest
 
-from repro.api.client import Client
-from repro.api.dr import (
-    dr_decode_fragment,
-    dr_insert_clean_call,
-    dr_replace_fragment,
-)
 from repro.core import RuntimeOptions
-from repro.ir.create import INSTR_CREATE_nop
-from repro.observe import replay_stats
+from repro.tools.oracle import Cell, check
 
-from tests.core.conftest import run_under
-
-
-class _ChurningClient(Client):
-    """Replaces every fragment it sees, again after each flush.
-
-    ``fragment_deleted`` clears the per-tag marker, so when an evicted
-    tag is rebuilt the rebuild gets replaced too — replacement and
-    eviction keep interleaving for the whole run.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.replaced = set()
-        self.replacements = 0
-        self.deletions = 0
-
-    def _hook(self, context, tag, ilist):
-        def replace_self(ctx, _tag=tag):
-            if _tag in self.replaced:
-                return
-            il = dr_decode_fragment(ctx, _tag)
-            if il is None:
-                return
-            il.prepend(INSTR_CREATE_nop())
-            if dr_replace_fragment(ctx, _tag, il):
-                self.replaced.add(_tag)
-                self.replacements += 1
-
-        dr_insert_clean_call(ilist, ilist.first(), replace_self)
-
-    basic_block = _hook
-    trace = _hook
-
-    def fragment_deleted(self, context, tag):
-        self.deletions += 1
-        self.replaced.discard(tag)
+from tests.conftest import ChurningClient
 
 
-def _churn_options(closure_engine, policy="flush"):
-    opts = RuntimeOptions.with_traces()
-    opts.code_cache_limit = 700  # constant pressure (test_cache_and_stubs)
-    opts.cache_evict_policy = policy
-    opts.trace_threshold = 5
-    opts.closure_engine = closure_engine
-    opts.trace_events = True
-    opts.trace_buffer = None  # unbounded: replay must be exact
-    return opts
+def _churn(image, closure_engine, policy="flush", trace_threshold=5):
+    """One churning run, checked by the differential oracle: output
+    identical to native (no stale-stub execution) and the unbounded
+    event stream replaying exactly onto the live counters (every
+    deletion/eviction the stats saw, nothing double-counted or
+    missed).  Returns (client, result)."""
+
+    def options():
+        opts = RuntimeOptions.with_traces()
+        opts.code_cache_limit = 700  # constant pressure (test_cache_and_stubs)
+        opts.cache_evict_policy = policy
+        opts.trace_threshold = trace_threshold
+        opts.trace_events = True
+        opts.trace_buffer = None  # unbounded: replay must be exact
+        return opts
+
+    verdict = check(Cell(
+        image, options=options, client=ChurningClient,
+        columns=("closure" if closure_engine else "tuple",),
+    ))
+    assert verdict.ok, verdict
+    return verdict.runs[0]
 
 
 @pytest.mark.parametrize("policy", ["flush", "fifo"])
 @pytest.mark.parametrize("closure_engine", [True, False])
 def test_eviction_during_replacement_stays_transparent(
-    loop_image, loop_native, closure_engine, policy
+    loop_image, closure_engine, policy
 ):
-    client = _ChurningClient()
-    dr, result = run_under(
-        loop_image, _churn_options(closure_engine, policy), client=client
-    )
+    run = _churn(loop_image, closure_engine, policy)
+    client, result = run.client, run.result
 
     # The interplay actually happened: fragments were replaced AND the
     # cache evicted fragments (including replaced ones) mid-run.
@@ -96,27 +64,12 @@ def test_eviction_during_replacement_stays_transparent(
     # Tags were re-replaced after eviction rebuilt them.
     assert client.replacements > len(client.replaced)
 
-    # No stale-stub execution: the app ran to completion with output
-    # identical to native.
-    assert result.exit_code == loop_native.exit_code
-    assert result.output == loop_native.output
-
-    # The event stream accounts for every deletion/eviction the stats
-    # saw — nothing double-counted, nothing missed.
-    observer = dr.observer
-    assert observer.dropped == 0
-    assert replay_stats(observer.events()) == dr.stats.as_dict()
-
 
 @pytest.mark.parametrize("policy", ["flush", "fifo"])
 def test_no_stale_fragments_remain(loop_image, policy):
     """After the run, every live cache entry is a non-deleted fragment
     and every linked stub points at a live fragment."""
-    client = _ChurningClient()
-    dr, _ = run_under(
-        loop_image, _churn_options(True, policy), client=client
-    )
-    thread = dr.current_thread
+    thread = _churn(loop_image, True, policy).runtime.current_thread
     for cache in (thread.bb_cache, thread.trace_cache):
         for fragment in cache.fragments.values():
             assert not fragment.deleted
@@ -127,29 +80,23 @@ def test_no_stale_fragments_remain(loop_image, policy):
 
 @pytest.mark.parametrize("closure_engine", [True, False])
 def test_fifo_eviction_trace_heads_and_replacement(
-    indirect_image, indirect_native, closure_engine
+    indirect_image, closure_engine
 ):
     """Single-fragment eviction interleaved with trace-head promotion
     and in-fragment replacement on the indirect workload: hair-trigger
     tracing means victims are routinely trace heads or trace members,
     and the churning client re-replaces every rebuild."""
-    client = _ChurningClient()
-    opts = _churn_options(closure_engine, policy="fifo")
-    opts.trace_threshold = 3  # promotions throughout the run
-    dr, result = run_under(indirect_image, opts, client=client)
+    run = _churn(
+        indirect_image, closure_engine, policy="fifo",
+        trace_threshold=3,  # promotions throughout the run
+    )
+    client, result = run.client, run.result
 
     assert result.events["traces_built"] >= 1
     assert result.events["trace_head_counts"] >= 1
     assert result.events["cache_fragment_evictions"] >= 1
     assert client.replacements >= 1
     assert result.events["fragments_replaced"] == client.replacements
-
-    assert result.exit_code == indirect_native.exit_code
-    assert result.output == indirect_native.output
-
-    observer = dr.observer
-    assert observer.dropped == 0
-    assert replay_stats(observer.events()) == dr.stats.as_dict()
 
 
 def test_fifo_eviction_squashes_stale_recording(loop_image):

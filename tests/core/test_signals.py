@@ -15,6 +15,7 @@ from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
+from repro.tools.oracle import Cell, check
 
 
 SIGNAL_SRC = """
@@ -155,16 +156,15 @@ class TestMidTraceSignal:
     ):
         """With a hair-trigger threshold, recordings are active when
         alarms land; output and signal count must still match native."""
-        native = run_native(Process(signal_image))
-        options = RuntimeOptions.with_traces()
-        options.trace_threshold = 2
-        options.closure_engine = closure_engine
-        result = DynamoRIO(Process(signal_image), options=options).run()
-        assert result.output == native.output
-        assert result.exit_code == native.exit_code
+        verdict = check(Cell(
+            signal_image, options=lambda: RuntimeOptions(trace_threshold=2),
+            columns=("closure" if closure_engine else "tuple",),
+        ))
+        assert verdict.ok, verdict
+        result = verdict.runs[0].result
         assert (
             result.events["signals_delivered"]
-            == native.events["signals_delivered"]
+            == verdict.native.events["signals_delivered"]
         )
         assert result.events["traces_built"] > 0
 

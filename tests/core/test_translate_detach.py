@@ -14,24 +14,21 @@ The contract (paper Section 2's transparent exit + precise interrupts):
   the same instruction count;
 * ``reattach_after`` resumes translated execution, and the event
   stream replays to the exact live stats.
+
+Every run goes through the differential oracle (``repro.tools.oracle``),
+which holds it to native output and exit code and replay-exact stats.
 """
 
 import pytest
 
 from repro.api.client import Client
-from repro.api.dr import (
-    dr_detach,
-    dr_insert_clean_call,
-    dr_reattach,
-    dr_register_event_tracer,
-)
-from repro.core import DynamoRIO, RuntimeOptions
+from repro.api.dr import dr_detach, dr_reattach, dr_register_event_tracer
 from repro.loader import Process
-from repro.machine.interp import Interpreter, run_native
+from repro.machine.interp import Interpreter
 from repro.minicc import compile_source
-from repro.observe.events import EV_SIGNAL_DELIVERED, replay_stats
-
-ENGINES = ("tuple", "closure", "chain")
+from repro.observe.events import EV_SIGNAL_DELIVERED
+from repro.tools.detach_diff import DetachClient as DetachAtCall, detach_options
+from repro.tools.oracle import ENGINES, Cell, Column, check
 
 SIGNAL_SRC = """
 int ticks;
@@ -67,30 +64,15 @@ def signal_image():
     return compile_source(SIGNAL_SRC)
 
 
-@pytest.fixture(scope="module")
-def signal_native(signal_image):
-    return run_native(Process(signal_image))
-
-
-def _options(engine, **overrides):
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
-        chain_threshold=3,
-        precise_interrupts=True,
-        trace_events=True,
-        trace_buffer=None,
-    )
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    return options
-
-
-def _run(image, engine, client=None, **overrides):
-    runtime = DynamoRIO(
-        Process(image), options=_options(engine, **overrides), client=client
-    )
-    return runtime, runtime.run()
+def _run(image, engine, client=None, setup=None):
+    """One run on ``engine``, checked by the differential oracle: native
+    output and exit code, replay-exact stats, intact chains."""
+    verdict = check(Cell(
+        image, options=detach_options, client=lambda: client, setup=setup,
+        columns=(engine,),
+    ))
+    assert verdict.ok, verdict
+    return verdict.runs[0].runtime, verdict.runs[0].result
 
 
 def _cached_fragments(runtime):
@@ -110,25 +92,6 @@ def _valid_pcs(fragment):
             if pc is not None:
                 pcs.add(pc)
     return pcs
-
-
-class DetachAtCall(Client):
-    """Clean-calls every block; the k-th dynamic call detaches."""
-
-    def __init__(self, at, reattach_after=None):
-        super().__init__()
-        self.at = at
-        self.reattach_after = reattach_after
-        self.calls = 0
-
-    def _tick(self, context):
-        self.calls += 1
-        if self.calls == self.at:
-            dr_detach(self, reattach_after=self.reattach_after)
-
-    def basic_block(self, context, tag, ilist):
-        first = next(iter(ilist), None)
-        dr_insert_clean_call(ilist, first, self._tick)
 
 
 class DetachAtBuild(Client):
@@ -187,13 +150,8 @@ def test_chain_super_table_translates_every_slot(loop_image):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_signal_latency_bounded_and_mid_fragment(
-    signal_image, signal_native, engine
-):
-    runtime, result = _run(signal_image, engine)
-    assert result.output == signal_native.output
-    assert result.exit_code == signal_native.exit_code
-
+def test_signal_latency_bounded_and_mid_fragment(signal_image, engine):
+    runtime, _ = _run(signal_image, engine)
     deliveries = [
         ev for ev in runtime.observer.events() if ev.kind == EV_SIGNAL_DELIVERED
     ]
@@ -210,83 +168,55 @@ def test_signal_latency_bounded_and_mid_fragment(
 
 
 def test_precise_mode_bit_identical_across_engines(signal_image):
-    streams = []
-    results = []
-    for engine in ENGINES:
-        runtime, result = _run(signal_image, engine)
-        results.append(result)
-        streams.append(
-            [(e.kind, e.tag, e.data) for e in runtime.observer.events()]
-        )
-    base = results[0]
-    for result in results[1:]:
-        assert result.cycles == base.cycles
-        assert result.instructions == base.instructions
-        assert result.output == base.output
-        assert result.exit_code == base.exit_code
     # Signal deliveries (including mid-fragment flags and latencies)
-    # are identical event-for-event across engines.
-    sigs = [
-        [e for e in s if e[0] == EV_SIGNAL_DELIVERED] for s in streams
-    ]
-    assert sigs[0] == sigs[1] == sigs[2]
+    # are identical event-for-event across engines: the oracle compares
+    # the full streams.
+    verdict = check(Cell(signal_image, options=detach_options))
+    assert verdict.ok, verdict
 
 
 def test_polls_are_free_when_disabled(loop_image):
-    baseline = DynamoRIO(
-        Process(loop_image), options=RuntimeOptions.with_traces()
-    ).run()
-    precise = DynamoRIO(
-        Process(loop_image),
-        options=RuntimeOptions(precise_interrupts=True),
-    ).run()
-    assert precise.cycles == baseline.cycles
-    assert precise.instructions == baseline.instructions
-    assert precise.output == baseline.output
-    assert precise.events == baseline.events
+    verdict = check(Cell(loop_image, columns=(
+        Column("baseline"),
+        Column("precise", options={"precise_interrupts": True}),
+    )))
+    assert verdict.ok, verdict
 
 
 # -------------------------------------------------------- detach / native
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_detach_then_native_is_bit_identical(loop_image, loop_native, engine):
-    runtime, result = _run(loop_image, engine, client=DetachAtCall(at=7))
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
+def test_detach_then_native_is_bit_identical(loop_image, engine):
+    runtime, _ = _run(loop_image, engine, client=DetachAtCall(at=7))
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 0
     assert runtime.detached
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_detach_with_pending_signal(signal_image, signal_native, engine):
+def test_detach_with_pending_signal(signal_image, engine):
     # Detach while alarms are armed: the pending deadline must carry
     # over and deliver during the native continuation.
-    runtime, result = _run(signal_image, engine, client=DetachAtBuild(at=5))
-    assert result.output == signal_native.output
-    assert result.exit_code == signal_native.exit_code
+    runtime, _ = _run(signal_image, engine, client=DetachAtBuild(at=5))
     assert runtime.stats.detaches == 1
     assert runtime.system.signals_delivered >= 1
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_translated_state_matches_interpreter(loop_image, engine):
-    runtime = DynamoRIO(
-        Process(loop_image),
-        options=_options(engine),
-        client=DetachAtCall(at=9),
-    )
     snapshot = {}
-    original = runtime._perform_detach
 
-    def spy():
-        original()
-        thread = runtime.threads[0]
-        snapshot["state"] = thread.cpu.state_tuple()
+    def spy_on_detach(runtime):
+        original = runtime._perform_detach
 
-    runtime._perform_detach = spy
-    runtime.run()
+        def spy():
+            original()
+            snapshot["state"] = runtime.threads[0].cpu.state_tuple()
+
+        runtime._perform_detach = spy
+
+    _run(loop_image, engine, client=DetachAtCall(at=9), setup=spy_on_detach)
     assert snapshot, "detach never happened"
 
     # The translated state must be application-consistent: a pure
@@ -318,24 +248,20 @@ def test_translated_state_matches_interpreter(loop_image, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_reattach_resumes_with_replay_exact_stats(
-    loop_image, loop_native, engine
-):
-    runtime, result = _run(
+def test_reattach_resumes_with_replay_exact_stats(loop_image, engine):
+    # The oracle replays the event stream onto the live stats.
+    runtime, _ = _run(
         loop_image, engine, client=DetachAtCall(at=7, reattach_after=600)
     )
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 1
     assert not runtime.detached
     # Fragments were rebuilt after the re-attach.
     assert _cached_fragments(runtime)
-    assert replay_stats(runtime.observer.events()) == runtime.stats.as_dict()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_dr_reattach_bounces_immediately(loop_image, loop_native, engine):
+def test_dr_reattach_bounces_immediately(loop_image, engine):
     class Bounce(DetachAtBuild):
         def basic_block(self, context, tag, ilist):
             self.calls += 1
@@ -343,26 +269,21 @@ def test_dr_reattach_bounces_immediately(loop_image, loop_native, engine):
                 dr_detach(self)
                 dr_reattach(self)
 
-    runtime, result = _run(loop_image, engine, client=Bounce(at=4))
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
+    runtime, _ = _run(loop_image, engine, client=Bounce(at=4))
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 1
 
 
-def test_detach_unregisters_tracers_reattach_restores(
-    loop_image, loop_native
-):
+def test_detach_unregisters_tracers_reattach_restores(loop_image):
     kinds = []
 
     class Tracing(DetachAtCall):
         def init(self):
             dr_register_event_tracer(self, lambda ev: kinds.append(ev.kind))
 
-    runtime, result = _run(
+    runtime, _ = _run(
         loop_image, "closure", client=Tracing(at=7, reattach_after=400)
     )
-    assert result.output == loop_native.output
     # Tracers are unregistered *before* the detach event is emitted —
     # a detached client observes nothing, not even its own detach or
     # anything from the native window.  The first thing it sees again
@@ -376,15 +297,14 @@ def test_detach_unregisters_tracers_reattach_restores(
     assert runtime._client_tracers[0] in runtime.observer.tracers
 
 
-def test_detach_flushes_through_delete_chokepoint(loop_image, loop_native):
+def test_detach_flushes_through_delete_chokepoint(loop_image):
     deleted = []
 
     class Watch(DetachAtCall):
         def fragment_deleted(self, context, tag):
             deleted.append(tag)
 
-    runtime, result = _run(loop_image, "closure", client=Watch(at=7))
-    assert result.output == loop_native.output
+    runtime, _ = _run(loop_image, "closure", client=Watch(at=7))
     # Every cached fragment went through fragment_deleted; nothing is
     # left resident after a stay-native detach.
     assert deleted

@@ -12,15 +12,14 @@ is exactly the divergence the feature closes.
 import pytest
 
 from repro.clients import InstructionCounter
-from repro.core import DynamoRIO, RuntimeOptions
+from repro.core import RuntimeOptions
 from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
-from repro.loader import Process
-from repro.machine.interp import run_native
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import build_smc_image
+from repro.tools.oracle import Cell, Column, check, native_result
 
-from tests.conftest import NeverHitMemo
+from tests.conftest import memo_columns
 
 
 @pytest.fixture(scope="module")
@@ -28,38 +27,37 @@ def smc_image():
     return build_smc_image()
 
 
-@pytest.fixture(scope="module")
-def smc_native(smc_image):
-    return run_native(Process(smc_image))
+def _smc_options(consistency=True, code_cache_limit=None):
+    def options():
+        made = RuntimeOptions.with_traces()
+        made.cache_consistency = consistency
+        made.code_cache_limit = code_cache_limit
+        made.trace_events = True
+        made.trace_buffer = None
+        made.trace_threshold = 3  # traces stitch the patched block early
+        return made
 
-
-def _smc_options(closure_engine, consistency=True):
-    options = RuntimeOptions.with_traces()
-    options.closure_engine = closure_engine
-    options.cache_consistency = consistency
-    options.trace_events = True
-    options.trace_buffer = None
-    options.trace_threshold = 3  # traces stitch the patched block early
     return options
 
 
-def test_native_smc_output_shape(smc_native):
+def _check(image, options, columns=("closure",), **cell):
+    verdict = check(Cell(image, options=options, columns=columns, **cell))
+    assert verdict.ok, verdict
+    return verdict
+
+
+def test_native_smc_output_shape(smc_image):
     # 7 iterations emit 'A', the patch lands in iteration 6 (after that
     # pass's call), the remaining 5 emit 'B'.
-    assert smc_native.output == b"A" * 7 + b"B" * 5
-    assert smc_native.exit_code == 0
+    native = native_result(smc_image)
+    assert native.output == b"A" * 7 + b"B" * 5
+    assert native.exit_code == 0
 
 
 @pytest.mark.parametrize("closure_engine", [True, False])
-def test_smc_invalidation_matches_native(
-    smc_image, smc_native, closure_engine
-):
-    runtime = DynamoRIO(
-        Process(smc_image), options=_smc_options(closure_engine)
-    )
-    result = runtime.run()
-    assert result.output == smc_native.output
-    assert result.exit_code == smc_native.exit_code
+def test_smc_invalidation_matches_native(smc_image, closure_engine):
+    engine = "closure" if closure_engine else "tuple"
+    runtime = _check(smc_image, _smc_options(), (engine,)).runs[0].runtime
     assert runtime.stats.smc_invalidations >= 1
     counts = runtime.observer.counts
     assert counts["smc_invalidate"] == runtime.stats.smc_invalidations
@@ -67,43 +65,32 @@ def test_smc_invalidation_matches_native(
     assert runtime.stats.fragments_deleted >= 1
 
 
-def test_smc_diverges_without_consistency(smc_image, smc_native):
+def test_smc_diverges_without_consistency(smc_image):
     """The flag is load-bearing: without it the stale 'A' fragment keeps
     running and the patch is never picked up."""
-    runtime = DynamoRIO(
-        Process(smc_image),
-        options=_smc_options(closure_engine=True, consistency=False),
-    )
-    result = runtime.run()
-    assert result.output == b"A" * 12
-    assert result.output != smc_native.output
-    assert runtime.stats.smc_invalidations == 0
+    verdict = check(Cell(
+        smc_image, options=_smc_options(consistency=False),
+        columns=("closure",),
+    ))
+    assert verdict.failed() == {"output"}
+    run = verdict.runs[0]
+    assert run.result.output == b"A" * 12
+    assert run.runtime.stats.smc_invalidations == 0
 
 
 def test_smc_engines_bit_identical(smc_image):
-    results = [
-        DynamoRIO(
-            Process(smc_image), options=_smc_options(engine)
-        ).run()
-        for engine in (True, False)
-    ]
-    a, b = results
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.output == b.output
-    assert a.events == b.events
+    _check(smc_image, _smc_options(), ("closure", "tuple"))
 
 
 def test_smc_invalidation_charges_cycles(smc_image):
     """Invalidation is modeled work: the consistency run costs more
     simulated cycles than a (wrong-output) run without it."""
-    with_it = DynamoRIO(
-        Process(smc_image), options=_smc_options(True)
-    ).run()
-    without = DynamoRIO(
-        Process(smc_image),
-        options=_smc_options(True, consistency=False),
-    ).run()
+    verdict = check(Cell(smc_image, options=_smc_options(), columns=(
+        Column("with"), Column("without", options={"cache_consistency": False}),
+    )))
+    # The run without the watch diverges from native (see above); only
+    # the two runs' cycles matter here.
+    with_it, without = (run.result for run in verdict.runs)
     assert with_it.cycles > without.cycles
 
 
@@ -111,67 +98,56 @@ def test_smc_invalidation_charges_cycles(smc_image):
 
 
 def _counting_decoder(monkeypatch):
-    """Count ``build_basic_block`` calls (the decodes a memo hit skips)
-    by tag."""
+    """Record ``build_basic_block`` calls (the decodes a memo hit skips);
+    ``decodes(runtime)`` lists the tags one runtime decoded."""
     decoded = []
     original = runtime_module.build_basic_block
 
     def counted(memory, tag, *args, **kwargs):
-        decoded.append(tag)
+        decoded.append((memory, tag))
         return original(memory, tag, *args, **kwargs)
 
     monkeypatch.setattr(runtime_module, "build_basic_block", counted)
-    return decoded
-
-
-def _run_memo(image, options, memo=None, client=None):
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    if memo is not None:
-        runtime.bb_memo = memo
-    return runtime, runtime.run()
-
-
-def _simulated(runtime, result):
-    return (
-        result.cycles,
-        result.instructions,
-        result.output,
-        result.exit_code,
-        result.events,
-        runtime.observer.events() if runtime.observer is not None else None,
-    )
+    return lambda runtime: [
+        tag for memory, tag in decoded if memory is runtime.memory
+    ]
 
 
 @pytest.mark.parametrize("consistency", [True, False])
 def test_smc_under_flushes_memo_sees_the_patch(
-    smc_image, smc_native, monkeypatch, consistency
+    smc_image, monkeypatch, consistency
 ):
     """A 200-byte cache flushes the patched block out and back in.  With
     or without the write watch, the rebuild must see the new bytes: the
-    memo compares them, so a hit can never serve the stale 'A' body."""
-    decoded = _counting_decoder(monkeypatch)
-    options = _smc_options(True, consistency)
-    options.code_cache_limit = 200
-    runtime, result = _run_memo(smc_image, options)
-    assert result.output == smc_native.output
-    assert result.exit_code == smc_native.exit_code
+    memo compares them, so a hit can never serve the stale 'A' body
+    (the oracle holds both columns to native and to each other)."""
+    decodes = _counting_decoder(monkeypatch)
+    verdict = _check(
+        smc_image, _smc_options(consistency, code_cache_limit=200),
+        memo_columns(),
+    )
+    runtime = verdict["memo"].runtime
     assert runtime.stats.cache_evictions > 0
-    assert len(decoded) < runtime.stats.bbs_built  # the memo did hit
-
-    options = _smc_options(True, consistency)
-    options.code_cache_limit = 200
-    forced = _run_memo(smc_image, options, NeverHitMemo())
-    assert _simulated(runtime, result) == _simulated(*forced)
+    assert len(decodes(runtime)) < runtime.stats.bbs_built  # the memo did hit
 
 
-def test_memo_decodes_each_block_once(loop_image, loop_native, monkeypatch):
+def _tiny_cache(**overrides):
+    def options():
+        made = RuntimeOptions.with_traces()
+        made.code_cache_limit = 300
+        for key, value in overrides.items():
+            setattr(made, key, value)
+        return made
+
+    return options
+
+
+def test_memo_decodes_each_block_once(loop_image, monkeypatch):
     """No client, a tiny flushing cache: every rebuild after the first
     decode of a block is a memo hit."""
-    decoded = _counting_decoder(monkeypatch)
-    options = RuntimeOptions.with_traces()
-    options.code_cache_limit = 300
-    runtime, result = _run_memo(loop_image, options)
-    assert result.output == loop_native.output
+    decodes = _counting_decoder(monkeypatch)
+    runtime = _check(loop_image, _tiny_cache()).runs[0].runtime
+    decoded = decodes(runtime)
     assert len(decoded) == len(set(decoded)) == len(runtime.bb_memo)
     assert runtime.stats.bbs_built >= 3 * len(decoded)
 
@@ -180,57 +156,43 @@ def test_memo_decodes_each_block_once(loop_image, loop_native, monkeypatch):
 def test_memo_hits_pass_the_shield_chokepoints(loop_image, monkeypatch, site):
     """A hit is a build to drshield too: injected build/emit faults fire
     at the same builds, and the ladder climbs identically."""
-    decoded = _counting_decoder(monkeypatch)
+    decodes = _counting_decoder(monkeypatch)
 
-    def run(memo=None):
-        options = RuntimeOptions.with_traces()
-        options.code_cache_limit = 300
-        options.shield = True
-        options.trace_events = True
-        options.trace_buffer = None
-        runtime = DynamoRIO(Process(loop_image), options=options)
+    def install_plan(runtime):
         runtime.rguard.plan = RuntimeFaultPlan(
             "runtime_raise:" + site, 0, start=60, period=80
         )
-        if memo is not None:
-            runtime.bb_memo = memo
-        return runtime, runtime.run()
 
-    runtime, result = run()
+    verdict = _check(
+        loop_image, _tiny_cache(shield=True, trace_events=True,
+                                trace_buffer=None),
+        memo_columns(), setup=install_plan,
+    )
+    runtime = verdict["memo"].runtime
     assert runtime.rguard.injected > 0
-    assert len(decoded) < runtime.stats.bbs_built  # the memo did hit
-    assert _simulated(runtime, result) == _simulated(*run(NeverHitMemo()))
+    assert len(decodes(runtime)) < runtime.stats.bbs_built  # the memo did hit
 
 
 def test_memo_bypassed_for_clients(loop_image, monkeypatch):
     """A client's bb hook sees every build: nothing is memoized."""
-    decoded = _counting_decoder(monkeypatch)
-    options = RuntimeOptions.with_traces()
-    options.code_cache_limit = 300
-    runtime, _result = _run_memo(
-        loop_image, options, client=InstructionCounter()
-    )
+    decodes = _counting_decoder(monkeypatch)
+    runtime = _check(
+        loop_image, _tiny_cache(), client=InstructionCounter
+    ).runs[0].runtime
     assert runtime.stats.client_bb_hooks == runtime.stats.bbs_built
-    assert len(decoded) == runtime.stats.bbs_built
+    assert len(decodes(runtime)) == runtime.stats.bbs_built
     assert runtime.bb_memo == {}
 
 
 def test_memo_bypassed_under_verify_equivalence(loop_image):
     """drequiv checks every build against its source blocks, so no
     rebuild may skip the emit-time proof."""
-
-    def options():
-        made = RuntimeOptions.with_traces()
-        made.code_cache_limit = 300
-        made.verify_equivalence = True
-        return made
-
-    runtime, result = _run_memo(loop_image, options())
-    forced, forced_result = _run_memo(loop_image, options(), NeverHitMemo())
+    verdict = _check(
+        loop_image, _tiny_cache(verify_equivalence=True), memo_columns()
+    )
+    runtime, forced = (run.runtime for run in verdict.runs)
     assert runtime.bb_memo == {}
     assert runtime.verifier_diagnostics == forced.verifier_diagnostics
-    assert result.cycles == forced_result.cycles
-    assert result.events == forced_result.events
 
 
 # ------------------------------------------------------------- region map

@@ -18,6 +18,7 @@ from repro.resilience.faultinject import (
     corrupt_instrlist,
 )
 from repro.tools import chaos
+from repro.tools.oracle import check
 
 
 def test_fault_plan_is_deterministic():
@@ -96,9 +97,9 @@ def test_injecting_client_delegates_to_inner(loop_image, loop_native):
 
 def test_chaos_run_one_contract(loop_image):
     image = compile_source(chaos.LOOP_SRC)
-    ok, detail, result = chaos.run_one(image, "rlr", "raise_in_hook", 0)
-    assert ok, detail
-    assert result is not None
+    verdict = check(chaos.client_cell(image, "rlr", "raise_in_hook", 0))
+    assert verdict.ok, verdict
+    assert verdict.runs[0].result is not None
 
 
 def test_chaos_smc_workload_builds():

@@ -19,53 +19,50 @@ The contract under ``options.shield``:
 
 import pytest
 
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
+from repro.core import DynamoRIO
 from repro.machine.memory import MachineFault, Memory
-from repro.observe.events import replay_stats
 from repro.resilience import RuntimeGuard, Shield
 from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
-from repro.tools.chaos import build_smc_image
-
-from tests.conftest import run_under
-
-ENGINES = ("tuple", "closure", "chain")
+from repro.tools.chaos import build_smc_image, runtime_options
+from repro.tools.oracle import ENGINES, Cell, Column, check
 
 
-def _shield_options(engine="closure", **overrides):
-    options = RuntimeOptions.with_traces()
-    options.shield = True
-    options.trace_events = True
-    options.trace_buffer = None
-    options.precise_interrupts = True
-    options.trace_threshold = 3
-    options.closure_engine = engine != "tuple"
-    options.chain_engine = engine == "chain"
-    options.chain_threshold = 3
-    for key, value in overrides.items():
-        setattr(options, key, value)
+def _shield_options(**overrides):
+    """The chaos ``--runtime`` matrix's options (shield, unbounded
+    tracing, precise interrupts, early traces and chains) plus
+    ``overrides``."""
+
+    def options():
+        made = runtime_options(None)
+        for key, value in overrides.items():
+            setattr(made, key, value)
+        return made
+
     return options
 
 
-def _run_with_plan(image, kind, seed=0, engine="closure", start=None,
-                   period=None, **overrides):
-    runtime = DynamoRIO(
-        Process(image), options=_shield_options(engine, **overrides)
-    )
-    runtime.rguard.plan = RuntimeFaultPlan(
-        kind, seed, start=start, period=period
-    )
-    result = runtime.run()
-    return runtime, result
+def _check_plan(image, kind=None, seed=0, columns=("closure",), start=None,
+                period=None, **overrides):
+    """Check a shielded cell, with a seeded runtime fault plan installed
+    when ``kind`` is given, through the differential oracle (native
+    output, replay-exact stats, identical ladders across columns)."""
+
+    def install_plan(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(
+            kind, seed, start=start, period=period
+        )
+
+    verdict = check(Cell(
+        image, options=_shield_options(**overrides), columns=columns,
+        setup=install_plan if kind is not None else None,
+    ))
+    assert verdict.ok, verdict
+    return verdict
 
 
-def _ladder_stream(runtime):
-    return [
-        (ev.kind, ev.tag, ev.data)
-        for ev in runtime.observer.events()
-        if ev.kind in ("shield_fault", "subsystem_disabled", "watchdog_trip")
-    ]
+def _run_with_plan(image, kind, seed=0, engine="closure", **plan):
+    run = _check_plan(image, kind, seed, columns=(engine,), **plan).runs[0]
+    return run.runtime, run.result
 
 
 # ------------------------------------------------------------- errant writes
@@ -73,17 +70,13 @@ def _ladder_stream(runtime):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_errant_write_fuzz_recovers_bit_identical(
-    loop_image, loop_native, engine, seed
-):
+def test_errant_write_fuzz_recovers_bit_identical(loop_image, engine, seed):
     """Seeded errant stores into cache/stub/IBL/scratch: every one is
     trapped, attributed, recovered — and the program's output is still
-    byte-identical to native."""
-    runtime, result = _run_with_plan(
+    byte-identical to native (and the stream replay-exact)."""
+    runtime, _ = _run_with_plan(
         loop_image, "errant_write", seed=seed, engine=engine
     )
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
     assert runtime.rguard.injected >= 1
     assert runtime.stats.shield_faults >= 1
     faults = [
@@ -97,18 +90,14 @@ def test_errant_write_fuzz_recovers_bit_identical(
         )
         # Attribution: the faulting *application* PC, not a cache address.
         assert isinstance(ev.data["pc"], int)
-    assert replay_stats(runtime.observer.events()) == runtime.stats.as_dict()
 
 
 def test_errant_write_ladder_identical_across_engines(loop_image):
-    streams = []
-    for engine in ENGINES:
-        runtime, _ = _run_with_plan(
-            loop_image, "errant_write", seed=1, engine=engine
-        )
-        streams.append(_ladder_stream(runtime))
-    assert streams[0] == streams[1] == streams[2]
-    assert streams[0]  # the plan actually fired
+    # The oracle holds the full event streams, ladder included,
+    # identical across engines.
+    verdict = _check_plan(loop_image, "errant_write", seed=1, columns=ENGINES)
+    # The plan actually fired.
+    assert verdict.runs[0].runtime.observer.counts.get("shield_fault")
 
 
 def test_errant_write_invalidates_only_the_clobbered_unit(
@@ -142,13 +131,8 @@ def test_errant_write_invalidates_only_the_clobbered_unit(
 def test_smc_still_flows_through_cache_consistency():
     """A legitimate store into *application* code is SMC, not an errant
     write: the consistency path invalidates, the shield stays silent."""
-    image = build_smc_image()
-    native = run_native(Process(image))
-    runtime, result = run_under(
-        image, options=_shield_options(cache_consistency=True)
-    )
-    assert result.output == native.output
-    assert result.exit_code == native.exit_code
+    verdict = _check_plan(build_smc_image(), cache_consistency=True)
+    runtime = verdict.runs[0].runtime
     assert runtime.stats.smc_invalidations >= 1
     assert runtime.stats.shield_faults == 0
     assert runtime.shield.errant_faults == 0
@@ -157,14 +141,12 @@ def test_smc_still_flows_through_cache_consistency():
 # ------------------------------------------------------ escalation ladder
 
 
-def test_persistent_build_fault_climbs_to_detach(loop_image, loop_native):
+def test_persistent_build_fault_climbs_to_detach(loop_image):
     """Every bb build raises: retry, flush+retry, then the ladder's
     last rung — a full detach — and the program finishes natively."""
-    runtime, result = _run_with_plan(
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:bb_build", start=1, period=1
     )
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
     assert runtime.detached
     assert runtime.stats.detaches == 1
     assert runtime.stats.shield_faults == 3
@@ -172,23 +154,21 @@ def test_persistent_build_fault_climbs_to_detach(loop_image, loop_native):
     assert sites == ["bb_build"] * 3
 
 
-def test_transient_build_fault_recovers_by_retry(loop_image, loop_native):
+def test_transient_build_fault_recovers_by_retry(loop_image):
     """One isolated build fault: the first rung (retry) absorbs it and
     the run never detaches or disables anything."""
-    runtime, result = _run_with_plan(
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:bb_build", start=2, period=10**9
     )
-    assert result.output == loop_native.output
     assert not runtime.detached
     assert runtime.stats.shield_faults == 1
     assert runtime.stats.subsystems_disabled == 0
 
 
-def test_link_faults_disable_direct_linking(loop_image, loop_native):
-    runtime, result = _run_with_plan(
+def test_link_faults_disable_direct_linking(loop_image):
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:link", start=1, period=1
     )
-    assert result.output == loop_native.output
     assert "direct_linking" in runtime.rguard.disabled
     assert not runtime.options.link_direct
     assert runtime.stats.subsystems_disabled == 1
@@ -201,11 +181,10 @@ def test_link_faults_disable_direct_linking(loop_image, loop_native):
     ]
 
 
-def test_trace_faults_disable_traces(loop_image, loop_native):
-    runtime, result = _run_with_plan(
+def test_trace_faults_disable_traces(loop_image):
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:trace", start=1, period=1
     )
-    assert result.output == loop_native.output
     if "traces" in runtime.rguard.disabled:
         assert not runtime.options.traces
         # Disabled mid-run: no trace may have been finalized after that.
@@ -214,22 +193,20 @@ def test_trace_faults_disable_traces(loop_image, loop_native):
     assert runtime.stats.shield_faults == len(runtime.rguard.fault_log)
 
 
-def test_chain_faults_disable_chains(loop_image, loop_native):
-    runtime, result = _run_with_plan(
+def test_chain_faults_disable_chains(loop_image):
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:chain", start=1, period=1, engine="chain"
     )
-    assert result.output == loop_native.output
     assert "chains" in runtime.rguard.disabled
     assert runtime.chains is None
     assert not runtime.options.chain_engine
 
 
-def test_evict_faults_disable_fifo_eviction(loop_image, loop_native):
-    runtime, result = _run_with_plan(
+def test_evict_faults_disable_fifo_eviction(loop_image):
+    runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:evict", start=1, period=1,
         code_cache_limit=256, cache_evict_policy="fifo",
     )
-    assert result.output == loop_native.output
     assert "fifo_eviction" in runtime.rguard.disabled
     assert runtime.options.cache_evict_policy == "flush"
 
@@ -237,38 +214,29 @@ def test_evict_faults_disable_fifo_eviction(loop_image, loop_native):
 @pytest.mark.parametrize(
     "kind", [k for k in RUNTIME_FAULT_KINDS if k != "runtime_raise:chain"]
 )
-def test_every_fault_kind_contained_on_every_engine(
-    indirect_image, indirect_native, kind
-):
+def test_every_fault_kind_contained_on_every_engine(indirect_image, kind):
     """No seeded runtime fault, on any engine, escapes the ladder or
-    perturbs the application."""
-    for engine in ENGINES:
-        runtime, result = _run_with_plan(
-            indirect_image, kind, seed=0, engine=engine, start=1,
-            code_cache_limit=(
-                256 if kind in
-                ("runtime_raise:evict", "runtime_raise:unlink") else None
-            ),
-            cache_evict_policy=(
-                "fifo" if kind == "runtime_raise:evict" else "flush"
-            ),
-        )
-        assert result.output == indirect_native.output, (kind, engine)
-        assert result.exit_code == indirect_native.exit_code, (kind, engine)
-        assert runtime.rguard.injected >= 1, (kind, engine)
-        assert (
-            replay_stats(runtime.observer.events())
-            == runtime.stats.as_dict()
-        ), (kind, engine)
+    perturbs the application (the oracle: native output, replay-exact
+    stats, identical engines)."""
+    verdict = _check_plan(
+        indirect_image, kind, seed=0, columns=ENGINES, start=1,
+        code_cache_limit=(
+            256 if kind in
+            ("runtime_raise:evict", "runtime_raise:unlink") else None
+        ),
+        cache_evict_policy=(
+            "fifo" if kind == "runtime_raise:evict" else "flush"
+        ),
+    )
+    for run in verdict.runs:
+        assert run.runtime.rguard.injected >= 1, (kind, run.column.name)
 
 
 # ------------------------------------------------------------- watchdog
 
 
-def test_livelock_trips_watchdog_then_detaches(loop_image, loop_native):
-    runtime, result = _run_with_plan(loop_image, "livelock", start=1)
-    assert result.output == loop_native.output
-    assert result.exit_code == loop_native.exit_code
+def test_livelock_trips_watchdog_then_detaches(loop_image):
+    runtime, _ = _run_with_plan(loop_image, "livelock", start=1)
     assert runtime.stats.watchdog_trips == 2
     assert runtime.detached
     trips = [
@@ -282,7 +250,7 @@ def test_livelock_trips_watchdog_then_detaches(loop_image, loop_native):
 
 
 def test_watchdog_quiet_on_clean_run(loop_image):
-    runtime, _ = run_under(loop_image, options=_shield_options())
+    runtime = _check_plan(loop_image).runs[0].runtime
     assert runtime.stats.watchdog_trips == 0
     # Tags built but not yet re-executed may hold a count of 1; none
     # may ever approach the trip threshold on a clean run.
@@ -300,22 +268,11 @@ def test_shield_off_and_on_bit_identical_when_clean(loop_image, engine):
     """A clean program can't tell the shield exists: cycles,
     instructions, output, and the full event stream are identical with
     it on or off."""
-    def run(shield):
-        return run_under(
-            loop_image, options=_shield_options(engine, shield=shield)
-        )
-
-    rt_off, res_off = run(False)
-    rt_on, res_on = run(True)
-    assert res_on.cycles == res_off.cycles
-    assert res_on.instructions == res_off.instructions
-    assert res_on.output == res_off.output
-    assert res_on.exit_code == res_off.exit_code
-    streams = [
-        [(e.kind, e.tag, e.data) for e in rt.observer.events()]
-        for rt in (rt_off, rt_on)
-    ]
-    assert streams[0] == streams[1]
+    verdict = _check_plan(loop_image, columns=(
+        Column("off", engine, {"shield": False}),
+        Column("on", engine, {"shield": True}),
+    ))
+    rt_off, rt_on = (run.runtime for run in verdict.runs)
     assert rt_off.shield is None and rt_off.rguard is None
     assert isinstance(rt_on.shield, Shield)
     assert isinstance(rt_on.rguard, RuntimeGuard)

@@ -2,7 +2,8 @@
 
 Hypothesis generates random (terminating-by-construction) MiniC
 programs; each must produce byte-identical output natively and under
-the full runtime with all four optimization clients applied.  This is
+the full runtime with all four optimization clients applied, checked
+by the differential oracle (``repro.tools.oracle``).  This is
 the strongest single property in the repository: it exercises the
 compiler, the ISA, both executors, the trace builder, and every client
 transformation at once.
@@ -12,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clients import make_all_optimizations
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
+from repro.core import RuntimeOptions
 from repro.minicc import compile_source
+from repro.tools.oracle import Cell, check
 
 pytestmark = pytest.mark.slow
 
@@ -69,10 +69,13 @@ def statements(draw, depth=2):
             return "if (%s) { %s } else { %s }" % (cond, then, other)
         return "if (%s) { %s }" % (cond, then)
     if kind == "loop":
-        # bounded by construction: loop variable is private to the loop
+        # bounded by construction: each nesting depth has its own loop
+        # variable, which no other statement reads or writes
         bound = draw(st.integers(min_value=1, max_value=12))
         body = draw(statements(depth=depth - 1))
-        return "for (t = 0; t < %d; t++) { %s }" % (bound, body)
+        return "for (t{0} = 0; t{0} < {1}; t{0}++) {{ {2} }}".format(
+            depth, bound, body
+        )
     body = [draw(statements(depth=depth - 1)) for _ in range(2)]
     return " ".join(body)
 
@@ -87,34 +90,31 @@ def programs(draw):
     prints = "\n    ".join("print(%s);" % var for var in VARS)
     return (
         "int main() {\n"
-        "    int a; int b; int c; int d; int t;\n"
-        "    t = 0;\n"
+        "    int a; int b; int c; int d; int t1; int t2;\n"
         "    %s\n    %s\n    %s\n    return 0;\n}"
         % (inits, body, prints)
     )
 
 
+def _assert_transparent(source, options, client=lambda: None):
+    verdict = check(Cell(
+        compile_source(source), options=options, client=client,
+        columns=("closure",),
+    ))
+    assert verdict.ok, "%s\n%s" % (source, verdict)
+
+
 @given(programs())
 @settings(max_examples=40, deadline=None)
 def test_random_programs_transparent_under_all_clients(source):
-    image = compile_source(source)
-    native = run_native(Process(image))
-    opts = RuntimeOptions.with_traces()
-    opts.trace_threshold = 3  # force trace building even on tiny runs
-    runtime = DynamoRIO(
-        Process(image), options=opts, client=make_all_optimizations()
+    # trace_threshold=3 forces trace building even on tiny runs.
+    _assert_transparent(
+        source, lambda: RuntimeOptions(trace_threshold=3),
+        make_all_optimizations,
     )
-    result = runtime.run()
-    assert result.output == native.output, source
-    assert result.exit_code == native.exit_code, source
 
 
 @given(programs())
 @settings(max_examples=15, deadline=None)
 def test_random_programs_transparent_under_bb_cache(source):
-    image = compile_source(source)
-    native = run_native(Process(image))
-    result = DynamoRIO(
-        Process(image), options=RuntimeOptions.bb_cache_only()
-    ).run()
-    assert result.output == native.output, source
+    _assert_transparent(source, RuntimeOptions.bb_cache_only)

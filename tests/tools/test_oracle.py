@@ -1,0 +1,128 @@
+"""Negative controls for the differential oracle.
+
+Each test plants exactly one violation of one fixed invariant and
+asserts the verdict fails and names that invariant (and nothing else),
+so a check that silently stops checking fails here.
+"""
+
+from dataclasses import replace
+
+from repro.api.client import Client
+from repro.core import RuntimeOptions
+from repro.core import chains as chains_module
+from repro.ir.create import INSTR_CREATE_add, OPND_CREATE_INT32, OPND_CREATE_REG
+from repro.isa.registers import Reg
+from repro.tools.chaos import workload_images
+from repro.tools import oracle
+from repro.tools.oracle import ENGINES, Cell, Column, check
+
+
+def _traced():
+    options = RuntimeOptions.with_traces()
+    options.trace_events = True
+    options.trace_buffer = None
+    options.chain_threshold = 3
+    return options
+
+
+def test_clean_cell_passes(loop_image):
+    verdict = check(Cell(loop_image, options=_traced))
+    assert verdict.ok, verdict
+    assert [run.column.name for run in verdict.runs] == list(ENGINES)
+
+
+def test_wrong_native_reference_fails_output(loop_image, monkeypatch):
+    wrong = oracle.native_result(loop_image)._replace(output=b"\0\0\0\0")
+    monkeypatch.setattr(oracle, "native_result", lambda image: wrong)
+    verdict = check(Cell(loop_image, columns=("closure",)))
+    assert verdict.failed() == {"output"}
+
+
+def test_unevented_stat_fails_replay(loop_image):
+    def bump(runtime):
+        runtime.stats.fragments_replaced += 1
+
+    verdict = check(
+        Cell(loop_image, options=_traced, columns=("closure",), setup=bump)
+    )
+    assert verdict.failed() == {"replay"}
+
+
+def test_different_cost_model_fails_cycles(loop_image):
+    def dearer(runtime):
+        runtime.cost.bb_build_base += 1
+
+    verdict = check(
+        Cell(loop_image, columns=(
+            Column("closure"), Column("dearer", setup=dearer),
+        ))
+    )
+    assert verdict.failed() == {"cycles"}
+
+
+def test_stale_af_mask_fails_final_state(monkeypatch):
+    """The chain templates' pre-fix mask (2253 leaves AF set) makes the
+    chain engine end the chaos loop workload with eflags 0x54, not 0x44."""
+    for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
+                 "_DEC_FLAGS"):
+        template = getattr(chains_module, name)
+        assert "~2261" in template
+        monkeypatch.setattr(
+            chains_module, name, template.replace("~2261", "~2253")
+        )
+    verdict = check(
+        Cell(workload_images()["loop"], options=_traced,
+             columns=("closure", "chain"))
+    )
+    assert verdict.failed() == {"final_state"}
+
+
+def test_corrupted_live_chain_fails_chain_integrity(loop_image):
+    def corrupt_after_run(runtime):
+        run = runtime.run
+
+        def corrupted():
+            result = run()
+            thread = runtime.threads[0]
+            for cache in (thread.bb_cache, thread.trace_cache):
+                for fragment in cache.fragments.values():
+                    for record in fragment.chains_in:
+                        record.dead = True
+                        return result
+            raise AssertionError("no live chain to corrupt")
+
+        runtime.run = corrupted
+
+    verdict = check(
+        Cell(loop_image, options=_traced, columns=("chain",),
+             setup=corrupt_after_run)
+    )
+    assert verdict.failed() == {"chain_integrity"}
+
+
+class _NonMetaInserter(Client):
+    """Inserts an *application* (non-meta) add at the top of every block:
+    the equivalence rule must flag it; the guard bails the block out."""
+
+    def basic_block(self, context, tag, ilist):
+        ilist.insert_before(
+            ilist.first(),
+            INSTR_CREATE_add(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+        )
+
+
+def test_nonmeta_insertion_fails_verifier(loop_image):
+    def options():
+        made = _traced()
+        made.guard_clients = True
+        made.verify_equivalence = True
+        return made
+
+    cell = Cell(
+        loop_image, options=options, client=_NonMetaInserter,
+        columns=("closure",),
+    )
+    verdict = check(cell)
+    assert verdict.failed() == {"verifier"}
+    # The same runs are expected to carry errors in a fault-injecting cell.
+    assert check(replace(cell, client_faults=True)).ok
