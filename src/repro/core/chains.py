@@ -52,9 +52,6 @@ Correctness under mutation rests on two mechanisms:
   link, and the fragment gets a better chain at its next promotion.
 """
 
-import sys
-from functools import partial
-
 from repro.core.closures import _compile_target_fetch, compile_steps
 from repro.core.emit import (
     CLEAN_CALL_COST,
@@ -66,10 +63,7 @@ from repro.core.emit import (
 )
 from repro.core.execute import EXIT_DISPATCH, CacheExit
 from repro.core.fragments import LinkStub
-from repro.isa.eflags import AF, CF, OF, PF, SF, ZF
-from repro.isa.opcodes import Opcode
-from repro.isa.operands import ImmOperand, MemOperand, RegOperand
-from repro.machine.cpu import _PARITY, compile_condition
+from repro.machine.cpu import compile_condition
 from repro.machine.errors import MachineFault
 from repro.observe.events import (
     EV_CLEAN_CALL,
@@ -80,271 +74,6 @@ from repro.observe.events import (
 )
 
 _MASK32 = 0xFFFFFFFF
-_M = "4294967295"  # _MASK32 as a source literal
-
-# Inline eflags templates mirroring the CPU's flag methods statement
-# for statement (repro.machine.cpu: flags_sub / flags_add / flags_inc /
-# flags_dec / flags_logic), with the flag bits as literals
-# (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048) and the parity table
-# bound as ``_parity``.  ``_CLEAR`` drops all six arithmetic flags
-# before the new ones are OR-ed in.  ``_r`` is the 32-bit result;
-# sub/add templates consume ``_a``/``_b``.
-_CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % (CF | PF | AF | ZF | SF | OF)
-_RESULT_FLAGS = (
-    "(64 if _r == 0 else 0) | (128 if _r & 2147483648 else 0)"
-    " | (4 if _parity[_r & 255] else 0)"
-)
-_LOGIC_FLAGS = _CLEAR + " | " + _RESULT_FLAGS
-_SUB_FLAGS = (
-    "_r = (_a - _b) & 4294967295; "
-    + _CLEAR
-    + " | (1 if _a < _b else 0)"
-    " | (2048 if ((_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
-)
-_ADD_FLAGS = (
-    "_full = _a + _b; _r = _full & 4294967295; "
-    + _CLEAR
-    + " | (1 if _full > 4294967295 else 0)"
-    " | (2048 if (~(_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
-)
-_INC_FLAGS = (
-    "_a = regs[%d]; _r = (_a + 1) & 4294967295; "
-    + _CLEAR
-    + " | (cpu.eflags & 1)"
-    " | (2048 if (~(_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
-)
-_DEC_FLAGS = (
-    "_a = regs[%d]; _r = (_a - 1) & 4294967295; "
-    + _CLEAR
-    + " | (cpu.eflags & 1)"
-    " | (2048 if ((_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
-)
-
-# Compiled code objects for generated segment sources, keyed by the
-# source text: structurally identical runs (common in unrolled loops)
-# are compiled by CPython once per process.
-_SEGMENT_CODE_CACHE = {}
-
-
-def _ea_expr(op):
-    """Source expression for a MemOperand's effective address —
-    mirrors ``exec_ops.compile_ea`` case for case."""
-    base, index, scale, disp = op.base, op.index, op.scale, op.disp
-    if base is None and index is None:
-        return str(disp & _MASK32)
-    if index is None:
-        if disp == 0:
-            return "(regs[%d] & %s)" % (base, _M)
-        return "((%d + regs[%d]) & %s)" % (disp, base, _M)
-    if base is None:
-        return "((%d + regs[%d] * %d) & %s)" % (disp, index, scale, _M)
-    return "((%d + regs[%d] + regs[%d] * %d) & %s)" % (
-        disp, base, index, scale, _M,
-    )
-
-
-def _read_expr(op):
-    """Source expression for an operand read (zero-extended), or None
-    — mirrors ``exec_ops.compile_read``."""
-    if isinstance(op, RegOperand):
-        return "regs[%d]" % op.reg
-    if isinstance(op, ImmOperand):
-        return str(op.value & _MASK32)
-    if isinstance(op, MemOperand):
-        ea = _ea_expr(op)
-        if op.size == 4:
-            return "read_u32(%s)" % ea
-        if op.size == 2:
-            return "read_u16(%s)" % ea
-        return "read_u8(%s)" % ea
-    return None
-
-
-def _store_stmt(op, value_expr):
-    """Source statement writing ``value_expr`` to operand ``op``, or
-    None — mirrors ``exec_ops.compile_write``, including its
-    value-before-address evaluation order for memory stores (the value
-    read may fault; the address arithmetic cannot)."""
-    if isinstance(op, RegOperand):
-        return "regs[%d] = (%s) & %s" % (op.reg, value_expr, _M)
-    if isinstance(op, MemOperand):
-        if op.size == 4:
-            return "_t = %s; write_u32(%s, _t)" % (value_expr, _ea_expr(op))
-        if op.size == 1:
-            return "_t = %s; write_u8(%s, _t)" % (value_expr, _ea_expr(op))
-    return None
-
-
-def _inline_instr(opcode, ops):
-    """One generated source line executing a non-CTI instruction, or
-    None when the opcode/operand shape has no inline template (the
-    caller then falls back to the compiled per-instruction closure).
-
-    Each template mirrors the corresponding ``exec_ops`` compiler —
-    same value masking, same flags calls, same evaluation order — so
-    faults and results are identical; the win is purely fewer Python
-    calls (no per-instruction closure, no operand-accessor thunks).
-    Every instruction is exactly one source line (compound statements
-    via ``;``), so a traceback line identifies the faulting
-    instruction.
-    """
-    if opcode in (Opcode.NOP, Opcode.LABEL):
-        return "pass"
-    if opcode == Opcode.CMP:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return "_a = %s; _b = %s; %s" % (r0, r1, _SUB_FLAGS)
-    if opcode == Opcode.TEST:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return "_r = (%s) & (%s); %s" % (r0, r1, _LOGIC_FLAGS)
-    if opcode == Opcode.PUSH:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
-        # Value read before moving esp (push %esp semantics).
-        return (
-            "_t = %s; _sp = (regs[4] - 4) & %s; regs[4] = _sp; "
-            "write_u32(_sp, _t)" % (r, _M)
-        )
-    if opcode == Opcode.POP:
-        store = _store_stmt(ops[0], "_t")
-        if store is None:
-            return None
-        return (
-            "_t = read_u32(regs[4]); regs[4] = (regs[4] + 4) & %s; %s"
-            % (_M, store)
-        )
-    if opcode == Opcode.LEA:
-        if not isinstance(ops[0], RegOperand) or not isinstance(
-            ops[1], MemOperand
-        ):
-            return None
-        return "regs[%d] = %s" % (ops[0].reg, _ea_expr(ops[1]))
-
-    if opcode in (Opcode.MOV, Opcode.MOVZX, Opcode.FLD, Opcode.FST):
-        dst, src = ops[0], ops[1]
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            if isinstance(src, RegOperand):
-                return "regs[%d] = regs[%d]" % (d, src.reg)
-            if isinstance(src, ImmOperand):
-                return "regs[%d] = %d" % (d, src.value & _MASK32)
-            if isinstance(src, MemOperand) and src.size == 4:
-                return "regs[%d] = read_u32(%s)" % (d, _ea_expr(src))
-        elif isinstance(dst, MemOperand) and dst.size == 4:
-            ea = _ea_expr(dst)
-            if isinstance(src, RegOperand):
-                return "write_u32(%s, regs[%d])" % (ea, src.reg)
-            if isinstance(src, ImmOperand):
-                return "write_u32(%s, %d)" % (ea, src.value & _MASK32)
-        r = _read_expr(src)
-        if r is None:
-            return None
-        return _store_stmt(dst, r)
-    if opcode == Opcode.MOVB_STORE:
-        r = _read_expr(ops[1])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "(%s) & 255" % r)
-    if opcode == Opcode.MOVSX:
-        src = ops[1]
-        if not isinstance(src, MemOperand):
-            return None
-        r = _read_expr(src)
-        if r is None:
-            return None
-        sign_bit = 1 << (src.size * 8 - 1)
-        return _store_stmt(
-            ops[0], "((%s ^ %d) - %d) & %s" % (r, sign_bit, sign_bit, _M)
-        )
-
-    if opcode in (Opcode.ADD, Opcode.SUB):
-        flags = _ADD_FLAGS if opcode == Opcode.ADD else _SUB_FLAGS
-        dst = ops[0]
-        r1 = _read_expr(ops[1])
-        if r1 is None:
-            return None
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            return "_a = regs[%d]; _b = %s; %s; regs[%d] = _r" % (
-                d, r1, flags, d,
-            )
-        method = "flags_add" if opcode == Opcode.ADD else "flags_sub"
-        r0 = _read_expr(dst)
-        if r0 is None:
-            return None
-        return _store_stmt(dst, "cpu.%s(%s, %s)" % (method, r0, r1))
-    if opcode in (Opcode.INC, Opcode.DEC):
-        dst = ops[0]
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            flags = _INC_FLAGS if opcode == Opcode.INC else _DEC_FLAGS
-            return "%s; regs[%d] = _r" % (flags % d, d)
-        method = "flags_inc" if opcode == Opcode.INC else "flags_dec"
-        r = _read_expr(dst)
-        if r is None:
-            return None
-        return _store_stmt(dst, "cpu.%s(%s)" % (method, r))
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        pyop = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}[opcode]
-        dst = ops[0]
-        r1 = _read_expr(ops[1])
-        if r1 is None:
-            return None
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            return "_r = regs[%d] %s (%s); %s; regs[%d] = _r" % (
-                d, pyop, r1, _LOGIC_FLAGS, d,
-            )
-        r0 = _read_expr(dst)
-        if r0 is None:
-            return None
-        return _store_stmt(
-            dst, "cpu.flags_logic((%s) %s (%s))" % (r0, pyop, r1)
-        )
-    if opcode == Opcode.NOT:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "~(%s) & %s" % (r, _M))
-    if opcode == Opcode.NEG:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "cpu.flags_neg(%s)" % r)
-    if opcode in (Opcode.SHL, Opcode.SHR, Opcode.SAR):
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        if opcode == Opcode.SHL:
-            value = "cpu.flags_shl(%s, (%s) & 31)" % (r0, r1)
-        elif opcode == Opcode.SHR:
-            value = "cpu.flags_shr(%s, (%s) & 31)" % (r0, r1)
-        else:
-            value = "cpu.flags_shr(%s, (%s) & 31, arithmetic=True)" % (r0, r1)
-        return _store_stmt(ops[0], value)
-    if opcode == Opcode.IMUL:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return _store_stmt(ops[0], "cpu.flags_imul(%s, %s)" % (r0, r1))
-    if opcode in (Opcode.FADD, Opcode.FSUB):
-        pyop = "+" if opcode == Opcode.FADD else "-"
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return _store_stmt(ops[0], "((%s) %s (%s)) & %s" % (r0, pyop, r1, _M))
-
-    # DIV, XCHG, FMUL, FDIV, SYSCALL and anything unrecognized run
-    # through their compiled closures.
-    return None
 
 
 class _ChainRecord:
@@ -563,14 +292,9 @@ class ChainManager:
             override = self._make_override(
                 member, base_of, members_by_tag
             )
-            # Multi-instruction OP_EXEC runs become unrolled
-            # generated-source segments (batched accounting, no
-            # per-instruction loop machinery) — the chain tier's in-line
-            # speedup on straight-line code.
             table.extend(
                 compile_steps(
-                    member, runtime, base=base, exit_override=override,
-                    run_override=partial(self._compile_segment, member.code),
+                    member, runtime, base=base, exit_override=override
                 )
             )
         table = tuple(table)
@@ -581,92 +305,6 @@ class ChainManager:
             member.chains_in.append(record)
         self.built += 1
         return table
-
-    # ----------------------------------------------------- segment compilation
-
-    def _compile_segment(self, code, run, pairs, nxt):
-        """Compile one fused OP_EXEC run into an inline-semantics step.
-
-        The closure engine's fused step pays a loop iteration, a tuple
-        unpack, two counter increments and one closure call (plus its
-        operand-accessor thunks) per instruction.  Here the run becomes
-        straight-line generated source: recognized opcode/operand
-        shapes are translated to inline Python mirroring their
-        ``exec_ops`` compilers (register file and memory accessors
-        bound as locals, same masking, same flags calls, same
-        evaluation order), unrecognized shapes fall back to a direct
-        call of their compiled closure (from ``pairs``, the body's
-        :func:`~repro.core.closures.compile_runs` entry), and
-        cycles/instructions land in one batched update at the end.
-
-        On a mid-run fault (or program exit) the exception's traceback
-        line identifies exactly how far the run got — every instruction
-        occupies exactly one source line — so the flushed totals match
-        the per-instruction engines at every observable point; charges
-        are deferred into locals, as the generic fused step already
-        does, so only the final sums are ever visible.
-        """
-        runtime = self.runtime
-        counter = runtime.counter
-        mem = runtime.memory
-        prefix = []
-        total = 0
-        env = {
-            "_sys": sys,
-            "_counter": counter,
-            "_total": None,  # placeholders, filled in below
-            "_nxt": nxt,
-            "_flush": None,
-            "read_u32": mem.read_u32,
-            "read_u16": mem.read_u16,
-            "read_u8": mem.read_u8,
-            "write_u32": mem.write_u32,
-            "write_u8": mem.write_u8,
-            "_parity": _PARITY,
-        }
-        lines = [
-            "def _segment(ex, cpu):",
-            " regs = cpu.regs",
-            " try:",
-        ]
-        line_index = {}
-        for k, op_index in enumerate(run):
-            op = code[op_index]
-            total += op[3]
-            prefix.append(total)
-            text = _inline_instr(op[1], op[2])
-            if text is None:
-                name = "_f%d" % k
-                env[name] = pairs[k][1]
-                text = "%s(cpu)" % name
-            lines.append("  " + text)
-            line_index[len(lines)] = k
-        lines.extend(
-            [
-                " except BaseException:",
-                "  _flush(ex, _sys.exc_info()[2].tb_lineno)",
-                "  raise",
-                " _counter.cycles += _total",
-                " ex.instructions += %d" % len(run),
-                " return _nxt",
-            ]
-        )
-        source = "\n".join(lines)
-        code_obj = _SEGMENT_CODE_CACHE.get(source)
-        if code_obj is None:
-            code_obj = compile(source, "<chain-segment>", "exec")
-            _SEGMENT_CODE_CACHE[source] = code_obj
-        prefix = tuple(prefix)
-
-        def _flush(ex, lineno):
-            index = line_index[lineno]
-            counter.cycles += prefix[index]
-            ex.instructions += index + 1
-
-        env["_total"] = total
-        env["_flush"] = _flush
-        exec(code_obj, env)
-        return env["_segment"]
 
     # -------------------------------------------------------- boundary steps
 

@@ -58,9 +58,10 @@ class FragmentBody:
     always_stub, is_call_exit)``, the :class:`LinkStub` fields that do
     not change once lowered), the encoded size, the source list, the
     translation table, and the fusion plan
-    (:func:`repro.core.closures.plan_fragment`).  ``runs`` holds the
-    compiled ``OP_EXEC`` closures of each fused run, filled in by the
-    first compile under a runtime.
+    (:func:`repro.core.closures.plan_fragment`).  ``runs`` holds each
+    fused ``OP_EXEC`` run compiled — a one-instruction closure or a
+    generated segment (:func:`repro.core.closures.compile_runs`) —
+    filled in by the first compile under a runtime.
 
     A body carries no link state, so one body may back several
     fragments in turn (the runtime's retranslation memo re-emits an

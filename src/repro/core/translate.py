@@ -18,11 +18,11 @@ execution points back to source application PCs:
   plan_fragment`'s fusion plan) whose first op is anchored to a source
   PC.  At entry to such a step the engine holds **no in-flight state**:
   every preceding instruction's registers, flags, memory effects and
-  cycle charges are committed (fused runs and chain segments flush
-  their batched charges before unwinding — the traceback-line
-  machinery in :meth:`~repro.core.chains.ChainManager._compile_segment`
-  guarantees it on the fault path too), so the machine state *is* the
-  application state at that PC.
+  cycle charges are committed (generated segments flush their batched
+  charges before unwinding — the traceback-line machinery in
+  :func:`~repro.core.closures.compile_segment` guarantees it on the
+  fault path too), so the machine state *is* the application state at
+  that PC.
 
 Execution points that are not poll points (mid-run, or steps lowered
 from meta-instructions) translate by **rolling forward** to the nearest
@@ -36,9 +36,9 @@ deterministic latency bounded by the longest fused run (at most
 The same table drives all three engines so they stay bit-identical:
 
 * the tuple engine consults ``poll_ops`` at the top of its op loop;
-* the closure engine wraps exactly the poll-point steps with
-  :func:`make_poll_step` at compile time;
-* the chain compiler's stitched exits and unrolled segments replace
+* the closure engine wraps exactly the poll-point steps — segments
+  included — with :func:`make_poll_step` at compile time;
+* the chain compiler's stitched exits and rebased segments replace
   steps inside that same compile, so :func:`wrap_poll_steps` wraps
   them at the same plan indices.
 

@@ -13,6 +13,7 @@ else — data movement, arithmetic, stack ops, syscalls — is executed by
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.errors import MachineFault
+from repro.machine.memory import U8, U16, U32, WATCH_SHIFT
 
 _MASK32 = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -228,6 +229,70 @@ def compile_ea(op):
     ) & _MASK32
 
 
+def _compile_load(op, mem):
+    """Compile a memory operand load: fn(cpu) -> zero-extended value.
+
+    The effective address is computed once.  In range, the backing
+    store is read directly; otherwise the ``Memory`` method raises the
+    exact fault (the inline-access contract of repro.machine.memory)."""
+    ea = compile_ea(op)
+    buf = mem.view()
+    if op.size == 4:
+        unpack, slow, limit = U32.unpack_from, mem.read_u32, mem.size - 4
+    elif op.size == 2:
+        unpack, slow, limit = U16.unpack_from, mem.read_u16, mem.size - 2
+    else:
+        slow, limit = mem.read_u8, mem.size - 1
+
+        def load_u8(cpu):
+            addr = ea(cpu)
+            return buf[addr] if addr <= limit else slow(addr)
+
+        return load_u8
+
+    def load(cpu):
+        addr = ea(cpu)
+        return unpack(buf, addr)[0] if addr <= limit else slow(addr)
+
+    return load
+
+
+def _compile_store(op, mem):
+    """Compile a memory operand store: fn(cpu, value), or None for a
+    2-byte store (not part of RIO-32).
+
+    Packs into the backing store only when a store-time test finds the
+    address in range, write protection off and the touched watch lines
+    unwatched — protection and watches can be armed mid-run — and
+    otherwise calls the ``Memory`` method (checks, watchers, faults)."""
+    if op.size == 4:
+        pack, mask, slow = U32.pack_into, _MASK32, mem.write_u32
+    elif op.size == 1:
+        pack, mask, slow = U8.pack_into, 0xFF, mem.write_u8
+    else:
+        return None
+    ea = compile_ea(op)
+    buf = mem.view()
+    limit = mem.size - op.size
+    last = op.size - 1
+
+    def store(cpu, value):
+        addr = ea(cpu)
+        pages = mem._watch_pages
+        if addr <= limit and not mem._protect and (
+            pages is None
+            or (
+                (addr >> WATCH_SHIFT) not in pages
+                and ((addr + last) >> WATCH_SHIFT) not in pages
+            )
+        ):
+            pack(buf, addr, value & mask)
+        else:
+            slow(addr, value)
+
+    return store
+
+
 def compile_read(op, mem):
     """Compile an operand read: fn(cpu) -> zero-extended value."""
     if isinstance(op, RegOperand):
@@ -237,14 +302,7 @@ def compile_read(op, mem):
         value = op.value & _MASK32
         return lambda cpu: value
     if isinstance(op, MemOperand):
-        ea = compile_ea(op)
-        if op.size == 4:
-            read = mem.read_u32
-        elif op.size == 2:
-            read = mem.read_u16
-        else:
-            read = mem.read_u8
-        return lambda cpu: read(ea(cpu))
+        return _compile_load(op, mem)
     return None
 
 
@@ -258,14 +316,7 @@ def compile_write(op, mem):
 
         return write_reg
     if isinstance(op, MemOperand):
-        ea = compile_ea(op)
-        if op.size == 4:
-            write = mem.write_u32
-        elif op.size == 1:
-            write = mem.write_u8
-        else:
-            return None  # 2-byte stores are not part of RIO-32
-        return lambda cpu, value: write(ea(cpu), value)
+        return _compile_store(op, mem)
     return None
 
 
@@ -291,28 +342,26 @@ def _comp_mov(ops, mem, system):
             return mov_ri
         if isinstance(src, MemOperand) and src.size == 4:
             # Load: collapse the read/write thunk composition.
-            ea = compile_ea(src)
-            read = mem.read_u32
+            load = _compile_load(src, mem)
 
             def mov_rm(cpu):
-                cpu.regs[d] = read(ea(cpu))
+                cpu.regs[d] = load(cpu)
 
             return mov_rm
     elif isinstance(dst, MemOperand) and dst.size == 4:
-        ea = compile_ea(dst)
-        write = mem.write_u32
+        store = _compile_store(dst, mem)
         if isinstance(src, RegOperand):
             s = src.reg
 
             def mov_mr(cpu):
-                write(ea(cpu), cpu.regs[s])
+                store(cpu, cpu.regs[s])
 
             return mov_mr
         if isinstance(src, ImmOperand):
             v = src.value & _MASK32
 
             def mov_mi(cpu):
-                write(ea(cpu), v)
+                store(cpu, v)
 
             return mov_mi
     r = compile_read(src, mem)

@@ -131,7 +131,7 @@ class Interpreter:
         self._decode_pages = {}
         self._watch_installed = False
         # One view of the backing bytes suffices; SMC writes mutate the
-        # same bytearray in place, so the view stays current.
+        # same backing store (Memory.view) in place, so it stays current.
         self._code_view = process.memory.view()
         self._instructions = 0
         self._threads = []

@@ -1,17 +1,39 @@
 """Flat byte-addressable memory for the RIO-32 machine.
 
-A single contiguous ``bytearray`` models the low portion of a 32-bit
-address space.  Named *regions* give the loader and the runtime distinct,
-non-overlapping address ranges (application code, application heap,
-stack, and — crucially for the paper's transparency requirements — a
-separate runtime heap and code cache that never alias application
-memory).  Optional write protection catches a client or runtime bug that
-scribbles over application code.
+A single contiguous anonymous ``mmap`` models the low portion of a
+32-bit address space; its pages are zero-filled by the OS on first
+touch, so an address space the program never touches costs neither
+set-up time nor resident memory.  Named *regions* give the loader and
+the runtime distinct, non-overlapping address ranges (application code,
+application heap, stack, and — crucially for the paper's transparency
+requirements — a separate runtime heap and code cache that never alias
+application memory).  Optional write protection catches a client or
+runtime bug that scribbles over application code.
+
+The accessor methods are the exact, checked path.  Compiled code may
+inline an access instead (``repro.machine.exec_ops`` accessor closures,
+``repro.core.closures`` generated segments), under one contract:
+
+* a load of ``n`` bytes at a masked effective address ``addr`` unpacks
+  :meth:`Memory.view` directly when ``addr <= size - n``;
+* a store does the same only when, tested at store time, ``_protect``
+  is off and the watch lines it touches are not in ``_watch_pages``
+  (cache consistency and the shield arm watches mid-run);
+* every other access calls the method, which raises the exact
+  :class:`MachineFault` or runs the protection check and watchers.
 """
+
+import mmap
+import struct
 
 from repro.machine.errors import MachineFault
 
 _MASK32 = 0xFFFFFFFF
+
+# Little-endian codecs shared by the accessors and the inline paths.
+U8 = struct.Struct("<B")
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
 
 # Write-watch granularity: watched address ranges are rounded out to
 # 64-byte lines, so the per-write fast path is one set-membership test.
@@ -53,7 +75,7 @@ class Memory:
 
     def __init__(self, size=1 << 24):
         self.size = size
-        self._bytes = bytearray(size)
+        self._bytes = mmap.mmap(-1, size)
         self._regions = {}
         self._protect = False
         # Write monitoring (cache consistency / SMC detection).  When no
@@ -176,7 +198,7 @@ class Memory:
                 "read past memory at 0x%x%s"
                 % (addr, self._fault_detail(addr))
             )
-        return int.from_bytes(self._bytes[addr : addr + 2], "little")
+        return U16.unpack_from(self._bytes, addr)[0]
 
     def read_u32(self, addr):
         addr &= _MASK32
@@ -185,7 +207,7 @@ class Memory:
                 "read past memory at 0x%x%s"
                 % (addr, self._fault_detail(addr))
             )
-        return int.from_bytes(self._bytes[addr : addr + 4], "little")
+        return U32.unpack_from(self._bytes, addr)[0]
 
     def write_u8(self, addr, value):
         addr &= _MASK32
@@ -210,7 +232,7 @@ class Memory:
             )
         if self._protect:
             self._check_write(addr, 4)
-        self._bytes[addr : addr + 4] = (value & _MASK32).to_bytes(4, "little")
+        U32.pack_into(self._bytes, addr, value & _MASK32)
         pages = self._watch_pages
         if pages is not None and (
             (addr >> WATCH_SHIFT) in pages
@@ -245,5 +267,8 @@ class Memory:
                 self._notify_write(addr, len(data))
 
     def view(self):
-        """The raw backing bytearray (for the decoder's fast paths)."""
+        """The raw backing store, an ``mmap`` the size of memory: the
+        decoder's and the inline accessors' fast paths index, slice and
+        ``struct``-unpack it directly.  It is never replaced, so a bound
+        reference stays current."""
         return self._bytes

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from repro.api.client import Client
 from repro.core import RuntimeOptions
-from repro.core import chains as chains_module
+from repro.core import closures as closures_module
 from repro.ir.create import INSTR_CREATE_add, OPND_CREATE_INT32, OPND_CREATE_REG
 from repro.isa.registers import Reg
 from repro.tools.chaos import workload_images
@@ -61,18 +61,20 @@ def test_different_cost_model_fails_cycles(loop_image):
 
 
 def test_stale_af_mask_fails_final_state(monkeypatch):
-    """The chain templates' pre-fix mask (2253 leaves AF set) makes the
-    chain engine end the chaos loop workload with eflags 0x54, not 0x44."""
+    """The segment templates' pre-fix mask (2253 leaves AF set) makes
+    the closure and chain engines, which share the templates, end the
+    chaos loop workload with eflags 0x54; the tuple engine, which does
+    not use them, ends it with 0x44."""
     for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
                  "_DEC_FLAGS"):
-        template = getattr(chains_module, name)
+        template = getattr(closures_module, name)
         assert "~2261" in template
         monkeypatch.setattr(
-            chains_module, name, template.replace("~2261", "~2253")
+            closures_module, name, template.replace("~2261", "~2253")
         )
     verdict = check(
         Cell(workload_images()["loop"], options=_traced,
-             columns=("closure", "chain"))
+             columns=("tuple", "closure", "chain"))
     )
     assert verdict.failed() == {"final_state"}
 
