@@ -10,9 +10,7 @@ contract is that leaving them off costs nothing measurable:
 * **near-zero host wall-clock** — the emit path guards verification
   behind two attribute checks; with the options off a sweep must stay
   within ``--budget`` (default 10%) of a build without the gate (we
-  approximate "without the gate" by the off-vs-off median spread and
-  gate off-mode drift against the historical run recorded alongside
-  the wallclock golden when provided).
+  approximate "without the gate" by the off-vs-off median spread).
 
 Usage::
 

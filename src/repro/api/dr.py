@@ -143,10 +143,7 @@ def dr_register_event_tracer(client_or_context, fn):
     if observer is None:
         from repro.observe.events import Observer
 
-        observer = Observer(
-            runtime.options.trace_buffer,
-            profile=getattr(runtime.options, "profile_fragments", True),
-        )
+        observer = Observer(runtime.options.trace_buffer)
         runtime.observer = observer
     if fn is not None:
         guard = getattr(runtime, "guard", None)

@@ -11,9 +11,8 @@ and fully linked.
 The chain compiler removes that round trip.  When a fragment has been
 entered ``options.chain_threshold`` times, :class:`ChainManager`
 walks its *stable direct links* (``LinkStub.KIND_DIRECT``, linked, not
-``always_stub``) breadth-first up to ``options.chain_max_fragments``
-members and concatenates the members' step tables into one flat
-super-table:
+``always_stub``) breadth-first up to ``MAX_FRAGMENTS`` members and
+concatenates the members' step tables into one flat super-table:
 
 * linked ``jmp``/``cond``/``call`` exit steps whose target is a chain
   member become **direct step-index transfers** — the fragment
@@ -75,6 +74,9 @@ from repro.observe.events import (
 
 _MASK32 = 0xFFFFFFFF
 
+# Members per chain: the breadth-first walk stops here.
+MAX_FRAGMENTS = 16
+
 
 class _ChainRecord:
     """One built chain: the root whose ``chain`` holds the table, and
@@ -107,7 +109,6 @@ class ChainManager:
     def __init__(self, runtime):
         self.runtime = runtime
         self.threshold = runtime.options.chain_threshold
-        self.max_fragments = runtime.options.chain_max_fragments
         self.built = 0
         self.dissolved = 0
         self._cross = self._make_cross()
@@ -241,7 +242,6 @@ class ChainManager:
         """Stitch ``root`` and its stable linked successors into one
         flat super-table; returns it, or ``None`` when a chain would
         not beat the plain per-fragment table."""
-        max_fragments = self.max_fragments
         members = [root]
         seen = {id(root)}
         queue = [root]
@@ -255,7 +255,7 @@ class ChainManager:
                     target is None
                     or target.deleted
                     or id(target) in seen
-                    or len(members) >= max_fragments
+                    or len(members) >= MAX_FRAGMENTS
                 ):
                     continue
                 seen.add(id(target))

@@ -23,8 +23,8 @@ Either policy may be combined with *adaptive sizing*
 (``adaptive=True``): the unit starts small and monitors the
 regenerated-vs-replaced ratio — of the fragments evicted in the
 current resize epoch, how many were rebuilt — and when the ratio
-exceeds ``regen_threshold`` at an epoch boundary the unit grows by
-``grow_factor``, sizing itself to the application's working set
+exceeds ``REGEN_THRESHOLD`` at an epoch boundary the unit grows by
+``GROW_FACTOR``, sizing itself to the application's working set
 instead of thrashing (Section 6.1).
 
 An *empty* cache always accepts any fragment regardless of the limit:
@@ -43,11 +43,14 @@ from collections import deque
 from repro.machine.memory import WATCH_SHIFT
 
 # Evictions per adaptive resize epoch: at every RESIZE_EPOCH-th
-# eviction the unit compares its regenerated/evicted ratio against the
-# configured threshold and grows when churn is too high.  Small enough
-# that an undersized unit reacts within a few pressure events, large
-# enough that one unlucky eviction cannot trigger growth.
+# eviction the unit compares its regenerated/evicted ratio against
+# REGEN_THRESHOLD and, when churn is higher, grows its limit by
+# GROW_FACTOR.  Small enough that an undersized unit reacts within a
+# few pressure events, large enough that one unlucky eviction cannot
+# trigger growth.
 RESIZE_EPOCH = 16
+REGEN_THRESHOLD = 0.5
+GROW_FACTOR = 2.0
 
 # Unit size an adaptive cache starts from when no explicit
 # code_cache_limit is configured ("start small, let the working set
@@ -71,7 +74,7 @@ class CacheUnit:
     """
 
     def __init__(self, name, base, limit=None, policy="flush",
-                 adaptive=False, regen_threshold=0.5, grow_factor=2.0):
+                 adaptive=False):
         self.name = name
         self.base = base
         self.limit = limit
@@ -88,8 +91,6 @@ class CacheUnit:
         self._order = deque()
         # Adaptive sizing state.
         self.adaptive = adaptive
-        self.regen_threshold = regen_threshold
-        self.grow_factor = grow_factor
         self.initial_limit = limit
         self.evictions = 0  # fragments evicted (any policy), total
         self.regenerated = 0  # evicted tags seen again by allocate()
@@ -305,10 +306,10 @@ class CacheUnit:
         ratio = self._epoch_regenerated / self._epoch_evictions
         self._epoch_evictions = 0
         self._epoch_regenerated = 0
-        if ratio <= self.regen_threshold:
+        if ratio <= REGEN_THRESHOLD:
             return None
         old = self.limit
-        self.limit = max(old + 1, int(old * self.grow_factor))
+        self.limit = max(old + 1, int(old * GROW_FACTOR))
         self.resizes += 1
         return old, self.limit
 

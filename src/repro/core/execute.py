@@ -197,9 +197,7 @@ class Executor:
         use_closures = runtime.options.closure_engine
         # drtrace profiler: sampled at fragment-pass granularity only
         # (one guard per pass, never per instruction) so the simulated
-        # cycle stream is identical with tracing on or off.  Gated on
-        # the observer's profiling hooks, not just the observer, so
-        # event-tracing-only runs pay no per-pass profiler guard.
+        # cycle stream is identical with tracing on or off.
         observer = runtime.observer
         profile_enter = observer.profile_enter if observer is not None else None
         profile_break = observer.profile_break if observer is not None else None

@@ -25,21 +25,16 @@ class RuntimeOptions:
         closure_engine=True,
         chain_engine=False,
         chain_threshold=20,
-        chain_max_fragments=16,
         trace_events=False,
         trace_buffer=65536,
-        profile_fragments=True,
         guard_clients=False,
         client_fault_limit=3,
         client_hook_budget=None,
         cache_consistency=False,
         cache_evict_policy="flush",
         cache_adaptive=False,
-        cache_regen_threshold=0.5,
-        cache_grow_factor=2.0,
         precise_interrupts=False,
         shield=False,
-        shield_fault_limit=5,
         shield_watchdog_limit=8,
     ):
         # Table 1 mechanisms, cumulative.
@@ -66,12 +61,10 @@ class RuntimeOptions:
         # code_cache_limit as the *initial* size, monitor the
         # regenerated-vs-replaced ratio over each resize epoch
         # (code_cache.RESIZE_EPOCH evictions), and grow the pressured
-        # unit by cache_grow_factor whenever the ratio exceeds
-        # cache_regen_threshold — the cache sizes itself to the
+        # unit by code_cache.GROW_FACTOR whenever the ratio exceeds
+        # code_cache.REGEN_THRESHOLD — the cache sizes itself to the
         # application's working set instead of thrashing.
         self.cache_adaptive = cache_adaptive
-        self.cache_regen_threshold = cache_regen_threshold
-        self.cache_grow_factor = cache_grow_factor
         # Sideline optimization (the paper's Section 3.4 future work):
         # trace construction and client trace processing run on an idle
         # processor, so their cycles leave the application's critical
@@ -107,7 +100,6 @@ class RuntimeOptions:
         # closure_engine; off by default.
         self.chain_engine = chain_engine
         self.chain_threshold = chain_threshold
-        self.chain_max_fragments = chain_max_fragments
         # Observability (repro.observe): record typed runtime events
         # and per-fragment cycle attribution.  Off by default — the
         # runtime's observer is None and every emit site is a single
@@ -116,12 +108,6 @@ class RuntimeOptions:
         # Ring-buffer capacity for recorded event detail (aggregate
         # per-kind counts are always exact); None = unbounded.
         self.trace_buffer = trace_buffer
-        # Per-fragment cycle attribution under drtrace.  When False the
-        # observer still records events but its profile_enter/break
-        # hooks are None, so event-tracing-only runs skip the per-pass
-        # profiler samples entirely (wall-clock only; simulated cycles
-        # are identical either way).
-        self.profile_fragments = profile_fragments
         # Resilience (repro.resilience, "drguard").  guard_clients wraps
         # every client hook site in a fault guard: an exception (other
         # than a deliberate ClientHalt) discards the client's transform,
@@ -167,9 +153,6 @@ class RuntimeOptions:
         # new check is a single pointer test, and results are
         # bit-identical to pre-shield behavior.
         self.shield = shield
-        # Internal faults tolerated before the ladder's last rung (a
-        # full detach to native).
-        self.shield_fault_limit = shield_fault_limit
         # Forward-progress watchdog: re-translations of the same tag
         # without an intervening execution before the watchdog trips
         # (first trip flushes the thread's caches, second detaches).

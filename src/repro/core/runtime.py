@@ -89,10 +89,7 @@ class DynamoRIO:
         # drtrace: None when disabled — every emit site guards on it,
         # so tracing-off runs never construct an Event.
         self.observer = (
-            Observer(
-                self.options.trace_buffer,
-                profile=self.options.profile_fragments,
-            )
+            Observer(self.options.trace_buffer)
             if self.options.trace_events
             else None
         )
@@ -479,7 +476,7 @@ class DynamoRIO:
     def _check_cache_resize(self, cache):
         """Adaptive sizing tick after capacity pressure: grow the unit
         when this resize epoch's regenerated-vs-replaced ratio exceeds
-        ``options.cache_regen_threshold`` (Section 6.1)."""
+        ``code_cache.REGEN_THRESHOLD`` (Section 6.1)."""
         grew = cache.check_resize()
         if grew is None:
             return

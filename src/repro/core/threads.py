@@ -51,15 +51,11 @@ class ThreadContext:
                 "bb", cache_base, half,
                 policy=opts.cache_evict_policy,
                 adaptive=opts.cache_adaptive,
-                regen_threshold=opts.cache_regen_threshold,
-                grow_factor=opts.cache_grow_factor,
             )
             self.trace_cache = CacheUnit(
                 "trace", trace_base, half,
                 policy=opts.cache_evict_policy,
                 adaptive=opts.cache_adaptive,
-                regen_threshold=opts.cache_regen_threshold,
-                grow_factor=opts.cache_grow_factor,
             )
             self.ibl = IndirectBranchTable()
         # Client state (paper Section 3.2: "a generic thread-local

@@ -12,77 +12,61 @@ Not in the paper, but each probes a knob the paper's design fixes:
 * **custom-trace maximum size** — Section 4.4's unrolling guard.
 """
 
+from functools import partial
+
 from repro.clients import CustomTraces, IndirectBranchDispatch
-from repro.core import RuntimeOptions
-from repro.experiments.harness import Config, normalized_time
+from repro.experiments.harness import Config, normalized_time, options_with
 
 
-def trace_threshold_sweep(name="crafty", scale="test", thresholds=(5, 20, 80, 320)):
-    results = {}
-    for threshold in thresholds:
-        def factory(_t=threshold):
-            opts = RuntimeOptions.with_traces()
-            opts.trace_threshold = _t
-            return opts
-
-        config = Config("threshold_%d" % threshold, factory)
-        results[threshold] = normalized_time(name, scale, config)
-    return results
-
-
-def cache_limit_sweep(name="crafty", scale="test", limits=(None, 4096, 1536)):
-    results = {}
-    for limit in limits:
-        def factory(_l=limit):
-            opts = RuntimeOptions.with_traces()
-            opts.code_cache_limit = _l
-            return opts
-
-        key = "cache_%s" % ("unlimited" if limit is None else limit)
-        results[limit] = normalized_time(name, scale, Config(key, factory))
-    return results
-
-
-def dispatch_targets_sweep(name="parser", scale="small", max_targets=(0, 2, 4, 8)):
-    """Run at 'small' scale: the adaptive rewrites need enough run
-    length to amortize their profiling clean calls."""
-    results = {}
-    for n in max_targets:
-        if n == 0:
-            config = Config("disp_0")  # no client at all
-        else:
-            config = Config(
-                "disp_%d" % n,
-                client_factory=lambda _n=n: IndirectBranchDispatch(max_targets=_n),
-            )
-        results[n] = normalized_time(name, scale, config)
-    return results
-
-
-def custom_trace_size_sweep(name="crafty", scale="test", sizes=(4, 12, 24)):
-    results = {}
-    for size in sizes:
-        config = Config(
-            "ctrace_%d" % size,
-            client_factory=lambda _s=size: CustomTraces(max_trace_blocks=_s),
+# sweep -> (benchmark, scale, printed label, {point: Config}).
+SWEEPS = {
+    "trace_threshold": ("crafty", "test", "threshold", {
+        t: Config("threshold_%d" % t, options_with(trace_threshold=t))
+        for t in (5, 20, 80, 320)
+    }),
+    "cache_limit": ("crafty", "test", "limit", {
+        limit: Config(
+            "cache_%s" % ("unlimited" if limit is None else limit),
+            options_with(code_cache_limit=limit),
         )
-        results[size] = normalized_time(name, scale, config)
-    return results
+        for limit in (None, 4096, 1536)
+    }),
+    # 'small' scale: the adaptive rewrites need enough run length to
+    # amortize their profiling clean calls.
+    "dispatch_targets": ("parser", "small", "max_targets", {
+        0: Config("disp_0"),  # no client at all
+        **{
+            n: Config(
+                "disp_%d" % n,
+                client_factory=partial(IndirectBranchDispatch, max_targets=n),
+            )
+            for n in (2, 4, 8)
+        },
+    }),
+    "custom_trace_size": ("crafty", "test", "max_blocks", {
+        size: Config(
+            "ctrace_%d" % size,
+            client_factory=partial(CustomTraces, max_trace_blocks=size),
+        )
+        for size in (4, 12, 24)
+    }),
+}
+
+
+def run(sweep):
+    """{point: normalized time} for one of :data:`SWEEPS`."""
+    name, scale, _label, points = SWEEPS[sweep]
+    return {
+        point: normalized_time(name, scale, config)
+        for point, config in points.items()
+    }
 
 
 def main():
-    print("Ablation: trace-head threshold (crafty, normalized time)")
-    for threshold, value in trace_threshold_sweep().items():
-        print("  threshold=%4d  %.3f" % (threshold, value))
-    print("Ablation: code cache limit (crafty)")
-    for limit, value in cache_limit_sweep().items():
-        print("  limit=%-9s %.3f" % (limit, value))
-    print("Ablation: dispatch chain length (parser)")
-    for n, value in dispatch_targets_sweep().items():
-        print("  max_targets=%d  %.3f" % (n, value))
-    print("Ablation: custom trace max blocks (crafty)")
-    for size, value in custom_trace_size_sweep().items():
-        print("  max_blocks=%2d  %.3f" % (size, value))
+    for sweep, (name, scale, label, _points) in SWEEPS.items():
+        print("Ablation: %s (%s @%s, normalized time)" % (sweep, name, scale))
+        for point, value in run(sweep).items():
+            print("  %s=%-9s %.3f" % (label, point, value))
 
 
 if __name__ == "__main__":

@@ -1,20 +1,24 @@
 """Shared experiment machinery.
 
-``measure(name, scale, configure)`` runs one benchmark under one
-configuration and returns total simulated cycles, handling the
-multiple-short-runs benchmarks (gcc, perlbmk): those are executed
-``runs`` times with cold caches, exactly like SPEC invoking the binary
-repeatedly — the effect behind the paper's perlbmk/gcc slowdowns.
+``measure(name, scale, config)`` runs one benchmark under one
+configuration and sums its runs, handling the multiple-short-runs
+benchmarks (gcc, perlbmk): those are executed ``runs`` times with cold
+caches, exactly like SPEC invoking the binary repeatedly — the effect
+behind the paper's perlbmk/gcc slowdowns.  Every run under the runtime
+must reproduce the output and exit code of the matching native run.
 
 Results are memoized per (benchmark, scale, config-key) within a
-process so table and figure modules can share baseline runs.
+process so table and figure modules and the golden
+(:mod:`repro.experiments.golden`) share runs.
 """
 
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.cost import CostModel, Family
 from repro.machine.interp import Interpreter
+from repro.tools.oracle import final_state
 from repro.workloads import benchmark, load_benchmark
+from repro.workloads.spec import SCALES
 
 
 class Config:
@@ -34,62 +38,90 @@ class Config:
 
 NATIVE = Config("native", native=True)
 
+
+def options_with(**overrides):
+    """Options factory: Table 1's full configuration plus ``overrides``."""
+
+    def factory():
+        options = RuntimeOptions.with_traces()
+        for key, value in overrides.items():
+            setattr(options, key, value)
+        return options
+
+    return factory
+
 _cache = {}
 
 
+def summarize(runs):
+    """One measurement from ``(RunResult, final_state)`` pairs: summed
+    cycles, instructions and events, and every run's output, exit code
+    and final state."""
+    events = {}
+    for result, _state in runs:
+        for key, value in result.events.items():
+            events[key] = events.get(key, 0) + value
+    return {
+        "cycles": sum(result.cycles for result, _state in runs),
+        "instructions": sum(result.instructions for result, _state in runs),
+        "events": events,
+        "outputs": [result.output for result, _state in runs],
+        "exit_codes": [result.exit_code for result, _state in runs],
+        "final_states": [state for _result, state in runs],
+    }
+
+
 def measure(name, scale, config):
-    """Total simulated cycles for ``name`` under ``config``.
+    """:func:`summarize` over every run of ``name`` under ``config``.
 
     Multi-run benchmarks are summed over their runs (native runs are
-    repeated too, so normalization stays fair).
+    repeated too, so normalization stays fair).  Raises AssertionError
+    when a run's output or exit code differs from native's.
     """
-    cache_key = (name, scale, config.key, config.family)
+    cache_key = (name, SCALES.get(scale, scale), config.key, config.family)
     if cache_key in _cache:
         return _cache[cache_key]
-    bench = benchmark(name)
+    native = None if config.native else measure(name, scale, NATIVE)
     image = load_benchmark(name, scale)
-    total_cycles = 0
-    events = {}
-    outputs = []
-    for _run in range(bench.runs):
+    runs = []
+    for index in range(benchmark(name).runs):
         process = Process(image)
         if config.native:
-            result = Interpreter(
+            runner = Interpreter(
                 process, CostModel(config.family), mode="native"
-            ).run()
+            )
         else:
             client = (
                 config.client_factory() if config.client_factory else None
             )
-            runtime = DynamoRIO(
+            runner = DynamoRIO(
                 process,
                 options=config.options_factory(),
                 client=client,
                 cost_model=CostModel(config.family),
             )
-            result = runtime.run()
-        total_cycles += result.cycles
-        outputs.append(result.output)
-        for key, value in result.events.items():
-            events[key] = events.get(key, 0) + value
-    measurement = {
-        "cycles": total_cycles,
-        "events": events,
-        "output": outputs[0],
-    }
+        result = runner.run()
+        if native is not None:
+            for field, got, want in (
+                ("output", result.output, native["outputs"][index]),
+                ("exit code", result.exit_code, native["exit_codes"][index]),
+            ):
+                if got != want:
+                    raise AssertionError(
+                        "transparency violated for %s under %s: run %d %s "
+                        "%r, native %r"
+                        % (name, config.key, index + 1, field, got, want)
+                    )
+        runs.append((result, final_state(runner)))
+    measurement = summarize(runs)
     _cache[cache_key] = measurement
     return measurement
 
 
 def normalized_time(name, scale, config):
     """Cycles under config / native cycles (the paper's metric)."""
-    native = measure(name, scale, NATIVE)
     under = measure(name, scale, config)
-    if under["output"] != native["output"]:
-        raise AssertionError(
-            "transparency violated for %s under %s" % (name, config.key)
-        )
-    return under["cycles"] / native["cycles"]
+    return under["cycles"] / measure(name, scale, NATIVE)["cycles"]
 
 
 def geometric_mean(values):

@@ -177,15 +177,9 @@ class Observer:
     bounds the detail ring — aggregate per-kind counts are always kept,
     so summaries stay exact even after the ring wraps.  ``None`` means
     unbounded (used by replay tests).
-
-    ``profile=False`` turns off per-fragment cycle attribution while
-    keeping the event bus: ``profile_enter``/``profile_break`` are then
-    ``None``, and the execution engines (which gate on those hooks, not
-    on the observer itself) skip the per-pass profiler samples entirely
-    — the event-tracing-only fast configuration.
     """
 
-    def __init__(self, capacity=65536, profile=True):
+    def __init__(self, capacity=65536):
         from repro.observe.profiler import FragmentProfiler
 
         self.capacity = capacity
@@ -193,12 +187,10 @@ class Observer:
         self.counts = {}
         self.tracers = []  # dr_register_event_tracer callbacks
         self.profiler = FragmentProfiler()
-        self.profiling = profile
         self._seq = 0
-        # Bound methods re-exported so hot callers skip a dict lookup;
-        # None when profiling is off (the engines' per-pass gate).
-        self.profile_enter = self.profiler.enter_fragment if profile else None
-        self.profile_break = self.profiler.to_overhead if profile else None
+        # Bound methods re-exported so hot callers skip a dict lookup.
+        self.profile_enter = self.profiler.enter_fragment
+        self.profile_break = self.profiler.to_overhead
 
     # -------------------------------------------------------------- emission
 
@@ -232,8 +224,7 @@ class Observer:
 
     def finalize(self, cycles_now):
         """Close profiler attribution at end of run."""
-        if self.profiling:
-            self.profiler.finalize(cycles_now)
+        self.profiler.finalize(cycles_now)
 
     def summary(self):
         """Flat integer summary merged into ``RunResult.events``."""

@@ -39,9 +39,9 @@ becomes a recorded ``shield_fault`` and a rung on the recovery ladder:
 retry the translation → discard the fragment/recording → flush the
 thread's caches → disable the optional subsystem that faulted (chains,
 traces, fifo eviction, direct linking) with a ``subsystem_disabled``
-event → full ``Runtime.detach()`` to native after
-``options.shield_fault_limit`` faults.  Every seeded internal fault
-therefore ends in a correct native-fidelity run, never a traceback.
+event → full ``Runtime.detach()`` to native after ``FAULT_LIMIT``
+faults.  Every seeded internal fault therefore ends in a correct
+native-fidelity run, never a traceback.
 
 When ``options.shield`` is off the runtime's ``shield``/``rguard``
 attributes are ``None`` and every new check is a single pointer test;
@@ -66,6 +66,10 @@ IBL_RANGE_SIZE = 0x800
 
 # Chokepoints the containment ladder covers (the fault-injection sites).
 RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace", "chain")
+
+# Internal faults tolerated before the ladder's last rung (a full
+# detach to native).
+FAULT_LIMIT = 5
 
 # site -> (fault count at which the subsystem is disabled, subsystem).
 # Sites without an entry have no optional subsystem to turn off; they
@@ -318,7 +322,6 @@ class RuntimeGuard:
 
     def __init__(self, runtime):
         self.runtime = runtime
-        self.fault_limit = runtime.options.shield_fault_limit
         self.faults = 0
         self.site_faults = {}
         self.fault_log = []  # dicts: site, tag, error, message
@@ -419,7 +422,7 @@ class RuntimeGuard:
         """Attribute one internal fault and climb the ladder: emit the
         ``shield_fault`` event, disable the faulting optional subsystem
         at its per-site threshold, and request a full detach once the
-        global ``shield_fault_limit`` is reached."""
+        global ``FAULT_LIMIT`` is reached."""
         site = getattr(exc, "site", site)
         self.faults += 1
         count = self.site_faults.get(site, 0) + 1
@@ -445,7 +448,7 @@ class RuntimeGuard:
         rule = _DISABLE_RULES.get(site)
         if rule is not None and count >= rule[0]:
             self.disable(rule[1], site)
-        if self.faults >= self.fault_limit:
+        if self.faults >= FAULT_LIMIT:
             self.request_detach()
 
     def disable(self, subsystem, site):

@@ -3,9 +3,9 @@
 Transparency is the runtime's core promise: a program that is cached,
 linked, traced and rewritten by clients behaves exactly as it does
 natively.  Every differential harness (the chaos, detach and
-equivalence CLIs, the cache-pressure, wall-clock and verification-cost
-benchmarks, the engine-determinism tests) is a matrix of :class:`Cell`
-objects handed to :func:`check`.
+equivalence CLIs, the simulated golden's engine cross-check, the
+verification-cost benchmark, the engine-determinism tests) is a matrix
+of :class:`Cell` objects handed to :func:`check`.
 
 A cell is one program under one configuration, run once per
 :class:`Column`: by default the three engines, or option and
@@ -97,12 +97,18 @@ class Run:
         return [(e.kind, e.tag, e.data) for e in self.runtime.observer.events()]
 
     def final_state(self):
-        # The interpreter keeps its threads private; either kind of
-        # thread carries its CPU.
-        threads = getattr(self.runtime, "threads", None)
-        if threads is None:
-            threads = self.runtime._threads
-        return [(tuple(t.cpu.regs), "%#x" % t.cpu.eflags) for t in threads]
+        return final_state(self.runtime)
+
+
+def final_state(runner):
+    """Per-thread registers and eflags of a finished runtime or
+    interpreter."""
+    # The interpreter keeps its threads private; either kind of thread
+    # carries its CPU.
+    threads = getattr(runner, "threads", None)
+    if threads is None:
+        threads = runner._threads
+    return [(tuple(t.cpu.regs), "%#x" % t.cpu.eflags) for t in threads]
 
 
 class Failure(namedtuple("Failure", "invariant column detail")):

@@ -124,10 +124,7 @@ class TestCacheUnitFifo:
         assert list(unit.fragments.values()) == [big]
 
     def test_adaptive_resize_epoch(self):
-        unit = CacheUnit(
-            "bb", base=0, limit=100, policy="fifo",
-            adaptive=True, regen_threshold=0.5, grow_factor=2.0,
-        )
+        unit = CacheUnit("bb", base=0, limit=100, policy="fifo", adaptive=True)
         from repro.core.code_cache import RESIZE_EPOCH
 
         # An epoch of evictions where every evicted tag regenerates:

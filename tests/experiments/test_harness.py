@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RuntimeOptions
+from repro.core import DynamoRIO, RuntimeOptions
 from repro.experiments.harness import (
     Config,
     NATIVE,
@@ -10,14 +10,18 @@ from repro.experiments.harness import (
     measure,
     normalized_time,
 )
+from repro.loader import Process
 from repro.machine.cost import Family
+from repro.machine.interp import Interpreter
+from repro.workloads import benchmark, load_benchmark
 
 
 class TestMeasure:
     def test_native_measure(self):
         m = measure("vpr", 1, NATIVE)
         assert m["cycles"] > 0
-        assert m["output"]
+        assert m["outputs"][0]
+        assert m["exit_codes"] == [0]
 
     def test_memoized(self):
         a = measure("vpr", 1, NATIVE)
@@ -25,19 +29,41 @@ class TestMeasure:
         assert a is b
 
     def test_config_key_distinguishes(self):
-        a = measure("vpr", 1, Config("bb", RuntimeOptions.bb_cache_only))
+        a = measure("vpr", 1, Config("bb_cache", RuntimeOptions.bb_cache_only))
         b = measure("vpr", 1, Config("traces", RuntimeOptions.with_traces))
         assert a["cycles"] != b["cycles"]
 
     def test_multi_run_benchmark_sums_runs(self):
-        from repro.workloads import benchmark
-
         runs = benchmark("gcc").runs
         assert runs > 1
-        single = measure("vpr", 1, NATIVE)
+        single = Interpreter(Process(load_benchmark("gcc", 1))).run()
         multi = measure("gcc", 1, NATIVE)
-        # multi-run cycles are the sum over `runs` executions
-        assert multi["cycles"] > 0
+        # every run starts cold from the same image: the sum is exact
+        assert multi["cycles"] == runs * single.cycles
+        assert multi["instructions"] == runs * single.instructions
+        assert multi["outputs"] == [single.output] * runs
+        assert multi["exit_codes"] == [single.exit_code] * runs
+
+    @pytest.mark.parametrize("field", ["output", "exit_code"])
+    def test_later_run_must_match_native(self, field, monkeypatch):
+        """gcc runs 4 times: a difference in its second run alone is a
+        transparency violation."""
+        run = DynamoRIO.run
+        calls = []
+
+        def second_run_differs(runtime):
+            result = run(runtime)
+            calls.append(result)
+            if len(calls) == 2:
+                value = getattr(result, field)
+                result = result._replace(**{
+                    field: value + 1 if field == "exit_code" else value + b"!"
+                })
+            return result
+
+        monkeypatch.setattr(DynamoRIO, "run", second_run_differs)
+        with pytest.raises(AssertionError, match="run 2"):
+            measure("gcc", 1, Config("second_run_%s" % field))
 
     def test_family_in_cache_key(self):
         p4 = measure("vpr", 1, Config("fam", family=Family.PENTIUM_IV))
