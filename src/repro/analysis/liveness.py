@@ -17,6 +17,7 @@ label branches precisely instead of treating them as barriers.
 
 from repro.analysis.dataflow import BACKWARD, DataflowProblem, solve
 from repro.isa.eflags import EFLAGS_READ_ALL, writes_to_reads
+from repro.isa.opcodes import SHIFT_OPCODES, eflags_killed
 from repro.isa.operands import MemOperand, RegOperand
 from repro.isa.registers import Reg
 
@@ -34,6 +35,15 @@ def _is_barrier(instr):
     if _is_clean_call(instr):
         return True
     return instr.is_cti() or instr.is_exit_cti
+
+
+def instr_eflags_killed(instr):
+    """The ``EFLAGS_WRITE_*`` flags ``instr`` always overwrites
+    (:func:`repro.isa.opcodes.eflags_killed`; a shift's count is its
+    first source)."""
+    opcode = instr.opcode
+    count = instr.srcs[0] if opcode in SHIFT_OPCODES else None
+    return eflags_killed(opcode, count)
 
 
 def instr_use_def(instr):
@@ -93,8 +103,8 @@ class EflagsLiveness(DataflowProblem):
             return EFLAGS_READ_ALL
         if instr.is_label():
             return state
-        effects = instr.eflags
-        return (state & ~writes_to_reads(effects)) | (effects & EFLAGS_READ_ALL)
+        killed = writes_to_reads(instr_eflags_killed(instr))
+        return (state & ~killed) | (instr.eflags & EFLAGS_READ_ALL)
 
     def join(self, a, b):
         return a | b

@@ -11,6 +11,7 @@ instruction that does not first read it) before any read, without
 leaving the fragment.
 """
 
+from repro.analysis.liveness import instr_eflags_killed
 from repro.api.client import Client
 from repro.api.dr import (
     FAMILY_PENTIUM_IV,
@@ -91,8 +92,10 @@ class StrengthReduction(Client):
                 eflags = instr_get_eflags(scan)
                 if scan is not instr and eflags & EFLAGS_READ_CF:
                     return False
-                if scan is not instr and eflags & EFLAGS_WRITE_CF:
-                    # writes without first reading: safe to clobber
+                if scan is not instr and (
+                    instr_eflags_killed(scan) & EFLAGS_WRITE_CF
+                ):
+                    # always overwritten without a read: safe to clobber
                     ok_to_replace = True
                     break
                 # simplification from the paper: stop at the first exit

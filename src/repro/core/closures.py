@@ -20,8 +20,14 @@ single step.  A run of two or more instructions becomes a generated
 segment (:func:`compile_segment`): straight-line Python source with
 guest memory accessed inline, charging cycles and instructions exactly
 as the per-op engine would, including on a mid-run fault or program
-exit.  The one segment compiler serves both tiers: the closure engine
-keeps its segments on the fragment body, and the chain compiler
+exit.  Segment-local dataflow shapes that source: a flag writer whose
+flags the run overwrites before anything can read them skips them, and
+a 4-byte load of a word the run already holds reads the local holding
+it.  Where the state can be observed mid-run — a fault or program exit
+unwinding the segment — the handler rebuilds the skipped flags from the
+writers' bound inputs, so the deoptimized state is exact.  The one
+segment compiler serves both tiers: the closure engine keeps its
+segments on the fragment body, and the chain compiler
 (:mod:`repro.core.chains`) rebinds them to its base offsets.  Fusion
 never spans an intra-fragment branch target, so ``OP_LOCAL_BR`` indices
 stay addressable.
@@ -52,10 +58,19 @@ from repro.core.emit import (
     OP_JMP_EXIT,
     OP_LOCAL_BR,
 )
-from repro.isa.eflags import AF, CF, OF, PF, SF, ZF
-from repro.isa.opcodes import Opcode
+from repro.isa.eflags import (
+    AF,
+    CF,
+    EFLAGS_WRITE_ALL,
+    OF,
+    PF,
+    SF,
+    ZF,
+    writes_to_flags,
+)
+from repro.isa.opcodes import OP_INFO, SHIFT_OPCODES, Opcode, eflags_killed
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
-from repro.machine.cpu import _PARITY, compile_condition
+from repro.machine.cpu import _PARITY, CPU, compile_condition
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti, compile_read, read_operand
 from repro.machine.memory import U8, U16, U32, WATCH_SHIFT
@@ -68,52 +83,132 @@ from repro.observe.events import (
 
 _MASK32 = 0xFFFFFFFF
 _M = "4294967295"  # _MASK32 as a source literal
+_ALL_FLAGS = CF | PF | AF | ZF | SF | OF
 
 # Inline eflags templates mirroring the CPU's flag methods statement
 # for statement (repro.machine.cpu: flags_sub / flags_add / flags_inc /
 # flags_dec / flags_logic), with the flag bits as literals
 # (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048) and the parity table
 # bound as ``_parity``.  ``_CLEAR`` drops all six arithmetic flags
-# before the new ones are OR-ed in.  ``_r`` is the 32-bit result;
-# sub/add templates consume ``_a``/``_b``.
-_CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % (CF | PF | AF | ZF | SF | OF)
+# before the new ones are OR-ed in.  Templates are formatted with the
+# instruction's input locals: ``{a}``/``{b}`` for sub/add, ``{a}`` for
+# inc/dec, and the result ``{a}`` for logic; sub/add/inc/dec leave the
+# 32-bit result in ``_r``.
+_CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % _ALL_FLAGS
 _RESULT_FLAGS = (
-    "(64 if _r == 0 else 0) | (128 if _r & 2147483648 else 0)"
-    " | (4 if _parity[_r & 255] else 0)"
+    "(64 if {r} == 0 else 0) | (128 if {r} & 2147483648 else 0)"
+    " | (4 if _parity[{r} & 255] else 0)"
 )
-_LOGIC_FLAGS = _CLEAR + " | " + _RESULT_FLAGS
+_LOGIC_FLAGS = _CLEAR + " | " + _RESULT_FLAGS.format(r="{a}")
 _SUB_FLAGS = (
-    "_r = (_a - _b) & 4294967295; "
+    "_r = ({a} - {b}) & 4294967295; "
     + _CLEAR
-    + " | (1 if _a < _b else 0)"
-    " | (2048 if ((_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
+    + " | (1 if {a} < {b} else 0)"
+    " | (2048 if (({a} ^ {b}) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (16 if ({a} ^ {b} ^ _r) & 16 else 0) | "
+    + _RESULT_FLAGS.format(r="_r")
 )
 _ADD_FLAGS = (
-    "_full = _a + _b; _r = _full & 4294967295; "
+    "_full = {a} + {b}; _r = _full & 4294967295; "
     + _CLEAR
     + " | (1 if _full > 4294967295 else 0)"
-    " | (2048 if (~(_a ^ _b) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ _b ^ _r) & 16 else 0) | " + _RESULT_FLAGS
+    " | (2048 if (~({a} ^ {b}) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (16 if ({a} ^ {b} ^ _r) & 16 else 0) | "
+    + _RESULT_FLAGS.format(r="_r")
 )
 _INC_FLAGS = (
-    "_a = regs[%d]; _r = (_a + 1) & 4294967295; "
+    "_r = ({a} + 1) & 4294967295; "
     + _CLEAR
     + " | (cpu.eflags & 1)"
-    " | (2048 if (~(_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
+    " | (2048 if (~({a} ^ 1) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (16 if ({a} ^ 1 ^ _r) & 16 else 0) | "
+    + _RESULT_FLAGS.format(r="_r")
 )
 _DEC_FLAGS = (
-    "_a = regs[%d]; _r = (_a - 1) & 4294967295; "
+    "_r = ({a} - 1) & 4294967295; "
     + _CLEAR
     + " | (cpu.eflags & 1)"
-    " | (2048 if ((_a ^ 1) & (_a ^ _r)) & 2147483648 else 0)"
-    " | (16 if (_a ^ 1 ^ _r) & 16 else 0) | " + _RESULT_FLAGS
+    " | (2048 if (({a} ^ 1) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (16 if ({a} ^ 1 ^ _r) & 16 else 0) | "
+    + _RESULT_FLAGS.format(r="_r")
 )
 
-# Compiled code objects for generated segment sources, keyed by the
-# source text: structurally identical runs (common in unrolled loops)
-# are compiled by CPython once per process.
+# The templated flag writers.  Each binds its inputs to per-instruction
+# locals, ``_a<k>`` and (two-input writers) ``_b<k>``: a logic op binds
+# its result, a shift its count masked to 0..31.  The fault path
+# recomputes a dead writer's flags from them with the CPU method.
+_LOGIC_OPS = {
+    Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^", Opcode.TEST: "&",
+}
+_FLAG_METHODS = {
+    Opcode.ADD: CPU.flags_add,
+    Opcode.SUB: CPU.flags_sub,
+    Opcode.CMP: CPU.flags_sub,
+    Opcode.INC: CPU.flags_inc,
+    Opcode.DEC: CPU.flags_dec,
+    Opcode.NEG: CPU.flags_neg,
+    Opcode.AND: CPU.flags_logic,
+    Opcode.OR: CPU.flags_logic,
+    Opcode.XOR: CPU.flags_logic,
+    Opcode.TEST: CPU.flags_logic,
+    Opcode.SHL: CPU.flags_shl,
+    Opcode.SHR: CPU.flags_shr,
+    Opcode.SAR: lambda cpu, a, n: cpu.flags_shr(a, n, arithmetic=True),
+    Opcode.IMUL: CPU.flags_imul,
+}
+_ONE_INPUT = frozenset(
+    (Opcode.INC, Opcode.DEC, Opcode.NEG) + tuple(_LOGIC_OPS)
+)
+# A live writer's result through its CPU method (the method sets the
+# flags); a dead writer's through the same arithmetic without flags.
+_FLAG_CALLS = {
+    Opcode.ADD: "cpu.flags_add({a}, {b})",
+    Opcode.SUB: "cpu.flags_sub({a}, {b})",
+    Opcode.INC: "cpu.flags_inc({a})",
+    Opcode.DEC: "cpu.flags_dec({a})",
+    Opcode.NEG: "cpu.flags_neg({a})",
+    Opcode.SHL: "cpu.flags_shl({a}, {b})",
+    Opcode.SHR: "cpu.flags_shr({a}, {b})",
+    Opcode.SAR: "cpu.flags_shr({a}, {b}, arithmetic=True)",
+    Opcode.IMUL: "cpu.flags_imul({a}, {b})",
+}
+_SIGNED = "({0} - 4294967296 if {0} & 2147483648 else {0})"
+_FLAG_FREE = {
+    Opcode.ADD: "({a} + {b}) & 4294967295",
+    Opcode.SUB: "({a} - {b}) & 4294967295",
+    Opcode.INC: "({a} + 1) & 4294967295",
+    Opcode.DEC: "({a} - 1) & 4294967295",
+    Opcode.NEG: "-{a} & 4294967295",
+    Opcode.SHL: "({a} << {b}) & 4294967295",
+    Opcode.SHR: "{a} >> {b}",
+    Opcode.SAR: "(({a} ^ 2147483648) - 2147483648 >> {b}) & 4294967295",
+    Opcode.IMUL: "(%s * %s) & 4294967295" % (
+        _SIGNED.format("{a}"), _SIGNED.format("{b}"),
+    ),
+}
+
+# Opcodes with an inline template (:func:`_inline_instr`); DIV, XCHG,
+# FDIV and SYSCALL always run through their compiled closures.
+_TEMPLATED = frozenset(_FLAG_METHODS) | frozenset((
+    Opcode.NOP, Opcode.LABEL, Opcode.PUSH, Opcode.POP, Opcode.LEA,
+    Opcode.MOV, Opcode.MOVZX, Opcode.FLD, Opcode.FST, Opcode.MOVB_STORE,
+    Opcode.MOVSX, Opcode.NOT, Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
+))
+# Templated opcodes that write no explicit operand, and those whose
+# first operand is written without being read.
+_NO_DST = frozenset(
+    (Opcode.NOP, Opcode.LABEL, Opcode.CMP, Opcode.TEST, Opcode.PUSH)
+)
+_WRITE_ONLY_DST = frozenset((
+    Opcode.MOV, Opcode.MOVZX, Opcode.MOVSX, Opcode.FLD, Opcode.FST,
+    Opcode.MOVB_STORE, Opcode.POP,
+))
+
+# Generated segments (:func:`_generate_segment`), keyed by the run's
+# ``(opcode, ops, cost)`` tuples: structurally identical runs — unrolled
+# loops, retranslated traces — are analysed, generated and compiled by
+# CPython once per process.  A test that patches the generator (a
+# template, a pass) must swap this cache out.
 _SEGMENT_CODE_CACHE = {}
 
 
@@ -146,9 +241,9 @@ def _load_expr(size, addr):
     return "(_mb[_e] if (_e := %s) <= _l1 else read_u8(_e))" % addr
 
 
-def _store_expr(size, addr):
-    """Source expression storing ``_t`` (4 or 1 bytes) at the 32-bit
-    address expression ``addr``.  It packs inline only when a
+def _store_expr(size, addr, value="_t"):
+    """Source expression storing the local ``value`` (4 or 1 bytes) at
+    the 32-bit address expression ``addr``.  It packs inline only when a
     store-time test finds the address in range, ``_protect`` off and
     the touched watch lines unwatched; otherwise the ``Memory`` method
     runs the protection check, the watchers, or raises the fault."""
@@ -161,198 +256,352 @@ def _store_expr(size, addr):
         pack, mask, limit, slow = "_p8", "255", "_l1", "write_u8"
         lines = "(_e >> %d) not in _w" % WATCH_SHIFT
     return (
-        "%s(_mb, _e, _t & %s) if (_e := %s) <= %s and not _mem._protect"
-        " and ((_w := _mem._watch_pages) is None or (%s)) else %s(_e, _t)"
-        % (pack, mask, addr, limit, lines, slow)
+        "%s(_mb, _e, %s & %s) if (_e := %s) <= %s and not _mem._protect"
+        " and ((_w := _mem._watch_pages) is None or (%s)) else %s(_e, %s)"
+        % (pack, value, mask, addr, limit, lines, slow, value)
     )
 
 
 def _read_expr(op):
-    """Source expression for an operand read (zero-extended), or None
-    — mirrors ``exec_ops.compile_read``."""
+    """Source expression for an operand read (zero-extended) —
+    mirrors ``exec_ops.compile_read``."""
     if isinstance(op, RegOperand):
         return "regs[%d]" % op.reg
     if isinstance(op, ImmOperand):
         return str(op.value & _MASK32)
-    if isinstance(op, MemOperand):
-        return _load_expr(op.size if op.size in (2, 4) else 1, _ea_expr(op))
-    return None
+    return _load_expr(op.size if op.size in (2, 4) else 1, _ea_expr(op))
 
 
-def _store_stmt(op, value_expr):
-    """Source statement writing ``value_expr`` to operand ``op``, or
-    None — mirrors ``exec_ops.compile_write``, including its
-    value-before-address evaluation order for memory stores (the value
-    read may fault; the address arithmetic cannot)."""
+def _store_stmt(op, value_expr, value="_t"):
+    """Source statement writing the 32-bit ``value_expr`` (every
+    template's result is already masked) to operand ``op`` — mirrors
+    ``exec_ops.compile_write``, including its value-before-address
+    evaluation order for memory stores (the value read may fault; the
+    address arithmetic cannot).  A memory store goes through the local
+    ``value``."""
     if isinstance(op, RegOperand):
-        return "regs[%d] = (%s) & %s" % (op.reg, value_expr, _M)
-    if isinstance(op, MemOperand) and op.size in (1, 4):
-        return "_t = %s; %s" % (value_expr, _store_expr(op.size, _ea_expr(op)))
-    return None
+        return "regs[%d] = %s" % (op.reg, value_expr)
+    return "%s = %s; %s" % (
+        value, value_expr, _store_expr(op.size, _ea_expr(op), value),
+    )
 
 
-def _inline_instr(opcode, ops):
-    """One generated source line executing a non-CTI instruction, or
-    None when the opcode/operand shape has no inline template (the
-    segment then calls the instruction's ``compile_noncti`` closure).
+def _templated(opcode, ops):
+    """Whether ``opcode`` over ``ops`` has an inline template: every
+    operand is a register, immediate or memory operand, and a written
+    operand is a register or a 1- or 4-byte memory operand."""
+    if opcode not in _TEMPLATED or not all(
+        isinstance(op, (RegOperand, ImmOperand, MemOperand)) for op in ops
+    ):
+        return False
+    if opcode == Opcode.LEA:
+        return isinstance(ops[0], RegOperand) and isinstance(
+            ops[1], MemOperand
+        )
+    if opcode == Opcode.MOVSX and not isinstance(ops[1], MemOperand):
+        return False
+    if opcode in _NO_DST:
+        return True
+    dst = ops[0]
+    return isinstance(dst, RegOperand) or (
+        isinstance(dst, MemOperand) and dst.size in (1, 4)
+    )
+
+
+def _memory_access(opcode, ops):
+    """``(mem, loads, stores)`` for a templated instruction: its memory
+    operand (RIO-32 has at most one) or None, and whether the
+    instruction reads it and writes it."""
+    for mem in ops:
+        if isinstance(mem, MemOperand) and opcode != Opcode.LEA:
+            stores = mem is ops[0] and opcode not in _NO_DST
+            return mem, not (stores and opcode in _WRITE_ONLY_DST), stores
+    return None, False, False
+
+
+def _writer_source(opcode, ops, k, dead, reads, value):
+    """The source line of templated flag writer ``k``: bind its inputs,
+    then set its flags (live) or skip them (``dead``), then store its
+    result.  ``reads`` holds the operands' read expressions."""
+    a, b = "_a%d" % k, "_b%d" % k
+    logic = _LOGIC_OPS.get(opcode)
+    if logic is not None:
+        bind = "%s = (%s) %s (%s)" % (a, reads[0], logic, reads[1])
+    elif opcode in _ONE_INPUT:
+        bind = "%s = %s" % (a, reads[0])
+    elif opcode in SHIFT_OPCODES:
+        count = ops[1]
+        count = (
+            str(count.value & 31) if isinstance(count, ImmOperand)
+            else "(%s) & 31" % reads[1]
+        )
+        bind = "%s = %s; %s = %s" % (a, reads[0], b, count)
+    else:
+        bind = "%s = %s; %s = %s" % (a, reads[0], b, reads[1])
+    if opcode in (Opcode.CMP, Opcode.TEST):
+        if dead:
+            return bind
+        flags = _SUB_FLAGS if opcode == Opcode.CMP else _LOGIC_FLAGS
+        return "%s; %s" % (bind, flags.format(a=a, b=b))
+    dst = ops[0]
+    if isinstance(dst, RegOperand) and not dead and (
+        logic is not None or opcode in (Opcode.ADD, Opcode.SUB, Opcode.INC,
+                                        Opcode.DEC)
+    ):
+        # The templates are looked up per call, so a patched template
+        # takes effect in the next compiled segment.
+        if logic is not None:
+            flags, result = _LOGIC_FLAGS, a
+        else:
+            flags, result = {
+                Opcode.ADD: _ADD_FLAGS, Opcode.SUB: _SUB_FLAGS,
+                Opcode.INC: _INC_FLAGS, Opcode.DEC: _DEC_FLAGS,
+            }[opcode], "_r"
+        return "%s; %s; regs[%d] = %s" % (
+            bind, flags.format(a=a, b=b), dst.reg, result,
+        )
+    if logic is not None:
+        result = a if dead else "cpu.flags_logic(%s)" % a
+    else:
+        result = (_FLAG_FREE if dead else _FLAG_CALLS)[opcode].format(
+            a=a, b=b
+        )
+    return "%s; %s" % (bind, _store_stmt(dst, result, value))
+
+
+def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
+    """One generated source line executing the templated (see
+    :func:`_templated`) non-CTI instruction ``k`` of a run.
 
     Each template mirrors the corresponding ``exec_ops`` compiler —
     same value masking, same flags, same evaluation order — so faults
     and results are identical; the win is purely fewer Python calls (no
     per-instruction closure, no operand-accessor thunks, no memory
-    method on an in-range access).  Every instruction is exactly one
-    source line (compound statements via ``;``), so a traceback line
-    identifies the faulting instruction.
+    method on an in-range access).  A flag writer whose flags are
+    ``dead`` computes its result alone.  ``load`` replaces the
+    instruction's memory read expression (a forwarded word's local, or
+    the load bound to one); ``value`` names the local its memory store
+    writes from.  Every instruction is exactly one source line
+    (compound statements via ``;``), so a traceback line identifies the
+    faulting instruction.
     """
+    reads = [
+        load if load is not None and isinstance(op, MemOperand)
+        else _read_expr(op)
+        for op in ops
+    ]
+    if opcode in _FLAG_METHODS:
+        return _writer_source(opcode, ops, k, dead, reads, value)
     if opcode in (Opcode.NOP, Opcode.LABEL):
         return "pass"
-    if opcode == Opcode.CMP:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return "_a = %s; _b = %s; %s" % (r0, r1, _SUB_FLAGS)
-    if opcode == Opcode.TEST:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return "_r = (%s) & (%s); %s" % (r0, r1, _LOGIC_FLAGS)
     if opcode == Opcode.PUSH:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
         # Value read before moving esp (push %esp semantics).
         return "_t = %s; _sp = (regs[4] - 4) & %s; regs[4] = _sp; %s" % (
-            r, _M, _store_expr(4, "_sp"),
+            reads[0], _M, _store_expr(4, "_sp"),
         )
     if opcode == Opcode.POP:
-        store = _store_stmt(ops[0], "_t")
-        if store is None:
-            return None
         return "_t = %s; regs[4] = (regs[4] + 4) & %s; %s" % (
-            _load_expr(4, "(regs[4] & %s)" % _M), _M, store,
+            _load_expr(4, "(regs[4] & %s)" % _M), _M,
+            _store_stmt(ops[0], "_t"),
         )
     if opcode == Opcode.LEA:
-        if not isinstance(ops[0], RegOperand) or not isinstance(
-            ops[1], MemOperand
-        ):
-            return None
         return "regs[%d] = %s" % (ops[0].reg, _ea_expr(ops[1]))
-
+    dst = ops[0]
     if opcode in (Opcode.MOV, Opcode.MOVZX, Opcode.FLD, Opcode.FST):
-        dst, src = ops[0], ops[1]
-        r = _read_expr(src)
-        if r is None:
-            return None
-        if isinstance(dst, RegOperand):
-            # Every operand read is already a 32-bit value.
-            return "regs[%d] = %s" % (dst.reg, r)
-        return _store_stmt(dst, r)
+        return _store_stmt(dst, reads[1], value)
     if opcode == Opcode.MOVB_STORE:
-        r = _read_expr(ops[1])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "(%s) & 255" % r)
+        return _store_stmt(dst, "(%s) & 255" % reads[1], value)
     if opcode == Opcode.MOVSX:
-        src = ops[1]
-        if not isinstance(src, MemOperand):
-            return None
-        sign_bit = 1 << (src.size * 8 - 1)
+        sign_bit = 1 << (ops[1].size * 8 - 1)
         return _store_stmt(
-            ops[0],
-            "((%s ^ %d) - %d) & %s" % (_read_expr(src), sign_bit, sign_bit, _M),
-        )
-
-    if opcode in (Opcode.ADD, Opcode.SUB):
-        flags = _ADD_FLAGS if opcode == Opcode.ADD else _SUB_FLAGS
-        dst = ops[0]
-        r1 = _read_expr(ops[1])
-        if r1 is None:
-            return None
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            return "_a = regs[%d]; _b = %s; %s; regs[%d] = _r" % (
-                d, r1, flags, d,
-            )
-        method = "flags_add" if opcode == Opcode.ADD else "flags_sub"
-        r0 = _read_expr(dst)
-        if r0 is None:
-            return None
-        return _store_stmt(dst, "cpu.%s(%s, %s)" % (method, r0, r1))
-    if opcode in (Opcode.INC, Opcode.DEC):
-        dst = ops[0]
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            flags = _INC_FLAGS if opcode == Opcode.INC else _DEC_FLAGS
-            return "%s; regs[%d] = _r" % (flags % d, d)
-        method = "flags_inc" if opcode == Opcode.INC else "flags_dec"
-        r = _read_expr(dst)
-        if r is None:
-            return None
-        return _store_stmt(dst, "cpu.%s(%s)" % (method, r))
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        pyop = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}[opcode]
-        dst = ops[0]
-        r1 = _read_expr(ops[1])
-        if r1 is None:
-            return None
-        if isinstance(dst, RegOperand):
-            d = dst.reg
-            return "_r = regs[%d] %s (%s); %s; regs[%d] = _r" % (
-                d, pyop, r1, _LOGIC_FLAGS, d,
-            )
-        r0 = _read_expr(dst)
-        if r0 is None:
-            return None
-        return _store_stmt(
-            dst, "cpu.flags_logic((%s) %s (%s))" % (r0, pyop, r1)
+            dst, "((%s ^ %d) - %d) & %s" % (reads[1], sign_bit, sign_bit, _M),
+            value,
         )
     if opcode == Opcode.NOT:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "~(%s) & %s" % (r, _M))
-    if opcode == Opcode.NEG:
-        r = _read_expr(ops[0])
-        if r is None:
-            return None
-        return _store_stmt(ops[0], "cpu.flags_neg(%s)" % r)
-    if opcode in (Opcode.SHL, Opcode.SHR, Opcode.SAR):
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        if opcode == Opcode.SHL:
-            value = "cpu.flags_shl(%s, (%s) & 31)" % (r0, r1)
-        elif opcode == Opcode.SHR:
-            value = "cpu.flags_shr(%s, (%s) & 31)" % (r0, r1)
-        else:
-            value = "cpu.flags_shr(%s, (%s) & 31, arithmetic=True)" % (r0, r1)
-        return _store_stmt(ops[0], value)
-    if opcode == Opcode.IMUL:
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return _store_stmt(ops[0], "cpu.flags_imul(%s, %s)" % (r0, r1))
+        return _store_stmt(dst, "~(%s) & %s" % (reads[0], _M), value)
     if opcode in (Opcode.FADD, Opcode.FSUB):
         pyop = "+" if opcode == Opcode.FADD else "-"
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        if r0 is None or r1 is None:
-            return None
-        return _store_stmt(ops[0], "((%s) %s (%s)) & %s" % (r0, pyop, r1, _M))
-    if opcode == Opcode.FMUL:
-        # Both operands read, then signed (exec_ops._signed), then stored.
-        r0, r1 = _read_expr(ops[0]), _read_expr(ops[1])
-        store = _store_stmt(
-            ops[0],
-            "((_a - 4294967296 if _a & 2147483648 else _a)"
-            " * (_b - 4294967296 if _b & 2147483648 else _b)) & " + _M,
+        return _store_stmt(
+            dst, "((%s) %s (%s)) & %s" % (reads[0], pyop, reads[1], _M), value,
         )
-        if r0 is None or r1 is None or store is None:
-            return None
-        return "_a = %s; _b = %s; %s" % (r0, r1, store)
+    # FMUL: both operands read, then signed (exec_ops._signed), then stored.
+    return "_a = %s; _b = %s; %s" % (reads[0], reads[1], _store_stmt(
+        dst, "(%s * %s) & %s" % (_SIGNED.format("_a"), _SIGNED.format("_b"), _M),
+        value,
+    ))
 
-    # DIV, XCHG, FDIV, SYSCALL and anything unrecognized run through
-    # their compiled closures.
-    return None
+
+def _dead_writers(instrs, templated):
+    """Backward eflags scan over a run: the indices of templated flag
+    writers whose written flags are all dead, i.e. overwritten later in
+    the run before anything can read them.  All six flags are live at
+    the run's end and before every closure fallback."""
+    dead = set()
+    live = EFLAGS_WRITE_ALL
+    for k in range(len(instrs) - 1, -1, -1):
+        opcode, ops, _cost = instrs[k]
+        if not templated[k]:
+            live = EFLAGS_WRITE_ALL
+            continue
+        written = OP_INFO[opcode].eflags & EFLAGS_WRITE_ALL
+        if written:
+            if not written & live:
+                dead.add(k)
+            # A shift's count is its last operand.
+            live &= ~eflags_killed(opcode, ops[-1])
+    return dead
+
+
+def _disjoint(form, other):
+    """Whether 4-byte accesses through two address forms provably never
+    overlap: the same base, index and scale, with displacements 4 to
+    2**32 - 4 apart modulo 2**32."""
+    return form[:3] == other[:3] and (
+        4 <= (form[3] - other[3]) & _MASK32 <= _MASK32 - 3
+    )
+
+
+def _forward_loads(instrs, templated):
+    """Forward scan over a run for 4-byte loads of words it already
+    holds.
+
+    An address form ``(base, index, scale, disp)`` is held from a
+    4-byte load or store through it until a store that is not provably
+    disjoint, a write to its base or index register, a PUSH or POP, a
+    1-byte store or a closure fallback.  Returns ``(source, defs)``:
+    ``source`` maps each load of a held form to the index ``j`` of the
+    instruction whose local ``_m<j>`` holds the word; ``defs`` maps
+    each such ``j`` to whether it stored (else loaded) the word.  A
+    forwarded load cannot fault: the same bytes were accessed earlier
+    in the run without a fault.
+    """
+    held = {}  # address form -> index of the instruction holding it
+    source = {}
+    stored = {}
+    for k, (opcode, ops, _cost) in enumerate(instrs):
+        if not templated[k]:
+            held.clear()
+            continue
+        mem, loads, stores = _memory_access(opcode, ops)
+        if loads and mem.size == 4:
+            form = (mem.base, mem.index, mem.scale, mem.disp & _MASK32)
+            if form in held:
+                source[k] = held[form]
+            elif not stores:
+                held[form] = k
+        if opcode in (Opcode.PUSH, Opcode.POP) or stores and mem.size != 4:
+            held.clear()
+        elif stores:
+            form = (mem.base, mem.index, mem.scale, mem.disp & _MASK32)
+            for other in [f for f in held if not _disjoint(f, form)]:
+                del held[other]
+            held[form] = k
+            stored[k] = True
+        elif opcode not in _NO_DST:  # a register destination
+            reg = ops[0].reg
+            for other in [f for f in held if reg in (f[0], f[1])]:
+                del held[other]
+    return source, {j: j in stored for j in source.values()}
+
+
+def _rebuild_eflags(cpu, frame, writers):
+    """Make ``cpu.eflags`` exact after a fault: every flag bit whose
+    last executed writer was dead is recomputed from that writer's
+    bound inputs by the CPU's flag method.  ``frame`` holds the
+    segment's bound locals; a writer executed once all its inputs are
+    bound (as in the closures, a read-modify-write whose store faults
+    has set its flags).  ``writers`` lists ``(inputs, flags, method,
+    dead)`` in run order; ``flags`` is None for a shift, which writes
+    all six flags unless its count is 0."""
+    pending = _ALL_FLAGS
+    for inputs, flags, method, dead in reversed(writers):
+        if inputs[-1] not in frame:
+            continue
+        args = [frame[name] for name in inputs]
+        if flags is None:
+            flags = _ALL_FLAGS if args[1] else 0
+        hit = pending & flags
+        if hit and dead:
+            reference = CPU()
+            reference.eflags = cpu.eflags
+            method(reference, *args)
+            cpu.eflags = (cpu.eflags & ~hit) | (reference.eflags & hit)
+        pending &= ~flags
+        if not pending:
+            return
+
+
+def _generate_segment(instrs):
+    """Analyse and generate one run: ``(code, line_index, prefix,
+    fallbacks, rebuild)`` — the compiled ``_segment`` source, the map
+    from source line to instruction index, the running cycle totals,
+    the indices that call their ``compile_noncti`` closure ``_f<k>``,
+    and the eflags rebuild for the fault path (None without dead
+    writers)."""
+    templated = [_templated(opcode, ops) for opcode, ops, _cost in instrs]
+    dead = _dead_writers(instrs, templated)
+    forwarded, defs = _forward_loads(instrs, templated)
+    lines = [
+        "def _segment(ex, cpu):",
+        " regs = cpu.regs",
+        " try:",
+    ]
+    line_index = {}
+    prefix = []
+    total = 0
+    fallbacks = []
+    writers = []
+    for k, (opcode, ops, cost) in enumerate(instrs):
+        total += cost
+        prefix.append(total)
+        if templated[k]:
+            load, value = None, "_t"
+            if k in forwarded:
+                load = "_m%d" % forwarded[k]
+            if defs.get(k):
+                value = "_m%d" % k
+            elif k in defs:
+                mem_op = _memory_access(opcode, ops)[0]
+                load = "(_m%d := %s)" % (k, _read_expr(mem_op))
+            text = _inline_instr(opcode, ops, k, k in dead, load, value)
+            if dead and opcode in _FLAG_METHODS:
+                inputs = ("_a%d" % k,) if opcode in _ONE_INPUT else (
+                    "_a%d" % k, "_b%d" % k,
+                )
+                flags = None if opcode in SHIFT_OPCODES else writes_to_flags(
+                    OP_INFO[opcode].eflags
+                )
+                writers.append(
+                    (inputs, flags, _FLAG_METHODS[opcode], k in dead)
+                )
+        else:
+            fallbacks.append(k)
+            text = "_f%d(cpu)" % k
+        lines.append("  " + text)
+        line_index[len(lines)] = k
+    lines.extend(
+        [
+            " except BaseException:",
+            "  _flush(ex, _sys.exc_info()[2].tb_lineno)",
+        ]
+    )
+    rebuild = None
+    if dead:
+        lines.append("  _rebuild(cpu, locals())")
+
+        def rebuild(cpu, frame):
+            _rebuild_eflags(cpu, frame, writers)
+
+    lines.extend(
+        [
+            "  raise",
+            " _counter.cycles += %d" % total,
+            " ex.instructions += %d" % len(instrs),
+            " return _nxt",
+        ]
+    )
+    code = compile("\n".join(lines), "<segment>", "exec")
+    return code, line_index, tuple(prefix), tuple(fallbacks), rebuild
 
 
 def compile_segment(instrs, mem, system, counter, nxt):
@@ -368,18 +617,40 @@ def compile_segment(instrs, mem, system, counter, nxt):
     their ``compile_noncti`` closure, and cycles/instructions land in
     one batched update at the end.
 
+    Two passes over the run shape the source first.  A backward eflags
+    scan (:func:`_dead_writers`) finds the flag writers whose flags the
+    run overwrites before anything can read them; those compute their
+    results without flags.  A forward scan (:func:`_forward_loads`)
+    finds the 4-byte loads of words the run already holds in a local;
+    those read the local.  The generated code depends on the run alone,
+    so it is made once per process (``_SEGMENT_CODE_CACHE``) and bound
+    here to this runtime's memory, system, counter and return index.
+
     On a mid-run fault (or program exit) the exception's traceback
     line identifies exactly how far the run got — every instruction
     occupies exactly one source line — so the flushed totals match
     the per-instruction engines at every observable point; charges
     are deferred into locals, so only the final sums are ever visible.
+    The handler then rebuilds the flags dead writers skipped
+    (:func:`_rebuild_eflags`), so eflags are exact too.
     """
+    key = tuple(instrs)
+    generated = _SEGMENT_CODE_CACHE.get(key)
+    if generated is None:
+        generated = _SEGMENT_CODE_CACHE[key] = _generate_segment(key)
+    code, line_index, prefix, fallbacks, rebuild = generated
+
+    def _flush(ex, lineno):
+        index = line_index[lineno]
+        counter.cycles += prefix[index]
+        ex.instructions += index + 1
+
     env = {
         "_sys": sys,
         "_counter": counter,
-        "_total": None,  # placeholders, filled in below
         "_nxt": nxt,
-        "_flush": None,
+        "_flush": _flush,
+        "_rebuild": rebuild,
         "_mem": mem,
         "_mb": mem.view(),
         "_l1": mem.size - 1,
@@ -396,49 +667,10 @@ def compile_segment(instrs, mem, system, counter, nxt):
         "write_u8": mem.write_u8,
         "_parity": _PARITY,
     }
-    lines = [
-        "def _segment(ex, cpu):",
-        " regs = cpu.regs",
-        " try:",
-    ]
-    line_index = {}
-    prefix = []
-    total = 0
-    for k, (opcode, ops, cost) in enumerate(instrs):
-        total += cost
-        prefix.append(total)
-        text = _inline_instr(opcode, ops)
-        if text is None:
-            name = "_f%d" % k
-            env[name] = compile_noncti(opcode, ops, mem, system)
-            text = "%s(cpu)" % name
-        lines.append("  " + text)
-        line_index[len(lines)] = k
-    lines.extend(
-        [
-            " except BaseException:",
-            "  _flush(ex, _sys.exc_info()[2].tb_lineno)",
-            "  raise",
-            " _counter.cycles += _total",
-            " ex.instructions += %d" % len(instrs),
-            " return _nxt",
-        ]
-    )
-    source = "\n".join(lines)
-    code_obj = _SEGMENT_CODE_CACHE.get(source)
-    if code_obj is None:
-        code_obj = compile(source, "<segment>", "exec")
-        _SEGMENT_CODE_CACHE[source] = code_obj
-    prefix = tuple(prefix)
-
-    def _flush(ex, lineno):
-        index = line_index[lineno]
-        counter.cycles += prefix[index]
-        ex.instructions += index + 1
-
-    env["_total"] = total
-    env["_flush"] = _flush
-    exec(code_obj, env)
+    for k in fallbacks:
+        opcode, ops, _cost = instrs[k]
+        env["_f%d" % k] = compile_noncti(opcode, ops, mem, system)
+    exec(code, env)
     return env["_segment"]
 
 

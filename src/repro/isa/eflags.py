@@ -78,6 +78,26 @@ def writes_to_reads(write_mask):
     return (write_mask & EFLAGS_WRITE_ALL) >> _READ_TO_WRITE_SHIFT
 
 
+_WRITE_TO_FLAG = (
+    (EFLAGS_WRITE_CF, CF),
+    (EFLAGS_WRITE_PF, PF),
+    (EFLAGS_WRITE_AF, AF),
+    (EFLAGS_WRITE_ZF, ZF),
+    (EFLAGS_WRITE_SF, SF),
+    (EFLAGS_WRITE_OF, OF),
+)
+
+
+def writes_to_flags(write_mask):
+    """The eflags register bits (``CF``, ``PF``, ...) a write-effects
+    mask names."""
+    flags = 0
+    for write, flag in _WRITE_TO_FLAG:
+        if write_mask & write:
+            flags |= flag
+    return flags
+
+
 _EFFECT_LETTERS = (
     (EFLAGS_WRITE_CF, EFLAGS_READ_CF, "C"),
     (EFLAGS_WRITE_PF, EFLAGS_READ_PF, "P"),

@@ -27,6 +27,7 @@ from repro.isa.eflags import (
     EFLAGS_WRITE_ALL,
     EFLAGS_WRITE_CF,
 )
+from repro.isa.operands import ImmOperand
 
 
 class Opcode(IntEnum):
@@ -308,6 +309,26 @@ def _build_table():
 
 
 OP_INFO = _build_table()
+
+
+SHIFT_OPCODES = frozenset((Opcode.SHL, Opcode.SHR, Opcode.SAR))
+
+
+def eflags_killed(opcode, count=None):
+    """The ``EFLAGS_WRITE_*`` mask of the flags ``opcode`` always
+    overwrites: the flags a liveness scan may treat as dead before it.
+
+    That is the opcode's write effects (inc/dec leave CF alone), except
+    for a shift: a count of 0 mod 32 leaves eflags unchanged
+    (``CPU.flags_shl``/``flags_shr``), so a shift kills nothing unless
+    ``count``, its count operand, is an immediate that is nonzero mod 32.
+    ``count`` is ignored for every other opcode.
+    """
+    if opcode in SHIFT_OPCODES and not (
+        isinstance(count, ImmOperand) and count.value & 31
+    ):
+        return 0
+    return OP_INFO[opcode].eflags & EFLAGS_WRITE_ALL
 
 
 def opcode_info(opcode):

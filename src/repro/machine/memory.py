@@ -20,7 +20,12 @@ inline an access instead (``repro.machine.exec_ops`` accessor closures,
   is off and the watch lines it touches are not in ``_watch_pages``
   (cache consistency and the shield arm watches mid-run);
 * every other access calls the method, which raises the exact
-  :class:`MachineFault` or runs the protection check and watchers.
+  :class:`MachineFault` or runs the protection check and watchers;
+* a segment may reuse a 4-byte value it already holds — one it loaded
+  or stored through the same address form earlier in the run, with no
+  possibly overlapping store, address-register write or call out of the
+  segment since — instead of loading it again (such a load cannot
+  fault, and reads have no side effects).
 """
 
 import mmap

@@ -23,6 +23,7 @@ from repro.ir.create import (
     INSTR_CREATE_jmp,
     INSTR_CREATE_jz,
     INSTR_CREATE_mov,
+    INSTR_CREATE_shl,
     OPND_CREATE_INT32,
     OPND_CREATE_PC,
     OPND_CREATE_REG,
@@ -37,6 +38,7 @@ from repro.isa.registers import Reg
 
 EAX = OPND_CREATE_REG(Reg.EAX)
 EBX = OPND_CREATE_REG(Reg.EBX)
+ECX = OPND_CREATE_REG(Reg.ECX)
 
 
 class TestPartialEflagsDefs:
@@ -79,6 +81,24 @@ class TestPartialEflagsDefs:
         il = InstrList([inc, jb])
         assert not eflags_dead_before(il, inc)
         assert find_dead_flags_point(il) is None
+
+
+class TestShiftCounts:
+    def test_shift_by_register_keeps_flags_live(self):
+        # ecx may hold 0, which leaves eflags unchanged: the jz (and
+        # the code past it) may read the flags written before the shift.
+        shl = INSTR_CREATE_shl(EAX, ECX)
+        jz = INSTR_CREATE_jz(OPND_CREATE_PC(0x2000))
+        il = InstrList([shl, jz])
+        assert live_eflags(il).before(shl) == EFLAGS_READ_ALL
+        assert find_dead_flags_point(il) is None
+
+    def test_shift_by_nonzero_immediate_kills_flags(self):
+        shl = INSTR_CREATE_shl(EAX, OPND_CREATE_INT32(3))
+        jz = INSTR_CREATE_jz(OPND_CREATE_PC(0x2000))
+        il = InstrList([shl, jz])
+        assert live_eflags(il).before(shl) == 0
+        assert find_dead_flags_point(il) is shl
 
 
 class TestSingleInstructionBlocks:

@@ -1,5 +1,6 @@
 """Inline instruction counter: analysis-guided instrumentation."""
 
+from repro.asm import assemble
 from repro.clients import InlineInstructionCounter, InstructionCounter
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
@@ -66,3 +67,36 @@ def test_counts_survive_trace_promotion():
     dr, result = run_with(image, client, opts)
     assert result.events["traces_built"] > 0
     assert client.executed == native.instructions
+
+
+# ``shl eax, ecx`` with ecx = 0 leaves eflags unchanged, so the jz reads
+# the cmp's ZF: no counter may be placed before the shift.
+ZERO_SHIFT_ASM = """
+.entry main
+.text
+main:
+    mov ecx, 0
+    mov eax, 5
+    cmp eax, 5
+    jnz bad
+    shl eax, ecx
+    jz good
+bad:
+    mov ebx, 1
+    mov eax, 1
+    syscall
+good:
+    mov ebx, 0
+    mov eax, 1
+    syscall
+"""
+
+
+def test_zero_count_shift_keeps_flags_live():
+    image = assemble(ZERO_SHIFT_ASM)
+    native = run_native(Process(image))
+    _dr, result = run_with(image, InlineInstructionCounter())
+    assert native.exit_code == 0
+    assert (result.exit_code, result.output) == (
+        native.exit_code, native.output
+    )

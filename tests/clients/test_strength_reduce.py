@@ -1,6 +1,7 @@
 """Strength-reduction client tests (paper Section 4.2 / Figure 3)."""
 
 from repro.api.dr import dr_get_log
+from repro.asm import assemble
 from repro.clients import StrengthReduction
 from repro.ir.instrlist import InstrList
 from repro.ir.create import (
@@ -174,3 +175,39 @@ class TestEndToEnd:
         assert client.num_converted > 0
         log = dr_get_log(client)
         assert len(log) == 1 and log[0].startswith("converted")
+
+
+# ``shl edx, ecx`` with ecx = 0 leaves CF as the add set it, so the jb
+# reads it: the inc before the shift must stay an inc.
+ZERO_SHIFT_ASM = """
+.entry main
+.text
+main:
+    mov ecx, 0
+    mov ebx, 7
+    mov eax, 0xffffffff
+    add eax, 1
+    inc ebx
+    shl edx, ecx
+    jb good
+    mov ebx, 1
+    mov eax, 1
+    syscall
+good:
+    mov ebx, 0
+    mov eax, 1
+    syscall
+"""
+
+
+def test_zero_count_shift_keeps_cf_live():
+    image = assemble(ZERO_SHIFT_ASM)
+    p4 = CostModel(Family.PENTIUM_IV)
+    native = run_native(Process(image), cost_model=p4)
+    client = StrengthReduction(optimize_blocks=True)
+    _dr, result = run_under(image, client=client, cost_model=p4)
+    assert native.exit_code == 0
+    assert (result.exit_code, result.output) == (
+        native.exit_code, native.output
+    )
+    assert client.num_examined == 1 and client.num_converted == 0

@@ -7,11 +7,16 @@ from repro.isa.eflags import (
 from repro.isa.opcodes import (
     Opcode,
     OP_INFO,
+    SHIFT_OPCODES,
+    eflags_killed,
     opcode_info,
     opcode_from_name,
     JCC_CONDITION,
     JCC_OPPOSITE,
 )
+from repro.isa.operands import ImmOperand, RegOperand
+from repro.isa.registers import Reg
+from repro.machine.cpu import CPU
 
 
 def test_inc_dec_do_not_write_cf():
@@ -77,3 +82,24 @@ def test_opcode_from_name():
     assert opcode_from_name("add") == Opcode.ADD
     assert opcode_from_name("jnz") == Opcode.JNZ
     assert opcode_from_name("jmp*") == Opcode.JMP_IND
+
+
+def test_eflags_killed_follows_the_write_effects():
+    assert eflags_killed(Opcode.ADD) == EFLAGS_WRITE_ALL
+    assert eflags_killed(Opcode.INC) == EFLAGS_WRITE_ALL & ~EFLAGS_WRITE_CF
+    assert eflags_killed(Opcode.MOV) == 0
+
+
+def test_eflags_killed_by_a_shift_needs_a_nonzero_immediate_count():
+    """A shift by 0 mod 32 leaves eflags unchanged, so only a shift by
+    an immediate that is nonzero mod 32 always overwrites them."""
+    for opcode in SHIFT_OPCODES:
+        assert eflags_killed(opcode, ImmOperand(3)) == EFLAGS_WRITE_ALL
+        assert eflags_killed(opcode, ImmOperand(33)) == EFLAGS_WRITE_ALL
+        for count in (ImmOperand(0), ImmOperand(32), RegOperand(Reg.ECX)):
+            assert eflags_killed(opcode, count) == 0
+    cpu = CPU()
+    cpu.eflags = 0x8D5
+    cpu.flags_shl(0x80000001, 32)
+    cpu.flags_shr(0x80000001, 0, arithmetic=True)
+    assert cpu.eflags == 0x8D5

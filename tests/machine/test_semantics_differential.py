@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import closures
 from repro.core.closures import compile_segment
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
@@ -299,71 +300,313 @@ def test_memory_edges(opcode, ops, guard):
         assert outcome["watch_calls"] == expected
 
 
-# ------------------------------------------------------------ mid-run faults
+# ------------------------------------------------------------ whole runs
+#
+# Generated segments skip the flags of writers the run overwrites before
+# anything reads them, rebuild those flags when a fault unwinds the
+# segment, and reuse a 4-byte word the run already holds instead of
+# loading it again.  These runs compare whole segments with the
+# per-instruction closures.
 
-_FAULTS = {
-    # template load past the end of memory
-    "load": (Opcode.MOV, (RegOperand(3), MemOperand(disp=SIZE - 2, size=4))),
-    # template store that the store-time test sends to the checked path
-    "readonly": (Opcode.MOV, (MemOperand(disp=0x400, size=4), RegOperand(1))),
-    # fallback closure
-    "div": (Opcode.DIV, (RegOperand(7),)),
-}
+EAX, ECX, EDX, EBX, EBP, ESI, EDI = 0, 1, 2, 3, 5, 6, 7
+_WRITERS = (
+    Opcode.ADD, Opcode.SUB, Opcode.CMP, Opcode.TEST, Opcode.AND, Opcode.OR,
+    Opcode.XOR, Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.SHL, Opcode.SHR,
+    Opcode.SAR, Opcode.IMUL,
+)
+_STORING_WRITERS = tuple(
+    op for op in _WRITERS if op not in (Opcode.CMP, Opcode.TEST)
+)
+
+
+def _instruction(rng, opcode, dst):
+    """``opcode`` over first operand ``dst``, with a second operand
+    drawn to match: a shift counts by an immediate (0 and 32 included)
+    or by ECX, which may hold 0."""
+    if opcode in (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT):
+        return opcode, (dst,)
+    if opcode in (Opcode.SHL, Opcode.SHR, Opcode.SAR):
+        if rng.random() < 0.5:
+            return opcode, (dst, RegOperand(ECX))
+        return opcode, (dst, ImmOperand(rng.choice((0, 1, 5, 31, 32, 33))))
+    pick = rng.random()
+    if pick < 0.4 or isinstance(dst, MemOperand) and pick < 0.7:
+        src = RegOperand(rng.randrange(4))
+    elif isinstance(dst, MemOperand) or pick < 0.7:
+        src = ImmOperand(rng.getrandbits(32) - (1 << 31))
+    else:
+        src = MemOperand(disp=rng.randrange(0x800, 0x1000) & ~3)
+    return opcode, (dst, src)
 
 
 def _straight_line(rng, n):
-    """``n`` non-faulting instructions with random costs."""
+    """``n`` non-faulting instructions with random costs: every templated
+    flag writer, MOV, NOT and FMUL, over register destinations and
+    words at EBP (0x200) + 0..252."""
     body = []
     for _ in range(n):
-        opcode = rng.choice((Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.MOV,
-                             Opcode.INC, Opcode.FMUL))
-        if opcode == Opcode.INC:
-            ops = (RegOperand(rng.randrange(4)),)
-        elif rng.random() < 0.5:
-            ops = (RegOperand(rng.randrange(4)),
-                   MemOperand(disp=rng.randrange(0x800, 0x1000) & ~3))
+        opcode = rng.choice(_WRITERS + (Opcode.MOV, Opcode.NOT, Opcode.FMUL))
+        if rng.random() < 0.6:
+            dst = RegOperand(rng.randrange(4))
         else:
-            ops = (MemOperand(base=5, disp=rng.randrange(64) * 4),
-                   RegOperand(rng.randrange(4)))
-        body.append((opcode, ops, rng.randrange(1, 50)))
+            dst = MemOperand(base=EBP, disp=rng.randrange(64) * 4)
+        body.append(_instruction(rng, opcode, dst) + (rng.randrange(1, 50),))
     return body
+
+
+def _run_state(rng):
+    """Random registers (EBP = 0x200, ECX often 0 mod 32, EDI = 0 for
+    DIV), eflags and memory, with the line at 0x400 read-only."""
+    regs = [rng.getrandbits(32) for _ in range(8)]
+    regs[EBP] = 0x200
+    regs[ECX] = rng.choice((0, 32, regs[ECX]))
+    regs[EDI] = 0
+    data = bytes(rng.getrandbits(8) for _ in range(SIZE))
+    return regs, rng.getrandbits(12), data, ("protect", 0x400, 0x440)
+
+
+def _agree_with_closures(instrs, state):
+    """Run ``instrs`` from ``state`` as one generated segment and as
+    per-instruction ``compile_noncti`` closures: the same fault text (or
+    none), flushed cycles and instructions, registers, eflags and
+    memory.  Returns the fault text."""
+    cpu, mem, _calls = _machine(*state)
+    cycles = done = 0
+    error = None
+    try:
+        for opcode, ops, cost in instrs:
+            cycles += cost
+            done += 1
+            compile_noncti(opcode, ops, mem, System())(cpu)
+    except MachineFault as exc:
+        error = str(exc)
+    closure = (error, cycles, done, cpu.regs, cpu.eflags,
+               mem.read_bytes(0, SIZE))
+
+    cpu, mem, _calls = _machine(*state)
+    counter = CycleCounter()
+    ex = SimpleNamespace(instructions=0)
+    step = compile_segment(instrs, mem, System(), counter, 1)
+    error = None
+    try:
+        assert step(ex, cpu) == 1
+    except MachineFault as exc:
+        error = str(exc)
+    segment = (error, counter.cycles, ex.instructions, cpu.regs, cpu.eflags,
+               mem.read_bytes(0, SIZE))
+    fields = ("fault", "cycles", "instructions", "regs", "eflags", "memory")
+    for field, got, want in zip(fields, segment, closure):
+        assert got == want, "segment %s %r != closures %r in %r" % (
+            field, got if field != "memory" else "...",
+            want if field != "memory" else "...", instrs,
+        )
+    return error
+
+
+def test_straight_line_sample():
+    """Seeded sample of fault-free runs: dead flag writers skip their
+    flags without changing any result."""
+    rng = random.Random(21)
+    for _ in range(60):
+        assert _agree_with_closures(
+            _straight_line(rng, 10), _run_state(rng)
+        ) is None
+
+
+@pytest.mark.slow
+def test_straight_line_sweep():
+    rng = random.Random(2100)
+    for _ in range(3000):
+        assert _agree_with_closures(
+            _straight_line(rng, rng.randrange(2, 16)), _run_state(rng)
+        ) is None
+
+
+_FAULTS = {
+    # template load past the end of memory (by a flag writer or a MOV)
+    "load": lambda rng: (
+        rng.choice((Opcode.MOV, Opcode.ADD, Opcode.CMP, Opcode.IMUL)),
+        (RegOperand(EBX), MemOperand(disp=SIZE - 2, size=4)),
+    ),
+    # template store that the store-time test sends to the checked path
+    "readonly": lambda rng: (
+        Opcode.MOV, (MemOperand(disp=0x400, size=4), RegOperand(ECX)),
+    ),
+    # read-modify-write whose store faults after its flags are set
+    "rmw": lambda rng: _instruction(
+        rng, rng.choice(_STORING_WRITERS), MemOperand(disp=0x404, size=4),
+    ),
+    # fallback closure
+    "div": lambda rng: (Opcode.DIV, (RegOperand(EDI),)),
+}
+
+
+def _fault_runs(rng, fault, bodies, n=8):
+    """``bodies`` random runs of ``n`` instructions, each with ``fault``
+    at every position in turn."""
+    for _ in range(bodies):
+        body = _straight_line(rng, n)
+        state = _run_state(rng)
+        for k in range(n):
+            instrs = list(body)
+            instrs[k] = _FAULTS[fault](rng) + (1000 + k,)
+            assert _agree_with_closures(instrs, state) is not None
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_mid_run_fault_flushes_like_closures(fault):
     """When a segment's k-th instruction faults, the segment raises the
-    closure's exception and flushes the cycles and instructions the
-    per-instruction closures would have charged (faulting one included)."""
-    rng = random.Random(fault)
-    n = 6
-    for k in range(n):
-        instrs = _straight_line(rng, n)
-        opcode, ops = _FAULTS[fault]
-        instrs[k] = (opcode, ops, 1000 + k)
-        regs = [rng.getrandbits(32) for _ in range(8)]
-        regs[5] = 0x200
-        regs[7] = 0  # the DIV's divisor
-        state = (regs, 0x2, bytes(SIZE), ("protect", 0x400, 0x440))
+    closure's exception, flushes the cycles and instructions the
+    per-instruction closures would have charged (faulting one
+    included), and leaves their registers, memory and eflags — the
+    flags of dead writers rebuilt from their inputs."""
+    _fault_runs(random.Random(fault), fault, bodies=6)
 
-        cpu, mem, _calls = _machine(*state)
-        cycles = done = 0
-        with pytest.raises(MachineFault) as closure_fault:
-            for op_code, op_ops, cost in instrs:
-                cycles += cost
-                done += 1
-                compile_noncti(op_code, op_ops, mem, System())(cpu)
-        closure_state = (cpu.regs, cpu.eflags, mem.read_bytes(0, SIZE))
 
-        cpu, mem, _calls = _machine(*state)
-        counter = CycleCounter()
-        ex = SimpleNamespace(instructions=0)
-        step = compile_segment(instrs, mem, System(), counter, 1)
-        with pytest.raises(MachineFault) as segment_fault:
-            step(ex, cpu)
-        assert str(segment_fault.value) == str(closure_fault.value)
-        assert (counter.cycles, ex.instructions) == (cycles, done)
-        assert done == k + 1
-        assert (cpu.regs, cpu.eflags, mem.read_bytes(0, SIZE)) == closure_state
+@pytest.mark.slow
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_mid_run_fault_sweep(fault):
+    _fault_runs(random.Random("sweep " + fault), fault, bodies=150)
+
+
+def test_noop_fault_path_fails_the_fault_runs(monkeypatch):
+    """Negative control: without the eflags rebuild, a fault after a
+    dead flag writer leaves stale eflags."""
+    monkeypatch.setattr(closures, "_rebuild_eflags", lambda *args: None)
+    with pytest.raises(AssertionError, match="eflags"):
+        for fault in sorted(_FAULTS):
+            _fault_runs(random.Random(fault), fault, bodies=6)
+
+
+WINDOW = 0x600  # the 64-byte window every aliasing access falls in
+
+
+def _aliasing_run(rng, n=16):
+    """A run of 4-byte loads, 4-byte and byte stores and address-register
+    rewrites over one 64-byte window, through three address forms:
+    absolute, base+disp (EBX) and base+index*scale+disp (ESI, EDI).
+    Stores are biased to hit a word an earlier load read, mostly
+    through another form, else through the same registers at a nearby
+    displacement; loads often repeat an earlier operand, also after its
+    base or index was rewritten.  Returns ``(instrs, state)``."""
+    regs = [rng.getrandbits(32) for _ in range(8)]
+    regs[EBX] = WINDOW + rng.randrange(-64, 128)
+    regs[ESI] = rng.getrandbits(32)
+    regs[EDI] = rng.randrange(16)
+    now = list(regs)  # address registers as the run reaches each access
+    loads = []  # (address, form, operand) of earlier loads
+    accesses = []  # 4-byte operands loaded or stored so far
+
+    def operand(addr, form, size=4, scale=None):
+        if form == "abs":
+            return MemOperand(disp=addr, size=size)
+        if form == "base":
+            base, index, scale = EBX, None, 1
+            disp = addr - now[EBX]
+        else:
+            base, index = ESI, EDI
+            scale = scale or rng.choice((1, 2, 4, 8))
+            disp = addr - now[ESI] - now[EDI] * scale
+        disp &= M32
+        return MemOperand(base=base, index=index, scale=scale,
+                          disp=disp - (disp >> 31 << 32), size=size)
+
+    def store(size):
+        """``(operand, hit)``: a store's operand, usually over the word
+        of a recent load ``hit`` (through another form, or the same
+        registers), else ``hit`` is None."""
+        if not loads or rng.random() < 0.2:
+            addr = WINDOW + rng.randrange(64 - size + 1)
+            form = rng.choice(("abs", "base", "index"))
+            return operand(addr, form, size), None
+        addr, form, hit = rng.choice(loads[-3:])
+        if size == 1:  # a byte of the loaded word
+            addr += rng.randrange(4)
+        else:
+            addr += rng.choice((0, 0, 1, 2, 3, -1, -2, -3, 4, -4, 8))
+        addr = min(max(addr, WINDOW), WINDOW + 64 - size)
+        if rng.random() < 0.4:
+            return operand(addr, form, size, hit.scale), hit
+        other = rng.choice([f for f in ("abs", "base", "index") if f != form])
+        return operand(addr, other, size), hit
+
+    body = []
+    for _ in range(n):
+        pick = rng.random()
+        value = RegOperand(rng.choice((EAX, ECX, EDX)))
+        if pick < 0.4:
+            if accesses and rng.random() < 0.6:
+                op = rng.choice(accesses[-3:])  # a recent operand again
+            else:
+                op = operand(WINDOW + rng.randrange(61),
+                             rng.choice(("abs", "base", "index")))
+            form = "abs" if op.base is None else (
+                "base" if op.index is None else "index")
+            addr = (op.disp + (now[op.base] if op.base is not None else 0)
+                    + (now[op.index] * op.scale if op.index is not None
+                       else 0)) & M32
+            opcode = rng.choice((Opcode.MOV, Opcode.ADD, Opcode.CMP,
+                                 Opcode.XOR))
+            body.append((opcode, (value, op)))
+            if WINDOW <= addr <= WINDOW + 60:
+                loads.append((addr, form, op))
+            accesses.append(op)
+        elif pick < 0.85:
+            # A store; the word it hit becomes the most recent access,
+            # so the next load may read it again.
+            op, hit = store(4 if pick < 0.7 else 1)
+            if op.size == 1:
+                body.append((Opcode.MOVB_STORE, (op, value)))
+            else:
+                opcode = rng.choice((Opcode.MOV, Opcode.MOV, Opcode.ADD,
+                                     Opcode.INC))
+                body.append(
+                    (opcode, (op,) if opcode == Opcode.INC else (op, value))
+                )
+                accesses.append(op)
+            if hit is not None:
+                accesses.append(hit)
+        else:
+            reg = rng.choice((EBX, ESI, EDI))
+            step = rng.choice((-8, -4, 4, 8))
+            if reg == EBX:
+                body.append((Opcode.ADD, (RegOperand(EBX), ImmOperand(step))))
+            elif reg == ESI:
+                body.append((Opcode.LEA, (RegOperand(ESI),
+                                          MemOperand(base=ESI, disp=step))))
+            else:
+                step = rng.randrange(8) - now[EDI]
+                body.append((Opcode.MOV, (RegOperand(EDI),
+                                          ImmOperand(now[EDI] + step))))
+            now[reg] = (now[reg] + step) & M32
+    data = bytes(rng.getrandbits(8) for _ in range(SIZE))
+    instrs = [instr + (rng.randrange(1, 9),) for instr in body]
+    return instrs, (regs, rng.getrandbits(12), data, None)
+
+
+def _aliasing_runs(rng, count):
+    for _ in range(count):
+        assert _agree_with_closures(*_aliasing_run(rng)) is None
+
+
+def test_aliasing_sample():
+    """Seeded sample: a load reuses a held word only while no store,
+    byte store or address-register rewrite may have changed it."""
+    _aliasing_runs(random.Random(64), 200)
+
+
+@pytest.mark.slow
+def test_aliasing_sweep():
+    _aliasing_runs(random.Random(6400), 4000)
+
+
+def test_forwarding_across_stores_fails_the_aliasing_runs(monkeypatch):
+    """Negative control: treating every other address form as disjoint
+    from a store forwards stale words."""
+    monkeypatch.setattr(closures, "_disjoint", lambda form, other: True)
+    monkeypatch.setattr(closures, "_SEGMENT_CODE_CACHE", {})
+    with pytest.raises(AssertionError):
+        _aliasing_runs(random.Random(64), 200)
 
 
 # ------------------------------------------------------------ whole engines
@@ -398,11 +641,14 @@ def test_out_of_range_load_mid_run_on_every_engine():
     the 32 MiB address space; the 40th pass faults on the third
     instruction of a straight-line run.  The tuple engine, the closure
     engine's segment and the chain table's segment raise the same fault
-    text with the same flushed cycles, instructions and registers, and
-    the registers equal native's.  (The runtime names the dispatched
-    fragment's tag as the app pc, native the faulting instruction's, so
-    only the text before that suffix is compared with native; runtime
-    instruction counts include the exits the runtime synthesizes.)"""
+    text with the same flushed cycles, instructions, registers and
+    eflags, and the registers and eflags equal native's.  The segments
+    skip the flags of ``add eax, ecx`` before the load (``add eax, edx``
+    overwrites them), so their eflags come from the fault path.  (The
+    runtime names the dispatched fragment's tag as the app pc, native
+    the faulting instruction's, so only the text before that suffix is
+    compared with native; runtime instruction counts include the exits
+    the runtime synthesizes.)"""
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
@@ -421,14 +667,15 @@ def test_out_of_range_load_mid_run_on_every_engine():
         runtime = DynamoRIO(Process(image), options=options)
         with pytest.raises(MachineFault) as fault:
             runtime.run()
+        cpu = runtime.threads[0].cpu
         outcomes.append((
             str(fault.value), runtime.counter.cycles,
-            runtime.executor.instructions, runtime.threads[0].cpu.regs,
+            runtime.executor.instructions, cpu.regs, cpu.eflags,
         ))
         if engine == "chain":
             assert runtime.chains.report()["chains_built"] > 0
     assert outcomes[1:] == outcomes[:-1]
-    text, _cycles, _instructions, regs = outcomes[0]
+    text, _cycles, _instructions, regs, eflags = outcomes[0]
     assert text.split(" (")[0] == str(native.value).split(" (")[0]
     assert text.startswith("read past memory at 0x1fffffe")
-    assert regs == interp.cpu.regs
+    assert (regs, eflags) == (interp.cpu.regs, interp.cpu.eflags)
