@@ -38,9 +38,9 @@ Sanctioned differences:
   equality is checked symbolically, but the client's claim that the
   popped target equals the trace continuation is *assumed* (reported as
   a warning — it is a dynamic property no static check can prove);
-* flags are not compared at a ``syscall`` boundary: RIO-32 declares the
-  kernel clobbers all six, so both sides re-seed them with matching
-  fresh symbols afterwards.
+* flags are not compared at ``hlt``, where the program ends.  A
+  ``syscall`` leaves them as they are, so they are compared there like
+  registers.
 
 Everything else — a non-meta branch to an internal label, client code
 that rewrites an application instruction to compute a different
@@ -164,7 +164,6 @@ def _walk_source(source_tags, memory, max_bb_instrs):
                     expects.append(
                         _Site("syscall", snap=state.snapshot(), tag=tag, last=last)
                     )
-                    state.syscall_havoc()
                 elif opcode == Opcode.HALT:
                     expects.append(
                         _Site("halt", snap=state.snapshot(), tag=tag, last=last)
@@ -338,7 +337,6 @@ def _walk_fragment(ilist, nodes):
                 observables.append(
                     _Site("syscall", snap=state.snapshot(), instr=orig)
                 )
-                state.syscall_havoc()
             elif opcode == Opcode.HALT:
                 observables.append(
                     _Site("halt", snap=state.snapshot(), instr=orig)
@@ -531,13 +529,13 @@ def _match(expects, observables, src_state, frag_state):
                     instr=ob.instr,
                 )
                 return problems
-            # Flags are contract-undefined across a syscall and
-            # unobservable at hlt; compare registers and memory only.
+            # Flags are unobservable at hlt; a syscall leaves them as
+            # they are, so they must match there.
             problems.extend(
                 p_to_problems(
                     _compare_states(
                         exp, ob, src_stores, frag_stores, where,
-                        compare_flags=False,
+                        compare_flags=exp.kind == "syscall",
                     ),
                     ob,
                 )

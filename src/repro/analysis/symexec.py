@@ -399,17 +399,15 @@ class SymState:
 
     ``regs`` maps register index to expression, ``flags`` maps flag name
     to expression, ``stores`` is the append-only log of
-    ``(addr, size, value)`` and ``events`` counts syscalls so the
-    post-syscall havoc symbols are deterministically named per side.
+    ``(addr, size, value)``.
     """
 
-    __slots__ = ("regs", "flags", "stores", "syscalls")
+    __slots__ = ("regs", "flags", "stores")
 
     def __init__(self):
         self.regs = {r: ("init", REG_NAMES[Reg(r)]) for r in range(8)}
         self.flags = {name: ("initf", name) for name in FLAG_ORDER}
         self.stores = []
-        self.syscalls = 0
 
     # ------------------------------------------------------------- memory
 
@@ -489,15 +487,6 @@ class SymState:
             self.flags[name] = ("flagbit", flags_word, name)
         return target
 
-    def syscall_havoc(self):
-        """RIO-32 declares ``syscall`` writes all six flags (liveness
-        treats them as dead across it), so both sides re-seed the flags
-        with matching fresh symbols, named by per-side syscall count."""
-        k = self.syscalls
-        self.syscalls += 1
-        for name in FLAG_ORDER:
-            self.flags[name] = ("sysfl", k, name)
-
     # ---------------------------------------------------------- snapshots
 
     def snapshot(self):
@@ -517,8 +506,8 @@ def step(state, opcode, ops):
     :func:`repro.machine.exec_ops.execute_noncti`).
 
     ``SYSCALL`` and ``HALT`` are *not* stepped here — they are
-    observables the equivalence driver snapshots around; it calls
-    :meth:`SymState.syscall_havoc` itself after comparing.
+    observables that :mod:`repro.analysis.equiv` snapshots; neither
+    changes registers or flags.
     """
     flags = state.flags
     if opcode == Opcode.MOV or opcode == Opcode.MOVZX:

@@ -28,8 +28,8 @@ concatenates the members' step tables into one flat super-table:
   counter update on the common (no-raise, profiler-off) path.
 
 Chains are a pure wall-clock optimization: cycles, stats, events and
-output are bit-identical to both the closure and the tuple engine —
-the three-engine determinism tests assert it.  Chains therefore add
+output are bit-identical to the closure engine alone — the
+engine-determinism tests assert it.  Chains therefore add
 **no** stats counters or event kinds; build/invalidate telemetry lives
 in :meth:`ChainManager.report` only.
 

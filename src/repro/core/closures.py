@@ -19,7 +19,7 @@ Runs of consecutive straight-line ``OP_EXEC`` ops are *fused* into a
 single step.  A run of two or more instructions becomes a generated
 segment (:func:`compile_segment`): straight-line Python source with
 guest memory accessed inline, charging cycles and instructions exactly
-as the per-op engine would, including on a mid-run fault or program
+as one step per op would, including on a mid-run fault or program
 exit.  Segment-local dataflow shapes that source: a flag writer whose
 flags the run overwrites before anything can read them skips them, and
 a 4-byte load of a word the run already holds reads the local holding
@@ -38,9 +38,11 @@ be bound at compile time.  Link stubs are bound as objects and their
 ``linked_to`` fields read at exit time, preserving the link/unlink and
 fragment-replacement semantics unchanged.
 
-Compiled steps produce **bit-identical** cycles, stats, events and
-output to the tuple-dispatch engine; the determinism regression tests
-assert this end to end.
+The native interpreter is the reference: every run must end with
+native's output, exit code, registers and eflags (the differential
+oracle, :mod:`repro.tools.oracle`), and the instruction differential
+(``tests/machine/test_semantics_differential.py``) holds every template
+to ``execute_noncti``.
 """
 
 import sys

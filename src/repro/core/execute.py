@@ -13,50 +13,24 @@ Cycle charging:
   or the per-pair compare cost when a trace-inlined check/dispatch hits;
 * unlinked exits pay the exit stub and a full context switch.
 
-The engine reads ``fragment.code`` once into a local — so a fragment
+Each fragment runs through its closure-compiled step table
+(:mod:`repro.core.closures`): every step has its operand accessors,
+costs and link stubs pre-bound, so the loop is just
+``i = steps[i](self, cpu)``.  Under ``options.chain_engine`` a hot
+fragment whose direct exits are linked runs its chain super-table
+instead (:mod:`repro.core.chains`); both tiers charge cycles and update
+stats identically.
+
+The engine reads the step table once into a local, so a fragment
 replaced mid-execution (adaptive optimization) keeps running its old
 code until the next exit, exactly the paper's replacement semantics.
-
-Two interchangeable engines drive the op stream:
-
-* the **closure engine** (default, ``options.closure_engine=True``)
-  runs the fragment's closure-compiled step table
-  (:mod:`repro.core.closures`) — each step has its operand accessors,
-  costs and link stubs pre-bound, so the loop is just
-  ``i = steps[i](self, cpu)``;
-* the **tuple engine** interprets the lowered op tuples directly
-  (:meth:`Executor._run_ops`), kept as the regression reference.
-
-Both charge cycles and update stats identically; the determinism tests
-assert bit-identical results across engines.
 """
 
-from repro.core.emit import (
-    CLEAN_CALL_COST,
-    OP_CALL_EXIT,
-    OP_CALL_INLINE,
-    OP_CLEAN_CALL,
-    OP_COND_EXIT,
-    OP_EXEC,
-    OP_IND_CHECK,
-    OP_IND_EXIT,
-    OP_JMP_EXIT,
-    OP_LOCAL_BR,
-)
+from repro.core.emit import OP_CLEAN_CALL
 from repro.core.closures import compile_fragment
 from repro.machine.errors import MachineFault
-from repro.machine.exec_ops import execute_noncti, read_operand
-from repro.machine.system import pop_signal_frame
-from repro.observe.events import (
-    EV_CLEAN_CALL,
-    EV_CONTEXT_SWITCH,
-    EV_DISPATCH_CHECK_HIT,
-    EV_IBL_HIT,
-    EV_IBL_MISS,
-    EV_INLINE_CHECK_HIT,
-)
-
-_MASK32 = 0xFFFFFFFF
+from repro.machine.exec_ops import execute_noncti
+from repro.observe.events import EV_CONTEXT_SWITCH, EV_IBL_HIT, EV_IBL_MISS
 
 # Exit reasons returned to the dispatcher.
 EXIT_DISPATCH = "dispatch"  # unlinked exit; next_tag + stub
@@ -68,7 +42,7 @@ EXIT_INTERRUPT = "interrupt"
 
 
 class CacheExit(Exception):
-    """Internal non-local exit used to unwind the op loop."""
+    """Internal non-local exit used to unwind the step loop."""
 
     def __init__(self, reason, next_tag, stub):
         self.reason = reason
@@ -187,14 +161,10 @@ class Executor:
         the application ends, MachineFault on machine errors.
         """
         runtime = self.runtime
-        thread = runtime.current_thread
-        cpu = thread.cpu
-        mem = runtime.memory
+        cpu = runtime.current_thread.cpu
         system = runtime.system
         counter = runtime.counter
-        cost = runtime.cost
-        fragment_entry = cost.fragment_entry
-        use_closures = runtime.options.closure_engine
+        fragment_entry = runtime.cost.fragment_entry
         # drtrace profiler: sampled at fragment-pass granularity only
         # (one guard per pass, never per instruction) so the simulated
         # cycle stream is identical with tracing on or off.
@@ -208,9 +178,7 @@ class Executor:
         self._profile_enter = profile_enter
         # Chains are a multi-fragment construct: never entered when the
         # dispatcher needs control back after one fragment.
-        chains = (
-            runtime.chains if (use_closures and not single_step) else None
-        )
+        chains = None if single_step else runtime.chains
 
         try:
             first = True
@@ -238,31 +206,26 @@ class Executor:
                 if profile_enter is not None:
                     profile_enter(fragment, counter.cycles)
                 counter.cycles += fragment_entry
-                if use_closures:
-                    # Step table read once — a fragment replaced
-                    # mid-execution keeps running its old steps until
-                    # the next exit, like the tuple engine with `code`.
-                    if chains is not None:
-                        steps = fragment.chain
+                # Step table read once: a fragment replaced
+                # mid-execution keeps running its old steps until the
+                # next exit.
+                if chains is not None:
+                    steps = fragment.chain
+                    if steps is None:
+                        steps = chains.note_pass(fragment)
                         if steps is None:
-                            steps = chains.note_pass(fragment)
+                            steps = fragment.compiled
                             if steps is None:
-                                steps = fragment.compiled
-                                if steps is None:
-                                    steps = compile_fragment(fragment, runtime)
-                    else:
-                        steps = fragment.compiled
-                        if steps is None:
-                            steps = compile_fragment(fragment, runtime)
-                    self._next_fragment = None
-                    i = 0
-                    while i is not None:
-                        i = steps[i](self, cpu)
-                    next_fragment = self._next_fragment
+                                steps = compile_fragment(fragment, runtime)
                 else:
-                    next_fragment = self._run_ops(
-                        fragment, thread, cpu, mem, system, counter
-                    )
+                    steps = fragment.compiled
+                    if steps is None:
+                        steps = compile_fragment(fragment, runtime)
+                self._next_fragment = None
+                i = 0
+                while i is not None:
+                    i = steps[i](self, cpu)
+                next_fragment = self._next_fragment
 
                 # A linked (or IBL-hit) transfer: continue in the cache.
                 if single_step:
@@ -272,265 +235,3 @@ class Executor:
             if profile_break is not None:
                 profile_break(counter.cycles)
             return exit_.reason, exit_.next_tag, exit_.stub
-
-    def _run_ops(self, fragment, thread, cpu, mem, system, counter):
-        """Interpret the fragment's lowered op tuples (the pre-closure
-        engine, kept as the regression reference); returns the next
-        fragment or raises CacheExit."""
-        runtime = self.runtime
-        observer = runtime.observer
-        guard = runtime.guard
-        taken_penalty = runtime.cost.taken_branch_penalty
-        regs = cpu.regs
-        code = fragment.code
-        exits = fragment.exits
-        # Precise interrupts: poll at the same application-consistent
-        # points the closure engine compiles polls into (the fused-run
-        # starts of repro.core.translate) so both engines interrupt at
-        # identical instruction counts.
-        translation = fragment.translation
-        poll_map = (
-            translation.poll_ops
-            if translation is not None
-            and translation.poll_ops
-            and runtime.options.precise_interrupts
-            else None
-        )
-        n = len(code)
-        i = 0
-        next_fragment = None
-        while i < n:
-            if poll_map is not None and (
-                system.alarm_active
-                or runtime._detach_pending
-                or runtime._shield_pending
-            ):
-                pc = poll_map.get(i)
-                if pc is not None:
-                    system.convert_alarm(self.instructions)
-                    if runtime._detach_pending or runtime._shield_pending or (
-                        system.alarm_due(self.instructions)
-                        and system.signal_handler
-                    ):
-                        raise CacheExit(EXIT_INTERRUPT, pc, None)
-            op = code[i]
-            kind = op[0]
-            if kind == OP_EXEC:
-                counter.cycles += op[3]
-                self.instructions += 1
-                execute_noncti(cpu, mem, system, op[1], op[2])
-                i += 1
-                continue
-            if kind == OP_COND_EXIT:
-                self.instructions += 1
-                if cpu.condition_holds(op[1]):
-                    counter.cycles += op[3] + taken_penalty
-                    next_fragment = self._direct_exit(
-                        exits[op[2]], cpu, mem, system
-                    )
-                    break
-                counter.cycles += op[3]
-                i += 1
-                continue
-            if kind == OP_JMP_EXIT:
-                self.instructions += 1
-                counter.cycles += op[2] + taken_penalty
-                next_fragment = self._direct_exit(
-                    exits[op[1]], cpu, mem, system
-                )
-                break
-            if kind == OP_CALL_EXIT:
-                self.instructions += 1
-                counter.cycles += op[3] + taken_penalty
-                regs[4] = (regs[4] - 4) & _MASK32
-                mem.write_u32(regs[4], op[2])
-                next_fragment = self._direct_exit(
-                    exits[op[1]], cpu, mem, system
-                )
-                break
-            if kind == OP_CALL_INLINE:
-                # Inlined call in a trace: push and fall through
-                # (no taken penalty — superior trace layout).
-                self.instructions += 1
-                counter.cycles += op[2]
-                regs[4] = (regs[4] - 4) & _MASK32
-                mem.write_u32(regs[4], op[1])
-                i += 1
-                continue
-            if kind == OP_IND_EXIT:
-                self.instructions += 1
-                (
-                    _k,
-                    exit_idx,
-                    operand,
-                    is_call,
-                    ret_addr,
-                    profiler,
-                    checker,
-                    c,
-                ) = op
-                if operand == "ret":
-                    target = mem.read_u32(regs[4])
-                    regs[4] = (regs[4] + 4) & _MASK32
-                elif operand == "iret":
-                    target = pop_signal_frame(cpu, mem)
-                else:
-                    target = read_operand(cpu, mem, operand)
-                if checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    runtime.stats.clean_calls += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, fragment.tag,
-                            role="checker", target=target,
-                        )
-                    if guard is None:
-                        checker(thread, target)
-                    else:
-                        guard.call(
-                            checker, (thread, target),
-                            tag=fragment.tag, role="checker",
-                        )
-                if is_call:
-                    regs[4] = (regs[4] - 4) & _MASK32
-                    mem.write_u32(regs[4], ret_addr)
-                counter.cycles += c + taken_penalty
-                if profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    runtime.stats.clean_calls += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, fragment.tag,
-                            role="profiler", target=target,
-                        )
-                    if guard is None:
-                        profiler(thread, target)
-                    else:
-                        guard.call(
-                            profiler, (thread, target),
-                            tag=fragment.tag, role="profiler",
-                        )
-                next_fragment = self._indirect_exit(
-                    exits[exit_idx], target, cpu, mem, system
-                )
-                break
-            if kind == OP_IND_CHECK:
-                self.instructions += 1
-                (
-                    _k,
-                    ibl_idx,
-                    operand,
-                    expected,
-                    dispatch,
-                    is_call,
-                    ret_addr,
-                    profiler,
-                    checker,
-                    c,
-                    check_cost,
-                ) = op
-                if operand == "ret":
-                    target = mem.read_u32(regs[4])
-                    regs[4] = (regs[4] + 4) & _MASK32
-                elif operand == "iret":
-                    target = pop_signal_frame(cpu, mem)
-                else:
-                    target = read_operand(cpu, mem, operand)
-                if checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    runtime.stats.clean_calls += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, fragment.tag,
-                            role="checker", target=target,
-                        )
-                    if guard is None:
-                        checker(thread, target)
-                    else:
-                        guard.call(
-                            checker, (thread, target),
-                            tag=fragment.tag, role="checker",
-                        )
-                if is_call:
-                    regs[4] = (regs[4] - 4) & _MASK32
-                    mem.write_u32(regs[4], ret_addr)
-                counter.cycles += c
-                if target == expected:
-                    runtime.stats.inline_check_hits += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_INLINE_CHECK_HIT, fragment.tag, target=target
-                        )
-                    i += 1
-                    continue
-                matched = None
-                for tag, exit_idx in dispatch:
-                    counter.cycles += check_cost
-                    if target == tag:
-                        matched = exit_idx
-                        break
-                if matched is not None:
-                    runtime.stats.dispatch_check_hits += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_DISPATCH_CHECK_HIT, fragment.tag, target=target
-                        )
-                    counter.cycles += taken_penalty
-                    next_fragment = self._direct_exit(
-                        exits[matched], cpu, mem, system
-                    )
-                    break
-                if profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    runtime.stats.clean_calls += 1
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, fragment.tag,
-                            role="profiler", target=target,
-                        )
-                    if guard is None:
-                        profiler(thread, target)
-                    else:
-                        guard.call(
-                            profiler, (thread, target),
-                            tag=fragment.tag, role="profiler",
-                        )
-                counter.cycles += taken_penalty
-                next_fragment = self._indirect_exit(
-                    exits[ibl_idx], target, cpu, mem, system
-                )
-                break
-            if kind == OP_LOCAL_BR:
-                self.instructions += 1
-                _k, jcc, target_index, c = op
-                if jcc is None or cpu.condition_holds(jcc):
-                    counter.cycles += c + taken_penalty
-                    i = target_index
-                else:
-                    counter.cycles += c
-                    i += 1
-                continue
-            if kind == OP_CLEAN_CALL:
-                counter.cycles += op[2]
-                runtime.stats.clean_calls += 1
-                if observer is not None:
-                    observer.emit(EV_CLEAN_CALL, fragment.tag, role="call")
-                if guard is None:
-                    op[1](thread)
-                else:
-                    guard.call(
-                        op[1], (thread,), tag=fragment.tag, role="clean_call"
-                    )
-                i += 1
-                continue
-            raise MachineFault("unknown fragment op kind %r" % (kind,))
-        else:
-            # Fell off the end of a fragment: only legal when the
-            # last op was an elided continuation — fragments are
-            # built so this cannot happen.
-            raise MachineFault(
-                "fragment 0x%x fell through without an exit"
-                % fragment.tag
-            )
-
-        return next_fragment

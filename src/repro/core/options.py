@@ -22,7 +22,6 @@ class RuntimeOptions:
         sideline_optimization=False,
         verify_fragments=False,
         verify_equivalence=False,
-        closure_engine=True,
         chain_engine=False,
         chain_threshold=20,
         trace_events=False,
@@ -35,7 +34,6 @@ class RuntimeOptions:
         cache_adaptive=False,
         precise_interrupts=False,
         shield=False,
-        shield_watchdog_limit=8,
     ):
         # Table 1 mechanisms, cumulative.
         self.bb_cache = bb_cache
@@ -83,12 +81,6 @@ class RuntimeOptions:
         # erasure is safe.  Costs zero simulated cycles; off by default
         # so the emit path stays a single attribute check.
         self.verify_equivalence = verify_equivalence
-        # Execution engine: True drives fragments through their
-        # closure-compiled step tables (repro.core.closures); False
-        # falls back to interpreting the lowered op tuples.  Both
-        # produce bit-identical simulated results; only host wall-clock
-        # time differs.
-        self.closure_engine = closure_engine
         # Chain compiler ("second-tier JIT", repro.core.chains): after
         # chain_threshold executions, a fragment whose direct exits are
         # linked is stitched together with its linked successors into
@@ -96,8 +88,8 @@ class RuntimeOptions:
         # without returning to Executor.run between fragments, and
         # indirect branches resolve through an in-step IBL fast path.
         # Wall-clock only: simulated cycles, stats, and events are
-        # bit-identical to both existing engines.  Requires
-        # closure_engine; off by default.
+        # bit-identical to the closure step tables alone.  Off by
+        # default.
         self.chain_engine = chain_engine
         self.chain_threshold = chain_threshold
         # Observability (repro.observe): record typed runtime events
@@ -133,11 +125,10 @@ class RuntimeOptions:
         self.cache_consistency = cache_consistency
         # Precise interrupts ("drdetach", repro.core.translate): compile
         # an interrupt poll at every application-consistent step inside
-        # fragments, chains, and the tuple engine, so due alarms and
-        # pending detach requests are honored *mid-fragment* with a
-        # latency bounded by the longest fused run (<= max_bb_instrs
-        # instructions) instead of waiting for the next dispatcher
-        # boundary.  Off by default: the step tables carry no polls and
+        # fragments and chains, so due alarms and pending detach
+        # requests are honored *mid-fragment* with a latency bounded by
+        # the longest fused run (<= max_bb_instrs instructions) instead
+        # of waiting for the next dispatcher boundary.  Off by default: the step tables carry no polls and
         # every simulated result is bit-identical to the pre-translation
         # runtime.  Detach itself works either way — boundary
         # granularity without polls, mid-fragment with them.
@@ -153,10 +144,6 @@ class RuntimeOptions:
         # new check is a single pointer test, and results are
         # bit-identical to pre-shield behavior.
         self.shield = shield
-        # Forward-progress watchdog: re-translations of the same tag
-        # without an intervening execution before the watchdog trips
-        # (first trip flushes the thread's caches, second detaches).
-        self.shield_watchdog_limit = shield_watchdog_limit
 
     def copy(self):
         new = RuntimeOptions()

@@ -101,15 +101,15 @@ class DynamoRIO:
         self.threads = []
         self.current_thread = self._new_thread(lay)
         self.executor = Executor(self)
+        # Without a code cache (Table 1's emulation row) run() hands the
+        # whole program to this interpreter, whose threads then hold the
+        # application's final state.
+        self.emulator = None
         # Chain compiler ("second-tier JIT", repro.core.chains):
         # stitches hot linked fragments' step tables into dispatch-free
         # super-tables.  Wall-clock only — cycles/stats/events stay
-        # bit-identical — and meaningless without the closure engine.
-        self.chains = (
-            ChainManager(self)
-            if (self.options.chain_engine and self.options.closure_engine)
-            else None
-        )
+        # bit-identical.
+        self.chains = ChainManager(self) if self.options.chain_engine else None
         # drguard: None unless guarding is enabled — every hook site
         # checks the pointer once, exactly like the observer.
         self.guard = (
@@ -1109,11 +1109,13 @@ class DynamoRIO:
         """Run the application under the runtime; returns a RunResult."""
         if not self.options.bb_cache:
             # Table 1 row 1: pure emulation (no cache, no client hooks).
-            interp = Interpreter(
+            self.emulator = Interpreter(
                 self.process, self.cost, mode="emulation",
                 observer=self.observer,
             )
-            return interp.run(entry=entry, max_instructions=max_instructions)
+            return self.emulator.run(
+                entry=entry, max_instructions=max_instructions
+            )
 
         self._client_init()
         main = self.current_thread

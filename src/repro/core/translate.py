@@ -33,9 +33,8 @@ points are acted on at the next one, giving mid-fragment delivery a
 deterministic latency bounded by the longest fused run (at most
 ``options.max_bb_instrs`` instructions).
 
-The same table drives all three engines so they stay bit-identical:
+The same table drives both engine tiers so they stay bit-identical:
 
-* the tuple engine consults ``poll_ops`` at the top of its op loop;
 * the closure engine wraps exactly the poll-point steps — segments
   included — with :func:`make_poll_step` at compile time;
 * the chain compiler's stitched exits and rebased segments replace

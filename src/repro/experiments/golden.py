@@ -17,10 +17,6 @@ digest of every run's output, the exit codes, and a sha256 digest of
 every run's final per-thread registers and eflags.  Policy rows also
 record their limit.
 
-Table 1's emulation row runs inside an interpreter the runtime keeps
-to itself, so its final-state digest covers only the runtime's idle
-threads; the native row covers the interpreter's final state.
-
 ``python -m repro.experiments.golden`` recomputes every row, runs the
 ``cross`` rows (crafty's and vpr's Table 1 rows, the policy matrix)
 through the differential oracle on every engine of
@@ -167,10 +163,7 @@ def cross_check(row, want):
     image = load_benchmark(row.name, row.scale)
     config = row.config
     if config.native:
-        cell = Cell(image, columns=(
-            Column("closure", interp="native"),
-            Column("tuple", "tuple", interp="native"),
-        ))
+        cell = Cell(image, columns=(Column("native", interp="native"),))
     else:
         cell = Cell(image, options=config.options_factory,
                     client=config.client_factory or (lambda: None))

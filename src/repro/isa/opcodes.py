@@ -303,7 +303,9 @@ def _build_table():
     # Misc
     op(Opcode.NOP, "nop", 0, "none", "nop")
     op(Opcode.HALT, "hlt", 0, "none", "halt")
-    op(Opcode.SYSCALL, "syscall", _W, "none", "syscall")
+    # A syscall leaves eflags as they are (machine.system.System.syscall),
+    # so liveness must not treat them as dead before one.
+    op(Opcode.SYSCALL, "syscall", 0, "none", "syscall")
     op(Opcode.LABEL, "<label>", 0, "none", "nop")
     return table
 

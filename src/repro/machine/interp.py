@@ -22,8 +22,7 @@ loop is then "look up the decode, call its closure": all per-opcode
 dispatch, operand isinstance chains and cost recomputation happen once
 per *static* instruction instead of once per *dynamic* instruction, so
 wall-clock simulation speed does not distort the *simulated* cycle
-accounting (which is bit-identical to the pre-closure engine; the old
-dispatch loop is retained as ``engine="tuple"`` for regression tests).
+accounting.
 """
 
 from collections import namedtuple
@@ -33,7 +32,7 @@ from repro.isa.opcodes import OP_INFO, Opcode
 from repro.machine.cost import CostModel, CycleCounter
 from repro.machine.cpu import CPU, compile_condition
 from repro.machine.errors import MachineFault, ProgramExit
-from repro.machine.exec_ops import compile_noncti, execute_noncti, read_operand
+from repro.machine.exec_ops import compile_noncti, read_operand
 from repro.machine.memory import WATCH_SHIFT
 from repro.machine.predictors import BranchTargetBuffer, ReturnAddressStack
 from repro.machine.system import (
@@ -58,8 +57,7 @@ DEFAULT_MAX_INSTRUCTIONS = 100_000_000
 class _Decoded(
     namedtuple(
         "_Decoded",
-        ["opcode", "info", "ops", "length", "imm1", "cost", "execute",
-         "next_pc", "cond"],
+        ["opcode", "ops", "cost", "execute", "next_pc", "cond"],
     )
 ):
     """One memoized decode.
@@ -94,18 +92,12 @@ class Interpreter:
     scheduled round-robin with an instruction quantum; each has its own
     CPU state and return-address stack, the BTB is shared (as in
     hardware).
-
-    ``engine`` selects the quantum loop: ``"closure"`` (default) runs
-    the decode-compiled closures; ``"tuple"`` runs the original
-    interpretive dispatch.  Both produce bit-identical results.
     """
 
     def __init__(self, process, cost_model=None, mode="native", quantum=100,
-                 engine="closure", observer=None, system=None, counter=None):
+                 observer=None, system=None, counter=None):
         if mode not in ("native", "emulation"):
             raise ValueError("mode must be 'native' or 'emulation'")
-        if engine not in ("closure", "tuple"):
-            raise ValueError("engine must be 'closure' or 'tuple'")
         self.process = process
         # drtrace: no fragments exist at this level, so only the system
         # events (signals, thread spawns) are observable.
@@ -113,7 +105,6 @@ class Interpreter:
         self.cost = cost_model if cost_model is not None else CostModel()
         self.mode = mode
         self.quantum = quantum
-        self.engine = engine
         self.cpu = CPU()
         # The runtime's detach path ("drdetach") hands its System and
         # CycleCounter in so the native continuation appends to the same
@@ -134,7 +125,9 @@ class Interpreter:
         # same backing store (Memory.view) in place, so it stays current.
         self._code_view = process.memory.view()
         self._instructions = 0
-        self._threads = []
+        # One _NativeThread per application thread, main thread first;
+        # after run() they hold the final architectural state.
+        self.threads = []
 
     # ------------------------------------------------------------ execution
 
@@ -176,10 +169,7 @@ class Interpreter:
                 execute = compile_noncti(
                     d.opcode, d.operands, self.process.memory, self.system
                 )
-        decoded = _Decoded(
-            d.opcode, info, d.operands, d.length, imm1, cost, execute,
-            next_pc, cond,
-        )
+        decoded = _Decoded(d.opcode, d.operands, cost, execute, next_pc, cond)
         self._decode_cache[pc] = decoded
         if not self._watch_installed:
             self._watch_installed = True
@@ -204,13 +194,13 @@ class Interpreter:
         thread = _NativeThread(CPU(), ReturnAddressStack(self.cost.ras_depth))
         thread.cpu.pc = entry & _MASK32
         thread.cpu.regs[4] = stack_pointer & _MASK32
-        self._threads.append(thread)
+        self.threads.append(thread)
         self.counter.count("threads_spawned")
         if self.observer is not None:
             self.observer.emit(
                 EV_THREAD_SPAWN,
                 thread.cpu.pc,
-                thread_index=len(self._threads) - 1,
+                thread_index=len(self.threads) - 1,
             )
 
     def adopt_thread(self, cpu):
@@ -225,18 +215,13 @@ class Interpreter:
         main = _NativeThread(self.cpu, self.ras)
         main.cpu.pc = self.process.entry if entry is None else entry
         main.cpu.regs[4] = self.process.initial_stack_pointer()
-        self._threads = [main]
+        self.threads = [main]
         self.system.spawn_thread = self._spawn
-        run_quantum = (
-            self._run_quantum
-            if self.engine == "closure"
-            else self._run_quantum_tuple
-        )
         exit_code = None
         rotor = 0
         try:
             while True:
-                alive = [t for t in self._threads if t.alive]
+                alive = [t for t in self.threads if t.alive]
                 if not alive:
                     break
                 thread = alive[rotor % len(alive)]
@@ -244,7 +229,7 @@ class Interpreter:
                 if len(alive) > 1:
                     self.counter.charge(self.cost.thread_switch, "thread_switches")
                 try:
-                    run_quantum(thread, self.quantum, max_instructions)
+                    self._run_quantum(thread, self.quantum, max_instructions)
                 except ThreadExit:
                     thread.alive = False
         except ProgramExit as exit_:
@@ -292,7 +277,7 @@ class Interpreter:
             self.observer.emit(EV_SIGNAL_DELIVERED, interrupted, **data)
 
     def _run_quantum(self, thread, quantum, max_instructions):
-        """Closure-driven quantum loop.
+        """The quantum loop.
 
         Per dynamic instruction: one decode-cache lookup and one closure
         call.  The alarm bookkeeping is guarded by a local flag that only
@@ -406,114 +391,6 @@ class Interpreter:
             counter.charge(base + cost.taken_branch_penalty + penalty)
             cpu.pc = target
         elif opcode is Opcode.IRET:
-            target = pop_signal_frame(cpu, mem)
-            # no RAS benefit: interrupt returns are unpredicted
-            counter.charge(
-                base + cost.taken_branch_penalty + cost.indirect_mispredict
-            )
-            cpu.pc = target
-        else:
-            raise MachineFault("unhandled CTI %r" % (opcode,))
-
-    # ------------------------------------------------ reference tuple engine
-
-    def _run_quantum_tuple(self, thread, quantum, max_instructions):
-        """The pre-closure dispatch loop, kept verbatim as the regression
-        reference: determinism tests assert that the closure engine
-        produces bit-identical cycles/instructions/output against it."""
-        cpu = thread.cpu
-        mem = self.process.memory
-        # Fault context: memory errors raised during this quantum blame
-        # this thread's current PC (consulted on error paths only).
-        mem.set_fault_context(lambda: cpu.pc)
-        cost = self.cost
-        counter = self.counter
-        emulating = self.mode == "emulation"
-        system = self.system
-        limit = self._instructions + quantum
-        while self._instructions < limit:
-            if system.alarm_in is not None or system.alarm_at is not None:
-                system.convert_alarm(self._instructions)
-                if system.alarm_due(self._instructions) and system.signal_handler:
-                    self._deliver_signal(cpu, self._instructions)
-            if self._instructions >= max_instructions:
-                raise MachineFault(
-                    "instruction budget exhausted (%d)" % max_instructions
-                )
-            pc = cpu.pc
-            d = self._decode(pc)
-            self._instructions += 1
-            if emulating:
-                counter.charge(cost.emulate_per_instr)
-            info = d.info
-            if not info.is_cti:
-                if d.opcode == Opcode.HALT:
-                    raise ProgramExit(cpu.regs[0])
-                counter.cycles += cost.instr_cost(
-                    info,
-                    _explicit_reads_mem(d.opcode, info, d.ops),
-                    _explicit_writes_mem(info, d.ops),
-                    d.imm1,
-                )
-                execute_noncti(cpu, mem, self.system, d.opcode, d.ops)
-                cpu.pc = (pc + d.length) & _MASK32
-                continue
-            self._execute_cti(d, pc, thread)
-
-    def _execute_cti(self, d, pc, thread):
-        cpu = thread.cpu
-        mem = self.process.memory
-        cost = self.cost
-        counter = self.counter
-        opcode = d.opcode
-        base = cost.instr_cost(d.info, False, False)
-        fallthrough = (pc + d.length) & _MASK32
-
-        if opcode == Opcode.JMP:
-            counter.charge(base + cost.taken_branch_penalty)
-            cpu.pc = d.ops[0].pc
-        elif d.info.is_cond_branch:
-            if cpu.condition_holds(opcode):
-                counter.charge(base + cost.taken_branch_penalty, "branch_taken")
-                cpu.pc = d.ops[0].pc
-            else:
-                counter.charge(base, "branch_not_taken")
-                cpu.pc = fallthrough
-        elif opcode == Opcode.CALL:
-            counter.charge(base + cost.taken_branch_penalty)
-            cpu.regs[4] = (cpu.regs[4] - 4) & _MASK32
-            mem.write_u32(cpu.regs[4], fallthrough)
-            thread.ras.push(fallthrough)
-            cpu.pc = d.ops[0].pc
-        elif opcode == Opcode.CALL_IND:
-            target = read_operand(cpu, mem, d.ops[0])
-            penalty = 0
-            if not self.btb.predict_and_update(pc, target):
-                penalty = cost.indirect_mispredict
-                counter.count("btb_miss")
-            counter.charge(base + cost.taken_branch_penalty + penalty)
-            cpu.regs[4] = (cpu.regs[4] - 4) & _MASK32
-            mem.write_u32(cpu.regs[4], fallthrough)
-            thread.ras.push(fallthrough)
-            cpu.pc = target
-        elif opcode == Opcode.JMP_IND:
-            target = read_operand(cpu, mem, d.ops[0])
-            penalty = 0
-            if not self.btb.predict_and_update(pc, target):
-                penalty = cost.indirect_mispredict
-                counter.count("btb_miss")
-            counter.charge(base + cost.taken_branch_penalty + penalty)
-            cpu.pc = target
-        elif opcode == Opcode.RET:
-            target = mem.read_u32(cpu.regs[4])
-            cpu.regs[4] = (cpu.regs[4] + 4) & _MASK32
-            penalty = 0
-            if not thread.ras.pop_and_check(target):
-                penalty = cost.ras_mispredict
-                counter.count("ras_miss")
-            counter.charge(base + cost.taken_branch_penalty + penalty)
-            cpu.pc = target
-        elif opcode == Opcode.IRET:
             target = pop_signal_frame(cpu, mem)
             # no RAS benefit: interrupt returns are unpredicted
             counter.charge(

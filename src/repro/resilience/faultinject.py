@@ -138,7 +138,7 @@ class RuntimeFaultPlan:
     per-site call counter; for ``errant_write``/``livelock`` it is
     consulted against the successful-build counter.  Chokepoint
     invocation counts are a deterministic property of the dispatcher
-    (identical across the tuple/closure/chain engines), so one plan
+    (identical on the closure and chain engines), so one plan
     fires at the same logical points everywhere.
 
     ``livelock`` fires on *every* build past ``start`` — a periodic

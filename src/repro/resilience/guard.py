@@ -23,8 +23,8 @@ site skips the client entirely — the run continues at native fidelity.
 ``client_hook_budget`` optionally bounds how much Python work a single
 hook may do, measured in ``sys.settrace`` events (calls, lines,
 returns).  That count is a deterministic property of the client code
-path — identical across the closure and tuple engines, unlike
-wall-clock time — so a runaway hook faults reproducibly.
+path — identical on every engine, unlike wall-clock time — so a
+runaway hook faults reproducibly.
 
 The guard charges **no simulated cycles** of its own: hook-site cycle
 accounting (charges, stats, events) happens at the call sites exactly

@@ -28,7 +28,7 @@ paths.  Behind ``options.shield`` this module supplies both defenses:
   (native store semantics), so application-visible behavior stays
   byte-identical to native.
 * The forward-progress watchdog counts re-translations of the same tag
-  without an intervening execution; past ``shield_watchdog_limit`` it
+  without an intervening execution; past ``WATCHDOG_LIMIT`` it
   trips — first a cache flush, then a full detach to native.
 
 :class:`RuntimeGuard` — internal fault containment.
@@ -70,6 +70,11 @@ RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace", "chain"
 # Internal faults tolerated before the ladder's last rung (a full
 # detach to native).
 FAULT_LIMIT = 5
+
+# Re-translations of one tag without an intervening execution before
+# the forward-progress watchdog trips (the first trip flushes the
+# thread's caches, the second detaches).
+WATCHDOG_LIMIT = 8
 
 # site -> (fault count at which the subsystem is disabled, subsystem).
 # Sites without an entry have no optional subsystem to turn off; they
@@ -115,7 +120,6 @@ class Shield:
         self.pending = []
         self.errant_faults = 0
         # Forward-progress watchdog: tag -> builds since it executed.
-        self.watchdog_limit = runtime.options.shield_watchdog_limit
         self._builds_since_progress = {}
         self.trips = 0
 
@@ -287,7 +291,7 @@ class Shield:
         counts = self._builds_since_progress
         count = counts.get(tag, 0) + 1
         counts[tag] = count
-        if count <= self.watchdog_limit:
+        if count <= WATCHDOG_LIMIT:
             return None
         runtime = self.runtime
         self.trips += 1

@@ -9,8 +9,8 @@ Every cell pairs a real client wrapped in a
 :class:`~repro.resilience.faultinject.FaultInjectingClient` with a
 workload, under ``guard_clients`` + ``cache_consistency`` + fragment
 verification, and is checked by the differential oracle
-(:mod:`repro.tools.oracle`: nothing escapes, native output and exit
-code, replay-exact stats, cross-engine identity).  The cell's own
+(:mod:`repro.tools.oracle`: nothing escapes, native output, exit
+code and final state, replay-exact stats, cross-engine identity).  The cell's own
 checks add that the fault was *exercised*, not dodged: the expected
 resilience events fired, the plan fired, an alarm landed mid-fragment,
 and the equivalence rule flagged every injected ``corrupt_instrlist``
@@ -20,10 +20,10 @@ and ``cache_poison``.
 faults target the *runtime's own* chokepoints (``runtime_raise:<site>``)
 or plant errant stores / livelock (see
 :class:`~repro.resilience.faultinject.RuntimeFaultPlan`).  Each cell runs
-on the tuple, closure, and chain engines; beyond the oracle (whose
-full event-stream identity makes the escalation ladder's events
-identical across engines), the plan must fire and the ladder must
-engage (a ``shield_fault``, or a watchdog trip for livelock).
+on the closure and chain engines; beyond the oracle (whose full
+event-stream identity makes the escalation ladder's events identical
+across engines), the plan must fire and the ladder must engage (a
+``shield_fault``, or a watchdog trip for livelock).
 
 Exit status is non-zero if any run violates the contract.
 """
@@ -359,7 +359,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=4, help="seeds per cell")
     parser.add_argument(
         "--matrix", default="small", choices=["small", "full"],
-        help="small: 3 clients, 2 workloads/fault; full: 5 clients, both engines",
+        help="small: 3 clients, 2 workloads/fault, closure only; "
+        "full: 5 clients, every engine",
     )
     parser.add_argument(
         "--fault",
@@ -396,7 +397,7 @@ def main(argv=None):
         title = "chaos"
         small = args.matrix == "small"
         clients = SMALL_CLIENTS if small else FULL_CLIENTS
-        columns = ("closure",) if small else ("closure", "tuple")
+        columns = ("closure",) if small else ENGINES
         cells = (
             ("%-16s %-8s %-7s seed=%d" % (kind, workload, client_name, seed),
              client_cell(images[workload], client_name, kind, seed, columns))

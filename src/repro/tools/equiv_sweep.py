@@ -1,4 +1,4 @@
-"""drequiv sweep: every workload x client x engine under full verification.
+"""drequiv sweep: every workload x client under full verification.
 
 Usage::
 
@@ -6,12 +6,14 @@ Usage::
     python -m repro.tools.equiv_sweep --benchmarks mgrid,mcf --clients all
 
 Each cell runs a benchmark under ``verify_fragments`` +
-``verify_equivalence`` on the selected engines and is checked by the
+``verify_equivalence`` on the closure engine and is checked by the
 differential oracle (:mod:`repro.tools.oracle`): no VerificationError
-escapes (a clean client must never trip the checker), output and exit
-code match native, the engines agree, and zero error-severity
+escapes (a clean client must never trip the checker), output, exit
+code and final state match native, and zero error-severity
 diagnostics were recorded (warnings — e.g. the custom-trace client's
-assumed return continuations — do not fail the sweep).
+assumed return continuations — do not fail the sweep).  Verification
+runs at emit, and chains emit nothing of their own, so a chain column
+would only verify the same fragments again.
 
 Exit status is non-zero on any violation.  This is the clean-run half of
 the drequiv contract (no false positives); the chaos harness covers the
@@ -31,7 +33,7 @@ DEFAULT_CLIENTS = ("null", "rlr", "inc2add", "ctrace", "ibdisp", "all",
                    "inscount-inline")
 
 
-def sweep_cell(image, client_name, columns):
+def sweep_cell(image, client_name):
     """One benchmark x client cell under both verify options."""
 
     def options():
@@ -47,7 +49,7 @@ def sweep_cell(image, client_name, columns):
             return ProgramShepherding(image=image)
     else:
         client = CLIENTS[client_name]
-    return Cell(image, options=options, client=client, columns=columns)
+    return Cell(image, options=options, client=client, columns=("closure",))
 
 
 def main(argv=None):
@@ -60,9 +62,6 @@ def main(argv=None):
         help="comma-separated client list",
     )
     parser.add_argument("--scale", default="test")
-    parser.add_argument(
-        "--engine", default="both", choices=["closure", "tuple", "both"]
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -72,10 +71,6 @@ def main(argv=None):
         else [b.name for b in all_benchmarks()]
     )
     clients = args.clients.split(",")
-    columns = {
-        "closure": ("closure",), "tuple": ("tuple",),
-        "both": ("closure", "tuple"),
-    }[args.engine]
 
     def cells():
         for name in names:
@@ -83,7 +78,7 @@ def main(argv=None):
             for client_name in clients:
                 yield (
                     "%-10s %-15s" % (name, client_name),
-                    sweep_cell(image, client_name, columns),
+                    sweep_cell(image, client_name),
                 )
 
     start = time.perf_counter()

@@ -8,11 +8,14 @@ verification-cost benchmark, the engine-determinism tests) is a matrix
 of :class:`Cell` objects handed to :func:`check`.
 
 A cell is one program under one configuration, run once per
-:class:`Column`: by default the three engines, or option and
-runtime-hook variants (shield on/off, memo vs a memo that never hits).
-``check`` runs the program natively once per image, then every column,
-and applies one fixed invariant set.  Each failure names its invariant:
-per run ``exception``, ``output`` and ``exit_code`` (against native),
+:class:`Column`: by default the two engine tiers of :data:`ENGINES`, or
+option and runtime-hook variants (shield on/off, memo vs a memo that
+never hits).  ``check`` runs the program natively once per image, then
+every column, and applies one fixed invariant set.  Each failure names
+its invariant: per run ``exception``, ``output`` and ``exit_code``
+(against native), ``final_state`` (per-thread registers and eflags
+against native, unless native delivered a signal: delivery at a
+fragment boundary legitimately moves the point of interruption),
 ``replay``, ``chain_integrity`` and ``verifier``; across columns
 ``cycles``, ``instructions``, ``output``, ``exit_code``, ``events``,
 ``final_state`` and ``event_stream``.  A cell's own ``checks`` are
@@ -30,17 +33,18 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
-from repro.machine.interp import Interpreter, run_native
+from repro.machine.interp import Interpreter, RunResult
 from repro.observe.events import replay_stats
 
-ENGINES = ("tuple", "closure", "chain")
+# The fragment engine's two tiers: closure step tables alone, and with
+# hot linked fragments stitched into chains.
+ENGINES = ("closure", "chain")
 
 
 def set_engine(options, engine):
     """Select one of :data:`ENGINES` on ``options``; returns them."""
     if engine not in ENGINES:
         raise ValueError("unknown engine %r" % (engine,))
-    options.closure_engine = engine != "tuple"
     options.chain_engine = engine == "chain"
     return options
 
@@ -51,7 +55,7 @@ class Column:
     after the cell's factory and the engine, ``setup(runtime)`` runs
     after the cell's setup hook, and ``interp`` (``"native"`` or
     ``"emulation"``) runs the reference interpreter instead of the
-    runtime, with ``engine`` ``"closure"`` or ``"tuple"``."""
+    runtime (``engine`` is then unused)."""
 
     name: str
     engine: str = "closure"
@@ -103,12 +107,10 @@ class Run:
 def final_state(runner):
     """Per-thread registers and eflags of a finished runtime or
     interpreter."""
-    # The interpreter keeps its threads private; either kind of thread
-    # carries its CPU.
-    threads = getattr(runner, "threads", None)
-    if threads is None:
-        threads = runner._threads
-    return [(tuple(t.cpu.regs), "%#x" % t.cpu.eflags) for t in threads]
+    # A runtime without a code cache ran the program in its emulator;
+    # either kind of thread carries its CPU.
+    runner = getattr(runner, "emulator", None) or runner
+    return [(tuple(t.cpu.regs), "%#x" % t.cpu.eflags) for t in runner.threads]
 
 
 class Failure(namedtuple("Failure", "invariant column detail")):
@@ -144,15 +146,20 @@ class Verdict:
     __repr__ = __str__
 
 
+# The reference run: the native interpreter's RunResult fields plus its
+# final_state().
+Native = namedtuple("Native", RunResult._fields + ("final_state",))
+
 # A native run is a function of the image alone, so it is computed once
 # per image and forgotten with it.
 _natives = weakref.WeakKeyDictionary()
 
 
 def native_result(image):
-    """The image's native run, computed once per image."""
+    """The image's :class:`Native` run, computed once per image."""
     if image not in _natives:
-        _natives[image] = run_native(Process(image))
+        interp = Interpreter(Process(image))
+        _natives[image] = Native(*interp.run(), final_state(interp))
     return _natives[image]
 
 
@@ -201,9 +208,7 @@ def sweep(cells, verbose=False):
 
 def _execute(cell, column):
     if column.interp is not None:
-        run = Run(column, Interpreter(
-            Process(cell.image), mode=column.interp, engine=column.engine
-        ))
+        run = Run(column, Interpreter(Process(cell.image), mode=column.interp))
     else:
         options = set_engine(cell.options(), column.engine)
         for key, value in column.options.items():
@@ -236,6 +241,12 @@ def _run_failures(cell, native, run):
         got, want = getattr(run.result, invariant), getattr(native, invariant)
         if got != want:
             yield invariant, "%s, native %s" % (_show(got), _show(want))
+    if not native.events.get("signals_delivered"):
+        state = run.final_state()
+        if state != native.final_state:
+            yield "final_state", "run/native " + _differences(
+                state, native.final_state
+            )
     options = getattr(runtime, "options", None)
     if run.traced and options.trace_events and options.trace_buffer is None:
         if runtime.observer.dropped:

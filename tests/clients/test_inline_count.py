@@ -5,6 +5,7 @@ from repro.clients import InlineInstructionCounter, InstructionCounter
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.interp import run_native
+from repro.tools.oracle import Cell, check
 from repro.workloads import load_benchmark
 
 
@@ -100,3 +101,29 @@ def test_zero_count_shift_keeps_flags_live():
     assert (result.exit_code, result.output) == (
         native.exit_code, native.output
     )
+
+
+# ``syscall`` leaves eflags as they are, so the cmp's flags reach the
+# exit: the exit block has no dead-flags point and counts by clean call.
+EXIT_FLAGS_ASM = """
+.entry main
+.text
+main:
+    mov eax, 5
+    cmp eax, 5
+    jz done
+    mov eax, 6
+done:
+    mov ebx, 0
+    mov eax, 1
+    syscall
+"""
+
+
+def test_counter_keeps_flags_across_syscall():
+    verdict = check(Cell(
+        assemble(EXIT_FLAGS_ASM), client=InlineInstructionCounter,
+        columns=("closure",),
+    ))
+    assert verdict.ok, verdict
+    assert verdict.native.final_state[0][1] == "0x44"  # ZF and PF of the cmp

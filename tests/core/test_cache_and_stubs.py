@@ -10,7 +10,7 @@ from repro.core.fragments import Fragment
 from repro.ir.instrlist import InstrList
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
 
-from repro.tools.oracle import Cell, check
+from repro.tools.oracle import ENGINES, Cell, check
 
 from tests.core.conftest import run_under
 
@@ -172,7 +172,7 @@ class TestCacheEviction:
             return opts
 
         verdict = check(
-            Cell(indirect_image, options=options, columns=("closure", "tuple"))
+            Cell(indirect_image, options=options, columns=ENGINES)
         )
         assert verdict.ok, verdict
         for run in verdict.runs:

@@ -2,16 +2,16 @@
 
 Each seed draws a random ``(workload, code_cache_limit, eviction
 policy, adaptive sizing, trace/chain thresholds, client)`` cell and
-checks it with the differential oracle (``repro.tools.oracle``) on all
-three execution engines.  The properties:
+checks it with the differential oracle (``repro.tools.oracle``) on both
+execution engines.  The properties:
 
 * **Engine bit-identity** — cycles, instructions, output, exit code,
   the full event/stat dictionaries and the final registers are
-  identical across the tuple, closure and chain engines (capacity
-  management may change *overhead*, never the simulated machine's
-  determinism).
-* **Transparency** — output and exit code equal native execution, at
-  every limit and policy.
+  identical on the closure and chain engines (capacity management may
+  change *overhead*, never the simulated machine's determinism).
+* **Transparency** — output, exit code and (when native takes no
+  signal) final registers and eflags equal native execution, at every
+  limit and policy.
 * **No stale state survives eviction** — after the run: every resident
   fragment is live with a ``cache_addr`` inside its unit's span and no
   two residents overlap; every IBL entry and every linked exit stub

@@ -65,9 +65,9 @@ def test_chains_promote_only_at_threshold(loop_image):
 
 
 def test_chain_manager_absent_off_chain_engines(loop_image):
-    verdict = check(Cell(loop_image, columns=("tuple", "closure")))
+    verdict = check(Cell(loop_image, columns=("closure",)))
     assert verdict.ok, verdict
-    assert [run.runtime.chains for run in verdict.runs] == [None, None]
+    assert verdict["closure"].runtime.chains is None
 
 
 def test_chain_segments_clear_stale_af():

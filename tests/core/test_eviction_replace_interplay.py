@@ -18,7 +18,7 @@ from repro.tools.oracle import Cell, check
 from tests.conftest import ChurningClient
 
 
-def _churn(image, closure_engine, policy="flush", trace_threshold=5):
+def _churn(image, policy="flush", trace_threshold=5):
     """One churning run, checked by the differential oracle: output
     identical to native (no stale-stub execution) and the unbounded
     event stream replaying exactly onto the live counters (every
@@ -35,19 +35,15 @@ def _churn(image, closure_engine, policy="flush", trace_threshold=5):
         return opts
 
     verdict = check(Cell(
-        image, options=options, client=ChurningClient,
-        columns=("closure" if closure_engine else "tuple",),
+        image, options=options, client=ChurningClient, columns=("closure",),
     ))
     assert verdict.ok, verdict
     return verdict.runs[0]
 
 
 @pytest.mark.parametrize("policy", ["flush", "fifo"])
-@pytest.mark.parametrize("closure_engine", [True, False])
-def test_eviction_during_replacement_stays_transparent(
-    loop_image, closure_engine, policy
-):
-    run = _churn(loop_image, closure_engine, policy)
+def test_eviction_during_replacement_stays_transparent(loop_image, policy):
+    run = _churn(loop_image, policy)
     client, result = run.client, run.result
 
     # The interplay actually happened: fragments were replaced AND the
@@ -69,7 +65,7 @@ def test_eviction_during_replacement_stays_transparent(
 def test_no_stale_fragments_remain(loop_image, policy):
     """After the run, every live cache entry is a non-deleted fragment
     and every linked stub points at a live fragment."""
-    thread = _churn(loop_image, True, policy).runtime.current_thread
+    thread = _churn(loop_image, policy).runtime.current_thread
     for cache in (thread.bb_cache, thread.trace_cache):
         for fragment in cache.fragments.values():
             assert not fragment.deleted
@@ -78,16 +74,13 @@ def test_no_stale_fragments_remain(loop_image, policy):
                     assert not stub.linked_to.deleted
 
 
-@pytest.mark.parametrize("closure_engine", [True, False])
-def test_fifo_eviction_trace_heads_and_replacement(
-    indirect_image, closure_engine
-):
+def test_fifo_eviction_trace_heads_and_replacement(indirect_image):
     """Single-fragment eviction interleaved with trace-head promotion
     and in-fragment replacement on the indirect workload: hair-trigger
     tracing means victims are routinely trace heads or trace members,
     and the churning client re-replaces every rebuild."""
     run = _churn(
-        indirect_image, closure_engine, policy="fifo",
+        indirect_image, policy="fifo",
         trace_threshold=3,  # promotions throughout the run
     )
     client, result = run.client, run.result

@@ -150,15 +150,12 @@ class TestMidTraceSignal:
         ]
         assert delivered and delivered[-1].data.get("trace_squashed") is True
 
-    @pytest.mark.parametrize("closure_engine", [True, False])
-    def test_hair_trigger_traces_stay_transparent(
-        self, signal_image, closure_engine
-    ):
+    def test_hair_trigger_traces_stay_transparent(self, signal_image):
         """With a hair-trigger threshold, recordings are active when
         alarms land; output and signal count must still match native."""
         verdict = check(Cell(
             signal_image, options=lambda: RuntimeOptions(trace_threshold=2),
-            columns=("closure" if closure_engine else "tuple",),
+            columns=("closure",),
         ))
         assert verdict.ok, verdict
         result = verdict.runs[0].result

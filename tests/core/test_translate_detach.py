@@ -7,7 +7,7 @@ The contract (paper Section 2's transparent exit + precise interrupts):
   every step of every fragment and every chain super-table slot;
 * under ``precise_interrupts``, alarms are delivered *mid-fragment*
   with latency bounded by the longest fused run (``max_bb_instrs``),
-  and all three engines stay bit-identical;
+  and both engines stay bit-identical;
 * ``Runtime.detach()`` translates threads back to application state
   and continues natively with output identical to a never-attached
   run; the translated register state equals a pure interpreter run to
@@ -16,7 +16,8 @@ The contract (paper Section 2's transparent exit + precise interrupts):
   stream replays to the exact live stats.
 
 Every run goes through the differential oracle (``repro.tools.oracle``),
-which holds it to native output and exit code and replay-exact stats.
+which holds it to native output, exit code and final state and to
+replay-exact stats.
 """
 
 import pytest
@@ -229,7 +230,7 @@ def test_translated_state_matches_interpreter(loop_image, engine):
     main = interp.adopt_thread(interp.cpu)
     main.cpu.pc = interp.process.entry
     main.cpu.regs[4] = interp.process.initial_stack_pointer()
-    interp._threads = [main]
+    interp.threads = [main]
     interp.system.spawn_thread = interp._spawn
     target = snapshot["state"]
     seen = False

@@ -26,6 +26,18 @@ def test_golden_is_one_sorted_compact_line_per_row(checked_in, tmp_path):
     assert (tmp_path / "GOLDEN.json").read_text() == golden.GOLDEN.read_text()
 
 
+def test_every_runtime_row_ends_in_native_state(checked_in):
+    """Every row's final registers and eflags equal its benchmark's
+    native row at the same scale (no benchmark takes a signal), Table
+    1's emulation row included."""
+    differ = [
+        key for key, row in checked_in.items()
+        if row["final_state"]
+        != checked_in[key.rsplit("/", 1)[0] + "/native"]["final_state"]
+    ]
+    assert differ == []
+
+
 def test_table1_subset_matches_golden(checked_in):
     now = {
         row.key: golden.compute(row)

@@ -1,12 +1,14 @@
 """One instruction, three implementations of its semantics.
 
-Non-CTI semantics exist three times: ``execute_noncti`` (the tuple
-engine's interpretive reference), the ``compile_noncti`` closures (the
-native interpreter, one-instruction steps, segment fallbacks) and the
-generated-segment templates of ``repro.core.closures`` (closure and
-chain tiers alike).  Engine-level oracle cells compare closure with
-chain, which share the templates, so only this test catches a template
-that disagrees with the reference.
+Non-CTI semantics exist three times: ``execute_noncti`` (the
+interpretive reference, also the fallback of exit-stub ops and of
+operand forms ``compile_noncti`` does not specialize), the
+``compile_noncti`` closures (the native interpreter, one-instruction
+steps, segment fallbacks) and the generated-segment templates of
+``repro.core.closures`` (closure and chain tiers alike).  Engine-level
+oracle cells compare closure with chain, which share the templates, and
+both with native's final state; only this test pins each template,
+instruction by instruction, to the reference.
 
 Every opcode × operand shape — register, immediate, and memory through
 each ``compile_ea`` form at sizes 1/2/4 — runs from random registers,
@@ -639,10 +641,10 @@ skip:
 def test_out_of_range_load_mid_run_on_every_engine():
     """A hot loop walks a load up to one halfword short of the end of
     the 32 MiB address space; the 40th pass faults on the third
-    instruction of a straight-line run.  The tuple engine, the closure
-    engine's segment and the chain table's segment raise the same fault
-    text with the same flushed cycles, instructions, registers and
-    eflags, and the registers and eflags equal native's.  The segments
+    instruction of a straight-line run.  The closure engine's segment
+    and the chain table's segment raise the same fault text with the
+    same flushed cycles, instructions, registers and eflags, and the
+    registers and eflags equal native's.  The segments
     skip the flags of ``add eax, ecx`` before the load (``add eax, edx``
     overwrites them), so their eflags come from the fault path.  (The
     runtime names the dispatched fragment's tag as the app pc, native

@@ -17,7 +17,7 @@ from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import build_smc_image
-from repro.tools.oracle import Cell, Column, check, native_result
+from repro.tools.oracle import ENGINES, Cell, Column, check, native_result
 
 from tests.conftest import memo_columns
 
@@ -54,10 +54,8 @@ def test_native_smc_output_shape(smc_image):
     assert native.exit_code == 0
 
 
-@pytest.mark.parametrize("closure_engine", [True, False])
-def test_smc_invalidation_matches_native(smc_image, closure_engine):
-    engine = "closure" if closure_engine else "tuple"
-    runtime = _check(smc_image, _smc_options(), (engine,)).runs[0].runtime
+def test_smc_invalidation_matches_native(smc_image):
+    runtime = _check(smc_image, _smc_options()).runs[0].runtime
     assert runtime.stats.smc_invalidations >= 1
     counts = runtime.observer.counts
     assert counts["smc_invalidate"] == runtime.stats.smc_invalidations
@@ -79,7 +77,7 @@ def test_smc_diverges_without_consistency(smc_image):
 
 
 def test_smc_engines_bit_identical(smc_image):
-    _check(smc_image, _smc_options(), ("closure", "tuple"))
+    _check(smc_image, _smc_options(), ENGINES)
 
 
 def test_smc_invalidation_charges_cycles(smc_image):

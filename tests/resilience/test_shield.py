@@ -13,7 +13,7 @@ The contract under ``options.shield``:
   to native) and never escape as a traceback;
 * the forward-progress watchdog breaks translate/flush livelock;
 * ladder events replay exactly onto the live stats and are identical
-  across the tuple, closure, and chain engines;
+  on the closure and chain engines;
 * with the shield off, runs are bit-identical to pre-shield behavior.
 """
 
@@ -23,6 +23,7 @@ from repro.core import DynamoRIO
 from repro.machine.memory import MachineFault, Memory
 from repro.resilience import RuntimeGuard, Shield
 from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
+from repro.resilience.shield import WATCHDOG_LIMIT
 from repro.tools.chaos import build_smc_image, runtime_options
 from repro.tools.oracle import ENGINES, Cell, Column, check
 
@@ -244,9 +245,7 @@ def test_livelock_trips_watchdog_then_detaches(loop_image):
         if ev.kind == "watchdog_trip"
     ]
     assert [t["trip"] for t in trips] == [1, 2]
-    assert all(
-        t["builds"] > runtime.options.shield_watchdog_limit for t in trips
-    )
+    assert all(t["builds"] > WATCHDOG_LIMIT for t in trips)
 
 
 def test_watchdog_quiet_on_clean_run(loop_image):

@@ -9,7 +9,6 @@ class TestEquivSweep:
             [
                 "--benchmarks", "mgrid",
                 "--clients", "all,ctrace",
-                "--engine", "closure",
             ]
         )
         out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from repro.core import RuntimeOptions
 from repro.core import closures as closures_module
 from repro.ir.create import INSTR_CREATE_add, OPND_CREATE_INT32, OPND_CREATE_REG
 from repro.isa.registers import Reg
-from repro.tools.chaos import workload_images
+from repro.tools.chaos import client_cell, workload_images
 from repro.tools import oracle
 from repro.tools.oracle import ENGINES, Cell, Column, check
 
@@ -63,9 +63,9 @@ def test_different_cost_model_fails_cycles(loop_image):
 def test_stale_af_mask_fails_final_state(monkeypatch):
     """The segment templates' pre-fix mask (2253 leaves AF set) makes
     the closure and chain engines, which share the templates, end the
-    chaos indirect workload with eflags 0x54; the tuple engine, which
-    does not use them, ends it with 0x44.  (On the loop workload the
-    writer that leaks AF is dead, so it runs without flags.)"""
+    chaos indirect workload with eflags 0x54; native ends it with 0x44.
+    (On the loop workload the writer that leaks AF is dead, so it runs
+    without flags.)"""
     for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
                  "_DEC_FLAGS"):
         template = getattr(closures_module, name)
@@ -76,9 +76,28 @@ def test_stale_af_mask_fails_final_state(monkeypatch):
     monkeypatch.setattr(closures_module, "_SEGMENT_CODE_CACHE", {})
     verdict = check(
         Cell(workload_images()["indirect"], options=_traced,
-             columns=("tuple", "closure", "chain"))
+             columns=("closure", "chain"))
     )
     assert verdict.failed() == {"final_state"}
+    assert {failure.column for failure in verdict.failures} == {
+        "closure", "chain"
+    }
+
+
+def test_native_signal_exempts_final_state():
+    """Native delivers its alarms between two instructions, the runtime
+    at a fragment boundary, so a program that takes a signal may end in
+    a state native never reaches.  The chaos cell
+    ``mid_trace_signal · signal · ctrace · seed 0`` ends with a loop
+    counter of its own (its registers differ from native's) and still
+    passes: only the cross-column check applies to its final state."""
+    cell = client_cell(
+        workload_images()["signal"], "ctrace", "mid_trace_signal", 0
+    )
+    verdict = check(cell)
+    assert verdict.ok, verdict
+    assert verdict.native.events["signals_delivered"] > 0
+    assert verdict["closure"].final_state() != verdict.native.final_state
 
 
 def test_corrupted_live_chain_fails_chain_integrity(loop_image):
