@@ -21,11 +21,11 @@ concatenates the members' step tables into one flat super-table:
   profiler sample, entry cost) without leaving the step loop;
 * indirect exits gain an **IBL hit fast path**: one dict probe of the
   thread's IBL table, and when the hit is a chain member control jumps
-  straight into its slice of the super-table; ``CacheExit`` is raised
-  only on a real miss;
+  straight into its slice of the super-table; only a real miss leaves
+  the cache, through the executor's exit record;
 * cycle charges at stitched boundaries are **fused**: the deferred
   exit cost and the entry cost of the next member land in a single
-  counter update on the common (no-raise, profiler-off) path.
+  counter update on the common (no-exit, profiler-off) path.
 
 Chains are a pure wall-clock optimization: cycles, stats, events and
 output are bit-identical to the closure engine alone — the
@@ -60,7 +60,7 @@ from repro.core.emit import (
     OP_IND_EXIT,
     OP_JMP_EXIT,
 )
-from repro.core.execute import EXIT_DISPATCH, CacheExit
+from repro.core.execute import EXIT_DISPATCH
 from repro.core.fragments import LinkStub
 from repro.machine.cpu import compile_condition
 from repro.machine.errors import MachineFault
@@ -309,16 +309,22 @@ class ChainManager:
     # -------------------------------------------------------- boundary steps
 
     def _make_cross(self):
-        """The inline fragment boundary: exactly the per-pass prologue
-        of ``Executor.run``'s loop (non-first iteration), with the
+        """The inline fragment boundary: exactly ``Executor.run``'s
+        boundary checks after a linked transfer and the next pass's
+        prologue (profiler sample, entry cost), with the
         previous exit's deferred cycle charge (``pending``) landing at
-        the same observable points as the generic engines charge it."""
+        the same observable points as the generic engines charge it.
+
+        ``cross(ex, fragment, pending, base)`` returns ``base``, the
+        super-table index to continue at, or records the dispatcher
+        exit and returns ``None`` when the boundary must leave the
+        cache; stitched steps return its result."""
         runtime = self.runtime
         counter = runtime.counter
         system = runtime.system
         fragment_entry = runtime.cost.fragment_entry
 
-        def cross(ex, fragment, pending):
+        def cross(ex, fragment, pending, base):
             budget = ex._budget
             if budget is not None and ex.instructions > budget:
                 counter.cycles += pending
@@ -327,15 +333,17 @@ class ChainManager:
                 )
             if system.alarm_active:
                 system.convert_alarm(ex.instructions)
-                if system.alarm_due(ex.instructions):
+                if system.alarm_due(ex.instructions) and system.signal_handler:
                     counter.cycles += pending
-                    raise CacheExit(EXIT_DISPATCH, fragment.tag, None)
+                    ex._exit = (EXIT_DISPATCH, fragment.tag, None)
+                    return None
             if (
                 ex._deadline is not None
                 and ex.instructions >= ex._deadline
             ) or runtime._need_reschedule:
                 counter.cycles += pending
-                raise CacheExit(EXIT_DISPATCH, fragment.tag, None)
+                ex._exit = (EXIT_DISPATCH, fragment.tag, None)
+                return None
             profile_enter = ex._profile_enter
             if profile_enter is None:
                 # The fused boundary: deferred exit cost + entry cost
@@ -345,6 +353,7 @@ class ChainManager:
                 counter.cycles += pending
                 profile_enter(fragment, counter.cycles)
                 counter.cycles += fragment_entry
+            return base
 
         return cross
 
@@ -369,7 +378,7 @@ class ChainManager:
         # no budget stop, no alarm, no deadline/reschedule, no
         # profiler — as one fused counter update, calling cross() only
         # when any slow condition holds (cross re-derives the exact
-        # charge/raise ordering).  This saves a Python call per
+        # charge/exit ordering).  This saves a Python call per
         # stitched boundary, which dominates chain overhead on
         # small-fragment workloads.
 
@@ -404,8 +413,8 @@ class ChainManager:
 
         def resolve_indirect(ex, stub, target, cpu):
             """In-step IBL: one dict probe, and a hit on a chain member
-            jumps straight into its slice of the super-table.  Unwinds
-            to the dispatcher only on a real miss."""
+            jumps straight into its slice of the super-table.  Leaves
+            for the dispatcher only on a real miss."""
             if runtime.options.link_indirect:
                 counter.cycles += ibl_lookup
                 fragment = runtime.current_thread.ibl.table.get(target)
@@ -429,16 +438,15 @@ class ChainManager:
                             and ex._profile_enter is None
                         ):
                             counter.cycles += fragment_entry
-                        else:
-                            cross(ex, fragment, 0)
-                        return entry[1]
+                            return entry[1]
+                        return cross(ex, fragment, 0, entry[1])
                     ex._next_fragment = fragment
                     return None
                 stats.ibl_misses += 1
                 observer = runtime.observer
                 if observer is not None:
                     observer.emit(EV_IBL_MISS, target)
-            ex._ibl_miss(stub, target, cpu, mem, system)
+            return ex._ibl_miss(stub, target, cpu, mem, system)
 
         def override(op_index, op, nxt):
             kind = op[0]
@@ -478,9 +486,8 @@ class ChainManager:
                                 and ex._profile_enter is None
                             ):
                                 counter.cycles += _ct + fragment_entry
-                            else:
-                                cross(ex, _target, _ct)
-                            return _tbase
+                                return _tbase
+                            return cross(ex, _target, _ct, _tbase)
                         counter.cycles += _ct
                         ex._next_fragment = ex._direct_exit(
                             _stub, cpu, mem, system
@@ -520,9 +527,8 @@ class ChainManager:
                             and ex._profile_enter is None
                         ):
                             counter.cycles += _ct + fragment_entry
-                        else:
-                            cross(ex, _target, _ct)
-                        return _tbase
+                            return _tbase
+                        return cross(ex, _target, _ct, _tbase)
                     counter.cycles += _ct
                     ex._next_fragment = ex._direct_exit(
                         _stub, cpu, mem, system
@@ -571,9 +577,8 @@ class ChainManager:
                             and ex._profile_enter is None
                         ):
                             counter.cycles += fragment_entry
-                        else:
-                            cross(ex, _target, 0)
-                        return _tbase
+                            return _tbase
+                        return cross(ex, _target, 0, _tbase)
                     ex._next_fragment = ex._direct_exit(
                         _stub, cpu, mem, system
                     )
@@ -699,9 +704,8 @@ class ChainManager:
                                 and ex._profile_enter is None
                             ):
                                 counter.cycles += fragment_entry
-                            else:
-                                cross(ex, d_target, 0)
-                            return matched[3]
+                                return matched[3]
+                            return cross(ex, d_target, 0, matched[3])
                         ex._next_fragment = ex._direct_exit(
                             d_stub, cpu, mem, system
                         )

@@ -10,10 +10,12 @@ predicates, and the runtime's memory/system/counter/stats.  The
 executor's hot loop then degenerates to ``i = steps[i](executor, cpu)``.
 
 A step returns the index of the next step to run, or ``None`` when the
-fragment is done — in which case the step has already resolved the exit
-(``executor._next_fragment`` holds the linked/IBL-hit successor, or a
-:class:`~repro.core.execute.CacheExit` was raised back to the
-dispatcher).
+fragment is done — in which case the step has already resolved the exit:
+``executor._next_fragment`` holds the linked/IBL-hit successor, or it is
+``None`` and the step recorded ``(reason, next_tag, stub)`` in
+``executor._exit`` (:meth:`~repro.core.execute.Executor._direct_exit`,
+:meth:`~repro.core.execute.Executor._ibl_miss`), which
+:meth:`~repro.core.execute.Executor.run` returns to the dispatcher.
 
 Runs of consecutive straight-line ``OP_EXEC`` ops are *fused* into a
 single step.  A run of two or more instructions becomes a generated

@@ -5,6 +5,15 @@ chaining through linked exits without leaving the cache; returns to the
 dispatcher only on an unlinked exit or an IBL miss — the
 performance-critical dotted lines of the paper's Figure 1.
 
+Every cache exit is a plain return.  The step that leaves the cache
+records ``(reason, next_tag, stub)`` on the executor (``_exit``) and
+returns ``None`` with no linked successor; :meth:`Executor.run` then
+returns that record to the dispatcher.  The per-pass boundary exits
+(a due alarm, the quantum deadline, a reschedule, single-step) return
+from the run loop directly.  A pass that ends with neither a successor
+nor a recorded exit is a runtime bug and raises ``MachineFault``; so
+does an instruction-budget overrun.
+
 Cycle charging:
 
 * every op carries its pre-computed instruction cost;
@@ -41,23 +50,21 @@ EXIT_IBL_MISS = "ibl_miss"  # indirect target not in table
 EXIT_INTERRUPT = "interrupt"
 
 
-class CacheExit(Exception):
-    """Internal non-local exit used to unwind the step loop."""
-
-    def __init__(self, reason, next_tag, stub):
-        self.reason = reason
-        self.next_tag = next_tag
-        self.stub = stub
-
-
 class Executor:
     """Executes fragments for one runtime (shared across its threads)."""
 
     def __init__(self, runtime):
         self.runtime = runtime
         self.instructions = 0
-        # Set by closure-compiled exit steps before they return None.
+        # Set by closure-compiled exit steps before they return None:
+        # the linked/IBL-hit successor, or None after recording ``_exit``.
         self._next_fragment = None
+        # The exit the current run() leaves through, recorded by the
+        # step that leaves the cache: (reason, next_tag, stub).
+        self._exit = None
+        # The fragment whose pass is in flight (a chain's root), named
+        # by memory-fault messages; None between passes.
+        self.fragment = None
         # Per-run() state mirrored onto the executor so chain boundary
         # steps (repro.core.chains) see exactly what the run loop sees.
         self._budget = None
@@ -84,17 +91,17 @@ class Executor:
                 execute_noncti(cpu, mem, system, op[1], op[2])
 
     def _direct_exit(self, stub, cpu, mem, system):
-        """Leave through a direct exit; returns the next fragment or
-        raises CacheExit back to the dispatcher."""
-        runtime = self.runtime
-        counter = runtime.counter
+        """Leave through a direct exit.  Returns the linked successor,
+        or records the dispatcher exit and returns ``None``."""
         linked = stub.linked_to
         if linked is not None and not stub.always_stub:
             return linked
+        runtime = self.runtime
+        counter = runtime.counter
         if stub.stub_ops:
             self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
-        if stub.always_stub and linked is not None:
-            return linked
+        if linked is not None:
+            return linked  # an always-stub exit, linked: its code ran
         counter.cycles += runtime.cost.context_switch
         runtime.stats.context_switches += 1
         observer = runtime.observer
@@ -105,7 +112,8 @@ class Executor:
                 from_tag=stub.fragment.tag,
                 reason=EXIT_DISPATCH,
             )
-        raise CacheExit(EXIT_DISPATCH, stub.target_tag, stub)
+        self._exit = (EXIT_DISPATCH, stub.target_tag, stub)
+        return None
 
     def _indirect_exit(self, stub, target, cpu, mem, system):
         runtime = self.runtime
@@ -126,12 +134,12 @@ class Executor:
             stats.ibl_misses += 1
             if observer is not None:
                 observer.emit(EV_IBL_MISS, target)
-        self._ibl_miss(stub, target, cpu, mem, system)
+        return self._ibl_miss(stub, target, cpu, mem, system)
 
     def _ibl_miss(self, stub, target, cpu, mem, system):
         """Unresolved indirect branch: run any stub code, charge the
-        context switch, and unwind to the dispatcher.  Always raises
-        CacheExit; shared with the chain compiler's in-step fast path
+        context switch, and record the dispatcher exit.  Always returns
+        ``None``; shared with the chain compiler's in-step fast path
         (which has already charged the lookup and counted the miss)."""
         runtime = self.runtime
         counter = runtime.counter
@@ -147,7 +155,8 @@ class Executor:
                 from_tag=stub.fragment.tag if stub is not None else None,
                 reason=EXIT_IBL_MISS,
             )
-        raise CacheExit(EXIT_IBL_MISS, target, stub)
+        self._exit = (EXIT_IBL_MISS, target, stub)
+        return None
 
     # ------------------------------------------------------------- main loop
 
@@ -157,8 +166,10 @@ class Executor:
         thread's instruction ``deadline`` passes — the scheduler's
         quantum boundary).
 
-        Returns ``(reason, next_tag, stub)``.  Raises ProgramExit when
-        the application ends, MachineFault on machine errors.
+        Returns ``(reason, next_tag, stub)``: the exit the last pass's
+        exit step recorded, or a fragment-boundary exit (``stub`` is
+        then ``None``).  Raises ProgramExit when the application ends,
+        MachineFault on machine errors.
         """
         runtime = self.runtime
         cpu = runtime.current_thread.cpu
@@ -170,39 +181,24 @@ class Executor:
         # cycle stream is identical with tracing on or off.
         observer = runtime.observer
         profile_enter = observer.profile_enter if observer is not None else None
-        profile_break = observer.profile_break if observer is not None else None
-        # Mirror per-run state for chain boundary steps, which perform
-        # this loop's per-pass bookkeeping inline (repro.core.chains).
-        self._budget = budget
-        self._deadline = deadline
-        self._profile_enter = profile_enter
         # Chains are a multi-fragment construct: never entered when the
         # dispatcher needs control back after one fragment.
         chains = None if single_step else runtime.chains
+        if chains is not None:
+            # Mirror per-run state for chain boundary steps, which
+            # perform this loop's per-pass bookkeeping inline
+            # (repro.core.chains); nothing else reads it.
+            self._budget = budget
+            self._deadline = deadline
+            self._profile_enter = profile_enter
+        self._exit = None
 
+        if budget is not None and self.instructions > budget:
+            raise MachineFault("instruction budget exhausted (%d)" % budget)
+        if system.alarm_active:
+            system.convert_alarm(self.instructions)
         try:
-            first = True
             while True:
-                if budget is not None and self.instructions > budget:
-                    raise MachineFault(
-                        "instruction budget exhausted (%d)" % budget
-                    )
-                if system.alarm_active:
-                    system.convert_alarm(self.instructions)
-                    if not first and system.alarm_due(self.instructions):
-                        # pending signal: deliver from the dispatcher at
-                        # this fragment boundary (the safe point)
-                        raise CacheExit(EXIT_DISPATCH, fragment.tag, None)
-                if not first and (
-                    (deadline is not None and self.instructions >= deadline)
-                    or runtime._need_reschedule
-                ):
-                    # Quantum expired (or a thread was spawned) at a
-                    # fragment boundary: back to the scheduler, without a
-                    # context-switch charge (the dispatcher charges the
-                    # thread switch).
-                    raise CacheExit(EXIT_DISPATCH, fragment.tag, None)
-                first = False
                 if profile_enter is not None:
                     profile_enter(fragment, counter.cycles)
                 counter.cycles += fragment_entry
@@ -221,17 +217,52 @@ class Executor:
                     steps = fragment.compiled
                     if steps is None:
                         steps = compile_fragment(fragment, runtime)
+                self.fragment = fragment
                 self._next_fragment = None
                 i = 0
                 while i is not None:
                     i = steps[i](self, cpu)
                 next_fragment = self._next_fragment
-
-                # A linked (or IBL-hit) transfer: continue in the cache.
+                if next_fragment is None:
+                    # The pass left the cache: its exit step recorded why.
+                    exit_ = self._exit
+                    if exit_ is None:
+                        raise MachineFault(
+                            "fragment 0x%x left the cache without an exit"
+                            % fragment.tag
+                        )
+                    break
                 if single_step:
-                    raise CacheExit(EXIT_DISPATCH, next_fragment.tag, None)
+                    exit_ = (EXIT_DISPATCH, next_fragment.tag, None)
+                    break
+                # A linked (or IBL-hit) transfer: the fragment boundary
+                # is a safe point.
                 fragment = next_fragment
-        except CacheExit as exit_:
-            if profile_break is not None:
-                profile_break(counter.cycles)
-            return exit_.reason, exit_.next_tag, exit_.stub
+                if budget is not None and self.instructions > budget:
+                    raise MachineFault(
+                        "instruction budget exhausted (%d)" % budget
+                    )
+                if system.alarm_active:
+                    system.convert_alarm(self.instructions)
+                    if (
+                        system.alarm_due(self.instructions)
+                        and system.signal_handler
+                    ):
+                        # pending signal: deliver from the dispatcher at
+                        # this fragment boundary
+                        exit_ = (EXIT_DISPATCH, fragment.tag, None)
+                        break
+                if (
+                    deadline is not None and self.instructions >= deadline
+                ) or runtime._need_reschedule:
+                    # Quantum expired (or a thread was spawned): back to
+                    # the scheduler, without a context-switch charge
+                    # (the dispatcher charges the thread switch).
+                    exit_ = (EXIT_DISPATCH, fragment.tag, None)
+                    break
+        finally:
+            # No pass is in flight, whether it left or raised.
+            self.fragment = None
+        if observer is not None:
+            observer.profile_break(counter.cycles)
+        return exit_

@@ -10,7 +10,10 @@ The hot path is ``table.get`` — a single dict probe.  Hit/miss
 accounting (stats counters and drtrace events) lives with the callers
 (:meth:`repro.core.execute.Executor._indirect_exit` and the chain
 compiler's in-step fast path), so the lookup itself carries no
-stats/observer plumbing.
+stats/observer plumbing.  A miss leaves the cache through
+:meth:`~repro.core.execute.Executor._ibl_miss`, which charges the
+context switch and records the dispatcher exit that ``Executor.run``
+returns.
 
 Trace heads are deliberately *not* present: entries reaching a trace
 head must come back to the dispatcher so the head's execution counter

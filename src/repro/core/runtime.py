@@ -133,9 +133,8 @@ class DynamoRIO:
         self._shield_pending = False
         self.shield = Shield(self) if self.options.shield else None
         self.rguard = RuntimeGuard(self) if self.options.shield else None
-        # Fault diagnostics: memory errors blame the faulting thread's
-        # translated application PC (consulted on error paths only).
-        self._fault_context = lambda: self.current_thread.resume_tag
+        # Fault diagnostics: memory errors name the fragment whose pass
+        # raised (consulted on error paths only).
         self.memory.set_fault_context(self._fault_context)
         # Retranslation memo, tag -> MemoEntry: a block rebuilt after a
         # flush or eviction whose bytes are unchanged is re-emitted over
@@ -170,6 +169,15 @@ class DynamoRIO:
         # ThreadContexts created while detached: the client meets them
         # (thread_init) at reattach time.
         self._threads_since_detach = []
+
+    def _fault_context(self):
+        """The application tag a memory fault names: the fragment whose
+        pass is in flight (a chain pass names its root), else the
+        current thread's resume tag."""
+        fragment = self.executor.fragment
+        if fragment is not None:
+            return fragment.tag
+        return self.current_thread.resume_tag
 
     def _register_runtime_regions(self):
         lay = self.process.layout
@@ -649,9 +657,10 @@ class DynamoRIO:
     # --------------------------------------------------------------- linking
 
     def _maybe_link(self, stub, target_fragment):
-        if stub is None or stub.kind != LinkStub.KIND_DIRECT:
-            return
-        if not self.options.link_direct:
+        """Link the previous exit ``stub`` to ``target_fragment`` when it
+        is a direct exit still unlinked.  The dispatcher calls this only
+        with a previous stub and ``options.link_direct`` on."""
+        if stub.kind != LinkStub.KIND_DIRECT:
             return
         if stub.fragment.deleted or stub.linked_to is not None:
             return
@@ -716,12 +725,10 @@ class DynamoRIO:
 
     def _note_branch_origin(self, stub, target_fragment):
         """Default trace-head detection: targets of backward branches
-        and exits of existing traces (Section 3.5)."""
-        if not self.options.traces:
-            return
+        and exits of existing traces (Section 3.5).  The dispatcher
+        calls this only with a previous stub and ``options.traces``
+        on."""
         if target_fragment.is_trace or target_fragment.is_trace_head:
-            return
-        if stub is None:
             return
         src = stub.fragment
         if src.is_trace:
@@ -1187,38 +1194,59 @@ class DynamoRIO:
         tag = thread.resume_tag
         prev_stub = thread.prev_stub
         system = self.system
-        # True when the previous executor exit was a mid-fragment
-        # interrupt poll (EXIT_INTERRUPT): ``tag`` is then a translated
-        # source PC inside a fragment's body, and the delivery below is
-        # a genuine mid-fragment delivery.
-        mid_fragment = False
+        executor = self.executor
+        run = executor.run
+        counter = self.counter
+        dispatch_cost = self.cost.dispatch
+        # Read per exit: the shield ladder may turn traces or direct
+        # linking off mid-quantum.
+        options = self.options
+        shield = self.shield
+        # Cache units are only ever cleared, never replaced, so their
+        # tag maps stay valid for the whole quantum.  Traces shadow bbs.
+        trace_fragments = thread.trace_cache.fragments
+        bb_fragments = thread.bb_cache.fragments
+        # The previous executor exit's reason.  After a mid-fragment
+        # interrupt poll (EXIT_INTERRUPT) ``tag`` is a translated source
+        # PC inside a fragment's body, and the delivery below is a
+        # genuine mid-fragment delivery.
+        reason = None
         try:
             while (
-                deadline is None or self.executor.instructions < deadline
+                deadline is None or executor.instructions < deadline
             ) and not self._need_reschedule:
                 # Signal interception (Section 2): deliver pending alarm
                 # signals here, at the dispatcher — the handler then runs
                 # under the code cache like all application code.
-                system.convert_alarm(self.executor.instructions)
-                if system.alarm_due(self.executor.instructions) and (
-                    system.signal_handler
-                ):
-                    self._mid_fragment_interrupt = mid_fragment
-                    tag = self._deliver_signal(thread, tag)
-                    prev_stub = None
-                self.counter.cycles += self.cost.dispatch
-                fragment = thread.lookup_fragment(tag)
+                if system.alarm_active:
+                    system.convert_alarm(executor.instructions)
+                    if system.alarm_due(executor.instructions) and (
+                        system.signal_handler
+                    ):
+                        self._mid_fragment_interrupt = (
+                            reason == EXIT_INTERRUPT
+                        )
+                        tag = self._deliver_signal(thread, tag)
+                        prev_stub = None
+                counter.cycles += dispatch_cost
+                fragment = trace_fragments.get(tag)
                 if fragment is None:
-                    if self.rguard is None:
-                        fragment = self._build_bb(tag)
-                    else:
-                        fragment = self._guarded_build(tag)
-                        if fragment is None:
-                            # The ladder escalated to a detach: unwind
-                            # to the run loop with resume_tag intact.
-                            break
-                self._note_branch_origin(prev_stub, fragment)
-                self._maybe_link(prev_stub, fragment)
+                    fragment = bb_fragments.get(tag)
+                    if fragment is None:
+                        if self.rguard is None:
+                            fragment = self._build_bb(tag)
+                        else:
+                            fragment = self._guarded_build(tag)
+                            if fragment is None:
+                                # The ladder escalated to a detach:
+                                # unwind to the run loop with
+                                # resume_tag intact.
+                                break
+                if prev_stub is not None:
+                    if options.traces:
+                        self._note_branch_origin(prev_stub, fragment)
+                    if options.link_direct:
+                        self._maybe_link(prev_stub, fragment)
 
                 recording = thread.trace_in_progress
                 if recording is not None:
@@ -1226,7 +1254,7 @@ class DynamoRIO:
                         fragment, recording
                     )
                 elif (
-                    self.options.traces
+                    options.traces
                     and fragment.is_trace_head
                     and not fragment.is_trace
                 ):
@@ -1243,19 +1271,14 @@ class DynamoRIO:
                         thread.trace_in_progress = recording
                         recording.append(fragment)
 
-                reason, next_tag, stub = self.executor.run(
-                    fragment,
-                    single_step=recording is not None,
-                    budget=max_instructions,
-                    deadline=deadline,
+                reason, tag, prev_stub = run(
+                    fragment, recording is not None, max_instructions,
+                    deadline,
                 )
-                if self.shield is not None:
+                if shield is not None:
                     # Forward progress: the fragment executed, so its
                     # tag is no longer a livelock suspect.
-                    self.shield.note_progress(fragment.tag)
-                tag = next_tag
-                prev_stub = stub
-                mid_fragment = reason == EXIT_INTERRUPT
+                    shield.note_progress(fragment.tag)
         finally:
             thread.resume_tag = tag
             thread.prev_stub = prev_stub

@@ -28,7 +28,7 @@ Execution points that are not poll points (mid-run, or steps lowered
 from meta-instructions) translate by **rolling forward** to the nearest
 consistent point at or after them — :meth:`TranslationTable.
 translate_step` — which is exactly how delivery works: interruption
-requests (a due alarm, a pending detach) raised between consistent
+requests (a due alarm, a pending detach) made between consistent
 points are acted on at the next one, giving mid-fragment delivery a
 deterministic latency bounded by the longest fused run (at most
 ``options.max_bb_instrs`` instructions).
@@ -138,23 +138,27 @@ def make_poll_step(runtime, pc, step):
     """Wrap one step closure with the interrupt poll.
 
     The poll runs *before* the step: the machine is application-
-    consistent at ``pc``, so a due alarm or pending detach unwinds to
-    the dispatcher with the translated PC as the resume tag —
-    mid-fragment delivery with no state reconstruction needed.  The
-    fast path (no alarm armed, no detach pending) is a single attribute
-    test, mirroring the run loop's boundary check.
+    consistent at ``pc``, so a due alarm or pending detach leaves for
+    the dispatcher with the translated PC as the resume tag — the poll
+    records ``(EXIT_INTERRUPT, pc, None)`` as the executor's exit and
+    returns ``None``: mid-fragment delivery with no state
+    reconstruction needed.  The fast path (no alarm armed, no detach
+    pending) is a single attribute test, mirroring the run loop's
+    boundary check.
     """
-    from repro.core.execute import EXIT_INTERRUPT, CacheExit
+    from repro.core.execute import EXIT_INTERRUPT
 
     system = runtime.system
+    exit_ = (EXIT_INTERRUPT, pc, None)
 
-    def poll_step(ex, cpu, _step=step, _pc=pc, _sys=system, _rt=runtime):
+    def poll_step(ex, cpu, _step=step, _exit=exit_, _sys=system, _rt=runtime):
         if _sys.alarm_active or _rt._detach_pending or _rt._shield_pending:
             _sys.convert_alarm(ex.instructions)
             if _rt._detach_pending or _rt._shield_pending or (
                 _sys.alarm_due(ex.instructions) and _sys.signal_handler
             ):
-                raise CacheExit(EXIT_INTERRUPT, _pc, None)
+                ex._exit = _exit
+                return None
         return _step(ex, cpu)
 
     return poll_step

@@ -33,12 +33,13 @@ results with the guard on or off.
 
 :class:`ClientHalt` is the escape hatch for clients that *mean* to stop
 the world (e.g. program shepherding's ``SecurityViolation``): it always
-propagates, and is never counted as a fault.
+propagates, and is never counted as a fault.  So do program and thread
+exit.  Leaving the code cache raises nothing: an exit is the executor's
+return value, so no guarded call ever sees one.
 """
 
 import sys
 
-from repro.core.execute import CacheExit
 from repro.core.trace_builder import DEFAULT_TRACE_END
 from repro.ir.instrlist import InstrList, copy_instructions
 from repro.machine.errors import ProgramExit
@@ -65,22 +66,21 @@ class HookBudgetExceeded(Exception):
 
 
 # Exceptions the client guard must never swallow: deliberate client
-# halts, the runtime's own control-flow exceptions, and planted
-# *runtime* faults (the RuntimeGuard's ladder owns those — a client
-# guard that caught one would misattribute an internal fault to the
-# client).
+# halts, program and thread exit, and planted *runtime* faults (the
+# RuntimeGuard's ladder owns those — a client guard that caught one
+# would misattribute an internal fault to the client).  Cache exits
+# need no entry: they are plain returns (repro.core.execute).
 _PASSTHROUGH = (
     ClientHalt,
     ProgramExit,
     ThreadExit,
-    CacheExit,
     InjectedRuntimeFault,
 )
 
 # Exceptions the *runtime* chokepoint wrappers let through: control
-# flow only.  InjectedRuntimeFault is deliberately absent — planted
+# flow only (client halts, program and thread exit).  InjectedRuntimeFault is deliberately absent — planted
 # runtime faults are exactly what the escalation ladder must catch.
-RUNTIME_PASSTHROUGH = (ClientHalt, ProgramExit, ThreadExit, CacheExit)
+RUNTIME_PASSTHROUGH = (ClientHalt, ProgramExit, ThreadExit)
 
 
 class ClientGuard:

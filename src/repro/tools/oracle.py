@@ -23,7 +23,6 @@ functions of one :class:`Run` yielding problem strings, named after the
 function.  DESIGN §4i states the invariants in full.
 """
 
-import statistics
 import time
 import traceback
 import weakref
@@ -177,18 +176,6 @@ def check(cell):
     ]
     failures += _cross_failures([run for run in runs if run.error is None])
     return Verdict(cell, native, runs, failures)
-
-
-def measure(cell, repeats):
-    """Check ``cell`` ``repeats`` times; returns the first verdict and
-    each column's median host seconds."""
-    verdicts = [check(cell) for _ in range(repeats)]
-    return verdicts[0], {
-        run.column.name: statistics.median(
-            verdict[run.column.name].seconds for verdict in verdicts
-        )
-        for run in verdicts[0].runs
-    }
 
 
 def sweep(cells, verbose=False):

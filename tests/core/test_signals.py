@@ -15,7 +15,7 @@ from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
-from repro.tools.oracle import Cell, check
+from repro.tools.oracle import ENGINES, Cell, check
 
 
 SIGNAL_SRC = """
@@ -34,6 +34,46 @@ int main() {
     alarm(250);
     i = 0;
     while (ticks < 4) { i++; }
+    print(ticks);
+    return 0;
+}
+"""
+
+
+# One syscall slot: ``alarm(10)`` with no handler, or the control
+# ``sighandler(0)``, which arms nothing and compiles to the same code.
+# The loop's two paths make its trace's side exit a linked block, so
+# the chain tier stitches a chain of two.
+ALARM_SLOT_SRC = """
+int main() {
+    int i; int s;
+    %s;
+    s = 0;
+    for (i = 0; i < 20000; i++) {
+        if (i & 1) { s = s + i; } else { s = s - 1; }
+    }
+    print(s);
+    return 0;
+}
+"""
+
+LATE_HANDLER_SRC = """
+int ticks;
+
+int on_alarm() {
+    ticks++;
+    sigreturn;
+    return 0;
+}
+
+int main() {
+    int i; int s;
+    alarm(10);
+    s = 0;
+    for (i = 0; i < 2000; i++) { s = s + i; }
+    sighandler(&on_alarm);
+    for (i = 0; i < 100; i++) { s = s + i; }
+    print(s);
     print(ticks);
     return 0;
 }
@@ -231,3 +271,48 @@ int main() {
             for i in range(0, len(under.output), 4)
         ]
         assert dr_values == values
+
+
+class TestAlarmWithoutHandler:
+    """An alarm with no handler installed cannot be delivered, natively
+    or under the runtime, so it must not send fragment boundaries back
+    to the dispatcher: the run costs exactly what the control costs."""
+
+    @staticmethod
+    def _options(precise):
+        def options():
+            made = RuntimeOptions.with_traces()
+            made.precise_interrupts = precise
+            return made
+
+        return options
+
+    @pytest.mark.parametrize("precise", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_costs_what_the_control_costs(self, engine, precise):
+        outcomes = []
+        for slot in ("alarm(10)", "sighandler(0)"):
+            verdict = check(Cell(
+                compile_source(ALARM_SLOT_SRC % slot),
+                options=self._options(precise), columns=(engine,),
+            ))
+            assert verdict.ok, verdict
+            run = verdict.runs[0]
+            if engine == "chain":
+                assert run.runtime.chains.report()["chains_built"] > 0
+            outcomes.append(
+                (run.result.cycles, run.result.events["context_switches"])
+            )
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("precise", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_handler_installed_later_gets_the_signal(self, engine, precise):
+        verdict = check(Cell(
+            compile_source(LATE_HANDLER_SRC),
+            options=self._options(precise), columns=(engine,),
+        ))
+        assert verdict.ok, verdict  # output equals native's
+        assert verdict.native.events["signals_delivered"] == 1
+        assert verdict.runs[0].result.events["signals_delivered"] == 1
+        assert verdict.runs[0].result.output[-4:] == (1).to_bytes(4, "little")

@@ -647,10 +647,11 @@ def test_out_of_range_load_mid_run_on_every_engine():
     registers and eflags equal native's.  The segments
     skip the flags of ``add eax, ecx`` before the load (``add eax, edx``
     overwrites them), so their eflags come from the fault path.  (The
-    runtime names the dispatched fragment's tag as the app pc, native
-    the faulting instruction's, so only the text before that suffix is
-    compared with native; runtime instruction counts include the exits
-    the runtime synthesizes.)"""
+    runtime names the tag of the fragment whose pass faulted as the app
+    pc — here the trace at ``loop``, which is also the chain's root —
+    and native the faulting instruction's, so only the text before that
+    suffix is compared with native; runtime instruction counts include
+    the exits the runtime synthesizes.)"""
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
@@ -681,3 +682,24 @@ def test_out_of_range_load_mid_run_on_every_engine():
     assert text.split(" (")[0] == str(native.value).split(" (")[0]
     assert text.startswith("read past memory at 0x1fffffe")
     assert (regs, eflags) == (interp.cpu.regs, interp.cpu.eflags)
+
+
+def test_fault_names_the_fragment_whose_pass_faulted():
+    """A fault inside a quantum names the faulting pass's fragment, not
+    the tag the dispatcher's quantum started at (the program entry):
+    under ``bb_cache_only`` that is the ``loop`` block at 0x1014."""
+    from repro.asm import assemble
+    from repro.core import DynamoRIO, RuntimeOptions
+    from repro.loader import Process
+    from repro.tools.oracle import ENGINES, set_engine
+
+    image = assemble(FAULTING_LOOP)
+    assert image.symbol("loop") == 0x1014
+    for engine in ENGINES:
+        options = set_engine(RuntimeOptions.bb_cache_only(), engine)
+        runtime = DynamoRIO(Process(image), options=options)
+        with pytest.raises(MachineFault) as fault:
+            runtime.run()
+        assert str(fault.value) == (
+            "read past memory at 0x1fffffe (app pc 0x1014)"
+        )
