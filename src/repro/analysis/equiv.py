@@ -134,7 +134,7 @@ def _return_address(instr):
 # ---------------------------------------------------------------- source
 
 
-def _walk_source(source_tags, memory, max_bb_instrs):
+def _walk_source(source_tags, memory):
     """Build the expectation list by symbolically executing the pristine
     blocks; returns (expectations, state, problems)."""
     state = SymState()
@@ -145,7 +145,7 @@ def _walk_source(source_tags, memory, max_bb_instrs):
         last = i == n - 1
         nxt = None if last else source_tags[i + 1]
         try:
-            ilist = build_basic_block(memory, tag, max_instrs=max_bb_instrs)
+            ilist = build_basic_block(memory, tag)
         except MachineFault as exc:
             problems.append(
                 Problem(
@@ -688,7 +688,7 @@ def p_to_problems(diff_strings, ob):
 # ------------------------------------------------------------ entry point
 
 
-def check_equivalence(ilist, source_tags, memory, max_bb_instrs=256, nodes=None):
+def check_equivalence(ilist, source_tags, memory, nodes=None):
     """Compare an emitted fragment against its source blocks.
 
     ``ilist`` is the (pre-lowering) instruction list headed for the
@@ -702,9 +702,7 @@ def check_equivalence(ilist, source_tags, memory, max_bb_instrs=256, nodes=None)
         return [Problem(ERROR, "fragment has no source tags to verify against")]
     if nodes is None:
         nodes = list(ilist)
-    expects, src_state, src_problems = _walk_source(
-        tuple(source_tags), memory, max_bb_instrs
-    )
+    expects, src_state, src_problems = _walk_source(tuple(source_tags), memory)
     if src_problems:
         return src_problems
     observables, frag_state, frag_problems, aborted = _walk_fragment(

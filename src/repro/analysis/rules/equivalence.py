@@ -34,7 +34,6 @@ class EquivalenceRule(Rule):
             ctx.ilist,
             ctx.source_tags,
             ctx.memory,
-            max_bb_instrs=ctx.max_bb_instrs,
             nodes=ctx.nodes,
         )
         for p in problems:

@@ -93,7 +93,7 @@ class FragmentContext:
     """
 
     def __init__(self, ilist, kind="bb", is_runtime_addr=None, tag=None,
-                 source_tags=None, memory=None, max_bb_instrs=256):
+                 source_tags=None, memory=None):
         self.ilist = ilist
         self.kind = kind
         self.is_runtime_addr = is_runtime_addr
@@ -103,7 +103,6 @@ class FragmentContext:
         # equivalence rule is a no-op when memory is None.
         self.source_tags = source_tags
         self.memory = memory
-        self.max_bb_instrs = max_bb_instrs
         self.nodes = list(ilist)
         self.position = {id(n): i for i, n in enumerate(self.nodes)}
         self._reg_live = None
@@ -211,8 +210,7 @@ def _disassembly_window(ctx, index, radius=2):
 
 
 def verify_fragment(ilist, kind="bb", rules=None, is_runtime_addr=None,
-                    tag=None, source_tags=None, memory=None,
-                    max_bb_instrs=256):
+                    tag=None, source_tags=None, memory=None):
     """Run verifier rules over one fragment's InstrList.
 
     Returns the diagnostics sorted by instruction position (errors
@@ -224,7 +222,7 @@ def verify_fragment(ilist, kind="bb", rules=None, is_runtime_addr=None,
     """
     ctx = FragmentContext(
         ilist, kind=kind, is_runtime_addr=is_runtime_addr, tag=tag,
-        source_tags=source_tags, memory=memory, max_bb_instrs=max_bb_instrs,
+        source_tags=source_tags, memory=memory,
     )
     selected = all_rules() if rules is None else [get_rule(r) for r in rules]
     diagnostics = []
@@ -246,8 +244,7 @@ def verify_fragment(ilist, kind="bb", rules=None, is_runtime_addr=None,
 
 
 def assert_fragment_valid(ilist, kind="bb", rules=None, is_runtime_addr=None,
-                          where=None, tag=None, source_tags=None, memory=None,
-                          max_bb_instrs=256):
+                          where=None, tag=None, source_tags=None, memory=None):
     """Verify and raise :class:`VerificationError` on any error.
 
     Returns the full diagnostic list (which may still carry warnings)
@@ -256,7 +253,6 @@ def assert_fragment_valid(ilist, kind="bb", rules=None, is_runtime_addr=None,
     diagnostics = verify_fragment(
         ilist, kind=kind, rules=rules, is_runtime_addr=is_runtime_addr,
         tag=tag, source_tags=source_tags, memory=memory,
-        max_bb_instrs=max_bb_instrs,
     )
     errors = [d for d in diagnostics if d.is_error]
     if errors:

@@ -19,8 +19,11 @@ from repro.isa.opcodes import OP_INFO, Opcode
 from repro.isa.operands import PcOperand
 from repro.machine.errors import MachineFault
 
+# Longest basic block: a longer straight-line run is split here.
+MAX_BB_INSTRS = 256
 
-def build_basic_block(memory, tag, max_instrs=256):
+
+def build_basic_block(memory, tag, max_instrs=MAX_BB_INSTRS):
     """Decode the basic block starting at application address ``tag``.
 
     Returns an :class:`InstrList`.  The straight-line prefix is a single

@@ -14,7 +14,7 @@ fragment is done — in which case the step has already resolved the exit:
 ``executor._next_fragment`` holds the linked/IBL-hit successor, or it is
 ``None`` and the step recorded ``(reason, next_tag, stub)`` in
 ``executor._exit`` (:meth:`~repro.core.execute.Executor._direct_exit`,
-:meth:`~repro.core.execute.Executor._ibl_miss`), which
+:meth:`~repro.core.execute.Executor._indirect_exit`), which
 :meth:`~repro.core.execute.Executor.run` returns to the dispatcher.
 
 Runs of consecutive straight-line ``OP_EXEC`` ops are *fused* into a
@@ -27,12 +27,10 @@ flags the run overwrites before anything can read them skips them, and
 a 4-byte load of a word the run already holds reads the local holding
 it.  Where the state can be observed mid-run — a fault or program exit
 unwinding the segment — the handler rebuilds the skipped flags from the
-writers' bound inputs, so the deoptimized state is exact.  The one
-segment compiler serves both tiers: the closure engine keeps its
-segments on the fragment body, and the chain compiler
-(:mod:`repro.core.chains`) rebinds them to its base offsets.  Fusion
-never spans an intra-fragment branch target, so ``OP_LOCAL_BR`` indices
-stay addressable.
+writers' bound inputs, so the deoptimized state is exact.  Segments
+are kept on the fragment body, so every fragment over it shares one
+compile.  Fusion never spans an intra-fragment branch target, so
+``OP_LOCAL_BR`` indices stay addressable.
 
 Only the CPU is passed per call: fragments may be shared between
 threads (the thread-shared cache ablation), so per-thread state cannot
@@ -48,7 +46,6 @@ to ``execute_noncti``.
 """
 
 import sys
-from types import FunctionType
 
 from repro.core.emit import (
     CLEAN_CALL_COST,
@@ -678,13 +675,6 @@ def compile_segment(instrs, mem, system, counter, nxt):
     return env["_segment"]
 
 
-def rebase_segment(segment, nxt):
-    """A copy of ``segment`` that returns step index ``nxt``: the same
-    code object over its environment with ``_nxt`` replaced (the chain
-    compiler lays members out at base offsets in one super-table)."""
-    return FunctionType(segment.__code__, dict(segment.__globals__, _nxt=nxt))
-
-
 def _compile_target_fetch(operand, mem):
     """Compile the indirect-branch target fetch: fn(cpu) -> target."""
     if operand == "ret":
@@ -705,16 +695,6 @@ def _compile_target_fetch(operand, mem):
     return fetch
 
 
-# Op kinds the chain compiler may replace with stitched variants.
-EXIT_KINDS = (
-    OP_COND_EXIT,
-    OP_JMP_EXIT,
-    OP_CALL_EXIT,
-    OP_IND_EXIT,
-    OP_IND_CHECK,
-)
-
-
 def plan_fragment(code):
     """Plan the op-index → step-index mapping, fusing OP_EXEC runs.
 
@@ -723,9 +703,8 @@ def plan_fragment(code):
     step; ``step_of`` maps op indices (and the one-past-the-end index)
     to step indices; ``table_len`` counts the trailing fell-through
     sentinel step.  Computed once per lowered body (``FragmentBody.
-    plan``) and read by the translation table, :func:`compile_steps`
-    and the chain compiler (which must know a member's table length
-    before any of its stitched steps are built).
+    plan``) and read by the translation table and
+    :func:`compile_fragment`.
     """
     # Intra-fragment branch targets must begin a step of their own.
     branch_targets = set()
@@ -760,22 +739,14 @@ def plan_fragment(code):
     return plans, step_of, sentinel_index + 1
 
 
-def compile_fragment(fragment, runtime):
-    """Compile ``fragment.code`` into step closures; caches the result
-    on ``fragment.compiled`` and returns it."""
-    compiled = tuple(compile_steps(fragment, runtime))
-    fragment.compiled = compiled
-    return compiled
-
-
 def compile_runs(body, runtime):
     """The compiled ``OP_EXEC`` runs of ``body``, one entry per plan
     entry: ``None`` for an op, ``(cost, fn)`` (the instruction's
     ``compile_noncti`` closure) for a one-instruction run, and the
-    generated segment (:func:`compile_segment`, at base 0) for a longer
-    run.  Compiled on first use and kept on the body, so every fragment
-    over it — retranslation memo rebuilds included — and every chain
-    (through :func:`rebase_segment`) shares one compile per run."""
+    generated segment (:func:`compile_segment`) for a longer run.
+    Compiled on first use and kept on the body, so every fragment over
+    it, retranslation memo rebuilds included, shares one compile per
+    run."""
     runs = body.runs
     if runs is None:
         code = body.code
@@ -800,21 +771,9 @@ def compile_runs(body, runtime):
     return runs
 
 
-def compile_steps(fragment, runtime, base=0, exit_override=None):
-    """Compile ``fragment.code`` into a list of step closures.
-
-    ``base`` offsets every produced step index — the chain compiler
-    (:mod:`repro.core.chains`) concatenates several fragments' step
-    lists into one flat super-table, so intra-fragment transfers and
-    fall-throughs must address their member's slice of it.
-
-    ``exit_override(op_index, op, nxt)`` may return a replacement step
-    for any exit-kind op (``EXIT_KINDS``); returning ``None`` keeps the
-    generic step.  ``nxt`` is the (base-offset) fall-through step
-    index.  The generic steps are the single source of truth for exit
-    semantics; overrides only exist so chains can stitch linked exits
-    into direct step-index transfers.
-    """
+def compile_fragment(fragment, runtime):
+    """Compile ``fragment.code`` into a tuple of step closures; caches
+    the result on ``fragment.compiled`` and returns it."""
     code = fragment.code
     exits = fragment.exits
     mem = runtime.memory
@@ -830,7 +789,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
     sentinel_index = len(plans)
 
     def next_step(op_index):
-        return step_of.get(op_index, sentinel_index) + base
+        return step_of.get(op_index, sentinel_index)
 
     steps = []
     for plan_index, (plan_kind, payload) in enumerate(plans):
@@ -838,7 +797,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
             nxt = next_step(payload[-1] + 1)
             run = runs[plan_index]
             if len(payload) > 1:
-                steps.append(run if base == 0 else rebase_segment(run, nxt))
+                steps.append(run)
                 continue
             c, fn = run
 
@@ -855,12 +814,6 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
         op = code[op_index]
         kind = op[0]
         nxt = next_step(op_index + 1)
-
-        if exit_override is not None and kind in EXIT_KINDS:
-            custom = exit_override(op_index, op, nxt)
-            if custom is not None:
-                steps.append(custom)
-                continue
 
         if kind == OP_COND_EXIT:
             cond = compile_condition(op[1])
@@ -1155,8 +1108,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
     if runtime.options.precise_interrupts and fragment.translation is not None:
         # Wrap the application-consistent steps with the interrupt poll
-        # (repro.core.translate) — after the overrides so chains'
-        # stitched steps are wrapped uniformly with the generic ones.
+        # (repro.core.translate).
         from repro.core.translate import wrap_poll_steps
 
         wrap_poll_steps(fragment, runtime, plans, steps)
@@ -1169,4 +1121,5 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
         )
 
     steps.append(fell_through_step)
-    return steps
+    compiled = fragment.compiled = tuple(steps)
+    return compiled

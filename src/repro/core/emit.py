@@ -121,18 +121,15 @@ def _verify_before_emit(tag, kind, ilist, runtime, options, source_tags):
     rules = None if structural else ["equivalence"]
     is_runtime_addr = None
     memory = None
-    max_bb_instrs = 256
     if runtime is not None:
         is_runtime_addr = runtime.is_runtime_address
         if equivalence:
             memory = runtime.memory
-            max_bb_instrs = runtime.options.max_bb_instrs
     where = "tag=0x%x kind=%s" % (tag, kind)
     try:
         diagnostics = assert_fragment_valid(
             ilist, kind=kind, rules=rules, is_runtime_addr=is_runtime_addr,
             where=where, tag=tag, source_tags=source_tags, memory=memory,
-            max_bb_instrs=max_bb_instrs,
         )
         if structural:
             for instr in ilist:

@@ -1,7 +1,7 @@
 """The in-cache execution engine.
 
 Executes fragment op streams against the application's CPU/memory,
-chaining through linked exits without leaving the cache; returns to the
+following linked exits without leaving the cache; returns to the
 dispatcher only on an unlinked exit or an IBL miss — the
 performance-critical dotted lines of the paper's Figure 1.
 
@@ -25,10 +25,7 @@ Cycle charging:
 Each fragment runs through its closure-compiled step table
 (:mod:`repro.core.closures`): every step has its operand accessors,
 costs and link stubs pre-bound, so the loop is just
-``i = steps[i](self, cpu)``.  Under ``options.chain_engine`` a hot
-fragment whose direct exits are linked runs its chain super-table
-instead (:mod:`repro.core.chains`); both tiers charge cycles and update
-stats identically.
+``i = steps[i](self, cpu)``.
 
 The engine reads the step table once into a local, so a fragment
 replaced mid-execution (adaptive optimization) keeps running its old
@@ -62,14 +59,9 @@ class Executor:
         # The exit the current run() leaves through, recorded by the
         # step that leaves the cache: (reason, next_tag, stub).
         self._exit = None
-        # The fragment whose pass is in flight (a chain's root), named
-        # by memory-fault messages; None between passes.
+        # The fragment whose pass is in flight, named by memory-fault
+        # messages; None between passes.
         self.fragment = None
-        # Per-run() state mirrored onto the executor so chain boundary
-        # steps (repro.core.chains) see exactly what the run loop sees.
-        self._budget = None
-        self._deadline = None
-        self._profile_enter = None
 
     # ------------------------------------------------------------ exit paths
 
@@ -116,11 +108,15 @@ class Executor:
         return None
 
     def _indirect_exit(self, stub, target, cpu, mem, system):
+        """Resolve an indirect branch through the IBL.  Returns the hit
+        fragment, or runs any stub code, charges the context switch,
+        records the dispatcher exit and returns ``None``."""
         runtime = self.runtime
+        counter = runtime.counter
         stats = runtime.stats
         observer = runtime.observer
         if runtime.options.link_indirect:
-            runtime.counter.cycles += runtime.cost.ibl_lookup
+            counter.cycles += runtime.cost.ibl_lookup
             # One dict probe; hit/miss accounting is done here, at the
             # caller, so the table itself stays plumbing-free.
             fragment = runtime.current_thread.ibl.table.get(target)
@@ -134,25 +130,15 @@ class Executor:
             stats.ibl_misses += 1
             if observer is not None:
                 observer.emit(EV_IBL_MISS, target)
-        return self._ibl_miss(stub, target, cpu, mem, system)
-
-    def _ibl_miss(self, stub, target, cpu, mem, system):
-        """Unresolved indirect branch: run any stub code, charge the
-        context switch, and record the dispatcher exit.  Always returns
-        ``None``; shared with the chain compiler's in-step fast path
-        (which has already charged the lookup and counted the miss)."""
-        runtime = self.runtime
-        counter = runtime.counter
-        if stub is not None and stub.stub_ops:
+        if stub.stub_ops:
             self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
         counter.cycles += runtime.cost.context_switch
-        runtime.stats.context_switches += 1
-        observer = runtime.observer
+        stats.context_switches += 1
         if observer is not None:
             observer.emit(
                 EV_CONTEXT_SWITCH,
                 target,
-                from_tag=stub.fragment.tag if stub is not None else None,
+                from_tag=stub.fragment.tag,
                 reason=EXIT_IBL_MISS,
             )
         self._exit = (EXIT_IBL_MISS, target, stub)
@@ -161,10 +147,10 @@ class Executor:
     # ------------------------------------------------------------- main loop
 
     def run(self, fragment, single_step=False, budget=None, deadline=None):
-        """Execute starting at ``fragment``; chain until an unlinked
-        exit (or after one fragment when ``single_step``, or once the
-        thread's instruction ``deadline`` passes — the scheduler's
-        quantum boundary).
+        """Execute starting at ``fragment``; follow linked exits until
+        an unlinked one (or after one fragment when ``single_step``, or
+        once the thread's instruction ``deadline`` passes — the
+        scheduler's quantum boundary).
 
         Returns ``(reason, next_tag, stub)``: the exit the last pass's
         exit step recorded, or a fragment-boundary exit (``stub`` is
@@ -181,16 +167,6 @@ class Executor:
         # cycle stream is identical with tracing on or off.
         observer = runtime.observer
         profile_enter = observer.profile_enter if observer is not None else None
-        # Chains are a multi-fragment construct: never entered when the
-        # dispatcher needs control back after one fragment.
-        chains = None if single_step else runtime.chains
-        if chains is not None:
-            # Mirror per-run state for chain boundary steps, which
-            # perform this loop's per-pass bookkeeping inline
-            # (repro.core.chains); nothing else reads it.
-            self._budget = budget
-            self._deadline = deadline
-            self._profile_enter = profile_enter
         self._exit = None
 
         if budget is not None and self.instructions > budget:
@@ -205,18 +181,9 @@ class Executor:
                 # Step table read once: a fragment replaced
                 # mid-execution keeps running its old steps until the
                 # next exit.
-                if chains is not None:
-                    steps = fragment.chain
-                    if steps is None:
-                        steps = chains.note_pass(fragment)
-                        if steps is None:
-                            steps = fragment.compiled
-                            if steps is None:
-                                steps = compile_fragment(fragment, runtime)
-                else:
-                    steps = fragment.compiled
-                    if steps is None:
-                        steps = compile_fragment(fragment, runtime)
+                steps = fragment.compiled
+                if steps is None:
+                    steps = compile_fragment(fragment, runtime)
                 self.fragment = fragment
                 self._next_fragment = None
                 i = 0

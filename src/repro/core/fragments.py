@@ -112,9 +112,6 @@ class Fragment:
         "generation",
         "compiled",
         "source_spans",
-        "chain",
-        "chain_counter",
-        "chains_in",
         "translation",
     )
 
@@ -154,13 +151,6 @@ class Fragment:
         # cache-consistency region map when options.cache_consistency is
         # on; traces carry the union of their constituent blocks' spans.
         self.source_spans = ()
-        # Chain compiler (repro.core.chains): the stitched super-table
-        # rooted at this fragment, the hot-pass promotion counter, and
-        # the chain records whose tables embed this fragment's steps
-        # (back-pointers for invalidation at unlink chokepoints).
-        self.chain = None
-        self.chain_counter = 0
-        self.chains_in = []
         # Execution-point -> application-PC map (repro.core.translate):
         # built at emit time, drives mid-fragment signal delivery and
         # detach-time state translation.

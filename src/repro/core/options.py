@@ -15,35 +15,32 @@ class RuntimeOptions:
         link_indirect=True,
         traces=True,
         trace_threshold=20,
-        max_trace_bbs=16,
-        max_bb_instrs=256,
         thread_private=True,
         code_cache_limit=None,
         sideline_optimization=False,
         verify_fragments=False,
         verify_equivalence=False,
-        chain_engine=False,
-        chain_threshold=20,
         trace_events=False,
         trace_buffer=65536,
         guard_clients=False,
-        client_fault_limit=3,
         client_hook_budget=None,
         cache_consistency=False,
         cache_evict_policy="flush",
         cache_adaptive=False,
         precise_interrupts=False,
         shield=False,
+        chain_engine=None,
     ):
+        # ``chain_engine`` is accepted and discarded: there is one
+        # execution tier, but bench/workloads.py:88 still passes it.
         # Table 1 mechanisms, cumulative.
         self.bb_cache = bb_cache
         self.link_direct = link_direct
         self.link_indirect = link_indirect
         self.traces = traces
-        # Trace construction parameters.
+        # Trace construction parameter (the block limits are
+        # bb_builder.MAX_BB_INSTRS and trace_builder.MAX_TRACE_BBS).
         self.trace_threshold = trace_threshold
-        self.max_trace_bbs = max_trace_bbs
-        self.max_bb_instrs = max_bb_instrs
         # Cache organization.
         self.thread_private = thread_private
         self.code_cache_limit = code_cache_limit  # bytes, None = unlimited
@@ -81,17 +78,6 @@ class RuntimeOptions:
         # erasure is safe.  Costs zero simulated cycles; off by default
         # so the emit path stays a single attribute check.
         self.verify_equivalence = verify_equivalence
-        # Chain compiler ("second-tier JIT", repro.core.chains): after
-        # chain_threshold executions, a fragment whose direct exits are
-        # linked is stitched together with its linked successors into
-        # one flat step super-table — hot linked chains then run
-        # without returning to Executor.run between fragments, and
-        # indirect branches resolve through an in-step IBL fast path.
-        # Wall-clock only: simulated cycles, stats, and events are
-        # bit-identical to the closure step tables alone.  Off by
-        # default.
-        self.chain_engine = chain_engine
-        self.chain_threshold = chain_threshold
         # Observability (repro.observe): record typed runtime events
         # and per-fragment cycle attribution.  Off by default — the
         # runtime's observer is None and every emit site is a single
@@ -103,20 +89,19 @@ class RuntimeOptions:
         # Resilience (repro.resilience, "drguard").  guard_clients wraps
         # every client hook site in a fault guard: an exception (other
         # than a deliberate ClientHalt) discards the client's transform,
-        # re-emits the fragment verbatim, and after client_fault_limit
+        # re-emits the fragment verbatim, and after guard.FAULT_LIMIT
         # faults quarantines the client entirely (hooks disabled, run
         # continues at native fidelity).  Off by default: runtime.guard
         # is None and every hook site pays one pointer check; the guard
         # itself charges no simulated cycles, so results are identical
         # with guarding on or off for a well-behaved client.
         self.guard_clients = guard_clients
-        self.client_fault_limit = client_fault_limit
         # Optional deterministic hook budget: maximum number of Python
         # trace events (lines executed, calls, returns) a single client
         # hook may consume before it is treated as faulting.  None (the
         # default) disables budget enforcement; the chaos harness sets
-        # it to contain runaway hooks.  Deterministic across engines
-        # because hooks run at fragment-build time, not per-instruction.
+        # it to contain runaway hooks.  Deterministic because hooks run
+        # at fragment-build time, not per-instruction.
         self.client_hook_budget = client_hook_budget
         # Cache consistency: monitor stores into already-translated
         # application code (self-modifying code), invalidate and unlink
@@ -125,20 +110,21 @@ class RuntimeOptions:
         self.cache_consistency = cache_consistency
         # Precise interrupts ("drdetach", repro.core.translate): compile
         # an interrupt poll at every application-consistent step inside
-        # fragments and chains, so due alarms and pending detach
-        # requests are honored *mid-fragment* with a latency bounded by
-        # the longest fused run (<= max_bb_instrs instructions) instead
-        # of waiting for the next dispatcher boundary.  Off by default: the step tables carry no polls and
-        # every simulated result is bit-identical to the pre-translation
-        # runtime.  Detach itself works either way — boundary
-        # granularity without polls, mid-fragment with them.
+        # fragments, so due alarms and pending detach requests are
+        # honored *mid-fragment* with a latency bounded by the longest
+        # fused run (<= bb_builder.MAX_BB_INSTRS instructions) instead
+        # of waiting for the next dispatcher boundary.  Off by default:
+        # the step tables carry no polls and every simulated result is
+        # bit-identical to the pre-translation runtime.  Detach itself
+        # works either way — boundary granularity without polls,
+        # mid-fragment with them.
         self.precise_interrupts = precise_interrupts
         # Self-protection and failsafe ("drshield", repro.resilience
         # .shield): watch runtime-owned memory (code cache, exit stubs,
         # IBL tables, runtime scratch) for errant application stores and
         # recover by invalidating only the clobbered unit; wrap the
         # runtime's own chokepoints (build, emit, link, unlink, evict,
-        # trace, chain) in a RuntimeGuard whose escalation ladder runs
+        # trace) in a RuntimeGuard whose escalation ladder runs
         # retry -> discard -> flush -> disable-subsystem -> detach to
         # native.  Off by default: runtime.shield/rguard are None, every
         # new check is a single pointer test, and results are

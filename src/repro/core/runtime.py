@@ -18,7 +18,7 @@ from repro.core.bb_builder import (
     block_source_span,
     build_basic_block,
 )
-from repro.core.chains import ChainManager
+from repro.core import trace_builder
 from repro.core.code_cache import CacheFullError, CodeRegionMap
 from repro.core.emit import emit_body, emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
@@ -74,6 +74,34 @@ class MemoEntry:
         self.body = body
 
 
+def _move_incoming(fragment, to=None):
+    """Re-point the links into ``fragment`` at ``to`` (``None``
+    unlinks them); returns how many moved."""
+    moved = 0
+    for stub in fragment.incoming:
+        if stub.linked_to is fragment:
+            stub.linked_to = to
+            if to is not None:
+                to.incoming.append(stub)
+            moved += 1
+    fragment.incoming = []
+    return moved
+
+
+def _unlink_outgoing(fragment):
+    """Unlink every exit of ``fragment``; returns how many were linked."""
+    unlinked = 0
+    for stub in fragment.exits:
+        if stub.linked_to is not None:
+            try:
+                stub.linked_to.incoming.remove(stub)
+            except ValueError:
+                pass
+            stub.linked_to = None
+            unlinked += 1
+    return unlinked
+
+
 class DynamoRIO:
     """The runtime system coupling a process, options, and a client."""
 
@@ -105,11 +133,9 @@ class DynamoRIO:
         # whole program to this interpreter, whose threads then hold the
         # application's final state.
         self.emulator = None
-        # Chain compiler ("second-tier JIT", repro.core.chains):
-        # stitches hot linked fragments' step tables into dispatch-free
-        # super-tables.  Wall-clock only — cycles/stats/events stay
-        # bit-identical.
-        self.chains = ChainManager(self) if self.options.chain_engine else None
+        # Always None: there is one execution tier, but
+        # bench/layers.py:235 still reads this attribute.
+        self.chains = None
         # drguard: None unless guarding is enabled — every hook site
         # checks the pointer once, exactly like the observer.
         self.guard = (
@@ -172,8 +198,7 @@ class DynamoRIO:
 
     def _fault_context(self):
         """The application tag a memory fault names: the fragment whose
-        pass is in flight (a chain pass names its root), else the
-        current thread's resume tag."""
+        pass is in flight, else the current thread's resume tag."""
         fragment = self.executor.fragment
         if fragment is not None:
             return fragment.tag
@@ -202,10 +227,11 @@ class DynamoRIO:
         region = self.memory.region_containing(addr)
         return region is not None and region.name in ("runtime_heap", "code_cache")
 
-    def _new_thread(self, lay):
+    def _new_thread(self, lay, share_from=None):
         base = lay.CODE_CACHE_BASE + len(self.threads) * 0x100000
         thread = ThreadContext(
-            self, base, cache_limit=self.options.code_cache_limit
+            self, base, cache_limit=self.options.code_cache_limit,
+            share_from=share_from,
         )
         self.threads.append(thread)
         return thread
@@ -249,9 +275,7 @@ class DynamoRIO:
         ):
             entry = None  # the code was written since: decode it afresh
         if entry is None:
-            ilist = build_basic_block(
-                self.memory, tag, max_instrs=options.max_bb_instrs
-            )
+            ilist = build_basic_block(self.memory, tag)
             count = block_instr_count(ilist)
             span = (
                 block_source_span(ilist, tag)
@@ -435,8 +459,8 @@ class DynamoRIO:
     def _evict_fifo(self, cache, fragment, thread=None):
         """Capacity pressure under ``cache_evict_policy="fifo"``: evict
         resident fragments one at a time in allocation order — through
-        the full delete chokepoint (unlink, chain dissolution, region-
-        map deregistration, IBL removal, ``fragment_deleted`` hook) —
+        the full delete chokepoint (unlink, region-map deregistration,
+        IBL removal, ``fragment_deleted`` hook) —
         until the incoming fragment fits.  If nothing can make it fit
         (fragment larger than the unit) the cache drains to empty and
         the empty-cache rule accepts it as the sole resident."""
@@ -529,31 +553,13 @@ class DynamoRIO:
         if thread is None:
             thread = self.current_thread
         fragment.deleted = True
-        # Every deletion path (flush, eviction, SMC invalidation,
-        # client quarantine) funnels through here: demote any chain
-        # whose super-table embeds this fragment.
-        if self.chains is not None:
-            self.chains.invalidate(fragment)
         if self.region_map is not None:
             self.region_map.unregister(fragment)
         thread.ibl.remove(fragment)
         if from_cache:
             cache = thread.trace_cache if fragment.is_trace else thread.bb_cache
             cache.remove(fragment)
-        unlinked = 0
-        for stub in fragment.incoming:
-            if stub.linked_to is fragment:
-                stub.linked_to = None
-                unlinked += 1
-        fragment.incoming = []
-        for stub in fragment.exits:
-            if stub.linked_to is not None:
-                try:
-                    stub.linked_to.incoming.remove(stub)
-                except ValueError:
-                    pass
-                stub.linked_to = None
-                unlinked += 1
+        unlinked = _move_incoming(fragment) + _unlink_outgoing(fragment)
         self.stats.fragments_deleted += 1
         observer = self.observer
         if observer is not None:
@@ -611,8 +617,8 @@ class DynamoRIO:
     def _teardown_caches(self):
         """Shared detach/quarantine teardown: drop all in-progress
         client-visible state and flush every fragment through the
-        ``_delete_fragment`` chokepoint (chain dissolution, region-map
-        deregistration, IBL removal, unlink, ``fragment_deleted``)."""
+        ``_delete_fragment`` chokepoint (region-map deregistration, IBL
+        removal, unlink, ``fragment_deleted``)."""
         self.pending_trace_heads.clear()
         seen = set()
         for thread in self.threads:
@@ -700,28 +706,8 @@ class DynamoRIO:
         """Client API: dr_mark_trace_head."""
         self.pending_trace_heads.add(tag)
         fragment = self.current_thread.bb_cache.lookup(tag)
-        if fragment is not None and not fragment.is_trace_head:
-            fragment.is_trace_head = True
-            self.current_thread.ibl.remove(fragment)
-            # unlink incoming so entries flow through dispatch
-            unlinked = 0
-            for stub in fragment.incoming:
-                if stub.linked_to is fragment:
-                    stub.linked_to = None
-                    unlinked += 1
-            fragment.incoming = []
-            # Chains stitched through those links must not skip the
-            # head's dispatch-side entry counting.
-            if self.chains is not None:
-                self.chains.invalidate(fragment)
-            observer = self.observer
-            if observer is not None:
-                if unlinked:
-                    observer.emit(
-                        EV_FRAGMENT_UNLINK, tag, reason="trace_head",
-                        links=unlinked,
-                    )
-                observer.emit(EV_TRACE_HEAD_PROMOTED, tag, reason="client")
+        if fragment is not None:
+            self._make_trace_head(fragment, "client")
 
     def _note_branch_origin(self, stub, target_fragment):
         """Default trace-head detection: targets of backward branches
@@ -732,7 +718,7 @@ class DynamoRIO:
             return
         src = stub.fragment
         if src.is_trace:
-            self._make_trace_head(target_fragment)
+            self._make_trace_head(target_fragment, "backward_branch")
             return
         # Backward-branch heuristic: direct non-call branches only.
         if (
@@ -740,24 +726,17 @@ class DynamoRIO:
             and not stub.is_call_exit
             and target_fragment.tag <= src.tag
         ):
-            self._make_trace_head(target_fragment)
+            self._make_trace_head(target_fragment, "backward_branch")
 
-    def _make_trace_head(self, fragment):
+    def _make_trace_head(self, fragment, reason):
+        """Promote ``fragment`` to a trace head: out of the IBL, its
+        incoming links undone, so entries flow through dispatch and its
+        counter advances."""
         if fragment.is_trace_head:
             return
         fragment.is_trace_head = True
-        thread = self.current_thread
-        thread.ibl.remove(fragment)
-        unlinked = 0
-        for stub in fragment.incoming:
-            if stub.linked_to is fragment:
-                stub.linked_to = None
-                unlinked += 1
-        fragment.incoming = []
-        # Chains stitched through those links must not skip the head's
-        # dispatch-side entry counting.
-        if self.chains is not None:
-            self.chains.invalidate(fragment)
+        self.current_thread.ibl.remove(fragment)
+        unlinked = _move_incoming(fragment)
         observer = self.observer
         if observer is not None:
             if unlinked:
@@ -765,9 +744,7 @@ class DynamoRIO:
                     EV_FRAGMENT_UNLINK, fragment.tag, reason="trace_head",
                     links=unlinked,
                 )
-            observer.emit(
-                EV_TRACE_HEAD_PROMOTED, fragment.tag, reason="backward_branch"
-            )
+            observer.emit(EV_TRACE_HEAD_PROMOTED, fragment.tag, reason=reason)
 
     # ---------------------------------------------------------------- traces
 
@@ -850,15 +827,7 @@ class DynamoRIO:
         # Shadow the head bb: redirect its incoming links to the trace.
         head_bb = thread.bb_cache.lookup(recording.head_tag)
         if head_bb is not None:
-            # Chains baked the bb as a stitch target; the re-pointed
-            # links must flow into the trace instead.
-            if self.chains is not None:
-                self.chains.invalidate(head_bb)
-            for stub in head_bb.incoming:
-                if stub.linked_to is head_bb:
-                    stub.linked_to = fragment
-                    fragment.incoming.append(stub)
-            head_bb.incoming = []
+            _move_incoming(head_bb, fragment)
         thread.trace_in_progress = None
         return fragment
 
@@ -896,21 +865,13 @@ class DynamoRIO:
 
     # ------------------------------------------------------------------ run
 
-    def _spawn_app_thread(self, entry, stack_pointer):
-        """SYS_SPAWN handler: create a thread with its own (private)
+    def _spawn_thread(self, entry, stack_pointer):
+        """A new application thread at ``entry`` with its own (private)
         code caches — or shared ones in the ablation configuration."""
-        lay = self.process.layout
-        if self.options.thread_private:
-            thread = self._new_thread(lay)
-        else:
-            base = lay.CODE_CACHE_BASE + len(self.threads) * 0x100000
-            thread = ThreadContext(
-                self,
-                base,
-                cache_limit=self.options.code_cache_limit,
-                share_from=self.threads[0],
-            )
-            self.threads.append(thread)
+        thread = self._new_thread(
+            self.process.layout,
+            None if self.options.thread_private else self.threads[0],
+        )
         thread.cpu.pc = entry & 0xFFFFFFFF
         thread.cpu.regs[4] = stack_pointer & 0xFFFFFFFF
         thread.resume_tag = thread.cpu.pc
@@ -922,6 +883,11 @@ class DynamoRIO:
                 thread_index=len(self.threads) - 1,
                 private=self.options.thread_private,
             )
+        return thread
+
+    def _spawn_app_thread(self, entry, stack_pointer):
+        """SYS_SPAWN handler while attached."""
+        thread = self._spawn_thread(entry, stack_pointer)
         # the running thread must yield so the new one gets scheduled
         self._need_reschedule = True
         if self.client is not None:
@@ -932,8 +898,8 @@ class DynamoRIO:
     def detach(self, reattach_after=None):
         """Request a transparent detach (dr_detach).
 
-        The engines unwind at the next application-consistent point —
-        mid-fragment/mid-chain under ``options.precise_interrupts``, the
+        Execution unwinds at the next application-consistent point —
+        mid-fragment under ``options.precise_interrupts``, the
         next fragment boundary otherwise — where every thread's state is
         translated back to application state (repro.core.translate) and
         execution continues natively, bit-identical to a never-attached
@@ -946,8 +912,8 @@ class DynamoRIO:
         """
         self._detach_pending = True
         self._reattach_after = reattach_after
-        # Reuse the scheduler's unwind path: every engine (run loop,
-        # chain fast paths, dispatcher) already breaks on this flag.
+        # Reuse the scheduler's unwind path: the run loop and the
+        # dispatcher already break on this flag.
         self._need_reschedule = True
 
     @property
@@ -1049,31 +1015,9 @@ class DynamoRIO:
             # A thread spawned while detached still becomes a runtime
             # ThreadContext so reattach adopts it; the client meets it
             # (thread_init) at reattach time.
-            lay = self.process.layout
-            if self.options.thread_private:
-                ctx = self._new_thread(lay)
-            else:
-                base = lay.CODE_CACHE_BASE + len(self.threads) * 0x100000
-                ctx = ThreadContext(
-                    self,
-                    base,
-                    cache_limit=self.options.code_cache_limit,
-                    share_from=self.threads[0],
-                )
-                self.threads.append(ctx)
-            ctx.cpu.pc = entry & 0xFFFFFFFF
-            ctx.cpu.regs[4] = stack_pointer & 0xFFFFFFFF
-            ctx.resume_tag = ctx.cpu.pc
+            ctx = self._spawn_thread(entry, stack_pointer)
             self._threads_since_detach.append(ctx)
             pairs.append((ctx, interp.adopt_thread(ctx.cpu)))
-            self.counter.count("threads_spawned")
-            if self.observer is not None:
-                self.observer.emit(
-                    EV_THREAD_SPAWN,
-                    ctx.cpu.pc,
-                    thread_index=len(self.threads) - 1,
-                    private=self.options.thread_private,
-                )
 
         self.system.spawn_thread = native_spawn
         rotor = 0
@@ -1297,7 +1241,7 @@ class DynamoRIO:
             end = False
         else:
             end = default_end_of_trace(recording, last, fragment.tag, thread)
-        if len(recording) >= self.options.max_trace_bbs:
+        if len(recording) >= trace_builder.MAX_TRACE_BBS:
             end = True
         if fragment.is_trace:
             end = True
@@ -1419,27 +1363,11 @@ class DynamoRIO:
         thread.ibl.remove(old)
         if not (new.is_trace_head and not new.is_trace):
             thread.ibl.insert(new)
-        # Re-point incoming links at the new fragment.
-        for stub in old.incoming:
-            if stub.linked_to is old:
-                stub.linked_to = new
-                new.incoming.append(stub)
-        old.incoming = []
-        # Outgoing links of the old fragment dissolve.
-        unlinked = 0
-        for stub in old.exits:
-            if stub.linked_to is not None:
-                try:
-                    stub.linked_to.incoming.remove(stub)
-                except ValueError:
-                    pass
-                stub.linked_to = None
-                unlinked += 1
+        # Re-point incoming links at the new fragment; the old one's
+        # outgoing links dissolve.
+        _move_incoming(old, new)
+        unlinked = _unlink_outgoing(old)
         old.deleted = True
-        # Chains embedding the old version (as root or stitch target)
-        # dissolve; the new fragment re-promotes on its own heat.
-        if self.chains is not None:
-            self.chains.invalidate(old)
         if self.region_map is not None:
             # The replacement covers the same application code.
             new.source_spans = old.source_spans

@@ -27,6 +27,10 @@ END_TRACE = 1
 CONTINUE_TRACE = 0
 DEFAULT_TRACE_END = -1
 
+# Longest trace, in basic blocks: recording ends here whatever the
+# client's end-trace answer.
+MAX_TRACE_BBS = 16
+
 
 class TraceRecording:
     """Blocks accumulated while in trace generation mode."""

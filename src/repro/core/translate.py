@@ -31,15 +31,13 @@ translate_step` — which is exactly how delivery works: interruption
 requests (a due alarm, a pending detach) made between consistent
 points are acted on at the next one, giving mid-fragment delivery a
 deterministic latency bounded by the longest fused run (at most
-``options.max_bb_instrs`` instructions).
+``bb_builder.MAX_BB_INSTRS`` instructions).
 
-The same table drives both engine tiers so they stay bit-identical:
-
-* the closure engine wraps exactly the poll-point steps — segments
-  included — with :func:`make_poll_step` at compile time;
-* the chain compiler's stitched exits and rebased segments replace
-  steps inside that same compile, so :func:`wrap_poll_steps` wraps
-  them at the same plan indices.
+The table and the closure step tables (:mod:`repro.core.closures`) are
+the whole mechanism: one compiled version of the program, mapped back
+to application PCs.  :func:`wrap_poll_steps` wraps exactly the
+poll-point steps, segments included, with :func:`make_poll_step` at
+compile time.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the
@@ -99,7 +97,7 @@ def build_translation(tag, code, source_instrs, plan):
     fragment.  ``source_instrs`` has one entry per op in ``code`` — the
     Instr each op was lowered from (``None`` for clean-call pseudo-ops);
     ``plan`` is the body's :func:`~repro.core.closures.plan_fragment`
-    result, so poll points follow the engines' step boundaries.
+    result, so poll points follow the step boundaries.
     """
     pcs = tuple(_source_pc(instr) for instr in source_instrs)
     plans, _step_of, table_len = plan

@@ -18,6 +18,7 @@ The blocks measured are all static basic blocks of the whole workload
 suite, discovered by scanning each image's code section.
 """
 
+import gc
 import time
 
 from repro.ir.instr import Instr
@@ -102,12 +103,21 @@ def run(scale="test", repeats=3, limit=400):
         built = [process_block_at_level(raw, pc, level) for pc, raw in blocks]
         memory = sum(il.memory_footprint() for il in built) / len(built)
         best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for pc, raw in blocks:
-                process_block_at_level(raw, pc, level)
-            elapsed = time.perf_counter() - t0
-            best = min(best, elapsed)
+        # Timed with the cyclic collector off, as ``timeit`` does: a full
+        # collection of whatever else the process holds (a test
+        # session's heap) is not this level's cost.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                for pc, raw in blocks:
+                    process_block_at_level(raw, pc, level)
+                elapsed = time.perf_counter() - t0
+                best = min(best, elapsed)
+        finally:
+            if gc_enabled:
+                gc.enable()
         avg_us = best / len(blocks) * 1e6
         results[level] = (avg_us, memory)
     return results

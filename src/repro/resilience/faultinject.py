@@ -3,9 +3,8 @@
 A :class:`FaultPlan` derives, from ``(kind, seed)``, *which* hook
 invocations misbehave — everything downstream of the seed is pure
 arithmetic, so the same plan produces the same faults at the same
-points on every run and under both execution engines.  A
-:class:`FaultInjectingClient` wraps a real client and plants the
-planned bug:
+points on every run.  A :class:`FaultInjectingClient` wraps a real
+client and plants the planned bug:
 
 ``raise_in_hook``      raise from the basic-block hook;
 ``corrupt_instrlist``  append a branch to an orphan label (the hook
@@ -41,7 +40,7 @@ runtime's own chokepoints — no client involved at all:
 ``runtime_raise:<site>``  raise :class:`~repro.resilience.shield.
                        InjectedRuntimeFault` at chokepoint ``<site>``
                        (one of bb_build, emit, link, unlink, evict,
-                       trace, chain) on the scheduled invocations; the
+                       trace) on the scheduled invocations; the
                        escalation ladder must contain every one;
 ``errant_write``       after scheduled builds, store into runtime-owned
                        memory (fragment body, exit stub, IBL range,
@@ -137,9 +136,8 @@ class RuntimeFaultPlan:
     chokepoint and :meth:`fires` is consulted against that site's
     per-site call counter; for ``errant_write``/``livelock`` it is
     consulted against the successful-build counter.  Chokepoint
-    invocation counts are a deterministic property of the dispatcher
-    (identical on the closure and chain engines), so one plan
-    fires at the same logical points everywhere.
+    invocation counts are a deterministic property of the dispatcher,
+    so one plan fires at the same logical points on every run.
 
     ``livelock`` fires on *every* build past ``start`` — a periodic
     schedule would let non-firing builds execute and reset the

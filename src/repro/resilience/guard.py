@@ -15,7 +15,7 @@ the runtime owns a guard and every client hook site routes through it:
   effect discarded; execution continues.
 * **Event tracers**: a faulting tracer is detached and recorded.
 
-After ``client_fault_limit`` faults the client is *quarantined*: all
+After ``FAULT_LIMIT`` faults the client is *quarantined*: all
 caches are flushed (dropping every client-instrumented fragment),
 in-progress trace recordings are abandoned, and every subsequent hook
 site skips the client entirely — the run continues at native fidelity.
@@ -23,7 +23,7 @@ site skips the client entirely — the run continues at native fidelity.
 ``client_hook_budget`` optionally bounds how much Python work a single
 hook may do, measured in ``sys.settrace`` events (calls, lines,
 returns).  That count is a deterministic property of the client code
-path — identical on every engine, unlike wall-clock time — so a
+path — identical on every run, unlike wall-clock time — so a
 runaway hook faults reproducibly.
 
 The guard charges **no simulated cycles** of its own: hook-site cycle
@@ -82,13 +82,15 @@ _PASSTHROUGH = (
 # runtime faults are exactly what the escalation ladder must catch.
 RUNTIME_PASSTHROUGH = (ClientHalt, ProgramExit, ThreadExit)
 
+# Client faults before quarantine.
+FAULT_LIMIT = 3
+
 
 class ClientGuard:
     """Fault-isolation state for one runtime's client."""
 
     def __init__(self, runtime):
         self.runtime = runtime
-        self.fault_limit = runtime.options.client_fault_limit
         self.hook_budget = runtime.options.client_hook_budget
         self.faults = 0
         self.quarantined = False
@@ -138,7 +140,7 @@ class ClientGuard:
             observer.emit(
                 EV_CLIENT_FAULT, tag, phase=phase, error=type(exc).__name__
             )
-        if not self.quarantined and self.faults >= self.fault_limit:
+        if not self.quarantined and self.faults >= FAULT_LIMIT:
             self.quarantine()
 
     def quarantine(self):
@@ -158,7 +160,7 @@ class ClientGuard:
                 EV_CLIENT_QUARANTINED,
                 None,
                 faults=self.faults,
-                limit=self.fault_limit,
+                limit=FAULT_LIMIT,
             )
 
     # ------------------------------------------------------------ hook sites

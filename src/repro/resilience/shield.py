@@ -34,11 +34,11 @@ paths.  Behind ``options.shield`` this module supplies both defenses:
 :class:`RuntimeGuard` — internal fault containment.
 
 Wraps the runtime's chokepoints (bb build, emit, link, unlink,
-eviction, trace promotion, chain build).  An unexpected exception
-becomes a recorded ``shield_fault`` and a rung on the recovery ladder:
-retry the translation → discard the fragment/recording → flush the
-thread's caches → disable the optional subsystem that faulted (chains,
-traces, fifo eviction, direct linking) with a ``subsystem_disabled``
+eviction, trace promotion).  An unexpected exception becomes a
+recorded ``shield_fault`` and a rung on the recovery ladder: retry the
+translation → discard the fragment/recording → flush the thread's
+caches → disable the optional subsystem that faulted (traces, fifo
+eviction, direct linking) with a ``subsystem_disabled``
 event → full ``Runtime.detach()`` to native after ``FAULT_LIMIT``
 faults.  Every seeded internal fault therefore ends in a correct
 native-fidelity run, never a traceback.
@@ -65,7 +65,7 @@ SHIELD_RESERVE = 0x10000
 IBL_RANGE_SIZE = 0x800
 
 # Chokepoints the containment ladder covers (the fault-injection sites).
-RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace", "chain")
+RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace")
 
 # Internal faults tolerated before the ladder's last rung (a full
 # detach to native).
@@ -83,7 +83,6 @@ _DISABLE_RULES = {
     "link": (2, "direct_linking"),
     "evict": (2, "fifo_eviction"),
     "trace": (3, "traces"),
-    "chain": (2, "chains"),
 }
 
 
@@ -142,7 +141,7 @@ class Shield:
         SMC into application code is not ours — the cache-consistency
         watcher owns it.  A store into runtime-owned memory is recorded
         (attribution happens now, while the clobbered structures still
-        exist) and delivered by ``deliver`` once the engines unwind at
+        exist) and delivered by ``deliver`` once execution unwinds at
         an application-consistent point.
         """
         runtime = self.runtime
@@ -165,8 +164,8 @@ class Shield:
             }
         )
         runtime._shield_pending = True
-        # Reuse the scheduler's unwind path (same as detach): every
-        # engine breaks at the next fragment boundary or poll.
+        # Reuse the scheduler's unwind path (same as detach): execution
+        # breaks at the next fragment boundary or poll.
         runtime._need_reschedule = True
 
     def _attribute(self, addr):
@@ -212,7 +211,7 @@ class Shield:
     def deliver(self):
         """Handle pending errant writes at a consistent point.
 
-        Called from the run loop once the engines have unwound (the
+        Called from the run loop once execution has unwound (the
         same place a pending detach is honored).  Emits one
         ``shield_fault`` per recorded store — with the faulting
         application PC read off the writing thread's translated resume
@@ -472,10 +471,7 @@ class RuntimeGuard:
                 faults=self.site_faults.get(site, 0),
             )
         options = runtime.options
-        if subsystem == "chains":
-            runtime.chains = None
-            options.chain_engine = False
-        elif subsystem == "traces":
+        if subsystem == "traces":
             options.traces = False
             for thread in runtime.threads:
                 thread.trace_in_progress = None

@@ -10,19 +10,17 @@ Every cell pairs a real client wrapped in a
 workload, under ``guard_clients`` + ``cache_consistency`` + fragment
 verification, and is checked by the differential oracle
 (:mod:`repro.tools.oracle`: nothing escapes, native output, exit
-code and final state, replay-exact stats, cross-engine identity).  The cell's own
-checks add that the fault was *exercised*, not dodged: the expected
-resilience events fired, the plan fired, an alarm landed mid-fragment,
-and the equivalence rule flagged every injected ``corrupt_instrlist``
-and ``cache_poison``.
+code and final state, replay-exact stats).  The cell's own checks add
+that the fault was *exercised*, not dodged: the expected resilience
+events fired, the plan fired, an alarm landed mid-fragment, and the
+equivalence rule flagged every injected ``corrupt_instrlist`` and
+``cache_poison``.
 
 ``--runtime`` switches to the drshield matrix: no client at all, the
 faults target the *runtime's own* chokepoints (``runtime_raise:<site>``)
 or plant errant stores / livelock (see
-:class:`~repro.resilience.faultinject.RuntimeFaultPlan`).  Each cell runs
-on the closure and chain engines; beyond the oracle (whose full
-event-stream identity makes the escalation ladder's events identical
-across engines), the plan must fire and the ladder must engage (a
+:class:`~repro.resilience.faultinject.RuntimeFaultPlan`).  Beyond the
+oracle, the plan must fire and the ladder must engage (a
 ``shield_fault``, or a watchdog trip for livelock).
 
 Exit status is non-zero if any run violates the contract.
@@ -41,7 +39,7 @@ from repro.resilience.faultinject import (
     FaultPlan,
     RuntimeFaultPlan,
 )
-from repro.tools.oracle import ENGINES, Cell, sweep
+from repro.tools.oracle import Cell, sweep
 from repro.tools.run import CLIENTS
 
 # ------------------------------------------------------------------ workloads
@@ -206,7 +204,6 @@ DETACH_KINDS = ("detach", "reattach", "mid_fragment_signal")
 def client_options(fault_kind):
     options = RuntimeOptions.with_traces()
     options.guard_clients = True
-    options.client_fault_limit = 3
     options.client_hook_budget = 200000
     options.cache_consistency = True
     options.verify_fragments = True
@@ -258,7 +255,7 @@ def equivalence_flagged(run):
         )
 
 
-def client_cell(image, client_name, fault_kind, seed, columns=("closure",)):
+def client_cell(image, client_name, fault_kind, seed):
     """One chaos cell: ``client_name`` behind a seeded fault injector."""
 
     def client():
@@ -277,7 +274,6 @@ def client_cell(image, client_name, fault_kind, seed, columns=("closure",)):
         image,
         options=lambda: client_options(fault_kind),
         client=client,
-        columns=columns,
         checks=tuple(checks),
         client_faults=True,
     )
@@ -296,13 +292,6 @@ def runtime_fault_workloads(matrix):
     return ("loop", "indirect", "signal")
 
 
-def runtime_engines(fault_kind):
-    # The chain chokepoint only exists on the chain engine.
-    if fault_kind == "runtime_raise:chain":
-        return ("chain",)
-    return ENGINES
-
-
 def runtime_options(fault_kind):
     options = RuntimeOptions.with_traces()
     options.shield = True
@@ -310,7 +299,6 @@ def runtime_options(fault_kind):
     options.trace_buffer = None
     options.precise_interrupts = True
     options.trace_threshold = 3
-    options.chain_threshold = 3
     if fault_kind in PRESSURE_KINDS:
         options.code_cache_limit = 256
     if fault_kind == "runtime_raise:evict":
@@ -335,8 +323,7 @@ def ladder_engaged(run):
 
 
 def runtime_cell(image, fault_kind, seed):
-    """One drshield cell: a seeded runtime fault plan on every engine
-    that has the faulting chokepoint."""
+    """One drshield cell: a seeded runtime fault plan."""
     # Trace finalization only runs a handful of times in these short
     # workloads, so the plan must start at the first one to be
     # guaranteed to fire; the period still varies with the seed.
@@ -348,7 +335,6 @@ def runtime_cell(image, fault_kind, seed):
     return Cell(
         image,
         options=lambda: runtime_options(fault_kind),
-        columns=runtime_engines(fault_kind),
         setup=install_plan,
         checks=(runtime_plan_fired, ladder_engaged),
     )
@@ -359,8 +345,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=4, help="seeds per cell")
     parser.add_argument(
         "--matrix", default="small", choices=["small", "full"],
-        help="small: 3 clients, 2 workloads/fault, closure only; "
-        "full: 5 clients, every engine",
+        help="small: 3 clients, 2 workloads/fault; "
+        "full: 5 clients, 3 workloads/fault",
     )
     parser.add_argument(
         "--fault",
@@ -397,10 +383,9 @@ def main(argv=None):
         title = "chaos"
         small = args.matrix == "small"
         clients = SMALL_CLIENTS if small else FULL_CLIENTS
-        columns = ("closure",) if small else ENGINES
         cells = (
             ("%-16s %-8s %-7s seed=%d" % (kind, workload, client_name, seed),
-             client_cell(images[workload], client_name, kind, seed, columns))
+             client_cell(images[workload], client_name, kind, seed))
             for kind in ((args.fault,) if args.fault else FAULT_KINDS)
             for workload in fault_workloads(kind, args.matrix)
             for client_name in clients

@@ -5,14 +5,13 @@ Usage::
     python -m repro.tools.detach_diff
     python -m repro.tools.detach_diff --benchmarks gzip --modes detach
 
-Each cell runs a benchmark on both engines under
-``precise_interrupts`` with a client that clean-calls every block and
-detaches at the k-th dynamic call, mid-fragment, from inside cache
-execution.  The differential oracle (:mod:`repro.tools.oracle`) holds
-the native continuation byte-identical to a run that was *never*
-attached (and its final registers and eflags equal, unless native took
-a signal), the event stream replay-exact, and the engines identical;
-the cell's own checks add:
+Each cell runs a benchmark under ``precise_interrupts`` with a client
+that clean-calls every block and detaches at the k-th dynamic call,
+mid-fragment, from inside cache execution.  The differential oracle
+(:mod:`repro.tools.oracle`) holds the native continuation
+byte-identical to a run that was *never* attached (and its final
+registers and eflags equal, unless native took a signal) and the event
+stream replay-exact; the cell's own checks add:
 
 * exactly one detach; ``detach`` mode stays native to program exit,
   ``reattach`` mode resumes translated execution after a native
@@ -64,7 +63,6 @@ class DetachClient(Client):
 
 def detach_options(**overrides):
     return RuntimeOptions(
-        chain_threshold=3,
         precise_interrupts=True,
         trace_events=True,
         trace_buffer=None,

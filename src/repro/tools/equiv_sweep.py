@@ -6,14 +6,12 @@ Usage::
     python -m repro.tools.equiv_sweep --benchmarks mgrid,mcf --clients all
 
 Each cell runs a benchmark under ``verify_fragments`` +
-``verify_equivalence`` on the closure engine and is checked by the
-differential oracle (:mod:`repro.tools.oracle`): no VerificationError
-escapes (a clean client must never trip the checker), output, exit
-code and final state match native, and zero error-severity
-diagnostics were recorded (warnings — e.g. the custom-trace client's
-assumed return continuations — do not fail the sweep).  Verification
-runs at emit, and chains emit nothing of their own, so a chain column
-would only verify the same fragments again.
+``verify_equivalence`` and is checked by the differential oracle
+(:mod:`repro.tools.oracle`): no VerificationError escapes (a clean
+client must never trip the checker), output, exit code and final state
+match native, and zero error-severity diagnostics were recorded
+(warnings — e.g. the custom-trace client's assumed return
+continuations — do not fail the sweep).
 
 Exit status is non-zero on any violation.  This is the clean-run half of
 the drequiv contract (no false positives); the chaos harness covers the
@@ -49,7 +47,7 @@ def sweep_cell(image, client_name):
             return ProgramShepherding(image=image)
     else:
         client = CLIENTS[client_name]
-    return Cell(image, options=options, client=client, columns=("closure",))
+    return Cell(image, options=options, client=client)
 
 
 def main(argv=None):

@@ -381,7 +381,6 @@ def _lint_equiv(image, client_name, report):
                     tag=fragment.tag,
                     source_tags=fragment.source_tags,
                     memory=runtime.memory,
-                    max_bb_instrs=runtime.options.max_bb_instrs,
                 )
                 checked += 1
                 report.add("%s@0x%x" % (fragment.kind, tag), diagnostics)

@@ -3,20 +3,19 @@
 Transparency is the runtime's core promise: a program that is cached,
 linked, traced and rewritten by clients behaves exactly as it does
 natively.  Every differential harness (the chaos, detach and
-equivalence CLIs, the simulated golden's engine cross-check, the
-verification-cost benchmark, the engine-determinism tests) is a matrix
-of :class:`Cell` objects handed to :func:`check`.
+equivalence CLIs, the verification-cost benchmark, the determinism
+tests) is a matrix of :class:`Cell` objects handed to :func:`check`.
 
 A cell is one program under one configuration, run once per
-:class:`Column`: by default the two engine tiers of :data:`ENGINES`, or
-option and runtime-hook variants (shield on/off, memo vs a memo that
-never hits).  ``check`` runs the program natively once per image, then
-every column, and applies one fixed invariant set.  Each failure names
-its invariant: per run ``exception``, ``output`` and ``exit_code``
-(against native), ``final_state`` (per-thread registers and eflags
-against native, unless native delivered a signal: delivery at a
-fragment boundary legitimately moves the point of interruption),
-``replay``, ``chain_integrity`` and ``verifier``; across columns
+:class:`Column`: by default one runtime column, or option and
+runtime-hook variants (traced/untraced, shield on/off, memo vs a memo
+that never hits).  ``check`` runs the program natively once per image,
+then every column, and applies one fixed invariant set.  Each failure
+names its invariant: per run ``exception``, ``output`` and
+``exit_code`` (against native), ``final_state`` (per-thread registers
+and eflags against native, unless native delivered a signal: delivery
+at a fragment boundary legitimately moves the point of interruption),
+``replay`` and ``verifier``; across columns
 ``cycles``, ``instructions``, ``output``, ``exit_code``, ``events``,
 ``final_state`` and ``event_stream``.  A cell's own ``checks`` are
 functions of one :class:`Run` yielding problem strings, named after the
@@ -35,29 +34,15 @@ from repro.loader import Process
 from repro.machine.interp import Interpreter, RunResult
 from repro.observe.events import replay_stats
 
-# The fragment engine's two tiers: closure step tables alone, and with
-# hot linked fragments stitched into chains.
-ENGINES = ("closure", "chain")
-
-
-def set_engine(options, engine):
-    """Select one of :data:`ENGINES` on ``options``; returns them."""
-    if engine not in ENGINES:
-        raise ValueError("unknown engine %r" % (engine,))
-    options.chain_engine = engine == "chain"
-    return options
-
 
 @dataclass(frozen=True)
 class Column:
     """One way of running a cell's program: ``options`` overrides apply
-    after the cell's factory and the engine, ``setup(runtime)`` runs
-    after the cell's setup hook, and ``interp`` (``"native"`` or
-    ``"emulation"``) runs the reference interpreter instead of the
-    runtime (``engine`` is then unused)."""
+    after the cell's factory, ``setup(runtime)`` runs after the cell's
+    setup hook, and ``interp`` (``"native"`` or ``"emulation"``) runs
+    the reference interpreter instead of the runtime."""
 
     name: str
-    engine: str = "closure"
     options: Mapping = field(default_factory=dict)
     setup: Optional[Callable] = None
     interp: Optional[str] = None
@@ -66,15 +51,14 @@ class Column:
 @dataclass(frozen=True)
 class Cell:
     """One program under one configuration.  ``options`` and ``client``
-    are factories called per column; engine names stand for
-    ``Column(name, name)``.  ``setup(runtime)`` runs before every
-    ``run()``; ``client_faults`` marks cells whose verifier errors are
-    expected."""
+    are factories called per column; the default is one ``"runtime"``
+    column.  ``setup(runtime)`` runs before every ``run()``;
+    ``client_faults`` marks cells whose verifier errors are expected."""
 
     image: object
     options: Callable = RuntimeOptions.with_traces
     client: Callable = lambda: None
-    columns: Sequence = ENGINES
+    columns: Sequence = (Column("runtime"),)
     setup: Optional[Callable] = None
     checks: Sequence = ()
     client_faults: bool = False
@@ -165,10 +149,7 @@ def native_result(image):
 def check(cell):
     """Run ``cell`` natively and in every column; returns its Verdict."""
     native = native_result(cell.image)
-    runs = [
-        _execute(cell, Column(c, c) if isinstance(c, str) else c)
-        for c in cell.columns
-    ]
+    runs = [_execute(cell, column) for column in cell.columns]
     failures = [
         Failure(invariant, run.column.name, detail)
         for run in runs
@@ -197,7 +178,7 @@ def _execute(cell, column):
     if column.interp is not None:
         run = Run(column, Interpreter(Process(cell.image), mode=column.interp))
     else:
-        options = set_engine(cell.options(), column.engine)
+        options = cell.options()
         for key, value in column.options.items():
             setattr(options, key, value)
         client = cell.client()
@@ -242,10 +223,6 @@ def _run_failures(cell, native, run):
         replayed = replay_stats(runtime.observer.events())
         if replayed != live:
             yield "replay", "replayed/live " + _differences(replayed, live)
-    chains = getattr(runtime, "chains", None)
-    problems = chains.check_integrity() if chains is not None else []
-    if problems:
-        yield "chain_integrity", "; ".join(problems)
     errors = [
         d for d in getattr(runtime, "verifier_diagnostics", ()) if d.is_error
     ]

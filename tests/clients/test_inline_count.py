@@ -121,9 +121,6 @@ done:
 
 
 def test_counter_keeps_flags_across_syscall():
-    verdict = check(Cell(
-        assemble(EXIT_FLAGS_ASM), client=InlineInstructionCounter,
-        columns=("closure",),
-    ))
+    verdict = check(Cell(assemble(EXIT_FLAGS_ASM), client=InlineInstructionCounter))
     assert verdict.ok, verdict
     assert verdict.native.final_state[0][1] == "0x44"  # ZF and PF of the cmp

@@ -119,17 +119,14 @@ class NeverHitMemo(dict):
         return default
 
 
-def memo_columns(engine="closure"):
+def memo_columns():
     """Oracle columns for memo transparency: the runtime's retranslation
     memo, and a :class:`NeverHitMemo` forced-miss reference."""
 
     def never_hit(runtime):
         runtime.bb_memo = NeverHitMemo()
 
-    return (
-        Column("memo", engine),
-        Column("never-hit", engine, setup=never_hit),
-    )
+    return (Column("memo"), Column("never-hit", setup=never_hit))
 
 
 def run_under(image, options=None, client=None, cost_model=None):

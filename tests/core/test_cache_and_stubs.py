@@ -10,7 +10,7 @@ from repro.core.fragments import Fragment
 from repro.ir.instrlist import InstrList
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
 
-from repro.tools.oracle import ENGINES, Cell, check
+from repro.tools.oracle import Cell, check
 
 from tests.core.conftest import run_under
 
@@ -162,8 +162,7 @@ class TestCacheEviction:
         self, indirect_image
     ):
         """Constant eviction while trace recordings are active (tiny
-        cache, hair-trigger threshold) must stay transparent on both
-        engines."""
+        cache, hair-trigger threshold) must stay transparent."""
 
         def options():
             opts = RuntimeOptions.with_traces()
@@ -171,9 +170,7 @@ class TestCacheEviction:
             opts.trace_threshold = 3  # recordings active most of the run
             return opts
 
-        verdict = check(
-            Cell(indirect_image, options=options, columns=ENGINES)
-        )
+        verdict = check(Cell(indirect_image, options=options))
         assert verdict.ok, verdict
         for run in verdict.runs:
             assert run.result.events["cache_evictions"] > 0
@@ -248,9 +245,9 @@ class TestCacheEviction:
 
     def test_block_larger_than_limit_end_to_end(self):
         """A program whose straight-line block exceeds the per-unit
-        limit still runs transparently under fifo on every engine: the
-        eviction loop drains the unit and the empty-cache rule accepts
-        the block as sole resident."""
+        limit still runs transparently under fifo: the eviction loop
+        drains the unit and the empty-cache rule accepts the block as
+        sole resident."""
         from repro.core import DynamoRIO
         from repro.loader import Process
         from repro.minicc import compile_source

@@ -1,22 +1,16 @@
 """Property-based cache-pressure fuzz: seeded random policy matrix.
 
 Each seed draws a random ``(workload, code_cache_limit, eviction
-policy, adaptive sizing, trace/chain thresholds, client)`` cell and
-checks it with the differential oracle (``repro.tools.oracle``) on both
-execution engines.  The properties:
+policy, adaptive sizing, trace threshold, client)`` cell and checks it
+with the differential oracle (``repro.tools.oracle``).  The properties:
 
-* **Engine bit-identity** — cycles, instructions, output, exit code,
-  the full event/stat dictionaries and the final registers are
-  identical on the closure and chain engines (capacity management may
-  change *overhead*, never the simulated machine's determinism).
 * **Transparency** — output, exit code and (when native takes no
   signal) final registers and eflags equal native execution, at every
   limit and policy.
 * **No stale state survives eviction** — after the run: every resident
   fragment is live with a ``cache_addr`` inside its unit's span and no
   two residents overlap; every IBL entry and every linked exit stub
-  points at a live fragment; every live chain passes
-  ``ChainManager.check_integrity`` (an oracle invariant).
+  points at a live fragment.
 * **Replay exactness** — when the seed enables tracing, replaying the
   (unbounded) event stream reconstructs the live counters exactly,
   including the new ``cache_fragment_evictions``/``cache_resizes``.
@@ -42,7 +36,7 @@ from repro.clients import (
 )
 from repro.core import RuntimeOptions
 from repro.minicc import compile_source
-from repro.tools.oracle import ENGINES, Cell, check
+from repro.tools.oracle import Cell, check
 
 from tests.conftest import INDIRECT_SRC, LOOP_SRC, memo_columns
 
@@ -73,20 +67,18 @@ def _draw_cell(seed):
         "policy": rng.choice(("flush", "fifo")),
         "adaptive": rng.random() < 0.4,
         "trace_threshold": rng.choice((3, 5, 20)),
-        "chain_threshold": rng.choice((1, 4)),
         "client": rng.choice(CLIENTS),
         "traced": rng.random() < 0.5,
     }
 
 
-def _cell(cell, columns=ENGINES):
+def _cell(cell, **extra):
     def options():
         opts = RuntimeOptions.with_traces()
         opts.code_cache_limit = cell["limit"]
         opts.cache_evict_policy = cell["policy"]
         opts.cache_adaptive = cell["adaptive"]
         opts.trace_threshold = cell["trace_threshold"]
-        opts.chain_threshold = cell["chain_threshold"]
         if cell["traced"]:
             opts.trace_events = True
             opts.trace_buffer = None  # unbounded: replay must be exact
@@ -94,7 +86,7 @@ def _cell(cell, columns=ENGINES):
 
     return Cell(
         _image(cell["source"]), options=options, client=cell["client"][1],
-        columns=columns,
+        **extra,
     )
 
 
@@ -147,9 +139,9 @@ def _check_seed(seed):
 
     # Memo column: a client bypasses the memo and the cell's own limit
     # seldom forces a block out and back in, so run it without the
-    # client at a quarter of the limit, on an engine picked by seed.
+    # client at a quarter of the limit.
     memo_cell = dict(cell, client=CLIENTS[0], limit=cell["limit"] // 4)
-    memo = check(_cell(memo_cell, memo_columns(ENGINES[seed % len(ENGINES)])))
+    memo = check(_cell(memo_cell, columns=memo_columns()))
     assert memo.ok, (cell, memo)
     memo_runtime = memo["memo"].runtime
     assert memo_runtime.stats.bbs_built > len(memo_runtime.bb_memo), cell

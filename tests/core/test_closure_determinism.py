@@ -1,25 +1,20 @@
-"""Engine determinism regression: closure ↔ chain.
+"""Runtime determinism regression: the closure step tables against
+the native interpreter.
 
-The two tiers of the fragment engine (step tables in
-``repro.core.closures``; chain super-tables in ``repro.core.chains``)
-must be *bit-identical* on every simulated observable: cycles,
-instruction counts, program output, exit code, the full event/stat
-dictionaries, and the final registers and eflags.  Only host
-wall-clock time may differ.  Every cell goes through the differential
-oracle (``repro.tools.oracle``), which also holds each run to native:
-output, exit code, and the final registers and eflags whenever native
-takes no signal.
+Every cell goes through the differential oracle
+(``repro.tools.oracle``), which holds each run to native: output, exit
+code, and the final registers and eflags whenever native takes no
+signal.  Traced cells also replay their stats exactly from the event
+stream, and a traced column must land on the untraced column's cycles,
+instructions, events and final state: tracing must not perturb the
+simulated machine.  ("Engines" in the test names are the runtime and
+the native interpreter.)
 
 Each sample client exercises a different lowered-op surface: redundant
 load removal rewrites straight-line exec ops, strength reduction changes
 instruction costs, indirect-branch dispatch emits OP_IND_CHECK chains
 with profilers, and custom traces reshape fragment boundaries.  Signals
 and threads cover the alarm/safe-point and scheduler paths.
-
-The chain engine runs with ``chain_threshold=1`` so even the short test
-workloads promote chains immediately; a dedicated test asserts chains
-really get built (a chain run that never chains would vacuously pass
-the differential).
 """
 
 import pytest
@@ -72,14 +67,11 @@ SOURCES = {
 }
 
 
-def _chaining(factory=RuntimeOptions.with_traces, **overrides):
-    """An options factory that promotes chains at the first pass, so the
-    short test workloads actually exercise stitched tables (only the
-    chain engine reads the threshold)."""
+def _options(factory=RuntimeOptions.with_traces, **overrides):
+    """An options factory: ``factory()`` with ``overrides`` set."""
 
     def options():
         made = factory()
-        made.chain_threshold = 1
         for key, value in overrides.items():
             setattr(made, key, value)
         return made
@@ -101,21 +93,7 @@ def _assert_engines_identical(image, client=lambda: None, **cell):
 @pytest.mark.parametrize("client_name", sorted(CLIENTS))
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
 def test_runtime_engines_bit_identical(images, source_name, client_name):
-    _assert_engines_identical(
-        images[source_name], CLIENTS[client_name], options=_chaining()
-    )
-
-
-def test_chain_runs_actually_chain(images):
-    """The engine differentials are only meaningful if the chain
-    runs execute stitched tables; assert chains get built and stay
-    live on the plain loop workload."""
-    verdict = _assert_engines_identical(
-        images["loop"], options=_chaining(), columns=("chain",)
-    )
-    report = verdict["chain"].runtime.chains.report()
-    assert report["chains_built"] > 0
-    assert report["chains_live"] > 0
+    _assert_engines_identical(images[source_name], CLIENTS[client_name])
 
 
 def test_threaded_workload_engines_bit_identical():
@@ -139,35 +117,33 @@ int main() {
     return 0;
 }
 """
-    _assert_engines_identical(compile_source(src), options=_chaining())
+    _assert_engines_identical(compile_source(src))
 
 
 def test_ablation_rows_bit_identical(images):
-    """Every Table-1 configuration row agrees across all engines."""
+    """Every Table-1 configuration row agrees with native."""
     for factory in (
         RuntimeOptions.bb_cache_only,
         RuntimeOptions.with_direct_links,
         RuntimeOptions.with_indirect_links,
         RuntimeOptions.with_traces,
     ):
-        _assert_engines_identical(images["loop"], options=_chaining(factory))
+        _assert_engines_identical(images["loop"], options=factory)
 
 
 # --------------------------------------------------- drtrace differential
 
 def _check_traced_group(image, factory):
     # Replaying the (unbounded) event stream reconstructs every
-    # RuntimeStats counter exactly, and the streams themselves are
-    # identical event by event, for all engines.
-    traced = _chaining(trace_events=True, trace_buffer=None)
+    # RuntimeStats counter exactly.
+    traced = _options(trace_events=True, trace_buffer=None)
     _assert_engines_identical(image, factory, options=traced)
 
-    # Tracing must not perturb the simulated machine: tracing-off runs
-    # of both engines land on the same cycles/output as a traced one.
-    _assert_engines_identical(image, factory, options=_chaining(), columns=(
-        Column("traced", "closure", {"trace_events": True}),
-        "closure",
-        "chain",
+    # Tracing must not perturb the simulated machine: a tracing-off run
+    # lands on the same cycles/output as a traced one.
+    _assert_engines_identical(image, factory, columns=(
+        Column("traced", {"trace_events": True}),
+        Column("untraced"),
     ))
 
 
@@ -193,10 +169,8 @@ def test_traced_runs_full_matrix(images, source_name, client_name):
     "fault_kind", ["raise_in_hook", "corrupt_instrlist"]
 )
 def test_faulted_runs_bit_identical_across_engines(images, fault_kind, seed):
-    """Injected client faults — and the guard's recovery from them —
-    are deterministic: the same fault plan produces the same faults,
-    bailouts, cycles, and event stream on every engine, including the
-    chain engine whose stitched tables the bailout flush dissolves."""
+    """Injected client faults, and the guard's recovery from them, keep
+    the run native-identical with replay-exact stats."""
     from repro.resilience.faultinject import FaultInjectingClient, FaultPlan
 
     def client():
@@ -205,7 +179,7 @@ def test_faulted_runs_bit_identical_across_engines(images, fault_kind, seed):
         )
 
     verdict = _assert_engines_identical(
-        images["loop"], client, client_faults=True, options=_chaining(
+        images["loop"], client, client_faults=True, options=_options(
             guard_clients=True, cache_consistency=True,
             trace_events=True, trace_buffer=None,
         ),

@@ -34,9 +34,7 @@ def _churn(image, policy="flush", trace_threshold=5):
         opts.trace_buffer = None  # unbounded: replay must be exact
         return opts
 
-    verdict = check(Cell(
-        image, options=options, client=ChurningClient, columns=("closure",),
-    ))
+    verdict = check(Cell(image, options=options, client=ChurningClient))
     assert verdict.ok, verdict
     return verdict.runs[0]
 

@@ -171,45 +171,6 @@ def test_interrupt_poll_returns_the_translated_pc():
     assert runtime.executor.instructions == 2
 
 
-def _chain_options():
-    options = RuntimeOptions.with_direct_links()
-    options.chain_engine = True
-    options.chain_threshold = 1
-    return options
-
-
-@pytest.mark.parametrize("stop", ["alarm", "deadline"])
-def test_chain_boundary_returns_like_the_run_loop(stop):
-    """A stitched boundary (``chains.cross``) leaves with the run loop's
-    exit, cycles and instruction count."""
-    outcomes = []
-    for options in (_chain_options(), RuntimeOptions.with_direct_links()):
-        runtime, sym, first = _linked_pair(options)
-        kwargs = {}
-        if stop == "alarm":
-            _arm_alarm(runtime, sym["target"])
-        else:
-            kwargs["deadline"] = 1
-        exit_, switches = _run(runtime, first, **kwargs)
-        outcomes.append((
-            exit_, switches, runtime.counter.cycles,
-            runtime.executor.instructions,
-        ))
-        if options.chain_engine:
-            assert runtime.chains.report()["chains_built"] == 1
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:2] == ((EXIT_DISPATCH, sym["second"], None), 0)
-
-
-def test_chain_boundary_without_a_handler_keeps_running():
-    runtime, sym, first = _linked_pair(_chain_options())
-    _arm_alarm(runtime, 0)
-    (reason, next_tag, _stub), switches = _run(runtime, first)
-    assert runtime.chains.report()["chains_built"] == 1
-    assert (reason, next_tag) == (EXIT_DISPATCH, sym["third"])
-    assert switches == 1
-
-
 def test_step_ending_without_an_exit_fails_loudly():
     """Planted control: a step that returns ``None`` with no successor
     and no recorded exit must raise, never hand back an older exit."""

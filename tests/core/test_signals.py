@@ -15,7 +15,7 @@ from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
-from repro.tools.oracle import ENGINES, Cell, check
+from repro.tools.oracle import Cell, check
 
 
 SIGNAL_SRC = """
@@ -42,8 +42,7 @@ int main() {
 
 # One syscall slot: ``alarm(10)`` with no handler, or the control
 # ``sighandler(0)``, which arms nothing and compiles to the same code.
-# The loop's two paths make its trace's side exit a linked block, so
-# the chain tier stitches a chain of two.
+# The loop's two paths make its trace's side exit a linked block.
 ALARM_SLOT_SRC = """
 int main() {
     int i; int s;
@@ -195,7 +194,6 @@ class TestMidTraceSignal:
         alarms land; output and signal count must still match native."""
         verdict = check(Cell(
             signal_image, options=lambda: RuntimeOptions(trace_threshold=2),
-            columns=("closure",),
         ))
         assert verdict.ok, verdict
         result = verdict.runs[0].result
@@ -288,29 +286,24 @@ class TestAlarmWithoutHandler:
         return options
 
     @pytest.mark.parametrize("precise", [False, True])
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_costs_what_the_control_costs(self, engine, precise):
+    def test_costs_what_the_control_costs(self, precise):
         outcomes = []
         for slot in ("alarm(10)", "sighandler(0)"):
             verdict = check(Cell(
                 compile_source(ALARM_SLOT_SRC % slot),
-                options=self._options(precise), columns=(engine,),
+                options=self._options(precise),
             ))
             assert verdict.ok, verdict
             run = verdict.runs[0]
-            if engine == "chain":
-                assert run.runtime.chains.report()["chains_built"] > 0
             outcomes.append(
                 (run.result.cycles, run.result.events["context_switches"])
             )
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("precise", [False, True])
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_handler_installed_later_gets_the_signal(self, engine, precise):
+    def test_handler_installed_later_gets_the_signal(self, precise):
         verdict = check(Cell(
-            compile_source(LATE_HANDLER_SRC),
-            options=self._options(precise), columns=(engine,),
+            compile_source(LATE_HANDLER_SRC), options=self._options(precise),
         ))
         assert verdict.ok, verdict  # output equals native's
         assert verdict.native.events["signals_delivered"] == 1

@@ -1,6 +1,6 @@
 """Trace construction tests: heads, stitching, inversion, inlining."""
 
-from repro.core import RuntimeOptions
+from repro.core import RuntimeOptions, trace_builder
 from repro.core.trace_builder import stitch_trace, TraceRecording
 from repro.isa.opcodes import JCC_OPPOSITE, Opcode
 from repro.isa.registers import Reg
@@ -51,13 +51,15 @@ class TestTraceCreation:
             if fragment.is_trace_head:
                 assert fragment.incoming == []
 
-    def test_max_trace_bbs_respected(self, loop_image):
+    def test_max_trace_bbs_respected(self, loop_image, monkeypatch):
+        monkeypatch.setattr(trace_builder, "MAX_TRACE_BBS", 2)
         opts = RuntimeOptions.with_traces()
         opts.trace_threshold = 5
-        opts.max_trace_bbs = 2
         dr, result = run_under(loop_image, opts)
         assert result.events["traces_built"] >= 1
-        # no stitched trace may span more than 2 blocks' worth of exits
+        # The loop's trace stitches 4 blocks at the default limit.
+        lengths = [len(t.source_tags) for t in _traces(dr)]
+        assert max(lengths) == 2, lengths
 
 
 class TestStitching:

@@ -4,10 +4,10 @@ The contract (paper Section 2's transparent exit + precise interrupts):
 
 * every cached fragment carries a translation table mapping each
   execution step to a source application PC — the round trip holds for
-  every step of every fragment and every chain super-table slot;
+  every step of every fragment;
 * under ``precise_interrupts``, alarms are delivered *mid-fragment*
-  with latency bounded by the longest fused run (``max_bb_instrs``),
-  and both engines stay bit-identical;
+  with latency bounded by the longest fused run
+  (``bb_builder.MAX_BB_INSTRS``), and the run stays native-identical;
 * ``Runtime.detach()`` translates threads back to application state
   and continues natively with output identical to a never-attached
   run; the translated register state equals a pure interpreter run to
@@ -24,12 +24,13 @@ import pytest
 
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_reattach, dr_register_event_tracer
+from repro.core.bb_builder import MAX_BB_INSTRS
 from repro.loader import Process
 from repro.machine.interp import Interpreter
 from repro.minicc import compile_source
 from repro.observe.events import EV_SIGNAL_DELIVERED
 from repro.tools.detach_diff import DetachClient as DetachAtCall, detach_options
-from repro.tools.oracle import ENGINES, Cell, Column, check
+from repro.tools.oracle import Cell, Column, check
 
 SIGNAL_SRC = """
 int ticks;
@@ -65,12 +66,11 @@ def signal_image():
     return compile_source(SIGNAL_SRC)
 
 
-def _run(image, engine, client=None, setup=None):
-    """One run on ``engine``, checked by the differential oracle: native
-    output and exit code, replay-exact stats, intact chains."""
+def _run(image, client=None, setup=None):
+    """One run, checked by the differential oracle: native output, exit
+    code and final state, replay-exact stats."""
     verdict = check(Cell(
         image, options=detach_options, client=lambda: client, setup=setup,
-        columns=(engine,),
     ))
     assert verdict.ok, verdict
     return verdict.runs[0].runtime, verdict.runs[0].result
@@ -113,9 +113,8 @@ class DetachAtBuild(Client):
 # ------------------------------------------------------ translation tables
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_translation_round_trip_every_fragment(loop_image, engine):
-    runtime, _ = _run(loop_image, engine)
+def test_translation_round_trip_every_fragment(loop_image):
+    runtime, _ = _run(loop_image)
     fragments = _cached_fragments(runtime)
     assert fragments, "run left no cached fragments to check"
     for fragment in fragments:
@@ -130,34 +129,16 @@ def test_translation_round_trip_every_fragment(loop_image, engine):
             assert pc in valid, (hex(fragment.tag), step, hex(pc))
 
 
-def test_chain_super_table_translates_every_slot(loop_image):
-    runtime, _ = _run(loop_image, "chain")
-    records = {}
-    for fragment in _cached_fragments(runtime):
-        for record in fragment.chains_in:
-            records[id(record)] = record
-    assert records, "chain engine built no chains"
-    for record in records.values():
-        valid = {record.root.tag}
-        for member in record.members:
-            valid |= _valid_pcs(member)
-        for index in range(len(record.table)):
-            pc = runtime.chains.translate_step(record, index)
-            assert isinstance(pc, int)
-            assert pc in valid, (hex(record.root.tag), index, hex(pc))
-
-
 # ------------------------------------------------- mid-fragment interrupts
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_signal_latency_bounded_and_mid_fragment(signal_image, engine):
-    runtime, _ = _run(signal_image, engine)
+def test_signal_latency_bounded_and_mid_fragment(signal_image):
+    runtime, _ = _run(signal_image)
     deliveries = [
         ev for ev in runtime.observer.events() if ev.kind == EV_SIGNAL_DELIVERED
     ]
     assert deliveries
-    bound = runtime.options.max_bb_instrs
+    bound = MAX_BB_INSTRS
     for ev in deliveries:
         assert ev.data["latency"] is not None
         assert 0 <= ev.data["latency"] <= bound
@@ -169,9 +150,8 @@ def test_signal_latency_bounded_and_mid_fragment(signal_image, engine):
 
 
 def test_precise_mode_bit_identical_across_engines(signal_image):
-    # Signal deliveries (including mid-fragment flags and latencies)
-    # are identical event-for-event across engines: the oracle compares
-    # the full streams.
+    # Mid-fragment deliveries leave the run native-identical and its
+    # event stream replay-exact.
     verdict = check(Cell(signal_image, options=detach_options))
     assert verdict.ok, verdict
 
@@ -187,25 +167,22 @@ def test_polls_are_free_when_disabled(loop_image):
 # -------------------------------------------------------- detach / native
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_detach_then_native_is_bit_identical(loop_image, engine):
-    runtime, _ = _run(loop_image, engine, client=DetachAtCall(at=7))
+def test_detach_then_native_is_bit_identical(loop_image):
+    runtime, _ = _run(loop_image, client=DetachAtCall(at=7))
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 0
     assert runtime.detached
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_detach_with_pending_signal(signal_image, engine):
+def test_detach_with_pending_signal(signal_image):
     # Detach while alarms are armed: the pending deadline must carry
     # over and deliver during the native continuation.
-    runtime, _ = _run(signal_image, engine, client=DetachAtBuild(at=5))
+    runtime, _ = _run(signal_image, client=DetachAtBuild(at=5))
     assert runtime.stats.detaches == 1
     assert runtime.system.signals_delivered >= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_translated_state_matches_interpreter(loop_image, engine):
+def test_translated_state_matches_interpreter(loop_image):
     snapshot = {}
 
     def spy_on_detach(runtime):
@@ -217,7 +194,7 @@ def test_translated_state_matches_interpreter(loop_image, engine):
 
         runtime._perform_detach = spy
 
-    _run(loop_image, engine, client=DetachAtCall(at=9), setup=spy_on_detach)
+    _run(loop_image, client=DetachAtCall(at=9), setup=spy_on_detach)
     assert snapshot, "detach never happened"
 
     # The translated state must be application-consistent: a pure
@@ -248,12 +225,9 @@ def test_translated_state_matches_interpreter(loop_image, engine):
 # ------------------------------------------------------------- re-attach
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_reattach_resumes_with_replay_exact_stats(loop_image, engine):
+def test_reattach_resumes_with_replay_exact_stats(loop_image):
     # The oracle replays the event stream onto the live stats.
-    runtime, _ = _run(
-        loop_image, engine, client=DetachAtCall(at=7, reattach_after=600)
-    )
+    runtime, _ = _run(loop_image, client=DetachAtCall(at=7, reattach_after=600))
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 1
     assert not runtime.detached
@@ -261,8 +235,7 @@ def test_reattach_resumes_with_replay_exact_stats(loop_image, engine):
     assert _cached_fragments(runtime)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_dr_reattach_bounces_immediately(loop_image, engine):
+def test_dr_reattach_bounces_immediately(loop_image):
     class Bounce(DetachAtBuild):
         def basic_block(self, context, tag, ilist):
             self.calls += 1
@@ -270,7 +243,7 @@ def test_dr_reattach_bounces_immediately(loop_image, engine):
                 dr_detach(self)
                 dr_reattach(self)
 
-    runtime, _ = _run(loop_image, engine, client=Bounce(at=4))
+    runtime, _ = _run(loop_image, client=Bounce(at=4))
     assert runtime.stats.detaches == 1
     assert runtime.stats.reattaches == 1
 
@@ -282,9 +255,7 @@ def test_detach_unregisters_tracers_reattach_restores(loop_image):
         def init(self):
             dr_register_event_tracer(self, lambda ev: kinds.append(ev.kind))
 
-    runtime, _ = _run(
-        loop_image, "closure", client=Tracing(at=7, reattach_after=400)
-    )
+    runtime, _ = _run(loop_image, client=Tracing(at=7, reattach_after=400))
     # Tracers are unregistered *before* the detach event is emitted —
     # a detached client observes nothing, not even its own detach or
     # anything from the native window.  The first thing it sees again
@@ -305,7 +276,7 @@ def test_detach_flushes_through_delete_chokepoint(loop_image):
         def fragment_deleted(self, context, tag):
             deleted.append(tag)
 
-    runtime, _ = _run(loop_image, "closure", client=Watch(at=7))
+    runtime, _ = _run(loop_image, client=Watch(at=7))
     # Every cached fragment went through fragment_deleted; nothing is
     # left resident after a stay-native detach.
     assert deleted

@@ -5,10 +5,9 @@ interpretive reference, also the fallback of exit-stub ops and of
 operand forms ``compile_noncti`` does not specialize), the
 ``compile_noncti`` closures (the native interpreter, one-instruction
 steps, segment fallbacks) and the generated-segment templates of
-``repro.core.closures`` (closure and chain tiers alike).  Engine-level
-oracle cells compare closure with chain, which share the templates, and
-both with native's final state; only this test pins each template,
-instruction by instruction, to the reference.
+``repro.core.closures``.  Oracle cells hold whole runs to native's
+final state; only this test pins each template, instruction by
+instruction, to the reference.
 
 Every opcode × operand shape — register, immediate, and memory through
 each ``compile_ea`` form at sizes 1/2/4 — runs from random registers,
@@ -611,7 +610,7 @@ def test_forwarding_across_stores_fails_the_aliasing_runs(monkeypatch):
         _aliasing_runs(random.Random(64), 200)
 
 
-# ------------------------------------------------------------ whole engines
+# -------------------------------------------------------------- whole runs
 
 FAULTING_LOOP = """
 .entry main
@@ -641,47 +640,64 @@ skip:
 def test_out_of_range_load_mid_run_on_every_engine():
     """A hot loop walks a load up to one halfword short of the end of
     the 32 MiB address space; the 40th pass faults on the third
-    instruction of a straight-line run.  The closure engine's segment
-    and the chain table's segment raise the same fault text with the
-    same flushed cycles, instructions, registers and eflags, and the
-    registers and eflags equal native's.  The segments
-    skip the flags of ``add eax, ecx`` before the load (``add eax, edx``
-    overwrites them), so their eflags come from the fault path.  (The
-    runtime names the tag of the fragment whose pass faulted as the app
-    pc — here the trace at ``loop``, which is also the chain's root —
-    and native the faulting instruction's, so only the text before that
-    suffix is compared with native; runtime instruction counts include
-    the exits the runtime synthesizes.)"""
+    instruction of a straight-line run.  The runtime's segment raises
+    native's fault text, and its registers and eflags equal native's.
+    The segment skips the flags of ``add eax, ecx`` before the load
+    (``add eax, edx`` overwrites them), so its eflags come from the
+    fault path.  (The runtime names the tag of the fragment whose pass
+    faulted as the app pc — here the trace at ``loop`` — and native the
+    faulting instruction's, so only the text before that suffix is
+    compared.)"""
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
     from repro.machine.interp import Interpreter
-    from repro.tools.oracle import ENGINES, set_engine
 
     image = assemble(FAULTING_LOOP)
     interp = Interpreter(Process(image))
     with pytest.raises(MachineFault) as native:
         interp.run()
-    outcomes = []
-    for engine in ENGINES:
-        options = set_engine(RuntimeOptions.with_traces(), engine)
-        options.trace_threshold = 3
-        options.chain_threshold = 1
-        runtime = DynamoRIO(Process(image), options=options)
-        with pytest.raises(MachineFault) as fault:
-            runtime.run()
-        cpu = runtime.threads[0].cpu
-        outcomes.append((
-            str(fault.value), runtime.counter.cycles,
-            runtime.executor.instructions, cpu.regs, cpu.eflags,
-        ))
-        if engine == "chain":
-            assert runtime.chains.report()["chains_built"] > 0
-    assert outcomes[1:] == outcomes[:-1]
-    text, _cycles, _instructions, regs, eflags = outcomes[0]
+    options = RuntimeOptions.with_traces()
+    options.trace_threshold = 3
+    runtime = DynamoRIO(Process(image), options=options)
+    with pytest.raises(MachineFault) as fault:
+        runtime.run()
+    text = str(fault.value)
     assert text.split(" (")[0] == str(native.value).split(" (")[0]
     assert text.startswith("read past memory at 0x1fffffe")
-    assert (regs, eflags) == (interp.cpu.regs, interp.cpu.eflags)
+    cpu = runtime.threads[0].cpu
+    assert (cpu.regs, cpu.eflags) == (interp.cpu.regs, interp.cpu.eflags)
+
+
+STALE_AF = """
+.entry main
+.text
+main:
+    mov eax, 0xf
+    add eax, 1
+    jmp next
+next:
+    mov ebx, 0
+    add ebx, 0
+    mov eax, 1
+    syscall
+"""
+
+
+def test_segments_clear_stale_af():
+    """Regression: the generated segments' flag templates cleared
+    ~2253, which keeps AF (16), so an add/sub/inc/dec/logic op OR-ed
+    the new AF into the old one.  No Jcc reads AF, but whole runs ended
+    with eflags 0x54 against native's 0x44 — and signal frames push
+    eflags where the guest can see it.  Here ``add eax, 1`` sets AF at
+    the end of one segment and the live ``add ebx, 0`` of the next must
+    clear it."""
+    from repro.asm import assemble
+    from repro.tools.oracle import Cell, check
+
+    verdict = check(Cell(assemble(STALE_AF)))
+    assert verdict.ok, verdict  # final_state compares per-thread eflags
+    assert verdict.native.final_state[0][1] == "0x44"
 
 
 def test_fault_names_the_fragment_whose_pass_faulted():
@@ -691,15 +707,10 @@ def test_fault_names_the_fragment_whose_pass_faulted():
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
-    from repro.tools.oracle import ENGINES, set_engine
 
     image = assemble(FAULTING_LOOP)
     assert image.symbol("loop") == 0x1014
-    for engine in ENGINES:
-        options = set_engine(RuntimeOptions.bb_cache_only(), engine)
-        runtime = DynamoRIO(Process(image), options=options)
-        with pytest.raises(MachineFault) as fault:
-            runtime.run()
-        assert str(fault.value) == (
-            "read past memory at 0x1fffffe (app pc 0x1014)"
-        )
+    runtime = DynamoRIO(Process(image), options=RuntimeOptions.bb_cache_only())
+    with pytest.raises(MachineFault) as fault:
+        runtime.run()
+    assert str(fault.value) == "read past memory at 0x1fffffe (app pc 0x1014)"

@@ -17,7 +17,7 @@ from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import build_smc_image
-from repro.tools.oracle import ENGINES, Cell, Column, check, native_result
+from repro.tools.oracle import Cell, Column, check, native_result
 
 from tests.conftest import memo_columns
 
@@ -40,8 +40,8 @@ def _smc_options(consistency=True, code_cache_limit=None):
     return options
 
 
-def _check(image, options, columns=("closure",), **cell):
-    verdict = check(Cell(image, options=options, columns=columns, **cell))
+def _check(image, options, **cell):
+    verdict = check(Cell(image, options=options, **cell))
     assert verdict.ok, verdict
     return verdict
 
@@ -66,10 +66,7 @@ def test_smc_invalidation_matches_native(smc_image):
 def test_smc_diverges_without_consistency(smc_image):
     """The flag is load-bearing: without it the stale 'A' fragment keeps
     running and the patch is never picked up."""
-    verdict = check(Cell(
-        smc_image, options=_smc_options(consistency=False),
-        columns=("closure",),
-    ))
+    verdict = check(Cell(smc_image, options=_smc_options(consistency=False)))
     assert verdict.failed() == {"output"}
     run = verdict.runs[0]
     assert run.result.output == b"A" * 12
@@ -77,7 +74,7 @@ def test_smc_diverges_without_consistency(smc_image):
 
 
 def test_smc_engines_bit_identical(smc_image):
-    _check(smc_image, _smc_options(), ENGINES)
+    _check(smc_image, _smc_options())
 
 
 def test_smc_invalidation_charges_cycles(smc_image):
@@ -122,7 +119,7 @@ def test_smc_under_flushes_memo_sees_the_patch(
     decodes = _counting_decoder(monkeypatch)
     verdict = _check(
         smc_image, _smc_options(consistency, code_cache_limit=200),
-        memo_columns(),
+        columns=memo_columns(),
     )
     runtime = verdict["memo"].runtime
     assert runtime.stats.cache_evictions > 0
@@ -164,7 +161,7 @@ def test_memo_hits_pass_the_shield_chokepoints(loop_image, monkeypatch, site):
     verdict = _check(
         loop_image, _tiny_cache(shield=True, trace_events=True,
                                 trace_buffer=None),
-        memo_columns(), setup=install_plan,
+        columns=memo_columns(), setup=install_plan,
     )
     runtime = verdict["memo"].runtime
     assert runtime.rguard.injected > 0
@@ -186,7 +183,8 @@ def test_memo_bypassed_under_verify_equivalence(loop_image):
     """drequiv checks every build against its source blocks, so no
     rebuild may skip the emit-time proof."""
     verdict = _check(
-        loop_image, _tiny_cache(verify_equivalence=True), memo_columns()
+        loop_image, _tiny_cache(verify_equivalence=True),
+        columns=memo_columns(),
     )
     runtime, forced = (run.runtime for run in verdict.runs)
     assert runtime.bb_memo == {}

@@ -6,7 +6,7 @@ The contract under ``options.guard_clients``:
   hook budget) is recorded as a client fault and the fragment is
   re-emitted from its pristine snapshot — the program's output and exit
   code stay identical to a native run;
-* after ``client_fault_limit`` faults the client is quarantined (caches
+* after ``guard.FAULT_LIMIT`` faults the client is quarantined (caches
   flushed, hooks skipped) and the run continues at native fidelity;
 * deliberate halts (:class:`ClientHalt` subclasses) always propagate;
 * a well-behaved client is bit-identical with the guard on or off.
@@ -24,6 +24,7 @@ from repro.clients import StrengthReduction
 from repro.core import RuntimeOptions
 from repro.observe import OVERHEAD_KEY
 from repro.resilience import ClientGuard, ClientHalt, HookBudgetExceeded
+from repro.resilience import guard
 from repro.resilience.faultinject import corrupt_instrlist
 
 from tests.conftest import run_under
@@ -109,7 +110,7 @@ def test_faulty_bb_hook_bails_out_and_quarantines(
 
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
-    assert runtime.stats.client_faults == runtime.options.client_fault_limit
+    assert runtime.stats.client_faults == guard.FAULT_LIMIT
     assert runtime.stats.fragment_bailouts >= 1
     assert runtime.stats.client_quarantines == 1
     counts = runtime.observer.counts
@@ -125,9 +126,9 @@ def test_quarantine_stops_calling_hooks(loop_image, loop_native):
         loop_image, options=_guarded_options(), client=client
     )
     assert result.output == loop_native.output
-    # The hook faulted exactly fault_limit times, then stopped being
+    # The hook faulted exactly FAULT_LIMIT times, then stopped being
     # invoked at all — every post-quarantine build skips the client.
-    assert client.calls == runtime.options.client_fault_limit
+    assert client.calls == guard.FAULT_LIMIT
 
 
 def test_profile_stays_consistent_after_quarantine(loop_image, loop_native):
@@ -208,11 +209,12 @@ def test_end_trace_fault_falls_back_to_default(loop_image, loop_native):
     assert runtime.stats.traces_built >= 1
 
 
-def test_faulty_clean_call_is_contained(loop_image, loop_native):
+def test_faulty_clean_call_is_contained(loop_image, loop_native,
+                                        monkeypatch):
+    monkeypatch.setattr(guard, "FAULT_LIMIT", 5)
     client = FaultyCleanCallClient()
     runtime, result = run_under(
-        loop_image, options=_guarded_options(client_fault_limit=5),
-        client=client,
+        loop_image, options=_guarded_options(), client=client
     )
     assert result.output == loop_native.output
     assert client.calls >= 1

@@ -12,8 +12,7 @@ The contract under ``options.shield``:
   (retry → discard → flush → disable the faulting subsystem → detach
   to native) and never escape as a traceback;
 * the forward-progress watchdog breaks translate/flush livelock;
-* ladder events replay exactly onto the live stats and are identical
-  on the closure and chain engines;
+* ladder events replay exactly onto the live stats;
 * with the shield off, runs are bit-identical to pre-shield behavior.
 """
 
@@ -25,13 +24,12 @@ from repro.resilience import RuntimeGuard, Shield
 from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
 from repro.resilience.shield import WATCHDOG_LIMIT
 from repro.tools.chaos import build_smc_image, runtime_options
-from repro.tools.oracle import ENGINES, Cell, Column, check
+from repro.tools.oracle import Cell, Column, check
 
 
 def _shield_options(**overrides):
     """The chaos ``--runtime`` matrix's options (shield, unbounded
-    tracing, precise interrupts, early traces and chains) plus
-    ``overrides``."""
+    tracing, precise interrupts, early traces) plus ``overrides``."""
 
     def options():
         made = runtime_options(None)
@@ -42,11 +40,11 @@ def _shield_options(**overrides):
     return options
 
 
-def _check_plan(image, kind=None, seed=0, columns=("closure",), start=None,
-                period=None, **overrides):
+def _check_plan(image, kind=None, seed=0, start=None, period=None,
+                **overrides):
     """Check a shielded cell, with a seeded runtime fault plan installed
     when ``kind`` is given, through the differential oracle (native
-    output, replay-exact stats, identical ladders across columns)."""
+    output and final state, replay-exact stats)."""
 
     def install_plan(runtime):
         runtime.rguard.plan = RuntimeFaultPlan(
@@ -54,30 +52,27 @@ def _check_plan(image, kind=None, seed=0, columns=("closure",), start=None,
         )
 
     verdict = check(Cell(
-        image, options=_shield_options(**overrides), columns=columns,
+        image, options=_shield_options(**overrides),
         setup=install_plan if kind is not None else None,
     ))
     assert verdict.ok, verdict
     return verdict
 
 
-def _run_with_plan(image, kind, seed=0, engine="closure", **plan):
-    run = _check_plan(image, kind, seed, columns=(engine,), **plan).runs[0]
+def _run_with_plan(image, kind, seed=0, **plan):
+    run = _check_plan(image, kind, seed, **plan).runs[0]
     return run.runtime, run.result
 
 
 # ------------------------------------------------------------- errant writes
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_errant_write_fuzz_recovers_bit_identical(loop_image, engine, seed):
+def test_errant_write_fuzz_recovers_bit_identical(loop_image, seed):
     """Seeded errant stores into cache/stub/IBL/scratch: every one is
     trapped, attributed, recovered — and the program's output is still
     byte-identical to native (and the stream replay-exact)."""
-    runtime, _ = _run_with_plan(
-        loop_image, "errant_write", seed=seed, engine=engine
-    )
+    runtime, _ = _run_with_plan(loop_image, "errant_write", seed=seed)
     assert runtime.rguard.injected >= 1
     assert runtime.stats.shield_faults >= 1
     faults = [
@@ -94,9 +89,9 @@ def test_errant_write_fuzz_recovers_bit_identical(loop_image, engine, seed):
 
 
 def test_errant_write_ladder_identical_across_engines(loop_image):
-    # The oracle holds the full event streams, ladder included,
-    # identical across engines.
-    verdict = _check_plan(loop_image, "errant_write", seed=1, columns=ENGINES)
+    # The oracle holds the run, ladder included, to native and its
+    # event stream replay-exact.
+    verdict = _check_plan(loop_image, "errant_write", seed=1)
     # The plan actually fired.
     assert verdict.runs[0].runtime.observer.counts.get("shield_fault")
 
@@ -114,9 +109,7 @@ def test_errant_write_invalidates_only_the_clobbered_unit(
         return orig(self, cache, thread=thread)
 
     monkeypatch.setattr(DynamoRIO, "_flush_cache", spy)
-    runtime, result = _run_with_plan(
-        loop_image, "errant_write", seed=0, engine="closure"
-    )
+    runtime, result = _run_with_plan(loop_image, "errant_write", seed=0)
     hits = [
         ev.data for ev in runtime.observer.events()
         if ev.kind == "shield_fault" and ev.data["owner"] in
@@ -194,15 +187,6 @@ def test_trace_faults_disable_traces(loop_image):
     assert runtime.stats.shield_faults == len(runtime.rguard.fault_log)
 
 
-def test_chain_faults_disable_chains(loop_image):
-    runtime, _ = _run_with_plan(
-        loop_image, "runtime_raise:chain", start=1, period=1, engine="chain"
-    )
-    assert "chains" in runtime.rguard.disabled
-    assert runtime.chains is None
-    assert not runtime.options.chain_engine
-
-
 def test_evict_faults_disable_fifo_eviction(loop_image):
     runtime, _ = _run_with_plan(
         loop_image, "runtime_raise:evict", start=1, period=1,
@@ -212,15 +196,13 @@ def test_evict_faults_disable_fifo_eviction(loop_image):
     assert runtime.options.cache_evict_policy == "flush"
 
 
-@pytest.mark.parametrize(
-    "kind", [k for k in RUNTIME_FAULT_KINDS if k != "runtime_raise:chain"]
-)
+@pytest.mark.parametrize("kind", RUNTIME_FAULT_KINDS)
 def test_every_fault_kind_contained_on_every_engine(indirect_image, kind):
-    """No seeded runtime fault, on any engine, escapes the ladder or
-    perturbs the application (the oracle: native output, replay-exact
-    stats, identical engines)."""
+    """No seeded runtime fault escapes the ladder or perturbs the
+    application (the oracle: native output and final state,
+    replay-exact stats)."""
     verdict = _check_plan(
-        indirect_image, kind, seed=0, columns=ENGINES, start=1,
+        indirect_image, kind, seed=0, start=1,
         code_cache_limit=(
             256 if kind in
             ("runtime_raise:evict", "runtime_raise:unlink") else None
@@ -262,15 +244,15 @@ def test_watchdog_quiet_on_clean_run(loop_image):
 # ------------------------------------------------------------ transparency
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_shield_off_and_on_bit_identical_when_clean(loop_image, engine):
+def test_shield_off_and_on_bit_identical_when_clean(loop_image):
     """A clean program can't tell the shield exists: cycles,
     instructions, output, and the full event stream are identical with
     it on or off."""
-    verdict = _check_plan(loop_image, columns=(
-        Column("off", engine, {"shield": False}),
-        Column("on", engine, {"shield": True}),
-    ))
+    verdict = check(Cell(loop_image, options=_shield_options(), columns=(
+        Column("off", {"shield": False}),
+        Column("on", {"shield": True}),
+    )))
+    assert verdict.ok, verdict
     rt_off, rt_on = (run.runtime for run in verdict.runs)
     assert rt_off.shield is None and rt_off.rguard is None
     assert isinstance(rt_on.shield, Shield)

@@ -97,10 +97,7 @@ def programs(draw):
 
 
 def _assert_transparent(source, options, client=lambda: None):
-    verdict = check(Cell(
-        compile_source(source), options=options, client=client,
-        columns=("closure",),
-    ))
+    verdict = check(Cell(compile_source(source), options=options, client=client))
     assert verdict.ok, "%s\n%s" % (source, verdict)
 
 

@@ -14,27 +14,26 @@ from repro.ir.create import INSTR_CREATE_add, OPND_CREATE_INT32, OPND_CREATE_REG
 from repro.isa.registers import Reg
 from repro.tools.chaos import client_cell, workload_images
 from repro.tools import oracle
-from repro.tools.oracle import ENGINES, Cell, Column, check
+from repro.tools.oracle import Cell, Column, check
 
 
 def _traced():
     options = RuntimeOptions.with_traces()
     options.trace_events = True
     options.trace_buffer = None
-    options.chain_threshold = 3
     return options
 
 
 def test_clean_cell_passes(loop_image):
     verdict = check(Cell(loop_image, options=_traced))
     assert verdict.ok, verdict
-    assert [run.column.name for run in verdict.runs] == list(ENGINES)
+    assert [run.column.name for run in verdict.runs] == ["runtime"]
 
 
 def test_wrong_native_reference_fails_output(loop_image, monkeypatch):
     wrong = oracle.native_result(loop_image)._replace(output=b"\0\0\0\0")
     monkeypatch.setattr(oracle, "native_result", lambda image: wrong)
-    verdict = check(Cell(loop_image, columns=("closure",)))
+    verdict = check(Cell(loop_image))
     assert verdict.failed() == {"output"}
 
 
@@ -42,9 +41,7 @@ def test_unevented_stat_fails_replay(loop_image):
     def bump(runtime):
         runtime.stats.fragments_replaced += 1
 
-    verdict = check(
-        Cell(loop_image, options=_traced, columns=("closure",), setup=bump)
-    )
+    verdict = check(Cell(loop_image, options=_traced, setup=bump))
     assert verdict.failed() == {"replay"}
 
 
@@ -54,7 +51,7 @@ def test_different_cost_model_fails_cycles(loop_image):
 
     verdict = check(
         Cell(loop_image, columns=(
-            Column("closure"), Column("dearer", setup=dearer),
+            Column("runtime"), Column("dearer", setup=dearer),
         ))
     )
     assert verdict.failed() == {"cycles"}
@@ -62,10 +59,9 @@ def test_different_cost_model_fails_cycles(loop_image):
 
 def test_stale_af_mask_fails_final_state(monkeypatch):
     """The segment templates' pre-fix mask (2253 leaves AF set) makes
-    the closure and chain engines, which share the templates, end the
-    chaos indirect workload with eflags 0x54; native ends it with 0x44.
-    (On the loop workload the writer that leaks AF is dead, so it runs
-    without flags.)"""
+    the runtime end the chaos indirect workload with eflags 0x54; native
+    ends it with 0x44.  (On the loop workload the writer that leaks AF
+    is dead, so it runs without flags.)"""
     for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
                  "_DEC_FLAGS"):
         template = getattr(closures_module, name)
@@ -74,14 +70,8 @@ def test_stale_af_mask_fails_final_state(monkeypatch):
             closures_module, name, template.replace("~2261", "~2253")
         )
     monkeypatch.setattr(closures_module, "_SEGMENT_CODE_CACHE", {})
-    verdict = check(
-        Cell(workload_images()["indirect"], options=_traced,
-             columns=("closure", "chain"))
-    )
+    verdict = check(Cell(workload_images()["indirect"], options=_traced))
     assert verdict.failed() == {"final_state"}
-    assert {failure.column for failure in verdict.failures} == {
-        "closure", "chain"
-    }
 
 
 def test_native_signal_exempts_final_state():
@@ -90,37 +80,14 @@ def test_native_signal_exempts_final_state():
     a state native never reaches.  The chaos cell
     ``mid_trace_signal · signal · ctrace · seed 0`` ends with a loop
     counter of its own (its registers differ from native's) and still
-    passes: only the cross-column check applies to its final state."""
+    passes: the final-state invariant does not apply to it."""
     cell = client_cell(
         workload_images()["signal"], "ctrace", "mid_trace_signal", 0
     )
     verdict = check(cell)
     assert verdict.ok, verdict
     assert verdict.native.events["signals_delivered"] > 0
-    assert verdict["closure"].final_state() != verdict.native.final_state
-
-
-def test_corrupted_live_chain_fails_chain_integrity(loop_image):
-    def corrupt_after_run(runtime):
-        run = runtime.run
-
-        def corrupted():
-            result = run()
-            thread = runtime.threads[0]
-            for cache in (thread.bb_cache, thread.trace_cache):
-                for fragment in cache.fragments.values():
-                    for record in fragment.chains_in:
-                        record.dead = True
-                        return result
-            raise AssertionError("no live chain to corrupt")
-
-        runtime.run = corrupted
-
-    verdict = check(
-        Cell(loop_image, options=_traced, columns=("chain",),
-             setup=corrupt_after_run)
-    )
-    assert verdict.failed() == {"chain_integrity"}
+    assert verdict["runtime"].final_state() != verdict.native.final_state
 
 
 class _NonMetaInserter(Client):
@@ -141,10 +108,7 @@ def test_nonmeta_insertion_fails_verifier(loop_image):
         made.verify_equivalence = True
         return made
 
-    cell = Cell(
-        loop_image, options=options, client=_NonMetaInserter,
-        columns=("closure",),
-    )
+    cell = Cell(loop_image, options=options, client=_NonMetaInserter)
     verdict = check(cell)
     assert verdict.failed() == {"verifier"}
     # The same runs are expected to carry errors in a fault-injecting cell.
