@@ -11,9 +11,9 @@ counterpart, so ``kind == "stub"`` is skipped too.
 
 Soundness split: drequiv *erases* meta instructions wholesale and trusts
 the eflags-safety, scratch, and transparency rules to prove the erasure
-valid (dead flags, dead registers, no application stores).  Run it
-alongside those rules — ``verify_fragments`` + ``verify_equivalence`` —
-for the full proof.
+valid (dead flags, dead registers, no application stores).  It runs
+alongside those rules — ``verify_fragments`` runs every rule — for the
+full proof.
 """
 
 from repro.analysis import equiv

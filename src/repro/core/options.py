@@ -19,7 +19,6 @@ class RuntimeOptions:
         code_cache_limit=None,
         sideline_optimization=False,
         verify_fragments=False,
-        verify_equivalence=False,
         trace_events=False,
         trace_buffer=65536,
         guard_clients=False,
@@ -65,19 +64,20 @@ class RuntimeOptions:
         # processor, so their cycles leave the application's critical
         # path (tracked separately as the "sideline_cycles" event).
         self.sideline_optimization = sideline_optimization
-        # Debug mode: run the fragment verifier (repro.analysis.verifier)
-        # over every InstrList after client hooks, raising on errors.
-        self.verify_fragments = verify_fragments
-        # Debug mode: symbolic translation validation ("drequiv") — at
-        # every emit, prove the fragment computes the same registers,
+        # Debug mode: full verification at every runtime emit, after
+        # client hooks, raising on errors.  Every rule of the fragment
+        # verifier (repro.analysis.verifier) runs: the structural rules
+        # and symbolic translation validation ("drequiv", the
+        # equivalence rule) — the fragment computes the same registers,
         # flags, and store sequence as the application blocks it was
         # built from (modulo sanctioned differences; see
-        # repro.analysis.equiv).  Independent of verify_fragments, but
-        # the two together form the full proof: equivalence erases meta
-        # instructions and relies on the structural rules to show the
-        # erasure is safe.  Costs zero simulated cycles; off by default
-        # so the emit path stays a single attribute check.
-        self.verify_equivalence = verify_equivalence
+        # repro.analysis.equiv).  The two halves form one proof:
+        # equivalence erases meta instructions and relies on the
+        # structural rules to show the erasure is safe.  Costs zero
+        # simulated cycles; off by default so the emit path stays a
+        # single attribute check and the retranslation memo serves
+        # rebuilds.
+        self.verify_fragments = verify_fragments
         # Observability (repro.observe): record typed runtime events
         # and per-fragment cycle attribution.  Off by default — the
         # runtime's observer is None and every emit site is a single
@@ -92,9 +92,10 @@ class RuntimeOptions:
         # re-emits the fragment verbatim, and after guard.FAULT_LIMIT
         # faults quarantines the client entirely (hooks disabled, run
         # continues at native fidelity).  Off by default: runtime.guard
-        # is None and every hook site pays one pointer check; the guard
-        # itself charges no simulated cycles, so results are identical
-        # with guarding on or off for a well-behaved client.
+        # is None, execution hooks are compiled bare and every build-hook
+        # site pays one pointer check; the guard itself charges no
+        # simulated cycles, so results are identical with guarding on or
+        # off for a well-behaved client.
         self.guard_clients = guard_clients
         # Optional deterministic hook budget: maximum number of Python
         # trace events (lines executed, calls, returns) a single client
@@ -122,12 +123,12 @@ class RuntimeOptions:
         # Self-protection and failsafe ("drshield", repro.resilience
         # .shield): watch runtime-owned memory (code cache, exit stubs,
         # IBL tables, runtime scratch) for errant application stores and
-        # recover by invalidating only the clobbered unit; wrap the
+        # recover by invalidating only the clobbered unit; run the
         # runtime's own chokepoints (build, emit, link, unlink, evict,
-        # trace) in a RuntimeGuard whose escalation ladder runs
+        # trace) through a RuntimeGuard whose escalation ladder runs
         # retry -> discard -> flush -> disable-subsystem -> detach to
         # native.  Off by default: runtime.shield/rguard are None, every
-        # new check is a single pointer test, and results are
+        # chokepoint is a single pointer test, and results are
         # bit-identical to pre-shield behavior.
         self.shield = shield
 

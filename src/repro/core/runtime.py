@@ -56,7 +56,7 @@ from repro.observe.events import (
     EV_TRACE_HEAD_PROMOTED,
     Observer,
 )
-from repro.resilience.guard import RUNTIME_PASSTHROUGH, ClientGuard
+from repro.resilience.guard import ClientGuard
 from repro.resilience.shield import RuntimeGuard, Shield
 
 
@@ -136,8 +136,9 @@ class DynamoRIO:
         # Always None: there is one execution tier, but
         # bench/layers.py:235 still reads this attribute.
         self.chains = None
-        # drguard: None unless guarding is enabled — every hook site
-        # checks the pointer once, exactly like the observer.
+        # drguard: None unless guarding is enabled.  Fixed here, so
+        # compiled code binds its execution hooks once (client_hook) and
+        # every build-hook site checks the pointer once.
         self.guard = (
             ClientGuard(self)
             if (self.options.guard_clients and client is not None)
@@ -152,7 +153,8 @@ class DynamoRIO:
             self.memory.add_write_watcher(self._on_app_code_write)
         # drshield (repro.resilience.shield): runtime self-protection
         # (errant application stores into runtime-owned memory) and the
-        # internal-fault escalation ladder.  Both None when
+        # internal-fault escalation ladder, met through rguard.attempt,
+        # rguard.build and rguard.check("emit").  Both None when
         # options.shield is off — every chokepoint pays one pointer
         # check and all simulated results are bit-identical to
         # pre-shield behavior.
@@ -250,6 +252,13 @@ class DynamoRIO:
             self.client.thread_exit(self.current_thread)
             self.client.exit()
 
+    def client_hook(self, fn, tag, role):
+        """The execution hook ``fn`` (clean call, checker, profiler,
+        stub call) as compiled code calls it: bound through the client
+        guard, or ``fn`` itself when there is none."""
+        guard = self.guard
+        return fn if guard is None else guard.bind(fn, tag, role)
+
     # -------------------------------------------------------------- building
 
     def _build_bb(self, tag):
@@ -257,18 +266,13 @@ class DynamoRIO:
         options = self.options
         observer = self.observer
         guard = self.guard
+        rguard = self.rguard
         hooks_on = self.client is not None and (
             guard is None or not guard.quarantined
         )
         # The retranslation memo serves only blocks that no client hook
         # or verifier would see; a hit needs the block's bytes unchanged.
-        memo = (
-            None
-            if hooks_on
-            or options.verify_fragments
-            or options.verify_equivalence
-            else self.bb_memo
-        )
+        memo = None if hooks_on or options.verify_fragments else self.bb_memo
         entry = memo.get(tag) if memo is not None else None
         if entry is not None and (
             self.memory.view()[tag:entry.span[1]] != entry.source
@@ -298,13 +302,20 @@ class DynamoRIO:
                 observer.emit(EV_CLIENT_HOOK, tag, phase="bb", instrs=count)
             self.counter.cycles += self.cost.client_bb_hook_per_instr * count
 
+        # drshield: the runtime's own emits are an injection site, checked
+        # after the client hook and before verification; a client-API
+        # emit (dr_replace_fragment) never is.
         def _emit(il):
+            if rguard is not None:
+                rguard.check("emit", tag)
             return emit_fragment(
                 tag, Fragment.KIND_BB, il, self.cost, options,
                 self.stats, runtime=self,
             )
 
         if entry is not None:
+            if rguard is not None:
+                rguard.check("emit", tag)
             fragment = emit_body(tag, Fragment.KIND_BB, entry.body, self)
         elif hooks_on and guard is not None:
             client = self.client
@@ -335,91 +346,23 @@ class DynamoRIO:
             thread.ibl.insert(fragment)
         return fragment
 
-    def _guarded_build(self, tag):
-        """Build a bb under the shield's escalation ladder.
-
-        Rungs: a fault retries the translation once; a second fault
-        flushes the thread's caches (discarding whatever partial state
-        the failed builds left) and retries; a third gives up and
-        detaches to native.  The forward-progress watchdog breaks
-        translate/flush livelock — the same tag rebuilding without ever
-        executing — through the same flush-then-detach escalation.
-
-        Returns ``None`` when the run must detach: the dispatcher
-        unwinds, and since ``resume_tag`` still holds ``tag`` the
-        native continuation resumes exactly here.
-        """
-        rguard = self.rguard
-        shield = self.shield
-        thread = self.current_thread
-        while True:
-            if shield.note_build(tag) == "detach":
-                rguard.request_detach()
-                return None
-            faults = 0
-            fragment = None
-            while fragment is None:
-                try:
-                    rguard.in_chokepoint = True
-                    try:
-                        rguard.check("bb_build", tag)
-                        fragment = self._build_bb(tag)
-                    finally:
-                        rguard.in_chokepoint = False
-                except RUNTIME_PASSTHROUGH:
-                    raise
-                except Exception as exc:
-                    rguard.record_fault("bb_build", tag, exc)
-                    if self._detach_pending or rguard.detach_requested:
-                        return None
-                    faults += 1
-                    if faults == 1:
-                        continue  # rung 1: retry the translation
-                    if faults == 2:
-                        # rung 2: discard partial build state by
-                        # flushing the thread's caches, then retry.
-                        rguard.recovering = True
-                        try:
-                            self._flush_cache(thread.bb_cache, thread=thread)
-                            self._flush_cache(
-                                thread.trace_cache, thread=thread
-                            )
-                            self._squash_stale_recordings()
-                        finally:
-                            rguard.recovering = False
-                        continue
-                    rguard.request_detach()  # rung 3: bail to native
-                    return None
-            if rguard.post_build(fragment) != "rebuild":
-                return fragment
-            # Livelock injection killed the fresh fragment: rebuild the
-            # same tag (the watchdog breaks the cycle).
-
     def _place(self, cache, fragment, thread=None):
         try:
             cache.allocate(fragment)
         except CacheFullError:
             if cache.policy == "fifo":
                 rguard = self.rguard
-                if rguard is None or rguard.recovering:
+                if rguard is None:
                     self._evict_fifo(cache, fragment, thread)
                 else:
-                    # drshield: eviction is a runtime chokepoint — a
-                    # fault mid-evict falls back to the always-safe
-                    # whole-unit flush; repeated evict faults disable
-                    # fifo eviction outright.
-                    try:
-                        rguard.check("evict", fragment.tag)
-                        self._evict_fifo(cache, fragment, thread)
-                    except RUNTIME_PASSTHROUGH:
-                        raise
-                    except Exception as exc:
-                        rguard.record_fault("evict", fragment.tag, exc)
-                        rguard.recovering = True
-                        try:
-                            self._pressure_flush(cache, fragment, thread)
-                        finally:
-                            rguard.recovering = False
+                    # drshield: a fault mid-evict falls back to the
+                    # always-safe whole-unit flush; repeated evict
+                    # faults disable fifo eviction outright.
+                    rguard.attempt(
+                        "evict", fragment.tag,
+                        lambda: self._evict_fifo(cache, fragment, thread),
+                        lambda: self._pressure_flush(cache, fragment, thread),
+                    )
             else:
                 self._pressure_flush(cache, fragment, thread)
             # Evictions may have deleted blocks referenced by an
@@ -527,27 +470,27 @@ class DynamoRIO:
         for fragment in cache.flush():
             self._delete_fragment(fragment, from_cache=False, thread=thread)
 
+    def _flush_thread(self, thread):
+        """drshield's flush (the ladder's second rung, the watchdog's
+        first trip): drop ``thread``'s caches with injection suppressed
+        and abandon recordings that referenced them."""
+        with self.rguard.recovery():
+            self._flush_cache(thread.bb_cache, thread=thread)
+            self._flush_cache(thread.trace_cache, thread=thread)
+            self._squash_stale_recordings()
+
     def _delete_fragment(self, fragment, from_cache=True, thread=None):
         rguard = self.rguard
-        if rguard is None or rguard.recovering:
+        if rguard is None:
             self._delete_fragment_impl(fragment, from_cache, thread)
             return
-        # drshield: unlink/delete is a runtime chokepoint.  The
-        # teardown is *required* for correctness (SMC invalidation,
-        # eviction), so a fault here is recorded and the teardown is
-        # scrubbed — re-run with injection suppressed.
-        try:
-            rguard.check("unlink", fragment.tag)
+        # drshield: the teardown is *required* for correctness (SMC
+        # invalidation, eviction), so a fault here is recorded and the
+        # teardown re-run under recovery.
+        def teardown():
             self._delete_fragment_impl(fragment, from_cache, thread)
-        except RUNTIME_PASSTHROUGH:
-            raise
-        except Exception as exc:
-            rguard.record_fault("unlink", fragment.tag, exc)
-            rguard.recovering = True
-            try:
-                self._delete_fragment_impl(fragment, from_cache, thread)
-            finally:
-                rguard.recovering = False
+
+        rguard.attempt("unlink", fragment.tag, teardown, teardown)
 
     def _delete_fragment_impl(self, fragment, from_cache=True, thread=None):
         if thread is None:
@@ -577,16 +520,9 @@ class DynamoRIO:
                 size=fragment.size,
             )
         if self.client is not None:
-            guard = self.guard
-            if guard is None:
-                self.client.fragment_deleted(thread, fragment.tag)
-            else:
-                guard.call(
-                    self.client.fragment_deleted,
-                    (thread, fragment.tag),
-                    tag=fragment.tag,
-                    role="fragment_deleted",
-                )
+            self.client_hook(
+                self.client.fragment_deleted, fragment.tag, "fragment_deleted"
+            )(thread, fragment.tag)
 
     # ------------------------------------------------------ cache consistency
 
@@ -674,18 +610,13 @@ class DynamoRIO:
         if target_fragment.is_trace_head and not target_fragment.is_trace:
             return
         rguard = self.rguard
-        if rguard is not None and not rguard.recovering:
-            # drshield: linking is a runtime chokepoint — a fault here
-            # simply skips the link (the exit keeps context-switching
-            # through dispatch, which is always correct); repeated link
-            # faults disable direct linking outright.
-            try:
-                rguard.check("link", stub.fragment.tag)
-            except RUNTIME_PASSTHROUGH:
-                raise
-            except Exception as exc:
-                rguard.record_fault("link", stub.fragment.tag, exc)
-                return
+        if rguard is not None and not rguard.attempt(
+            "link", stub.fragment.tag, lambda: True, lambda: False
+        ):
+            # drshield: a link fault skips the link (the exit keeps
+            # context-switching through dispatch, which is always
+            # correct); repeated link faults disable direct linking.
+            return
         stub.linked_to = target_fragment
         target_fragment.incoming.append(stub)
         self.counter.cycles += self.cost.link_cost
@@ -787,7 +718,11 @@ class DynamoRIO:
             else:
                 self.counter.cycles += hook_cycles
 
+        rguard = self.rguard
+
         def _emit(il):
+            if rguard is not None:
+                rguard.check("emit", recording.head_tag)
             return emit_fragment(
                 recording.head_tag,
                 Fragment.KIND_TRACE,
@@ -830,26 +765,6 @@ class DynamoRIO:
             _move_incoming(head_bb, fragment)
         thread.trace_in_progress = None
         return fragment
-
-    def _guarded_finalize(self, recording):
-        """Trace promotion under the shield: a fault discards the
-        recording (the head stays hot and re-records on its own heat);
-        repeated trace faults disable the trace subsystem.  Returns the
-        stitched trace, or ``None`` on fault."""
-        rguard = self.rguard
-        try:
-            rguard.in_chokepoint = True
-            try:
-                rguard.check("trace", recording.head_tag)
-                return self._finalize_trace(recording)
-            finally:
-                rguard.in_chokepoint = False
-        except RUNTIME_PASSTHROUGH:
-            raise
-        except Exception as exc:
-            rguard.record_fault("trace", recording.head_tag, exc)
-            self.current_thread.trace_in_progress = None
-            return None
 
     def _client_end_trace(self, recording, next_tag):
         if self.client is None:
@@ -1180,7 +1095,7 @@ class DynamoRIO:
                         if self.rguard is None:
                             fragment = self._build_bb(tag)
                         else:
-                            fragment = self._guarded_build(tag)
+                            fragment = self.rguard.build(tag)
                             if fragment is None:
                                 # The ladder escalated to a detach:
                                 # unwind to the run loop with
@@ -1246,13 +1161,20 @@ class DynamoRIO:
         if fragment.is_trace:
             end = True
         if end:
-            if self.rguard is None:
+            rguard = self.rguard
+            if rguard is None:
                 trace = self._finalize_trace(recording)
             else:
-                trace = self._guarded_finalize(recording)
+                trace = rguard.attempt(
+                    "trace", recording.head_tag,
+                    lambda: self._finalize_trace(recording), lambda: None,
+                )
                 if trace is None:
-                    # Trace promotion faulted: recording discarded, the
-                    # bb runs untouched and the head re-records later.
+                    # Trace promotion faulted: the recording is
+                    # discarded, the bb runs untouched and the head
+                    # re-records on its own heat (repeated trace faults
+                    # disable traces).
+                    thread.trace_in_progress = None
                     return fragment, None
             # If the trace begins where we are about to execute, run it.
             if trace.tag == fragment.tag:

@@ -11,8 +11,9 @@ the runtime owns a guard and every client hook site routes through it:
   pristine snapshot is emitted instead, so the application executes the
   untransformed fragment ("fragment bailout").
 * **Execution hooks** (clean calls, indirect-branch checkers and
-  profilers, exit-stub calls): a fault is recorded and the call's
-  effect discarded; execution continues.
+  profilers, exit-stub calls): bound once, when a fragment is compiled
+  (:meth:`ClientGuard.bind` through ``DynamoRIO.client_hook``); a fault
+  is recorded and the call's effect discarded; execution continues.
 * **Event tracers**: a faulting tracer is detached and recorded.
 
 After ``FAULT_LIMIT`` faults the client is *quarantined*: all
@@ -49,7 +50,6 @@ from repro.observe.events import (
     EV_CLIENT_QUARANTINED,
     EV_FRAGMENT_BAILOUT,
 )
-from repro.resilience.shield import InjectedRuntimeFault
 
 
 class ClientHalt(Exception):
@@ -65,6 +65,21 @@ class HookBudgetExceeded(Exception):
     """A client hook exceeded ``options.client_hook_budget``."""
 
 
+class InjectedRuntimeFault(Exception):
+    """A deliberately planted runtime-internal fault (test harness).
+
+    Carries ``site`` so the runtime guard attributes the fault to the
+    chokepoint the plan targeted even when it surfaces through an
+    enclosing one (an ``emit`` fault unwinds through the bb-build or
+    trace chokepoint).  Defined here, beside the passthrough sets, so
+    ``shield.py`` imports both from this module without a cycle.
+    """
+
+    def __init__(self, message, site):
+        super().__init__(message)
+        self.site = site
+
+
 # Exceptions the client guard must never swallow: deliberate client
 # halts, program and thread exit, and planted *runtime* faults (the
 # RuntimeGuard's ladder owns those — a client guard that caught one
@@ -77,9 +92,10 @@ _PASSTHROUGH = (
     InjectedRuntimeFault,
 )
 
-# Exceptions the *runtime* chokepoint wrappers let through: control
-# flow only (client halts, program and thread exit).  InjectedRuntimeFault is deliberately absent — planted
-# runtime faults are exactly what the escalation ladder must catch.
+# Exceptions the *runtime* chokepoints (``RuntimeGuard.attempt``) let
+# through: control flow only (client halts, program and thread exit).
+# InjectedRuntimeFault is deliberately absent — planted runtime faults
+# are exactly what the escalation ladder must catch.
 RUNTIME_PASSTHROUGH = (ClientHalt, ProgramExit, ThreadExit)
 
 # Client faults before quarantine.
@@ -192,6 +208,15 @@ class ClientGuard:
                     error=type(exc).__name__,
                 )
             return emit(pristine)
+
+    def bind(self, fn, tag, role):
+        """``fn`` as compiled code calls an execution hook: each call
+        goes through :meth:`call`, looked up when it is made."""
+
+        def hook(*args):
+            self.call(fn, args, tag=tag, role=role)
+
+        return hook
 
     def call(self, fn, args, tag=None, role="clean_call"):
         """Run an execution-time hook (clean call, checker, profiler,

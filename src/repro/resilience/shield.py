@@ -33,21 +33,26 @@ paths.  Behind ``options.shield`` this module supplies both defenses:
 
 :class:`RuntimeGuard` — internal fault containment.
 
-Wraps the runtime's chokepoints (bb build, emit, link, unlink,
-eviction, trace promotion).  An unexpected exception becomes a
-recorded ``shield_fault`` and a rung on the recovery ladder: retry the
-translation → discard the fragment/recording → flush the thread's
-caches → disable the optional subsystem that faulted (traces, fifo
-eviction, direct linking) with a ``subsystem_disabled``
-event → full ``Runtime.detach()`` to native after ``FAULT_LIMIT``
-faults.  Every seeded internal fault therefore ends in a correct
-native-fidelity run, never a traceback.
+The runtime meets it at its chokepoints (bb build, emit, link, unlink,
+eviction, trace promotion).  :meth:`RuntimeGuard.attempt` is the one
+place an internal fault is caught: it becomes a recorded
+``shield_fault`` and a rung on the recovery ladder — retry the
+translation (:meth:`RuntimeGuard.build`) → discard the
+fragment/recording → flush the thread's caches → disable the optional
+subsystem that faulted (traces, fifo eviction, direct linking) with a
+``subsystem_disabled`` event → full ``Runtime.detach()`` to native
+after ``FAULT_LIMIT`` faults.  Every recovery runs inside
+:meth:`RuntimeGuard.recovery`, where injection is suppressed and every
+chokepoint runs its action bare.  Every seeded internal fault
+therefore ends in a correct native-fidelity run, never a traceback.
 
 When ``options.shield`` is off the runtime's ``shield``/``rguard``
-attributes are ``None`` and every new check is a single pointer test;
+attributes are ``None`` and every chokepoint is a single pointer test;
 simulated cycles, stats, and events are bit-identical to pre-shield
 behavior.
 """
+
+from contextlib import contextmanager
 
 from repro.core.emit import STUB_SIZE
 from repro.observe.events import (
@@ -55,6 +60,7 @@ from repro.observe.events import (
     EV_SUBSYSTEM_DISABLED,
     EV_WATCHDOG_TRIP,
 )
+from repro.resilience.guard import RUNTIME_PASSTHROUGH, InjectedRuntimeFault
 
 # Top slice of the runtime heap reserved for shield-protected runtime
 # data: scratch in the lower half, per-thread symbolic IBL ranges in
@@ -84,20 +90,6 @@ _DISABLE_RULES = {
     "evict": (2, "fifo_eviction"),
     "trace": (3, "traces"),
 }
-
-
-class InjectedRuntimeFault(Exception):
-    """A deliberately planted runtime-internal fault (test harness).
-
-    Carries ``site`` so the guard attributes the fault to the
-    chokepoint the plan targeted even when it surfaces through an
-    enclosing wrapper (an ``emit`` fault unwinds through the bb-build
-    or trace ladder).
-    """
-
-    def __init__(self, message, site):
-        super().__init__(message)
-        self.site = site
 
 
 class Shield:
@@ -221,7 +213,7 @@ class Shield:
         runtime = self.runtime
         runtime._shield_pending = False
         pending, self.pending = self.pending, []
-        rguard = runtime.rguard
+        recovery = runtime.rguard.recovery
         for rec in pending:
             self.errant_faults += 1
             runtime.stats.shield_faults += 1
@@ -241,13 +233,8 @@ class Shield:
                 )
             # Recovery runs with injection suppressed: the delete
             # chokepoint is itself a fault-injection site.
-            if rguard is not None:
-                rguard.recovering = True
-            try:
+            with recovery():
                 self._recover(rec)
-            finally:
-                if rguard is not None:
-                    rguard.recovering = False
         runtime._squash_stale_recordings()
 
     def _recover(self, rec):
@@ -302,17 +289,7 @@ class Shield:
         counts.clear()
         if self.trips >= 2:
             return "detach"
-        rguard = runtime.rguard
-        if rguard is not None:
-            rguard.recovering = True
-        try:
-            thread = runtime.current_thread
-            runtime._flush_cache(thread.bb_cache, thread=thread)
-            runtime._flush_cache(thread.trace_cache, thread=thread)
-            runtime._squash_stale_recordings()
-        finally:
-            if rguard is not None:
-                rguard.recovering = False
+        runtime._flush_thread(runtime.current_thread)
         return "flushed"
 
     def note_progress(self, tag):
@@ -335,16 +312,84 @@ class RuntimeGuard:
         self.injected = 0
         self._site_calls = {}
         self._build_index = 0
-        # True while a recovery operation (flush, scrub, shield
-        # delivery) runs: injection is suppressed and chokepoint
-        # wrappers stand down so recovery cannot recurse into the
-        # ladder.
+        # True inside recovery(): a recovery operation (flush, scrub,
+        # shield delivery) runs with injection suppressed and every
+        # chokepoint running bare, so it cannot recurse into the ladder.
         self.recovering = False
-        # True while the dispatcher-owned build paths run: emit-site
-        # injection only fires there, never under client API calls
-        # (dr_replace_fragment) whose faults belong to the client guard.
-        self.in_chokepoint = False
         self._detach_requested = False
+
+    # ----------------------------------------------------------- chokepoints
+
+    @contextmanager
+    def recovery(self):
+        """Run a recovery operation: no injection, no containment."""
+        prior = self.recovering
+        self.recovering = True
+        try:
+            yield
+        finally:
+            self.recovering = prior
+
+    def attempt(self, site, tag, action, on_fault):
+        """Run ``action()`` at the chokepoint ``site``: the one place a
+        runtime-internal fault is caught.  A fault is recorded (climbing
+        the ladder) and ``on_fault()``, run under :meth:`recovery`,
+        stands in for the action's result.  Control flow
+        (``RUNTIME_PASSTHROUGH``) passes through; inside a recovery the
+        action runs bare."""
+        if self.recovering:
+            return action()
+        try:
+            self.check(site, tag)
+            return action()
+        except RUNTIME_PASSTHROUGH:
+            raise
+        except Exception as exc:
+            self.record_fault(site, tag, exc)
+            with self.recovery():
+                return on_fault()
+
+    def build(self, tag):
+        """Build the bb at ``tag`` under the escalation ladder.
+
+        Rungs: a fault retries the translation once; a second fault
+        flushes the thread's caches (discarding whatever partial state
+        the failed builds left) and retries; a third gives up and
+        detaches to native.  The forward-progress watchdog breaks
+        translate/flush livelock — the same tag rebuilding without ever
+        executing — through the same flush-then-detach escalation.
+
+        Returns ``None`` when the run must detach: the dispatcher
+        unwinds, and since ``resume_tag`` still holds ``tag`` the
+        native continuation resumes exactly here.
+        """
+        runtime = self.runtime
+        while True:
+            if runtime.shield.note_build(tag) == "detach":
+                self.request_detach()
+                return None
+            faults = 0
+            while True:
+                fragment = self.attempt(
+                    "bb_build", tag, lambda: runtime._build_bb(tag),
+                    lambda: None,
+                )
+                if fragment is not None:
+                    break
+                if runtime._detach_pending or self._detach_requested:
+                    return None
+                faults += 1
+                if faults == 3:
+                    self.request_detach()  # rung 3: bail to native
+                    return None
+                if faults == 2:
+                    # rung 2: discard partial build state, then retry
+                    runtime._flush_thread(runtime.current_thread)
+                # rung 1 (and after the flush): retry the translation
+            if self.post_build(fragment) != "rebuild":
+                return fragment
+            # Livelock injection killed the fresh fragment: rebuild the
+            # same tag (the watchdog breaks the cycle).
 
     # ------------------------------------------------------------ injection
 
@@ -369,7 +414,7 @@ class RuntimeGuard:
         """Runtime-targeted injections that are not exceptions: errant
         stores into runtime-owned memory and translate/flush livelock.
         Returns ``"rebuild"`` when the livelock plan deleted the fresh
-        fragment (the guarded build loops), else ``None``."""
+        fragment (:meth:`build` loops), else ``None``."""
         plan = self.plan
         if plan is None or self.recovering:
             return None
@@ -387,13 +432,8 @@ class RuntimeGuard:
         # Livelock: the freshly built fragment dies before it can run,
         # so the dispatcher rebuilds the same tag forever — exactly the
         # loop the watchdog exists to break.
-        self.recovering = True
-        try:
-            runtime._delete_fragment(
-                fragment, thread=runtime.current_thread
-            )
-        finally:
-            self.recovering = False
+        with self.recovery():
+            runtime._delete_fragment(fragment, thread=runtime.current_thread)
         return "rebuild"
 
     def _errant_store(self, fragment):
@@ -495,7 +535,3 @@ class RuntimeGuard:
         runtime = self.runtime
         if not runtime._detached:
             runtime.detach()
-
-    @property
-    def detach_requested(self):
-        return self._detach_requested

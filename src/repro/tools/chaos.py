@@ -207,7 +207,6 @@ def client_options(fault_kind):
     options.client_hook_budget = 200000
     options.cache_consistency = True
     options.verify_fragments = True
-    options.verify_equivalence = True
     options.trace_events = True
     options.trace_buffer = None
     if fault_kind in ("mid_trace_signal", "smc_write"):

@@ -111,7 +111,7 @@ def detach_cell(image, mode, at, reattach_after):
 
 def shield_cell(image):
     """Shield-triggered detach: no client at all — a runtime fault plan
-    makes every basic-block build raise, so one ``_guarded_build``
+    makes every basic-block build raise, so one ``RuntimeGuard.build``
     climbs retry → flush → detach and the program finishes natively."""
 
     def install_plan(runtime):

@@ -5,8 +5,9 @@ Usage::
     python -m repro.tools.equiv_sweep                 # whole suite
     python -m repro.tools.equiv_sweep --benchmarks mgrid,mcf --clients all
 
-Each cell runs a benchmark under ``verify_fragments`` +
-``verify_equivalence`` and is checked by the differential oracle
+Each cell runs a benchmark under ``verify_fragments`` (every verifier
+rule, drequiv's equivalence rule included) and is checked by the
+differential oracle
 (:mod:`repro.tools.oracle`): no VerificationError escapes (a clean
 client must never trip the checker), output, exit code and final state
 match native, and zero error-severity diagnostics were recorded
@@ -32,12 +33,11 @@ DEFAULT_CLIENTS = ("null", "rlr", "inc2add", "ctrace", "ibdisp", "all",
 
 
 def sweep_cell(image, client_name):
-    """One benchmark x client cell under both verify options."""
+    """One benchmark x client cell under full verification."""
 
     def options():
         made = RuntimeOptions.with_traces()
         made.verify_fragments = True
-        made.verify_equivalence = True
         return made
 
     if client_name == "shepherd":

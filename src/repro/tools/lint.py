@@ -4,7 +4,7 @@ Static mode (default) decodes every statically reachable basic block of
 the program image and verifies each one — including the drequiv
 equivalence rule, for which a pristine block is checked against itself;
 dynamic mode (``--client``) actually runs the program under the runtime
-with ``options.verify_fragments`` + ``options.verify_equivalence``
+with ``options.verify_fragments`` (every rule, equivalence included)
 enabled, so traces and client-transformed fragments are verified too.
 ``--equiv`` is a third mode: run the program *without* emit-time
 verification, then sweep the final code-cache dump and check every
@@ -345,7 +345,6 @@ def _lint_dynamic(image, client_name, rules, report, inject):
         client = _InjectingClient(client)
     options = RuntimeOptions.with_traces()
     options.verify_fragments = True
-    options.verify_equivalence = True
     runtime = DynamoRIO(Process(image), options=options, client=client)
     try:
         runtime.run()

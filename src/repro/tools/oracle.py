@@ -22,7 +22,6 @@ functions of one :class:`Run` yielding problem strings, named after the
 function.  DESIGN §4i states the invariants in full.
 """
 
-import time
 import traceback
 import weakref
 from collections import namedtuple
@@ -74,7 +73,6 @@ class Run:
     client: object = None
     result: object = None
     error: Optional[BaseException] = None
-    seconds: float = 0.0
 
     @property
     def traced(self):
@@ -188,12 +186,10 @@ def _execute(cell, column):
         for hook in (cell.setup, column.setup):
             if hook is not None:
                 hook(run.runtime)
-    start = time.perf_counter()
     try:
         run.result = run.runtime.run()
     except Exception as exc:  # the first invariant: nothing escapes
         run.error = exc
-    run.seconds = time.perf_counter() - start
     return run
 
 

@@ -162,7 +162,6 @@ class TestRuntimeIntegration:
         native = run_native(Process(image))
         options = RuntimeOptions.with_traces()
         options.verify_fragments = True
-        options.verify_equivalence = True
         runtime = DynamoRIO(Process(image), options=options)
         result = runtime.run()
         assert result.output == native.output
@@ -173,7 +172,6 @@ class TestRuntimeIntegration:
         options = RuntimeOptions.with_traces()
         options.guard_clients = True
         options.verify_fragments = True
-        options.verify_equivalence = True
         client = FaultInjectingClient(FaultPlan("corrupt_instrlist", 0))
         runtime = DynamoRIO(Process(image), options=options, client=client)
         runtime.run()

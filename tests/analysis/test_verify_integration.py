@@ -1,5 +1,6 @@
 """End-to-end verification: sample clients pass under
-``options.verify_fragments`` and the runtime catches bad clients."""
+``options.verify_fragments`` (every rule, drequiv's equivalence rule
+included) and the runtime catches bad clients."""
 
 import pytest
 
@@ -13,13 +14,15 @@ from repro.clients import (
     RedundantLoadRemoval,
     StrengthReduction,
 )
-from repro.core import RuntimeOptions
+from repro.core import RuntimeOptions, emit
 from repro.ir.create import (
     INSTR_CREATE_add,
     OPND_CREATE_INT32,
     OPND_CREATE_REG,
 )
 from repro.isa.registers import Reg
+from repro.tools.oracle import Cell, Column, check
+from repro.workloads import load_benchmark
 
 from tests.conftest import run_under
 
@@ -82,3 +85,34 @@ def test_verification_off_by_default(loop_image):
     # the verifier is opt-in and charges nothing by default.
     dr, result = run_under(loop_image, client=UnsafeClient())
     assert dr.verifier_diagnostics == []
+
+
+# Verification off against on, through the differential oracle: cycles,
+# instructions, output, exit code, events and final state must agree.
+VERIFY_COLUMNS = (
+    Column("off", {"verify_fragments": False}),
+    Column("on", {"verify_fragments": True}),
+)
+
+
+@pytest.mark.parametrize("name", ["crafty", "mgrid"])
+def test_verification_costs_no_simulated_cycles(name):
+    """Full verification is a debug mode the modelled machine never
+    pays for: a verified run is simulated-identical to an unverified
+    one, exactly."""
+    verdict = check(Cell(load_benchmark(name, "test"), columns=VERIFY_COLUMNS))
+    assert verdict.ok, verdict
+
+
+def test_planted_verify_charge_fails_the_cost_check(monkeypatch):
+    """Negative control: one simulated cycle charged on the verify path
+    must show as a cycles divergence between the columns."""
+    verify = emit._verify_before_emit
+
+    def charging(tag, kind, ilist, runtime, source_tags):
+        runtime.counter.cycles += 1
+        return verify(tag, kind, ilist, runtime, source_tags)
+
+    monkeypatch.setattr(emit, "_verify_before_emit", charging)
+    verdict = check(Cell(load_benchmark("mgrid", "test"), columns=VERIFY_COLUMNS))
+    assert "cycles" in verdict.failed()

@@ -179,11 +179,11 @@ def test_memo_bypassed_for_clients(loop_image, monkeypatch):
     assert runtime.bb_memo == {}
 
 
-def test_memo_bypassed_under_verify_equivalence(loop_image):
-    """drequiv checks every build against its source blocks, so no
-    rebuild may skip the emit-time proof."""
+def test_memo_bypassed_under_verification(loop_image):
+    """Verification (drequiv included) checks every build against its
+    source blocks, so no rebuild may skip the emit-time proof."""
     verdict = _check(
-        loop_image, _tiny_cache(verify_equivalence=True),
+        loop_image, _tiny_cache(verify_fragments=True),
         columns=memo_columns(),
     )
     runtime, forced = (run.runtime for run in verdict.runs)

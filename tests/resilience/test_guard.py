@@ -19,9 +19,11 @@ from repro.api.dr import (
     dr_get_profile,
     dr_insert_clean_call,
     dr_register_event_tracer,
+    dr_set_exit_stub,
 )
 from repro.clients import StrengthReduction
 from repro.core import RuntimeOptions
+from repro.ir.instrlist import InstrList
 from repro.observe import OVERHEAD_KEY
 from repro.resilience import ClientGuard, ClientHalt, HookBudgetExceeded
 from repro.resilience import guard
@@ -222,6 +224,35 @@ def test_faulty_clean_call_is_contained(loop_image, loop_native,
     assert any(
         entry["phase"] == "clean_call" for entry in runtime.guard.fault_log
     )
+
+
+def test_faulty_stub_call_is_contained(loop_image, loop_native, monkeypatch):
+    """A clean call in client exit-stub code is bound to the guard when
+    its fragment compiles, like every other execution hook."""
+    monkeypatch.setattr(guard, "FAULT_LIMIT", 5)
+    calls = []
+
+    class FaultyStubClient(Client):
+        def basic_block(self, context, tag, ilist):
+            last = ilist.last()
+            if last is not None and last.level >= 2 and last.is_cti():
+                stub = InstrList()
+                dr_insert_clean_call(stub, None, self._broken)
+                dr_set_exit_stub(last, stub, always=True)
+
+        def _broken(self, context):
+            calls.append(1)
+            raise KeyError("stub call bug")
+
+    runtime, result = run_under(
+        loop_image, options=_guarded_options(), client=FaultyStubClient()
+    )
+    assert result.output == loop_native.output
+    assert calls
+    assert runtime.stats.client_faults == 5
+    assert {entry["phase"] for entry in runtime.guard.fault_log} == {
+        "stub_call"
+    }
 
 
 def test_faulty_tracer_is_detached(loop_image, loop_native):

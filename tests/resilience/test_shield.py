@@ -11,6 +11,9 @@ The contract under ``options.shield``:
 * internal faults at the runtime's chokepoints climb the ladder
   (retry → discard → flush → disable the faulting subsystem → detach
   to native) and never escape as a traceback;
+* the emit site is the runtime's own emits only: a client-API
+  ``dr_replace_fragment``, from a clean call or a bb hook, is never an
+  injection site;
 * the forward-progress watchdog breaks translate/flush livelock;
 * ladder events replay exactly onto the live stats;
 * with the shield off, runs are bit-identical to pre-shield behavior.
@@ -18,6 +21,8 @@ The contract under ``options.shield``:
 
 import pytest
 
+from repro.api.client import Client
+from repro.api.dr import dr_decode_fragment, dr_replace_fragment
 from repro.core import DynamoRIO
 from repro.machine.memory import MachineFault, Memory
 from repro.resilience import RuntimeGuard, Shield
@@ -25,6 +30,8 @@ from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
 from repro.resilience.shield import WATCHDOG_LIMIT
 from repro.tools.chaos import build_smc_image, runtime_options
 from repro.tools.oracle import Cell, Column, check
+
+from tests.conftest import ChurningClient
 
 
 def _shield_options(**overrides):
@@ -41,7 +48,7 @@ def _shield_options(**overrides):
 
 
 def _check_plan(image, kind=None, seed=0, start=None, period=None,
-                **overrides):
+                client=lambda: None, **overrides):
     """Check a shielded cell, with a seeded runtime fault plan installed
     when ``kind`` is given, through the differential oracle (native
     output and final state, replay-exact stats)."""
@@ -52,7 +59,7 @@ def _check_plan(image, kind=None, seed=0, start=None, period=None,
         )
 
     verdict = check(Cell(
-        image, options=_shield_options(**overrides),
+        image, options=_shield_options(**overrides), client=client,
         setup=install_plan if kind is not None else None,
     ))
     assert verdict.ok, verdict
@@ -213,6 +220,56 @@ def test_every_fault_kind_contained_on_every_engine(indirect_image, kind):
     )
     for run in verdict.runs:
         assert run.runtime.rguard.injected >= 1, (kind, run.column.name)
+
+
+# --------------------------------------------------- emit-injection scope
+
+
+@pytest.mark.parametrize("start", [1, 2, 3, 5, 8, 12, 13])
+def test_clean_call_replaces_are_not_emit_sites(loop_image, start):
+    """An emit fault lands in a runtime build, never in the
+    ``dr_replace_fragment`` a clean call makes: the churning client
+    replaces every fragment from inside the cache, one planted emit
+    fault is contained by the ladder, and nothing escapes."""
+    runtime, _ = _run_with_plan(
+        loop_image, "runtime_raise:emit", start=start, period=10**9,
+        client=ChurningClient,
+    )
+    assert runtime.rguard.injected == 1
+    assert [entry["site"] for entry in runtime.rguard.fault_log] == ["emit"]
+
+
+class _HookReplacer(Client):
+    """Replaces the previously built block from inside each bb hook: a
+    client-API emit nested in one of the runtime's own builds."""
+
+    def __init__(self):
+        super().__init__()
+        self.previous = None
+        self.replacements = 0
+
+    def basic_block(self, context, tag, ilist):
+        previous, self.previous = self.previous, tag
+        if previous is None:
+            return
+        il = dr_decode_fragment(context, previous)
+        if il is not None and dr_replace_fragment(context, previous, il):
+            self.replacements += 1
+
+
+def test_hook_nested_replaces_are_not_emit_sites(loop_image):
+    """The emit site is checked once per runtime build (bbs and traces);
+    a replacement a bb hook makes is client-API work, so a plan aimed
+    one past the runtime's own builds never fires."""
+    clean = _check_plan(loop_image, client=_HookReplacer).runs[0]
+    assert clean.client.replacements > 0
+    stats = clean.runtime.stats
+    builds = stats.bbs_built + stats.traces_built
+    runtime, _ = _run_with_plan(
+        loop_image, "runtime_raise:emit", start=builds + 1, period=10**9,
+        client=_HookReplacer,
+    )
+    assert runtime.rguard.injected == 0
 
 
 # ------------------------------------------------------------- watchdog

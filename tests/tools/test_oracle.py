@@ -105,7 +105,7 @@ def test_nonmeta_insertion_fails_verifier(loop_image):
     def options():
         made = _traced()
         made.guard_clients = True
-        made.verify_equivalence = True
+        made.verify_fragments = True
         return made
 
     cell = Cell(loop_image, options=options, client=_NonMetaInserter)
