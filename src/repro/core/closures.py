@@ -1,7 +1,8 @@
 """Closure compilation of fragments: the encode-into-cache step.
 
-:func:`compile_fragment` translates a fragment's lowered op tuples
-(``repro.core.emit``) into a flat tuple of *step closures* — the moral
+:func:`compile_fragment` translates a fragment's lowered ops
+(``repro.core.emit``) into a flat tuple of *step closures*, one per op
+— op *i* is step *i* — plus the fell-through sentinel: the moral
 equivalent of DynamoRIO's encoder emitting machine code into the code
 cache.  Each step binds everything static about its op at compile time:
 operand accessors, pre-summed cycle costs, the exit's
@@ -17,11 +18,13 @@ fragment is done — in which case the step has already resolved the exit:
 :meth:`~repro.core.execute.Executor._indirect_exit`), which
 :meth:`~repro.core.execute.Executor.run` returns to the dispatcher.
 
-Runs of consecutive straight-line ``OP_EXEC`` ops are *fused* into a
-single step.  A run of two or more instructions becomes a generated
-segment (:func:`compile_segment`): straight-line Python source with
-guest memory accessed inline, charging cycles and instructions exactly
-as one step per op would, including on a mid-run fault or program
+Lowering already fused consecutive straight-line instructions into one
+``OP_EXEC`` run op, broken only at a local-branch target or a clean
+call, so ``OP_LOCAL_BR`` step indices stay addressable.  Every run, a
+one-instruction run included, compiles to a generated segment
+(:func:`compile_segment`): straight-line Python source with guest
+memory accessed inline, charging cycles and instructions exactly as one
+step per instruction would, including on a mid-run fault or program
 exit.  Segment-local dataflow shapes that source: a flag writer whose
 flags the run overwrites before anything can read them skips them, and
 a 4-byte load of a word the run already holds reads the local holding
@@ -29,8 +32,7 @@ it.  Where the state can be observed mid-run — a fault or program exit
 unwinding the segment — the handler rebuilds the skipped flags from the
 writers' bound inputs, so the deoptimized state is exact.  Segments
 are kept on the fragment body, so every fragment over it shares one
-compile.  Fusion never spans an intra-fragment branch target, so
-``OP_LOCAL_BR`` indices stay addressable.
+compile.
 
 Only the CPU is passed per call: fragments may be shared between
 threads (the thread-shared cache ablation), so per-thread state cannot
@@ -59,6 +61,7 @@ from repro.core.emit import (
     OP_JMP_EXIT,
     OP_LOCAL_BR,
 )
+from repro.core.translate import make_poll_step
 from repro.isa.eflags import (
     AF,
     CF,
@@ -695,85 +698,29 @@ def _compile_target_fetch(operand, mem):
     return fetch
 
 
-def plan_fragment(code):
-    """Plan the op-index → step-index mapping, fusing OP_EXEC runs.
-
-    Returns ``(plans, step_of, table_len)``: ``plans`` is a list of
-    ``("run", [op indices])`` / ``("op", op index)`` entries, one per
-    step; ``step_of`` maps op indices (and the one-past-the-end index)
-    to step indices; ``table_len`` counts the trailing fell-through
-    sentinel step.  Computed once per lowered body (``FragmentBody.
-    plan``) and read by the translation table and
-    :func:`compile_fragment`.
-    """
-    # Intra-fragment branch targets must begin a step of their own.
-    branch_targets = set()
-    for op in code:
-        if op[0] == OP_LOCAL_BR:
-            branch_targets.add(op[2])
-
-    plans = []
-    step_of = {}
-    n_ops = len(code)
-    i = 0
-    while i < n_ops:
-        if code[i][0] == OP_EXEC:
-            run = [i]
-            j = i + 1
-            while (
-                j < n_ops
-                and code[j][0] == OP_EXEC
-                and j not in branch_targets
-            ):
-                run.append(j)
-                j += 1
-            step_of[i] = len(plans)
-            plans.append(("run", run))
-            i = j
-        else:
-            step_of[i] = len(plans)
-            plans.append(("op", i))
-            i += 1
-    sentinel_index = len(plans)
-    step_of[n_ops] = sentinel_index
-    return plans, step_of, sentinel_index + 1
-
-
 def compile_runs(body, runtime):
-    """The compiled ``OP_EXEC`` runs of ``body``, one entry per plan
-    entry: ``None`` for an op, ``(cost, fn)`` (the instruction's
-    ``compile_noncti`` closure) for a one-instruction run, and the
-    generated segment (:func:`compile_segment`) for a longer run.
-    Compiled on first use and kept on the body, so every fragment over
-    it, retranslation memo rebuilds included, shares one compile per
-    run."""
+    """The compiled runs of ``body``, one entry per step: the generated
+    segment (:func:`compile_segment`) of an ``OP_EXEC`` step, ``None``
+    for any other.  Compiled on first use and kept on the body, so every
+    fragment over it, retranslation memo rebuilds included, shares one
+    compile per run."""
     runs = body.runs
     if runs is None:
-        code = body.code
-        plans, step_of, _table_len = body.plan
-        sentinel_index = len(plans)
         mem = runtime.memory
         system = runtime.system
-        compiled = []
-        for plan_kind, payload in plans:
-            if plan_kind != "run":
-                compiled.append(None)
-            elif len(payload) == 1:
-                _k, opcode, ops, cost = code[payload[0]]
-                compiled.append((cost, compile_noncti(opcode, ops, mem, system)))
-            else:
-                compiled.append(compile_segment(
-                    [code[k][1:] for k in payload], mem, system,
-                    runtime.counter,
-                    step_of.get(payload[-1] + 1, sentinel_index),
-                ))
-        runs = body.runs = tuple(compiled)
+        counter = runtime.counter
+        runs = body.runs = tuple(
+            compile_segment(op[1], mem, system, counter, index + 1)
+            if op[0] == OP_EXEC else None
+            for index, op in enumerate(body.code)
+        )
     return runs
 
 
 def compile_fragment(fragment, runtime):
-    """Compile ``fragment.code`` into a tuple of step closures; caches
-    the result on ``fragment.compiled`` and returns it."""
+    """Compile ``fragment.code`` into a tuple of step closures, one per
+    op plus the fell-through sentinel; caches the result on
+    ``fragment.compiled`` and returns it."""
     code = fragment.code
     exits = fragment.exits
     mem = runtime.memory
@@ -789,49 +736,25 @@ def compile_fragment(fragment, runtime):
         return None if fn is None else client_hook(fn, tag, role)
 
     # Client execution hooks are bound here, once: through the client
-    # guard when there is one, bare otherwise.  Exit-stub clean calls
-    # name no tag.
+    # guard when there is one, bare otherwise.
     for stub in exits:
         if stub.stub_ops:
             stub.stub_ops = tuple(
-                (OP_CLEAN_CALL, client_hook(op[1], None, "stub_call"), op[2])
+                (OP_CLEAN_CALL, bind(op[1], "stub_call"), op[2])
                 if op[0] == OP_CLEAN_CALL
                 else op
                 for op in stub.stub_ops
             )
 
-    plans, step_of, _table_len = fragment.body.plan
     runs = compile_runs(fragment.body, runtime)
-    sentinel_index = len(plans)
-
-    def next_step(op_index):
-        return step_of.get(op_index, sentinel_index)
-
     steps = []
-    for plan_index, (plan_kind, payload) in enumerate(plans):
-        if plan_kind == "run":
-            nxt = next_step(payload[-1] + 1)
-            run = runs[plan_index]
-            if len(payload) > 1:
-                steps.append(run)
-                continue
-            c, fn = run
-
-            def exec_step(ex, cpu, _c=c, _fn=fn, _nxt=nxt):
-                counter.cycles += _c
-                ex.instructions += 1
-                _fn(cpu)
-                return _nxt
-
-            steps.append(exec_step)
-            continue
-
-        op_index = payload
-        op = code[op_index]
+    for index, op in enumerate(code):
         kind = op[0]
-        nxt = next_step(op_index + 1)
+        nxt = index + 1
+        if kind == OP_EXEC:
+            steps.append(runs[index])
 
-        if kind == OP_COND_EXIT:
+        elif kind == OP_COND_EXIT:
             cond = compile_condition(op[1])
             stub = exits[op[2]]
             c = op[3]
@@ -894,8 +817,7 @@ def compile_fragment(fragment, runtime):
             steps.append(call_inline_step)
 
         elif kind == OP_IND_EXIT:
-            _k, exit_idx, operand, is_call, ret_addr, profiler, checker, c = op
-            profiler = bind(profiler, "profiler")
+            _k, exit_idx, operand, is_call, ret_addr, checker, c = op
             checker = bind(checker, "checker")
             stub = exits[exit_idx]
             fetch = _compile_target_fetch(operand, mem)
@@ -907,7 +829,6 @@ def compile_fragment(fragment, runtime):
                 _stub=stub,
                 _is_call=is_call,
                 _ra=ret_addr,
-                _profiler=profiler,
                 _checker=checker,
                 _c=c,
                 _tag=tag,
@@ -928,15 +849,6 @@ def compile_fragment(fragment, runtime):
                     regs[4] = (regs[4] - 4) & _MASK32
                     write_u32(regs[4], _ra)
                 counter.cycles += _c + taken_penalty
-                if _profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="profiler", target=target
-                        )
-                    _profiler(ex.runtime.current_thread, target)
                 ex._next_fragment = ex._indirect_exit(
                     _stub, target, cpu, mem, system
                 )
@@ -1038,8 +950,7 @@ def compile_fragment(fragment, runtime):
             steps.append(ind_check_step)
 
         elif kind == OP_LOCAL_BR:
-            _k, jcc, target_index, c = op
-            target_step = next_step(target_index)
+            _k, jcc, target_step, c = op
             if jcc is None:
 
                 def local_jmp_step(ex, cpu, _t=target_step, _c=c):
@@ -1081,12 +992,11 @@ def compile_fragment(fragment, runtime):
         else:
             raise MachineFault("unknown fragment op kind %r" % (kind,))
 
-    if runtime.options.precise_interrupts and fragment.translation is not None:
-        # Wrap the application-consistent steps with the interrupt poll
-        # (repro.core.translate).
-        from repro.core.translate import wrap_poll_steps
-
-        wrap_poll_steps(fragment, runtime, plans, steps)
+    if runtime.options.precise_interrupts:
+        # Poll for interrupts at entry to every application-consistent
+        # step (repro.core.translate).
+        for index, pc in fragment.translation.poll_ops.items():
+            steps[index] = make_poll_step(runtime, pc, steps[index])
 
     def fell_through_step(ex, cpu, _tag=tag):
         # Only reachable when a fragment has no terminating exit —

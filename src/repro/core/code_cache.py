@@ -5,27 +5,25 @@ Fragments live in the simulated code-cache region of the address space
 thread's cache is split into a basic-block cache and a trace cache,
 mirroring Section 2.
 
-Capacity management (paper Section 6) is per-unit and policy-driven:
+Capacity management (paper Section 6) is per-unit and policy-driven.
+Every unit allocates through one free list (first-fit allocation,
+adjacent holes coalesced, the bump frontier retracted when the trailing
+hole reaches it); the policy decides what the runtime does when an
+allocation does not fit:
 
-* ``policy="flush"`` — allocation is a plain bump allocator; when the
-  configured limit is reached the whole unit is flushed (the
-  coarse-grained strategy the paper describes for DELI, and
-  DynamoRIO's own fallback).  This is the default and reproduces the
-  pre-adaptive behavior bit for bit.
+* ``policy="flush"`` — the whole unit is flushed (the coarse-grained
+  strategy the paper describes for DELI, and DynamoRIO's own fallback).
+  This is the default.
 * ``policy="fifo"`` — DynamoRIO's own scheme: single-fragment FIFO
-  eviction with empty-slot reuse.  Freed ranges go on a free list
-  (first-fit allocation, adjacent holes coalesced, the bump frontier
-  retracted when the trailing hole reaches it); under pressure the
-  runtime evicts resident fragments one at a time in allocation order
-  (the eviction pointer) until the incoming fragment fits.
-
-Either policy may be combined with *adaptive sizing*
-(``adaptive=True``): the unit starts small and monitors the
-regenerated-vs-replaced ratio — of the fragments evicted in the
-current resize epoch, how many were rebuilt — and when the ratio
-exceeds ``REGEN_THRESHOLD`` at an epoch boundary the unit grows by
-``GROW_FACTOR``, sizing itself to the application's working set
-instead of thrashing (Section 6.1).
+  eviction with empty-slot reuse.  Under pressure the runtime evicts
+  resident fragments one at a time in allocation order (the eviction
+  pointer) until the incoming fragment fits.
+* ``policy="adaptive"`` — fifo plus *adaptive sizing*: the unit starts
+  small and monitors the regenerated-vs-replaced ratio — of the
+  fragments evicted in the current resize epoch, how many were rebuilt
+  — and when the ratio exceeds ``REGEN_THRESHOLD`` at an epoch boundary
+  the unit grows by ``GROW_FACTOR``, sizing itself to the application's
+  working set instead of thrashing (Section 6.1).
 
 An *empty* cache always accepts any fragment regardless of the limit:
 a single fragment larger than the whole unit must still be placeable
@@ -67,14 +65,11 @@ class CacheUnit:
 
     ``policy`` only labels which pressure strategy the *runtime*
     applies to this unit (the eviction loop lives at the delete
-    chokepoint in ``core/runtime.py``); the unit itself just accounts
-    for space.  Under ``"flush"`` nothing is ever individually freed
-    before the whole-unit flush, so the free list stays empty and the
-    allocator degenerates to the original bump allocator.
+    chokepoint in ``core/runtime.py``); the unit itself accounts for
+    space, and grows its limit only under ``"adaptive"``.
     """
 
-    def __init__(self, name, base, limit=None, policy="flush",
-                 adaptive=False):
+    def __init__(self, name, base, limit=None, policy="flush"):
         self.name = name
         self.base = base
         self.limit = limit
@@ -89,9 +84,7 @@ class CacheUnit:
         # contain stale entries (removed/replaced fragments); they are
         # skipped lazily when the pointer advances.
         self._order = deque()
-        # Adaptive sizing state.
-        self.adaptive = adaptive
-        self.initial_limit = limit
+        # Churn and adaptive sizing state.
         self.evictions = 0  # fragments evicted (any policy), total
         self.regenerated = 0  # evicted tags seen again by allocate()
         self.resizes = 0
@@ -152,19 +145,7 @@ class CacheUnit:
 
     def allocate(self, fragment):
         size = fragment.size
-        if self.policy == "flush":
-            # The original bump allocator, bit for bit: an empty cache
-            # always accepts (at the current cursor), space freed by
-            # remove() is deliberately leaked until the next flush.
-            if (
-                self.limit is not None
-                and self.used() + size > self.limit
-                and self.fragments
-            ):
-                raise CacheFullError(self.name)
-            addr = self.cursor
-            self.cursor += size
-        elif not self.fragments:
+        if not self.fragments:
             # An empty cache always accepts (a single fragment larger
             # than the configured limit must still be placeable after
             # eviction has drained the unit — it becomes the sole
@@ -256,11 +237,7 @@ class CacheUnit:
         existing = self.fragments.get(fragment.tag)
         if existing is fragment:
             del self.fragments[fragment.tag]
-            if self.policy == "flush":
-                # Pre-fifo behavior: the slot is leaked (reclaimed only
-                # by the next whole-unit flush).
-                pass
-            elif not self.fragments:
+            if not self.fragments:
                 # Cheap full defragmentation: an empty unit is compact.
                 self._holes = []
                 self.free_bytes = 0
@@ -299,7 +276,7 @@ class CacheUnit:
         when the regenerated/evicted ratio says the working set does
         not fit.  Returns ``(old_limit, new_limit)`` when the unit
         grew, else ``None``."""
-        if not self.adaptive or self.limit is None:
+        if self.policy != "adaptive" or self.limit is None:
             return None
         if self._epoch_evictions < RESIZE_EPOCH:
             return None

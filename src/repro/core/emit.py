@@ -1,25 +1,32 @@
 """Fragment lowering: client-visible InstrList → executable ops.
 
-The runtime executes fragments as a flat tuple of *ops*.  Lowering is
-the moral equivalent of DynamoRIO's encoder pass when it emits a
-fragment into the code cache: unmodified instructions are copied (here:
-turned into pre-costed execute ops), control transfers become exits with
-link stubs, and trace-inlined constructs (elided jumps, inlined calls,
-indirect-branch checks, client dispatch chains) get their specialized
-forms.
+The runtime executes fragments as a flat tuple of *ops*, one per step
+of the fragment's compiled step table (:mod:`repro.core.closures`):
+op *i* is step *i*, and step ``len(code)`` is the fell-through
+sentinel.  Lowering is the moral equivalent of DynamoRIO's encoder
+pass when it emits a fragment into the code cache, once, as one linear
+single-entry, multiple-exit stream: unmodified instructions are copied
+(here: pre-costed and grouped into runs), control transfers become
+exits with link stubs, and trace-inlined constructs (elided jumps,
+inlined calls, indirect-branch checks, client dispatch chains) get
+their specialized forms.
 
 Op tuples (first element is the kind):
 
 ====================  ===================================================
-``OP_EXEC``           ``(k, opcode, ops, cost)`` straight-line instruction
-``OP_LOCAL_BR``       ``(k, jcc|None, target_op_index, cost)`` client
+``OP_EXEC``           ``(k, instrs)`` a run: a maximal sequence of
+                      consecutive non-CTI instructions, one
+                      ``(opcode, ops, cost)`` each, broken only at a
+                      label some ``OP_LOCAL_BR`` targets or at a clean
+                      call
+``OP_LOCAL_BR``       ``(k, jcc|None, target_step, cost)`` client
                       intra-fragment branch to a LABEL
 ``OP_COND_EXIT``      ``(k, jcc, exit_index, cost)`` taken → exit
 ``OP_JMP_EXIT``       ``(k, exit_index, cost)`` unconditional direct exit
 ``OP_CALL_EXIT``      ``(k, exit_index, return_addr, cost)`` push + exit
 ``OP_CALL_INLINE``    ``(k, return_addr, cost)`` push, stay on trace
 ``OP_IND_EXIT``       ``(k, exit_index, operand|None, is_call,
-                      return_addr|None, profiler, checker, cost)``
+                      return_addr|None, checker, cost)``
 ``OP_IND_CHECK``      ``(k, ibl_exit_index, operand|None, expected_tag,
                       dispatch, is_call, return_addr|None, profiler,
                       checker, cost, check_cost)`` trace-inlined
@@ -32,11 +39,17 @@ stack); otherwise the r/m operand the branch reads its target from.
 ``dispatch`` is a tuple of ``(tag, exit_index)`` compare-and-branch
 pairs — the paper's Figure 4 chain, each a linkable direct exit.
 ``profiler`` runs only when every inlined check misses (Figure 4's
-profiling call); ``checker`` runs on *every* execution before control
+profiling call); an indirect branch with a profiler always lowers to
+``OP_IND_CHECK``.  ``checker`` runs on *every* execution before control
 transfers — the enforcement hook security clients (program shepherding)
 use to validate indirect targets.
+
+Client custom exit-stub code keeps one op per instruction:
+``(OP_EXEC, opcode, ops, cost)`` or ``(OP_CLEAN_CALL, fn, cost)``
+(:meth:`repro.core.execute.Executor._run_stub_ops` runs them).
 """
 
+from repro.core import translate
 from repro.ir.instr import LabelRef
 from repro.isa.opcodes import Opcode
 from repro.observe.events import EV_FRAGMENT_EMIT
@@ -154,7 +167,7 @@ def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=Non
         source_tags = (tag,)
     if options is not None and options.verify_fragments:
         _verify_before_emit(tag, kind, ilist, runtime, source_tags)
-    body = _lower_fragment(tag, ilist, cost_model, source_tags)
+    body = _lower_fragment(ilist, cost_model, source_tags)
     return _instantiate(tag, kind, body, runtime, reason)
 
 
@@ -213,13 +226,21 @@ def _instantiate(tag, kind, body, runtime, reason):
     return fragment
 
 
-def _lower_fragment(tag, ilist, cost_model, source_tags):
+def _lower_fragment(ilist, cost_model, source_tags):
     """Lower ``ilist`` (bundles expanded in place) into a
-    :class:`FragmentBody`."""
+    :class:`FragmentBody`: one op per step."""
     ilist.expand_bundles()
     code = []
+    # One tuple of source Instrs per op, in lowering order: a run's
+    # instructions, or the one Instr a CTI or clean call lowered from.
+    # The translation table anchors each back to its application PC.
+    sources = []
     exits = []
     size = 0
+    run = []  # the open run: one (opcode, ops, cost) per instruction
+    run_sources = []
+    label_step = {}  # targeted LABEL -> the step it begins
+    local_branches = []  # indices of OP_LOCAL_BR ops to backpatch
 
     def new_exit(kind_, target_tag, src_instr, is_call_exit=False):
         stub_ops = ()
@@ -230,72 +251,82 @@ def _lower_fragment(tag, ilist, cost_model, source_tags):
         exits.append((kind_, target_tag, stub_ops, always_stub, is_call_exit))
         return len(exits) - 1
 
-    # Pass 1: map LABEL instrs to op indices.  Every non-label
-    # instruction lowers to exactly one op.
-    label_index = {}
-    op_index = 0
-    for instr in ilist:
-        if instr.is_label() and not _note(instr, "clean_call"):
-            label_index[instr] = op_index
-        else:
-            op_index += 1
+    def close_run():
+        if run:
+            code.append((OP_EXEC, tuple(run)))
+            sources.append(tuple(run_sources))
+            run.clear()
+            run_sources.clear()
+
+    def append(op, instr):
+        close_run()
+        code.append(op)
+        sources.append((instr,))
+
+    # Pass 1: the labels some client branch targets; each begins a step.
+    targeted = {
+        instr.target.label
+        for instr in ilist
+        if instr.is_cti() and isinstance(instr.target, LabelRef)
+    }
 
     for instr in ilist:
         clean_call = _note(instr, "clean_call")
         if clean_call is not None:
-            code.append((OP_CLEAN_CALL, clean_call, CLEAN_CALL_COST))
+            append((OP_CLEAN_CALL, clean_call, CLEAN_CALL_COST), instr)
             size += 5
             continue
         if instr.is_label():
+            if instr in targeted:
+                close_run()
+                label_step[instr] = len(code)
             continue
         size += instr.length
         if not instr.is_cti():
-            code.append(
+            run.append(
                 (
-                    OP_EXEC,
                     instr.opcode,
                     instr.explicit_operands(),
                     _instr_cost(cost_model, instr),
                 )
             )
+            run_sources.append(instr)
             continue
 
         info = instr.info
         cost = cost_model.instr_cost(info, False, False)
         target = instr.target
-        profiler = _note(instr, "profiler")
 
         if isinstance(target, LabelRef):
-            # Client-inserted intra-fragment branch.
-            if target.label not in label_index:
-                raise EmitError("branch to a label outside this fragment")
+            # Client-inserted intra-fragment branch; its target step is
+            # backpatched once every label has its step.
             if info.is_cond_branch:
-                code.append(
-                    (OP_LOCAL_BR, instr.opcode, label_index[target.label], cost)
-                )
+                jcc = instr.opcode
             elif instr.opcode == Opcode.JMP:
-                code.append((OP_LOCAL_BR, None, label_index[target.label], cost))
+                jcc = None
             else:
                 raise EmitError("only jmp/jcc may target labels")
+            append((OP_LOCAL_BR, jcc, target.label, cost), instr)
+            local_branches.append(len(code) - 1)
             continue
 
         if info.is_cond_branch:
             idx = new_exit(LinkStub.KIND_DIRECT, target.pc, instr)
-            code.append((OP_COND_EXIT, instr.opcode, idx, cost))
+            append((OP_COND_EXIT, instr.opcode, idx, cost), instr)
             continue
         if instr.opcode == Opcode.JMP:
             idx = new_exit(LinkStub.KIND_DIRECT, target.pc, instr)
-            code.append((OP_JMP_EXIT, idx, cost))
+            append((OP_JMP_EXIT, idx, cost), instr)
             continue
         if instr.opcode == Opcode.CALL:
             return_addr = _return_address(instr)
             if _note(instr, "inline"):
-                code.append((OP_CALL_INLINE, return_addr, cost))
+                append((OP_CALL_INLINE, return_addr, cost), instr)
             else:
                 idx = new_exit(
                     LinkStub.KIND_DIRECT, target.pc, instr, is_call_exit=True
                 )
-                code.append((OP_CALL_EXIT, idx, return_addr, cost))
+                append((OP_CALL_EXIT, idx, return_addr, cost), instr)
             continue
 
         # Indirect control transfer: ret, iret, jmp*, call*.  The
@@ -310,6 +341,7 @@ def _lower_fragment(tag, ilist, cost_model, source_tags):
         is_call = instr.is_call()
         return_addr = _return_address(instr) if is_call else None
         checker = _note(instr, "checker")
+        profiler = _note(instr, "profiler")
         inline_target = _note(instr, "inline_target")
         dispatch_tags = _note(instr, "dispatch") or ()
         if inline_target is not None or dispatch_tags or profiler is not None:
@@ -320,7 +352,7 @@ def _lower_fragment(tag, ilist, cost_model, source_tags):
                 (t, new_exit(LinkStub.KIND_DIRECT, t, None)) for t in dispatch_tags
             )
             ibl_idx = new_exit(LinkStub.KIND_INDIRECT, None, instr)
-            code.append(
+            append(
                 (
                     OP_IND_CHECK,
                     ibl_idx,
@@ -333,48 +365,31 @@ def _lower_fragment(tag, ilist, cost_model, source_tags):
                     checker,
                     cost + INLINE_CHECK_COST,
                     INLINE_CHECK_COST,
-                )
+                ),
+                instr,
             )
             size += 6 + 10 * len(dispatch)
         else:
             idx = new_exit(LinkStub.KIND_INDIRECT, None, instr)
-            code.append(
-                (
-                    OP_IND_EXIT,
-                    idx,
-                    operand,
-                    is_call,
-                    return_addr,
-                    profiler,
-                    checker,
-                    cost,
-                )
+            append(
+                (OP_IND_EXIT, idx, operand, is_call, return_addr, checker, cost),
+                instr,
             )
-        continue
+    close_run()
 
-    code = tuple(code)
-    # One source Instr per emitted op, in lowering order: clean-call
-    # pseudo-labels emit one op, other labels emit none, everything else
-    # emits exactly one (mirrors pass 1's op_index accounting).  The
-    # translation table anchors each op back to its application PC.
-    sources = [
-        instr
-        for instr in ilist
-        if _note(instr, "clean_call") is not None or not instr.is_label()
-    ]
-    # Lazy imports, like compile_fragment's: closures imports this module.
-    from repro.core.closures import plan_fragment
-    from repro.core.translate import build_translation
+    for index in local_branches:
+        kind_, jcc, label, cost = code[index]
+        if label not in label_step:
+            raise EmitError("branch to a label outside this fragment")
+        code[index] = (kind_, jcc, label_step[label], cost)
 
-    plan = plan_fragment(code)
     return FragmentBody(
-        code,
+        tuple(code),
         tuple(exits),
         size + STUB_SIZE * len(exits),
         ilist,
         tuple(source_tags),
-        build_translation(tag, code, sources, plan),
-        plan,
+        translate.build_translation(sources),
     )
 
 

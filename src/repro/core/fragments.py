@@ -53,15 +53,15 @@ class LinkStub:
 class FragmentBody:
     """The lowered, link-free part of a fragment.
 
-    Everything emission derives from the InstrList alone: the op tuples,
-    one exit descriptor per exit (``(kind, target_tag, stub_ops,
-    always_stub, is_call_exit)``, the :class:`LinkStub` fields that do
-    not change once lowered), the encoded size, the source list, the
-    translation table, and the fusion plan
-    (:func:`repro.core.closures.plan_fragment`).  ``runs`` holds each
-    fused ``OP_EXEC`` run compiled — a one-instruction closure or a
-    generated segment (:func:`repro.core.closures.compile_runs`) —
-    filled in by the first compile under a runtime.
+    Everything emission derives from the InstrList alone: the op tuples
+    (one per step, :mod:`repro.core.emit`), one exit descriptor per exit
+    (``(kind, target_tag, stub_ops, always_stub, is_call_exit)``, the
+    :class:`LinkStub` fields that do not change once lowered), the
+    encoded size, the source list and the translation table.  ``runs``
+    holds one entry per step: the run's generated segment
+    (:func:`repro.core.closures.compile_segment`) for an ``OP_EXEC``
+    step, else ``None`` — filled in by the first compile under a
+    runtime (:func:`repro.core.closures.compile_runs`).
 
     A body carries no link state, so one body may back several
     fragments in turn (the runtime's retranslation memo re-emits an
@@ -76,19 +76,17 @@ class FragmentBody:
         "instrs_source",
         "source_tags",
         "translation",
-        "plan",
         "runs",
     )
 
     def __init__(self, code, exits, size, instrs_source, source_tags,
-                 translation, plan):
+                 translation):
         self.code = code
         self.exits = exits
         self.size = size
         self.instrs_source = instrs_source
         self.source_tags = source_tags
         self.translation = translation
-        self.plan = plan
         self.runs = None
 
 
@@ -125,7 +123,7 @@ class Fragment:
         # ``size``, ``instrs_source``, ``source_tags`` and
         # ``translation`` are copied from it.
         self.body = None
-        self.code = ()  # lowered ops (see repro.core.emit)
+        self.code = ()  # lowered ops, one per step (see repro.core.emit)
         self.exits = []
         self.cache_addr = None
         self.size = 0  # encoded size in the simulated code cache
@@ -151,9 +149,9 @@ class Fragment:
         # cache-consistency region map when options.cache_consistency is
         # on; traces carry the union of their constituent blocks' spans.
         self.source_spans = ()
-        # Execution-point -> application-PC map (repro.core.translate):
-        # built at emit time, drives mid-fragment signal delivery and
-        # detach-time state translation.
+        # Step -> application-PC map (repro.core.translate): built at
+        # emit time; its poll map drives mid-fragment signal delivery
+        # and detach.
         self.translation = None
 
     @property

@@ -36,14 +36,5 @@ class IndirectBranchTable:
         if existing is fragment:
             del self.table[fragment.tag]
 
-    def remove_tag(self, tag):
-        self.table.pop(tag, None)
-
     def clear(self):
         self.table.clear()
-
-    def __len__(self):
-        return len(self.table)
-
-    def __contains__(self, tag):
-        return tag in self.table

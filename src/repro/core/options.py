@@ -25,7 +25,6 @@ class RuntimeOptions:
         client_hook_budget=None,
         cache_consistency=False,
         cache_evict_policy="flush",
-        cache_adaptive=False,
         precise_interrupts=False,
         shield=False,
         chain_engine=None,
@@ -43,22 +42,20 @@ class RuntimeOptions:
         # Cache organization.
         self.thread_private = thread_private
         self.code_cache_limit = code_cache_limit  # bytes, None = unlimited
-        # Capacity policy (paper Section 6).  "flush" drops the whole
-        # unit when it fills (DELI's fallback; the historical default,
-        # bit-identical to pre-policy behavior).  "fifo" evicts single
-        # fragments in allocation order with empty-slot reuse —
-        # DynamoRIO's own scheme; strictly fewer retranslations under
-        # pressure, simulated results otherwise unchanged for runs that
-        # never hit the limit.
-        self.cache_evict_policy = cache_evict_policy
-        # Adaptive working-set sizing (Section 6.1): treat
-        # code_cache_limit as the *initial* size, monitor the
-        # regenerated-vs-replaced ratio over each resize epoch
-        # (code_cache.RESIZE_EPOCH evictions), and grow the pressured
-        # unit by code_cache.GROW_FACTOR whenever the ratio exceeds
+        # Capacity policy (paper Section 6), one of code_cache's three.
+        # "flush" drops the whole unit when it fills (DELI's fallback;
+        # the historical default).  "fifo" evicts single fragments in
+        # allocation order with empty-slot reuse — DynamoRIO's own
+        # scheme; strictly fewer retranslations under pressure,
+        # simulated results otherwise unchanged for runs that never hit
+        # the limit.  "adaptive" is fifo plus working-set sizing
+        # (Section 6.1): code_cache_limit is the *initial* size, and a
+        # pressured unit grows by code_cache.GROW_FACTOR whenever the
+        # regenerated-vs-replaced ratio over a resize epoch
+        # (code_cache.RESIZE_EPOCH evictions) exceeds
         # code_cache.REGEN_THRESHOLD — the cache sizes itself to the
         # application's working set instead of thrashing.
-        self.cache_adaptive = cache_adaptive
+        self.cache_evict_policy = cache_evict_policy
         # Sideline optimization (the paper's Section 3.4 future work):
         # trace construction and client trace processing run on an idle
         # processor, so their cycles leave the application's critical
@@ -113,7 +110,7 @@ class RuntimeOptions:
         # an interrupt poll at every application-consistent step inside
         # fragments, so due alarms and pending detach requests are
         # honored *mid-fragment* with a latency bounded by the longest
-        # fused run (<= bb_builder.MAX_BB_INSTRS instructions) instead
+        # run (<= bb_builder.MAX_BB_INSTRS instructions) instead
         # of waiting for the next dispatcher boundary.  Off by default:
         # the step tables carry no polls and every simulated result is
         # bit-identical to the pre-translation runtime.  Detach itself

@@ -350,7 +350,7 @@ class DynamoRIO:
         try:
             cache.allocate(fragment)
         except CacheFullError:
-            if cache.policy == "fifo":
+            if cache.policy != "flush":
                 rguard = self.rguard
                 if rguard is None:
                     self._evict_fifo(cache, fragment, thread)
@@ -400,13 +400,13 @@ class DynamoRIO:
         self.stats.cache_evictions += 1
 
     def _evict_fifo(self, cache, fragment, thread=None):
-        """Capacity pressure under ``cache_evict_policy="fifo"``: evict
-        resident fragments one at a time in allocation order — through
-        the full delete chokepoint (unlink, region-map deregistration,
-        IBL removal, ``fragment_deleted`` hook) —
-        until the incoming fragment fits.  If nothing can make it fit
-        (fragment larger than the unit) the cache drains to empty and
-        the empty-cache rule accepts it as the sole resident."""
+        """Capacity pressure under ``cache_evict_policy="fifo"`` or
+        ``"adaptive"``: evict resident fragments one at a time in
+        allocation order — through the full delete chokepoint (unlink,
+        region-map deregistration, IBL removal, ``fragment_deleted``
+        hook) — until the incoming fragment fits.  If nothing can make
+        it fit (fragment larger than the unit) the cache drains to empty
+        and the empty-cache rule accepts it as the sole resident."""
         observer = self.observer
         if observer is not None:
             occ = cache.occupancy()
@@ -416,7 +416,7 @@ class DynamoRIO:
                 unit=occ["unit"],
                 used=occ["used"],
                 limit=occ["limit"],
-                policy="fifo",
+                policy=occ["policy"],
                 incoming_size=fragment.size,
             )
         self.stats.cache_evictions += 1

@@ -32,13 +32,13 @@ class ThreadContext:
             self.trace_cache = share_from.trace_cache
             self.ibl = share_from.ibl
         else:
-            opts = runtime.options
+            policy = runtime.options.cache_evict_policy
             half = None if cache_limit is None else cache_limit // 2
-            if opts.cache_adaptive and half is None:
+            if policy == "adaptive":
                 # Adaptive with no explicit limit: start small and let
                 # the resize heuristic grow toward the working set.
-                half = ADAPTIVE_INITIAL_LIMIT
-            if opts.cache_adaptive:
+                if half is None:
+                    half = ADAPTIVE_INITIAL_LIMIT
                 # Limits grow at runtime, so give the trace unit a
                 # fixed offset inside this thread's cache stripe
                 # instead of stacking it right above the bb unit.
@@ -47,16 +47,8 @@ class ThreadContext:
                 trace_base = cache_base + 0x80000
             else:
                 trace_base = cache_base + (half or 0x200000)
-            self.bb_cache = CacheUnit(
-                "bb", cache_base, half,
-                policy=opts.cache_evict_policy,
-                adaptive=opts.cache_adaptive,
-            )
-            self.trace_cache = CacheUnit(
-                "trace", trace_base, half,
-                policy=opts.cache_evict_policy,
-                adaptive=opts.cache_adaptive,
-            )
+            self.bb_cache = CacheUnit("bb", cache_base, half, policy)
+            self.trace_cache = CacheUnit("trace", trace_base, half, policy)
             self.ibl = IndirectBranchTable()
         # Client state (paper Section 3.2: "a generic thread-local
         # storage field for use by clients").

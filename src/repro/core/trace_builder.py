@@ -78,10 +78,6 @@ def _copy_block(ilist):
     return copy_instructions(ilist)
 
 
-def _is_synthetic_jmp(instr):
-    return isinstance(instr.note, dict) and instr.note.get("synthetic_fallthrough")
-
-
 def stitch_trace(recording, observer=None):
     """Stitch recorded blocks into one linear InstrList.
 

@@ -6,38 +6,30 @@ given where execution currently is *inside the code cache*, reconstruct
 the precise application machine state, as if the program had been
 running natively.  This module is that primitive for the reproduction.
 
-Every emitted fragment records a :class:`TranslationTable` mapping its
-execution points back to source application PCs:
+Every emitted fragment records a :class:`TranslationTable` over its
+steps (op *i* of a fragment is step *i*, :mod:`repro.core.emit`):
 
-* ``pcs[op_index]`` — the application PC of the source instruction the
-  op was lowered from, or ``None`` for client meta-instructions and
-  clean calls (they have no application PC: they execute for the
-  client, not the application);
-* ``poll_ops`` — the *application-consistent interrupt points*: op
-  indices that begin a step (per :func:`~repro.core.closures.
-  plan_fragment`'s fusion plan) whose first op is anchored to a source
-  PC.  At entry to such a step the engine holds **no in-flight state**:
-  every preceding instruction's registers, flags, memory effects and
-  cycle charges are committed (generated segments flush their batched
-  charges before unwinding — the traceback-line machinery in
-  :func:`~repro.core.closures.compile_segment` guarantees it on the
-  fault path too), so the machine state *is* the application state at
-  that PC.
+* ``pcs[step]`` — the source application PCs of the step, one per
+  instruction of a run and one for any other step, ``None`` where there
+  is none: client meta-instructions and clean calls execute for the
+  client, not the application;
+* ``poll_ops`` — ``{step: pc}``, the *application-consistent interrupt
+  points*: the steps (other than the entry, step 0) whose first PC is
+  known.  At entry to such a step the engine holds **no in-flight
+  state**: every preceding instruction's registers, flags, memory
+  effects and cycle charges are committed (generated segments flush
+  their batched charges before unwinding — the traceback-line
+  machinery in :func:`~repro.core.closures.compile_segment` guarantees
+  it on the fault path too), so the machine state *is* the application
+  state at that PC.  This is the role an OSR mapping plays between two
+  versions of the code (OSR à la Carte, PAPERS.md).
 
-Execution points that are not poll points (mid-run, or steps lowered
-from meta-instructions) translate by **rolling forward** to the nearest
-consistent point at or after them — :meth:`TranslationTable.
-translate_step` — which is exactly how delivery works: interruption
-requests (a due alarm, a pending detach) made between consistent
-points are acted on at the next one, giving mid-fragment delivery a
-deterministic latency bounded by the longest fused run (at most
-``bb_builder.MAX_BB_INSTRS`` instructions).
-
-The table and the closure step tables (:mod:`repro.core.closures`) are
-the whole mechanism: one compiled version of the program, mapped back
-to application PCs.  :func:`wrap_poll_steps` wraps exactly the
-poll-point steps, segments included, with :func:`make_poll_step` at
-compile time.
+Interruption requests (a due alarm, a pending detach) made between
+poll points are acted on at the next one, giving mid-fragment delivery
+a deterministic latency bounded by the longest run (at most
+``bb_builder.MAX_BB_INSTRS`` instructions).  :func:`make_poll_step`
+wraps exactly the poll-point steps, segments included, when
+:func:`~repro.core.closures.compile_fragment` compiles a fragment.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the
@@ -46,90 +38,51 @@ pre-translation runtime.
 
 
 class TranslationTable:
-    """Execution-point -> application-PC map for one fragment."""
+    """Step -> application-PC map for one fragment."""
 
-    __slots__ = ("tag", "pcs", "poll_ops", "step_pcs")
+    __slots__ = ("pcs", "poll_ops")
 
-    def __init__(self, tag, pcs, poll_ops, step_pcs):
-        self.tag = tag
-        # Per-op source application PC (None = meta / no application PC).
+    def __init__(self, pcs, poll_ops):
+        # Per-step tuple of source application PCs (None = meta / no
+        # application PC): one per instruction of a run.
         self.pcs = pcs
-        # op_index -> pc for application-consistent interrupt points.
+        # step -> pc for application-consistent interrupt points.
         self.poll_ops = poll_ops
-        # Per-step translated PC (roll-forward applied; always valid).
-        self.step_pcs = step_pcs
-
-    def pc_at(self, op_index):
-        """The source PC of one op, or ``None`` for meta ops."""
-        return self.pcs[op_index]
-
-    def translate_step(self, step_index):
-        """Application PC for interruption at entry to ``step_index``.
-
-        Rolls forward to the nearest application-consistent point at or
-        after the step; the trailing fell-through sentinel (and any
-        trailing meta steps) roll *backward* to the last known PC, so
-        every step index in the table translates to a valid source PC.
-        """
-        return self.step_pcs[step_index]
 
     def __repr__(self):
-        return "<TranslationTable tag=0x%x ops=%d polls=%d>" % (
-            self.tag, len(self.pcs), len(self.poll_ops),
+        return "<TranslationTable steps=%d polls=%d>" % (
+            len(self.pcs), len(self.poll_ops),
         )
 
 
 def _source_pc(instr):
-    """The application PC an emitted op is anchored to, or ``None``.
+    """The application PC an emitted instruction is anchored to, or
+    ``None``.
 
     Client meta-instructions and synthesized instructions without raw
     bytes have no application PC — interruption there must roll forward.
     """
-    if instr is None or instr.is_meta:
+    if instr.is_meta:
         return None
     if instr.raw_bits_valid() and instr.raw_pc is not None:
         return instr.raw_pc
     return None
 
 
-def build_translation(tag, code, source_instrs, plan):
+def build_translation(sources):
     """Build the :class:`TranslationTable` for a freshly lowered
-    fragment.  ``source_instrs`` has one entry per op in ``code`` — the
-    Instr each op was lowered from (``None`` for clean-call pseudo-ops);
-    ``plan`` is the body's :func:`~repro.core.closures.plan_fragment`
-    result, so poll points follow the step boundaries.
-    """
-    pcs = tuple(_source_pc(instr) for instr in source_instrs)
-    plans, _step_of, table_len = plan
-
-    poll_ops = {}
-    step_pcs = []
-    for plan_kind, payload in plans:
-        first_op = payload[0] if plan_kind == "run" else payload
-        pc = pcs[first_op]
-        # Op 0 is the fragment entry: the dispatcher (and the run
-        # loop's boundary check) already covers it, so polling there
-        # would be redundant.
-        if pc is not None and first_op > 0:
-            poll_ops[first_op] = pc
-        # Roll forward for the step's translated PC.
-        translated = None
-        for op_index in range(first_op, len(pcs)):
-            if pcs[op_index] is not None:
-                translated = pcs[op_index]
-                break
-        step_pcs.append(translated)
-    # Sentinel step (fell-through) and any trailing meta steps: roll
-    # backward to the last anchored PC; fall back to the fragment tag.
-    step_pcs.append(None)
-    last = tag
-    for i, pc in enumerate(step_pcs):
-        if pc is None:
-            step_pcs[i] = last
-        else:
-            last = pc
-    assert len(step_pcs) == table_len
-    return TranslationTable(tag, pcs, poll_ops, tuple(step_pcs))
+    fragment.  ``sources`` has one tuple per step: the Instrs the step
+    was lowered from, in order."""
+    pcs = tuple(tuple(_source_pc(instr) for instr in step) for step in sources)
+    # Step 0 is the fragment entry: the dispatcher (and the run loop's
+    # boundary check) already covers it, so polling there would be
+    # redundant.
+    poll_ops = {
+        step: pcs[step][0]
+        for step in range(1, len(pcs))
+        if pcs[step][0] is not None
+    }
+    return TranslationTable(pcs, poll_ops)
 
 
 def make_poll_step(runtime, pc, step):
@@ -160,22 +113,3 @@ def make_poll_step(runtime, pc, step):
         return _step(ex, cpu)
 
     return poll_step
-
-
-def wrap_poll_steps(fragment, runtime, plans, steps):
-    """Apply :func:`make_poll_step` to every poll-point step in a
-    freshly compiled step list (in place).  ``steps`` holds one entry
-    per plan (the fell-through sentinel is appended afterwards)."""
-    translation = fragment.translation
-    if translation is None:
-        return
-    poll_ops = translation.poll_ops
-    if not poll_ops:
-        return
-    for plan_index, (plan_kind, payload) in enumerate(plans):
-        first_op = payload[0] if plan_kind == "run" else payload
-        pc = poll_ops.get(first_op)
-        if pc is not None:
-            steps[plan_index] = make_poll_step(
-                runtime, pc, steps[plan_index]
-            )

@@ -8,7 +8,7 @@ configuration, written as one sorted, compact line per row:
 * the four ablation sweeps (:data:`ablations.SWEEPS`);
 * the eviction-policy matrix: :data:`POLICY_BENCHMARKS` @test with the
   code cache limited to :data:`FRACTIONS` of the probed footprint,
-  under flush, fifo and fifo with adaptive sizing.
+  under each of the three eviction policies (flush, fifo, adaptive).
 
 A row sums over the benchmark's runs, exactly as
 :func:`harness.measure` does (it is the one run path): cycles,
@@ -43,15 +43,11 @@ GOLDEN = Path(__file__).resolve().parents[3] / "GOLDEN.json"
 TABLE1_CONFIGS = [harness.NATIVE] + [config for _label, config in table1.ROWS]
 FIGURE5_CONFIGS = [harness.NATIVE] + [config for _key, config in figure5.CONFIGS]
 
-# The eviction-policy matrix (paper Section 6).  policy key ->
-# (cache_evict_policy, cache_adaptive).
+# The eviction-policy matrix (paper Section 6): every
+# cache_evict_policy at each fraction of the probed footprint.
 POLICY_BENCHMARKS = ("crafty", "vpr", "gzip", "mcf", "mgrid")
 FRACTIONS = (0.4, 0.5, 0.7)
-POLICIES = {
-    "flush": ("flush", False),
-    "fifo": ("fifo", False),
-    "adaptive": ("fifo", True),
-}
+POLICIES = ("flush", "fifo", "adaptive")
 
 # One golden row: its key, the measurement it comes from, and the code
 # cache limit of a policy row.
@@ -106,13 +102,11 @@ def policy_rows(footprint=probe_footprint):
         peak = footprint(name)
         for fraction in FRACTIONS:
             limit = max(200, int(peak * fraction))  # a floor for tiny footprints
-            for key, (policy, adaptive) in POLICIES.items():
+            for policy in POLICIES:
                 options = harness.options_with(
-                    code_cache_limit=limit,
-                    cache_evict_policy=policy,
-                    cache_adaptive=adaptive,
+                    code_cache_limit=limit, cache_evict_policy=policy,
                 )
-                config = harness.Config(policy_key(key, fraction), options)
+                config = harness.Config(policy_key(policy, fraction), options)
                 yield Row(row_key(name, "test", config.key), name, "test",
                           config, limit)
 

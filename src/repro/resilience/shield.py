@@ -516,6 +516,8 @@ class RuntimeGuard:
             for thread in runtime.threads:
                 thread.trace_in_progress = None
         elif subsystem == "fifo_eviction":
+            # fifo and adaptive units fall back to whole-unit flushes
+            # (an adaptive unit also stops growing).
             options.cache_evict_policy = "flush"
             seen = set()
             for thread in runtime.threads:

@@ -124,7 +124,7 @@ class TestCacheUnitFifo:
         assert list(unit.fragments.values()) == [big]
 
     def test_adaptive_resize_epoch(self):
-        unit = CacheUnit("bb", base=0, limit=100, policy="fifo", adaptive=True)
+        unit = CacheUnit("bb", base=0, limit=100, policy="adaptive")
         from repro.core.code_cache import RESIZE_EPOCH
 
         # An epoch of evictions where every evicted tag regenerates:

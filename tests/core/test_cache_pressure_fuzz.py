@@ -1,8 +1,9 @@
 """Property-based cache-pressure fuzz: seeded random policy matrix.
 
 Each seed draws a random ``(workload, code_cache_limit, eviction
-policy, adaptive sizing, trace threshold, client)`` cell and checks it
-with the differential oracle (``repro.tools.oracle``).  The properties:
+policy, trace threshold, client)`` cell, the policy one of flush, fifo
+and adaptive, and checks it with the differential oracle
+(``repro.tools.oracle``).  The properties:
 
 * **Transparency** — output, exit code and (when native takes no
   signal) final registers and eflags equal native execution, at every
@@ -64,8 +65,7 @@ def _draw_cell(seed):
     return {
         "source": rng.choice(sorted(SOURCES)),
         "limit": rng.randrange(400, 2001),
-        "policy": rng.choice(("flush", "fifo")),
-        "adaptive": rng.random() < 0.4,
+        "policy": rng.choice(("flush", "fifo", "adaptive")),
         "trace_threshold": rng.choice((3, 5, 20)),
         "client": rng.choice(CLIENTS),
         "traced": rng.random() < 0.5,
@@ -77,7 +77,6 @@ def _cell(cell, **extra):
         opts = RuntimeOptions.with_traces()
         opts.code_cache_limit = cell["limit"]
         opts.cache_evict_policy = cell["policy"]
-        opts.cache_adaptive = cell["adaptive"]
         opts.trace_threshold = cell["trace_threshold"]
         if cell["traced"]:
             opts.trace_events = True
@@ -117,15 +116,9 @@ def _assert_cache_invariants(runtime):
                     # Linked exits must target live fragments.
                     if stub.linked_to is not None:
                         assert not stub.linked_to.deleted
-            # The unit's byte accounting matches its residents.  The
-            # flush policy deliberately leaks removed/shadowed slots
-            # until the next whole-unit flush (pre-fifo behavior, kept
-            # bit-identical), so it only bounds from above.
-            resident_bytes = sum(f.size for f in residents)
-            if cache.policy == "fifo":
-                assert cache.used() == resident_bytes
-            else:
-                assert cache.used() >= resident_bytes
+            # The unit's byte accounting matches its residents: every
+            # policy frees removed and shadowed slots.
+            assert cache.used() == sum(f.size for f in residents)
         # Every IBL entry resolves to a live, resident fragment.
         for tag, fragment in thread.ibl.table.items():
             assert not fragment.deleted

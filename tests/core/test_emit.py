@@ -1,5 +1,8 @@
 """Fragment lowering (emit) unit tests, including client-inserted
-intra-fragment control flow (OP_LOCAL_BR) executed end to end."""
+intra-fragment control flow (OP_LOCAL_BR) executed end to end.
+
+Lowering emits one op per step: a run of straight-line instructions is
+one ``OP_EXEC`` op, split only where a local branch lands."""
 
 import pytest
 
@@ -22,18 +25,22 @@ from repro.ir.create import (
     INSTR_CREATE_call,
     INSTR_CREATE_cmp,
     INSTR_CREATE_jmp,
+    INSTR_CREATE_jnz,
     INSTR_CREATE_jz,
     INSTR_CREATE_mov,
     INSTR_CREATE_nop,
     INSTR_CREATE_ret,
+    INSTR_CREATE_sub,
     OPND_CREATE_INT32,
     OPND_CREATE_MEM,
     OPND_CREATE_PC,
     OPND_CREATE_REG,
 )
+from repro.isa.opcodes import Opcode
 from repro.isa.registers import Reg
 from repro.machine.cost import CostModel
 from repro.loader import Process
+from repro.tools.oracle import Cell, Column, check
 
 from tests.core.conftest import run_under
 
@@ -98,8 +105,56 @@ class TestLoweringShapes:
         )
         kinds = [op[0] for op in frag.code]
         assert kinds == [OP_LOCAL_BR, OP_EXEC, OP_JMP_EXIT]
-        # the local branch targets op index 2 (labels lower to nothing)
+        # the local branch targets step 2 (labels lower to nothing)
         assert frag.code[0][2] == 2
+
+    def test_straight_line_block_is_one_run(self):
+        frag = emit(
+            [
+                INSTR_CREATE_mov(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+                INSTR_CREATE_add(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(2)),
+                INSTR_CREATE_mov(OPND_CREATE_REG(Reg.EBX), OPND_CREATE_REG(Reg.EAX)),
+                INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
+            ]
+        )
+        assert [op[0] for op in frag.code] == [OP_EXEC, OP_JMP_EXIT]
+        run = frag.code[0][1]
+        assert [opcode for opcode, _ops, _cost in run] == [
+            Opcode.MOV, Opcode.ADD, Opcode.MOV,
+        ]
+        assert len(frag.translation.pcs) == len(frag.code)
+        assert len(frag.translation.pcs[0]) == 3
+
+    def test_targeted_label_splits_the_run(self):
+        label = Instr.label()
+        jnz = INSTR_CREATE_jnz(OPND_CREATE_PC(0))
+        jnz.set_target(LabelRef(label))
+        frag = emit(
+            [
+                INSTR_CREATE_mov(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+                label,
+                INSTR_CREATE_sub(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+                INSTR_CREATE_nop(),
+                jnz,
+                INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
+            ]
+        )
+        kinds = [op[0] for op in frag.code]
+        assert kinds == [OP_EXEC, OP_EXEC, OP_LOCAL_BR, OP_JMP_EXIT]
+        assert [len(op[1]) for op in frag.code[:2]] == [1, 2]
+        assert frag.code[2][2] == 1  # the label begins step 1
+
+    def test_untargeted_label_does_not_split(self):
+        frag = emit(
+            [
+                INSTR_CREATE_mov(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+                Instr.label(),
+                INSTR_CREATE_add(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(2)),
+                INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
+            ]
+        )
+        assert [op[0] for op in frag.code] == [OP_EXEC, OP_JMP_EXIT]
+        assert len(frag.code[0][1]) == 2
 
     def test_label_outside_fragment_rejected(self):
         foreign = Instr.label()
@@ -169,3 +224,53 @@ def test_client_local_branches_execute(loop_image, loop_native):
     result2 = dr2.run()
     assert result2.output == loop_native.output
     assert dr2.memory.read_u32(_BranchInsertingClient.COUNTER) > 100
+
+
+class _JumpInsertingClient(Client):
+    """Inserts an unconditional local jump over a store at the top of
+    every block:
+
+        jmp skip
+        mov [MARK], 1
+      skip:
+
+    The store never runs, so ``MARK`` stays 0; a jump that fell through
+    would set it."""
+
+    MARK = 0x1000018  # runtime heap address
+
+    def basic_block(self, context, tag, ilist):
+        ilist.expand_bundles()
+        first = ilist.first()
+        label = Instr.label()
+        jmp = INSTR_CREATE_jmp(OPND_CREATE_PC(0))
+        jmp.set_target(LabelRef(label))
+        seq = [
+            jmp,
+            INSTR_CREATE_mov(
+                OPND_CREATE_MEM(disp=self.MARK), OPND_CREATE_INT32(1)
+            ),
+            label,
+        ]
+        for instr in seq:
+            ilist.insert_before(first, instr)
+
+
+def test_client_local_jump_executes(loop_image):
+    """The unconditional local jump runs native-identical, with and
+    without interrupt polls compiled in."""
+
+    def mark_untouched(run):
+        if run.runtime.memory.read_u32(_JumpInsertingClient.MARK) != 0:
+            yield "the skipped store ran"
+
+    verdict = check(Cell(
+        loop_image,
+        client=_JumpInsertingClient,
+        columns=(
+            Column("polls_off"),
+            Column("polls_on", options={"precise_interrupts": True}),
+        ),
+        checks=(mark_untouched,),
+    ))
+    assert verdict.ok, verdict

@@ -161,8 +161,9 @@ def test_interrupt_poll_returns_the_translated_pc():
     options.precise_interrupts = True
     runtime, sym = _runtime(options)
     first = runtime._build_bb(sym["main"])
-    # The two movs fuse into one step; the jmp step is the poll point.
-    jmp_pc = first.translation.poll_ops[2]
+    # The two movs lower to one run, step 0; the jmp, step 1, is the
+    # poll point.
+    jmp_pc = first.translation.poll_ops[1]
     assert sym["main"] < jmp_pc < sym["second"]
     _arm_alarm(runtime, sym["target"])
     exit_, switches = _run(runtime, first)

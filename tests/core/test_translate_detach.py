@@ -2,11 +2,11 @@
 
 The contract (paper Section 2's transparent exit + precise interrupts):
 
-* every cached fragment carries a translation table mapping each
-  execution step to a source application PC — the round trip holds for
-  every step of every fragment;
+* every cached fragment carries a translation table with one entry
+  per step (one PC per instruction of a run) and a poll map, and every
+  PC in it is a source PC of the fragment;
 * under ``precise_interrupts``, alarms are delivered *mid-fragment*
-  with latency bounded by the longest fused run
+  with latency bounded by the longest straight-line run
   (``bb_builder.MAX_BB_INSTRS``), and the run stays native-identical;
 * ``Runtime.detach()`` translates threads back to application state
   and continues natively with output identical to a never-attached
@@ -25,6 +25,7 @@ import pytest
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_reattach, dr_register_event_tracer
 from repro.core.bb_builder import MAX_BB_INSTRS
+from repro.core.emit import OP_EXEC
 from repro.loader import Process
 from repro.machine.interp import Interpreter
 from repro.minicc import compile_source
@@ -85,8 +86,8 @@ def _cached_fragments(runtime):
     return list(seen.values())
 
 
-def _valid_pcs(fragment):
-    pcs = {fragment.tag}
+def _source_pcs(fragment):
+    pcs = set()
     for instr in fragment.instrs_source:
         if not instr.is_meta and instr.raw_bits_valid():
             pc = instr.raw_pc
@@ -121,12 +122,18 @@ def test_translation_round_trip_every_fragment(loop_image):
         table = fragment.translation
         assert table is not None, hex(fragment.tag)
         assert len(table.pcs) == len(fragment.code)
-        assert table.step_pcs, hex(fragment.tag)
-        valid = _valid_pcs(fragment)
-        for step in range(len(table.step_pcs)):
-            pc = table.translate_step(step)
-            assert isinstance(pc, int)
-            assert pc in valid, (hex(fragment.tag), step, hex(pc))
+        # One step per op, plus the fell-through sentinel.
+        assert len(fragment.compiled) == len(fragment.code) + 1
+        for op, step_pcs in zip(fragment.code, table.pcs):
+            # One PC per instruction of a run, one for any other step.
+            assert len(step_pcs) == (len(op[1]) if op[0] == OP_EXEC else 1)
+        source = _source_pcs(fragment)
+        recorded = {pc for step_pcs in table.pcs for pc in step_pcs} - {None}
+        assert recorded, hex(fragment.tag)
+        assert recorded <= source, hex(fragment.tag)
+        assert set(table.poll_ops.values()) <= source, hex(fragment.tag)
+        for step, pc in table.poll_ops.items():
+            assert step > 0 and table.pcs[step][0] == pc
 
 
 # ------------------------------------------------- mid-fragment interrupts

@@ -228,9 +228,11 @@ def test_faulty_clean_call_is_contained(loop_image, loop_native,
 
 def test_faulty_stub_call_is_contained(loop_image, loop_native, monkeypatch):
     """A clean call in client exit-stub code is bound to the guard when
-    its fragment compiles, like every other execution hook."""
+    its fragment compiles, like every other execution hook, and its
+    faults name that fragment."""
     monkeypatch.setattr(guard, "FAULT_LIMIT", 5)
     calls = []
+    stubbed = set()
 
     class FaultyStubClient(Client):
         def basic_block(self, context, tag, ilist):
@@ -239,6 +241,7 @@ def test_faulty_stub_call_is_contained(loop_image, loop_native, monkeypatch):
                 stub = InstrList()
                 dr_insert_clean_call(stub, None, self._broken)
                 dr_set_exit_stub(last, stub, always=True)
+                stubbed.add(tag)
 
         def _broken(self, context):
             calls.append(1)
@@ -253,6 +256,8 @@ def test_faulty_stub_call_is_contained(loop_image, loop_native, monkeypatch):
     assert {entry["phase"] for entry in runtime.guard.fault_log} == {
         "stub_call"
     }
+    for entry in runtime.guard.fault_log:
+        assert entry["tag"] in stubbed, entry
 
 
 def test_faulty_tracer_is_detached(loop_image, loop_native):
