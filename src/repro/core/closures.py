@@ -253,15 +253,13 @@ def _store_expr(size, addr, value="_t"):
     runs the protection check, the watchers, or raises the fault."""
     if size == 4:
         pack, mask, limit, slow = "_p32", _M, "_l4", "write_u32"
-        lines = "(_e >> %d) not in _w and ((_e + 3) >> %d) not in _w" % (
-            WATCH_SHIFT, WATCH_SHIFT,
-        )
+        lines = "_w[_e >> %d] or _w[(_e + 3) >> %d]" % (WATCH_SHIFT, WATCH_SHIFT)
     else:
         pack, mask, limit, slow = "_p8", "255", "_l1", "write_u8"
-        lines = "(_e >> %d) not in _w" % WATCH_SHIFT
+        lines = "_w[_e >> %d]" % WATCH_SHIFT
     return (
         "%s(_mb, _e, %s & %s) if (_e := %s) <= %s and not _mem._protect"
-        " and ((_w := _mem._watch_pages) is None or (%s)) else %s(_e, %s)"
+        " and ((_w := _mem._watch_lines) is None or not (%s)) else %s(_e, %s)"
         % (pack, value, mask, addr, limit, lines, slow, value)
     )
 
@@ -535,13 +533,15 @@ def _rebuild_eflags(cpu, frame, writers):
             return
 
 
-def _generate_segment(instrs):
+def _generate_segment(instrs, number):
     """Analyse and generate one run: ``(code, line_index, prefix,
     fallbacks, rebuild)`` — the compiled ``_segment`` source, the map
     from source line to instruction index, the running cycle totals,
     the indices that call their ``compile_noncti`` closure ``_f<k>``,
     and the eflags rebuild for the fault path (None without dead
-    writers)."""
+    writers).  The code is named ``<segment number>`` (its index in
+    ``_SEGMENT_CODE_CACHE``) so that profilers, which key entries by
+    file, line and function name, keep segments apart."""
     templated = [_templated(opcode, ops) for opcode, ops, _cost in instrs]
     dead = _dead_writers(instrs, templated)
     forwarded, defs = _forward_loads(instrs, templated)
@@ -604,7 +604,7 @@ def _generate_segment(instrs):
             " return _nxt",
         ]
     )
-    code = compile("\n".join(lines), "<segment>", "exec")
+    code = compile("\n".join(lines), "<segment %d>" % number, "exec")
     return code, line_index, tuple(prefix), tuple(fallbacks), rebuild
 
 
@@ -641,7 +641,9 @@ def compile_segment(instrs, mem, system, counter, nxt):
     key = tuple(instrs)
     generated = _SEGMENT_CODE_CACHE.get(key)
     if generated is None:
-        generated = _SEGMENT_CODE_CACHE[key] = _generate_segment(key)
+        generated = _SEGMENT_CODE_CACHE[key] = _generate_segment(
+            key, len(_SEGMENT_CODE_CACHE)
+        )
     code, line_index, prefix, fallbacks, rebuild = generated
 
     def _flush(ex, lineno):

@@ -153,7 +153,7 @@ def _verify_before_emit(tag, kind, ilist, runtime, source_tags):
         runtime.verifier_diagnostics.extend(diagnostics)
 
 
-def emit_fragment(tag, kind, ilist, cost_model, options, stats=None, runtime=None,
+def emit_fragment(tag, kind, ilist, cost_model, options, runtime=None,
                   reason="build", source_tags=None):
     """Lower an InstrList into a :class:`Fragment` (not yet placed).
 

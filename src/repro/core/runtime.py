@@ -309,8 +309,7 @@ class DynamoRIO:
             if rguard is not None:
                 rguard.check("emit", tag)
             return emit_fragment(
-                tag, Fragment.KIND_BB, il, self.cost, options,
-                self.stats, runtime=self,
+                tag, Fragment.KIND_BB, il, self.cost, options, runtime=self,
             )
 
         if entry is not None:
@@ -729,7 +728,6 @@ class DynamoRIO:
                 il,
                 self.cost,
                 self.options,
-                self.stats,
                 runtime=self,
                 source_tags=tuple(recording.tags()),
             )
@@ -1272,7 +1270,7 @@ class DynamoRIO:
         if old is None:
             return False
         new = emit_fragment(
-            tag, old.kind, ilist, self.cost, self.options, self.stats,
+            tag, old.kind, ilist, self.cost, self.options,
             runtime=self, reason="replace",
             source_tags=getattr(old, "source_tags", None),
         )

@@ -278,12 +278,11 @@ def _compile_store(op, mem):
 
     def store(cpu, value):
         addr = ea(cpu)
-        pages = mem._watch_pages
+        lines = mem._watch_lines
         if addr <= limit and not mem._protect and (
-            pages is None
-            or (
-                (addr >> WATCH_SHIFT) not in pages
-                and ((addr + last) >> WATCH_SHIFT) not in pages
+            lines is None
+            or not (
+                lines[addr >> WATCH_SHIFT] or lines[(addr + last) >> WATCH_SHIFT]
             )
         ):
             pack(buf, addr, value & mask)

@@ -10,6 +10,14 @@ requirements — a separate runtime heap and code cache that never alias
 application memory).  Optional write protection catches a client or
 runtime bug that scribbles over application code.
 
+Write watches (:meth:`Memory.watch_range`, armed by cache consistency,
+the shield and the native interpreter's decode cache) mark 64-byte
+lines in a second anonymous ``mmap``, one byte per line (512 KiB of
+address space for 32 MiB of memory), made at the first watch and, like
+the backing store, resident only where touched: the shield's 132,096
+watched lines (the 8 MiB code cache and its 64 KiB reserve) make
+129 KiB of it resident.
+
 The accessor methods are the exact, checked path.  Compiled code may
 inline an access instead (``repro.machine.exec_ops`` accessor closures,
 ``repro.core.closures`` generated segments), under one contract:
@@ -17,8 +25,9 @@ inline an access instead (``repro.machine.exec_ops`` accessor closures,
 * a load of ``n`` bytes at a masked effective address ``addr`` unpacks
   :meth:`Memory.view` directly when ``addr <= size - n``;
 * a store does the same only when, tested at store time, ``_protect``
-  is off and the watch lines it touches are not in ``_watch_pages``
-  (cache consistency and the shield arm watches mid-run);
+  is off and ``_watch_lines`` is ``None`` or holds zero for each watch
+  line it touches (cache consistency, the shield and the interpreter's
+  decode cache arm watches mid-run);
 * every other access calls the method, which raises the exact
   :class:`MachineFault` or runs the protection check and watchers;
 * a segment may reuse a 4-byte value it already holds — one it loaded
@@ -41,7 +50,9 @@ U16 = struct.Struct("<H")
 U32 = struct.Struct("<I")
 
 # Write-watch granularity: watched address ranges are rounded out to
-# 64-byte lines, so the per-write fast path is one set-membership test.
+# 64-byte lines, and ``Memory._watch_lines`` holds one byte per line
+# (1 = watched), so a store's watch test reads the byte of each line it
+# touches: ``_watch_lines[addr >> WATCH_SHIFT]``.
 WATCH_SHIFT = 6
 
 
@@ -83,10 +94,11 @@ class Memory:
         self._bytes = mmap.mmap(-1, size)
         self._regions = {}
         self._protect = False
-        # Write monitoring (cache consistency / SMC detection).  When no
-        # ranges are watched ``_watch_pages is None`` and every write
-        # path pays a single attribute test, mirroring ``_protect``.
-        self._watch_pages = None
+        # Write monitoring (cache consistency / SMC detection, the
+        # shield): ``None`` until the first :meth:`watch_range`, so every
+        # write path pays a single attribute test, mirroring
+        # ``_protect``; then the line table (see ``WATCH_SHIFT``).
+        self._watch_lines = None
         self._watchers = ()
         # Optional fault-context provider (``fn() -> app PC or None``),
         # consulted on error paths only: raised faults then blame the
@@ -170,16 +182,19 @@ class Memory:
         they must not write to memory themselves.
         """
         self._watchers = self._watchers + (fn,)
-        if self._watch_pages is None:
-            self._watch_pages = set()
 
     def watch_range(self, start, end):
-        """Watch writes touching ``[start, end)`` (rounded out to lines)."""
-        if self._watch_pages is None:
-            self._watch_pages = set()
-        self._watch_pages.update(
-            range(start >> WATCH_SHIFT, ((end - 1) >> WATCH_SHIFT) + 1)
-        )
+        """Watch writes touching ``[start, end)`` (rounded out to lines,
+        clamped to the memory size).  A line once watched stays so."""
+        lines = self._watch_lines
+        if lines is None:
+            lines = self._watch_lines = mmap.mmap(
+                -1, ((self.size - 1) >> WATCH_SHIFT) + 1
+            )
+        first = start >> WATCH_SHIFT
+        stop = min(((end - 1) >> WATCH_SHIFT) + 1, len(lines))
+        if first < stop:
+            lines[first:stop] = b"\x01" * (stop - first)
 
     def _notify_write(self, addr, size):
         for fn in self._watchers:
@@ -224,8 +239,8 @@ class Memory:
         if self._protect:
             self._check_write(addr, 1)
         self._bytes[addr] = value & 0xFF
-        pages = self._watch_pages
-        if pages is not None and (addr >> WATCH_SHIFT) in pages:
+        lines = self._watch_lines
+        if lines is not None and lines[addr >> WATCH_SHIFT]:
             self._notify_write(addr, 1)
 
     def write_u32(self, addr, value):
@@ -238,10 +253,9 @@ class Memory:
         if self._protect:
             self._check_write(addr, 4)
         U32.pack_into(self._bytes, addr, value & _MASK32)
-        pages = self._watch_pages
-        if pages is not None and (
-            (addr >> WATCH_SHIFT) in pages
-            or ((addr + 3) >> WATCH_SHIFT) in pages
+        lines = self._watch_lines
+        if lines is not None and (
+            lines[addr >> WATCH_SHIFT] or lines[(addr + 3) >> WATCH_SHIFT]
         ):
             self._notify_write(addr, 4)
 
@@ -264,11 +278,10 @@ class Memory:
         if self._protect:
             self._check_write(addr, len(data))
         self._bytes[addr : addr + len(data)] = data
-        pages = self._watch_pages
-        if pages is not None and len(data):
-            first = addr >> WATCH_SHIFT
+        lines = self._watch_lines
+        if lines is not None and len(data):
             last = (addr + len(data) - 1) >> WATCH_SHIFT
-            if any(p in pages for p in range(first, last + 1)):
+            if lines.find(b"\x01", addr >> WATCH_SHIFT, last + 1) >= 0:
                 self._notify_write(addr, len(data))
 
     def view(self):

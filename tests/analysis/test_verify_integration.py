@@ -2,6 +2,8 @@
 ``options.verify_fragments`` (every rule, drequiv's equivalence rule
 included) and the runtime catches bad clients."""
 
+import sys
+
 import pytest
 
 from repro.analysis import VerificationError
@@ -21,6 +23,7 @@ from repro.ir.create import (
     OPND_CREATE_REG,
 )
 from repro.isa.registers import Reg
+from repro.minicc import compile_source
 from repro.tools.oracle import Cell, Column, check
 from repro.workloads import load_benchmark
 
@@ -48,6 +51,63 @@ def test_clients_verify_on_loop(loop_image, loop_native, make_client):
     )
     assert result.output == loop_native.output
     assert not any(d.is_error for d in dr.verifier_diagnostics)
+
+
+# Value-form ``&&``/``||`` whose right operand has a side effect (the
+# call runs only when the left operand does not decide), unary ``-`` and
+# ``~``, and a decrement statement: codegen's short-circuit value path
+# and the NEG, NOT and DEC semantics of the equivalence rule.
+SHORTCIRCUIT_UNARY_SRC = """
+int calls;
+
+int bump(int v) {
+    calls++;
+    return v;
+}
+
+int main() {
+    int n; int a; int b; int x; int y; int acc;
+    n = 6;
+    acc = 5;
+    while (n > 0) {
+        a = n & 1;
+        b = n & 2;
+        x = bump(a) && bump(b);
+        y = bump(a) || bump(b);
+        acc = -(~acc + x * 4 + y - n);
+        n--;
+    }
+    print(acc);
+    print(calls);
+    return 0;
+}
+"""
+
+
+def test_shortcircuit_values_and_unary_ops_verify():
+    """The cell runs native-identical with every fragment verified, and
+    reaches paths no other tier-1 test calls."""
+    wanted = {("repro.minicc.codegen", "_gen_shortcircuit")} | {
+        ("repro.analysis.symexec", name)
+        for name in ("flags_dec", "flags_neg", "neg", "bnot")
+    }
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            key = (frame.f_globals.get("__name__"), frame.f_code.co_name)
+            if key in wanted:
+                reached.add(key)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        image = compile_source(SHORTCIRCUIT_UNARY_SRC)
+        verdict = check(Cell(image, options=verifying_options))
+    finally:
+        sys.setprofile(previous)
+    assert verdict.ok, verdict
+    assert reached == wanted
 
 
 def test_indirect_dispatch_verifies(indirect_image, indirect_native):

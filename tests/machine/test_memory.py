@@ -1,7 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.closures import compile_segment
+from repro.isa.opcodes import Opcode
+from repro.isa.operands import ImmOperand, MemOperand
+from repro.machine.cost import CycleCounter
+from repro.machine.cpu import CPU
 from repro.machine.errors import MachineFault
-from repro.machine.memory import Memory
+from repro.machine.exec_ops import compile_write
+from repro.machine.memory import WATCH_SHIFT, Memory
+from repro.machine.system import System
 
 
 class TestAccess:
@@ -66,3 +75,72 @@ class TestRegions:
         m = Memory(size=0x100)
         with pytest.raises(MachineFault):
             m.add_region("big", 0x80, 0x100)
+
+
+class TestWriteWatch:
+    """The line table: one byte per 64-byte line, made at the first
+    ``watch_range``; every store path tests the lines it touches."""
+
+    @staticmethod
+    def _watched(size, start, end):
+        m = Memory(size=size)
+        calls = []
+        m.add_write_watcher(lambda addr, n: calls.append((addr, n)))
+        m.watch_range(start, end)
+        return m, calls
+
+    def test_no_table_until_a_range_is_watched(self):
+        m = Memory(size=0x1000)
+        m.add_write_watcher(lambda addr, n: None)
+        assert m._watch_lines is None
+        m.watch_range(0x100, 0x104)
+        assert len(m._watch_lines) == 0x1000 >> WATCH_SHIFT
+        assert m._watch_lines[0x100 >> WATCH_SHIFT] == 1
+        assert m._watch_lines[0] == 0
+
+    def test_store_to_partial_last_line_fires(self):
+        size = 0x1000 + 10  # the last line holds 10 bytes
+        last = size - 1
+        m, calls = self._watched(size, last, last + 1)
+        assert len(m._watch_lines) == (0x1000 >> WATCH_SHIFT) + 1
+        dst = MemOperand(disp=last, size=1)
+        # The method, the native store closure and a generated segment.
+        m.write_u8(last, 0xAB)
+        compile_write(dst, m)(CPU(), 0xCD)
+        segment = compile_segment(
+            [(Opcode.MOVB_STORE, (dst, ImmOperand(0xEF)), 1)],
+            m, System(), CycleCounter(), 1,
+        )
+        segment(SimpleNamespace(instructions=0), CPU())
+        assert calls == [(last, 1)] * 3
+        assert m.read_u8(last) == 0xEF
+        m.write_u8(last - 10, 1)  # the line before is not watched
+        assert len(calls) == 3
+
+    def test_watch_past_the_end_clamps(self):
+        m, calls = self._watched(0x1000, 0xFC0, 0x3000)
+        m.watch_range(0x5000, 0x6000)  # wholly past the end: nothing to mark
+        assert len(m._watch_lines) == 0x1000 >> WATCH_SHIFT
+        m.write_u32(0xFFC, 7)
+        assert calls == [(0xFFC, 4)]
+
+    def test_write_bytes_across_lines_fires_once(self):
+        m, calls = self._watched(0x1000, 0x140, 0x180)
+        m.write_bytes(0x100, bytes(0x50))  # lines 4 (unwatched) and 5
+        assert calls == [(0x100, 0x50)]
+        m.write_bytes(0x100, bytes(0x40))  # line 4 only
+        m.write_u32(0x13C, 1)  # straddles into nothing watched
+        assert calls == [(0x100, 0x50)]
+        m.write_u32(0x13E, 1)  # straddles into line 5
+        assert calls == [(0x100, 0x50), (0x13E, 4)]
+
+    def test_watcher_without_watched_lines_never_fires(self):
+        m = Memory(size=0x1000)
+        calls = []
+        m.add_write_watcher(lambda addr, n: calls.append((addr, n)))
+        m.write_u8(0, 1)
+        m.write_u32(0x40, 2)
+        m.write_bytes(0x80, b"abc")
+        compile_write(MemOperand(disp=0xC0), m)(CPU(), 3)
+        assert calls == []
+        assert m._watch_lines is None

@@ -610,6 +610,24 @@ def test_forwarding_across_stores_fails_the_aliasing_runs(monkeypatch):
         _aliasing_runs(random.Random(64), 200)
 
 
+def test_each_segment_has_its_own_code_name(monkeypatch):
+    """A generated segment compiles under the file name ``<segment N>``,
+    N its index in the per-process code cache.  cProfile keys entries by
+    file, line and function name, so one shared name merged every
+    segment into one entry.  A structurally identical run reuses the
+    code, name included."""
+    monkeypatch.setattr(closures, "_SEGMENT_CODE_CACHE", {})
+    mem = Memory(SIZE)
+    a, b = RegOperand(0), RegOperand(3)
+    adds = [(Opcode.ADD, (a, b), 1), (Opcode.ADD, (b, a), 1)]
+    sub = [(Opcode.SUB, (a, b), 1)]
+    names = [
+        compile_segment(run, mem, System(), CycleCounter(), 1).__code__.co_filename
+        for run in (adds, sub, list(adds))
+    ]
+    assert names == ["<segment 0>", "<segment 1>", "<segment 0>"]
+
+
 # -------------------------------------------------------------- whole runs
 
 FAULTING_LOOP = """

@@ -19,12 +19,16 @@ The contract under ``options.shield``:
 * with the shield off, runs are bit-identical to pre-shield behavior.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.api.client import Client
 from repro.api.dr import dr_decode_fragment, dr_replace_fragment
-from repro.core import DynamoRIO
-from repro.machine.memory import MachineFault, Memory
+from repro.core import DynamoRIO, RuntimeOptions
+from repro.loader import Process
+from repro.machine import memory
+from repro.machine.memory import WATCH_SHIFT, MachineFault, Memory
 from repro.resilience import RuntimeGuard, Shield
 from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
 from repro.resilience.shield import WATCHDOG_LIMIT
@@ -315,6 +319,31 @@ def test_shield_off_and_on_bit_identical_when_clean(loop_image):
     assert isinstance(rt_on.shield, Shield)
     assert isinstance(rt_on.rguard, RuntimeGuard)
     assert rt_on.stats.shield_faults == 0
+
+
+def test_watched_lines_are_bytes_not_objects(loop_image):
+    """The shield watches every line of the code cache and of its
+    reserve (132,096 lines).  Each is one byte of the memory's line
+    table, an ``mmap`` outside the Python heap: constructing the runtime
+    allocates almost nothing in ``machine/memory.py``, where a set of
+    the line numbers would take 8 MiB."""
+    tracemalloc.start()
+    try:
+        runtime = DynamoRIO(Process(loop_image), options=RuntimeOptions(shield=True))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    in_memory = snapshot.filter_traces([tracemalloc.Filter(True, memory.__file__)])
+    assert sum(stat.size for stat in in_memory.statistics("filename")) < 1 << 20
+    lines = runtime.memory._watch_lines
+    shield = runtime.shield
+    cache = runtime.memory.region("code_cache")
+    for start, end in ((cache.start, cache.end),
+                       (shield.reserve_base, shield.reserve_end)):
+        first, stop = start >> WATCH_SHIFT, ((end - 1) >> WATCH_SHIFT) + 1
+        assert lines.find(b"\x00", first, stop) == -1
+    # dr_global_alloc storage, just below the reserve, stays unwatched.
+    assert lines[(shield.reserve_base >> WATCH_SHIFT) - 1] == 0
 
 
 # -------------------------------------------------------- fault messages

@@ -2,8 +2,9 @@
 
 Hypothesis generates random (terminating-by-construction) MiniC
 programs; each must produce byte-identical output natively and under
-the full runtime with all four optimization clients applied, checked
-by the differential oracle (``repro.tools.oracle``).  This is
+the full runtime with all four optimization clients applied, under the
+basic-block cache alone, and with every write watch armed, checked by
+the differential oracle (``repro.tools.oracle``).  This is
 the strongest single property in the repository: it exercises the
 compiler, the ISA, both executors, the trace builder, and every client
 transformation at once.
@@ -115,3 +116,20 @@ def test_random_programs_transparent_under_all_clients(source):
 @settings(max_examples=15, deadline=None)
 def test_random_programs_transparent_under_bb_cache(source):
     _assert_transparent(source, RuntimeOptions.bb_cache_only)
+
+
+@given(programs())
+@settings(max_examples=15, deadline=None)
+def test_random_programs_transparent_with_every_watch_armed(source):
+    # The shield watches the code cache and its reserve, cache
+    # consistency the translated code, and native's decode cache the
+    # decoded code: every store runs the watch line-table test.
+    _assert_transparent(
+        source,
+        lambda: RuntimeOptions(
+            trace_threshold=3,
+            shield=True,
+            cache_consistency=True,
+            precise_interrupts=True,
+        ),
+    )
