@@ -1,14 +1,14 @@
-"""Closure compilation of fragments: the encode-into-cache step.
+"""Closure compilation of fragment bodies: the encode-into-cache step.
 
-:func:`compile_fragment` translates a fragment's lowered ops
+:func:`compile_fragment` translates a fragment body's lowered ops
 (``repro.core.emit``) into a flat tuple of *step closures*, one per op
 — op *i* is step *i* — plus the fell-through sentinel: the moral
 equivalent of DynamoRIO's encoder emitting machine code into the code
-cache.  Each step binds everything static about its op at compile time:
-operand accessors, pre-summed cycle costs, the exit's
-:class:`~repro.core.fragments.LinkStub` object, compiled branch
-predicates, and the runtime's memory/system/counter/stats.  The
-executor's hot loop then degenerates to ``i = steps[i](executor, cpu)``.
+cache, once per body.  Each step binds everything static about its op
+at compile time: operand accessors, pre-summed cycle costs, the exit's
+index, compiled branch predicates, and the runtime's
+memory/system/counter/stats.  The executor's hot loop then degenerates
+to ``i = steps[i](executor, cpu)``.
 
 A step returns the index of the next step to run, or ``None`` when the
 fragment is done — in which case the step has already resolved the exit:
@@ -30,15 +30,16 @@ flags the run overwrites before anything can read them skips them, and
 a 4-byte load of a word the run already holds reads the local holding
 it.  Where the state can be observed mid-run — a fault or program exit
 unwinding the segment — the handler rebuilds the skipped flags from the
-writers' bound inputs, so the deoptimized state is exact.  Segments
-are kept on the fragment body, so every fragment over it shares one
-compile.
+writers' bound inputs, so the deoptimized state is exact.
 
-Only the CPU is passed per call: fragments may be shared between
-threads (the thread-shared cache ablation), so per-thread state cannot
-be bound at compile time.  Link stubs are bound as objects and their
-``linked_to`` fields read at exit time, preserving the link/unlink and
-fragment-replacement semantics unchanged.
+The table is kept on the body (``body.steps``), so every fragment over
+it — retranslation-memo rebuilds, one block in two threads' private
+caches — runs one compile.  Only the CPU is passed per call, so no
+per-thread state is bound at compile time, and no link state either:
+an exit step names its exit by index, and the executor resolves it
+against the running fragment's own :class:`~repro.core.fragments.LinkStub`
+(``executor.fragment.exits[index]``) and reads its ``linked_to`` at exit
+time, preserving the link/unlink and fragment-replacement semantics.
 
 The native interpreter is the reference: every run must end with
 native's output, exit code, registers and eflags (the differential
@@ -700,31 +701,15 @@ def _compile_target_fetch(operand, mem):
     return fetch
 
 
-def compile_runs(body, runtime):
-    """The compiled runs of ``body``, one entry per step: the generated
-    segment (:func:`compile_segment`) of an ``OP_EXEC`` step, ``None``
-    for any other.  Compiled on first use and kept on the body, so every
-    fragment over it, retranslation memo rebuilds included, shares one
-    compile per run."""
-    runs = body.runs
-    if runs is None:
-        mem = runtime.memory
-        system = runtime.system
-        counter = runtime.counter
-        runs = body.runs = tuple(
-            compile_segment(op[1], mem, system, counter, index + 1)
-            if op[0] == OP_EXEC else None
-            for index, op in enumerate(body.code)
-        )
-    return runs
-
-
 def compile_fragment(fragment, runtime):
-    """Compile ``fragment.code`` into a tuple of step closures, one per
-    op plus the fell-through sentinel; caches the result on
-    ``fragment.compiled`` and returns it."""
-    code = fragment.code
-    exits = fragment.exits
+    """The step table of ``fragment``'s body: one step closure per op
+    plus the fell-through sentinel.  Compiled on the body's first call
+    under a runtime and kept in ``body.steps``, so every fragment over
+    the body runs one table with its own links."""
+    body = fragment.body
+    if body.steps is not None:
+        return body.steps
+    code = body.code
     mem = runtime.memory
     system = runtime.system
     counter = runtime.counter
@@ -737,37 +722,42 @@ def compile_fragment(fragment, runtime):
     def bind(fn, role):
         return None if fn is None else client_hook(fn, tag, role)
 
-    # Client execution hooks are bound here, once: through the client
-    # guard when there is one, bare otherwise.
-    for stub in exits:
-        if stub.stub_ops:
-            stub.stub_ops = tuple(
-                (OP_CLEAN_CALL, bind(op[1], "stub_call"), op[2])
-                if op[0] == OP_CLEAN_CALL
-                else op
-                for op in stub.stub_ops
-            )
+    # Client execution hooks are bound here, once per body: through the
+    # client guard when there is one, bare otherwise.  Stubs are made
+    # from ``body.exits``; one made before the body compiled (emitted
+    # without a runtime) takes the bound ops too.
+    exits = []
+    for desc in body.exits:
+        stub_ops = tuple(
+            (OP_CLEAN_CALL, bind(op[1], "stub_call"), op[2])
+            if op[0] == OP_CLEAN_CALL
+            else op
+            for op in desc[2]
+        )
+        exits.append(desc[:2] + (stub_ops,) + desc[3:])
+    body.exits = tuple(exits)
+    for stub, desc in zip(fragment.exits, body.exits):
+        stub.stub_ops = desc[2]
 
-    runs = compile_runs(fragment.body, runtime)
     steps = []
     for index, op in enumerate(code):
         kind = op[0]
         nxt = index + 1
         if kind == OP_EXEC:
-            steps.append(runs[index])
+            steps.append(compile_segment(op[1], mem, system, counter, nxt))
 
         elif kind == OP_COND_EXIT:
             cond = compile_condition(op[1])
-            stub = exits[op[2]]
+            exit_index = op[2]
             c = op[3]
 
             def cond_exit_step(
-                ex, cpu, _cond=cond, _stub=stub, _c=c, _nxt=nxt
+                ex, cpu, _cond=cond, _x=exit_index, _c=c, _nxt=nxt
             ):
                 ex.instructions += 1
                 if _cond(cpu.eflags):
                     counter.cycles += _c + taken_penalty
-                    ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
+                    ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
                     return None
                 counter.cycles += _c
                 return _nxt
@@ -775,29 +765,29 @@ def compile_fragment(fragment, runtime):
             steps.append(cond_exit_step)
 
         elif kind == OP_JMP_EXIT:
-            stub = exits[op[1]]
+            exit_index = op[1]
             c = op[2]
 
-            def jmp_exit_step(ex, cpu, _stub=stub, _c=c):
+            def jmp_exit_step(ex, cpu, _x=exit_index, _c=c):
                 ex.instructions += 1
                 counter.cycles += _c + taken_penalty
-                ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
+                ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
                 return None
 
             steps.append(jmp_exit_step)
 
         elif kind == OP_CALL_EXIT:
-            stub = exits[op[1]]
+            exit_index = op[1]
             ret_addr = op[2]
             c = op[3]
 
-            def call_exit_step(ex, cpu, _stub=stub, _ra=ret_addr, _c=c):
+            def call_exit_step(ex, cpu, _x=exit_index, _ra=ret_addr, _c=c):
                 ex.instructions += 1
                 counter.cycles += _c + taken_penalty
                 regs = cpu.regs
                 regs[4] = (regs[4] - 4) & _MASK32
                 write_u32(regs[4], _ra)
-                ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
+                ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
                 return None
 
             steps.append(call_exit_step)
@@ -819,16 +809,15 @@ def compile_fragment(fragment, runtime):
             steps.append(call_inline_step)
 
         elif kind == OP_IND_EXIT:
-            _k, exit_idx, operand, is_call, ret_addr, checker, c = op
+            _k, exit_index, operand, is_call, ret_addr, checker, c = op
             checker = bind(checker, "checker")
-            stub = exits[exit_idx]
             fetch = _compile_target_fetch(operand, mem)
 
             def ind_exit_step(
                 ex,
                 cpu,
                 _fetch=fetch,
-                _stub=stub,
+                _x=exit_index,
                 _is_call=is_call,
                 _ra=ret_addr,
                 _checker=checker,
@@ -852,7 +841,7 @@ def compile_fragment(fragment, runtime):
                     write_u32(regs[4], _ra)
                 counter.cycles += _c + taken_penalty
                 ex._next_fragment = ex._indirect_exit(
-                    _stub, target, cpu, mem, system
+                    _x, target, cpu, mem, system
                 )
                 return None
 
@@ -874,10 +863,6 @@ def compile_fragment(fragment, runtime):
             ) = op
             profiler = bind(profiler, "profiler")
             checker = bind(checker, "checker")
-            ibl_stub = exits[ibl_idx]
-            dispatch_stubs = tuple(
-                (d_tag, exits[d_idx]) for d_tag, d_idx in dispatch
-            )
             fetch = _compile_target_fetch(operand, mem)
 
             def ind_check_step(
@@ -885,8 +870,8 @@ def compile_fragment(fragment, runtime):
                 cpu,
                 _fetch=fetch,
                 _expected=expected,
-                _dispatch=dispatch_stubs,
-                _ibl_stub=ibl_stub,
+                _dispatch=dispatch,
+                _ibl=ibl_idx,
                 _is_call=is_call,
                 _ra=ret_addr,
                 _profiler=profiler,
@@ -919,10 +904,10 @@ def compile_fragment(fragment, runtime):
                         observer.emit(EV_INLINE_CHECK_HIT, _tag, target=target)
                     return _nxt
                 matched = None
-                for d_tag, d_stub in _dispatch:
+                for d_tag, d_index in _dispatch:
                     counter.cycles += _check_cost
                     if target == d_tag:
-                        matched = d_stub
+                        matched = d_index
                         break
                 if matched is not None:
                     stats.dispatch_check_hits += 1
@@ -945,7 +930,7 @@ def compile_fragment(fragment, runtime):
                     _profiler(ex.runtime.current_thread, target)
                 counter.cycles += taken_penalty
                 ex._next_fragment = ex._indirect_exit(
-                    _ibl_stub, target, cpu, mem, system
+                    _ibl, target, cpu, mem, system
                 )
                 return None
 
@@ -997,7 +982,7 @@ def compile_fragment(fragment, runtime):
     if runtime.options.precise_interrupts:
         # Poll for interrupts at entry to every application-consistent
         # step (repro.core.translate).
-        for index, pc in fragment.translation.poll_ops.items():
+        for index, pc in body.translation.poll_ops.items():
             steps[index] = make_poll_step(runtime, pc, steps[index])
 
     def fell_through_step(ex, cpu, _tag=tag):
@@ -1008,5 +993,5 @@ def compile_fragment(fragment, runtime):
         )
 
     steps.append(fell_through_step)
-    compiled = fragment.compiled = tuple(steps)
-    return compiled
+    body.steps = tuple(steps)
+    return body.steps

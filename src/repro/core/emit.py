@@ -1,15 +1,17 @@
 """Fragment lowering: client-visible InstrList → executable ops.
 
-The runtime executes fragments as a flat tuple of *ops*, one per step
-of the fragment's compiled step table (:mod:`repro.core.closures`):
-op *i* is step *i*, and step ``len(code)`` is the fell-through
-sentinel.  Lowering is the moral equivalent of DynamoRIO's encoder
-pass when it emits a fragment into the code cache, once, as one linear
-single-entry, multiple-exit stream: unmodified instructions are copied
-(here: pre-costed and grouped into runs), control transfers become
-exits with link stubs, and trace-inlined constructs (elided jumps,
-inlined calls, indirect-branch checks, client dispatch chains) get
-their specialized forms.
+Lowering yields a :class:`~repro.core.fragments.FragmentBody`: a flat
+tuple of *ops*, one per step of the body's compiled step table
+(:mod:`repro.core.closures`): op *i* is step *i*, and step
+``len(code)`` is the fell-through sentinel.  Lowering is the moral
+equivalent of DynamoRIO's encoder pass when it emits a fragment into
+the code cache, once, as one linear single-entry, multiple-exit
+stream; every fragment instantiated over the body (:func:`emit_body`)
+shares it and owns only its link stubs.  Unmodified instructions are
+copied (here: pre-costed and grouped into runs), control transfers
+become exits with link stubs, and trace-inlined constructs (elided
+jumps, inlined calls, indirect-branch checks, client dispatch chains)
+get their specialized forms.
 
 Op tuples (first element is the kind):
 
@@ -168,61 +170,52 @@ def emit_fragment(tag, kind, ilist, cost_model, options, runtime=None,
     if options is not None and options.verify_fragments:
         _verify_before_emit(tag, kind, ilist, runtime, source_tags)
     body = _lower_fragment(ilist, cost_model, source_tags)
-    return _instantiate(tag, kind, body, runtime, reason)
+    return emit_body(tag, kind, body, runtime, reason)
 
 
-def emit_body(tag, kind, body, runtime):
-    """Emit a fresh fragment over a body lowered by an earlier
-    :func:`emit_fragment` (the runtime's retranslation memo).
+def emit_body(tag, kind, body, runtime, reason="build"):
+    """A new, unplaced :class:`Fragment` over ``body``: the one
+    instantiation path, for a body :func:`emit_fragment` just lowered
+    and for one the runtime's retranslation memo kept.
 
-    Observably an ordinary build: the same ``fragment_emit`` event and
-    a new :class:`Fragment` with its own stubs and freshly compiled exit
-    steps — only lowering and the translation table are skipped.
+    Under a runtime the body's step table is compiled first (once per
+    body: exit-stub clean calls are bound into ``body.exits`` then), the
+    fragment gets its own stubs, and ``fragment_emit`` is recorded.  A
+    memo rebuild is observably an ordinary build, yet lowers, translates
+    and compiles nothing.
     """
-    return _instantiate(tag, kind, body, runtime, "build")
-
-
-def _instantiate(tag, kind, body, runtime, reason):
-    """A new, unplaced :class:`Fragment` over ``body``; under a runtime
-    its steps are compiled and ``fragment_emit`` is recorded."""
     fragment = Fragment(tag, kind)
     fragment.body = body
-    fragment.code = body.code
-    fragment.exits = [
-        LinkStub(fragment, index, *desc) for index, desc in enumerate(body.exits)
-    ]
     fragment.size = body.size
-    fragment.instrs_source = body.instrs_source
-    fragment.source_tags = body.source_tags
-    fragment.translation = body.translation
+    observer = None
     if runtime is not None:
-        # Encode into the cache: compile the op tuples to step closures
-        # while emission state is hot.  Lazy import — closures needs the
-        # OP_* constants from this module.
+        # Encode into the cache.  Lazy import — closures needs the OP_*
+        # constants from this module.
         from repro.core.closures import compile_fragment
 
         compile_fragment(fragment, runtime)
         observer = runtime.observer
-        if observer is not None:
-            # regen: this tag was evicted from its unit under capacity
-            # pressure and is now being rebuilt — the retranslation
-            # churn the fifo/adaptive policies exist to reduce.
-            thread = runtime.current_thread
-            unit = (
-                thread.trace_cache
-                if kind == Fragment.KIND_TRACE
-                else thread.bb_cache
-            )
-            observer.emit(
-                EV_FRAGMENT_EMIT,
-                tag,
-                kind=kind,
-                reason=reason,
-                size=fragment.size,
-                ops=len(fragment.code),
-                exits=len(fragment.exits),
-                regen=unit.was_evicted(tag),
-            )
+    fragment.exits = [
+        LinkStub(fragment, index, *desc) for index, desc in enumerate(body.exits)
+    ]
+    if observer is not None:
+        # regen: this tag was evicted from its unit under capacity
+        # pressure and is now being rebuilt — the retranslation churn
+        # the fifo/adaptive policies exist to reduce.
+        thread = runtime.current_thread
+        unit = (
+            thread.trace_cache if kind == Fragment.KIND_TRACE else thread.bb_cache
+        )
+        observer.emit(
+            EV_FRAGMENT_EMIT,
+            tag,
+            kind=kind,
+            reason=reason,
+            size=fragment.size,
+            ops=len(body.code),
+            exits=len(fragment.exits),
+            regen=unit.was_evicted(tag),
+        )
     return fragment
 
 

@@ -22,10 +22,13 @@ Cycle charging:
   or the per-pair compare cost when a trace-inlined check/dispatch hits;
 * unlinked exits pay the exit stub and a full context switch.
 
-Each fragment runs through its closure-compiled step table
-(:mod:`repro.core.closures`): every step has its operand accessors,
-costs and link stubs pre-bound, so the loop is just
-``i = steps[i](self, cpu)``.
+Each fragment runs through its body's closure-compiled step table
+(:mod:`repro.core.closures`): every step has its operand accessors and
+costs pre-bound, so the loop is just ``i = steps[i](self, cpu)``.  An
+exit step binds only its exit's index; :meth:`Executor._direct_exit`
+and :meth:`Executor._indirect_exit` read the stub from the fragment
+whose pass is in flight (``self.fragment.exits[index]``), so fragments
+sharing a body keep their own links.
 
 The engine reads the step table once into a local, so a fragment
 replaced mid-execution (adaptive optimization) keeps running its old
@@ -59,8 +62,9 @@ class Executor:
         # The exit the current run() leaves through, recorded by the
         # step that leaves the cache: (reason, next_tag, stub).
         self._exit = None
-        # The fragment whose pass is in flight, named by memory-fault
-        # messages; None between passes.
+        # The fragment whose pass is in flight: exit steps leave through
+        # its stubs, and memory-fault messages name it.  None between
+        # passes.
         self.fragment = None
 
     # ------------------------------------------------------------ exit paths
@@ -68,16 +72,18 @@ class Executor:
     def _run_stub_ops(self, stub_ops, cpu, mem, system, counter):
         for op in stub_ops:
             if op[0] == OP_CLEAN_CALL:
-                # A client hook, bound when the fragment was compiled.
+                # A client hook, bound when the body was compiled.
                 counter.cycles += op[2]
                 op[1](self.runtime.current_thread)
             else:
                 counter.cycles += op[3]
                 execute_noncti(cpu, mem, system, op[1], op[2])
 
-    def _direct_exit(self, stub, cpu, mem, system):
-        """Leave through a direct exit.  Returns the linked successor,
-        or records the dispatcher exit and returns ``None``."""
+    def _direct_exit(self, index, cpu, mem, system):
+        """Leave through the running fragment's direct exit ``index``.
+        Returns the linked successor, or records the dispatcher exit and
+        returns ``None``."""
+        stub = self.fragment.exits[index]
         linked = stub.linked_to
         if linked is not None and not stub.always_stub:
             return linked
@@ -100,9 +106,10 @@ class Executor:
         self._exit = (EXIT_DISPATCH, stub.target_tag, stub)
         return None
 
-    def _indirect_exit(self, stub, target, cpu, mem, system):
+    def _indirect_exit(self, index, target, cpu, mem, system):
         """Resolve an indirect branch through the IBL.  Returns the hit
-        fragment, or runs any stub code, charges the context switch,
+        fragment, or leaves through the running fragment's exit
+        ``index``: runs any stub code, charges the context switch,
         records the dispatcher exit and returns ``None``."""
         runtime = self.runtime
         counter = runtime.counter
@@ -123,6 +130,7 @@ class Executor:
             stats.ibl_misses += 1
             if observer is not None:
                 observer.emit(EV_IBL_MISS, target)
+        stub = self.fragment.exits[index]
         if stub.stub_ops:
             self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
         counter.cycles += runtime.cost.context_switch
@@ -174,7 +182,7 @@ class Executor:
                 # Step table read once: a fragment replaced
                 # mid-execution keeps running its old steps until the
                 # next exit.
-                steps = fragment.compiled
+                steps = fragment.body.steps
                 if steps is None:
                     steps = compile_fragment(fragment, runtime)
                 self.fragment = fragment

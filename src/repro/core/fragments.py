@@ -1,10 +1,13 @@
 """Fragment and exit-stub data structures.
 
 A *fragment* is a basic block or trace resident in the code cache
-(paper Section 2).  Each exit from a fragment has a :class:`LinkStub`:
-when unlinked, control goes through the stub (running any client custom
-stub code) and context-switches back to the runtime; when linked,
-control transfers directly to the target fragment.
+(paper Section 2).  Its code is a :class:`FragmentBody`, lowered and
+compiled once; the :class:`Fragment` holds only what linking,
+unlinking, replacement and placement change.  Each exit from a fragment
+has a :class:`LinkStub`: when unlinked, control goes through the stub
+(running any client custom stub code) and context-switches back to the
+runtime; when linked, control transfers directly to the target
+fragment.
 """
 
 
@@ -51,22 +54,26 @@ class LinkStub:
 
 
 class FragmentBody:
-    """The lowered, link-free part of a fragment.
+    """The lowered, link-free part of a fragment, emitted once.
 
     Everything emission derives from the InstrList alone: the op tuples
     (one per step, :mod:`repro.core.emit`), one exit descriptor per exit
     (``(kind, target_tag, stub_ops, always_stub, is_call_exit)``, the
     :class:`LinkStub` fields that do not change once lowered), the
-    encoded size, the source list and the translation table.  ``runs``
-    holds one entry per step: the run's generated segment
-    (:func:`repro.core.closures.compile_segment`) for an ``OP_EXEC``
-    step, else ``None`` — filled in by the first compile under a
-    runtime (:func:`repro.core.closures.compile_runs`).
+    encoded size, the source InstrList (``dr_decode_fragment``, trace
+    stitching), the ordered application block tags it translates
+    (``(tag,)`` for a basic block, the stitched sequence for a trace;
+    the drequiv equivalence checker's input) and the translation table
+    (:mod:`repro.core.translate`).  ``steps`` is the compiled step
+    table, one closure per op plus the fell-through sentinel, filled in
+    by the first compile under a runtime
+    (:func:`repro.core.closures.compile_fragment`).
 
-    A body carries no link state, so one body may back several
-    fragments in turn (the runtime's retranslation memo re-emits an
-    evicted block over its body); each fragment still gets its own
-    stubs and exit steps.
+    A body carries no link state: its exit steps name an exit by index,
+    resolved against the running fragment's own stubs.  So one body and
+    one step table back every fragment over it — the retranslation
+    memo's rebuilds of an evicted block, or one block in two threads'
+    private caches — each with its own links.
     """
 
     __slots__ = (
@@ -76,7 +83,7 @@ class FragmentBody:
         "instrs_source",
         "source_tags",
         "translation",
-        "runs",
+        "steps",
     )
 
     def __init__(self, code, exits, size, instrs_source, source_tags,
@@ -87,30 +94,26 @@ class FragmentBody:
         self.instrs_source = instrs_source
         self.source_tags = source_tags
         self.translation = translation
-        self.runs = None
+        self.steps = None
 
 
 class Fragment:
-    """A basic block or trace in the code cache."""
+    """A basic block or trace in the code cache: the link and placement
+    state of one instance of a :class:`FragmentBody`."""
 
     __slots__ = (
         "tag",
         "kind",
         "body",
-        "code",
         "exits",
         "cache_addr",
         "size",
-        "instrs_source",
-        "source_tags",
         "is_trace_head",
         "head_counter",
         "incoming",
         "deleted",
         "generation",
-        "compiled",
         "source_spans",
-        "translation",
     )
 
     KIND_BB = "bb"
@@ -119,21 +122,12 @@ class Fragment:
     def __init__(self, tag, kind):
         self.tag = tag
         self.kind = kind
-        # The FragmentBody this fragment was emitted over; ``code``,
-        # ``size``, ``instrs_source``, ``source_tags`` and
-        # ``translation`` are copied from it.
+        # The FragmentBody this fragment was emitted over: its ops,
+        # source InstrList, source tags, translation and step table.
         self.body = None
-        self.code = ()  # lowered ops, one per step (see repro.core.emit)
-        self.exits = []
+        self.exits = []  # LinkStubs, one per body exit descriptor
         self.cache_addr = None
         self.size = 0  # encoded size in the simulated code cache
-        # The InstrList this fragment was emitted from, retained to
-        # support dr_decode_fragment (adaptive re-optimization).
-        self.instrs_source = None
-        # Ordered application block tags this fragment translates:
-        # (tag,) for a basic block, the stitched sequence for a trace.
-        # Input to the drequiv equivalence checker (analysis/equiv.py).
-        self.source_tags = (tag,)
         self.is_trace_head = False
         self.head_counter = 0
         # Incoming LinkStubs pointing at this fragment (for unlinking
@@ -141,26 +135,19 @@ class Fragment:
         self.incoming = []
         self.deleted = False
         self.generation = 0
-        # Closure-compiled step table (repro.core.closures); built when
-        # the fragment is emitted under a runtime, lazily otherwise.
-        self.compiled = None
         # Application-code byte ranges this fragment was translated
         # from: tuple of (start, end) pairs.  Registered with the
         # cache-consistency region map when options.cache_consistency is
         # on; traces carry the union of their constituent blocks' spans.
         self.source_spans = ()
-        # Step -> application-PC map (repro.core.translate): built at
-        # emit time; its poll map drives mid-fragment signal delivery
-        # and detach.
-        self.translation = None
 
     @property
     def is_trace(self):
         return self.kind == self.KIND_TRACE
 
     def __repr__(self):
-        return "<Fragment %s tag=0x%x %d ops>" % (
+        return "<Fragment %s tag=0x%x %d exits>" % (
             self.kind,
             self.tag,
-            len(self.code),
+            len(self.exits),
         )

@@ -1255,7 +1255,7 @@ class DynamoRIO:
             return None
         from repro.ir.instrlist import InstrList, copy_instructions
 
-        return InstrList(copy_instructions(fragment.instrs_source))
+        return InstrList(copy_instructions(fragment.body.instrs_source))
 
     def replace_fragment(self, thread, tag, ilist):
         """dr_replace_fragment: swap in a new version of a fragment.
@@ -1272,7 +1272,7 @@ class DynamoRIO:
         new = emit_fragment(
             tag, old.kind, ilist, self.cost, self.options,
             runtime=self, reason="replace",
-            source_tags=getattr(old, "source_tags", None),
+            source_tags=old.body.source_tags,
         )
         new.is_trace_head = old.is_trace_head
         new.head_counter = old.head_counter

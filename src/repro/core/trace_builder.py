@@ -94,7 +94,7 @@ def stitch_trace(recording, observer=None):
     inlined_calls = 0
     inlined_checks = 0
     for i, fragment in enumerate(entries):
-        block = _copy_block(fragment.instrs_source)
+        block = _copy_block(fragment.body.instrs_source)
         is_last = i == len(entries) - 1
         next_tag = None if is_last else entries[i + 1].tag
         j = 0

@@ -6,8 +6,8 @@ given where execution currently is *inside the code cache*, reconstruct
 the precise application machine state, as if the program had been
 running natively.  This module is that primitive for the reproduction.
 
-Every emitted fragment records a :class:`TranslationTable` over its
-steps (op *i* of a fragment is step *i*, :mod:`repro.core.emit`):
+Every lowered fragment body records a :class:`TranslationTable` over
+its steps (op *i* of a fragment is step *i*, :mod:`repro.core.emit`):
 
 * ``pcs[step]`` — the source application PCs of the step, one per
   instruction of a run and one for any other step, ``None`` where there
@@ -29,7 +29,7 @@ poll points are acted on at the next one, giving mid-fragment delivery
 a deterministic latency bounded by the longest run (at most
 ``bb_builder.MAX_BB_INSTRS`` instructions).  :func:`make_poll_step`
 wraps exactly the poll-point steps, segments included, when
-:func:`~repro.core.closures.compile_fragment` compiles a fragment.
+:func:`~repro.core.closures.compile_fragment` compiles a fragment body.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the

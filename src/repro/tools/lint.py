@@ -371,14 +371,14 @@ def _lint_equiv(image, client_name, report):
         for cache in (thread.bb_cache, thread.trace_cache):
             for tag in sorted(cache.fragments):
                 fragment = cache.fragments[tag]
-                if fragment.deleted or fragment.instrs_source is None:
+                if fragment.deleted:
                     continue
                 diagnostics = verify_fragment(
-                    fragment.instrs_source,
+                    fragment.body.instrs_source,
                     kind=fragment.kind,
                     rules=["equivalence"],
                     tag=fragment.tag,
-                    source_tags=fragment.source_tags,
+                    source_tags=fragment.body.source_tags,
                     memory=runtime.memory,
                 )
                 checked += 1

@@ -67,7 +67,7 @@ class TestCustomTraceShapes:
         # removed returns show up as lea esp, [esp+4] in trace sources
         leas = 0
         for trace in dr.current_thread.trace_cache.fragments.values():
-            for instr in trace.instrs_source:
+            for instr in trace.body.instrs_source:
                 if (
                     instr.level >= 2
                     and not instr.is_label()

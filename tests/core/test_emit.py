@@ -57,7 +57,7 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
             ]
         )
-        kinds = [op[0] for op in frag.code]
+        kinds = [op[0] for op in frag.body.code]
         assert kinds == [OP_EXEC, OP_JMP_EXIT]
         assert len(frag.exits) == 1
         assert frag.exits[0].target_tag == 0x2000
@@ -70,14 +70,14 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x4000)),
             ]
         )
-        kinds = [op[0] for op in frag.code]
+        kinds = [op[0] for op in frag.body.code]
         assert kinds == [OP_EXEC, OP_COND_EXIT, OP_JMP_EXIT]
         assert len(frag.exits) == 2
 
     def test_ret_is_indirect_exit(self):
         frag = emit([INSTR_CREATE_ret()])
-        assert frag.code[0][0] == OP_IND_EXIT
-        assert frag.code[0][2] == "ret"
+        assert frag.body.code[0][0] == OP_IND_EXIT
+        assert frag.body.code[0][2] == "ret"
         assert frag.exits[0].kind == "indirect"
 
     def test_call_requires_return_address(self):
@@ -89,7 +89,7 @@ class TestLoweringShapes:
         call = INSTR_CREATE_call(OPND_CREATE_PC(0x100))
         call.note = {"return_addr": 0x1234}
         frag = emit([call])
-        assert frag.code[0][2] == 0x1234  # the pushed return address
+        assert frag.body.code[0][2] == 0x1234  # the pushed return address
 
     def test_local_branch_to_label(self):
         label = Instr.label()
@@ -103,10 +103,10 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x9999)),
             ]
         )
-        kinds = [op[0] for op in frag.code]
+        kinds = [op[0] for op in frag.body.code]
         assert kinds == [OP_LOCAL_BR, OP_EXEC, OP_JMP_EXIT]
         # the local branch targets step 2 (labels lower to nothing)
-        assert frag.code[0][2] == 2
+        assert frag.body.code[0][2] == 2
 
     def test_straight_line_block_is_one_run(self):
         frag = emit(
@@ -117,13 +117,13 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
             ]
         )
-        assert [op[0] for op in frag.code] == [OP_EXEC, OP_JMP_EXIT]
-        run = frag.code[0][1]
+        assert [op[0] for op in frag.body.code] == [OP_EXEC, OP_JMP_EXIT]
+        run = frag.body.code[0][1]
         assert [opcode for opcode, _ops, _cost in run] == [
             Opcode.MOV, Opcode.ADD, Opcode.MOV,
         ]
-        assert len(frag.translation.pcs) == len(frag.code)
-        assert len(frag.translation.pcs[0]) == 3
+        assert len(frag.body.translation.pcs) == len(frag.body.code)
+        assert len(frag.body.translation.pcs[0]) == 3
 
     def test_targeted_label_splits_the_run(self):
         label = Instr.label()
@@ -139,10 +139,10 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
             ]
         )
-        kinds = [op[0] for op in frag.code]
+        kinds = [op[0] for op in frag.body.code]
         assert kinds == [OP_EXEC, OP_EXEC, OP_LOCAL_BR, OP_JMP_EXIT]
-        assert [len(op[1]) for op in frag.code[:2]] == [1, 2]
-        assert frag.code[2][2] == 1  # the label begins step 1
+        assert [len(op[1]) for op in frag.body.code[:2]] == [1, 2]
+        assert frag.body.code[2][2] == 1  # the label begins step 1
 
     def test_untargeted_label_does_not_split(self):
         frag = emit(
@@ -153,8 +153,8 @@ class TestLoweringShapes:
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
             ]
         )
-        assert [op[0] for op in frag.code] == [OP_EXEC, OP_JMP_EXIT]
-        assert len(frag.code[0][1]) == 2
+        assert [op[0] for op in frag.body.code] == [OP_EXEC, OP_JMP_EXIT]
+        assert len(frag.body.code[0][1]) == 2
 
     def test_label_outside_fragment_rejected(self):
         foreign = Instr.label()

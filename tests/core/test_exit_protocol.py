@@ -163,7 +163,7 @@ def test_interrupt_poll_returns_the_translated_pc():
     first = runtime._build_bb(sym["main"])
     # The two movs lower to one run, step 0; the jmp, step 1, is the
     # poll point.
-    jmp_pc = first.translation.poll_ops[1]
+    jmp_pc = first.body.translation.poll_ops[1]
     assert sym["main"] < jmp_pc < sym["second"]
     _arm_alarm(runtime, sym["target"])
     exit_, switches = _run(runtime, first)
@@ -179,6 +179,6 @@ def test_step_ending_without_an_exit_fails_loudly():
     first = runtime._build_bb(sym["main"])
     exit_, _switches = _run(runtime, first)
     assert exit_[0] == EXIT_DISPATCH
-    first.compiled = (lambda ex, cpu: None,)
+    first.body.steps = (lambda ex, cpu: None,)
     with pytest.raises(MachineFault, match="without an exit"):
         runtime.executor.run(first)

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.api.client import Client
+from repro.api.dr import dr_detach
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.interp import Interpreter, run_native
 from repro.minicc import compile_source
+from repro.tools.detach_diff import detach_options
+from repro.tools.oracle import Cell, check
 
 
 THREADED_SRC = """
@@ -162,3 +165,83 @@ class TestRuntimeThreads:
         dr.run()
         cpus = {id(t.cpu) for t in dr.threads}
         assert len(cpus) == len(dr.threads)
+
+    def test_shared_bodies_keep_per_thread_links(self, shared_code_image):
+        """Both workers run ``work``, so the retranslation memo builds
+        each thread's private copy of its blocks over one body and one
+        step table.  Links stay per thread: every pass must run the
+        fragment stored under its tag in the running thread's own
+        cache, never a sibling thread's copy."""
+        foreign = []
+
+        def watch_passes(runtime):
+            observer = runtime.observer
+            enter = observer.profile_enter
+
+            def profile_enter(fragment, cycles):
+                thread = runtime.current_thread
+                cache = (
+                    thread.trace_cache if fragment.is_trace else thread.bb_cache
+                )
+                if cache.fragments.get(fragment.tag) is not fragment:
+                    foreign.append((thread.id, hex(fragment.tag)))
+                enter(fragment, cycles)
+
+            observer.profile_enter = profile_enter
+
+        verdict = check(Cell(
+            shared_code_image,
+            options=lambda: RuntimeOptions(trace_events=True, trace_buffer=None),
+            setup=watch_passes,
+        ))
+        assert verdict.ok, verdict
+        assert foreign == []
+        runtime = verdict["runtime"].runtime
+        first, second = (t.bb_cache.fragments for t in runtime.threads[1:])
+        shared = [
+            (first[tag], second[tag])
+            for tag in first.keys() & second.keys()
+            if first[tag].body is second[tag].body
+        ]
+        assert shared, "the workers share no body"
+        for one, other in shared:
+            assert one.body.steps is other.body.steps
+            assert one.exits and all(s.fragment is one for s in one.exits)
+            assert all(s.fragment is other for s in other.exits)
+
+
+class DetachAtFirstBlock(Client):
+    """Detaches from the first basic-block hook; counts thread_init."""
+
+    def __init__(self, reattach_after):
+        super().__init__()
+        self.reattach_after = reattach_after
+        self.thread_inits = 0
+        self.detached = False
+
+    def thread_init(self, context):
+        self.thread_inits += 1
+
+    def basic_block(self, context, tag, ilist):
+        if not self.detached:
+            self.detached = True
+            dr_detach(self, reattach_after=self.reattach_after)
+
+
+@pytest.mark.parametrize("reattach_after, thread_inits", [(50, 3), (None, 1)])
+def test_threads_spawned_while_detached(
+    threaded_image, reattach_after, thread_inits
+):
+    """Both workers spawn while the runtime is detached: they still
+    become runtime threads, and the client meets them (``thread_init``)
+    at re-attach, or never when the run stays native."""
+    verdict = check(Cell(
+        threaded_image,
+        options=detach_options,
+        client=lambda: DetachAtFirstBlock(reattach_after),
+    ))
+    assert verdict.ok, verdict
+    run = verdict["runtime"]
+    assert run.runtime.stats.detaches == 1
+    assert len(run.runtime.threads) == 3
+    assert run.client.thread_inits == thread_inits

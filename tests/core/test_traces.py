@@ -58,7 +58,7 @@ class TestTraceCreation:
         dr, result = run_under(loop_image, opts)
         assert result.events["traces_built"] >= 1
         # The loop's trace stitches 4 blocks at the default limit.
-        lengths = [len(t.source_tags) for t in _traces(dr)]
+        lengths = [len(t.body.source_tags) for t in _traces(dr)]
         assert max(lengths) == 2, lengths
 
 
@@ -74,7 +74,7 @@ class TestStitching:
         for trace in _traces(dr):
             # Linearity: no instruction targets a point inside the
             # trace except via LABEL refs (none created by stitching).
-            il = trace.instrs_source
+            il = trace.body.instrs_source
             assert il.labels_targeted() == set()
 
     def test_inverted_branches_stay_on_trace(self, loop_image):
@@ -85,7 +85,7 @@ class TestStitching:
         taken_exits = 0
         cond_exits = 0
         for trace in _traces(dr):
-            for instr in trace.instrs_source:
+            for instr in trace.body.instrs_source:
                 if instr.level >= 2 and instr.is_cond_branch():
                     cond_exits += 1
         assert cond_exits > 0
@@ -111,7 +111,7 @@ int helper(int x) { return x * 3 + 1; }
         dr, _ = self._run_and_grab(image)
         inlined_calls = 0
         for trace in _traces(dr):
-            for instr in trace.instrs_source:
+            for instr in trace.body.instrs_source:
                 if (
                     instr.level >= 2
                     and instr.opcode == Opcode.CALL
@@ -125,7 +125,7 @@ int helper(int x) { return x * 3 + 1; }
         dr, result = self._run_and_grab(loop_image)
         inline_rets = 0
         for trace in _traces(dr):
-            for instr in trace.instrs_source:
+            for instr in trace.body.instrs_source:
                 if (
                     instr.level >= 2
                     and instr.is_indirect_branch()
@@ -143,7 +143,7 @@ int helper(int x) { return x * 3 + 1; }
         for trace in _traces(dr):
             instrs = [
                 i
-                for i in trace.instrs_source
+                for i in trace.body.instrs_source
                 if i.level >= 2 and not i.is_label()
             ]
             for idx, instr in enumerate(instrs[:-1]):

@@ -88,7 +88,7 @@ def _cached_fragments(runtime):
 
 def _source_pcs(fragment):
     pcs = set()
-    for instr in fragment.instrs_source:
+    for instr in fragment.body.instrs_source:
         if not instr.is_meta and instr.raw_bits_valid():
             pc = instr.raw_pc
             if pc is not None:
@@ -119,12 +119,13 @@ def test_translation_round_trip_every_fragment(loop_image):
     fragments = _cached_fragments(runtime)
     assert fragments, "run left no cached fragments to check"
     for fragment in fragments:
-        table = fragment.translation
+        body = fragment.body
+        table = body.translation
         assert table is not None, hex(fragment.tag)
-        assert len(table.pcs) == len(fragment.code)
+        assert len(table.pcs) == len(body.code)
         # One step per op, plus the fell-through sentinel.
-        assert len(fragment.compiled) == len(fragment.code) + 1
-        for op, step_pcs in zip(fragment.code, table.pcs):
+        assert len(body.steps) == len(body.code) + 1
+        for op, step_pcs in zip(body.code, table.pcs):
             # One PC per instruction of a run, one for any other step.
             assert len(step_pcs) == (len(op[1]) if op[0] == OP_EXEC else 1)
         source = _source_pcs(fragment)
