@@ -121,10 +121,6 @@ class FragmentContext:
         return self._flag_live
 
     @staticmethod
-    def is_clean_call(instr):
-        return isinstance(instr.note, dict) and bool(instr.note.get("clean_call"))
-
-    @staticmethod
     def is_meta(instr):
         return bool(instr.is_meta)
 

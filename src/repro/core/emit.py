@@ -87,16 +87,11 @@ def _note(instr, key):
     return None
 
 
-def _instr_cost(cost_model, instr):
-    info = instr.info
-    imm1 = False
-    if instr.opcode in (Opcode.ADD, Opcode.SUB):
-        explicit = instr.explicit_operands()
-        if len(explicit) == 2 and explicit[1].is_imm():
-            imm1 = (explicit[1].value & 0xFFFFFFFF) in (1, 0xFFFFFFFF)
-    return cost_model.instr_cost(
-        info, instr.reads_memory(), instr.writes_memory(), imm1
-    )
+def _costed(cost_model, instr):
+    """``(opcode, ops, cost)`` of a straight-line instruction: one of a
+    run, or of a client's custom exit stub."""
+    ops = instr.explicit_operands()
+    return instr.opcode, ops, cost_model.static_cost(instr.opcode, ops)
 
 
 def _return_address(instr):
@@ -276,18 +271,12 @@ def _lower_fragment(ilist, cost_model, source_tags):
             continue
         size += instr.length
         if not instr.is_cti():
-            run.append(
-                (
-                    instr.opcode,
-                    instr.explicit_operands(),
-                    _instr_cost(cost_model, instr),
-                )
-            )
+            run.append(_costed(cost_model, instr))
             run_sources.append(instr)
             continue
 
         info = instr.info
-        cost = cost_model.instr_cost(info, False, False)
+        cost = cost_model.static_cost(instr.opcode, instr.explicit_operands())
         target = instr.target
 
         if isinstance(target, LabelRef):
@@ -397,12 +386,5 @@ def _lower_stub(stub_ilist, cost_model):
             continue
         if instr.is_cti():
             raise EmitError("custom exit stubs must be straight-line code")
-        ops.append(
-            (
-                OP_EXEC,
-                instr.opcode,
-                instr.explicit_operands(),
-                _instr_cost(cost_model, instr),
-            )
-        )
+        ops.append((OP_EXEC,) + _costed(cost_model, instr))
     return tuple(ops)

@@ -37,7 +37,7 @@ from repro.core.trace_builder import (
 from repro.machine.cost import CostModel, CycleCounter
 from repro.machine.errors import ProgramExit
 from repro.machine.interp import DEFAULT_MAX_INSTRUCTIONS, Interpreter, RunResult
-from repro.machine.system import System, ThreadExit, push_signal_frame
+from repro.machine.system import System, ThreadExit
 from repro.observe.events import (
     EV_CACHE_EVICT,
     EV_CACHE_EVICTION,
@@ -266,7 +266,6 @@ class DynamoRIO:
         options = self.options
         observer = self.observer
         guard = self.guard
-        rguard = self.rguard
         hooks_on = self.client is not None and (
             guard is None or not guard.quarantined
         )
@@ -302,48 +301,81 @@ class DynamoRIO:
                 observer.emit(EV_CLIENT_HOOK, tag, phase="bb", instrs=count)
             self.counter.cycles += self.cost.client_bb_hook_per_instr * count
 
-        # drshield: the runtime's own emits are an injection site, checked
-        # after the client hook and before verification; a client-API
-        # emit (dr_replace_fragment) never is.
-        def _emit(il):
-            if rguard is not None:
-                rguard.check("emit", tag)
-            return emit_fragment(
-                tag, Fragment.KIND_BB, il, self.cost, options, runtime=self,
-            )
-
         if entry is not None:
-            if rguard is not None:
-                rguard.check("emit", tag)
+            if self.rguard is not None:
+                self.rguard.check("emit", tag)
             fragment = emit_body(tag, Fragment.KIND_BB, entry.body, self)
-        elif hooks_on and guard is not None:
-            client = self.client
-            fragment = guard.build_hook(
-                "bb",
-                tag,
-                ilist,
-                hook=lambda il: client.basic_block(thread, tag, il),
-                emit=_emit,
-            )
         else:
-            if hooks_on:
-                self.client.basic_block(thread, tag, ilist)
-            fragment = _emit(ilist)
+            fragment = self._hook_then_emit(
+                Fragment.KIND_BB, tag, ilist,
+                self.client.basic_block if hooks_on else None,
+            )
             if memo is not None:
                 memo[tag] = MemoEntry(source, span, count, fragment.body)
         if tag in self.pending_trace_heads:
             fragment.is_trace_head = True
             if observer is not None:
                 observer.emit(EV_TRACE_HEAD_PROMOTED, tag, reason="client")
-        self._place(thread.bb_cache, fragment)
-        if self.region_map is not None:
-            fragment.source_spans = (span,)
-            self.region_map.register(fragment, (span,), thread, self.memory)
+        self._install(thread, thread.bb_cache, fragment, (span,))
         self.stats.bbs_built += 1
-        # Trace heads are kept out of the IBL so every entry is counted.
-        if not fragment.is_trace_head:
-            thread.ibl.insert(fragment)
         return fragment
+
+    def _hook_then_emit(self, kind, tag, ilist, hook, reason="build",
+                        source_tags=None):
+        """Run the client's build ``hook`` (``basic_block`` or
+        ``trace``; ``None``: no hook) over ``ilist`` for the current
+        thread — through the client guard when there is one, which falls
+        back to the pristine list on a fault — then lower the list into
+        a ``kind`` fragment.
+
+        drshield: the runtime's own emits (``reason="build"``) are an
+        injection site, checked after the hook and before verification;
+        a client-API emit (dr_replace_fragment) never is.
+        """
+        rguard = self.rguard if reason == "build" else None
+
+        def emit(il):
+            if rguard is not None:
+                rguard.check("emit", tag)
+            return emit_fragment(
+                tag, kind, il, self.cost, self.options, runtime=self,
+                reason=reason, source_tags=source_tags,
+            )
+
+        if hook is None:
+            return emit(ilist)
+        thread = self.current_thread
+        if self.guard is None:
+            hook(thread, tag, ilist)
+            return emit(ilist)
+
+        def guarded(il):
+            hook(thread, tag, il)
+
+        return self.guard.build_hook(kind, tag, ilist, hook=guarded, emit=emit)
+
+    def _install(self, thread, cache, fragment, spans):
+        """Place ``fragment`` in ``thread``'s ``cache``, register the
+        application ``spans`` it translates with the region map, and
+        enter it in the IBL — unless it is a trace head not yet shadowed
+        by its trace, kept out so every entry is counted."""
+        self._place(cache, fragment, thread=thread)
+        if self.region_map is not None:
+            fragment.source_spans = spans
+            self.region_map.register(fragment, spans, thread, self.memory)
+        if not fragment.is_trace_head or fragment.is_trace:
+            thread.ibl.insert(fragment)
+
+    def _retire(self, fragment, thread, successor=None):
+        """Take ``fragment`` out of the region map, ``thread``'s IBL and
+        the link graph: links into it move to ``successor`` (``None``
+        undoes them), and its own exits are unlinked.  Returns the
+        number of links moved and the number of exits unlinked."""
+        fragment.deleted = True
+        if self.region_map is not None:
+            self.region_map.unregister(fragment)
+        thread.ibl.remove(fragment)
+        return _move_incoming(fragment, successor), _unlink_outgoing(fragment)
 
     def _place(self, cache, fragment, thread=None):
         try:
@@ -494,14 +526,10 @@ class DynamoRIO:
     def _delete_fragment_impl(self, fragment, from_cache=True, thread=None):
         if thread is None:
             thread = self.current_thread
-        fragment.deleted = True
-        if self.region_map is not None:
-            self.region_map.unregister(fragment)
-        thread.ibl.remove(fragment)
+        unlinked = sum(self._retire(fragment, thread))
         if from_cache:
             cache = thread.trace_cache if fragment.is_trace else thread.bb_cache
             cache.remove(fragment)
-        unlinked = _move_incoming(fragment) + _unlink_outgoing(fragment)
         self.stats.fragments_deleted += 1
         observer = self.observer
         if observer is not None:
@@ -555,14 +583,10 @@ class DynamoRIO:
         ``_delete_fragment`` chokepoint (region-map deregistration, IBL
         removal, unlink, ``fragment_deleted``)."""
         self.pending_trace_heads.clear()
-        seen = set()
         for thread in self.threads:
             thread.trace_in_progress = None
-            for cache in (thread.bb_cache, thread.trace_cache):
-                if id(cache) in seen:
-                    continue
-                seen.add(id(cache))
-                self._flush_cache(cache, thread=thread)
+        for thread, cache in self.cache_units():
+            self._flush_cache(cache, thread=thread)
 
     def _detach_tracers(self):
         """Unregister the client's event tracers from the observer.
@@ -717,45 +741,16 @@ class DynamoRIO:
             else:
                 self.counter.cycles += hook_cycles
 
-        rguard = self.rguard
-
-        def _emit(il):
-            if rguard is not None:
-                rguard.check("emit", recording.head_tag)
-            return emit_fragment(
-                recording.head_tag,
-                Fragment.KIND_TRACE,
-                il,
-                self.cost,
-                self.options,
-                runtime=self,
-                source_tags=tuple(recording.tags()),
-            )
-
-        if hooks_on and guard is not None:
-            client = self.client
-            fragment = guard.build_hook(
-                "trace",
-                recording.head_tag,
-                ilist,
-                hook=lambda il: client.trace(thread, recording.head_tag, il),
-                emit=_emit,
-            )
-        else:
-            if hooks_on:
-                self.client.trace(thread, recording.head_tag, ilist)
-            fragment = _emit(ilist)
-        self._place(thread.trace_cache, fragment)
-        if self.region_map is not None:
-            # A trace is stale if any block it stitched is written.
-            spans = []
-            for entry in recording.entries:
-                spans.extend(entry.source_spans)
-            fragment.source_spans = tuple(spans)
-            self.region_map.register(
-                fragment, fragment.source_spans, thread, self.memory
-            )
-        thread.ibl.insert(fragment)
+        fragment = self._hook_then_emit(
+            Fragment.KIND_TRACE, recording.head_tag, ilist,
+            self.client.trace if hooks_on else None,
+            source_tags=tuple(recording.tags()),
+        )
+        # A trace is stale if any block it stitched is written.
+        spans = tuple(
+            span for entry in recording.entries for span in entry.source_spans
+        )
+        self._install(thread, thread.trace_cache, fragment, spans)
         self.stats.traces_built += 1
         # Shadow the head bb: redirect its incoming links to the trace.
         head_bb = thread.bb_cache.lookup(recording.head_tag)
@@ -864,15 +859,13 @@ class DynamoRIO:
                 instructions=self.executor.instructions,
             )
 
-    def _perform_reattach(self, pairs):
+    def _perform_reattach(self, adopted):
         """Resume translated execution: adopt the native CPUs back as
         dispatch targets and restore the client's observability."""
-        for ctx, nt in pairs:
-            if not nt.alive:
-                ctx.exited = True
-                continue
-            ctx.resume_tag = ctx.cpu.pc
-            ctx.prev_stub = None
+        for ctx in adopted:
+            if not ctx.exited:
+                ctx.resume_tag = ctx.cpu.pc
+                ctx.prev_stub = None
         self._reattach_tracers()
         if self.client is not None:
             for ctx in self._threads_since_detach:
@@ -892,9 +885,9 @@ class DynamoRIO:
     def _run_detached(self, max_instructions, quantum):
         """The native phase between detach and reattach.
 
-        Runs the reference interpreter over the translated threads,
-        sharing this runtime's System (output stream, alarms armed under
-        the cache — a pending signal delivers natively) and
+        Runs the reference interpreter's scheduler over the translated
+        threads, sharing this runtime's System (output stream, alarms
+        armed under the cache — a pending signal delivers natively) and
         CycleCounter, with the instruction clock carried across so
         absolute alarm deadlines stay meaningful.  Returns after
         ``_reattach_after`` native instructions (reattaching), or
@@ -909,6 +902,7 @@ class DynamoRIO:
                 self.process,
                 self.cost,
                 mode="native",
+                quantum=quantum,
                 system=self.system,
                 counter=self.counter,
                 observer=self.observer,
@@ -918,11 +912,12 @@ class DynamoRIO:
         stop_at = (
             None if stop_after is None else interp._instructions + stop_after
         )
-        pairs = [
-            (ctx, interp.adopt_thread(ctx.cpu))
+        # ThreadContext -> the native thread running its CPU.
+        adopted = {
+            ctx: interp.adopt_thread(ctx.cpu)
             for ctx in self.threads
             if not ctx.exited
-        ]
+        }
 
         def native_spawn(entry, stack_pointer):
             # A thread spawned while detached still becomes a runtime
@@ -930,43 +925,23 @@ class DynamoRIO:
             # (thread_init) at reattach time.
             ctx = self._spawn_thread(entry, stack_pointer)
             self._threads_since_detach.append(ctx)
-            pairs.append((ctx, interp.adopt_thread(ctx.cpu)))
+            adopted[ctx] = interp.adopt_thread(ctx.cpu)
 
         self.system.spawn_thread = native_spawn
-        rotor = 0
         try:
-            while True:
-                if stop_at is not None and interp._instructions >= stop_at:
-                    break
-                alive = [pair for pair in pairs if pair[1].alive]
-                if not alive:
-                    break
-                ctx, nt = alive[rotor % len(alive)]
-                rotor += 1
-                if len(alive) > 1:
-                    self.counter.charge(
-                        self.cost.thread_switch, "thread_switches"
-                    )
-                q = quantum
-                if stop_at is not None:
-                    remaining = stop_at - interp._instructions
-                    if remaining < q:
-                        q = remaining
-                try:
-                    interp._run_quantum(nt, q, max_instructions)
-                except ThreadExit:
-                    nt.alive = False
-                    ctx.exited = True
+            interp.run_threads(adopted.values(), max_instructions, stop_at)
         finally:
             # On every exit path — including a native ProgramExit — the
-            # runtime's totals and scheduler hooks reflect the native
-            # phase, so run()'s teardown reports complete results.
+            # runtime's threads, totals and scheduler hooks reflect the
+            # native phase, so run()'s teardown reports complete results.
+            for ctx, native in adopted.items():
+                ctx.exited = not native.alive
             self.executor.instructions = interp._instructions
             self.system.spawn_thread = self._spawn_app_thread
             # The native quanta re-pointed the fault context at their
             # thread CPUs; translated execution blames resume tags.
             self.memory.set_fault_context(self._fault_context)
-        self._perform_reattach(pairs)
+        self._perform_reattach(adopted)
 
     def run(self, entry=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
             quantum=100):
@@ -1204,20 +1179,11 @@ class DynamoRIO:
         if squashed_trace:
             thread.trace_in_progress = None
         system = self.system
-        latency = None
-        if system.alarm_at is not None:
-            latency = self.executor.instructions - system.alarm_at
-            events = self.counter.events
-            events["signal_latency"] = (
-                events.get("signal_latency", 0) + latency
-            )
-            if latency > events.get("signal_latency_max", -1):
-                events["signal_latency_max"] = latency
-        cpu = thread.cpu
-        push_signal_frame(cpu, self.memory, interrupted_tag)
-        system.clear_alarm()
-        system.signals_delivered += 1
-        self.counter.charge(self.cost.signal_delivery, "signals_delivered")
+        latency = system.deliver_signal(
+            thread.cpu, self.memory, interrupted_tag,
+            self.executor.instructions, self.counter,
+            self.cost.signal_delivery,
+        )
         if self.observer is not None:
             data = {"handler": system.signal_handler}
             if latency is not None:
@@ -1229,19 +1195,25 @@ class DynamoRIO:
             self.observer.emit(EV_SIGNAL_DELIVERED, interrupted_tag, **data)
         return system.signal_handler
 
+    def cache_units(self):
+        """Each distinct code-cache unit as ``(thread, unit)``, in
+        thread order, bb unit first: shared caches (the ablation) are
+        visited once, with the first thread that holds them."""
+        seen = set()
+        for thread in self.threads:
+            for unit in (thread.bb_cache, thread.trace_cache):
+                if id(unit) not in seen:
+                    seen.add(id(unit))
+                    yield thread, unit
+
     def _events(self):
         events = dict(self.counter.events)
         events.update(self.stats.as_dict())
-        seen = set()
-        bb_total = trace_total = 0
-        for thread in self.threads:
-            if id(thread.bb_cache) in seen:
-                continue
-            seen.add(id(thread.bb_cache))
-            bb_total += len(thread.bb_cache)
-            trace_total += len(thread.trace_cache)
-        events["bb_cache_fragments"] = bb_total
-        events["trace_cache_fragments"] = trace_total
+        resident = {"bb": 0, "trace": 0}
+        for _thread, cache in self.cache_units():
+            resident[cache.name] += len(cache)
+        events["bb_cache_fragments"] = resident["bb"]
+        events["trace_cache_fragments"] = resident["trace"]
         if self.observer is not None:
             events.update(self.observer.summary())
         return events
@@ -1269,9 +1241,8 @@ class DynamoRIO:
         old = thread.lookup_fragment(tag)
         if old is None:
             return False
-        new = emit_fragment(
-            tag, old.kind, ilist, self.cost, self.options,
-            runtime=self, reason="replace",
+        new = self._hook_then_emit(
+            old.kind, tag, ilist, None, reason="replace",
             source_tags=old.body.source_tags,
         )
         new.is_trace_head = old.is_trace_head
@@ -1279,22 +1250,12 @@ class DynamoRIO:
         new.generation = old.generation + 1
         cache = thread.trace_cache if old.is_trace else thread.bb_cache
         cache.remove(old)
-        self._place(cache, new, thread=thread)
-        thread.ibl.remove(old)
-        if not (new.is_trace_head and not new.is_trace):
-            thread.ibl.insert(new)
-        # Re-point incoming links at the new fragment; the old one's
+        # The replacement covers the same application code.  Placing it
+        # may evict; the old fragment's links go only after that.
+        self._install(thread, cache, new, old.source_spans)
+        # Incoming links move to the new fragment; the old one's
         # outgoing links dissolve.
-        _move_incoming(old, new)
-        unlinked = _unlink_outgoing(old)
-        old.deleted = True
-        if self.region_map is not None:
-            # The replacement covers the same application code.
-            new.source_spans = old.source_spans
-            self.region_map.unregister(old)
-            self.region_map.register(
-                new, new.source_spans, thread, self.memory
-            )
+        unlinked = self._retire(old, thread, successor=new)[1]
         self.stats.fragments_replaced += 1
         observer = self.observer
         if observer is not None:

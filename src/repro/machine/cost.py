@@ -20,6 +20,9 @@ exactly what the paper reports (normalized execution time).
 
 from enum import Enum
 
+from repro.isa.opcodes import OP_INFO, Opcode
+from repro.isa.operands import ImmOperand, MemOperand
+
 
 class Family(Enum):
     """Processor family, selectable per machine (paper Section 4.2)."""
@@ -56,6 +59,31 @@ _BASE_COSTS = {
     "call_ind": 3,
     "ret": 2,
 }
+
+
+# How each operand shape (repro.ir.shapes) uses its explicit operands:
+# per operand, "r" if the instruction reads it and "w" if it writes it.
+# Implicit operands (the stack slot of push/pop, eax/edx of div) are
+# folded into the class base cost; lea only computes its source's
+# address; a control transfer's target read is part of its base cost
+# and of the branch penalties it pays by outcome.
+_OPERAND_ROLES = {
+    "mov": ("w", "r"),
+    "lea": ("w", ""),
+    "binary": ("rw", "r"),
+    "unary": ("rw",),
+    "compare": ("r", "r"),
+    "shift": ("rw", "r"),
+    "div": ("r",),
+    "push": ("r",),
+    "pop": ("w",),
+    "xchg": ("rw", "rw"),
+    "branch": (),
+    "call": (),
+    "ret": (),
+    "none": (),
+}
+_MASK32 = 0xFFFFFFFF
 
 
 class CostModel:
@@ -122,6 +150,30 @@ class CostModel:
         if writes_mem:
             cost += self.mem_write_extra
         return cost
+
+    def static_cost(self, opcode, explicit):
+        """The cycles one instruction costs wherever it runs: natively,
+        emulated, or lowered into a fragment (a control transfer's
+        branch penalties, which depend on the outcome, excluded).
+
+        ``explicit`` is the instruction's explicit operand tuple; each
+        memory operand is charged by its role in the opcode's operand
+        shape (read: ``mem_read_extra``, written: ``mem_write_extra``).
+        An add/sub of the immediate 1 or -1 is the strength-reduction
+        alternative to inc/dec.
+        """
+        info = OP_INFO[opcode]
+        reads = writes = False
+        for operand, role in zip(explicit, _OPERAND_ROLES[info.shape]):
+            if isinstance(operand, MemOperand):
+                reads = reads or "r" in role
+                writes = writes or "w" in role
+        imm1 = (
+            opcode in (Opcode.ADD, Opcode.SUB)
+            and isinstance(explicit[1], ImmOperand)
+            and explicit[1].value & _MASK32 in (1, _MASK32)
+        )
+        return self.instr_cost(info, reads, writes, imm1)
 
     def copy(self):
         import copy as _copy

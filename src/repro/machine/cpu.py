@@ -54,18 +54,6 @@ class CPU:
 
     # -------------------------------------------------------- flag updates
 
-    def _set_result_flags(self, res):
-        """ZF, SF, PF from a 32-bit result; returns res for chaining."""
-        f = self.eflags & ~(ZF | SF | PF)
-        if res == 0:
-            f |= ZF
-        if res & _SIGN:
-            f |= SF
-        if _PARITY[res & 0xFF]:
-            f |= PF
-        self.eflags = f
-        return res
-
     def flags_add(self, a, b, carry_in=0):
         """Full add with IA-32 flags; returns the 32-bit result."""
         full = a + b + carry_in

@@ -35,12 +35,7 @@ from repro.machine.errors import MachineFault, ProgramExit
 from repro.machine.exec_ops import compile_noncti, read_operand
 from repro.machine.memory import WATCH_SHIFT
 from repro.machine.predictors import BranchTargetBuffer, ReturnAddressStack
-from repro.machine.system import (
-    System,
-    ThreadExit,
-    pop_signal_frame,
-    push_signal_frame,
-)
+from repro.machine.system import System, ThreadExit, pop_signal_frame
 from repro.observe.events import EV_SIGNAL_DELIVERED, EV_THREAD_SPAWN
 
 _MASK32 = 0xFFFFFFFF
@@ -62,8 +57,8 @@ class _Decoded(
 ):
     """One memoized decode.
 
-    ``cost``    pre-summed native cycle cost (for CTIs: the base cost
-                excluding branch penalties, which depend on the outcome).
+    ``cost``    the static cost (:meth:`CostModel.static_cost`; for CTIs
+                branch penalties, which depend on the outcome, excluded).
     ``execute`` bound non-CTI execution closure, or ``None`` for
                 control transfers and the HALT/SYSCALL safe-point
                 opcodes, which the quantum loop handles out of line.
@@ -140,26 +135,14 @@ class Interpreter:
         except Exception as exc:
             raise MachineFault("cannot decode at 0x%x: %s" % (pc, exc))
         info = OP_INFO[d.opcode]
-        imm1 = (
-            d.opcode in (Opcode.ADD, Opcode.SUB)
-            and len(d.operands) == 2
-            and d.operands[1].is_imm()
-            and d.operands[1].value in (1, 0xFFFFFFFF)
-        )
         next_pc = (pc + d.length) & _MASK32
+        # Branch penalties depend on the dynamic outcome; the static
+        # cost is pre-summed here.
+        cost = self.cost.static_cost(d.opcode, d.operands)
         if info.is_cti:
-            # Branch penalties depend on the dynamic outcome; the static
-            # base cost is pre-summed here.
-            cost = self.cost.instr_cost(info, False, False)
             execute = None
             cond = compile_condition(d.opcode) if info.is_cond_branch else None
         else:
-            cost = self.cost.instr_cost(
-                info,
-                _explicit_reads_mem(d.opcode, info, d.operands),
-                _explicit_writes_mem(info, d.operands),
-                imm1,
-            )
             cond = None
             if d.opcode is Opcode.HALT or d.opcode is Opcode.SYSCALL:
                 # Safe-point opcodes: handled out of line by the quantum
@@ -218,20 +201,8 @@ class Interpreter:
         self.threads = [main]
         self.system.spawn_thread = self._spawn
         exit_code = None
-        rotor = 0
         try:
-            while True:
-                alive = [t for t in self.threads if t.alive]
-                if not alive:
-                    break
-                thread = alive[rotor % len(alive)]
-                rotor += 1
-                if len(alive) > 1:
-                    self.counter.charge(self.cost.thread_switch, "thread_switches")
-                try:
-                    self._run_quantum(thread, self.quantum, max_instructions)
-                except ThreadExit:
-                    thread.alive = False
+            self.run_threads(self.threads, max_instructions)
         except ProgramExit as exit_:
             exit_code = exit_.code
         events = dict(self.counter.events)
@@ -246,32 +217,43 @@ class Interpreter:
             events=events,
         )
 
-    def _deliver_signal(self, cpu, n):
-        """Redirect to the signal handler with a full signal frame.
+    def run_threads(self, threads, max_instructions, stop_at=None):
+        """The round-robin scheduler: run the live ``threads`` a
+        quantum each, charging a thread switch whenever more than one
+        is live, until none is or the instruction count reaches
+        ``stop_at``.  ``threads`` is re-read every round, so a spawn
+        handler may append to it.  A thread's ThreadExit ends it; the
+        program's ProgramExit propagates."""
+        rotor = 0
+        while stop_at is None or self._instructions < stop_at:
+            alive = [t for t in threads if t.alive]
+            if not alive:
+                return
+            thread = alive[rotor % len(alive)]
+            rotor += 1
+            if len(alive) > 1:
+                self.counter.charge(self.cost.thread_switch, "thread_switches")
+            quantum = self.quantum
+            if stop_at is not None and stop_at - self._instructions < quantum:
+                quantum = stop_at - self._instructions
+            try:
+                self._run_quantum(thread, quantum, max_instructions)
+            except ThreadExit:
+                thread.alive = False
 
-        ``n`` is the current instruction count; the delivery latency
-        (instructions past the alarm deadline — 0 or 1 here, since the
-        native loop checks per instruction) feeds the same
-        ``signal_latency`` accounting the runtime keeps, so detached
-        continuations report comparably.
-        """
+    def _deliver_signal(self, cpu, n):
+        """Redirect to the signal handler (``n``: the instruction count;
+        the latency is 0 or 1 here, since the native loop checks per
+        instruction)."""
         interrupted = cpu.pc
-        latency = None
-        if self.system.alarm_at is not None:
-            latency = n - self.system.alarm_at
-            events = self.counter.events
-            events["signal_latency"] = (
-                events.get("signal_latency", 0) + latency
-            )
-            if latency > events.get("signal_latency_max", -1):
-                events["signal_latency_max"] = latency
-        push_signal_frame(cpu, self.process.memory, cpu.pc)
-        cpu.pc = self.system.signal_handler
-        self.system.clear_alarm()
-        self.system.signals_delivered += 1
-        self.counter.charge(self.cost.signal_delivery, "signals_delivered")
+        system = self.system
+        latency = system.deliver_signal(
+            cpu, self.process.memory, interrupted, n, self.counter,
+            self.cost.signal_delivery,
+        )
+        cpu.pc = system.signal_handler
         if self.observer is not None:
-            data = {"handler": self.system.signal_handler}
+            data = {"handler": system.signal_handler}
             if latency is not None:
                 data["latency"] = latency
             self.observer.emit(EV_SIGNAL_DELIVERED, interrupted, **data)
@@ -399,33 +381,6 @@ class Interpreter:
             cpu.pc = target
         else:
             raise MachineFault("unhandled CTI %r" % (opcode,))
-
-
-def _explicit_reads_mem(opcode, info, ops):
-    if opcode == Opcode.LEA:
-        return False
-    # For stores the first (destination) operand is memory; reads scan
-    # the remaining source-side operands.
-    if not ops:
-        return False
-    if info.shape in ("mov", "lea", "binary", "shift", "unary"):
-        first_is_dst = True
-    else:
-        first_is_dst = False
-    for i, op in enumerate(ops):
-        if op.is_mem():
-            if i == 0 and first_is_dst and info.shape == "mov":
-                continue  # pure store
-            return True
-    return False
-
-
-def _explicit_writes_mem(info, ops):
-    if not ops:
-        return False
-    if info.shape in ("mov", "binary", "shift", "unary"):
-        return ops[0].is_mem()
-    return False
 
 
 def run_native(process, cost_model=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS):

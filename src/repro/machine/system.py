@@ -112,6 +112,30 @@ class System:
         self.alarm_at = None
         self.alarm_active = self.alarm_in is not None
 
+    def deliver_signal(self, cpu, memory, interrupted_pc, now, counter, cycles):
+        """Deliver the due alarm signal to ``cpu``'s thread: push a
+        signal frame that resumes at ``interrupted_pc``, clear the alarm
+        and charge ``cycles`` to ``counter`` as ``signals_delivered``;
+        the caller redirects the thread to ``signal_handler``.
+
+        ``now`` is the instruction count; the delivery latency
+        (instructions executed past the alarm deadline) accumulates
+        under ``signal_latency`` and ``signal_latency_max``.  Returns
+        it, or ``None`` when no deadline was set.
+        """
+        latency = None
+        if self.alarm_at is not None:
+            latency = now - self.alarm_at
+            events = counter.events
+            events["signal_latency"] = events.get("signal_latency", 0) + latency
+            if latency > events.get("signal_latency_max", -1):
+                events["signal_latency_max"] = latency
+        push_signal_frame(cpu, memory, interrupted_pc)
+        self.clear_alarm()
+        self.signals_delivered += 1
+        counter.charge(cycles, "signals_delivered")
+        return latency
+
     def output_bytes(self):
         return bytes(self.output)
 

@@ -33,9 +33,6 @@ class Type:
     def is_ptr(self):
         return self.kind == "ptr"
 
-    def is_func(self):
-        return self.kind == "func"
-
     def __eq__(self, other):
         return (
             isinstance(other, Type)

@@ -30,10 +30,6 @@ class ProgramInfo:
         self.uses_indirect_calls = False
 
 
-def _elem_type(t):
-    return t.elem if t.is_ptr() else t
-
-
 class _FunctionChecker:
     def __init__(self, info, func_info):
         self.info = info

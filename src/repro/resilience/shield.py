@@ -176,26 +176,21 @@ class Shield:
                 thread = threads[index] if index < len(threads) else None
                 return "ibl", None, thread
             return "scratch", None, None
-        seen = set()
-        for thread in runtime.threads:
-            for unit in (thread.bb_cache, thread.trace_cache):
-                if id(unit) in seen:
+        for thread, unit in runtime.cache_units():
+            if not (unit.base <= addr < unit.cursor):
+                continue
+            for fragment in unit.fragments.values():
+                base = fragment.cache_addr
+                if base is None or not (base <= addr < base + fragment.size):
                     continue
-                seen.add(id(unit))
-                if not (unit.base <= addr < unit.cursor):
-                    continue
-                for fragment in unit.fragments.values():
-                    base = fragment.cache_addr
-                    if base is None or not (base <= addr < base + fragment.size):
-                        continue
-                    stubs = STUB_SIZE * len(fragment.exits)
-                    owner = (
-                        "stub"
-                        if stubs and addr >= base + fragment.size - stubs
-                        else "fragment"
-                    )
-                    return owner, unit, thread
-                return "unit", unit, thread
+                stubs = STUB_SIZE * len(fragment.exits)
+                owner = (
+                    "stub"
+                    if stubs and addr >= base + fragment.size - stubs
+                    else "fragment"
+                )
+                return owner, unit, thread
+            return "unit", unit, thread
         return "cache", None, None
 
     # ------------------------------------------------------------- delivery
@@ -519,13 +514,8 @@ class RuntimeGuard:
             # fifo and adaptive units fall back to whole-unit flushes
             # (an adaptive unit also stops growing).
             options.cache_evict_policy = "flush"
-            seen = set()
-            for thread in runtime.threads:
-                for unit in (thread.bb_cache, thread.trace_cache):
-                    if id(unit) in seen:
-                        continue
-                    seen.add(id(unit))
-                    unit.policy = "flush"
+            for _thread, unit in runtime.cache_units():
+                unit.policy = "flush"
         elif subsystem == "direct_linking":
             options.link_direct = False
 

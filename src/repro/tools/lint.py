@@ -367,22 +367,21 @@ def _lint_equiv(image, client_name, report):
     runtime = DynamoRIO(Process(image), options=options, client=client)
     runtime.run()
     checked = 0
-    for thread in runtime.threads:
-        for cache in (thread.bb_cache, thread.trace_cache):
-            for tag in sorted(cache.fragments):
-                fragment = cache.fragments[tag]
-                if fragment.deleted:
-                    continue
-                diagnostics = verify_fragment(
-                    fragment.body.instrs_source,
-                    kind=fragment.kind,
-                    rules=["equivalence"],
-                    tag=fragment.tag,
-                    source_tags=fragment.body.source_tags,
-                    memory=runtime.memory,
-                )
-                checked += 1
-                report.add("%s@0x%x" % (fragment.kind, tag), diagnostics)
+    for _thread, cache in runtime.cache_units():
+        for tag in sorted(cache.fragments):
+            fragment = cache.fragments[tag]
+            if fragment.deleted:
+                continue
+            diagnostics = verify_fragment(
+                fragment.body.instrs_source,
+                kind=fragment.kind,
+                rules=["equivalence"],
+                tag=fragment.tag,
+                source_tags=fragment.body.source_tags,
+                memory=runtime.memory,
+            )
+            checked += 1
+            report.add("%s@0x%x" % (fragment.kind, tag), diagnostics)
     print("equiv: %d cache-resident fragment(s) checked" % checked)
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import VerificationError
 from repro.api.client import Client
 from repro.api.dr import dr_insert_meta_instr
+from repro.asm import CodeBuilder, mem
 from repro.clients import (
     CustomTraces,
     IndirectBranchDispatch,
@@ -84,13 +85,10 @@ int main() {
 """
 
 
-def test_shortcircuit_values_and_unary_ops_verify():
-    """The cell runs native-identical with every fragment verified, and
-    reaches paths no other tier-1 test calls."""
-    wanted = {("repro.minicc.codegen", "_gen_shortcircuit")} | {
-        ("repro.analysis.symexec", name)
-        for name in ("flags_dec", "flags_neg", "neg", "bnot")
-    }
+def _verify_reaching(wanted, make_image):
+    """Check the image ``make_image()`` builds through an oracle cell
+    with every fragment verified; returns the verdict and which of the
+    ``wanted`` ``(module, function)`` pairs were called on the way."""
     reached = set()
 
     def profile(frame, event, arg):
@@ -102,12 +100,74 @@ def test_shortcircuit_values_and_unary_ops_verify():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        image = compile_source(SHORTCIRCUIT_UNARY_SRC)
-        verdict = check(Cell(image, options=verifying_options))
+        verdict = check(Cell(make_image(), options=verifying_options))
     finally:
         sys.setprofile(previous)
+    return verdict, reached
+
+
+def test_shortcircuit_values_and_unary_ops_verify():
+    """The cell runs native-identical with every fragment verified, and
+    reaches paths no other tier-1 test calls."""
+    wanted = {("repro.minicc.codegen", "_gen_shortcircuit")} | {
+        ("repro.analysis.symexec", name)
+        for name in ("flags_dec", "flags_neg", "neg", "bnot")
+    }
+    verdict, reached = _verify_reaching(
+        wanted, lambda: compile_source(SHORTCIRCUIT_UNARY_SRC)
+    )
     assert verdict.ok, verdict
     assert reached == wanted
+
+
+def _sign_extension_fdiv_shifts_image():
+    """A loop over ``movsx`` of a loaded byte, ``fdiv`` of a loop value
+    and of constants, and ``shl``/``shr``/``sar`` of constants (a
+    negative one for ``sar``), printing one sum per iteration."""
+    b = CodeBuilder(base=0x1000)
+    b.label("main")
+    b.mov(Reg.EDI, 4)
+    b.label("loop")
+    b.push(Reg.EDI)
+    b.movsx(Reg.ESI, mem(base=Reg.ESP, size=1))
+    b.pop(Reg.EDX)
+    b.mov(Reg.EAX, 0x80000000)
+    b.sar(Reg.EAX, 4)
+    b.mov(Reg.EBX, 0x1234)
+    b.shl(Reg.EBX, 3)
+    b.shr(Reg.EBX, 2)
+    b.mov(Reg.ECX, -100)
+    b.fdiv(Reg.ECX, Reg.EDI)
+    b.mov(Reg.EDX, 100)
+    b.mov(Reg.EBP, 7)
+    b.fdiv(Reg.EDX, Reg.EBP)
+    for reg in (Reg.EAX, Reg.EBX, Reg.ECX, Reg.EDX):
+        b.add(Reg.ESI, reg)
+    b.mov(Reg.EBX, Reg.ESI)
+    b.mov(Reg.EAX, 3)  # write ebx as 4 output bytes
+    b.syscall()
+    b.dec(Reg.EDI)
+    b.jnz("loop")
+    b.mov(Reg.EAX, 1)  # exit 0
+    b.mov(Reg.EBX, 0)
+    b.syscall()
+    return b.image(entry="main")
+
+
+def test_sign_extension_fdiv_and_constant_shifts_verify():
+    """The equivalence rule's sign extension, signed fixed-point
+    division and constant-folded shifts run, and the cell stays
+    native-identical with every fragment verified."""
+    wanted = {
+        ("repro.analysis.symexec", name)
+        for name in ("sx", "fdiv", "_shl_v", "_shr_v", "_sar_v")
+    }
+    verdict, reached = _verify_reaching(
+        wanted, _sign_extension_fdiv_shifts_image
+    )
+    assert verdict.ok, verdict
+    assert reached == wanted
+    assert len(verdict["runtime"].result.output) == 16
 
 
 def test_indirect_dispatch_verifies(indirect_image, indirect_native):

@@ -15,22 +15,29 @@ eflags and memory, with memory targets biased to the edges (last valid
 byte/halfword/word, one byte past the end, effective addresses that wrap
 past 2**32), read-only regions under protection and watched lines.  All
 three must leave equal registers, eflags, memory bytes and watcher calls,
-or raise the same exception type and message.
+or raise the same exception type and message.  Each form also costs the
+same in both engines: ``CostModel.static_cost``.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import closures
+from repro.core.bb_builder import build_basic_block
 from repro.core.closures import compile_segment
+from repro.core.emit import OP_EXEC, emit_fragment
+from repro.core.fragments import Fragment
+from repro.isa.encoder import EncodeError, encode_instr
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
-from repro.machine.cost import CycleCounter
+from repro.machine.cost import CostModel, CycleCounter, Family
 from repro.machine.cpu import CPU
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti, execute_noncti
+from repro.machine.interp import Interpreter
 from repro.machine.memory import WATCH_SHIFT, Memory
 from repro.machine.system import System
 
@@ -299,6 +306,74 @@ def test_memory_edges(opcode, ops, guard):
     if guard and guard[0] == "watch":
         expected = [(0x43E, 4)] if ops[0].disp == 0x43E else []
         assert outcome["watch_calls"] == expected
+
+
+# ------------------------------------------------------------- the cost
+#
+# A form's static cost is charged by both engines: the native
+# interpreter pre-sums it into each decode, and lowering puts it in the
+# op the runtime runs.  Both must be CostModel.static_cost, on either
+# family.
+
+_COST_PC = 0x100
+
+
+def _cost_forms():
+    """Every SHAPES form as concrete explicit operands: each immediate
+    as 1, -1 and a 32-bit value, each memory operand at every size."""
+    for opcode, (slot0, slot1) in sorted(SHAPES.items()):
+        for shape0 in slot0 or (None,):
+            for shape1 in slot1 or (None,):
+                shapes = [sh for sh in (shape0, shape1) if sh is not None]
+                if shapes.count("mem") > 1:
+                    continue
+                choices = []
+                for index, shape in enumerate(shapes):
+                    if shape == "reg":
+                        choices.append([RegOperand(EDX if index == 0 else ECX)])
+                    elif shape == "imm":
+                        choices.append([ImmOperand(v) for v in (1, -1, 0x12345)])
+                    else:
+                        choices.append([
+                            MemOperand(base=EBX, disp=8, size=n)
+                            for n in (1, 2, 4)
+                        ])
+                for ops in itertools.product(*choices):
+                    yield opcode, tuple(shapes), ops
+
+
+@pytest.mark.parametrize(
+    "family", list(Family), ids=lambda family: family.name
+)
+def test_native_and_lowered_cost_are_the_static_cost(family):
+    model = CostModel(family)
+    checked = set()
+    for opcode, shapes, ops in _cost_forms():
+        try:
+            code = encode_instr(opcode, ops) + encode_instr(Opcode.RET, ())
+        except EncodeError:
+            continue  # no bytes carry this form
+        mem = Memory(SIZE)
+        mem.write_bytes(_COST_PC, code)
+        native = Interpreter(SimpleNamespace(memory=mem), model)
+        native_cost = native._decode(_COST_PC).cost
+        ilist = build_basic_block(mem, _COST_PC)
+        body = emit_fragment(_COST_PC, Fragment.KIND_BB, ilist, model, None).body
+        kind, run = body.code[0]
+        assert kind == OP_EXEC and len(run) == 1
+        lowered_cost = run[0][2]
+        static = model.static_cost(opcode, ops)
+        assert native_cost == lowered_cost == static, (
+            "%s %r: native %d, lowered %d, static_cost %d"
+            % (opcode.name, ops, native_cost, lowered_cost, static)
+        )
+        checked.add((opcode, shapes))
+    assert {
+        (Opcode.PUSH, ("reg",)), (Opcode.PUSH, ("mem",)),
+        (Opcode.POP, ("reg",)), (Opcode.POP, ("mem",)),
+        (Opcode.XCHG, ("mem", "reg")), (Opcode.ADD, ("reg", "imm")),
+    } <= checked
+    assert {opcode for opcode, _shapes in checked} == set(SHAPES)
 
 
 # ------------------------------------------------------------ whole runs
