@@ -1,6 +1,6 @@
 """The removed chain compiler's last name.
 
-Fragments run only through their closure step tables
+Fragments run only as their bodies' generated functions
 (:mod:`repro.core.closures`); there is no second execution tier.
 ``bench/layers.py`` (``ENTRY_POINTS``, line 38) still wraps
 ``ChainManager._build`` for its ``chains`` layer, which now always

@@ -1,45 +1,57 @@
-"""Closure compilation of fragment bodies: the encode-into-cache step.
+"""Fragment compilation: the encode-into-cache step.
 
 :func:`compile_fragment` translates a fragment body's lowered ops
-(``repro.core.emit``) into a flat tuple of *step closures*, one per op
-— op *i* is step *i* — plus the fell-through sentinel: the moral
-equivalent of DynamoRIO's encoder emitting machine code into the code
-cache, once per body.  Each step binds everything static about its op
-at compile time: operand accessors, pre-summed cycle costs, the exit's
-index, compiled branch predicates, and the runtime's
-memory/system/counter/stats.  The executor's hot loop then degenerates
-to ``i = steps[i](executor, cpu)``.
-
-A step returns the index of the next step to run, or ``None`` when the
-fragment is done — in which case the step has already resolved the exit:
-``executor._next_fragment`` holds the linked/IBL-hit successor, or it is
-``None`` and the step recorded ``(reason, next_tag, stub)`` in
-``executor._exit`` (:meth:`~repro.core.execute.Executor._direct_exit`,
+(``repro.core.emit``) into one generated Python function, the moral
+equivalent of DynamoRIO's encoder emitting a fragment into the code
+cache as one linear, single-entry, multiple-exit code stream (paper
+Section 3.1), once per body.  The executor calls it once per pass:
+``fn(executor, cpu)`` returns the next fragment — a linked exit's
+target or an IBL hit — or ``None`` once it has recorded the cache exit
+``(reason, next_tag, stub)`` in ``executor._exit``
+(:meth:`~repro.core.execute.Executor._direct_exit`,
 :meth:`~repro.core.execute.Executor._indirect_exit`), which
 :meth:`~repro.core.execute.Executor.run` returns to the dispatcher.
 
-Lowering already fused consecutive straight-line instructions into one
-``OP_EXEC`` run op, broken only at a local-branch target or a clean
-call, so ``OP_LOCAL_BR`` step indices stay addressable.  Every run, a
-one-instruction run included, compiles to a generated segment
-(:func:`compile_segment`): straight-line Python source with guest
-memory accessed inline, charging cycles and instructions exactly as one
-step per instruction would, including on a mid-run fault or program
-exit.  Segment-local dataflow shapes that source: a flag writer whose
-flags the run overwrites before anything can read them skips them, and
-a 4-byte load of a word the run already holds reads the local holding
-it.  Where the state can be observed mid-run — a fault or program exit
-unwinding the segment — the handler rebuilds the skipped flags from the
-writers' bound inputs, so the deoptimized state is exact.
+Every op kind is written as source, in op order:
 
-The table is kept on the body (``body.steps``), so every fragment over
-it — retranslation-memo rebuilds, one block in two threads' private
-caches — runs one compile.  Only the CPU is passed per call, so no
-per-thread state is bound at compile time, and no link state either:
-an exit step names its exit by index, and the executor resolves it
-against the running fragment's own :class:`~repro.core.fragments.LinkStub`
-(``executor.fragment.exits[index]``) and reads its ``linked_to`` at exit
-time, preserving the link/unlink and fragment-replacement semantics.
+* a run (``OP_EXEC``) as straight-line code with guest memory accessed
+  inline (:func:`_run_source`, :func:`_inline_instr`), charging cycles
+  and instructions in one batched update at its end;
+* conditional, direct and call exits with the link check inline
+  (``ex.fragment.exits[i].linked_to``); an unlinked or always-stub exit
+  leaves through ``Executor._direct_exit``;
+* inlined calls, indirect exits and trace-inlined checks with their
+  dispatch chains, and clean calls, with their client hooks bound per
+  body;
+* client local branches, which lowering admits forward only, so every
+  op runs at most once per pass;
+* under ``options.precise_interrupts``, the interrupt poll before every
+  application-consistent op (:mod:`repro.core.translate`) as an inline
+  flag test.
+
+Segment-local dataflow shapes each run: a flag writer whose flags the
+run overwrites before anything can read them skips them, and a 4-byte
+load of a word the run already holds reads the local holding it.
+
+Faults are exact.  Every instruction of a run is one source line, and
+each generated function has a line map (``_LINES``): a fault on a run's
+line charges the cycles and instructions the run reached, faulting
+instruction included, and rebuilds the flags the run's dead writers
+skipped from their bound inputs (:func:`_rebuild_eflags`); every other
+op charges as it goes.  The same map names the faulting instruction's
+application PC (:func:`fault_pc`).
+
+The code depends on the body's shape alone, so it is generated and
+compiled once per process (``_FRAGMENT_CODE_CACHE``), split into
+functions of at most about ``_PART_LINES`` lines that tail-call the
+next, so no ``compile()`` unit grows with the body.  Each body binds
+its own copy to the runtime's memory, system, counter and stats and to
+its client hooks, kept on the body (``body.entry``): every fragment
+over it — retranslation-memo rebuilds, one block in two threads'
+private caches — runs one function.  Only the CPU is passed per call,
+and no link state is bound: exits resolve against the running
+fragment's own :class:`~repro.core.fragments.LinkStub` at exit time,
+preserving the link/unlink and fragment-replacement semantics.
 
 The native interpreter is the reference: every run must end with
 native's output, exit code, registers and eflags (the differential
@@ -49,6 +61,7 @@ to ``execute_noncti``.
 """
 
 import sys
+from types import CodeType, FunctionType
 
 from repro.core.emit import (
     CLEAN_CALL_COST,
@@ -62,7 +75,6 @@ from repro.core.emit import (
     OP_JMP_EXIT,
     OP_LOCAL_BR,
 )
-from repro.core.translate import make_poll_step
 from repro.isa.eflags import (
     AF,
     CF,
@@ -75,9 +87,9 @@ from repro.isa.eflags import (
 )
 from repro.isa.opcodes import OP_INFO, SHIFT_OPCODES, Opcode, eflags_killed
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
-from repro.machine.cpu import _PARITY, CPU, compile_condition
+from repro.machine.cpu import _PARITY, CPU
 from repro.machine.errors import MachineFault
-from repro.machine.exec_ops import compile_noncti, compile_read, read_operand
+from repro.machine.exec_ops import compile_noncti, read_operand
 from repro.machine.memory import U8, U16, U32, WATCH_SHIFT
 from repro.machine.system import pop_signal_frame
 from repro.observe.events import (
@@ -208,14 +220,6 @@ _WRITE_ONLY_DST = frozenset((
     Opcode.MOV, Opcode.MOVZX, Opcode.MOVSX, Opcode.FLD, Opcode.FST,
     Opcode.MOVB_STORE, Opcode.POP,
 ))
-
-# Generated segments (:func:`_generate_segment`), keyed by the run's
-# ``(opcode, ops, cost)`` tuples: structurally identical runs — unrolled
-# loops, retranslated traces — are analysed, generated and compiled by
-# CPython once per process.  A test that patches the generator (a
-# template, a pass) must swap this cache out.
-_SEGMENT_CODE_CACHE = {}
-
 
 def _ea_expr(op):
     """Source expression for a MemOperand's effective address —
@@ -352,7 +356,7 @@ def _writer_source(opcode, ops, k, dead, reads, value):
                                         Opcode.DEC)
     ):
         # The templates are looked up per call, so a patched template
-        # takes effect in the next compiled segment.
+        # takes effect in the next generated body.
         if logic is not None:
             flags, result = _LOGIC_FLAGS, a
         else:
@@ -374,7 +378,8 @@ def _writer_source(opcode, ops, k, dead, reads, value):
 
 def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
     """One generated source line executing the templated (see
-    :func:`_templated`) non-CTI instruction ``k`` of a run.
+    :func:`_templated`) non-CTI instruction ``k`` of a body (its
+    writer inputs bind ``_a<k>`` and ``_b<k>``).
 
     Each template mirrors the corresponding ``exec_ops`` compiler —
     same value masking, same flags, same evaluation order — so faults
@@ -511,9 +516,11 @@ def _rebuild_eflags(cpu, frame, writers):
     """Make ``cpu.eflags`` exact after a fault: every flag bit whose
     last executed writer was dead is recomputed from that writer's
     bound inputs by the CPU's flag method.  ``frame`` holds the
-    segment's bound locals; a writer executed once all its inputs are
-    bound (as in the closures, a read-modify-write whose store faults
-    has set its flags).  ``writers`` lists ``(inputs, flags, method,
+    generated function's bound locals: each op runs at most once per
+    pass and no two runs share a name, so a writer's inputs are bound
+    only if it ran in this pass.  A writer executed once all its inputs
+    are bound (as in the closures, a read-modify-write whose store
+    faults has set its flags).  ``writers`` lists ``(inputs, flags, method,
     dead)`` in run order; ``flags`` is None for a shift, which writes
     all six flags unless its count is 0."""
     pending = _ALL_FLAGS
@@ -534,130 +541,455 @@ def _rebuild_eflags(cpu, frame, writers):
             return
 
 
-def _generate_segment(instrs, number):
-    """Analyse and generate one run: ``(code, line_index, prefix,
-    fallbacks, rebuild)`` — the compiled ``_segment`` source, the map
-    from source line to instruction index, the running cycle totals,
-    the indices that call their ``compile_noncti`` closure ``_f<k>``,
-    and the eflags rebuild for the fault path (None without dead
-    writers).  The code is named ``<segment number>`` (its index in
-    ``_SEGMENT_CODE_CACHE``) so that profilers, which key entries by
-    file, line and function name, keep segments apart."""
+
+
+def _run_source(instrs, first):
+    """Generate one run: ``(lines, prefix, fallbacks, writers)`` — one
+    source line per instruction, the running cycle totals, the indices
+    (in the run) of the instructions that call their ``compile_noncti``
+    closure ``_f<n>``, and the eflags rebuild's writers for the fault
+    path (None without dead writers).  Locals are numbered from
+    ``first``, the run's first instruction in its body, so no two runs
+    of a body share a name."""
     templated = [_templated(opcode, ops) for opcode, ops, _cost in instrs]
     dead = _dead_writers(instrs, templated)
     forwarded, defs = _forward_loads(instrs, templated)
-    lines = [
-        "def _segment(ex, cpu):",
-        " regs = cpu.regs",
-        " try:",
-    ]
-    line_index = {}
+    lines = []
     prefix = []
     total = 0
     fallbacks = []
     writers = []
     for k, (opcode, ops, cost) in enumerate(instrs):
+        n = first + k
         total += cost
         prefix.append(total)
-        if templated[k]:
-            load, value = None, "_t"
-            if k in forwarded:
-                load = "_m%d" % forwarded[k]
-            if defs.get(k):
-                value = "_m%d" % k
-            elif k in defs:
-                mem_op = _memory_access(opcode, ops)[0]
-                load = "(_m%d := %s)" % (k, _read_expr(mem_op))
-            text = _inline_instr(opcode, ops, k, k in dead, load, value)
-            if dead and opcode in _FLAG_METHODS:
-                inputs = ("_a%d" % k,) if opcode in _ONE_INPUT else (
-                    "_a%d" % k, "_b%d" % k,
-                )
-                flags = None if opcode in SHIFT_OPCODES else writes_to_flags(
-                    OP_INFO[opcode].eflags
-                )
-                writers.append(
-                    (inputs, flags, _FLAG_METHODS[opcode], k in dead)
-                )
-        else:
+        if not templated[k]:
             fallbacks.append(k)
-            text = "_f%d(cpu)" % k
-        lines.append("  " + text)
-        line_index[len(lines)] = k
-    lines.extend(
-        [
-            " except BaseException:",
-            "  _flush(ex, _sys.exc_info()[2].tb_lineno)",
-        ]
+            lines.append("_f%d(cpu)" % n)
+            continue
+        load, value = None, "_t"
+        if k in forwarded:
+            load = "_m%d" % (first + forwarded[k])
+        if defs.get(k):
+            value = "_m%d" % n
+        elif k in defs:
+            mem_op = _memory_access(opcode, ops)[0]
+            load = "(_m%d := %s)" % (n, _read_expr(mem_op))
+        lines.append(_inline_instr(opcode, ops, n, k in dead, load, value))
+        if dead and opcode in _FLAG_METHODS:
+            inputs = ("_a%d" % n,) if opcode in _ONE_INPUT else (
+                "_a%d" % n, "_b%d" % n,
+            )
+            flags = None if opcode in SHIFT_OPCODES else writes_to_flags(
+                OP_INFO[opcode].eflags
+            )
+            writers.append((inputs, flags, _FLAG_METHODS[opcode], k in dead))
+    return lines, prefix, fallbacks, tuple(writers) if dead else None
+
+
+# Jcc predicates over ``cpu.eflags`` as source, truth-equal to
+# ``repro.machine.cpu.compile_condition`` (CF=1, ZF=64, SF=128,
+# OF=2048; SF != OF is bit 7 xor bit 11).
+_SF_NE_OF = "((_fl := cpu.eflags) >> 7 ^ _fl >> 11) & 1"
+_CONDITIONS = {
+    Opcode.JZ: "cpu.eflags & 64",
+    Opcode.JNZ: "not cpu.eflags & 64",
+    Opcode.JB: "cpu.eflags & 1",
+    Opcode.JNB: "not cpu.eflags & 1",
+    Opcode.JBE: "cpu.eflags & 65",
+    Opcode.JNBE: "not cpu.eflags & 65",
+    Opcode.JS: "cpu.eflags & 128",
+    Opcode.JNS: "not cpu.eflags & 128",
+    Opcode.JL: _SF_NE_OF,
+    Opcode.JNL: "not " + _SF_NE_OF,
+    Opcode.JLE: "(_fl := cpu.eflags) & 64 or (_fl >> 7 ^ _fl >> 11) & 1",
+    Opcode.JNLE: "not ((_fl := cpu.eflags) & 64 or (_fl >> 7 ^ _fl >> 11) & 1)",
+    Opcode.JO: "cpu.eflags & 2048",
+    Opcode.JNO: "not cpu.eflags & 2048",
+}
+
+# Generated fragment code, keyed by the body's shape (:func:`_body_key`):
+# bodies with the same ops — a block rebuilt after eviction, one program
+# under two runtimes — are generated and compiled by CPython once per
+# process.  A test that patches the generator (a template, a pass) must
+# swap this cache out.
+_FRAGMENT_CODE_CACHE = {}
+# id(code) -> (code, {line: (op, k, cycles, instructions, writers)}) for
+# every generated function: the op and instruction a source line runs,
+# and for a run's instruction the charges a fault there flushes and the
+# run's eflags rebuild.  Keyed by identity, the code held so the id
+# stays its own: code objects from different bodies can compare equal.
+_LINES = {}
+# The source lines of one generated function: a longer body is split
+# into functions that tail-call the next, so no ``compile()`` unit
+# grows with the body.  An op is never split, so one long run may make
+# a longer function on its own.
+_PART_LINES = 60
+_PART_FRAME = 7  # def, regs, try, except, unwind, raise, tail call
+# Op kinds after which control never falls through to the next op.
+_NO_FALL_THROUGH = frozenset((OP_JMP_EXIT, OP_CALL_EXIT, OP_IND_EXIT))
+
+
+def _body_key(body, penalty, polls):
+    """The shape a body's generated code depends on: its ops with every
+    client callable reduced to whether it is there (hooks are bound per
+    body), which exits always run their stub, the taken-branch penalty
+    and the interrupt polls."""
+    shape = []
+    for op in body.code:
+        kind = op[0]
+        if kind == OP_CLEAN_CALL:
+            op = (kind, None, op[2])
+        elif kind == OP_IND_EXIT:
+            op = op[:5] + (op[5] is not None, op[6])
+        elif kind == OP_IND_CHECK:
+            op = op[:7] + (op[7] is not None, op[8] is not None) + op[9:]
+        shape.append(op)
+    return (
+        tuple(shape), tuple(desc[3] for desc in body.exits), penalty, polls,
     )
-    rebuild = None
-    if dead:
-        lines.append("  _rebuild(cpu, locals())")
-
-        def rebuild(cpu, frame):
-            _rebuild_eflags(cpu, frame, writers)
-
-    lines.extend(
-        [
-            "  raise",
-            " _counter.cycles += %d" % total,
-            " ex.instructions += %d" % len(instrs),
-            " return _nxt",
-        ]
-    )
-    code = compile("\n".join(lines), "<segment %d>" % number, "exec")
-    return code, line_index, tuple(prefix), tuple(fallbacks), rebuild
 
 
-def compile_segment(instrs, mem, system, counter, nxt):
-    """Compile a straight-line run into one step ``fn(ex, cpu) -> nxt``.
-
-    ``instrs`` holds one ``(opcode, ops, cost)`` per non-CTI
-    instruction.  The closure engine would otherwise pay, per
-    instruction, a step or loop iteration, a closure call and its
-    operand-accessor thunks; here the run becomes straight-line
-    generated source: recognized opcode/operand shapes are translated
-    to inline Python (:func:`_inline_instr`: register file bound as a
-    local, guest memory accessed inline), unrecognized shapes call
-    their ``compile_noncti`` closure, and cycles/instructions land in
-    one batched update at the end.
-
-    Two passes over the run shape the source first.  A backward eflags
-    scan (:func:`_dead_writers`) finds the flag writers whose flags the
-    run overwrites before anything can read them; those compute their
-    results without flags.  A forward scan (:func:`_forward_loads`)
-    finds the 4-byte loads of words the run already holds in a local;
-    those read the local.  The generated code depends on the run alone,
-    so it is made once per process (``_SEGMENT_CODE_CACHE``) and bound
-    here to this runtime's memory, system, counter and return index.
-
-    On a mid-run fault (or program exit) the exception's traceback
-    line identifies exactly how far the run got — every instruction
-    occupies exactly one source line — so the flushed totals match
-    the per-instruction engines at every observable point; charges
-    are deferred into locals, so only the final sums are ever visible.
-    The handler then rebuilds the flags dead writers skipped
-    (:func:`_rebuild_eflags`), so eflags are exact too.
-    """
-    key = tuple(instrs)
-    generated = _SEGMENT_CODE_CACHE.get(key)
-    if generated is None:
-        generated = _SEGMENT_CODE_CACHE[key] = _generate_segment(
-            key, len(_SEGMENT_CODE_CACHE)
+def _fetch_source(index, operand):
+    """The statement binding an indirect branch's target to ``_tg``."""
+    if operand == "ret":
+        return "_tg = %s; regs[4] = (regs[4] + 4) & %s" % (
+            _load_expr(4, "regs[4]"), _M,
         )
-    code, line_index, prefix, fallbacks, rebuild = generated
+    if operand == "iret":
+        return "_tg = _pop_frame(cpu, _mem)"
+    if isinstance(operand, (RegOperand, ImmOperand, MemOperand)):
+        return "_tg = %s" % _read_expr(operand)
+    return "_tg = _read_operand(cpu, _mem, _op%d)" % index
 
-    def _flush(ex, lineno):
-        index = line_index[lineno]
-        counter.cycles += prefix[index]
-        ex.instructions += index + 1
 
+def _push_source(ret_addr):
+    """A call's push of its return address (the PUSH template)."""
+    return "_t = %d; _sp = (regs[4] - 4) & %s; regs[4] = _sp; %s" % (
+        ret_addr & _MASK32, _M, _store_expr(4, "_sp"),
+    )
+
+
+def _op_entries(index, op, runs, always_stub, penalty, poll):
+    """The source of op ``index`` as entries: ``("line", depth, text,
+    at)`` (``at`` is the op and instruction the line runs, see
+    ``_LINES``, or None), ``("charge", depth, cycles, instructions)``
+    (consecutive charges at one depth fold into one) and ``("goto",
+    depth, op, at)`` (a local branch to ``op``).  Every statement runs
+    in the order and with the charges of the op's semantics, so a fault
+    or an observer anywhere sees exact totals.  ``poll`` is the op's
+    application PC when an interrupt poll precedes it."""
+    out = []
+    at = (index, 0, 0, 0, None)
+
+    def line(depth, text, where=at):
+        out.append(("line", depth, text, where))
+
+    def charge(depth, cycles, count=0):
+        out.append(("charge", depth, cycles, count))
+
+    def direct_exit(depth, exit_index):
+        if not always_stub[exit_index]:
+            line(depth, "if (_l := ex.fragment.exits[%d].linked_to) is not "
+                        "None: return _l" % exit_index)
+        line(depth, "return ex._direct_exit(%d, cpu, _mem, _system)"
+             % exit_index)
+
+    def clean_call(depth, role, hook, args):
+        charge(depth, CLEAN_CALL_COST)
+        line(depth, "stats.clean_calls += 1")
+        line(depth, "if (_ob := _rt.observer) is not None: _ob.emit(%r, _tag, "
+                    "role=%r%s)" % (EV_CLEAN_CALL, role,
+                                    ", target=_tg" if args else ""))
+        line(depth, "%s(_rt.current_thread%s)" % (hook, args))
+
+    if poll is not None:
+        from repro.core.execute import EXIT_INTERRUPT
+
+        line(2, "if _system.alarm_active or _rt._detach_pending or "
+                "_rt._shield_pending:", None)
+        line(3, "_system.convert_alarm(ex.instructions)", None)
+        line(3, "if _rt._detach_pending or _rt._shield_pending or "
+                "_system.alarm_due(ex.instructions) and "
+                "_system.signal_handler:", None)
+        line(4, "ex._exit = (%r, %d, None)" % (EXIT_INTERRUPT, poll), None)
+        line(4, "return None", None)
+
+    kind = op[0]
+    if kind == OP_EXEC:
+        lines, prefix, _fallbacks, writers = runs[index]
+        for k, text in enumerate(lines):
+            line(2, text, (index, k, prefix[k], k + 1, writers))
+        charge(2, prefix[-1], len(lines))
+
+    elif kind == OP_COND_EXIT:
+        _k, jcc, exit_index, cost = op
+        charge(2, cost, 1)
+        line(2, "if %s:" % _CONDITIONS[jcc])
+        charge(3, penalty)
+        direct_exit(3, exit_index)
+
+    elif kind == OP_JMP_EXIT:
+        _k, exit_index, cost = op
+        charge(2, cost + penalty, 1)
+        direct_exit(2, exit_index)
+
+    elif kind == OP_CALL_EXIT:
+        _k, exit_index, ret_addr, cost = op
+        charge(2, cost + penalty, 1)
+        line(2, _push_source(ret_addr))
+        direct_exit(2, exit_index)
+
+    elif kind == OP_CALL_INLINE:
+        # Push and fall through (no taken penalty: superior trace
+        # layout).
+        _k, ret_addr, cost = op
+        charge(2, cost, 1)
+        line(2, _push_source(ret_addr))
+
+    elif kind == OP_IND_EXIT:
+        _k, exit_index, operand, is_call, ret_addr, checker, cost = op
+        charge(2, 0, 1)
+        line(2, _fetch_source(index, operand))
+        if checker:
+            clean_call(2, "checker", "_chk%d" % index, ", _tg")
+        if is_call:
+            line(2, _push_source(ret_addr))
+        charge(2, cost + penalty)
+        line(2, "return ex._indirect_exit(%d, _tg, cpu, _mem, _system)"
+             % exit_index)
+
+    elif kind == OP_IND_CHECK:
+        (_k, ibl_index, operand, expected, dispatch, is_call, ret_addr,
+         profiler, checker, cost, check_cost) = op
+        charge(2, 0, 1)
+        line(2, _fetch_source(index, operand))
+        if checker:
+            clean_call(2, "checker", "_chk%d" % index, ", _tg")
+        if is_call:
+            line(2, _push_source(ret_addr))
+        charge(2, cost)
+        depth = 2
+        if expected is not None:
+            line(2, "if _tg != %d:" % expected)
+            depth = 3
+        # The miss path: the dispatch chain's compare-and-branch pairs,
+        # then the profiler and the IBL.
+        for j, (target, exit_index) in enumerate(dispatch):
+            line(depth, "if _tg == %d:" % target)
+            charge(depth + 1, check_cost * (j + 1))
+            line(depth + 1, "stats.dispatch_check_hits += 1")
+            line(depth + 1, "if (_ob := _rt.observer) is not None: "
+                            "_ob.emit(%r, _tag, target=_tg)"
+                 % EV_DISPATCH_CHECK_HIT)
+            charge(depth + 1, penalty)
+            direct_exit(depth + 1, exit_index)
+        charge(depth, check_cost * len(dispatch))
+        if profiler:
+            clean_call(depth, "profiler", "_prof%d" % index, ", _tg")
+        charge(depth, penalty)
+        line(depth, "return ex._indirect_exit(%d, _tg, cpu, _mem, _system)"
+             % ibl_index)
+        if expected is not None:
+            line(2, "stats.inline_check_hits += 1")
+            line(2, "if (_ob := _rt.observer) is not None: "
+                    "_ob.emit(%r, _tag, target=_tg)" % EV_INLINE_CHECK_HIT)
+
+    elif kind == OP_LOCAL_BR:
+        # Lowering admits forward branches only, so every op runs at
+        # most once per pass.
+        _k, jcc, target, cost = op
+        charge(2, cost, 1)
+        if jcc is None:
+            charge(2, penalty)
+            out.append(("goto", 2, target, at))
+        else:
+            line(2, "if %s:" % _CONDITIONS[jcc])
+            charge(3, penalty)
+            out.append(("goto", 3, target, at))
+
+    elif kind == OP_CLEAN_CALL:
+        clean_call(2, "call", "_h%d" % index, "")
+
+    else:
+        raise MachineFault("unknown fragment op kind %r" % (kind,))
+    return out
+
+
+def _entry_lines(entries):
+    """An upper bound on the source lines ``entries`` render to."""
+    return sum(2 if entry[0] == "charge" else 1 for entry in entries)
+
+
+def _render_part(number, part, entries, starts, falls_through):
+    """Compile part ``part`` of a body: the function ``_part<part>``
+    over the ops whose ``entries`` it holds, under the file name
+    ``<fragment number>``.  ``starts`` maps each part's first op to the
+    part; the part ends by tail-calling the next one if its last op can
+    fall through.  Returns the function's code object, registered in
+    ``_LINES``."""
+    lines = ["def _part%d(ex, cpu):" % part, " regs = cpu.regs", " try:"]
+    line_ops = {}
+    pending = None  # [depth, cycles, instructions] not yet written
+
+    def commit():
+        if pending is not None:
+            depth, cycles, count = pending
+            pad = " " * depth
+            if cycles:
+                lines.append("%s_counter.cycles += %d" % (pad, cycles))
+            if count:
+                lines.append("%sex.instructions += %d" % (pad, count))
+
+    for entry in entries:
+        if entry[0] == "charge":
+            _kind, depth, cycles, count = entry
+            if pending is not None and pending[0] == depth:
+                pending[1] += cycles
+                pending[2] += count
+                continue
+            commit()
+            pending = [depth, cycles, count]
+            continue
+        commit()
+        pending = None
+        if entry[0] == "goto":
+            _kind, depth, target, where = entry
+            text = "return %s" % (
+                "_part%d(ex, cpu)" % starts[target] if target in starts
+                else "None"
+            )
+        else:
+            _kind, depth, text, where = entry
+        lines.append(" " * depth + text)
+        if where is not None:
+            line_ops[len(lines)] = where
+    commit()
+    lines += [
+        " except BaseException:",
+        "  _unwind(ex, cpu, _counter, _sys.exc_info()[2])",
+        "  raise",
+    ]
+    if falls_through:
+        lines.append(" return _part%d(ex, cpu)" % (part + 1))
+    module = compile("\n".join(lines), "<fragment %d>" % number, "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    _LINES[id(code)] = (code, line_ops)
+    return code
+
+
+def _generate(key, number):
+    """Generate and compile a body's code from its key
+    (:func:`_body_key`): ``(codes, fallbacks)`` — one code object per
+    part, the entry first, and ``(name, op, k)`` for every instruction
+    that calls its ``compile_noncti`` closure.
+
+    Parts begin at op 0, at every op a local branch targets, and
+    wherever the next op would take the current part past
+    ``_PART_LINES`` source lines."""
+    code, always_stub, penalty, polls = key
+    polls = dict(polls)
+    runs = {}
+    fallbacks = []
+    first = 0
+    for index, op in enumerate(code):
+        if op[0] == OP_EXEC:
+            runs[index] = run = _run_source(op[1], first)
+            fallbacks += [
+                ("_f%d" % (first + k), index, k) for k in run[2]
+            ]
+            first += len(op[1])
+    targets = {op[2] for op in code if op[0] == OP_LOCAL_BR}
+    blocks = [
+        _op_entries(index, op, runs, always_stub, penalty, polls.get(index))
+        for index, op in enumerate(code)
+    ]
+    starts = {}  # first op of a part -> the part
+    size = 0
+    budget = _PART_LINES - _PART_FRAME
+    for index, block in enumerate(blocks):
+        lines = _entry_lines(block)
+        if not starts or index in targets or size and size + lines > budget:
+            starts[index] = len(starts)
+            size = 0
+        size += lines
+    bounds = sorted(starts) + [len(code)]
+    codes = []
+    for part, (begin, end) in enumerate(zip(bounds, bounds[1:])):
+        last = code[end - 1]
+        falls_through = end < len(code) and not (
+            last[0] in _NO_FALL_THROUGH
+            or last[0] == OP_LOCAL_BR and last[1] is None
+        )
+        entries = [entry for block in blocks[begin:end] for entry in block]
+        codes.append(
+            _render_part(number, part, entries, starts, falls_through)
+        )
+    return tuple(codes), tuple(fallbacks)
+
+
+def _unwind(ex, cpu, counter, tb):
+    """The fault path of a generated function whose line ``tb`` names
+    raised: for a run's instruction, charge the cycles and instructions
+    the run reached (the faulting one included) and rebuild the flags
+    its dead writers skipped (:func:`_rebuild_eflags`), so totals and
+    eflags are exact.  Any other op charged as it went."""
+    at = _LINES[id(tb.tb_frame.f_code)][1].get(tb.tb_lineno)
+    if at is None:
+        return
+    _op, _k, cycles, count, writers = at
+    counter.cycles += cycles
+    ex.instructions += count
+    if writers is not None:
+        _rebuild_eflags(cpu, tb.tb_frame.f_locals, writers)
+
+
+def fault_pc(body):
+    """The application PC of the instruction ``body``'s generated code
+    is running, found from the innermost generated frame on the stack,
+    or None (no such frame, or a line without one).  Consulted only on
+    a fault: ``pcs[op][k]`` of the body's translation table."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        entry = _LINES.get(id(frame.f_code))
+        if entry is not None:
+            at = entry[1].get(frame.f_lineno)
+            if at is None:
+                return None
+            return body.translation.pcs[at[0]][at[1]]
+        frame = frame.f_back
+    return None
+
+
+def _bind_body(body, tag, runtime):
+    """The entry function of ``body``'s generated code under
+    ``runtime``: the code comes from ``_FRAGMENT_CODE_CACHE`` (made on
+    its first use in the process), and its names are bound here to the
+    runtime's memory, system, counter and stats, to the body's fallback
+    closures and to its client hooks."""
+    polls = ()
+    if runtime.options.precise_interrupts:
+        polls = tuple(sorted(body.translation.poll_ops.items()))
+    key = _body_key(body, runtime.cost.taken_branch_penalty, polls)
+    generated = _FRAGMENT_CODE_CACHE.get(key)
+    if generated is None:
+        generated = _FRAGMENT_CODE_CACHE[key] = _generate(
+            key, len(_FRAGMENT_CODE_CACHE)
+        )
+    codes, fallbacks = generated
+    mem = runtime.memory
+    system = runtime.system
+    client_hook = runtime.client_hook
     env = {
         "_sys": sys,
-        "_counter": counter,
-        "_nxt": nxt,
-        "_flush": _flush,
-        "_rebuild": rebuild,
+        "_unwind": _unwind,
+        "_rt": runtime,
+        "_system": system,
+        "_counter": runtime.counter,
+        "stats": runtime.stats,
+        "_tag": tag,
+        "_pop_frame": pop_signal_frame,
+        "_read_operand": read_operand,
         "_mem": mem,
         "_mb": mem.view(),
         "_l1": mem.size - 1,
@@ -674,62 +1006,44 @@ def compile_segment(instrs, mem, system, counter, nxt):
         "write_u8": mem.write_u8,
         "_parity": _PARITY,
     }
-    for k in fallbacks:
-        opcode, ops, _cost = instrs[k]
-        env["_f%d" % k] = compile_noncti(opcode, ops, mem, system)
-    exec(code, env)
-    return env["_segment"]
-
-
-def _compile_target_fetch(operand, mem):
-    """Compile the indirect-branch target fetch: fn(cpu) -> target."""
-    if operand == "ret":
-        read_u32 = mem.read_u32
-
-        def pop_ret(cpu):
-            regs = cpu.regs
-            target = read_u32(regs[4])
-            regs[4] = (regs[4] + 4) & _MASK32
-            return target
-
-        return pop_ret
-    if operand == "iret":
-        return lambda cpu: pop_signal_frame(cpu, mem)
-    fetch = compile_read(operand, mem)
-    if fetch is None:
-        return lambda cpu: read_operand(cpu, mem, operand)
-    return fetch
+    for name, index, k in fallbacks:
+        opcode, ops, _cost = body.code[index][1][k]
+        env[name] = compile_noncti(opcode, ops, mem, system)
+    # Client execution hooks are bound here, once per body: through the
+    # client guard when there is one, bare otherwise.
+    for index, op in enumerate(body.code):
+        kind = op[0]
+        if kind == OP_CLEAN_CALL:
+            env["_h%d" % index] = client_hook(op[1], tag, "clean_call")
+        elif kind == OP_IND_EXIT or kind == OP_IND_CHECK:
+            checker = op[5] if kind == OP_IND_EXIT else op[8]
+            if checker is not None:
+                env["_chk%d" % index] = client_hook(checker, tag, "checker")
+            if kind == OP_IND_CHECK and op[7] is not None:
+                env["_prof%d" % index] = client_hook(op[7], tag, "profiler")
+            env["_op%d" % index] = op[2]
+    for part, code in enumerate(codes):
+        env["_part%d" % part] = FunctionType(code, env)
+    return env["_part0"]
 
 
 def compile_fragment(fragment, runtime):
-    """The step table of ``fragment``'s body: one step closure per op
-    plus the fell-through sentinel.  Compiled on the body's first call
-    under a runtime and kept in ``body.steps``, so every fragment over
-    the body runs one table with its own links."""
+    """The generated function of ``fragment``'s body, ``fn(ex, cpu)``:
+    one pass through the body, returning the next fragment (a linked
+    exit or an IBL hit) or None once it has recorded the cache exit in
+    ``ex._exit``.  Compiled on the body's first call under a runtime
+    and kept in ``body.entry``, so every fragment over the body runs
+    one function with its own links."""
     body = fragment.body
-    if body.steps is not None:
-        return body.steps
-    code = body.code
-    mem = runtime.memory
-    system = runtime.system
-    counter = runtime.counter
-    stats = runtime.stats
-    taken_penalty = runtime.cost.taken_branch_penalty
-    write_u32 = mem.write_u32
+    if body.entry is not None:
+        return body.entry
     tag = fragment.tag
-    client_hook = runtime.client_hook
-
-    def bind(fn, role):
-        return None if fn is None else client_hook(fn, tag, role)
-
-    # Client execution hooks are bound here, once per body: through the
-    # client guard when there is one, bare otherwise.  Stubs are made
-    # from ``body.exits``; one made before the body compiled (emitted
-    # without a runtime) takes the bound ops too.
+    # Stubs are made from ``body.exits``; one made before the body
+    # compiled (emitted without a runtime) takes the bound ops too.
     exits = []
     for desc in body.exits:
         stub_ops = tuple(
-            (OP_CLEAN_CALL, bind(op[1], "stub_call"), op[2])
+            (OP_CLEAN_CALL, runtime.client_hook(op[1], tag, "stub_call"), op[2])
             if op[0] == OP_CLEAN_CALL
             else op
             for op in desc[2]
@@ -738,260 +1052,5 @@ def compile_fragment(fragment, runtime):
     body.exits = tuple(exits)
     for stub, desc in zip(fragment.exits, body.exits):
         stub.stub_ops = desc[2]
-
-    steps = []
-    for index, op in enumerate(code):
-        kind = op[0]
-        nxt = index + 1
-        if kind == OP_EXEC:
-            steps.append(compile_segment(op[1], mem, system, counter, nxt))
-
-        elif kind == OP_COND_EXIT:
-            cond = compile_condition(op[1])
-            exit_index = op[2]
-            c = op[3]
-
-            def cond_exit_step(
-                ex, cpu, _cond=cond, _x=exit_index, _c=c, _nxt=nxt
-            ):
-                ex.instructions += 1
-                if _cond(cpu.eflags):
-                    counter.cycles += _c + taken_penalty
-                    ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
-                    return None
-                counter.cycles += _c
-                return _nxt
-
-            steps.append(cond_exit_step)
-
-        elif kind == OP_JMP_EXIT:
-            exit_index = op[1]
-            c = op[2]
-
-            def jmp_exit_step(ex, cpu, _x=exit_index, _c=c):
-                ex.instructions += 1
-                counter.cycles += _c + taken_penalty
-                ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
-                return None
-
-            steps.append(jmp_exit_step)
-
-        elif kind == OP_CALL_EXIT:
-            exit_index = op[1]
-            ret_addr = op[2]
-            c = op[3]
-
-            def call_exit_step(ex, cpu, _x=exit_index, _ra=ret_addr, _c=c):
-                ex.instructions += 1
-                counter.cycles += _c + taken_penalty
-                regs = cpu.regs
-                regs[4] = (regs[4] - 4) & _MASK32
-                write_u32(regs[4], _ra)
-                ex._next_fragment = ex._direct_exit(_x, cpu, mem, system)
-                return None
-
-            steps.append(call_exit_step)
-
-        elif kind == OP_CALL_INLINE:
-            ret_addr = op[1]
-            c = op[2]
-
-            def call_inline_step(ex, cpu, _ra=ret_addr, _c=c, _nxt=nxt):
-                # Inlined call in a trace: push and fall through (no
-                # taken penalty — superior trace layout).
-                ex.instructions += 1
-                counter.cycles += _c
-                regs = cpu.regs
-                regs[4] = (regs[4] - 4) & _MASK32
-                write_u32(regs[4], _ra)
-                return _nxt
-
-            steps.append(call_inline_step)
-
-        elif kind == OP_IND_EXIT:
-            _k, exit_index, operand, is_call, ret_addr, checker, c = op
-            checker = bind(checker, "checker")
-            fetch = _compile_target_fetch(operand, mem)
-
-            def ind_exit_step(
-                ex,
-                cpu,
-                _fetch=fetch,
-                _x=exit_index,
-                _is_call=is_call,
-                _ra=ret_addr,
-                _checker=checker,
-                _c=c,
-                _tag=tag,
-            ):
-                ex.instructions += 1
-                target = _fetch(cpu)
-                if _checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="checker", target=target
-                        )
-                    _checker(ex.runtime.current_thread, target)
-                if _is_call:
-                    regs = cpu.regs
-                    regs[4] = (regs[4] - 4) & _MASK32
-                    write_u32(regs[4], _ra)
-                counter.cycles += _c + taken_penalty
-                ex._next_fragment = ex._indirect_exit(
-                    _x, target, cpu, mem, system
-                )
-                return None
-
-            steps.append(ind_exit_step)
-
-        elif kind == OP_IND_CHECK:
-            (
-                _k,
-                ibl_idx,
-                operand,
-                expected,
-                dispatch,
-                is_call,
-                ret_addr,
-                profiler,
-                checker,
-                c,
-                check_cost,
-            ) = op
-            profiler = bind(profiler, "profiler")
-            checker = bind(checker, "checker")
-            fetch = _compile_target_fetch(operand, mem)
-
-            def ind_check_step(
-                ex,
-                cpu,
-                _fetch=fetch,
-                _expected=expected,
-                _dispatch=dispatch,
-                _ibl=ibl_idx,
-                _is_call=is_call,
-                _ra=ret_addr,
-                _profiler=profiler,
-                _checker=checker,
-                _c=c,
-                _check_cost=check_cost,
-                _nxt=nxt,
-                _tag=tag,
-            ):
-                ex.instructions += 1
-                target = _fetch(cpu)
-                if _checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="checker", target=target
-                        )
-                    _checker(ex.runtime.current_thread, target)
-                if _is_call:
-                    regs = cpu.regs
-                    regs[4] = (regs[4] - 4) & _MASK32
-                    write_u32(regs[4], _ra)
-                counter.cycles += _c
-                if target == _expected:
-                    stats.inline_check_hits += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(EV_INLINE_CHECK_HIT, _tag, target=target)
-                    return _nxt
-                matched = None
-                for d_tag, d_index in _dispatch:
-                    counter.cycles += _check_cost
-                    if target == d_tag:
-                        matched = d_index
-                        break
-                if matched is not None:
-                    stats.dispatch_check_hits += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(EV_DISPATCH_CHECK_HIT, _tag, target=target)
-                    counter.cycles += taken_penalty
-                    ex._next_fragment = ex._direct_exit(
-                        matched, cpu, mem, system
-                    )
-                    return None
-                if _profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="profiler", target=target
-                        )
-                    _profiler(ex.runtime.current_thread, target)
-                counter.cycles += taken_penalty
-                ex._next_fragment = ex._indirect_exit(
-                    _ibl, target, cpu, mem, system
-                )
-                return None
-
-            steps.append(ind_check_step)
-
-        elif kind == OP_LOCAL_BR:
-            _k, jcc, target_step, c = op
-            if jcc is None:
-
-                def local_jmp_step(ex, cpu, _t=target_step, _c=c):
-                    ex.instructions += 1
-                    counter.cycles += _c + taken_penalty
-                    return _t
-
-                steps.append(local_jmp_step)
-            else:
-                cond = compile_condition(jcc)
-
-                def local_br_step(
-                    ex, cpu, _cond=cond, _t=target_step, _c=c, _nxt=nxt
-                ):
-                    ex.instructions += 1
-                    if _cond(cpu.eflags):
-                        counter.cycles += _c + taken_penalty
-                        return _t
-                    counter.cycles += _c
-                    return _nxt
-
-                steps.append(local_br_step)
-
-        elif kind == OP_CLEAN_CALL:
-            fn = bind(op[1], "clean_call")
-            c = op[2]
-
-            def clean_call_step(ex, cpu, _fn=fn, _c=c, _nxt=nxt, _tag=tag):
-                counter.cycles += _c
-                stats.clean_calls += 1
-                observer = ex.runtime.observer
-                if observer is not None:
-                    observer.emit(EV_CLEAN_CALL, _tag, role="call")
-                _fn(ex.runtime.current_thread)
-                return _nxt
-
-            steps.append(clean_call_step)
-
-        else:
-            raise MachineFault("unknown fragment op kind %r" % (kind,))
-
-    if runtime.options.precise_interrupts:
-        # Poll for interrupts at entry to every application-consistent
-        # step (repro.core.translate).
-        for index, pc in body.translation.poll_ops.items():
-            steps[index] = make_poll_step(runtime, pc, steps[index])
-
-    def fell_through_step(ex, cpu, _tag=tag):
-        # Only reachable when a fragment has no terminating exit —
-        # fragments are built so this cannot happen.
-        raise MachineFault(
-            "fragment 0x%x fell through without an exit" % _tag
-        )
-
-    steps.append(fell_through_step)
-    body.steps = tuple(steps)
-    return body.steps
+    body.entry = _bind_body(body, tag, runtime)
+    return body.entry

@@ -1,17 +1,17 @@
 """Fragment lowering: client-visible InstrList → executable ops.
 
 Lowering yields a :class:`~repro.core.fragments.FragmentBody`: a flat
-tuple of *ops*, one per step of the body's compiled step table
-(:mod:`repro.core.closures`): op *i* is step *i*, and step
-``len(code)`` is the fell-through sentinel.  Lowering is the moral
-equivalent of DynamoRIO's encoder pass when it emits a fragment into
-the code cache, once, as one linear single-entry, multiple-exit
-stream; every fragment instantiated over the body (:func:`emit_body`)
-shares it and owns only its link stubs.  Unmodified instructions are
-copied (here: pre-costed and grouped into runs), control transfers
-become exits with link stubs, and trace-inlined constructs (elided
-jumps, inlined calls, indirect-branch checks, client dispatch chains)
-get their specialized forms.
+tuple of *ops* that :mod:`repro.core.closures` writes, in order, as the
+body's one generated function; op *i* is entry *i* of the body's
+translation table.  Lowering is the moral equivalent of DynamoRIO's
+encoder pass when it emits a fragment into the code cache, once, as
+one linear single-entry, multiple-exit stream; every fragment
+instantiated over the body (:func:`emit_body`) shares it and owns only
+its link stubs.  Unmodified instructions are copied (here: pre-costed
+and grouped into runs), control transfers become exits with link
+stubs, and trace-inlined constructs (elided jumps, inlined calls,
+indirect-branch checks, client dispatch chains) get their specialized
+forms.
 
 Op tuples (first element is the kind):
 
@@ -21,8 +21,10 @@ Op tuples (first element is the kind):
                       ``(opcode, ops, cost)`` each, broken only at a
                       label some ``OP_LOCAL_BR`` targets or at a clean
                       call
-``OP_LOCAL_BR``       ``(k, jcc|None, target_step, cost)`` client
-                      intra-fragment branch to a LABEL
+``OP_LOCAL_BR``       ``(k, jcc|None, target_op, cost)`` client
+                      intra-fragment branch to a LABEL later in the
+                      fragment (forward only: every op runs at most
+                      once per pass)
 ``OP_COND_EXIT``      ``(k, jcc, exit_index, cost)`` taken → exit
 ``OP_JMP_EXIT``       ``(k, exit_index, cost)`` unconditional direct exit
 ``OP_CALL_EXIT``      ``(k, exit_index, return_addr, cost)`` push + exit
@@ -173,8 +175,8 @@ def emit_body(tag, kind, body, runtime, reason="build"):
     instantiation path, for a body :func:`emit_fragment` just lowered
     and for one the runtime's retranslation memo kept.
 
-    Under a runtime the body's step table is compiled first (once per
-    body: exit-stub clean calls are bound into ``body.exits`` then), the
+    Under a runtime the body's code is compiled first (once per body:
+    exit-stub clean calls are bound into ``body.exits`` then), the
     fragment gets its own stubs, and ``fragment_emit`` is recorded.  A
     memo rebuild is observably an ordinary build, yet lowers, translates
     and compiles nothing.
@@ -216,7 +218,7 @@ def emit_body(tag, kind, body, runtime, reason="build"):
 
 def _lower_fragment(ilist, cost_model, source_tags):
     """Lower ``ilist`` (bundles expanded in place) into a
-    :class:`FragmentBody`: one op per step."""
+    :class:`FragmentBody`."""
     ilist.expand_bundles()
     code = []
     # One tuple of source Instrs per op, in lowering order: a run's
@@ -227,7 +229,7 @@ def _lower_fragment(ilist, cost_model, source_tags):
     size = 0
     run = []  # the open run: one (opcode, ops, cost) per instruction
     run_sources = []
-    label_step = {}  # targeted LABEL -> the step it begins
+    label_op = {}  # targeted LABEL -> the op it begins
     local_branches = []  # indices of OP_LOCAL_BR ops to backpatch
 
     def new_exit(kind_, target_tag, src_instr, is_call_exit=False):
@@ -251,7 +253,7 @@ def _lower_fragment(ilist, cost_model, source_tags):
         code.append(op)
         sources.append((instr,))
 
-    # Pass 1: the labels some client branch targets; each begins a step.
+    # Pass 1: the labels some client branch targets; each begins an op.
     targeted = {
         instr.target.label
         for instr in ilist
@@ -267,7 +269,7 @@ def _lower_fragment(ilist, cost_model, source_tags):
         if instr.is_label():
             if instr in targeted:
                 close_run()
-                label_step[instr] = len(code)
+                label_op[instr] = len(code)
             continue
         size += instr.length
         if not instr.is_cti():
@@ -280,8 +282,8 @@ def _lower_fragment(ilist, cost_model, source_tags):
         target = instr.target
 
         if isinstance(target, LabelRef):
-            # Client-inserted intra-fragment branch; its target step is
-            # backpatched once every label has its step.
+            # Client-inserted intra-fragment branch; its target op is
+            # backpatched once every label has its op.
             if info.is_cond_branch:
                 jcc = instr.opcode
             elif instr.opcode == Opcode.JMP:
@@ -361,9 +363,13 @@ def _lower_fragment(ilist, cost_model, source_tags):
 
     for index in local_branches:
         kind_, jcc, label, cost = code[index]
-        if label not in label_step:
+        if label not in label_op:
             raise EmitError("branch to a label outside this fragment")
-        code[index] = (kind_, jcc, label_step[label], cost)
+        if label_op[label] <= index:
+            # A backward branch would loop inside one pass; the fragment
+            # verifier's linearity rule reports it too.
+            raise EmitError("branch to a label at or before the branch")
+        code[index] = (kind_, jcc, label_op[label], cost)
 
     return FragmentBody(
         tuple(code),

@@ -5,14 +5,15 @@ following linked exits without leaving the cache; returns to the
 dispatcher only on an unlinked exit or an IBL miss — the
 performance-critical dotted lines of the paper's Figure 1.
 
-Every cache exit is a plain return.  The step that leaves the cache
-records ``(reason, next_tag, stub)`` on the executor (``_exit``) and
-returns ``None`` with no linked successor; :meth:`Executor.run` then
-returns that record to the dispatcher.  The per-pass boundary exits
-(a due alarm, the quantum deadline, a reschedule, single-step) return
-from the run loop directly.  A pass that ends with neither a successor
-nor a recorded exit is a runtime bug and raises ``MachineFault``; so
-does an instruction-budget overrun.
+Every cache exit is a plain return.  A pass is one call of the body's
+generated function (:mod:`repro.core.closures`): it returns the next
+fragment (a linked exit's target or an IBL hit), or records
+``(reason, next_tag, stub)`` on the executor (``_exit``) and returns
+``None``; :meth:`Executor.run` then returns that record to the
+dispatcher.  The per-pass boundary exits (a due alarm, the quantum
+deadline, a reschedule, single-step) return from the run loop directly.
+A pass that returns ``None`` without a recorded exit is a runtime bug
+and raises ``MachineFault``; so does an instruction-budget overrun.
 
 Cycle charging:
 
@@ -22,17 +23,17 @@ Cycle charging:
   or the per-pair compare cost when a trace-inlined check/dispatch hits;
 * unlinked exits pay the exit stub and a full context switch.
 
-Each fragment runs through its body's closure-compiled step table
-(:mod:`repro.core.closures`): every step has its operand accessors and
-costs pre-bound, so the loop is just ``i = steps[i](self, cpu)``.  An
-exit step binds only its exit's index; :meth:`Executor._direct_exit`
-and :meth:`Executor._indirect_exit` read the stub from the fragment
-whose pass is in flight (``self.fragment.exits[index]``), so fragments
-sharing a body keep their own links.
+Each fragment runs as its body's generated function, with runs,
+exits and interrupt polls inline and costs pre-summed, so the loop
+makes one call per pass.  The code names an exit by its index and
+reads the stub from the fragment whose pass is in flight
+(``self.fragment.exits[index]``, also in :meth:`Executor._direct_exit`
+and :meth:`Executor._indirect_exit`), so fragments sharing a body keep
+their own links.
 
-The engine reads the step table once into a local, so a fragment
-replaced mid-execution (adaptive optimization) keeps running its old
-code until the next exit, exactly the paper's replacement semantics.
+A fragment replaced mid-execution (adaptive optimization) keeps
+running its old code until the next exit, exactly the paper's
+replacement semantics.
 """
 
 from repro.core.emit import OP_CLEAN_CALL
@@ -45,7 +46,7 @@ from repro.observe.events import EV_CONTEXT_SWITCH, EV_IBL_HIT, EV_IBL_MISS
 EXIT_DISPATCH = "dispatch"  # unlinked exit; next_tag + stub
 EXIT_IBL_MISS = "ibl_miss"  # indirect target not in table
 # Mid-fragment interrupt poll fired (options.precise_interrupts): a due
-# alarm or a pending detach unwound at an application-consistent step;
+# alarm or a pending detach unwound at an application-consistent op;
 # next_tag is the *translated* source PC (repro.core.translate).
 EXIT_INTERRUPT = "interrupt"
 
@@ -56,15 +57,12 @@ class Executor:
     def __init__(self, runtime):
         self.runtime = runtime
         self.instructions = 0
-        # Set by closure-compiled exit steps before they return None:
-        # the linked/IBL-hit successor, or None after recording ``_exit``.
-        self._next_fragment = None
         # The exit the current run() leaves through, recorded by the
-        # step that leaves the cache: (reason, next_tag, stub).
+        # pass that leaves the cache: (reason, next_tag, stub).
         self._exit = None
-        # The fragment whose pass is in flight: exit steps leave through
-        # its stubs, and memory-fault messages name it.  None between
-        # passes.
+        # The fragment whose pass is in flight: exits leave through its
+        # stubs, and memory-fault messages name its faulting
+        # instruction.  None between passes.
         self.fragment = None
 
     # ------------------------------------------------------------ exit paths
@@ -153,8 +151,8 @@ class Executor:
         once the thread's instruction ``deadline`` passes — the
         scheduler's quantum boundary).
 
-        Returns ``(reason, next_tag, stub)``: the exit the last pass's
-        exit step recorded, or a fragment-boundary exit (``stub`` is
+        Returns ``(reason, next_tag, stub)``: the exit the last pass
+        recorded, or a fragment-boundary exit (``stub`` is
         then ``None``).  Raises ProgramExit when the application ends,
         MachineFault on machine errors.
         """
@@ -179,20 +177,13 @@ class Executor:
                 if profile_enter is not None:
                     profile_enter(fragment, counter.cycles)
                 counter.cycles += fragment_entry
-                # Step table read once: a fragment replaced
-                # mid-execution keeps running its old steps until the
-                # next exit.
-                steps = fragment.body.steps
-                if steps is None:
-                    steps = compile_fragment(fragment, runtime)
+                entry = fragment.body.entry
+                if entry is None:
+                    entry = compile_fragment(fragment, runtime)
                 self.fragment = fragment
-                self._next_fragment = None
-                i = 0
-                while i is not None:
-                    i = steps[i](self, cpu)
-                next_fragment = self._next_fragment
+                next_fragment = entry(self, cpu)
                 if next_fragment is None:
-                    # The pass left the cache: its exit step recorded why.
+                    # The pass left the cache and recorded why.
                     exit_ = self._exit
                     if exit_ is None:
                         raise MachineFault(

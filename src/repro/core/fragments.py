@@ -57,23 +57,23 @@ class FragmentBody:
     """The lowered, link-free part of a fragment, emitted once.
 
     Everything emission derives from the InstrList alone: the op tuples
-    (one per step, :mod:`repro.core.emit`), one exit descriptor per exit
+    (:mod:`repro.core.emit`), one exit descriptor per exit
     (``(kind, target_tag, stub_ops, always_stub, is_call_exit)``, the
     :class:`LinkStub` fields that do not change once lowered), the
     encoded size, the source InstrList (``dr_decode_fragment``, trace
     stitching), the ordered application block tags it translates
     (``(tag,)`` for a basic block, the stitched sequence for a trace;
     the drequiv equivalence checker's input) and the translation table
-    (:mod:`repro.core.translate`).  ``steps`` is the compiled step
-    table, one closure per op plus the fell-through sentinel, filled in
-    by the first compile under a runtime
+    (:mod:`repro.core.translate`).  ``entry`` is the body's generated
+    function, ``entry(executor, cpu)`` runs one pass, filled in by the
+    first compile under a runtime
     (:func:`repro.core.closures.compile_fragment`).
 
-    A body carries no link state: its exit steps name an exit by index,
-    resolved against the running fragment's own stubs.  So one body and
-    one step table back every fragment over it — the retranslation
-    memo's rebuilds of an evicted block, or one block in two threads'
-    private caches — each with its own links.
+    A body carries no link state: its generated code names an exit by
+    index, resolved against the running fragment's own stubs.  So one
+    body and one function back every fragment over it — the
+    retranslation memo's rebuilds of an evicted block, or one block in
+    two threads' private caches — each with its own links.
     """
 
     __slots__ = (
@@ -83,7 +83,7 @@ class FragmentBody:
         "instrs_source",
         "source_tags",
         "translation",
-        "steps",
+        "entry",
     )
 
     def __init__(self, code, exits, size, instrs_source, source_tags,
@@ -94,7 +94,7 @@ class FragmentBody:
         self.instrs_source = instrs_source
         self.source_tags = source_tags
         self.translation = translation
-        self.steps = None
+        self.entry = None
 
 
 class Fragment:
@@ -123,7 +123,7 @@ class Fragment:
         self.tag = tag
         self.kind = kind
         # The FragmentBody this fragment was emitted over: its ops,
-        # source InstrList, source tags, translation and step table.
+        # source InstrList, source tags, translation and generated code.
         self.body = None
         self.exits = []  # LinkStubs, one per body exit descriptor
         self.cache_addr = None

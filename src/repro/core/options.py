@@ -107,12 +107,12 @@ class RuntimeOptions:
         # and rebuild on next dispatch.  Off by default (zero cost).
         self.cache_consistency = cache_consistency
         # Precise interrupts ("drdetach", repro.core.translate): compile
-        # an interrupt poll at every application-consistent step inside
+        # an interrupt poll before every application-consistent op inside
         # fragments, so due alarms and pending detach requests are
         # honored *mid-fragment* with a latency bounded by the longest
         # run (<= bb_builder.MAX_BB_INSTRS instructions) instead
         # of waiting for the next dispatcher boundary.  Off by default:
-        # the step tables carry no polls and every simulated result is
+        # the generated code carries no polls and every simulated result is
         # bit-identical to the pre-translation runtime.  Detach itself
         # works either way — boundary granularity without polls,
         # mid-fragment with them.

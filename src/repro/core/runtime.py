@@ -19,6 +19,7 @@ from repro.core.bb_builder import (
     build_basic_block,
 )
 from repro.core import trace_builder
+from repro.core.closures import fault_pc
 from repro.core.code_cache import CacheFullError, CodeRegionMap
 from repro.core.emit import emit_body, emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
@@ -161,8 +162,9 @@ class DynamoRIO:
         self._shield_pending = False
         self.shield = Shield(self) if self.options.shield else None
         self.rguard = RuntimeGuard(self) if self.options.shield else None
-        # Fault diagnostics: memory errors name the fragment whose pass
-        # raised (consulted on error paths only).
+        # Fault diagnostics: memory errors name the faulting instruction
+        # of the fragment whose pass raised (consulted on error paths
+        # only).
         self.memory.set_fault_context(self._fault_context)
         # Retranslation memo, tag -> MemoEntry: a block rebuilt after a
         # flush or eviction whose bytes are unchanged is re-emitted over
@@ -199,11 +201,14 @@ class DynamoRIO:
         self._threads_since_detach = []
 
     def _fault_context(self):
-        """The application tag a memory fault names: the fragment whose
-        pass is in flight, else the current thread's resume tag."""
+        """The application PC a memory fault names: the faulting
+        instruction's in the fragment whose pass is in flight (its tag
+        where the faulting line has no application PC), else the
+        current thread's resume tag."""
         fragment = self.executor.fragment
         if fragment is not None:
-            return fragment.tag
+            pc = fault_pc(fragment.body)
+            return fragment.tag if pc is None else pc
         return self.current_thread.resume_tag
 
     def _register_runtime_regions(self):

@@ -7,29 +7,35 @@ the precise application machine state, as if the program had been
 running natively.  This module is that primitive for the reproduction.
 
 Every lowered fragment body records a :class:`TranslationTable` over
-its steps (op *i* of a fragment is step *i*, :mod:`repro.core.emit`):
+its ops (:mod:`repro.core.emit`):
 
-* ``pcs[step]`` — the source application PCs of the step, one per
-  instruction of a run and one for any other step, ``None`` where there
+* ``pcs[op]`` — the source application PCs of the op, one per
+  instruction of a run and one for any other op, ``None`` where there
   is none: client meta-instructions and clean calls execute for the
-  client, not the application;
-* ``poll_ops`` — ``{step: pc}``, the *application-consistent interrupt
-  points*: the steps (other than the entry, step 0) whose first PC is
-  known.  At entry to such a step the engine holds **no in-flight
+  client, not the application.  A memory fault names
+  ``pcs[op][k]`` of the instruction whose line in the body's generated
+  code raised (:func:`repro.core.closures.fault_pc`), as native names
+  the faulting instruction's PC;
+* ``poll_ops`` — ``{op: pc}``, the *application-consistent interrupt
+  points*: the ops (other than the entry, op 0) whose first PC is
+  known.  At entry to such an op the engine holds **no in-flight
   state**: every preceding instruction's registers, flags, memory
-  effects and cycle charges are committed (generated segments flush
-  their batched charges before unwinding — the traceback-line
-  machinery in :func:`~repro.core.closures.compile_segment` guarantees
-  it on the fault path too), so the machine state *is* the application
-  state at that PC.  This is the role an OSR mapping plays between two
-  versions of the code (OSR à la Carte, PAPERS.md).
+  effects and cycle charges are committed (a run writes its batched
+  charges at its end, and a fault inside it flushes them through the
+  generated code's line map), so the machine state *is* the
+  application state at that PC.  This is the role an OSR mapping plays
+  between two versions of the code (OSR à la Carte, PAPERS.md).
 
 Interruption requests (a due alarm, a pending detach) made between
 poll points are acted on at the next one, giving mid-fragment delivery
 a deterministic latency bounded by the longest run (at most
-``bb_builder.MAX_BB_INSTRS`` instructions).  :func:`make_poll_step`
-wraps exactly the poll-point steps, segments included, when
-:func:`~repro.core.closures.compile_fragment` compiles a fragment body.
+``bb_builder.MAX_BB_INSTRS`` instructions).  The poll is an inline
+flag test that :func:`~repro.core.closures.compile_fragment` writes
+before each poll-point op: with an alarm armed or a detach pending, a
+poll that finds something to deliver records ``(EXIT_INTERRUPT, pc,
+None)`` as the executor's exit and leaves the cache with the
+translated PC as the resume tag — mid-fragment delivery with no state
+reconstruction needed.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the
@@ -38,19 +44,19 @@ pre-translation runtime.
 
 
 class TranslationTable:
-    """Step -> application-PC map for one fragment."""
+    """Op -> application-PC map for one fragment body."""
 
     __slots__ = ("pcs", "poll_ops")
 
     def __init__(self, pcs, poll_ops):
-        # Per-step tuple of source application PCs (None = meta / no
+        # Per-op tuple of source application PCs (None = meta / no
         # application PC): one per instruction of a run.
         self.pcs = pcs
-        # step -> pc for application-consistent interrupt points.
+        # op -> pc for application-consistent interrupt points.
         self.poll_ops = poll_ops
 
     def __repr__(self):
-        return "<TranslationTable steps=%d polls=%d>" % (
+        return "<TranslationTable ops=%d polls=%d>" % (
             len(self.pcs), len(self.poll_ops),
         )
 
@@ -71,45 +77,16 @@ def _source_pc(instr):
 
 def build_translation(sources):
     """Build the :class:`TranslationTable` for a freshly lowered
-    fragment.  ``sources`` has one tuple per step: the Instrs the step
-    was lowered from, in order."""
-    pcs = tuple(tuple(_source_pc(instr) for instr in step) for step in sources)
-    # Step 0 is the fragment entry: the dispatcher (and the run loop's
+    fragment.  ``sources`` has one tuple per op: the Instrs the op was
+    lowered from, in order."""
+    pcs = tuple(tuple(_source_pc(instr) for instr in op) for op in sources)
+    # Op 0 is the fragment entry: the dispatcher (and the run loop's
     # boundary check) already covers it, so polling there would be
     # redundant.
     poll_ops = {
-        step: pcs[step][0]
-        for step in range(1, len(pcs))
-        if pcs[step][0] is not None
+        op: pcs[op][0]
+        for op in range(1, len(pcs))
+        if pcs[op][0] is not None
     }
     return TranslationTable(pcs, poll_ops)
 
-
-def make_poll_step(runtime, pc, step):
-    """Wrap one step closure with the interrupt poll.
-
-    The poll runs *before* the step: the machine is application-
-    consistent at ``pc``, so a due alarm or pending detach leaves for
-    the dispatcher with the translated PC as the resume tag — the poll
-    records ``(EXIT_INTERRUPT, pc, None)`` as the executor's exit and
-    returns ``None``: mid-fragment delivery with no state
-    reconstruction needed.  The fast path (no alarm armed, no detach
-    pending) is a single attribute test, mirroring the run loop's
-    boundary check.
-    """
-    from repro.core.execute import EXIT_INTERRUPT
-
-    system = runtime.system
-    exit_ = (EXIT_INTERRUPT, pc, None)
-
-    def poll_step(ex, cpu, _step=step, _exit=exit_, _sys=system, _rt=runtime):
-        if _sys.alarm_active or _rt._detach_pending or _rt._shield_pending:
-            _sys.convert_alarm(ex.instructions)
-            if _rt._detach_pending or _rt._shield_pending or (
-                _sys.alarm_due(ex.instructions) and _sys.signal_handler
-            ):
-                ex._exit = _exit
-                return None
-        return _step(ex, cpu)
-
-    return poll_step

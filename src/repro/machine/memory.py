@@ -20,7 +20,7 @@ watched lines (the 8 MiB code cache and its 64 KiB reserve) make
 
 The accessor methods are the exact, checked path.  Compiled code may
 inline an access instead (``repro.machine.exec_ops`` accessor closures,
-``repro.core.closures`` generated segments), under one contract:
+``repro.core.closures`` generated fragment code), under one contract:
 
 * a load of ``n`` bytes at a masked effective address ``addr`` unpacks
   :meth:`Memory.view` directly when ``addr <= size - n``;
@@ -30,11 +30,11 @@ inline an access instead (``repro.machine.exec_ops`` accessor closures,
   decode cache arm watches mid-run);
 * every other access calls the method, which raises the exact
   :class:`MachineFault` or runs the protection check and watchers;
-* a segment may reuse a 4-byte value it already holds — one it loaded
-  or stored through the same address form earlier in the run, with no
-  possibly overlapping store, address-register write or call out of the
-  segment since — instead of loading it again (such a load cannot
-  fault, and reads have no side effects).
+* a generated run may reuse a 4-byte value it already holds — one it
+  loaded or stored through the same address form earlier in the run,
+  with no possibly overlapping store, address-register write or call
+  out of the run since — instead of loading it again (such a load
+  cannot fault, and reads have no side effects).
 """
 
 import mmap

@@ -1,4 +1,4 @@
-"""Runtime determinism regression: the closure step tables against
+"""Runtime determinism regression: the generated fragment code against
 the native interpreter.
 
 Every cell goes through the differential oracle

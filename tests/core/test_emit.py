@@ -132,17 +132,18 @@ class TestLoweringShapes:
         frag = emit(
             [
                 INSTR_CREATE_mov(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
-                label,
-                INSTR_CREATE_sub(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
-                INSTR_CREATE_nop(),
                 jnz,
+                INSTR_CREATE_sub(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+                label,
+                INSTR_CREATE_nop(),
+                INSTR_CREATE_add(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(2)),
                 INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
             ]
         )
         kinds = [op[0] for op in frag.body.code]
-        assert kinds == [OP_EXEC, OP_EXEC, OP_LOCAL_BR, OP_JMP_EXIT]
-        assert [len(op[1]) for op in frag.body.code[:2]] == [1, 2]
-        assert frag.body.code[2][2] == 1  # the label begins step 1
+        assert kinds == [OP_EXEC, OP_LOCAL_BR, OP_EXEC, OP_EXEC, OP_JMP_EXIT]
+        assert [len(frag.body.code[i][1]) for i in (0, 2, 3)] == [1, 1, 2]
+        assert frag.body.code[1][2] == 3  # the label begins op 3
 
     def test_untargeted_label_does_not_split(self):
         frag = emit(
@@ -162,6 +163,24 @@ class TestLoweringShapes:
         jz.set_target(LabelRef(foreign))
         with pytest.raises(EmitError):
             emit([jz, INSTR_CREATE_jmp(OPND_CREATE_PC(0x9999))])
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "at"])
+    def test_backward_local_branch_rejected(self, before):
+        """A local branch may only skip forward: its label sitting at or
+        before the branch would loop inside one pass."""
+        label = Instr.label()
+        jnz = INSTR_CREATE_jnz(OPND_CREATE_PC(0))
+        jnz.set_target(LabelRef(label))
+        instrs = [
+            label,
+            INSTR_CREATE_sub(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1)),
+            jnz,
+            INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000)),
+        ]
+        if not before:
+            del instrs[1]  # the label begins the branch's own op
+        with pytest.raises(EmitError, match="at or before"):
+            emit(instrs)
 
     def test_size_includes_stub_space(self):
         frag = emit([INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000))])

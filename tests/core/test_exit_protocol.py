@@ -1,7 +1,7 @@
 """The cache-exit protocol: every exit is ``Executor.run``'s return value.
 
-An exit step records ``(reason, next_tag, stub)`` on the executor and
-returns ``None``; the run loop's own boundary exits (single-step, the
+A pass that leaves the cache records ``(reason, next_tag, stub)`` on
+the executor and returns ``None``; the run loop's own boundary exits (single-step, the
 quantum deadline, a reschedule, a due alarm) return directly.  Each
 test below drives ``Executor.run`` on hand-built fragments to one exit
 and checks the returned triple and the context-switch charge: only an
@@ -161,8 +161,8 @@ def test_interrupt_poll_returns_the_translated_pc():
     options.precise_interrupts = True
     runtime, sym = _runtime(options)
     first = runtime._build_bb(sym["main"])
-    # The two movs lower to one run, step 0; the jmp, step 1, is the
-    # poll point.
+    # The two movs lower to one run, op 0; the jmp, op 1, is the poll
+    # point.
     jmp_pc = first.body.translation.poll_ops[1]
     assert sym["main"] < jmp_pc < sym["second"]
     _arm_alarm(runtime, sym["target"])
@@ -173,12 +173,13 @@ def test_interrupt_poll_returns_the_translated_pc():
 
 
 def test_step_ending_without_an_exit_fails_loudly():
-    """Planted control: a step that returns ``None`` with no successor
-    and no recorded exit must raise, never hand back an older exit."""
+    """Planted control: a body whose generated function returns
+    ``None`` with no successor and no recorded exit must raise, never
+    hand back an older exit."""
     runtime, sym = _runtime(RuntimeOptions.bb_cache_only())
     first = runtime._build_bb(sym["main"])
     exit_, _switches = _run(runtime, first)
     assert exit_[0] == EXIT_DISPATCH
-    first.body.steps = (lambda ex, cpu: None,)
+    first.body.entry = lambda ex, cpu: None
     with pytest.raises(MachineFault, match="without an exit"):
         runtime.executor.run(first)

@@ -169,7 +169,7 @@ class TestRuntimeThreads:
     def test_shared_bodies_keep_per_thread_links(self, shared_code_image):
         """Both workers run ``work``, so the retranslation memo builds
         each thread's private copy of its blocks over one body and one
-        step table.  Links stay per thread: every pass must run the
+        generated function.  Links stay per thread: every pass must run the
         fragment stored under its tag in the running thread's own
         cache, never a sibling thread's copy."""
         foreign = []
@@ -205,7 +205,7 @@ class TestRuntimeThreads:
         ]
         assert shared, "the workers share no body"
         for one, other in shared:
-            assert one.body.steps is other.body.steps
+            assert one.body.entry is other.body.entry
             assert one.exits and all(s.fragment is one for s in one.exits)
             assert all(s.fragment is other for s in other.exits)
 

@@ -3,7 +3,7 @@
 The contract (paper Section 2's transparent exit + precise interrupts):
 
 * every cached fragment carries a translation table with one entry
-  per step (one PC per instruction of a run) and a poll map, and every
+  per op (one PC per instruction of a run) and a poll map, and every
   PC in it is a source PC of the fragment;
 * under ``precise_interrupts``, alarms are delivered *mid-fragment*
   with latency bounded by the longest straight-line run
@@ -24,6 +24,7 @@ import pytest
 
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_reattach, dr_register_event_tracer
+from repro.core import closures
 from repro.core.bb_builder import MAX_BB_INSTRS
 from repro.core.emit import OP_EXEC
 from repro.loader import Process
@@ -123,18 +124,27 @@ def test_translation_round_trip_every_fragment(loop_image):
         table = body.translation
         assert table is not None, hex(fragment.tag)
         assert len(table.pcs) == len(body.code)
-        # One step per op, plus the fell-through sentinel.
-        assert len(body.steps) == len(body.code) + 1
-        for op, step_pcs in zip(body.code, table.pcs):
-            # One PC per instruction of a run, one for any other step.
-            assert len(step_pcs) == (len(op[1]) if op[0] == OP_EXEC else 1)
+        # The generated code runs every op: each has a line in the line
+        # maps of the body's functions.
+        parts = [
+            fn.__code__ for name, fn in body.entry.__globals__.items()
+            if name.startswith("_part")
+        ]
+        ran = {
+            at[0] for code in parts
+            for at in closures._LINES[id(code)][1].values()
+        }
+        assert ran == set(range(len(body.code))), hex(fragment.tag)
+        for op, op_pcs in zip(body.code, table.pcs):
+            # One PC per instruction of a run, one for any other op.
+            assert len(op_pcs) == (len(op[1]) if op[0] == OP_EXEC else 1)
         source = _source_pcs(fragment)
-        recorded = {pc for step_pcs in table.pcs for pc in step_pcs} - {None}
+        recorded = {pc for op_pcs in table.pcs for pc in op_pcs} - {None}
         assert recorded, hex(fragment.tag)
         assert recorded <= source, hex(fragment.tag)
         assert set(table.poll_ops.values()) <= source, hex(fragment.tag)
-        for step, pc in table.poll_ops.items():
-            assert step > 0 and table.pcs[step][0] == pc
+        for index, pc in table.poll_ops.items():
+            assert index > 0 and table.pcs[index][0] == pc
 
 
 # ------------------------------------------------- mid-fragment interrupts

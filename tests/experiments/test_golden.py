@@ -61,26 +61,26 @@ def test_diff_names_row_field_golden_and_now():
 
 
 def test_planted_cost_and_flag_bugs_drift_exactly(checked_in, monkeypatch):
-    """The pre-fix AF mask (2253) in the segment templates changes vpr's
-    and crafty's final state; one extra cycle per XOR in generated
-    segments changes crafty's cycles.  Each shows on every runtime row
+    """The pre-fix AF mask (2253) in the generated templates changes
+    vpr's and crafty's final state; one extra cycle per XOR in generated
+    runs changes crafty's cycles.  Each shows on every runtime row
     of its benchmarks, in that field alone."""
     for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
                  "_DEC_FLAGS"):
         template = getattr(closures, name)
         assert "~2261" in template
         monkeypatch.setattr(closures, name, template.replace("~2261", "~2253"))
-    monkeypatch.setattr(closures, "_SEGMENT_CODE_CACHE", {})
-    compile_segment = closures.compile_segment
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
+    run_source = closures._run_source
 
-    def costly_xor(instrs, *args):
-        return compile_segment(
+    def costly_xor(instrs, first):
+        return run_source(
             [(op, ops, cost + (op == Opcode.XOR)) for op, ops, cost in instrs],
-            *args,
+            first,
         )
 
-    monkeypatch.setattr(closures, "compile_segment", costly_xor)
-    # Native runs never reach the segment compiler: keep them memoized.
+    monkeypatch.setattr(closures, "_run_source", costly_xor)
+    # Native runs never reach the fragment compiler: keep them memoized.
     monkeypatch.setattr(harness, "_cache", {
         key: value for key, value in harness._cache.items()
         if key[2] == "native"

@@ -1,16 +1,13 @@
-from types import SimpleNamespace
-
 import pytest
 
-from repro.core.closures import compile_segment
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand
-from repro.machine.cost import CycleCounter
 from repro.machine.cpu import CPU
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_write
 from repro.machine.memory import WATCH_SHIFT, Memory
-from repro.machine.system import System
+
+from tests.machine.bodies import compile_run
 
 
 class TestAccess:
@@ -104,14 +101,13 @@ class TestWriteWatch:
         m, calls = self._watched(size, last, last + 1)
         assert len(m._watch_lines) == (0x1000 >> WATCH_SHIFT) + 1
         dst = MemOperand(disp=last, size=1)
-        # The method, the native store closure and a generated segment.
+        # The method, the native store closure and generated code.
         m.write_u8(last, 0xAB)
         compile_write(dst, m)(CPU(), 0xCD)
-        segment = compile_segment(
-            [(Opcode.MOVB_STORE, (dst, ImmOperand(0xEF)), 1)],
-            m, System(), CycleCounter(), 1,
+        fn, ex = compile_run(
+            [(Opcode.MOVB_STORE, (dst, ImmOperand(0xEF)), 1)], m,
         )
-        segment(SimpleNamespace(instructions=0), CPU())
+        fn(ex, CPU())
         assert calls == [(last, 1)] * 3
         assert m.read_u8(last) == 0xEF
         m.write_u8(last - 10, 1)  # the line before is not watched

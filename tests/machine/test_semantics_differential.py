@@ -3,11 +3,11 @@
 Non-CTI semantics exist three times: ``execute_noncti`` (the
 interpretive reference, also the fallback of exit-stub ops and of
 operand forms ``compile_noncti`` does not specialize), the
-``compile_noncti`` closures (the native interpreter, one-instruction
-steps, segment fallbacks) and the generated-segment templates of
-``repro.core.closures``.  Oracle cells hold whole runs to native's
-final state; only this test pins each template, instruction by
-instruction, to the reference.
+``compile_noncti`` closures (the native interpreter, and the fallback
+of instructions without a template) and the templates of the generated
+fragment code of ``repro.core.closures``.  Oracle cells hold whole runs
+to native's final state; only this test pins each template,
+instruction by instruction, to the reference.
 
 Every opcode × operand shape — register, immediate, and memory through
 each ``compile_ea`` form at sizes 1/2/4 — runs from random registers,
@@ -27,19 +27,20 @@ import pytest
 
 from repro.core import closures
 from repro.core.bb_builder import build_basic_block
-from repro.core.closures import compile_segment
-from repro.core.emit import OP_EXEC, emit_fragment
+from repro.core.emit import OP_CALL_EXIT, OP_COND_EXIT, OP_EXEC, emit_fragment
 from repro.core.fragments import Fragment
 from repro.isa.encoder import EncodeError, encode_instr
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cost import CostModel, CycleCounter, Family
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, compile_condition
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti, execute_noncti
 from repro.machine.interp import Interpreter
 from repro.machine.memory import WATCH_SHIFT, Memory
 from repro.machine.system import System
+
+from tests.machine.bodies import LINKED, compile_body, compile_run
 
 SIZE = 0x2000  # small, so the last bytes of memory are easy to target
 M32 = 0xFFFFFFFF
@@ -182,15 +183,15 @@ def _by_closure(instrs, cpu, mem, system):
         compile_noncti(opcode, ops, mem, system)(cpu)
 
 
-def _by_segment(instrs, cpu, mem, system):
-    step = compile_segment(instrs, mem, system, CycleCounter(), 7)
-    assert step(SimpleNamespace(instructions=0), cpu) == 7
+def _by_fragment(instrs, cpu, mem, system):
+    fn, ex = compile_run(instrs, mem, system)
+    assert fn(ex, cpu) is None
 
 
 IMPLEMENTATIONS = {
     "execute_noncti": _by_execute,
     "compile_noncti": _by_closure,
-    "segment": _by_segment,
+    "fragment": _by_fragment,
 }
 
 
@@ -294,7 +295,7 @@ def test_memory_edges(opcode, ops, guard):
     regs[2] = (0x100 - 0x200) & M32  # the wrap case's base
     data = bytes(range(256)) * (SIZE // 256)
     _assert_agree(opcode, ops, regs, 0x8D5, data, guard)
-    outcome = _outcome(_by_segment, [(opcode, ops, 1)],
+    outcome = _outcome(_by_fragment, [(opcode, ops, 1)],
                        (regs, 0x8D5, data, guard))
     past = any(
         isinstance(op, MemOperand) and op.disp + op.size > SIZE for op in ops
@@ -378,10 +379,10 @@ def test_native_and_lowered_cost_are_the_static_cost(family):
 
 # ------------------------------------------------------------ whole runs
 #
-# Generated segments skip the flags of writers the run overwrites before
+# Generated runs skip the flags of writers the run overwrites before
 # anything reads them, rebuild those flags when a fault unwinds the
-# segment, and reuse a 4-byte word the run already holds instead of
-# loading it again.  These runs compare whole segments with the
+# run, and reuse a 4-byte word the run already holds instead of loading
+# it again.  These runs compare whole generated runs with the
 # per-instruction closures.
 
 EAX, ECX, EDX, EBX, EBP, ESI, EDI = 0, 1, 2, 3, 5, 6, 7
@@ -442,7 +443,7 @@ def _run_state(rng):
 
 
 def _agree_with_closures(instrs, state):
-    """Run ``instrs`` from ``state`` as one generated segment and as
+    """Run ``instrs`` from ``state`` as one generated run and as
     per-instruction ``compile_noncti`` closures: the same fault text (or
     none), flushed cycles and instructions, registers, eflags and
     memory.  Returns the fault text."""
@@ -461,18 +462,17 @@ def _agree_with_closures(instrs, state):
 
     cpu, mem, _calls = _machine(*state)
     counter = CycleCounter()
-    ex = SimpleNamespace(instructions=0)
-    step = compile_segment(instrs, mem, System(), counter, 1)
+    fn, ex = compile_run(instrs, mem, System(), counter)
     error = None
     try:
-        assert step(ex, cpu) == 1
+        assert fn(ex, cpu) is None
     except MachineFault as exc:
         error = str(exc)
-    segment = (error, counter.cycles, ex.instructions, cpu.regs, cpu.eflags,
-               mem.read_bytes(0, SIZE))
+    generated = (error, counter.cycles, ex.instructions, cpu.regs,
+                 cpu.eflags, mem.read_bytes(0, SIZE))
     fields = ("fault", "cycles", "instructions", "regs", "eflags", "memory")
-    for field, got, want in zip(fields, segment, closure):
-        assert got == want, "segment %s %r != closures %r in %r" % (
+    for field, got, want in zip(fields, generated, closure):
+        assert got == want, "generated %s %r != closures %r in %r" % (
             field, got if field != "memory" else "...",
             want if field != "memory" else "...", instrs,
         )
@@ -531,8 +531,8 @@ def _fault_runs(rng, fault, bodies, n=8):
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_mid_run_fault_flushes_like_closures(fault):
-    """When a segment's k-th instruction faults, the segment raises the
-    closure's exception, flushes the cycles and instructions the
+    """When a run's k-th instruction faults, the generated code raises
+    the closure's exception, flushes the cycles and instructions the
     per-instruction closures would have charged (faulting one
     included), and leaves their registers, memory and eflags — the
     flags of dead writers rebuilt from their inputs."""
@@ -552,6 +552,169 @@ def test_noop_fault_path_fails_the_fault_runs(monkeypatch):
     with pytest.raises(AssertionError, match="eflags"):
         for fault in sorted(_FAULTS):
             _fault_runs(random.Random(fault), fault, bodies=6)
+
+
+# ----------------------------------------------------------- whole bodies
+#
+# A body's generated function holds every op inline: runs, the
+# conditional exits between them, a call exit's push.  A fault on any
+# line must charge what running the ops one at a time charges — a run
+# its instructions up to the faulting one, an exit its own cost as it
+# runs — and rebuild only the faulting run's dead flags.
+
+_PENALTY = CostModel().taken_branch_penalty
+_JCCS = sorted(closures._CONDITIONS)
+_STACK = 0x1000  # where a call exit's push lands; 0x408 pushes into 0x404
+
+
+def _by_ops(code, state):
+    """Run a body op by op with the ``compile_noncti`` closures, charging
+    as the ops are defined: ``(result, error, cycles, instructions, cpu,
+    mem)``.  Conditional exits must not be taken; the call exit links to
+    ``LINKED``."""
+    cpu, mem, _calls = _machine(*state)
+    cycles = done = 0
+    result = error = None
+    try:
+        for op in code:
+            if op[0] == OP_EXEC:
+                for opcode, ops, cost in op[1]:
+                    cycles += cost
+                    done += 1
+                    compile_noncti(opcode, ops, mem, System())(cpu)
+            elif op[0] == OP_COND_EXIT:
+                cycles += op[3]
+                done += 1
+                assert not compile_condition(op[1])(cpu.eflags)
+            else:
+                _kind, _exit, ret_addr, cost = op
+                cycles += cost + _PENALTY
+                done += 1
+                cpu.regs[ESP] = (cpu.regs[ESP] - 4) & M32
+                mem.write_u32(cpu.regs[ESP], ret_addr)
+                result = LINKED
+    except MachineFault as exc:
+        error = str(exc)
+    return result, error, cycles, done, cpu, mem
+
+
+def _trace_body(rng, state, runs=3, n=5):
+    """Runs of ``n`` instructions separated by conditional exits that
+    are not taken (each a random Jcc false on the flags its run leaves),
+    ending in a call exit: the op tuples, and the instruction slots as
+    ``(op, k)``."""
+    code = []
+    for index in range(runs):
+        code.append((OP_EXEC, tuple(_straight_line(rng, n))))
+        if index < runs - 1:
+            flags = _by_ops(code, state)[4].eflags
+            jcc = rng.choice(
+                [jcc for jcc in _JCCS if not compile_condition(jcc)(flags)]
+            )
+            code.append((OP_COND_EXIT, jcc, index, rng.randrange(1, 9)))
+    code.append((OP_CALL_EXIT, runs - 1, 0x4321, rng.randrange(1, 9)))
+    slots = [
+        (index, k) for index, op in enumerate(code) if op[0] == OP_EXEC
+        for k in range(len(op[1]))
+    ]
+    return code, slots
+
+
+def _agree_with_ops(code, state):
+    """The body's generated function against :func:`_by_ops`: result,
+    fault text, cycles, instructions, registers, eflags and memory.
+    Returns the fault text."""
+    want = _by_ops(code, state)
+    cpu, mem, _calls = _machine(*state)
+    counter = CycleCounter()
+    exits = sum(op[0] != OP_EXEC for op in code)  # one per exit op
+    fn, ex = compile_body(code, mem, counter=counter, exits=exits)
+    result = error = None
+    try:
+        result = fn(ex, cpu)
+    except MachineFault as exc:
+        error = str(exc)
+    got = (result, error, counter.cycles, ex.instructions, cpu.regs,
+           cpu.eflags, mem.read_bytes(0, SIZE))
+    want = want[:4] + (want[4].regs, want[4].eflags,
+                       want[5].read_bytes(0, SIZE))
+    fields = ("result", "fault", "cycles", "instructions", "regs", "eflags",
+              "memory")
+    for field, g, w in zip(fields, got, want):
+        assert g == w, "body %s %r != ops %r in %r" % (
+            field, g if field != "memory" else "...",
+            w if field != "memory" else "...", code,
+        )
+    return error
+
+
+def _body_faults(rng, fault, bodies):
+    """``bodies`` trace bodies, each run clean, with ``fault`` at every
+    instruction slot in turn, and with its call exit's push faulting.
+    Returns how many faults had a dead flag writer before them in their
+    run."""
+    after_dead = 0
+    for _ in range(bodies):
+        regs, eflags, data, guard = _run_state(rng)
+        regs[ESP] = _STACK
+        state = (regs, eflags, data, guard)
+        code, slots = _trace_body(rng, state)
+        assert _agree_with_ops(code, state) is None
+        for index, k in slots:
+            faulty = list(code)
+            run = list(code[index][1])
+            run[k] = _FAULTS[fault](rng) + (1000 + k,)
+            faulty[index] = (OP_EXEC, tuple(run))
+            assert _agree_with_ops(faulty, state) is not None
+            templated = [closures._templated(op, ops) for op, ops, _c in run]
+            dead = closures._dead_writers(run, templated)
+            after_dead += any(j < k for j in dead)
+        regs = list(regs)
+        regs[ESP] = 0x408  # the push lands in the read-only line
+        assert "read-only" in _agree_with_ops(
+            code, (regs, eflags, data, guard)
+        )
+    return after_dead
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_body_fault_charges_like_ops(fault):
+    """A fault anywhere in a body of three runs, two untaken conditional
+    exits and a call exit — an instruction of any run, dead flag writers
+    before it, or the call exit's push — leaves the registers, eflags
+    and memory of running the ops one by one, and their cycles and
+    instructions."""
+    assert _body_faults(random.Random("body " + fault), fault, bodies=2) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_body_fault_sweep(fault):
+    _body_faults(random.Random("body sweep " + fault), fault, bodies=60)
+
+
+def test_noop_fault_path_fails_the_body_faults(monkeypatch):
+    """Negative control: without the eflags rebuild, a fault in a later
+    run after a dead flag writer leaves stale eflags."""
+    monkeypatch.setattr(closures, "_rebuild_eflags", lambda *args: None)
+    with pytest.raises(AssertionError, match="eflags"):
+        for fault in sorted(_FAULTS):
+            _body_faults(random.Random("body " + fault), fault, bodies=2)
+
+
+def test_inline_conditions_match_compile_condition():
+    """Each Jcc's inline source predicate has ``compile_condition``'s
+    truth value on every combination of the six arithmetic flags."""
+    bits = (1, 4, 16, 64, 128, 2048)  # CF PF AF ZF SF OF
+    cpu = CPU()
+    for opcode, source in closures._CONDITIONS.items():
+        predicate = eval("lambda cpu: " + source)
+        for mask in range(64):
+            cpu.eflags = sum(b for i, b in enumerate(bits) if mask >> i & 1)
+            cpu.eflags |= 0x202  # reserved and IF bits ride along
+            assert bool(predicate(cpu)) == bool(
+                compile_condition(opcode)(cpu.eflags)
+            ), (opcode.name, hex(cpu.eflags))
 
 
 WINDOW = 0x600  # the 64-byte window every aliasing access falls in
@@ -680,27 +843,95 @@ def test_forwarding_across_stores_fails_the_aliasing_runs(monkeypatch):
     """Negative control: treating every other address form as disjoint
     from a store forwards stale words."""
     monkeypatch.setattr(closures, "_disjoint", lambda form, other: True)
-    monkeypatch.setattr(closures, "_SEGMENT_CODE_CACHE", {})
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
     with pytest.raises(AssertionError):
         _aliasing_runs(random.Random(64), 200)
 
 
-def test_each_segment_has_its_own_code_name(monkeypatch):
-    """A generated segment compiles under the file name ``<segment N>``,
-    N its index in the per-process code cache.  cProfile keys entries by
-    file, line and function name, so one shared name merged every
-    segment into one entry.  A structurally identical run reuses the
-    code, name included."""
-    monkeypatch.setattr(closures, "_SEGMENT_CODE_CACHE", {})
+def test_each_body_has_its_own_code_name(monkeypatch):
+    """A body's generated code compiles under the file name
+    ``<fragment N>``, N its index in the per-process code cache.
+    cProfile keys entries by file, line and function name, so one
+    shared name would merge every body into one entry.  A structurally
+    identical body reuses the code, name included."""
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
     mem = Memory(SIZE)
     a, b = RegOperand(0), RegOperand(3)
     adds = [(Opcode.ADD, (a, b), 1), (Opcode.ADD, (b, a), 1)]
     sub = [(Opcode.SUB, (a, b), 1)]
     names = [
-        compile_segment(run, mem, System(), CycleCounter(), 1).__code__.co_filename
+        compile_run(run, mem)[0].__code__.co_filename
         for run in (adds, sub, list(adds))
     ]
-    assert names == ["<segment 0>", "<segment 1>", "<segment 0>"]
+    assert names == ["<fragment 0>", "<fragment 1>", "<fragment 0>"]
+
+
+def _long_loop(blocks):
+    """A loop of ``blocks`` blocks, each a few instructions and a
+    conditional skip, so a trace records ``MAX_TRACE_BBS`` of them."""
+    lines = [".entry main", ".text", "main:", "    mov ecx, 60", "loop:"]
+    for k in range(blocks):
+        lines += [
+            "    add eax, %d" % (k + 1),
+            "    mov ebx, eax",
+            "    xor ebx, ecx",
+            "    add edx, ebx",
+            "    test eax, %d" % (1 << (k % 3)),
+            "    jz skip%d" % k,
+            "    inc esi",
+            "skip%d:" % k,
+        ]
+    lines += ["    dec ecx", "    jnz loop", "    mov ebx, edx",
+              "    mov eax, 1", "    syscall"]
+    return "\n".join(lines) + "\n"
+
+
+def _parts(body):
+    """The code objects of ``body``'s generated functions."""
+    return [
+        fn.__code__ for name, fn in body.entry.__globals__.items()
+        if name.startswith("_part")
+    ]
+
+
+def test_long_trace_splits_and_runtimes_share_code():
+    """Every generated function of a trace of ``MAX_TRACE_BBS`` blocks
+    stays within ``_PART_LINES`` source lines or holds one op, so no
+    ``compile()`` unit grows with the body; and a second runtime over
+    the same program runs the first one's code objects."""
+    from repro.asm import assemble
+    from repro.core import DynamoRIO, RuntimeOptions
+    from repro.core.trace_builder import MAX_TRACE_BBS
+    from repro.loader import Process
+    from repro.machine.interp import run_native
+
+    image = assemble(_long_loop(MAX_TRACE_BBS + 4))
+    native = run_native(Process(image))
+    runtimes = []
+    for _ in range(2):
+        options = RuntimeOptions.with_traces()
+        options.trace_threshold = 3
+        runtime = DynamoRIO(Process(image), options=options)
+        assert runtime.run().output == native.output
+        runtimes.append(runtime)
+    first, second = (rt.threads[0].trace_cache.fragments for rt in runtimes)
+    longest = max(first.values(), key=lambda t: len(t.body.source_tags))
+    assert len(longest.body.source_tags) == MAX_TRACE_BBS
+    assert len(_parts(longest.body)) > 1
+    for trace in first.values():
+        for code in _parts(trace.body):
+            lines = max(line for _s, _e, line in code.co_lines() if line)
+            ops = {at[0] for at in closures._LINES[id(code)][1].values()}
+            assert lines <= closures._PART_LINES or len(ops) == 1, (
+                hex(trace.tag), code.co_name, lines, ops,
+            )
+    assert first.keys() == second.keys()
+    for tag, trace in first.items():
+        assert _parts(second[tag].body) == _parts(trace.body)
+        assert all(
+            one is other for one, other in
+            zip(_parts(second[tag].body), _parts(trace.body))
+        )
 
 
 # -------------------------------------------------------------- whole runs
@@ -733,14 +964,12 @@ skip:
 def test_out_of_range_load_mid_run_on_every_engine():
     """A hot loop walks a load up to one halfword short of the end of
     the 32 MiB address space; the 40th pass faults on the third
-    instruction of a straight-line run.  The runtime's segment raises
-    native's fault text, and its registers and eflags equal native's.
-    The segment skips the flags of ``add eax, ecx`` before the load
-    (``add eax, edx`` overwrites them), so its eflags come from the
-    fault path.  (The runtime names the tag of the fragment whose pass
-    faulted as the app pc — here the trace at ``loop`` — and native the
-    faulting instruction's, so only the text before that suffix is
-    compared.)"""
+    instruction of a straight-line run in the trace at ``loop``.  The
+    runtime raises native's whole fault text, the faulting
+    instruction's app pc included, and its registers and eflags equal
+    native's.  The generated code skips the flags of ``add eax, ecx``
+    before the load (``add eax, edx`` overwrites them), so its eflags
+    come from the fault path."""
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
@@ -756,8 +985,8 @@ def test_out_of_range_load_mid_run_on_every_engine():
     with pytest.raises(MachineFault) as fault:
         runtime.run()
     text = str(fault.value)
-    assert text.split(" (")[0] == str(native.value).split(" (")[0]
-    assert text.startswith("read past memory at 0x1fffffe")
+    assert text == str(native.value)
+    assert text == "read past memory at 0x1fffffe (app pc 0x1019)"
     cpu = runtime.threads[0].cpu
     assert (cpu.regs, cpu.eflags) == (interp.cpu.regs, interp.cpu.eflags)
 
@@ -794,9 +1023,11 @@ def test_segments_clear_stale_af():
 
 
 def test_fault_names_the_fragment_whose_pass_faulted():
-    """A fault inside a quantum names the faulting pass's fragment, not
-    the tag the dispatcher's quantum started at (the program entry):
-    under ``bb_cache_only`` that is the ``loop`` block at 0x1014."""
+    """A fault inside a quantum names the faulting instruction of the
+    faulting pass's fragment, not the tag the dispatcher's quantum
+    started at (the program entry) nor the fragment's own: under
+    ``bb_cache_only`` the ``loop`` block at 0x1014 faults on its third
+    instruction, ``mov edx, [esi]`` at 0x1019, as native does."""
     from repro.asm import assemble
     from repro.core import DynamoRIO, RuntimeOptions
     from repro.loader import Process
@@ -806,4 +1037,4 @@ def test_fault_names_the_fragment_whose_pass_faulted():
     runtime = DynamoRIO(Process(image), options=RuntimeOptions.bb_cache_only())
     with pytest.raises(MachineFault) as fault:
         runtime.run()
-    assert str(fault.value) == "read past memory at 0x1fffffe (app pc 0x1014)"
+    assert str(fault.value) == "read past memory at 0x1fffffe (app pc 0x1019)"

@@ -16,7 +16,6 @@ from repro.clients import InstructionCounter
 from repro.core import RuntimeOptions, closures
 from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
-from repro.core.emit import OP_EXEC
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import build_smc_image
 from repro.tools.oracle import Cell, Column, check, native_result
@@ -149,31 +148,27 @@ def test_memo_decodes_each_block_once(loop_image, monkeypatch):
     assert runtime.stats.bbs_built >= 3 * len(decoded)
 
 
-def _exec_steps(body):
-    return sum(1 for op in body.code if op[0] == OP_EXEC)
-
-
 def test_memo_rebuilds_compile_nothing(loop_image, monkeypatch):
     """No client, a tiny flushing cache, no links: every rebuild of a
-    block runs the one step table of its memoized body, with stubs of
-    its own, so each distinct body compiles each of its runs once.  A
+    block runs the one generated function of its memoized body, with
+    stubs of its own, so each distinct body is compiled once.  A
     dr_replace_fragment still lowers and compiles a new body."""
-    segments = []
-    compile_segment = closures.compile_segment
+    compiled = []
+    bind_body = closures._bind_body
 
-    def counted(*args):
-        segments.append(args[0])
-        return compile_segment(*args)
+    def counted(body, *args):
+        compiled.append(body)
+        return bind_body(body, *args)
 
-    monkeypatch.setattr(closures, "compile_segment", counted)
-    built = {}  # tag -> [(fragment, its step table when placed)]
+    monkeypatch.setattr(closures, "_bind_body", counted)
+    built = {}  # tag -> [(fragment, its generated function when placed)]
 
     def record_placements(runtime):
         place = runtime._place
 
         def recorded(cache, fragment, thread=None):
             built.setdefault(fragment.tag, []).append(
-                (fragment, fragment.body.steps)
+                (fragment, fragment.body.entry)
             )
             return place(cache, fragment, thread=thread)
 
@@ -191,28 +186,28 @@ def test_memo_rebuilds_compile_nothing(loop_image, monkeypatch):
     rebuilt = [placed for placed in built.values() if len(placed) > 1]
     assert rebuilt, "the tiny cache forced no rebuild"
     for placed in rebuilt:
-        assert len({id(steps) for _fragment, steps in placed}) == 1
-        stubs = [stub for fragment, _steps in placed for stub in fragment.exits]
+        assert len({id(entry) for _fragment, entry in placed}) == 1
+        stubs = [stub for fragment, _entry in placed for stub in fragment.exits]
         assert len({id(stub) for stub in stubs}) == len(stubs)
         assert all(
             stub.fragment is fragment
-            for fragment, _steps in placed for stub in fragment.exits
+            for fragment, _entry in placed for stub in fragment.exits
         )
     bodies = {
         id(fragment.body): fragment.body
-        for placed in built.values() for fragment, _steps in placed
+        for placed in built.values() for fragment, _entry in placed
     }
-    assert len(segments) == sum(map(_exec_steps, bodies.values()))
+    assert sorted(map(id, compiled)) == sorted(bodies)
 
     thread = runtime.current_thread
     tag = next(iter(thread.bb_cache.fragments))
     old = thread.lookup_fragment(tag)
-    compiled = len(segments)
+    before = len(compiled)
     assert dr_replace_fragment(thread, tag, dr_decode_fragment(thread, tag))
     new = thread.lookup_fragment(tag)
     assert new.body is not old.body
-    assert new.body.steps is not old.body.steps
-    assert len(segments) - compiled == _exec_steps(new.body)
+    assert new.body.entry is not old.body.entry
+    assert compiled[before:] == [new.body]
 
 
 @pytest.mark.parametrize("site", ["bb_build", "emit"])

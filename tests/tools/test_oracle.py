@@ -58,7 +58,7 @@ def test_different_cost_model_fails_cycles(loop_image):
 
 
 def test_stale_af_mask_fails_final_state(monkeypatch):
-    """The segment templates' pre-fix mask (2253 leaves AF set) makes
+    """The generated templates' pre-fix mask (2253 leaves AF set) makes
     the runtime end the chaos indirect workload with eflags 0x54; native
     ends it with 0x44.  (On the loop workload the writer that leaks AF
     is dead, so it runs without flags.)"""
@@ -69,7 +69,7 @@ def test_stale_af_mask_fails_final_state(monkeypatch):
         monkeypatch.setattr(
             closures_module, name, template.replace("~2261", "~2253")
         )
-    monkeypatch.setattr(closures_module, "_SEGMENT_CODE_CACHE", {})
+    monkeypatch.setattr(closures_module, "_FRAGMENT_CODE_CACHE", {})
     verdict = check(Cell(workload_images()["indirect"], options=_traced))
     assert verdict.failed() == {"final_state"}
 
