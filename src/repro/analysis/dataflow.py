@@ -30,10 +30,6 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-def _is_clean_call(instr):
-    return isinstance(instr.note, dict) and instr.note.get("clean_call")
-
-
 class DataflowProblem:
     """One dataflow problem over a linear InstrList.
 

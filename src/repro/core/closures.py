@@ -8,8 +8,7 @@ Section 3.1), once per body.  The executor calls it once per pass:
 ``fn(executor, cpu)`` returns the next fragment — a linked exit's
 target or an IBL hit — or ``None`` once it has recorded the cache exit
 ``(reason, next_tag, stub)`` in ``executor._exit``
-(:meth:`~repro.core.execute.Executor._direct_exit`,
-:meth:`~repro.core.execute.Executor._indirect_exit`), which
+(:meth:`~repro.core.execute.Executor._leave`), which
 :meth:`~repro.core.execute.Executor.run` returns to the dispatcher.
 
 Every op kind is written as source, in op order:
@@ -18,23 +17,28 @@ Every op kind is written as source, in op order:
   inline (:func:`_run_source`, :func:`_inline_instr`), charging cycles
   and instructions in one batched update at its end;
 * conditional, direct and call exits with the link check inline
-  (``ex.fragment.exits[i].linked_to``); an unlinked or always-stub exit
-  leaves through ``Executor._direct_exit``;
-* inlined calls, indirect exits and trace-inlined checks with their
-  dispatch chains, and clean calls, with their client hooks bound per
-  body;
+  (``ex.fragment.exits[i].linked_to``); an unlinked exit leaves through
+  ``Executor._leave``;
+* inlined calls, indirect exits (the IBL probe, ``Executor._ibl``) and
+  trace-inlined checks with their dispatch chains, and clean calls,
+  with their client hooks bound per body;
+* a client's custom stub code at its exit, as runs and clean calls:
+  after the link check (an always-stub exit reads its link first and
+  follows it after the stub), or after an IBL miss.  It charges cycles
+  and no guest instructions, and a fault in it names the exit's CTI;
 * client local branches, which lowering admits forward only, so every
   op runs at most once per pass;
 * under ``options.precise_interrupts``, the interrupt poll before every
-  application-consistent op (:mod:`repro.core.translate`) as an inline
-  flag test.
+  application-consistent op (:mod:`repro.core.translate`): one line of
+  flag tests, its slow path ``Executor._poll``.
 
 Segment-local dataflow shapes each run: a flag writer whose flags the
 run overwrites before anything can read them skips them, and a 4-byte
 load of a word the run already holds reads the local holding it.
 
 Faults are exact.  Every instruction of a run is one source line, and
-each generated function has a line map (``_LINES``): a fault on a run's
+each generated function has a line map (bound into the body's globals
+as ``_lines``, keyed by the function's name): a fault on a run's
 line charges the cycles and instructions the run reached, faulting
 instruction included, and rebuilds the flags the run's dead writers
 skipped from their bound inputs (:func:`_rebuild_eflags`); every other
@@ -611,15 +615,10 @@ _CONDITIONS = {
 # Generated fragment code, keyed by the body's shape (:func:`_body_key`):
 # bodies with the same ops — a block rebuilt after eviction, one program
 # under two runtimes — are generated and compiled by CPython once per
-# process.  A test that patches the generator (a template, a pass) must
-# swap this cache out.
+# process, as ``(codes, fallbacks, lines)`` (:func:`_generate`).  A test
+# that patches the generator (a template, a pass) must swap this cache
+# out.
 _FRAGMENT_CODE_CACHE = {}
-# id(code) -> (code, {line: (op, k, cycles, instructions, writers)}) for
-# every generated function: the op and instruction a source line runs,
-# and for a run's instruction the charges a fault there flushes and the
-# run's eflags rebuild.  Keyed by identity, the code held so the id
-# stays its own: code objects from different bodies can compare equal.
-_LINES = {}
 # The source lines of one generated function: a longer body is split
 # into functions that tail-call the next, so no ``compile()`` unit
 # grows with the body.  An op is never split, so one long run may make
@@ -630,13 +629,11 @@ _PART_FRAME = 7  # def, regs, try, except, unwind, raise, tail call
 _NO_FALL_THROUGH = frozenset((OP_JMP_EXIT, OP_CALL_EXIT, OP_IND_EXIT))
 
 
-def _body_key(body, penalty, polls):
-    """The shape a body's generated code depends on: its ops with every
-    client callable reduced to whether it is there (hooks are bound per
-    body), which exits always run their stub, the taken-branch penalty
-    and the interrupt polls."""
+def _shape(code):
+    """``code``'s ops with every client callable reduced to whether it
+    is there (hooks are bound per body)."""
     shape = []
-    for op in body.code:
+    for op in code:
         kind = op[0]
         if kind == OP_CLEAN_CALL:
             op = (kind, None, op[2])
@@ -645,8 +642,18 @@ def _body_key(body, penalty, polls):
         elif kind == OP_IND_CHECK:
             op = op[:7] + (op[7] is not None, op[8] is not None) + op[9:]
         shape.append(op)
+    return tuple(shape)
+
+
+def _body_key(body, penalty, polls):
+    """The shape a body's generated code depends on: its ops, each
+    exit's stub code and whether it always runs, the taken-branch
+    penalty and the interrupt polls."""
     return (
-        tuple(shape), tuple(desc[3] for desc in body.exits), penalty, polls,
+        _shape(body.code),
+        tuple((_shape(desc[3]), desc[4]) for desc in body.exits),
+        penalty,
+        polls,
     )
 
 
@@ -670,15 +677,17 @@ def _push_source(ret_addr):
     )
 
 
-def _op_entries(index, op, runs, always_stub, penalty, poll):
+def _op_entries(index, op, runs, stubs, penalty, poll):
     """The source of op ``index`` as entries: ``("line", depth, text,
     at)`` (``at`` is the op and instruction the line runs, see
-    ``_LINES``, or None), ``("charge", depth, cycles, instructions)``
-    (consecutive charges at one depth fold into one) and ``("goto",
-    depth, op, at)`` (a local branch to ``op``).  Every statement runs
-    in the order and with the charges of the op's semantics, so a fault
-    or an observer anywhere sees exact totals.  ``poll`` is the op's
-    application PC when an interrupt poll precedes it."""
+    :func:`_render_part`, or None), ``("charge", depth, cycles,
+    instructions)`` (consecutive charges at one depth fold into one) and
+    ``("goto", depth, op, at)`` (a local branch to ``op``).  Every
+    statement runs in the order and with the charges of the op's
+    semantics, so a fault or an observer anywhere sees exact totals.
+    ``runs`` holds the generated runs of the body (keyed ``(None, op)``)
+    and of its stubs (``(exit, op)``); ``poll`` is the op's application
+    PC when an interrupt poll precedes it."""
     out = []
     at = (index, 0, 0, 0, None)
 
@@ -688,12 +697,35 @@ def _op_entries(index, op, runs, always_stub, penalty, poll):
     def charge(depth, cycles, count=0):
         out.append(("charge", depth, cycles, count))
 
+    def stub(depth, exit_index):
+        # Client stub code: cycles and no guest instructions, no polls;
+        # a fault on its lines names the exit's CTI.
+        for j, stub_op in enumerate(stubs[exit_index][0]):
+            if stub_op[0] == OP_CLEAN_CALL:
+                clean_call(depth, "stub_call", "_s%d_%d" % (exit_index, j), "")
+                continue
+            lines, prefix, _fallbacks, writers = runs[exit_index, j]
+            for k, text in enumerate(lines):
+                line(depth, text, (index, 0, prefix[k], 0, writers))
+            charge(depth, prefix[-1])
+
     def direct_exit(depth, exit_index):
-        if not always_stub[exit_index]:
+        if stubs[exit_index][1]:
+            # Always through the stub: the link read before it runs is
+            # the one followed.
+            line(depth, "_l = ex.fragment.exits[%d].linked_to" % exit_index)
+            stub(depth, exit_index)
+            line(depth, "if _l is not None: return _l")
+        else:
             line(depth, "if (_l := ex.fragment.exits[%d].linked_to) is not "
                         "None: return _l" % exit_index)
-        line(depth, "return ex._direct_exit(%d, cpu, _mem, _system)"
-             % exit_index)
+            stub(depth, exit_index)
+        line(depth, "return ex._leave(%d)" % exit_index)
+
+    def indirect_exit(depth, exit_index):
+        line(depth, "if (_n := ex._ibl(_tg)) is not None: return _n")
+        stub(depth, exit_index)
+        line(depth, "return ex._leave(%d, _tg)" % exit_index)
 
     def clean_call(depth, role, hook, args):
         charge(depth, CLEAN_CALL_COST)
@@ -704,20 +736,13 @@ def _op_entries(index, op, runs, always_stub, penalty, poll):
         line(depth, "%s(_rt.current_thread%s)" % (hook, args))
 
     if poll is not None:
-        from repro.core.execute import EXIT_INTERRUPT
-
-        line(2, "if _system.alarm_active or _rt._detach_pending or "
-                "_rt._shield_pending:", None)
-        line(3, "_system.convert_alarm(ex.instructions)", None)
-        line(3, "if _rt._detach_pending or _rt._shield_pending or "
-                "_system.alarm_due(ex.instructions) and "
-                "_system.signal_handler:", None)
-        line(4, "ex._exit = (%r, %d, None)" % (EXIT_INTERRUPT, poll), None)
-        line(4, "return None", None)
+        line(2, "if (_system.alarm_active or _rt._detach_pending or "
+                "_rt._shield_pending) and ex._poll(%d): return None" % poll,
+             None)
 
     kind = op[0]
     if kind == OP_EXEC:
-        lines, prefix, _fallbacks, writers = runs[index]
+        lines, prefix, _fallbacks, writers = runs[None, index]
         for k, text in enumerate(lines):
             line(2, text, (index, k, prefix[k], k + 1, writers))
         charge(2, prefix[-1], len(lines))
@@ -756,8 +781,7 @@ def _op_entries(index, op, runs, always_stub, penalty, poll):
         if is_call:
             line(2, _push_source(ret_addr))
         charge(2, cost + penalty)
-        line(2, "return ex._indirect_exit(%d, _tg, cpu, _mem, _system)"
-             % exit_index)
+        indirect_exit(2, exit_index)
 
     elif kind == OP_IND_CHECK:
         (_k, ibl_index, operand, expected, dispatch, is_call, ret_addr,
@@ -788,8 +812,7 @@ def _op_entries(index, op, runs, always_stub, penalty, poll):
         if profiler:
             clean_call(depth, "profiler", "_prof%d" % index, ", _tg")
         charge(depth, penalty)
-        line(depth, "return ex._indirect_exit(%d, _tg, cpu, _mem, _system)"
-             % ibl_index)
+        indirect_exit(depth, ibl_index)
         if expected is not None:
             line(2, "stats.inline_check_hits += 1")
             line(2, "if (_ob := _rt.observer) is not None: "
@@ -826,8 +849,10 @@ def _render_part(number, part, entries, starts, falls_through):
     over the ops whose ``entries`` it holds, under the file name
     ``<fragment number>``.  ``starts`` maps each part's first op to the
     part; the part ends by tail-calling the next one if its last op can
-    fall through.  Returns the function's code object, registered in
-    ``_LINES``."""
+    fall through.  Returns the function's code object and its line map,
+    ``{line: (op, k, cycles, instructions, writers)}``: the op and
+    instruction a source line runs, and for a run's instruction the
+    charges a fault there flushes and the run's eflags rebuild."""
     lines = ["def _part%d(ex, cpu):" % part, " regs = cpu.regs", " try:"]
     line_ops = {}
     pending = None  # [depth, cycles, instructions] not yet written
@@ -874,34 +899,40 @@ def _render_part(number, part, entries, starts, falls_through):
         lines.append(" return _part%d(ex, cpu)" % (part + 1))
     module = compile("\n".join(lines), "<fragment %d>" % number, "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    _LINES[id(code)] = (code, line_ops)
-    return code
+    return code, line_ops
 
 
 def _generate(key, number):
     """Generate and compile a body's code from its key
-    (:func:`_body_key`): ``(codes, fallbacks)`` — one code object per
-    part, the entry first, and ``(name, op, k)`` for every instruction
-    that calls its ``compile_noncti`` closure.
+    (:func:`_body_key`): ``(codes, fallbacks, lines)`` — one code object
+    per part, the entry first; ``(name, exit, op, k)`` for every
+    instruction that calls its ``compile_noncti`` closure (``exit`` is
+    None in the body's own ops, else the exit whose stub holds it); and
+    each part's line map by its name.
 
     Parts begin at op 0, at every op a local branch targets, and
     wherever the next op would take the current part past
     ``_PART_LINES`` source lines."""
-    code, always_stub, penalty, polls = key
+    code, stubs, penalty, polls = key
     polls = dict(polls)
     runs = {}
     fallbacks = []
     first = 0
-    for index, op in enumerate(code):
+    ops = [(None, index, op) for index, op in enumerate(code)] + [
+        (exit_index, j, op)
+        for exit_index, (stub, _always) in enumerate(stubs)
+        for j, op in enumerate(stub)
+    ]
+    for exit_index, index, op in ops:
         if op[0] == OP_EXEC:
-            runs[index] = run = _run_source(op[1], first)
+            runs[exit_index, index] = run = _run_source(op[1], first)
             fallbacks += [
-                ("_f%d" % (first + k), index, k) for k in run[2]
+                ("_f%d" % (first + k), exit_index, index, k) for k in run[2]
             ]
             first += len(op[1])
     targets = {op[2] for op in code if op[0] == OP_LOCAL_BR}
     blocks = [
-        _op_entries(index, op, runs, always_stub, penalty, polls.get(index))
+        _op_entries(index, op, runs, stubs, penalty, polls.get(index))
         for index, op in enumerate(code)
     ]
     starts = {}  # first op of a part -> the part
@@ -915,6 +946,7 @@ def _generate(key, number):
         size += lines
     bounds = sorted(starts) + [len(code)]
     codes = []
+    line_maps = {}
     for part, (begin, end) in enumerate(zip(bounds, bounds[1:])):
         last = code[end - 1]
         falls_through = end < len(code) and not (
@@ -922,10 +954,11 @@ def _generate(key, number):
             or last[0] == OP_LOCAL_BR and last[1] is None
         )
         entries = [entry for block in blocks[begin:end] for entry in block]
-        codes.append(
-            _render_part(number, part, entries, starts, falls_through)
+        part_code, line_maps["_part%d" % part] = _render_part(
+            number, part, entries, starts, falls_through
         )
-    return tuple(codes), tuple(fallbacks)
+        codes.append(part_code)
+    return tuple(codes), tuple(fallbacks), line_maps
 
 
 def _unwind(ex, cpu, counter, tb):
@@ -934,7 +967,8 @@ def _unwind(ex, cpu, counter, tb):
     the run reached (the faulting one included) and rebuild the flags
     its dead writers skipped (:func:`_rebuild_eflags`), so totals and
     eflags are exact.  Any other op charged as it went."""
-    at = _LINES[id(tb.tb_frame.f_code)][1].get(tb.tb_lineno)
+    frame = tb.tb_frame
+    at = frame.f_globals["_lines"][frame.f_code.co_name].get(tb.tb_lineno)
     if at is None:
         return
     _op, _k, cycles, count, writers = at
@@ -951,9 +985,9 @@ def fault_pc(body):
     a fault: ``pcs[op][k]`` of the body's translation table."""
     frame = sys._getframe(1)
     while frame is not None:
-        entry = _LINES.get(id(frame.f_code))
-        if entry is not None:
-            at = entry[1].get(frame.f_lineno)
+        lines = frame.f_globals.get("_lines")
+        if lines is not None:
+            at = lines[frame.f_code.co_name].get(frame.f_lineno)
             if at is None:
                 return None
             return body.translation.pcs[at[0]][at[1]]
@@ -965,8 +999,8 @@ def _bind_body(body, tag, runtime):
     """The entry function of ``body``'s generated code under
     ``runtime``: the code comes from ``_FRAGMENT_CODE_CACHE`` (made on
     its first use in the process), and its names are bound here to the
-    runtime's memory, system, counter and stats, to the body's fallback
-    closures and to its client hooks."""
+    runtime's memory, system, counter and stats, to the parts' line
+    maps, to the body's fallback closures and to its client hooks."""
     polls = ()
     if runtime.options.precise_interrupts:
         polls = tuple(sorted(body.translation.poll_ops.items()))
@@ -976,13 +1010,14 @@ def _bind_body(body, tag, runtime):
         generated = _FRAGMENT_CODE_CACHE[key] = _generate(
             key, len(_FRAGMENT_CODE_CACHE)
         )
-    codes, fallbacks = generated
+    codes, fallbacks, lines = generated
     mem = runtime.memory
     system = runtime.system
     client_hook = runtime.client_hook
     env = {
         "_sys": sys,
         "_unwind": _unwind,
+        "_lines": lines,
         "_rt": runtime,
         "_system": system,
         "_counter": runtime.counter,
@@ -1006,8 +1041,9 @@ def _bind_body(body, tag, runtime):
         "write_u8": mem.write_u8,
         "_parity": _PARITY,
     }
-    for name, index, k in fallbacks:
-        opcode, ops, _cost = body.code[index][1][k]
+    for name, exit_index, index, k in fallbacks:
+        source = body.code if exit_index is None else body.exits[exit_index][3]
+        opcode, ops, _cost = source[index][1][k]
         env[name] = compile_noncti(opcode, ops, mem, system)
     # Client execution hooks are bound here, once per body: through the
     # client guard when there is one, bare otherwise.
@@ -1022,6 +1058,12 @@ def _bind_body(body, tag, runtime):
             if kind == OP_IND_CHECK and op[7] is not None:
                 env["_prof%d" % index] = client_hook(op[7], tag, "profiler")
             env["_op%d" % index] = op[2]
+    for exit_index, desc in enumerate(body.exits):
+        for j, op in enumerate(desc[3]):
+            if op[0] == OP_CLEAN_CALL:
+                env["_s%d_%d" % (exit_index, j)] = client_hook(
+                    op[1], tag, "stub_call"
+                )
     for part, code in enumerate(codes):
         env["_part%d" % part] = FunctionType(code, env)
     return env["_part0"]
@@ -1035,22 +1077,6 @@ def compile_fragment(fragment, runtime):
     and kept in ``body.entry``, so every fragment over the body runs
     one function with its own links."""
     body = fragment.body
-    if body.entry is not None:
-        return body.entry
-    tag = fragment.tag
-    # Stubs are made from ``body.exits``; one made before the body
-    # compiled (emitted without a runtime) takes the bound ops too.
-    exits = []
-    for desc in body.exits:
-        stub_ops = tuple(
-            (OP_CLEAN_CALL, runtime.client_hook(op[1], tag, "stub_call"), op[2])
-            if op[0] == OP_CLEAN_CALL
-            else op
-            for op in desc[2]
-        )
-        exits.append(desc[:2] + (stub_ops,) + desc[3:])
-    body.exits = tuple(exits)
-    for stub, desc in zip(fragment.exits, body.exits):
-        stub.stub_ops = desc[2]
-    body.entry = _bind_body(body, tag, runtime)
+    if body.entry is None:
+        body.entry = _bind_body(body, fragment.tag, runtime)
     return body.entry

@@ -48,9 +48,9 @@ profiling call); an indirect branch with a profiler always lowers to
 transfers — the enforcement hook security clients (program shepherding)
 use to validate indirect targets.
 
-Client custom exit-stub code keeps one op per instruction:
-``(OP_EXEC, opcode, ops, cost)`` or ``(OP_CLEAN_CALL, fn, cost)``
-(:meth:`repro.core.execute.Executor._run_stub_ops` runs them).
+A client's custom exit-stub code (Section 3.2) lowers to the same
+format, restricted to runs and clean calls, and is kept in the body's
+exit descriptor (:class:`~repro.core.fragments.FragmentBody`).
 """
 
 from repro.core import translate
@@ -90,8 +90,7 @@ def _note(instr, key):
 
 
 def _costed(cost_model, instr):
-    """``(opcode, ops, cost)`` of a straight-line instruction: one of a
-    run, or of a client's custom exit stub."""
+    """``(opcode, ops, cost)`` of one instruction of a run."""
     ops = instr.explicit_operands()
     return instr.opcode, ops, cost_model.static_cost(instr.opcode, ops)
 
@@ -175,9 +174,8 @@ def emit_body(tag, kind, body, runtime, reason="build"):
     instantiation path, for a body :func:`emit_fragment` just lowered
     and for one the runtime's retranslation memo kept.
 
-    Under a runtime the body's code is compiled first (once per body:
-    exit-stub clean calls are bound into ``body.exits`` then), the
-    fragment gets its own stubs, and ``fragment_emit`` is recorded.  A
+    Under a runtime the body's code is compiled first (once per body),
+    the fragment gets its own stubs, and ``fragment_emit`` is recorded.  A
     memo rebuild is observably an ordinary build, yet lowers, translates
     and compiles nothing.
     """
@@ -193,7 +191,8 @@ def emit_body(tag, kind, body, runtime, reason="build"):
         compile_fragment(fragment, runtime)
         observer = runtime.observer
     fragment.exits = [
-        LinkStub(fragment, index, *desc) for index, desc in enumerate(body.exits)
+        LinkStub(fragment, index, *desc[:3])
+        for index, desc in enumerate(body.exits)
     ]
     if observer is not None:
         # regen: this tag was evicted from its unit under capacity
@@ -219,6 +218,21 @@ def emit_body(tag, kind, body, runtime, reason="build"):
 def _lower_fragment(ilist, cost_model, source_tags):
     """Lower ``ilist`` (bundles expanded in place) into a
     :class:`FragmentBody`."""
+    code, sources, exits, size = _lower_ops(ilist, cost_model)
+    return FragmentBody(
+        code,
+        exits,
+        size + STUB_SIZE * len(exits),
+        ilist,
+        tuple(source_tags),
+        translate.build_translation(sources),
+    )
+
+
+def _lower_ops(ilist, cost_model):
+    """Lower ``ilist`` (bundles expanded in place): ``(code, sources,
+    exits, size)``, the op tuples, the source Instrs of each op, the
+    exit descriptors and the encoded size without stubs."""
     ilist.expand_bundles()
     code = []
     # One tuple of source Instrs per op, in lowering order: a run's
@@ -233,12 +247,14 @@ def _lower_fragment(ilist, cost_model, source_tags):
     local_branches = []  # indices of OP_LOCAL_BR ops to backpatch
 
     def new_exit(kind_, target_tag, src_instr, is_call_exit=False):
-        stub_ops = ()
+        stub = ()
         always_stub = False
         if src_instr is not None and src_instr.exit_stub_code is not None:
-            stub_ops = _lower_stub(src_instr.exit_stub_code, cost_model)
+            stub = _lower_ops(src_instr.exit_stub_code, cost_model)[0]
+            if any(op[0] not in (OP_EXEC, OP_CLEAN_CALL) for op in stub):
+                raise EmitError("custom exit stubs must be straight-line code")
             always_stub = bool(src_instr.exit_always_stub)
-        exits.append((kind_, target_tag, stub_ops, always_stub, is_call_exit))
+        exits.append((kind_, target_tag, is_call_exit, stub, always_stub))
         return len(exits) - 1
 
     def close_run():
@@ -371,26 +387,4 @@ def _lower_fragment(ilist, cost_model, source_tags):
             raise EmitError("branch to a label at or before the branch")
         code[index] = (kind_, jcc, label_op[label], cost)
 
-    return FragmentBody(
-        tuple(code),
-        tuple(exits),
-        size + STUB_SIZE * len(exits),
-        ilist,
-        tuple(source_tags),
-        translate.build_translation(sources),
-    )
-
-
-def _lower_stub(stub_ilist, cost_model):
-    """Lower client custom-stub code: straight-line instructions only."""
-    ops = []
-    for instr in stub_ilist:
-        if _note(instr, "clean_call") is not None:
-            ops.append((OP_CLEAN_CALL, _note(instr, "clean_call"), CLEAN_CALL_COST))
-            continue
-        if instr.is_label():
-            continue
-        if instr.is_cti():
-            raise EmitError("custom exit stubs must be straight-line code")
-        ops.append((OP_EXEC,) + _costed(cost_model, instr))
-    return tuple(ops)
+    return tuple(code), sources, tuple(exits), size

@@ -21,14 +21,18 @@ Cycle charging:
 * taken control transfers add the hardware taken-branch penalty;
 * indirect branches resolved in-cache pay ``ibl_lookup`` (the hashtable)
   or the per-pair compare cost when a trace-inlined check/dispatch hits;
-* unlinked exits pay the exit stub and a full context switch.
+* unlinked exits pay their client stub code, if any, and a full context
+  switch.
 
-Each fragment runs as its body's generated function, with runs,
-exits and interrupt polls inline and costs pre-summed, so the loop
-makes one call per pass.  The code names an exit by its index and
+Each fragment runs as its body's generated function, with runs, exits,
+client stub code and interrupt polls inline and costs pre-summed, so
+the loop makes one call per pass, and the executor runs no guest
+instruction itself.  Out of line are the IBL probe (:meth:`Executor._ibl`),
+the one way out of the cache (:meth:`Executor._leave`, for an unlinked
+direct exit and an IBL miss alike) and a poll's slow path
+(:meth:`Executor._poll`).  The code names an exit by its index and
 reads the stub from the fragment whose pass is in flight
-(``self.fragment.exits[index]``, also in :meth:`Executor._direct_exit`
-and :meth:`Executor._indirect_exit`), so fragments sharing a body keep
+(``self.fragment.exits[index]``), so fragments sharing a body keep
 their own links.
 
 A fragment replaced mid-execution (adaptive optimization) keeps
@@ -36,10 +40,8 @@ running its old code until the next exit, exactly the paper's
 replacement semantics.
 """
 
-from repro.core.emit import OP_CLEAN_CALL
 from repro.core.closures import compile_fragment
 from repro.machine.errors import MachineFault
-from repro.machine.exec_ops import execute_noncti
 from repro.observe.events import EV_CONTEXT_SWITCH, EV_IBL_HIT, EV_IBL_MISS
 
 # Exit reasons returned to the dispatcher.
@@ -67,81 +69,67 @@ class Executor:
 
     # ------------------------------------------------------------ exit paths
 
-    def _run_stub_ops(self, stub_ops, cpu, mem, system, counter):
-        for op in stub_ops:
-            if op[0] == OP_CLEAN_CALL:
-                # A client hook, bound when the body was compiled.
-                counter.cycles += op[2]
-                op[1](self.runtime.current_thread)
-            else:
-                counter.cycles += op[3]
-                execute_noncti(cpu, mem, system, op[1], op[2])
-
-    def _direct_exit(self, index, cpu, mem, system):
-        """Leave through the running fragment's direct exit ``index``.
-        Returns the linked successor, or records the dispatcher exit and
-        returns ``None``."""
-        stub = self.fragment.exits[index]
-        linked = stub.linked_to
-        if linked is not None and not stub.always_stub:
-            return linked
+    def _ibl(self, target):
+        """The IBL probe of an indirect exit: the current thread's
+        fragment at ``target``, or None on a miss and whenever
+        ``link_indirect`` is off."""
         runtime = self.runtime
-        counter = runtime.counter
-        if stub.stub_ops:
-            self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
-        if linked is not None:
-            return linked  # an always-stub exit, linked: its code ran
-        counter.cycles += runtime.cost.context_switch
+        if not runtime.options.link_indirect:
+            return None
+        runtime.counter.cycles += runtime.cost.ibl_lookup
+        # One dict probe; hit/miss accounting is done here, at the
+        # caller, so the table itself stays plumbing-free.
+        fragment = runtime.current_thread.ibl.table.get(target)
+        observer = runtime.observer
+        if fragment is not None:
+            runtime.stats.ibl_hits += 1
+            if observer is not None:
+                observer.emit(EV_IBL_HIT, target, fragment_kind=fragment.kind)
+            return fragment
+        runtime.stats.ibl_misses += 1
+        if observer is not None:
+            observer.emit(EV_IBL_MISS, target)
+        return None
+
+    def _leave(self, index, target=None):
+        """Leave the cache through the running fragment's exit ``index``
+        once its stub code ran: charge the context switch, record the
+        dispatcher exit and return ``None``.  A direct exit leaves for
+        its stub's target; an indirect one, after an IBL miss, for
+        ``target``."""
+        runtime = self.runtime
+        stub = self.fragment.exits[index]
+        if target is None:
+            reason, target = EXIT_DISPATCH, stub.target_tag
+        else:
+            reason = EXIT_IBL_MISS
+        runtime.counter.cycles += runtime.cost.context_switch
         runtime.stats.context_switches += 1
         observer = runtime.observer
         if observer is not None:
             observer.emit(
                 EV_CONTEXT_SWITCH,
-                stub.target_tag,
-                from_tag=stub.fragment.tag,
-                reason=EXIT_DISPATCH,
-            )
-        self._exit = (EXIT_DISPATCH, stub.target_tag, stub)
-        return None
-
-    def _indirect_exit(self, index, target, cpu, mem, system):
-        """Resolve an indirect branch through the IBL.  Returns the hit
-        fragment, or leaves through the running fragment's exit
-        ``index``: runs any stub code, charges the context switch,
-        records the dispatcher exit and returns ``None``."""
-        runtime = self.runtime
-        counter = runtime.counter
-        stats = runtime.stats
-        observer = runtime.observer
-        if runtime.options.link_indirect:
-            counter.cycles += runtime.cost.ibl_lookup
-            # One dict probe; hit/miss accounting is done here, at the
-            # caller, so the table itself stays plumbing-free.
-            fragment = runtime.current_thread.ibl.table.get(target)
-            if fragment is not None:
-                stats.ibl_hits += 1
-                if observer is not None:
-                    observer.emit(
-                        EV_IBL_HIT, target, fragment_kind=fragment.kind
-                    )
-                return fragment
-            stats.ibl_misses += 1
-            if observer is not None:
-                observer.emit(EV_IBL_MISS, target)
-        stub = self.fragment.exits[index]
-        if stub.stub_ops:
-            self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
-        counter.cycles += runtime.cost.context_switch
-        stats.context_switches += 1
-        if observer is not None:
-            observer.emit(
-                EV_CONTEXT_SWITCH,
                 target,
                 from_tag=stub.fragment.tag,
-                reason=EXIT_IBL_MISS,
+                reason=reason,
             )
-        self._exit = (EXIT_IBL_MISS, target, stub)
+        self._exit = (reason, target, stub)
         return None
+
+    def _poll(self, pc):
+        """The slow path of an interrupt poll before the op at
+        application PC ``pc``, taken while an alarm is armed or a detach
+        or shield recovery is pending: when a signal is due or either
+        is pending, record the interrupt exit and return True."""
+        runtime = self.runtime
+        if (
+            runtime.system.signal_due(self.instructions)
+            or runtime._detach_pending
+            or runtime._shield_pending
+        ):
+            self._exit = (EXIT_INTERRUPT, pc, None)
+            return True
+        return False
 
     # ------------------------------------------------------------- main loop
 
@@ -201,16 +189,13 @@ class Executor:
                     raise MachineFault(
                         "instruction budget exhausted (%d)" % budget
                     )
-                if system.alarm_active:
-                    system.convert_alarm(self.instructions)
-                    if (
-                        system.alarm_due(self.instructions)
-                        and system.signal_handler
-                    ):
-                        # pending signal: deliver from the dispatcher at
-                        # this fragment boundary
-                        exit_ = (EXIT_DISPATCH, fragment.tag, None)
-                        break
+                if system.alarm_active and system.signal_due(
+                    self.instructions
+                ):
+                    # pending signal: deliver from the dispatcher at
+                    # this fragment boundary
+                    exit_ = (EXIT_DISPATCH, fragment.tag, None)
+                    break
                 if (
                     deadline is not None and self.instructions >= deadline
                 ) or runtime._need_reschedule:

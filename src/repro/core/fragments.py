@@ -5,14 +5,14 @@ A *fragment* is a basic block or trace resident in the code cache
 compiled once; the :class:`Fragment` holds only what linking,
 unlinking, replacement and placement change.  Each exit from a fragment
 has a :class:`LinkStub`: when unlinked, control goes through the stub
-(running any client custom stub code) and context-switches back to the
-runtime; when linked, control transfers directly to the target
-fragment.
+(running any client custom stub code, which the body's generated code
+holds) and context-switches back to the runtime; when linked, control
+transfers directly to the target fragment.
 """
 
 
 class LinkStub:
-    """One exit from a fragment."""
+    """One exit from a fragment: its link state."""
 
     __slots__ = (
         "fragment",
@@ -20,24 +20,19 @@ class LinkStub:
         "kind",
         "target_tag",
         "linked_to",
-        "stub_ops",
-        "always_stub",
         "is_call_exit",
     )
 
     KIND_DIRECT = "direct"
     KIND_INDIRECT = "indirect"
 
-    def __init__(self, fragment, index, kind, target_tag=None, stub_ops=(),
-                 always_stub=False, is_call_exit=False):
+    def __init__(self, fragment, index, kind, target_tag=None,
+                 is_call_exit=False):
         self.fragment = fragment
         self.index = index
         self.kind = kind
         self.target_tag = target_tag  # application address, direct exits
         self.linked_to = None  # Fragment when linked
-        # Lowered client custom-stub instructions: list of (opcode, ops, cost)
-        self.stub_ops = stub_ops
-        self.always_stub = always_stub
         # Call exits do not count as "backward branches" for the default
         # trace-head heuristic (calls target earlier-placed functions all
         # the time; loop backedges are what NET heads are about).
@@ -58,8 +53,10 @@ class FragmentBody:
 
     Everything emission derives from the InstrList alone: the op tuples
     (:mod:`repro.core.emit`), one exit descriptor per exit
-    (``(kind, target_tag, stub_ops, always_stub, is_call_exit)``, the
-    :class:`LinkStub` fields that do not change once lowered), the
+    (``(kind, target_tag, is_call_exit, stub, always_stub)``: the
+    :class:`LinkStub` fields that do not change once lowered, then the
+    client's custom stub code as ops of the body's format, runs and
+    clean calls, and whether the exit runs it even when linked), the
     encoded size, the source InstrList (``dr_decode_fragment``, trace
     stitching), the ordered application block tags it translates
     (``(tag,)`` for a basic block, the stitched sequence for a trace;

@@ -8,10 +8,11 @@ every lookup.
 
 The hot path is ``table.get`` — a single dict probe.  Hit/miss
 accounting (stats counters and drtrace events) lives with the caller,
-:meth:`repro.core.execute.Executor._indirect_exit`, so the lookup
-itself carries no stats/observer plumbing.  On a miss the same method
-charges the context switch and records the dispatcher exit that
-``Executor.run`` returns.
+:meth:`repro.core.execute.Executor._ibl`, so the lookup itself carries
+no stats/observer plumbing.  On a miss the generated code runs the
+exit's client stub code, if any, and leaves through
+:meth:`repro.core.execute.Executor._leave`, which charges the context
+switch and records the dispatcher exit that ``Executor.run`` returns.
 
 Trace heads are deliberately *not* present: entries reaching a trace
 head must come back to the dispatcher so the head's execution counter

@@ -129,11 +129,6 @@ class RuntimeOptions:
         # bit-identical to pre-shield behavior.
         self.shield = shield
 
-    def copy(self):
-        new = RuntimeOptions()
-        new.__dict__.update(self.__dict__)
-        return new
-
     # ------------------------------------------------------ Table 1 presets
 
     @classmethod

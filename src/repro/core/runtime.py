@@ -1055,16 +1055,12 @@ class DynamoRIO:
                 # Signal interception (Section 2): deliver pending alarm
                 # signals here, at the dispatcher — the handler then runs
                 # under the code cache like all application code.
-                if system.alarm_active:
-                    system.convert_alarm(executor.instructions)
-                    if system.alarm_due(executor.instructions) and (
-                        system.signal_handler
-                    ):
-                        self._mid_fragment_interrupt = (
-                            reason == EXIT_INTERRUPT
-                        )
-                        tag = self._deliver_signal(thread, tag)
-                        prev_stub = None
+                if system.alarm_active and system.signal_due(
+                    executor.instructions
+                ):
+                    self._mid_fragment_interrupt = reason == EXIT_INTERRUPT
+                    tag = self._deliver_signal(thread, tag)
+                    prev_stub = None
                 counter.cycles += dispatch_cost
                 fragment = trace_fragments.get(tag)
                 if fragment is None:

@@ -288,11 +288,9 @@ class Interpreter:
         n = self._instructions
         try:
             while n < limit:
-                if alarm_live:
-                    system.convert_alarm(n)
-                    if system.alarm_due(n) and system.signal_handler:
-                        self._deliver_signal(cpu, n)
-                        alarm_live = system.alarm_active
+                if alarm_live and system.signal_due(n):
+                    self._deliver_signal(cpu, n)
+                    alarm_live = system.alarm_active
                 d = dcache_get(cpu.pc)
                 if d is None:
                     d = decode(cpu.pc)

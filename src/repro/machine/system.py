@@ -105,8 +105,17 @@ class System:
             self.alarm_in = None
             self.alarm_active = True
 
-    def alarm_due(self, current_instructions):
-        return self.alarm_at is not None and current_instructions >= self.alarm_at
+    def signal_due(self, now):
+        """Whether a safe point at instruction count ``now`` delivers the
+        alarm signal: a relative alarm request is converted first, then
+        the deadline must have passed and a handler be installed."""
+        if self.alarm_in is not None:
+            self.convert_alarm(now)
+        return (
+            self.alarm_at is not None
+            and now >= self.alarm_at
+            and bool(self.signal_handler)
+        )
 
     def clear_alarm(self):
         self.alarm_at = None

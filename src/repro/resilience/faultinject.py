@@ -55,8 +55,8 @@ runtime's own chokepoints — no client involved at all:
 
 import random
 
-from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_replace_fragment
+from repro.clients.combined import CombinedClient
 from repro.ir.instr import Instr, LabelRef
 from repro.isa.opcodes import Opcode
 from repro.resilience.shield import RUNTIME_SITES
@@ -179,51 +179,18 @@ class RuntimeFaultPlan:
         )
 
 
-class FaultInjectingClient(Client):
-    """Delegates every hook to ``inner``, injecting the plan's fault on
-    the scheduled invocations.  ``inner`` may be None (a pure-fault
-    client)."""
+class FaultInjectingClient(CombinedClient):
+    """Delegates every hook to ``inner`` as a combination of that one
+    client, injecting the plan's fault on the scheduled invocations.
+    ``inner`` may be None (a pure-fault client)."""
 
     def __init__(self, plan, inner=None):
-        super().__init__()
+        super().__init__([] if inner is None else [inner])
         self.plan = plan
-        self.inner = inner
         self.bb_calls = 0
         self.trace_calls = 0
         self.injected = 0
         self._last_tag = None
-
-    # ------------------------------------------------------------- plumbing
-
-    def attach(self, runtime):
-        super().attach(runtime)
-        if self.inner is not None:
-            self.inner.attach(runtime)
-
-    def init(self):
-        if self.inner is not None:
-            self.inner.init()
-
-    def exit(self):
-        if self.inner is not None:
-            self.inner.exit()
-
-    def thread_init(self, context):
-        if self.inner is not None:
-            self.inner.thread_init(context)
-
-    def thread_exit(self, context):
-        if self.inner is not None:
-            self.inner.thread_exit(context)
-
-    def fragment_deleted(self, context, tag):
-        if self.inner is not None:
-            self.inner.fragment_deleted(context, tag)
-
-    def end_trace(self, context, trace_tag, next_tag):
-        if self.inner is not None:
-            return self.inner.end_trace(context, trace_tag, next_tag)
-        return super().end_trace(context, trace_tag, next_tag)
 
     # ---------------------------------------------------------- build hooks
 
@@ -242,8 +209,7 @@ class FaultInjectingClient(Client):
                 )
             if kind == "corrupt_instrlist":
                 self.injected += 1
-                if self.inner is not None:
-                    self.inner.basic_block(context, tag, ilist)
+                super().basic_block(context, tag, ilist)
                 corrupt_instrlist(ilist)
                 return
             if kind == "hook_budget_burn":
@@ -275,8 +241,7 @@ class FaultInjectingClient(Client):
                         dr_replace_fragment(
                             context, prior, corrupt_instrlist(stale)
                         )
-        if self.inner is not None:
-            self.inner.basic_block(context, tag, ilist)
+        super().basic_block(context, tag, ilist)
         self._last_tag = tag
 
     def trace(self, context, tag, ilist):
@@ -288,5 +253,4 @@ class FaultInjectingClient(Client):
             raise InjectedFault(
                 "planted trace-hook fault #%d" % self.trace_calls
             )
-        if self.inner is not None:
-            self.inner.trace(context, tag, ilist)
+        super().trace(context, tag, ilist)

@@ -2,30 +2,25 @@
 
 Static mode (default) decodes every statically reachable basic block of
 the program image and verifies each one — including the drequiv
-equivalence rule, for which a pristine block is checked against itself;
-dynamic mode (``--client``) actually runs the program under the runtime
-with ``options.verify_fragments`` (every rule, equivalence included)
-enabled, so traces and client-transformed fragments are verified too.
-``--equiv`` is a third mode: run the program *without* emit-time
-verification, then sweep the final code-cache dump and check every
-resident fragment against its source blocks.
+equivalence rule, for which a pristine block is checked against itself.
+``--equiv`` runs the program *without* emit-time verification, then
+sweeps the final code-cache dump and checks every resident fragment
+against its source blocks; ``--client`` names the client it runs under.
+Client-transformed fragments verified at emit time, under every
+workload and client, are ``python -m repro.tools.equiv_sweep``'s job.
 
 Usage::
 
     python -m repro.tools.lint --benchmark mgrid
-    python -m repro.tools.lint program.mc --client inscount
+    python -m repro.tools.lint program.mc --rules linearity,levels
     python -m repro.tools.lint --benchmark mgrid --equiv --client all
-    python -m repro.tools.lint --benchmark crafty --client all --rules \
-        linearity,levels
     python -m repro.tools.lint --benchmark mgrid --inject   # exits 1
 
-``--inject`` is the negative control.  In static mode it runs one sweep
-per registered rule, planting that rule's tabulated violation in every
+``--inject`` is the negative control: it runs one static sweep per
+registered rule, planting that rule's tabulated violation in every
 decoded block, and exits 1 only when *every* rule fired on at least one
 block — so CI's ``if lint --inject; then fail; fi`` catches a rule that
-silently stopped detecting its own violation class.  In dynamic mode it
-plants the classic unsafe meta ``add eax, 1`` in every block via a
-wrapping client.
+silently stopped detecting its own violation class.
 
 Exit status: 0 when no rule reports an error (for ``--inject``: some
 rule failed to fire), 1 otherwise, 2 on usage errors.
@@ -34,12 +29,7 @@ rule failed to fire), 1 otherwise, 2 on usage errors.
 import argparse
 import sys
 
-from repro.analysis.verifier import (
-    VerificationError,
-    all_rules,
-    verify_fragment,
-)
-from repro.api.client import Client
+from repro.analysis.verifier import all_rules, verify_fragment
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.bb_builder import build_basic_block
 from repro.ir.create import (
@@ -67,14 +57,6 @@ def _meta(instr):
     from repro.api.dr import instr_set_meta
 
     return instr_set_meta(instr)
-
-
-def _make_violation():
-    """A meta-instruction that is deliberately unsafe at a block entry:
-    writes ``eax`` and all six flags where both are almost surely live."""
-    return _meta(
-        INSTR_CREATE_add(OPND_CREATE_REG(Reg.EAX), OPND_CREATE_INT32(1))
-    )
 
 
 # --------------------------------------------------------------- injectors
@@ -281,82 +263,12 @@ def _lint_static_inject(image, rules, report):
     return all_fired
 
 
-class _InjectingClient(Client):
-    """Wraps a client (or None) to plant a violation in every block."""
-
-    def __init__(self, inner):
-        super().__init__()
-        self._inner = inner
-
-    def attach(self, runtime):
-        super().attach(runtime)
-        if self._inner is not None:
-            self._inner.attach(runtime)
-
-    def init(self):
-        if self._inner is not None:
-            self._inner.init()
-
-    def exit(self):
-        if self._inner is not None:
-            self._inner.exit()
-
-    def thread_init(self, context):
-        if self._inner is not None:
-            self._inner.thread_init(context)
-
-    def thread_exit(self, context):
-        if self._inner is not None:
-            self._inner.thread_exit(context)
-
-    def basic_block(self, context, tag, ilist):
-        if self._inner is not None:
-            self._inner.basic_block(context, tag, ilist)
-        ilist.expand_bundles()
-        first = ilist.first()
-        if first is not None:
-            ilist.insert_before(first, _make_violation())
-
-    def trace(self, context, tag, ilist):
-        if self._inner is not None:
-            self._inner.trace(context, tag, ilist)
-
-    def fragment_deleted(self, context, tag):
-        if self._inner is not None:
-            self._inner.fragment_deleted(context, tag)
-
-    def end_trace(self, context, trace_tag, next_tag):
-        if self._inner is not None:
-            return self._inner.end_trace(context, trace_tag, next_tag)
-        return super().end_trace(context, trace_tag, next_tag)
-
-
 def _make_client(image, client_name):
     if client_name == "shepherd":
         from repro.clients import ProgramShepherding
 
         return ProgramShepherding(image=image)
     return CLIENTS[client_name]()
-
-
-def _lint_dynamic(image, client_name, rules, report, inject):
-    client = _make_client(image, client_name)
-    if inject:
-        client = _InjectingClient(client)
-    options = RuntimeOptions.with_traces()
-    options.verify_fragments = True
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        runtime.run()
-    except VerificationError:
-        # The error diagnostics are already recorded on
-        # runtime.verifier_diagnostics by the emit gate; fall through so
-        # they are reported exactly once.
-        pass
-    if runtime.verifier_diagnostics:
-        report.add("collected", runtime.verifier_diagnostics)
-    else:
-        report.fragments += runtime.stats.bbs_built + runtime.stats.traces_built
 
 
 def _lint_equiv(image, client_name, report):
@@ -397,7 +309,7 @@ def main(argv=None):
         "--client",
         default=None,
         choices=sorted(CLIENTS),
-        help="run dynamically under this client instead of static decode",
+        help="the client --equiv runs the program under",
     )
     parser.add_argument(
         "--equiv",
@@ -433,6 +345,8 @@ def main(argv=None):
 
     if args.equiv and args.inject:
         parser.error("--equiv and --inject are separate modes")
+    if args.client is not None and not args.equiv:
+        parser.error("--client names the client of an --equiv run")
 
     rules = None
     if args.rules:
@@ -469,8 +383,6 @@ def main(argv=None):
     report = Report(rules, args.max_diagnostics)
     if args.equiv:
         _lint_equiv(image, args.client, report)
-    elif args.client is not None:
-        _lint_dynamic(image, args.client, rules, report, args.inject)
     elif args.inject:
         all_fired = _lint_static_inject(image, rules, report)
         report.summary()

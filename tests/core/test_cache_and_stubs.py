@@ -4,15 +4,28 @@ import pytest
 
 from repro.api.client import Client
 from repro.api.dr import dr_insert_clean_call, dr_set_exit_stub
-from repro.core import RuntimeOptions
+from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.code_cache import CacheFullError, CacheUnit
 from repro.core.fragments import Fragment
+from repro.ir.create import (
+    INSTR_CREATE_add,
+    INSTR_CREATE_mov,
+    INSTR_CREATE_sub,
+    OPND_CREATE_INT32,
+    OPND_CREATE_MEM,
+)
 from repro.ir.instrlist import InstrList
-from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
+from repro.loader import Process
+from repro.machine.errors import MachineFault
 
 from repro.tools.oracle import Cell, check
 
 from tests.core.conftest import run_under
+
+# Runtime heap words the stub code below writes, and an address whose
+# 4-byte store runs past the end of the 32 MiB memory.
+HEAP = 0x1000000
+PAST_MEMORY = 0x2000000 - 2
 
 
 class TestCacheUnit:
@@ -346,3 +359,123 @@ class TestCustomExitStubs:
         assert result.output == loop_native.output
         # linked exits still pass through the stub
         assert len(hits) > result.events["context_switches"]
+
+
+class EveryExitStub(Client):
+    """Attaches custom stub code to every block's exit CTI: a store into
+    the runtime heap, a clean call counting the stub's runs, and a
+    second store."""
+
+    def __init__(self, always=False):
+        super().__init__()
+        self.always = always
+        self.hits = 0
+
+    def basic_block(self, context, tag, ilist):
+        last = ilist.last()
+        if last is not None and last.level >= 2 and last.is_cti():
+            stub = InstrList()
+            stub.append(INSTR_CREATE_mov(
+                OPND_CREATE_MEM(disp=HEAP), OPND_CREATE_INT32(0xBEEF)
+            ))
+            dr_insert_clean_call(stub, None, self._hit)
+            stub.append(INSTR_CREATE_mov(
+                OPND_CREATE_MEM(disp=HEAP + 4), OPND_CREATE_INT32(7)
+            ))
+            dr_set_exit_stub(last, stub, always=self.always)
+
+    def _hit(self, context):
+        self.hits += 1
+
+
+class FaultingStub(Client):
+    """Attaches stub code that stores past memory to the exit of the
+    fifth block built.  The stub's ``add`` comes first, and its flags
+    are dead in the stub's run, since the ``sub`` after the faulting
+    store overwrites all six."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = 0
+
+    def basic_block(self, context, tag, ilist):
+        self.blocks += 1
+        if self.blocks == 5:
+            stub = InstrList()
+            stub.append(INSTR_CREATE_add(
+                OPND_CREATE_MEM(disp=HEAP), OPND_CREATE_INT32(0x7FFFFFFF)
+            ))
+            stub.append(INSTR_CREATE_mov(
+                OPND_CREATE_MEM(disp=PAST_MEMORY), OPND_CREATE_INT32(1)
+            ))
+            stub.append(INSTR_CREATE_sub(
+                OPND_CREATE_MEM(disp=HEAP + 4), OPND_CREATE_INT32(1)
+            ))
+            dr_set_exit_stub(ilist.last(), stub)
+
+
+# (cycles, instructions, context switches, stub runs) of the loop
+# program with EveryExitStub.  A stub charges its instructions' cycles
+# and the clean call's, and no guest instructions.
+STUBBED_TOTALS = {
+    # Every exit unlinked: each runs its stub, then context-switches.
+    "bb_cache_only": (1514530, 25635, 3125, 2358),
+    # always=True: every exit runs its stub, linked or not.
+    "with_direct_links": (576970, 25635, 780, 2358),
+    # Stubs run on unlinked direct exits and on IBL misses.
+    "with_traces": (139514, 24888, 77, 10),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(STUBBED_TOTALS))
+def test_stubbed_run_totals_are_exact(loop_image, loop_native, preset):
+    client = EveryExitStub(always=preset == "with_direct_links")
+    dr, result = run_under(
+        loop_image, getattr(RuntimeOptions, preset)(), client=client
+    )
+    assert result.output == loop_native.output
+    assert (
+        result.cycles, result.instructions,
+        result.events["context_switches"], client.hits,
+    ) == STUBBED_TOTALS[preset]
+    assert dr.memory.read_u32(HEAP) == 0xBEEF
+    assert dr.memory.read_u32(HEAP + 4) == 7
+
+
+def test_stub_clean_calls_count_like_every_clean_call(loop_image):
+    """A stub's clean call counts in ``stats.clean_calls`` and emits
+    ``clean_call`` with ``role="stub_call"``, so stats replay counts it;
+    its cycles are the same ``STUBBED_TOTALS`` pin."""
+    client = EveryExitStub()
+    options = RuntimeOptions.bb_cache_only()
+    options.trace_events = True
+    options.trace_buffer = None
+    dr, result = run_under(loop_image, options, client=client)
+    assert result.cycles == STUBBED_TOTALS["bb_cache_only"][0]
+    calls = dr.observer.events(["clean_call"])
+    assert dr.stats.clean_calls == len(calls) == client.hits > 0
+    assert {event.data["role"] for event in calls} == {"stub_call"}
+
+
+@pytest.mark.parametrize("preset, cycles", [
+    ("bb_cache_only", 6852),
+    ("with_traces", 7012),
+])
+def test_fault_in_stub_code_is_exact(loop_image, preset, cycles):
+    """A store past memory in stub code names its exit CTI's application
+    PC (the block starts at 0x100d), charges the stub's cycles up to and
+    including the faulting store and no guest instruction, and leaves
+    the stub's ``add`` flags exact (OF, SF, AF and PF from 1 +
+    0x7fffffff)."""
+    dr = DynamoRIO(
+        Process(loop_image), options=getattr(RuntimeOptions, preset)(),
+        client=FaultingStub(),
+    )
+    dr.memory.write_u32(HEAP, 1)
+    with pytest.raises(MachineFault) as fault:
+        dr.run()
+    assert str(fault.value) == "write past memory at 0x1fffffe (app pc 0x1029)"
+    cpu = dr.current_thread.cpu
+    assert (dr.counter.cycles, dr.executor.instructions) == (cycles, 35)
+    assert cpu.regs == [7, 31, 7, 997, 8388564, 8388564, 0, 0]
+    assert cpu.eflags == 0x894

@@ -13,12 +13,15 @@ the native interpreter.)
 Each sample client exercises a different lowered-op surface: redundant
 load removal rewrites straight-line exec ops, strength reduction changes
 instruction costs, indirect-branch dispatch emits OP_IND_CHECK chains
-with profilers, and custom traces reshape fragment boundaries.  Signals
-and threads cover the alarm/safe-point and scheduler paths.
+with profilers, custom traces reshape fragment boundaries, and exit
+stubs put client code on the way out of the cache.  Signals and threads
+cover the alarm/safe-point and scheduler paths.
 """
 
 import pytest
 
+from repro.api.client import Client
+from repro.api.dr import dr_insert_clean_call, dr_set_exit_stub
 from repro.clients import (
     CustomTraces,
     IndirectBranchDispatch,
@@ -26,6 +29,8 @@ from repro.clients import (
     StrengthReduction,
 )
 from repro.core import RuntimeOptions
+from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_INT32, OPND_CREATE_MEM
+from repro.ir.instrlist import InstrList
 from repro.minicc import compile_source
 from repro.tools.oracle import Cell, Column, check
 
@@ -52,8 +57,47 @@ int main() {
 }
 """
 
+THREADS_SRC = """
+int done;
+int total;
+
+int worker() {
+    int i;
+    for (i = 0; i < 40; i++) { total = total + i; }
+    done = done + 1;
+    return 0;
+}
+
+int main() {
+    done = 0;
+    total = 0;
+    spawn(&worker, 0x790000);
+    while (done < 1) { }
+    print(total);
+    return 0;
+}
+"""
+
+
+class ExitStubs(Client):
+    """Custom stub code on every block's exit: a store into the runtime
+    heap and a clean call, run only when the exit leaves unlinked, or
+    (every fourth block by tag) on every pass."""
+
+    def basic_block(self, context, tag, ilist):
+        last = ilist.last()
+        if last is not None and last.level >= 2 and last.is_cti():
+            stub = InstrList()
+            stub.append(INSTR_CREATE_mov(
+                OPND_CREATE_MEM(disp=0x1000000), OPND_CREATE_INT32(tag)
+            ))
+            dr_insert_clean_call(stub, None, lambda context: None)
+            dr_set_exit_stub(last, stub, always=(tag & 12) == 4)
+
+
 CLIENTS = {
     "none": lambda: None,
+    "exit_stubs": ExitStubs,
     "redundant_load": RedundantLoadRemoval,
     "inc2add": StrengthReduction,
     "indirect_dispatch": IndirectBranchDispatch,
@@ -97,27 +141,7 @@ def test_runtime_engines_bit_identical(images, source_name, client_name):
 
 
 def test_threaded_workload_engines_bit_identical():
-    src = """
-int done;
-int total;
-
-int worker() {
-    int i;
-    for (i = 0; i < 40; i++) { total = total + i; }
-    done = done + 1;
-    return 0;
-}
-
-int main() {
-    done = 0;
-    total = 0;
-    spawn(&worker, 0x790000);
-    while (done < 1) { }
-    print(total);
-    return 0;
-}
-"""
-    _assert_engines_identical(compile_source(src))
+    _assert_engines_identical(compile_source(THREADS_SRC))
 
 
 def test_ablation_rows_bit_identical(images):
@@ -160,6 +184,29 @@ def test_traced_runs_replay_stats_and_match_engines(
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
 def test_traced_runs_full_matrix(images, source_name, client_name):
     _check_traced_group(images[source_name], CLIENTS[client_name])
+
+
+@pytest.mark.parametrize("cell", [
+    "loop", "indirect", "signals", "signals-precise", "threads",
+])
+def test_exit_stub_runs_replay_and_match_native(images, cell):
+    """Runs whose exits carry client stub code, under every Table-1 row
+    with an exit to stub (traces included), end in native's state and
+    replay their stats exactly; precise interrupts add mid-fragment
+    polls, and two threads share the stubbed bodies."""
+    source, _, precise = cell.partition("-")
+    image = (
+        compile_source(THREADS_SRC) if source == "threads" else images[source]
+    )
+    for factory in (
+        RuntimeOptions.bb_cache_only,
+        RuntimeOptions.with_direct_links,
+        RuntimeOptions.with_traces,
+    ):
+        _assert_engines_identical(image, ExitStubs, options=_options(
+            factory, precise_interrupts=bool(precise),
+            trace_events=True, trace_buffer=None,
+        ))
 
 
 # ----------------------------------------------- drguard fault determinism

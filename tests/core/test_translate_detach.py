@@ -24,7 +24,6 @@ import pytest
 
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_reattach, dr_register_event_tracer
-from repro.core import closures
 from repro.core.bb_builder import MAX_BB_INSTRS
 from repro.core.emit import OP_EXEC
 from repro.loader import Process
@@ -126,13 +125,9 @@ def test_translation_round_trip_every_fragment(loop_image):
         assert len(table.pcs) == len(body.code)
         # The generated code runs every op: each has a line in the line
         # maps of the body's functions.
-        parts = [
-            fn.__code__ for name, fn in body.entry.__globals__.items()
-            if name.startswith("_part")
-        ]
         ran = {
-            at[0] for code in parts
-            for at in closures._LINES[id(code)][1].values()
+            at[0] for line_map in body.entry.__globals__["_lines"].values()
+            for at in line_map.values()
         }
         assert ran == set(range(len(body.code))), hex(fragment.tag)
         for op, op_pcs in zip(body.code, table.pcs):

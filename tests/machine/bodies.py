@@ -27,7 +27,7 @@ def compile_body(code, mem, system=None, counter=None, exits=0):
     ``exits`` direct exits, and an executor stand-in whose
     ``instructions`` the function charges (cycles go to ``counter``)."""
     descs = tuple(
-        (LinkStub.KIND_DIRECT, 0x9000, (), False, False) for _ in range(exits)
+        (LinkStub.KIND_DIRECT, 0x9000, False, (), False) for _ in range(exits)
     )
     pcs = tuple(
         (None,) * len(op[1]) if op[0] == OP_EXEC else (None,) for op in code
@@ -38,7 +38,8 @@ def compile_body(code, mem, system=None, counter=None, exits=0):
     fragment = Fragment(0x1000, Fragment.KIND_BB)
     fragment.body = body
     fragment.exits = [
-        LinkStub(fragment, index, *desc) for index, desc in enumerate(descs)
+        LinkStub(fragment, index, *desc[:3])
+        for index, desc in enumerate(descs)
     ]
     for stub in fragment.exits:
         stub.linked_to = LINKED

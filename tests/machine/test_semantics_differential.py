@@ -921,7 +921,8 @@ def test_long_trace_splits_and_runtimes_share_code():
     for trace in first.values():
         for code in _parts(trace.body):
             lines = max(line for _s, _e, line in code.co_lines() if line)
-            ops = {at[0] for at in closures._LINES[id(code)][1].values()}
+            line_map = trace.body.entry.__globals__["_lines"][code.co_name]
+            ops = {at[0] for at in line_map.values()}
             assert lines <= closures._PART_LINES or len(ops) == 1, (
                 hex(trace.tag), code.co_name, lines, ops,
             )

@@ -36,16 +36,11 @@ def test_static_inject_exits_nonzero(source_file, capsys):
     assert "[error]" in out
 
 
-def test_dynamic_clean_client_exits_zero(source_file, capsys):
-    assert main([source_file, "--client", "inscount-inline"]) == 0
-    out = capsys.readouterr().out
-    assert "0 error(s)" in out
-
-
-def test_dynamic_inject_exits_nonzero(source_file, capsys):
-    assert main([source_file, "--client", "null", "--inject"]) == 1
-    out = capsys.readouterr().out
-    assert "[error]" in out
+def test_client_without_equiv_is_a_usage_error(source_file, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main([source_file, "--client", "inscount-inline"])
+    assert usage.value.code == 2
+    assert "--equiv" in capsys.readouterr().err
 
 
 def test_rule_selection(source_file, capsys):
