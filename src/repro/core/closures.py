@@ -30,7 +30,8 @@ Every op kind is written as source, in op order:
   op runs at most once per pass;
 * under ``options.precise_interrupts``, the interrupt poll before every
   application-consistent op (:mod:`repro.core.translate`): one line of
-  flag tests, its slow path ``Executor._poll``.
+  tests that takes its slow path, ``Executor._poll``, only when a signal
+  can be due or a detach or shield recovery is pending.
 
 Segment-local dataflow shapes each run: a flag writer whose flags the
 run overwrites before anything can read them skips them, and a 4-byte
@@ -46,9 +47,10 @@ op charges as it goes.  The same map names the faulting instruction's
 application PC (:func:`fault_pc`).
 
 The code depends on the body's shape alone, so it is generated and
-compiled once per process (``_FRAGMENT_CODE_CACHE``), split into
-functions of at most about ``_PART_LINES`` lines that tail-call the
-next, so no ``compile()`` unit grows with the body.  Each body binds
+compiled once per process while its shape stays among the
+``_CODE_CACHE_LIMIT`` most recently used (``_FRAGMENT_CODE_CACHE``),
+split into functions of at most about ``_PART_LINES`` lines that
+tail-call the next, so no ``compile()`` unit grows with the body.  Each body binds
 its own copy to the runtime's memory, system, counter and stats and to
 its client hooks, kept on the body (``body.entry``): every fragment
 over it — retranslation-memo rebuilds, one block in two threads'
@@ -64,6 +66,7 @@ oracle, :mod:`repro.tools.oracle`), and the instruction differential
 to ``execute_noncti``.
 """
 
+import itertools
 import sys
 from types import CodeType, FunctionType
 
@@ -615,10 +618,16 @@ _CONDITIONS = {
 # Generated fragment code, keyed by the body's shape (:func:`_body_key`):
 # bodies with the same ops — a block rebuilt after eviction, one program
 # under two runtimes — are generated and compiled by CPython once per
-# process, as ``(codes, fallbacks, lines)`` (:func:`_generate`).  A test
-# that patches the generator (a template, a pass) must swap this cache
-# out.
+# process, as ``(codes, fallbacks, lines)`` (:func:`_generate`).  At
+# most ``_CODE_CACHE_LIMIT`` shapes are kept, least recently used
+# evicted first (a hit moves its key to the end); bodies already bound
+# keep their code.  A test that patches the generator (a template, a
+# pass) must swap this cache out.
 _FRAGMENT_CODE_CACHE = {}
+_CODE_CACHE_LIMIT = 512
+# Numbers the generated code's file names, ``<fragment N>``: a counter,
+# so an eviction never lets a new shape reuse a live shape's name.
+_code_names = itertools.count()
 # The source lines of one generated function: a longer body is split
 # into functions that tail-call the next, so no ``compile()`` unit
 # grows with the body.  An op is never split, so one long run may make
@@ -736,9 +745,13 @@ def _op_entries(index, op, runs, stubs, penalty, poll):
         line(depth, "%s(_rt.current_thread%s)" % (hook, args))
 
     if poll is not None:
-        line(2, "if (_system.alarm_active or _rt._detach_pending or "
-                "_rt._shield_pending) and ex._poll(%d): return None" % poll,
-             None)
+        # The slow path only when a signal can be due: a relative alarm
+        # still to convert, or a deadline reached (alarm_active implies
+        # one of the two is set).
+        line(2, "if ((_system.alarm_active and (_system.alarm_in is not None"
+                " or ex.instructions >= _system.alarm_at)) or "
+                "_rt._detach_pending or _rt._shield_pending) and "
+                "ex._poll(%d): return None" % poll, None)
 
     kind = op[0]
     if kind == OP_EXEC:
@@ -1005,11 +1018,13 @@ def _bind_body(body, tag, runtime):
     if runtime.options.precise_interrupts:
         polls = tuple(sorted(body.translation.poll_ops.items()))
     key = _body_key(body, runtime.cost.taken_branch_penalty, polls)
-    generated = _FRAGMENT_CODE_CACHE.get(key)
+    cache = _FRAGMENT_CODE_CACHE
+    generated = cache.pop(key, None)
     if generated is None:
-        generated = _FRAGMENT_CODE_CACHE[key] = _generate(
-            key, len(_FRAGMENT_CODE_CACHE)
-        )
+        if len(cache) >= _CODE_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        generated = _generate(key, next(_code_names))
+    cache[key] = generated
     codes, fallbacks, lines = generated
     mem = runtime.memory
     system = runtime.system

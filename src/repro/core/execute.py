@@ -118,9 +118,11 @@ class Executor:
 
     def _poll(self, pc):
         """The slow path of an interrupt poll before the op at
-        application PC ``pc``, taken while an alarm is armed or a detach
-        or shield recovery is pending: when a signal is due or either
-        is pending, record the interrupt exit and return True."""
+        application PC ``pc``, taken only when a signal can be due (an
+        alarm still to convert, or its deadline reached) or a detach or
+        shield recovery is pending: when a signal is due
+        (``System.signal_due``) or either is pending, record the
+        interrupt exit and return True."""
         runtime = self.runtime
         if (
             runtime.system.signal_due(self.instructions)

@@ -33,6 +33,7 @@ from repro.core.trace_builder import (
     END_TRACE,
     TraceRecording,
     default_end_of_trace,
+    report_stitch,
     stitch_trace,
 )
 from repro.machine.cost import CostModel, CycleCounter
@@ -72,6 +73,20 @@ class MemoEntry:
         self.source = source
         self.span = span
         self.count = count
+        self.body = body
+
+
+class TraceMemoEntry:
+    """A retranslation-memo entry for one uninstrumented trace: its
+    application instruction count, its stitch summary
+    (:attr:`~repro.core.trace_builder.TraceRecording.stitched`) and the
+    lowered body its fragments share."""
+
+    __slots__ = ("count", "stitched", "body")
+
+    def __init__(self, count, stitched, body):
+        self.count = count
+        self.stitched = stitched
         self.body = body
 
 
@@ -172,6 +187,11 @@ class DynamoRIO:
         # Host time only — a hit charges and reports exactly what a
         # rebuild does.  Lives and dies with this runtime.
         self.bb_memo = {}
+        # Its trace half, (head tag, recorded block bodies...) ->
+        # TraceMemoEntry: a trace rebuilt over the same block bodies is
+        # re-emitted over its lowered body instead of being stitched,
+        # decoded and lowered again (_finalize_trace).
+        self.trace_memo = {}
         # Tags the client marked as trace heads before fragments exist.
         self.pending_trace_heads = set()
         self._client_initialized = False
@@ -709,9 +729,32 @@ class DynamoRIO:
 
     def _finalize_trace(self, recording):
         thread = self.current_thread
-        ilist = stitch_trace(recording, self.observer)
-        ilist.decode_all()
-        count = ilist.instr_count()
+        head = recording.head_tag
+        observer = self.observer
+        guard = self.guard
+        hooks_on = self.client is not None and (
+            guard is None or not guard.quarantined
+        )
+        # The trace memo, like the bb memo, serves only traces that no
+        # client hook or verifier would see.  Its key holds the recorded
+        # blocks' bodies, compared by identity: the bb memo reuses a
+        # body only while its block's bytes are unchanged, so an equal
+        # key means identical stitch inputs.
+        memo = (
+            None if hooks_on or self.options.verify_fragments
+            else self.trace_memo
+        )
+        entry = None
+        if memo is not None:
+            key = (head,) + tuple(block.body for block in recording.entries)
+            entry = memo.get(key)
+        if entry is None:
+            ilist = stitch_trace(recording, observer)
+            ilist.decode_all()
+            count = ilist.instr_count()
+        else:
+            report_stitch(observer, head, entry.stitched)
+            count = entry.count
         build_cycles = (
             self.cost.trace_build_base + self.cost.trace_build_per_instr * count
         )
@@ -727,15 +770,11 @@ class DynamoRIO:
             self.counter.cycles += build_cycles
         if not self.options.thread_private and len(self.threads) > 1:
             self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
-        guard = self.guard
-        hooks_on = self.client is not None and (
-            guard is None or not guard.quarantined
-        )
         if hooks_on:
             self.stats.client_trace_hooks += 1
-            if self.observer is not None:
-                self.observer.emit(
-                    EV_CLIENT_HOOK, recording.head_tag, phase="trace",
+            if observer is not None:
+                observer.emit(
+                    EV_CLIENT_HOOK, head, phase="trace",
                     instrs=count, blocks=len(recording),
                 )
             hook_cycles = self.cost.client_trace_hook_per_instr * count
@@ -746,11 +785,20 @@ class DynamoRIO:
             else:
                 self.counter.cycles += hook_cycles
 
-        fragment = self._hook_then_emit(
-            Fragment.KIND_TRACE, recording.head_tag, ilist,
-            self.client.trace if hooks_on else None,
-            source_tags=tuple(recording.tags()),
-        )
+        if entry is not None:
+            if self.rguard is not None:
+                self.rguard.check("emit", head)
+            fragment = emit_body(head, Fragment.KIND_TRACE, entry.body, self)
+        else:
+            fragment = self._hook_then_emit(
+                Fragment.KIND_TRACE, head, ilist,
+                self.client.trace if hooks_on else None,
+                source_tags=tuple(recording.tags()),
+            )
+            if memo is not None:
+                memo[key] = TraceMemoEntry(
+                    count, recording.stitched, fragment.body
+                )
         # A trace is stale if any block it stitched is written.
         spans = tuple(
             span for entry in recording.entries for span in entry.source_spans
@@ -758,7 +806,7 @@ class DynamoRIO:
         self._install(thread, thread.trace_cache, fragment, spans)
         self.stats.traces_built += 1
         # Shadow the head bb: redirect its incoming links to the trace.
-        head_bb = thread.bb_cache.lookup(recording.head_tag)
+        head_bb = thread.bb_cache.lookup(head)
         if head_bb is not None:
             _move_incoming(head_bb, fragment)
         thread.trace_in_progress = None

@@ -17,7 +17,8 @@ the recorded blocks are stitched into a single linear InstrList:
   when the check fails.
 """
 
-from repro.ir.instrlist import InstrList
+from repro.ir.instr import LabelRef
+from repro.ir.instrlist import InstrList, copy_instructions
 from repro.isa.opcodes import JCC_OPPOSITE, Opcode
 from repro.isa.operands import PcOperand
 from repro.observe.events import EV_TRACE_STITCH
@@ -33,11 +34,13 @@ MAX_TRACE_BBS = 16
 
 
 class TraceRecording:
-    """Blocks accumulated while in trace generation mode."""
+    """Blocks accumulated while in trace generation mode, and the layout
+    summary of their stitch once :func:`stitch_trace` has run."""
 
     def __init__(self, head_tag):
         self.head_tag = head_tag
-        self.entries = []  # list of (fragment, ilist-copy)
+        self.entries = []  # the recorded block fragments, head first
+        self.stitched = None  # stitch_trace's summary (report_stitch)
 
     def append(self, fragment):
         self.entries.append(fragment)
@@ -72,20 +75,15 @@ def default_end_of_trace(recording, last_fragment, next_tag, runtime_thread):
     return False
 
 
-def _copy_block(ilist):
-    from repro.ir.instrlist import copy_instructions
-
-    return copy_instructions(ilist)
-
-
 def stitch_trace(recording, observer=None):
     """Stitch recorded blocks into one linear InstrList.
 
     ``recording.entries[i+1].tag`` is the on-trace continuation of block
-    ``i``; the last block's exits are left untouched.  When tracing is
-    enabled, emits one ``trace_stitch`` event summarizing the layout
+    ``i``; the last block's exits are left untouched.  The layout
     transformations (elided jumps, inverted branches, inlined calls and
-    indirect checks — the paper's Figure 4 mechanisms).
+    indirect checks — the paper's Figure 4 mechanisms) are summarized in
+    ``recording.stitched`` and, when tracing is enabled, reported as one
+    ``trace_stitch`` event (:func:`report_stitch`).
     """
     trace = InstrList()
     entries = recording.entries
@@ -94,7 +92,7 @@ def stitch_trace(recording, observer=None):
     inlined_calls = 0
     inlined_checks = 0
     for i, fragment in enumerate(entries):
-        block = _copy_block(fragment.body.instrs_source)
+        block = copy_instructions(fragment.body.instrs_source)
         is_last = i == len(entries) - 1
         next_tag = None if is_last else entries[i + 1].tag
         j = 0
@@ -105,8 +103,6 @@ def stitch_trace(recording, observer=None):
                 j += 1
                 continue
             opcode = instr.opcode
-            from repro.ir.instr import LabelRef
-
             if isinstance(instr.target, LabelRef):
                 # client-inserted intra-block branch: leave untouched
                 trace.append(instr)
@@ -169,14 +165,21 @@ def stitch_trace(recording, observer=None):
 
             trace.append(instr)
             j += 1
-    if observer is not None:
-        observer.emit(
-            EV_TRACE_STITCH,
-            recording.head_tag,
-            blocks=len(entries),
-            elided_jumps=elided_jumps,
-            inverted_branches=inverted_branches,
-            inlined_calls=inlined_calls,
-            inlined_checks=inlined_checks,
-        )
+    recording.stitched = {
+        "blocks": len(entries),
+        "elided_jumps": elided_jumps,
+        "inverted_branches": inverted_branches,
+        "inlined_calls": inlined_calls,
+        "inlined_checks": inlined_checks,
+    }
+    report_stitch(observer, recording.head_tag, recording.stitched)
     return trace
+
+
+def report_stitch(observer, head_tag, stitched):
+    """Record the ``trace_stitch`` event of a stitch summarized by
+    ``stitched`` (a :attr:`TraceRecording.stitched`), when tracing is
+    enabled: after a fresh stitch, and for a trace the runtime's memo
+    serves without stitching again."""
+    if observer is not None:
+        observer.emit(EV_TRACE_STITCH, head_tag, **stitched)

@@ -111,20 +111,23 @@ class ChurningClient(Client):
 
 
 class NeverHitMemo(dict):
-    """Stands in for ``DynamoRIO.bb_memo``: keeps what the runtime stores
-    but never serves it, so every rebuild decodes and lowers afresh (the
-    forced-miss reference a memo hit must be indistinguishable from)."""
+    """Stands in for ``DynamoRIO.bb_memo`` or ``DynamoRIO.trace_memo``:
+    keeps what the runtime stores but never serves it, so every block
+    rebuild decodes and lowers afresh and every trace rebuild stitches,
+    decodes and lowers afresh (the forced-miss reference a memo hit must
+    be indistinguishable from)."""
 
-    def get(self, tag, default=None):
+    def get(self, key, default=None):
         return default
 
 
 def memo_columns():
     """Oracle columns for memo transparency: the runtime's retranslation
-    memo, and a :class:`NeverHitMemo` forced-miss reference."""
+    memos, and :class:`NeverHitMemo` forced-miss references for both."""
 
     def never_hit(runtime):
         runtime.bb_memo = NeverHitMemo()
+        runtime.trace_memo = NeverHitMemo()
 
     return (Column("memo"), Column("never-hit", setup=never_hit))
 

@@ -16,11 +16,13 @@ and adaptive, and checks it with the differential oracle
   (unbounded) event stream reconstructs the live counters exactly,
   including the new ``cache_fragment_evictions``/``cache_resizes``.
 * **Memo transparency** — the cell without its client at a quarter of
-  its limit (so blocks are evicted and rebuilt) runs once with the
-  runtime's retranslation memo and once with one that never hits
-  (every rebuild decodes and lowers afresh); nothing simulated
-  changes: same cycles, instructions, output, exit code, events, and
-  the same full event stream when traced.
+  its limit (so blocks and traces are evicted and rebuilt) runs once
+  with the runtime's retranslation memos and once with memos that
+  never hit (every block rebuild decodes and lowers afresh, every trace
+  rebuild stitches afresh); nothing simulated changes: same cycles,
+  instructions, output, exit code, events, and the same full event
+  stream when traced.  Over the tier-1 seeds the trace memo must hit
+  at least once.
 
 Seeds 0-15 run in tier-1; the wider sweep rides behind ``slow``.
 """
@@ -125,6 +127,10 @@ def _assert_cache_invariants(runtime):
             assert thread.lookup_fragment(tag) is fragment
 
 
+# Tier-1 seeds whose memo cell has run -> its trace-memo hits.
+_TRACE_MEMO_HITS = {}
+
+
 def _check_seed(seed):
     cell = _draw_cell(seed)
     verdict = check(_cell(cell))
@@ -138,6 +144,9 @@ def _check_seed(seed):
     assert memo.ok, (cell, memo)
     memo_runtime = memo["memo"].runtime
     assert memo_runtime.stats.bbs_built > len(memo_runtime.bb_memo), cell
+    _TRACE_MEMO_HITS[seed] = (
+        memo_runtime.stats.traces_built - len(memo_runtime.trace_memo)
+    )
 
     for run in verdict.runs + memo.runs:
         _assert_cache_invariants(run.runtime)
@@ -146,6 +155,16 @@ def _check_seed(seed):
 @pytest.mark.parametrize("seed", range(16))
 def test_cache_pressure_fuzz(seed):
     _check_seed(seed)
+
+
+def test_cache_pressure_fuzz_trace_memo_hits():
+    """The memo cells rebuild traces, so the trace memo's transparency
+    is checked too: it hits in at least one tier-1 seed (seeds not yet
+    run in this session are run here)."""
+    for seed in range(16):
+        if seed not in _TRACE_MEMO_HITS:
+            _check_seed(seed)
+    assert any(_TRACE_MEMO_HITS[seed] for seed in range(16))
 
 
 @pytest.mark.slow

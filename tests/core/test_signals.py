@@ -12,6 +12,7 @@ holds in both.
 import pytest
 
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.execute import Executor
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
@@ -227,6 +228,37 @@ class TestMidTraceSignal:
                         "trace 0x%x stitched handler code" % trace.tag
                     )
         assert checked > 0
+
+
+class TestPollSlowPath:
+    """Under precise interrupts every application-consistent op polls,
+    but a poll calls its slow path (``Executor._poll``, which asks
+    ``System.signal_due``) only when a signal can be due: an alarm still
+    to convert, or its deadline reached.  ``SIGNAL_SRC`` keeps an alarm
+    armed through its whole busy loop, which polled 251 times before
+    the inline test read the deadline."""
+
+    def test_slow_path_only_when_a_signal_can_be_due(
+        self, signal_image, monkeypatch
+    ):
+        polls = []
+        poll = Executor._poll
+
+        def counted(executor, pc):
+            polls.append(pc)
+            return poll(executor, pc)
+
+        monkeypatch.setattr(Executor, "_poll", counted)
+
+        def options():
+            made = RuntimeOptions.with_traces()
+            made.precise_interrupts = True
+            return made
+
+        verdict = check(Cell(signal_image, options=options))
+        assert verdict.ok, verdict
+        assert verdict.runs[0].result.events["signals_delivered"] == 4
+        assert len(polls) == 3
 
 
 class TestIret:

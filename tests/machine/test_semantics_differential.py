@@ -848,22 +848,52 @@ def test_forwarding_across_stores_fails_the_aliasing_runs(monkeypatch):
         _aliasing_runs(random.Random(64), 200)
 
 
+def _code_name(run, mem):
+    """The file name a one-run body's generated code compiles under."""
+    return compile_run(run, mem)[0].__code__.co_filename
+
+
 def test_each_body_has_its_own_code_name(monkeypatch):
     """A body's generated code compiles under the file name
-    ``<fragment N>``, N its index in the per-process code cache.
+    ``<fragment N>``, N counting the shapes the process generated.
     cProfile keys entries by file, line and function name, so one
     shared name would merge every body into one entry.  A structurally
     identical body reuses the code, name included."""
     monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
+    monkeypatch.setattr(closures, "_code_names", itertools.count())
     mem = Memory(SIZE)
     a, b = RegOperand(0), RegOperand(3)
     adds = [(Opcode.ADD, (a, b), 1), (Opcode.ADD, (b, a), 1)]
     sub = [(Opcode.SUB, (a, b), 1)]
-    names = [
-        compile_run(run, mem)[0].__code__.co_filename
-        for run in (adds, sub, list(adds))
-    ]
+    names = [_code_name(run, mem) for run in (adds, sub, list(adds))]
     assert names == ["<fragment 0>", "<fragment 1>", "<fragment 0>"]
+
+
+def test_code_cache_evicts_least_recently_used(monkeypatch):
+    """The code cache keeps at most ``_CODE_CACHE_LIMIT`` shapes: a new
+    shape evicts the least recently used one (a hit counts as a use),
+    and an evicted shape comes back under a new name, never one a live
+    shape holds."""
+    cache = {}
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", cache)
+    monkeypatch.setattr(closures, "_code_names", itertools.count())
+    monkeypatch.setattr(closures, "_CODE_CACHE_LIMIT", 2)
+    mem = Memory(SIZE)
+    a, b = RegOperand(0), RegOperand(3)
+    add, sub, xor = (
+        [(opcode, (a, b), 1)] for opcode in (Opcode.ADD, Opcode.SUB, Opcode.XOR)
+    )
+    names = [_code_name(run, mem) for run in (add, sub, add, xor)]
+    # add was used after sub, so xor evicts sub.
+    assert names == [
+        "<fragment 0>", "<fragment 1>", "<fragment 0>", "<fragment 2>",
+    ]
+    assert len(cache) == 2
+    assert _code_name(add, mem) == "<fragment 0>"
+    assert _code_name(sub, mem) == "<fragment 3>"  # evicts xor
+    assert [code[0][0].co_filename for code in cache.values()] == [
+        "<fragment 0>", "<fragment 3>",
+    ]
 
 
 def _long_loop(blocks):

@@ -12,11 +12,14 @@ is exactly the divergence the feature closes.
 import pytest
 
 from repro.api.dr import dr_decode_fragment, dr_replace_fragment
+from repro.asm.builder import CodeBuilder, mem
 from repro.clients import InstructionCounter
 from repro.core import RuntimeOptions, closures
 from repro.core import runtime as runtime_module
 from repro.core.code_cache import CodeRegionMap
+from repro.isa.registers import Reg
 from repro.resilience.faultinject import RuntimeFaultPlan
+from repro.resilience.shield import InjectedRuntimeFault
 from repro.tools.chaos import build_smc_image
 from repro.tools.oracle import Cell, Column, check, native_result
 
@@ -252,6 +255,225 @@ def test_memo_bypassed_under_verification(loop_image):
     runtime, forced = (run.runtime for run in verdict.runs)
     assert runtime.bb_memo == {}
     assert runtime.verifier_diagnostics == forced.verifier_diagnostics
+
+
+# ------------------------------------------------------------ trace memo
+
+
+def _trace_churn(**overrides):
+    """A cache small enough that the loop's traces are evicted and
+    rebuilt, and large enough that they form at all."""
+    return _tiny_cache(code_cache_limit=400, trace_threshold=3, **overrides)
+
+
+def _counting_stitcher(monkeypatch):
+    """Record the stitch inputs ``(head, block bodies...)`` of every
+    ``stitch_trace`` call (the stitches a trace-memo hit skips)."""
+    stitched = []
+    original = runtime_module.stitch_trace
+
+    def counted(recording, *args, **kwargs):
+        stitched.append(
+            (recording.head_tag,)
+            + tuple(block.body for block in recording.entries)
+        )
+        return original(recording, *args, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "stitch_trace", counted)
+    return stitched
+
+
+def test_trace_memo_stitches_each_trace_once(loop_image, monkeypatch):
+    """No client, a cache that evicts the loop's traces: each distinct
+    (head, block bodies) is stitched once; every later build of it is a
+    hit, instantiated over the one memoized body."""
+    stitched = _counting_stitcher(monkeypatch)
+    bodies = []
+
+    def record_traces(runtime):
+        place = runtime._place
+
+        def recorded(cache, fragment, thread=None):
+            if fragment.is_trace:
+                bodies.append(fragment.body)
+            return place(cache, fragment, thread=thread)
+
+        runtime._place = recorded
+
+    runtime = _check(
+        loop_image, _trace_churn(), setup=record_traces
+    ).runs[0].runtime
+    memo = runtime.trace_memo
+    assert len(stitched) == len(set(stitched)) == len(memo)
+    assert set(stitched) == set(memo)
+    assert runtime.stats.traces_built == len(bodies) > len(memo)  # hits
+    assert {id(body) for body in bodies} == {
+        id(entry.body) for entry in memo.values()
+    }
+
+
+@pytest.mark.parametrize("site, start, period", [
+    ("trace", 4, 5), ("emit", 20, 25),
+])
+def test_trace_memo_hits_pass_the_shield_chokepoints(
+    loop_image, site, start, period
+):
+    """A trace hit is a trace build to drshield too: the ``trace``
+    attempt and the ``emit`` check run as on a miss, so injected faults
+    fire at the same builds in the memo and never-hit columns (the
+    oracle holds their event streams equal)."""
+    faulted = []  # (runtime, whether its memo held the trace) per emit fault
+
+    def install_plan(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(
+            "runtime_raise:" + site, 0, start=start, period=period
+        )
+        finalize = runtime._finalize_trace
+
+        def recorded(recording):
+            key = (recording.head_tag,) + tuple(
+                block.body for block in recording.entries
+            )
+            held = key in runtime.trace_memo
+            try:
+                return finalize(recording)
+            except InjectedRuntimeFault:
+                faulted.append((runtime, held))
+                raise
+
+        runtime._finalize_trace = recorded
+
+    verdict = _check(
+        loop_image, _trace_churn(shield=True, trace_events=True,
+                                 trace_buffer=None),
+        columns=memo_columns(), setup=install_plan,
+    )
+    runtime = verdict["memo"].runtime
+    assert runtime.rguard.injected > 0
+    assert runtime.stats.traces_built > len(runtime.trace_memo)  # hits
+    if site == "emit":
+        assert (runtime, True) in faulted  # a fault landed on a hit
+
+
+def test_trace_memo_bypassed_for_clients(loop_image, monkeypatch):
+    """A client's trace hook sees every trace: nothing is memoized."""
+    stitched = _counting_stitcher(monkeypatch)
+    runtime = _check(
+        loop_image, _trace_churn(), client=InstructionCounter
+    ).runs[0].runtime
+    assert runtime.stats.traces_built > 0
+    assert runtime.stats.client_trace_hooks == runtime.stats.traces_built
+    assert len(stitched) == runtime.stats.traces_built
+    assert runtime.trace_memo == {}
+
+
+def test_trace_memo_bypassed_under_verification(loop_image):
+    """Every trace is verified against its source blocks at emit."""
+    verdict = _check(
+        loop_image, _trace_churn(verify_fragments=True),
+        columns=memo_columns(),
+    )
+    runtime, forced = (run.runtime for run in verdict.runs)
+    assert runtime.stats.traces_built > 0
+    assert runtime.trace_memo == {}
+    assert runtime.verifier_diagnostics == forced.verifier_diagnostics
+
+
+# Outer iterations, emits per iteration and the iteration that patches.
+_OUTER, _INNER, _PATCH_ITERATION = 16, 10, 10
+
+
+def _build_trace_smc_image():
+    """Self-modifying code inside a trace: an outer loop runs two inner
+    loops, each a trace.  The first calls ``fn_emit`` (inlined into its
+    trace), whose ``mov`` immediate emits 'A'; after the first loop of
+    iteration ``_PATCH_ITERATION`` the outer loop rewrites it to 'B'.
+    Under a small cache the second loop evicts the first loop's blocks
+    and trace, so the first trace is rebuilt in every iteration.
+    Returns the image and the first loop's head (its trace's tag)."""
+    b = CodeBuilder(base=0x1000)
+    b.label("main")
+    b.mov(Reg.ESI, 0)
+    b.label("outer")
+    b.mov(Reg.EDI, _INNER)
+    b.label("emit_loop")
+    b.call("fn_emit")
+    b.sub(Reg.EDI, 1)
+    b.jnz("emit_loop")
+    b.cmp(Reg.ESI, _PATCH_ITERATION)
+    b.jnz("skip")
+    b.mov(Reg.ECX, b.label_address("patch_end"))
+    b.sub(Reg.ECX, 4)
+    b.mov(Reg.EDX, 0x1000042)
+    b.mov(mem(base=Reg.ECX), Reg.EDX)
+    b.label("skip")
+    b.mov(Reg.EDI, _INNER)
+    b.label("mix_loop")
+    b.add(Reg.EDX, Reg.EDI)
+    b.test(Reg.EDX, 1)
+    b.jz("even")
+    b.add(Reg.EBP, 3)
+    b.label("even")
+    b.xor(Reg.EBP, Reg.EDX)
+    b.sub(Reg.EDI, 1)
+    b.jnz("mix_loop")
+    b.add(Reg.ESI, 1)
+    b.cmp(Reg.ESI, _OUTER)
+    b.jnz("outer")
+    b.mov(Reg.EAX, 1)
+    b.mov(Reg.EBX, 0)
+    b.syscall()
+    b.label("fn_emit")
+    b.mov(Reg.EBX, 0x1000041)
+    b.label("patch_end")
+    b.mov(Reg.EAX, 2)
+    b.syscall()
+    b.ret()
+    _code, labels = b.assemble()
+    return b.image(entry="main"), labels["emit_loop"]
+
+
+@pytest.mark.parametrize("consistency", [True, False])
+def test_smc_rewrites_a_memoized_trace(consistency):
+    """The patched block sits inside a trace the memo has already
+    served.  The rebuild after the patch decodes the new bytes (a new
+    block body), so its trace-memo key differs and the trace is
+    stitched afresh: with or without the write watch, the output is
+    native's, in both memo columns."""
+    image, head = _build_trace_smc_image()
+    patched_at = (_PATCH_ITERATION + 1) * _INNER  # output bytes so far
+    native = native_result(image)
+    assert native.output == b"A" * patched_at + b"B" * (
+        (_OUTER - _PATCH_ITERATION - 1) * _INNER
+    )
+    builds = []  # (runtime, hit, output length) per build of head's trace
+
+    def record_builds(runtime):
+        finalize = runtime._finalize_trace
+
+        def recorded(recording):
+            before = len(runtime.trace_memo)
+            fragment = finalize(recording)
+            if recording.head_tag == head:
+                builds.append((
+                    runtime, len(runtime.trace_memo) == before,
+                    len(runtime.system.output),
+                ))
+            return fragment
+
+        runtime._finalize_trace = recorded
+
+    options = _smc_options(consistency, code_cache_limit=300)
+    verdict = _check(
+        image, options, columns=memo_columns(), setup=record_builds
+    )
+    runtime = verdict["memo"].runtime
+    assert (runtime.stats.smc_invalidations > 0) == consistency
+    hits = [(hit, out) for rt, hit, out in builds if rt is runtime]
+    assert any(hit for hit, out in hits if out < patched_at)
+    after = [hit for hit, out in hits if out > patched_at]
+    assert after and not after[0]  # the first rebuild after it stitches
+    assert sum(key[0] == head for key in runtime.trace_memo) == 2
 
 
 # ------------------------------------------------------------- region map
