@@ -745,11 +745,10 @@ def _op_entries(index, op, runs, stubs, penalty, poll):
         line(depth, "%s(_rt.current_thread%s)" % (hook, args))
 
     if poll is not None:
-        # The slow path only when a signal can be due: a relative alarm
-        # still to convert, or a deadline reached (alarm_active implies
-        # one of the two is set).
-        line(2, "if ((_system.alarm_active and (_system.alarm_in is not None"
-                " or ex.instructions >= _system.alarm_at)) or "
+        # The slow path only from System.due_at on (a relative alarm to
+        # convert, or a deliverable deadline reached) or while a detach
+        # or shield recovery is pending.
+        line(2, "if (ex.instructions >= _system.due_at or "
                 "_rt._detach_pending or _rt._shield_pending) and "
                 "ex._poll(%d): return None" % poll, None)
 

@@ -11,7 +11,8 @@ fragment (a linked exit's target or an IBL hit), or records
 ``(reason, next_tag, stub)`` on the executor (``_exit``) and returns
 ``None``; :meth:`Executor.run` then returns that record to the
 dispatcher.  The per-pass boundary exits (a due alarm, the quantum
-deadline, a reschedule, single-step) return from the run loop directly.
+deadline, a reschedule, single-step) return from the run loop directly;
+all but single-step sit behind one fast-path test per boundary.
 A pass that returns ``None`` without a recorded exit is a runtime bug
 and raises ``MachineFault``; so does an instruction-budget overrun.
 
@@ -42,6 +43,7 @@ replacement semantics.
 
 from repro.core.closures import compile_fragment
 from repro.machine.errors import MachineFault
+from repro.machine.system import NEVER
 from repro.observe.events import EV_CONTEXT_SWITCH, EV_IBL_HIT, EV_IBL_MISS
 
 # Exit reasons returned to the dispatcher.
@@ -118,10 +120,9 @@ class Executor:
 
     def _poll(self, pc):
         """The slow path of an interrupt poll before the op at
-        application PC ``pc``, taken only when a signal can be due (an
-        alarm still to convert, or its deadline reached) or a detach or
-        shield recovery is pending: when a signal is due
-        (``System.signal_due``) or either is pending, record the
+        application PC ``pc``, taken only from ``System.due_at`` on or
+        while a detach or shield recovery is pending: when a signal is
+        due (``System.signal_due``) or either is pending, record the
         interrupt exit and return True."""
         runtime = self.runtime
         if (
@@ -160,8 +161,12 @@ class Executor:
 
         if budget is not None and self.instructions > budget:
             raise MachineFault("instruction budget exhausted (%d)" % budget)
-        if system.alarm_active:
-            system.convert_alarm(self.instructions)
+        # The first count at which a boundary stops whatever the signal
+        # and scheduler state: past the budget (it raises) or at the
+        # quantum's deadline.
+        stop = NEVER if budget is None else budget + 1
+        if deadline is not None and deadline < stop:
+            stop = deadline
         try:
             while True:
                 if profile_enter is not None:
@@ -187,25 +192,24 @@ class Executor:
                 # A linked (or IBL-hit) transfer: the fragment boundary
                 # is a safe point.
                 fragment = next_fragment
-                if budget is not None and self.instructions > budget:
-                    raise MachineFault(
-                        "instruction budget exhausted (%d)" % budget
-                    )
-                if system.alarm_active and system.signal_due(
-                    self.instructions
-                ):
-                    # pending signal: deliver from the dispatcher at
-                    # this fragment boundary
-                    exit_ = (EXIT_DISPATCH, fragment.tag, None)
-                    break
-                if (
-                    deadline is not None and self.instructions >= deadline
-                ) or runtime._need_reschedule:
-                    # Quantum expired (or a thread was spawned): back to
-                    # the scheduler, without a context-switch charge
-                    # (the dispatcher charges the thread switch).
-                    exit_ = (EXIT_DISPATCH, fragment.tag, None)
-                    break
+                n = self.instructions
+                if n >= stop or n >= system.due_at or runtime._need_reschedule:
+                    if budget is not None and n > budget:
+                        raise MachineFault(
+                            "instruction budget exhausted (%d)" % budget
+                        )
+                    if (
+                        system.signal_due(n)
+                        or (deadline is not None and n >= deadline)
+                        or runtime._need_reschedule
+                    ):
+                        # A pending signal (delivered by the dispatcher
+                        # at this boundary), an expired quantum or a
+                        # spawned thread: back to the dispatcher without
+                        # a context-switch charge (it charges the thread
+                        # switch).
+                        exit_ = (EXIT_DISPATCH, fragment.tag, None)
+                        break
         finally:
             # No pass is in flight, whether it left or raised.
             self.fragment = None

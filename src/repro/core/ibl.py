@@ -26,9 +26,6 @@ class IndirectBranchTable:
     def __init__(self):
         self.table = {}
 
-    def lookup(self, tag):
-        return self.table.get(tag)
-
     def insert(self, fragment):
         self.table[fragment.tag] = fragment
 

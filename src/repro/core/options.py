@@ -1,7 +1,10 @@
 """Runtime configuration.
 
-The five presets reproduce the rows of the paper's Table 1: each adds
-one mechanism to the previous configuration.
+The four presets reproduce the rows of the paper's Table 1 that run
+under the code cache, each adding one mechanism to the previous
+configuration.  The table's first row, pure emulation, has no code
+cache and no runtime: it is the interpreter's
+(``Interpreter(mode="emulation")``, :mod:`repro.machine.interp`).
 """
 
 
@@ -10,7 +13,6 @@ class RuntimeOptions:
 
     def __init__(
         self,
-        bb_cache=True,
         link_direct=True,
         link_indirect=True,
         traces=True,
@@ -31,8 +33,7 @@ class RuntimeOptions:
     ):
         # ``chain_engine`` is accepted and discarded: there is one
         # execution tier, but bench/workloads.py:88 still passes it.
-        # Table 1 mechanisms, cumulative.
-        self.bb_cache = bb_cache
+        # Table 1 mechanisms, cumulative over the bb cache.
         self.link_direct = link_direct
         self.link_indirect = link_indirect
         self.traces = traces
@@ -132,37 +133,28 @@ class RuntimeOptions:
     # ------------------------------------------------------ Table 1 presets
 
     @classmethod
-    def emulation(cls):
-        """Row 1: pure emulation, no code cache at all."""
-        return cls(bb_cache=False, link_direct=False, link_indirect=False, traces=False)
-
-    @classmethod
     def bb_cache_only(cls):
         """Row 2: basic block cache, every exit context-switches."""
-        return cls(bb_cache=True, link_direct=False, link_indirect=False, traces=False)
+        return cls(link_direct=False, link_indirect=False, traces=False)
 
     @classmethod
     def with_direct_links(cls):
         """Row 3: + direct branch linking."""
-        return cls(bb_cache=True, link_direct=True, link_indirect=False, traces=False)
+        return cls(link_indirect=False, traces=False)
 
     @classmethod
     def with_indirect_links(cls):
         """Row 4: + in-cache indirect branch lookup."""
-        return cls(bb_cache=True, link_direct=True, link_indirect=True, traces=False)
+        return cls(traces=False)
 
     @classmethod
     def with_traces(cls):
         """Row 5: + traces (the full default configuration)."""
         return cls()
 
-    @classmethod
-    def default(cls):
-        return cls()
-
     def __repr__(self):
-        flags = []
-        for name in ("bb_cache", "link_direct", "link_indirect", "traces"):
-            if getattr(self, name):
-                flags.append(name)
-        return "<RuntimeOptions %s>" % "+".join(flags or ["emulation"])
+        flags = ["bb_cache"] + [
+            name for name in ("link_direct", "link_indirect", "traces")
+            if getattr(self, name)
+        ]
+        return "<RuntimeOptions %s>" % "+".join(flags)

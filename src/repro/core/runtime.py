@@ -63,30 +63,18 @@ from repro.resilience.shield import RuntimeGuard, Shield
 
 
 class MemoEntry:
-    """A retranslation-memo entry for one uninstrumented basic block:
-    the bytes ``[span[0], span[1])`` it was decoded from, its application
-    instruction count, and the lowered body its fragments share."""
+    """A retranslation-memo entry for one uninstrumented block or
+    trace: its application instruction count, ``detail`` (a block's
+    source bytes, which a hit needs unchanged and which give its span;
+    a trace's stitch summary, which a hit reports) and the lowered body
+    its fragments share (``None`` until the miss that made the entry
+    has emitted)."""
 
-    __slots__ = ("source", "span", "count", "body")
+    __slots__ = ("count", "detail", "body")
 
-    def __init__(self, source, span, count, body):
-        self.source = source
-        self.span = span
+    def __init__(self, count, detail, body=None):
         self.count = count
-        self.body = body
-
-
-class TraceMemoEntry:
-    """A retranslation-memo entry for one uninstrumented trace: its
-    application instruction count, its stitch summary
-    (:attr:`~repro.core.trace_builder.TraceRecording.stitched`) and the
-    lowered body its fragments share."""
-
-    __slots__ = ("count", "stitched", "body")
-
-    def __init__(self, count, stitched, body):
-        self.count = count
-        self.stitched = stitched
+        self.detail = detail
         self.body = body
 
 
@@ -124,7 +112,7 @@ class DynamoRIO:
     def __init__(self, process, options=None, client=None, cost_model=None):
         self.process = process
         self.memory = process.memory
-        self.options = options if options is not None else RuntimeOptions.default()
+        self.options = options if options is not None else RuntimeOptions()
         self.client = client
         self.cost = cost_model if cost_model is not None else CostModel()
         self.system = System()
@@ -145,10 +133,6 @@ class DynamoRIO:
         self.threads = []
         self.current_thread = self._new_thread(lay)
         self.executor = Executor(self)
-        # Without a code cache (Table 1's emulation row) run() hands the
-        # whole program to this interpreter, whose threads then hold the
-        # application's final state.
-        self.emulator = None
         # Always None: there is one execution tier, but
         # bench/layers.py:235 still reads this attribute.
         self.chains = None
@@ -181,17 +165,14 @@ class DynamoRIO:
         # of the fragment whose pass raised (consulted on error paths
         # only).
         self.memory.set_fault_context(self._fault_context)
-        # Retranslation memo, tag -> MemoEntry: a block rebuilt after a
-        # flush or eviction whose bytes are unchanged is re-emitted over
-        # its lowered body instead of being decoded and lowered again.
-        # Host time only — a hit charges and reports exactly what a
-        # rebuild does.  Lives and dies with this runtime.
-        self.bb_memo = {}
-        # Its trace half, (head tag, recorded block bodies...) ->
-        # TraceMemoEntry: a trace rebuilt over the same block bodies is
-        # re-emitted over its lowered body instead of being stitched,
-        # decoded and lowered again (_finalize_trace).
-        self.trace_memo = {}
+        # Retranslation memo -> MemoEntry, keyed by a block's tag or by
+        # a trace's (head tag, recorded block bodies...): a block rebuilt
+        # after a flush or eviction whose bytes are unchanged, or a
+        # trace rebuilt over the same block bodies, is re-emitted over
+        # its lowered body instead of being decoded (or stitched) and
+        # lowered again.  Host time only — a hit charges and reports
+        # exactly what a rebuild does.  Lives and dies with this runtime.
+        self.memo = {}
         # Tags the client marked as trace heads before fragments exist.
         self.pending_trace_heads = set()
         self._client_initialized = False
@@ -205,9 +186,6 @@ class DynamoRIO:
         self._detach_pending = False
         self._reattach_after = None
         self._detached = False
-        # Set by the dispatcher when the last cache exit was a
-        # mid-fragment interrupt poll; tags the next delivery's event.
-        self._mid_fragment_interrupt = False
         # Event tracers registered by the client (dr_register_event_
         # tracer): removed from the observer on detach/quarantine,
         # restored on reattach.
@@ -286,39 +264,45 @@ class DynamoRIO:
 
     # -------------------------------------------------------------- building
 
-    def _build_bb(self, tag):
-        thread = self.current_thread
-        options = self.options
-        observer = self.observer
+    def _memo_gate(self):
+        """Whether the client's build hooks see the next build, and the
+        memo serving it: ``None`` when a client hook or the verifier
+        must see every build."""
         guard = self.guard
         hooks_on = self.client is not None and (
             guard is None or not guard.quarantined
         )
-        # The retranslation memo serves only blocks that no client hook
-        # or verifier would see; a hit needs the block's bytes unchanged.
-        memo = None if hooks_on or options.verify_fragments else self.bb_memo
+        if hooks_on or self.options.verify_fragments:
+            return hooks_on, None
+        return hooks_on, self.memo
+
+    def _build_bb(self, tag):
+        thread = self.current_thread
+        observer = self.observer
+        hooks_on, memo = self._memo_gate()
         entry = memo.get(tag) if memo is not None else None
-        if entry is not None and (
-            self.memory.view()[tag:entry.span[1]] != entry.source
-        ):
-            entry = None  # the code was written since: decode it afresh
+        if entry is not None:
+            source = entry.detail
+            if self.memory.view()[tag:tag + len(source)] != source:
+                # The code was written since: decode it afresh, and
+                # forget the traces stitched over its old body.
+                old = entry.body
+                for key in [k for k in memo if type(k) is tuple and old in k]:
+                    del memo[key]
+                entry = None
+        ilist = None
         if entry is None:
             ilist = build_basic_block(self.memory, tag)
-            count = block_instr_count(ilist)
-            span = (
-                block_source_span(ilist, tag)
-                if memo is not None or self.region_map is not None
-                else None
-            )
-            if memo is not None:
-                source = bytes(self.memory.view()[tag:span[1]])
-        else:
-            count = entry.count
-            span = entry.span
+            source = None
+            if memo is not None or self.region_map is not None:
+                end = block_source_span(ilist, tag)[1]
+                source = bytes(self.memory.view()[tag:end])
+            entry = MemoEntry(block_instr_count(ilist), source)
+        count = entry.count
         self.counter.cycles += (
             self.cost.bb_build_base + self.cost.bb_build_per_instr * count
         )
-        if not options.thread_private and len(self.threads) > 1:
+        if not self.options.thread_private and len(self.threads) > 1:
             self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
         if hooks_on:
             self.stats.client_bb_hooks += 1
@@ -326,58 +310,64 @@ class DynamoRIO:
                 observer.emit(EV_CLIENT_HOOK, tag, phase="bb", instrs=count)
             self.counter.cycles += self.cost.client_bb_hook_per_instr * count
 
-        if entry is not None:
-            if self.rguard is not None:
-                self.rguard.check("emit", tag)
-            fragment = emit_body(tag, Fragment.KIND_BB, entry.body, self)
-        else:
-            fragment = self._hook_then_emit(
-                Fragment.KIND_BB, tag, ilist,
-                self.client.basic_block if hooks_on else None,
-            )
-            if memo is not None:
-                memo[tag] = MemoEntry(source, span, count, fragment.body)
+        fragment = self._hook_then_emit(
+            Fragment.KIND_BB, tag, entry, ilist,
+            self.client.basic_block if hooks_on else None,
+            None if memo is None else tag,
+        )
         if tag in self.pending_trace_heads:
             fragment.is_trace_head = True
             if observer is not None:
                 observer.emit(EV_TRACE_HEAD_PROMOTED, tag, reason="client")
-        self._install(thread, thread.bb_cache, fragment, (span,))
+        spans = ()
+        if self.region_map is not None:
+            spans = ((tag, tag + len(entry.detail)),)
+        self._install(thread, thread.bb_cache, fragment, spans)
         self.stats.bbs_built += 1
         return fragment
 
-    def _hook_then_emit(self, kind, tag, ilist, hook, reason="build",
+    def _hook_then_emit(self, kind, tag, entry, ilist, hook, key,
                         source_tags=None):
-        """Run the client's build ``hook`` (``basic_block`` or
-        ``trace``; ``None``: no hook) over ``ilist`` for the current
-        thread — through the client guard when there is one, which falls
-        back to the pristine list on a fault — then lower the list into
-        a ``kind`` fragment.
+        """The emit step of a runtime build: a memo hit (``entry.body``
+        set) re-emits its body; a miss runs the client's build ``hook``
+        (``basic_block`` or ``trace``; ``None``: no hook) over
+        ``ilist`` for the current thread — through the client guard
+        when there is one, which falls back to the pristine list on a
+        fault — lowers the list into a ``kind`` fragment and, unless
+        ``key`` is ``None``, memoizes its body as ``entry``.
 
-        drshield: the runtime's own emits (``reason="build"``) are an
-        injection site, checked after the hook and before verification;
-        a client-API emit (dr_replace_fragment) never is.
+        drshield: every build's emit is an injection site, checked
+        after the hook and before verification.
         """
-        rguard = self.rguard if reason == "build" else None
+        rguard = self.rguard
+        if entry.body is not None:
+            if rguard is not None:
+                rguard.check("emit", tag)
+            return emit_body(tag, kind, entry.body, self)
 
         def emit(il):
             if rguard is not None:
                 rguard.check("emit", tag)
             return emit_fragment(
                 tag, kind, il, self.cost, self.options, runtime=self,
-                reason=reason, source_tags=source_tags,
+                source_tags=source_tags,
             )
 
-        if hook is None:
-            return emit(ilist)
         thread = self.current_thread
-        if self.guard is None:
+        if hook is None:
+            fragment = emit(ilist)
+        elif self.guard is None:
             hook(thread, tag, ilist)
-            return emit(ilist)
-
-        def guarded(il):
-            hook(thread, tag, il)
-
-        return self.guard.build_hook(kind, tag, ilist, hook=guarded, emit=emit)
+            fragment = emit(ilist)
+        else:
+            fragment = self.guard.build_hook(
+                kind, tag, ilist, hook=lambda il: hook(thread, tag, il),
+                emit=emit,
+            )
+        if key is not None:
+            entry.body = fragment.body
+            self.memo[key] = entry
+        return fragment
 
     def _install(self, thread, cache, fragment, spans):
         """Place ``fragment`` in ``thread``'s ``cache``, register the
@@ -731,30 +721,21 @@ class DynamoRIO:
         thread = self.current_thread
         head = recording.head_tag
         observer = self.observer
-        guard = self.guard
-        hooks_on = self.client is not None and (
-            guard is None or not guard.quarantined
-        )
-        # The trace memo, like the bb memo, serves only traces that no
-        # client hook or verifier would see.  Its key holds the recorded
-        # blocks' bodies, compared by identity: the bb memo reuses a
-        # body only while its block's bytes are unchanged, so an equal
-        # key means identical stitch inputs.
-        memo = (
-            None if hooks_on or self.options.verify_fragments
-            else self.trace_memo
-        )
-        entry = None
+        hooks_on, memo = self._memo_gate()
+        # A trace's key holds the recorded blocks' bodies, compared by
+        # identity: the memo reuses a block's body only while its bytes
+        # are unchanged, so an equal key means identical stitch inputs.
+        key = entry = ilist = None
         if memo is not None:
             key = (head,) + tuple(block.body for block in recording.entries)
             entry = memo.get(key)
         if entry is None:
             ilist = stitch_trace(recording, observer)
             ilist.decode_all()
-            count = ilist.instr_count()
+            entry = MemoEntry(ilist.instr_count(), recording.stitched)
         else:
-            report_stitch(observer, head, entry.stitched)
-            count = entry.count
+            report_stitch(observer, head, entry.detail)
+        count = entry.count
         build_cycles = (
             self.cost.trace_build_base + self.cost.trace_build_per_instr * count
         )
@@ -785,23 +766,14 @@ class DynamoRIO:
             else:
                 self.counter.cycles += hook_cycles
 
-        if entry is not None:
-            if self.rguard is not None:
-                self.rguard.check("emit", head)
-            fragment = emit_body(head, Fragment.KIND_TRACE, entry.body, self)
-        else:
-            fragment = self._hook_then_emit(
-                Fragment.KIND_TRACE, head, ilist,
-                self.client.trace if hooks_on else None,
-                source_tags=tuple(recording.tags()),
-            )
-            if memo is not None:
-                memo[key] = TraceMemoEntry(
-                    count, recording.stitched, fragment.body
-                )
+        fragment = self._hook_then_emit(
+            Fragment.KIND_TRACE, head, entry, ilist,
+            self.client.trace if hooks_on else None, key,
+            source_tags=tuple(recording.tags()),
+        )
         # A trace is stale if any block it stitched is written.
         spans = tuple(
-            span for entry in recording.entries for span in entry.source_spans
+            span for block in recording.entries for span in block.source_spans
         )
         self._install(thread, thread.trace_cache, fragment, spans)
         self.stats.traces_built += 1
@@ -999,16 +971,6 @@ class DynamoRIO:
     def run(self, entry=None, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
             quantum=100):
         """Run the application under the runtime; returns a RunResult."""
-        if not self.options.bb_cache:
-            # Table 1 row 1: pure emulation (no cache, no client hooks).
-            self.emulator = Interpreter(
-                self.process, self.cost, mode="emulation",
-                observer=self.observer,
-            )
-            return self.emulator.run(
-                entry=entry, max_instructions=max_instructions
-            )
-
         self._client_init()
         main = self.current_thread
         main.cpu.pc = self.process.entry if entry is None else entry
@@ -1103,11 +1065,12 @@ class DynamoRIO:
                 # Signal interception (Section 2): deliver pending alarm
                 # signals here, at the dispatcher — the handler then runs
                 # under the code cache like all application code.
-                if system.alarm_active and system.signal_due(
-                    executor.instructions
+                if executor.instructions >= system.due_at and (
+                    system.signal_due(executor.instructions)
                 ):
-                    self._mid_fragment_interrupt = reason == EXIT_INTERRUPT
-                    tag = self._deliver_signal(thread, tag)
+                    tag = self._deliver_signal(
+                        thread, tag, reason == EXIT_INTERRUPT
+                    )
                     prev_stub = None
                 counter.cycles += dispatch_cost
                 fragment = trace_fragments.get(tag)
@@ -1205,20 +1168,18 @@ class DynamoRIO:
         recording.append(fragment)
         return fragment, recording
 
-    def _deliver_signal(self, thread, interrupted_tag):
+    def _deliver_signal(self, thread, interrupted_tag, mid_fragment=False):
         """Redirect the thread to the signal handler.
 
         The *application* pc (the interrupted tag) and eflags go on the
         application stack — never a code-cache address (transparency);
         the handler address becomes the next dispatch target.  Under
         ``options.precise_interrupts`` the interrupted tag may be a
-        translated mid-fragment PC (``_mid_fragment_interrupt``, set by
-        the dispatcher when the preceding cache exit was an interrupt
-        poll); either way the delivery latency — instructions executed
-        past the alarm deadline — is accounted under ``signal_latency``.
+        translated mid-fragment PC (``mid_fragment``: the dispatcher's
+        previous cache exit was an interrupt poll); either way the
+        delivery latency — instructions executed past the alarm
+        deadline — is accounted under ``signal_latency``.
         """
-        mid_fragment = self._mid_fragment_interrupt
-        self._mid_fragment_interrupt = False
         # A signal arriving mid-trace-build abandons the recording:
         # stitching across an asynchronous redirect would bake the
         # handler's blocks into the trace as if they were its
@@ -1290,9 +1251,9 @@ class DynamoRIO:
         old = thread.lookup_fragment(tag)
         if old is None:
             return False
-        new = self._hook_then_emit(
-            old.kind, tag, ilist, None, reason="replace",
-            source_tags=old.body.source_tags,
+        new = emit_fragment(
+            tag, old.kind, ilist, self.cost, self.options, runtime=self,
+            reason="replace", source_tags=old.body.source_tags,
         )
         new.is_trace_head = old.is_trace_head
         new.head_counter = old.head_counter

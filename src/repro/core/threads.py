@@ -61,7 +61,6 @@ class ThreadContext:
         self.resume_tag = None
         self.prev_stub = None
         self.exited = False
-        self.exit_code = None
 
     def lookup_fragment(self, tag):
         """Trace cache first (traces shadow bbs for the same tag)."""

@@ -90,11 +90,7 @@ def probe_footprint(name, scale="test"):
     units)."""
     runtime = DynamoRIO(Process(load_benchmark(name, scale)))
     runtime.run()
-    peak = 0
-    for thread in runtime.threads:
-        for cache in (thread.bb_cache, thread.trace_cache):
-            peak = max(peak, cache.used())
-    return 2 * peak
+    return 2 * max(cache.used() for _thread, cache in runtime.cache_units())
 
 
 def policy_rows(footprint=probe_footprint):

@@ -22,21 +22,24 @@ from repro.workloads.spec import SCALES
 
 
 class Config:
-    """One experimental configuration."""
+    """One experimental configuration: the runtime under
+    ``options_factory`` and ``client_factory``, or, when ``interp`` is
+    ``"native"`` or ``"emulation"``, the reference interpreter in that
+    mode (Table 1's first row is pure emulation)."""
 
     def __init__(self, key, options_factory=None, client_factory=None,
-                 family=Family.PENTIUM_IV, native=False):
+                 family=Family.PENTIUM_IV, interp=None):
         self.key = key
         self.options_factory = options_factory or RuntimeOptions.with_traces
         self.client_factory = client_factory
         self.family = family
-        self.native = native
+        self.interp = interp
 
     def __repr__(self):
         return "<Config %s>" % self.key
 
 
-NATIVE = Config("native", native=True)
+NATIVE = Config("native", interp="native")
 
 
 def options_with(**overrides):
@@ -81,14 +84,14 @@ def measure(name, scale, config):
     cache_key = (name, SCALES.get(scale, scale), config.key, config.family)
     if cache_key in _cache:
         return _cache[cache_key]
-    native = None if config.native else measure(name, scale, NATIVE)
+    native = None if config.interp == "native" else measure(name, scale, NATIVE)
     image = load_benchmark(name, scale)
     runs = []
     for index in range(benchmark(name).runs):
         process = Process(image)
-        if config.native:
+        if config.interp is not None:
             runner = Interpreter(
-                process, CostModel(config.family), mode="native"
+                process, CostModel(config.family), mode=config.interp
             )
         else:
             client = (

@@ -20,7 +20,7 @@ from repro.experiments.harness import Config, normalized_time
 BENCHMARKS = ("crafty", "vpr")
 
 ROWS = [
-    ("Emulation", Config("emulation", RuntimeOptions.emulation)),
+    ("Emulation", Config("emulation", interp="emulation")),
     ("+ Basic block cache", Config("bb_cache", RuntimeOptions.bb_cache_only)),
     ("+ Link direct branches", Config("link_direct", RuntimeOptions.with_direct_links)),
     ("+ Link indirect branches", Config("link_indirect", RuntimeOptions.with_indirect_links)),

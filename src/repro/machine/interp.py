@@ -261,11 +261,13 @@ class Interpreter:
     def _run_quantum(self, thread, quantum, max_instructions):
         """The quantum loop.
 
-        Per dynamic instruction: one decode-cache lookup and one closure
-        call.  The alarm bookkeeping is guarded by a local flag that only
-        a SYSCALL (handled out of line) can flip, so workloads that never
-        arm an alarm skip it entirely; the instruction budget check is
-        folded into the loop limit.
+        Per dynamic instruction: one decode-cache lookup, one closure
+        call and one comparison, of the count with ``stop``: the
+        quantum's end (the instruction budget folded in) or, when
+        earlier, ``System.due_at``, from which the safe point must ask
+        ``System.signal_due``.  Only a SYSCALL (handled out of line) or
+        a delivery moves ``due_at``, so workloads that never arm an
+        alarm never ask.
         """
         cpu = thread.cpu
         # Fault context: memory errors raised during this quantum blame
@@ -284,13 +286,16 @@ class Interpreter:
             limit = max_instructions
         dcache_get = self._decode_cache.get
         decode = self._decode
-        alarm_live = system.alarm_active
+        stop = min(limit, system.due_at)
         n = self._instructions
         try:
-            while n < limit:
-                if alarm_live and system.signal_due(n):
-                    self._deliver_signal(cpu, n)
-                    alarm_live = system.alarm_active
+            while True:
+                if n >= stop:
+                    if n >= limit:
+                        break
+                    if system.signal_due(n):
+                        self._deliver_signal(cpu, n)
+                    stop = min(limit, system.due_at)
                 d = dcache_get(cpu.pc)
                 if d is None:
                     d = decode(cpu.pc)
@@ -308,7 +313,7 @@ class Interpreter:
                     counter.cycles += d.cost
                     system.syscall(cpu)
                     cpu.pc = d.next_pc
-                    alarm_live = system.alarm_active
+                    stop = min(limit, system.due_at)
                     continue
                 if opcode is Opcode.HALT:
                     raise ProgramExit(cpu.regs[0])

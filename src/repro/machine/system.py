@@ -45,6 +45,10 @@ SYS_SIGHANDLER = 6
 SYS_ALARM = 7
 
 
+# A due_at no instruction count reaches.
+NEVER = 1 << 62
+
+
 class ThreadExit(Exception):
     """The calling thread ended (not the whole program)."""
 
@@ -63,11 +67,13 @@ class System:
         self.signal_handler = None
         self.alarm_in = None
         self.alarm_at = None
-        # Fast-path guard: True iff alarm_in or alarm_at is set.  The
-        # executors test this single flag per safe point instead of the
-        # two-field bookkeeping check, and skip conversion/delivery
-        # logic entirely for workloads that never arm an alarm.
-        self.alarm_active = False
+        # The instruction count from which a safe point must ask
+        # signal_due: 0 while a relative alarm awaits conversion, the
+        # deadline while a handler is installed, NEVER otherwise (an
+        # alarm nobody can take waits for sighandler).  Every safe
+        # point's fast path is one comparison against it; only this
+        # class updates it (_rearm).
+        self.due_at = NEVER
         self.signals_delivered = 0
 
     def syscall(self, cpu):
@@ -91,35 +97,33 @@ class System:
             raise ThreadExit()
         if number == SYS_SIGHANDLER:
             self.signal_handler = arg & 0xFFFFFFFF
+            self._rearm()
             return
         if number == SYS_ALARM:
             self.alarm_in = arg & 0xFFFFFFFF
-            self.alarm_active = True
+            self._rearm()
             return
         raise MachineFault("unknown syscall %d" % number)
 
-    def convert_alarm(self, current_instructions):
-        """Turn a relative alarm request into an absolute deadline."""
+    def _rearm(self):
         if self.alarm_in is not None:
-            self.alarm_at = current_instructions + self.alarm_in
-            self.alarm_in = None
-            self.alarm_active = True
+            self.due_at = 0
+        elif self.alarm_at is not None and self.signal_handler:
+            self.due_at = self.alarm_at
+        else:
+            self.due_at = NEVER
 
     def signal_due(self, now):
         """Whether a safe point at instruction count ``now`` delivers the
-        alarm signal: a relative alarm request is converted first, then
-        the deadline must have passed and a handler be installed."""
+        alarm signal: a relative alarm request is converted to an
+        absolute deadline first, then the deadline must have passed and
+        a handler be installed.  A safe point asks only once ``now >=
+        due_at``."""
         if self.alarm_in is not None:
-            self.convert_alarm(now)
-        return (
-            self.alarm_at is not None
-            and now >= self.alarm_at
-            and bool(self.signal_handler)
-        )
-
-    def clear_alarm(self):
-        self.alarm_at = None
-        self.alarm_active = self.alarm_in is not None
+            self.alarm_at = now + self.alarm_in
+            self.alarm_in = None
+            self._rearm()
+        return now >= self.due_at
 
     def deliver_signal(self, cpu, memory, interrupted_pc, now, counter, cycles):
         """Deliver the due alarm signal to ``cpu``'s thread: push a
@@ -140,7 +144,8 @@ class System:
             if latency > events.get("signal_latency_max", -1):
                 events["signal_latency_max"] = latency
         push_signal_frame(cpu, memory, interrupted_pc)
-        self.clear_alarm()
+        self.alarm_at = None
+        self._rearm()
         self.signals_delivered += 1
         counter.charge(cycles, "signals_delivered")
         return latency

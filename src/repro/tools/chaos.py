@@ -259,7 +259,7 @@ def client_cell(image, client_name, fault_kind, seed):
 
     def client():
         return FaultInjectingClient(
-            FaultPlan(fault_kind, seed), inner=CLIENTS[client_name]()
+            FaultPlan(fault_kind, seed), inner=CLIENTS[client_name](image)
         )
 
     checks = [expected_events]

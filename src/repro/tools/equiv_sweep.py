@@ -40,14 +40,9 @@ def sweep_cell(image, client_name):
         made.verify_fragments = True
         return made
 
-    if client_name == "shepherd":
-        from repro.clients import ProgramShepherding
-
-        def client():
-            return ProgramShepherding(image=image)
-    else:
-        client = CLIENTS[client_name]
-    return Cell(image, options=options, client=client)
+    return Cell(
+        image, options=options, client=lambda: CLIENTS[client_name](image)
+    )
 
 
 def main(argv=None):

@@ -263,18 +263,10 @@ def _lint_static_inject(image, rules, report):
     return all_fired
 
 
-def _make_client(image, client_name):
-    if client_name == "shepherd":
-        from repro.clients import ProgramShepherding
-
-        return ProgramShepherding(image=image)
-    return CLIENTS[client_name]()
-
-
 def _lint_equiv(image, client_name, report):
     """Run without emit-time verification, then statically sweep the
     final code-cache dump with the equivalence rule."""
-    client = _make_client(image, client_name) if client_name else None
+    client = CLIENTS[client_name](image) if client_name else None
     options = RuntimeOptions.with_traces()
     runtime = DynamoRIO(Process(image), options=options, client=client)
     runtime.run()

@@ -87,10 +87,7 @@ class Run:
 
 def final_state(runner):
     """Per-thread registers and eflags of a finished runtime or
-    interpreter."""
-    # A runtime without a code cache ran the program in its emulator;
-    # either kind of thread carries its CPU.
-    runner = getattr(runner, "emulator", None) or runner
+    interpreter (either kind of thread carries its CPU)."""
     return [(tuple(t.cpu.regs), "%#x" % t.cpu.eflags) for t in runner.threads]
 
 

@@ -14,31 +14,32 @@ from repro.loader import Process
 from repro.machine.cost import CostModel, Family
 from repro.machine.interp import run_native
 
+
+def _client(name, with_image=False):
+    """The factory ``image -> client`` of ``repro.clients.<name>``,
+    imported on first use (``with_image``: it takes the image)."""
+
+    def make(image):
+        from repro import clients
+
+        factory = getattr(clients, name)
+        return factory(image=image) if with_image else factory()
+
+    return make
+
+
+# Every client the tools can attach: name -> factory taking the image.
 CLIENTS = {
-    "none": lambda: None,
-    "null": lambda: __import__("repro.clients", fromlist=["NullClient"]).NullClient(),
-    "rlr": lambda: __import__(
-        "repro.clients", fromlist=["RedundantLoadRemoval"]
-    ).RedundantLoadRemoval(),
-    "inc2add": lambda: __import__(
-        "repro.clients", fromlist=["StrengthReduction"]
-    ).StrengthReduction(),
-    "ibdisp": lambda: __import__(
-        "repro.clients", fromlist=["IndirectBranchDispatch"]
-    ).IndirectBranchDispatch(),
-    "ctrace": lambda: __import__(
-        "repro.clients", fromlist=["CustomTraces"]
-    ).CustomTraces(),
-    "all": lambda: __import__(
-        "repro.clients", fromlist=["make_all_optimizations"]
-    ).make_all_optimizations(),
-    "inscount": lambda: __import__(
-        "repro.clients", fromlist=["InstructionCounter"]
-    ).InstructionCounter(),
-    "inscount-inline": lambda: __import__(
-        "repro.clients", fromlist=["InlineInstructionCounter"]
-    ).InlineInstructionCounter(),
-    "shepherd": lambda: None,  # needs the image; constructed below
+    "none": lambda image: None,
+    "null": _client("NullClient"),
+    "rlr": _client("RedundantLoadRemoval"),
+    "inc2add": _client("StrengthReduction"),
+    "ibdisp": _client("IndirectBranchDispatch"),
+    "ctrace": _client("CustomTraces"),
+    "all": _client("make_all_optimizations"),
+    "inscount": _client("InstructionCounter"),
+    "inscount-inline": _client("InlineInstructionCounter"),
+    "shepherd": _client("ProgramShepherding", with_image=True),
 }
 
 
@@ -83,12 +84,7 @@ def main(argv=None):
     if args.native_only:
         return
 
-    if args.client == "shepherd":
-        from repro.clients import ProgramShepherding
-
-        client = ProgramShepherding(image=image)
-    else:
-        client = CLIENTS[args.client]()
+    client = CLIENTS[args.client](image)
     runtime = DynamoRIO(
         Process(image),
         options=RuntimeOptions.with_traces(),

@@ -76,12 +76,7 @@ def main(argv=None):
                 % (", ".join(unknown), ", ".join(EVENT_KINDS))
             )
 
-    if args.client == "shepherd":
-        from repro.clients import ProgramShepherding
-
-        client = ProgramShepherding(image=image)
-    else:
-        client = CLIENTS[args.client]()
+    client = CLIENTS[args.client](image)
     family = Family.PENTIUM_IV if args.family == "p4" else Family.PENTIUM_III
     options = RuntimeOptions.with_traces()
     options.trace_events = True

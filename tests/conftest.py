@@ -111,11 +111,11 @@ class ChurningClient(Client):
 
 
 class NeverHitMemo(dict):
-    """Stands in for ``DynamoRIO.bb_memo`` or ``DynamoRIO.trace_memo``:
-    keeps what the runtime stores but never serves it, so every block
-    rebuild decodes and lowers afresh and every trace rebuild stitches,
-    decodes and lowers afresh (the forced-miss reference a memo hit must
-    be indistinguishable from)."""
+    """Stands in for ``DynamoRIO.memo``: keeps what the runtime stores
+    but never serves it, so every block rebuild decodes and lowers
+    afresh and every trace rebuild stitches, decodes and lowers afresh
+    (the forced-miss reference a memo hit must be indistinguishable
+    from)."""
 
     def get(self, key, default=None):
         return default
@@ -123,13 +123,20 @@ class NeverHitMemo(dict):
 
 def memo_columns():
     """Oracle columns for memo transparency: the runtime's retranslation
-    memos, and :class:`NeverHitMemo` forced-miss references for both."""
+    memo, and a :class:`NeverHitMemo` forced-miss reference."""
 
     def never_hit(runtime):
-        runtime.bb_memo = NeverHitMemo()
-        runtime.trace_memo = NeverHitMemo()
+        runtime.memo = NeverHitMemo()
 
     return (Column("memo"), Column("never-hit", setup=never_hit))
+
+
+def memo_keys(runtime):
+    """The runtime's memo keys, split into block tags and trace keys
+    ``(head tag, recorded block bodies...)``."""
+    blocks = [key for key in runtime.memo if type(key) is not tuple]
+    traces = [key for key in runtime.memo if type(key) is tuple]
+    return blocks, traces
 
 
 def run_under(image, options=None, client=None, cost_model=None):

@@ -65,12 +65,14 @@ def _linked_pair(options):
 
 
 def _arm_alarm(runtime, handler):
-    """An alarm due after the first instruction; ``handler`` 0 means
+    """An alarm due after the first instruction, converted to its
+    deadline by the safe point that asks first, as the dispatcher does
+    before it hands a fragment to the executor; ``handler`` 0 means
     none is installed."""
     system = runtime.system
     system.signal_handler = handler
     system.alarm_in = 1
-    system.alarm_active = True
+    assert not system.signal_due(runtime.executor.instructions)
 
 
 def _run(runtime, fragment, **kwargs):

@@ -133,9 +133,9 @@ class TestRuntimeSignals:
 
         original = dr._deliver_signal
 
-        def spy(thread, tag):
+        def spy(thread, tag, *args):
             observed.append(tag)
-            return original(thread, tag)
+            return original(thread, tag, *args)
 
         dr._deliver_signal = spy
         dr.run()
@@ -233,10 +233,10 @@ class TestMidTraceSignal:
 class TestPollSlowPath:
     """Under precise interrupts every application-consistent op polls,
     but a poll calls its slow path (``Executor._poll``, which asks
-    ``System.signal_due``) only when a signal can be due: an alarm still
-    to convert, or its deadline reached.  ``SIGNAL_SRC`` keeps an alarm
-    armed through its whole busy loop, which polled 251 times before
-    the inline test read the deadline."""
+    ``System.signal_due``) only from ``System.due_at`` on: while an
+    alarm awaits conversion, or once a deliverable deadline is reached.
+    ``SIGNAL_SRC`` keeps an alarm armed through its whole busy loop,
+    which polled 251 times before the inline test read the deadline."""
 
     def test_slow_path_only_when_a_signal_can_be_due(
         self, signal_image, monkeypatch
@@ -331,6 +331,47 @@ class TestAlarmWithoutHandler:
                 (run.result.cycles, run.result.events["context_switches"])
             )
         assert outcomes[0] == outcomes[1]
+
+    def test_late_handler_is_asked_for_only_once_installed(
+        self, monkeypatch
+    ):
+        """The alarm expires long before ``sighandler`` runs, and no
+        safe point can deliver it until then: under precise interrupts
+        the poll's slow path and the runtime's ``System.signal_due``
+        run at most twice (the alarm's conversion and its delivery),
+        not once per loop iteration.  A safe point's fast-path test
+        decides only whether a slow path runs, so the run's cycles,
+        instructions and output are pinned."""
+        polls = []
+        poll = Executor._poll
+
+        def counted_poll(executor, pc):
+            polls.append(pc)
+            return poll(executor, pc)
+
+        monkeypatch.setattr(Executor, "_poll", counted_poll)
+        asks = []
+
+        def count_asks(runtime):
+            signal_due = runtime.system.signal_due
+
+            def counted(now):
+                asks.append(now)
+                return signal_due(now)
+
+            runtime.system.signal_due = counted
+
+        verdict = check(Cell(
+            compile_source(LATE_HANDLER_SRC), options=self._options(True),
+            setup=count_asks,
+        ))
+        assert verdict.ok, verdict
+        result = verdict.runs[0].result
+        assert result.events["signals_delivered"] == 1
+        assert (result.cycles, result.instructions) == (101945, 14755)
+        assert result.output == bytes.fromhex("ee931e0001000000")
+        assert len(polls) <= 2
+        assert len(asks) <= 2
 
     @pytest.mark.parametrize("precise", [False, True])
     def test_handler_installed_later_gets_the_signal(self, precise):

@@ -1,6 +1,8 @@
 """The Table 1 ordering must hold: each mechanism strictly improves."""
 
 from repro.core import RuntimeOptions
+from repro.loader import Process
+from repro.machine.interp import run_emulated
 
 from tests.core.conftest import run_under
 
@@ -11,7 +13,7 @@ def _cycles(image, options):
 
 
 def test_mechanism_ordering(loop_image, loop_native):
-    emulation = _cycles(loop_image, RuntimeOptions.emulation())
+    emulation = run_emulated(Process(loop_image)).cycles
     bb_cache = _cycles(loop_image, RuntimeOptions.bb_cache_only())
     direct = _cycles(loop_image, RuntimeOptions.with_direct_links())
     indirect = _cycles(loop_image, RuntimeOptions.with_indirect_links())

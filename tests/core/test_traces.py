@@ -41,7 +41,7 @@ class TestTraceCreation:
         thread = dr.current_thread
         for fragment in thread.bb_cache.fragments.values():
             if fragment.is_trace_head:
-                assert thread.ibl.lookup(fragment.tag) is not fragment
+                assert thread.ibl.table.get(fragment.tag) is not fragment
 
     def test_trace_heads_stay_unlinked(self, loop_image):
         opts = RuntimeOptions.with_traces()

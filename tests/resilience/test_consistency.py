@@ -23,7 +23,7 @@ from repro.resilience.shield import InjectedRuntimeFault
 from repro.tools.chaos import build_smc_image
 from repro.tools.oracle import Cell, Column, check, native_result
 
-from tests.conftest import memo_columns
+from tests.conftest import memo_columns, memo_keys
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_memo_decodes_each_block_once(loop_image, monkeypatch):
     decodes = _counting_decoder(monkeypatch)
     runtime = _check(loop_image, _tiny_cache()).runs[0].runtime
     decoded = decodes(runtime)
-    assert len(decoded) == len(set(decoded)) == len(runtime.bb_memo)
+    assert len(decoded) == len(set(decoded)) == len(memo_keys(runtime)[0])
     assert runtime.stats.bbs_built >= 3 * len(decoded)
 
 
@@ -242,7 +242,7 @@ def test_memo_bypassed_for_clients(loop_image, monkeypatch):
     ).runs[0].runtime
     assert runtime.stats.client_bb_hooks == runtime.stats.bbs_built
     assert len(decodes(runtime)) == runtime.stats.bbs_built
-    assert runtime.bb_memo == {}
+    assert runtime.memo == {}
 
 
 def test_memo_bypassed_under_verification(loop_image):
@@ -253,7 +253,7 @@ def test_memo_bypassed_under_verification(loop_image):
         columns=memo_columns(),
     )
     runtime, forced = (run.runtime for run in verdict.runs)
-    assert runtime.bb_memo == {}
+    assert runtime.memo == {}
     assert runtime.verifier_diagnostics == forced.verifier_diagnostics
 
 
@@ -303,12 +303,12 @@ def test_trace_memo_stitches_each_trace_once(loop_image, monkeypatch):
     runtime = _check(
         loop_image, _trace_churn(), setup=record_traces
     ).runs[0].runtime
-    memo = runtime.trace_memo
-    assert len(stitched) == len(set(stitched)) == len(memo)
-    assert set(stitched) == set(memo)
-    assert runtime.stats.traces_built == len(bodies) > len(memo)  # hits
+    traces = memo_keys(runtime)[1]
+    assert len(stitched) == len(set(stitched)) == len(traces)
+    assert set(stitched) == set(traces)
+    assert runtime.stats.traces_built == len(bodies) > len(traces)  # hits
     assert {id(body) for body in bodies} == {
-        id(entry.body) for entry in memo.values()
+        id(runtime.memo[key].body) for key in traces
     }
 
 
@@ -334,7 +334,7 @@ def test_trace_memo_hits_pass_the_shield_chokepoints(
             key = (recording.head_tag,) + tuple(
                 block.body for block in recording.entries
             )
-            held = key in runtime.trace_memo
+            held = key in runtime.memo
             try:
                 return finalize(recording)
             except InjectedRuntimeFault:
@@ -350,7 +350,7 @@ def test_trace_memo_hits_pass_the_shield_chokepoints(
     )
     runtime = verdict["memo"].runtime
     assert runtime.rguard.injected > 0
-    assert runtime.stats.traces_built > len(runtime.trace_memo)  # hits
+    assert runtime.stats.traces_built > len(memo_keys(runtime)[1])  # hits
     if site == "emit":
         assert (runtime, True) in faulted  # a fault landed on a hit
 
@@ -364,7 +364,7 @@ def test_trace_memo_bypassed_for_clients(loop_image, monkeypatch):
     assert runtime.stats.traces_built > 0
     assert runtime.stats.client_trace_hooks == runtime.stats.traces_built
     assert len(stitched) == runtime.stats.traces_built
-    assert runtime.trace_memo == {}
+    assert runtime.memo == {}
 
 
 def test_trace_memo_bypassed_under_verification(loop_image):
@@ -375,7 +375,7 @@ def test_trace_memo_bypassed_under_verification(loop_image):
     )
     runtime, forced = (run.runtime for run in verdict.runs)
     assert runtime.stats.traces_built > 0
-    assert runtime.trace_memo == {}
+    assert runtime.memo == {}
     assert runtime.verifier_diagnostics == forced.verifier_diagnostics
 
 
@@ -383,14 +383,26 @@ def test_trace_memo_bypassed_under_verification(loop_image):
 _OUTER, _INNER, _PATCH_ITERATION = 16, 10, 10
 
 
-def _build_trace_smc_image():
+def _patch_once(b):
+    """In iteration ``_PATCH_ITERATION``, rewrite the immediate to 'B'."""
+    b.cmp(Reg.ESI, _PATCH_ITERATION)
+    b.jnz("skip")
+    b.mov(Reg.ECX, b.label_address("patch_end"))
+    b.sub(Reg.ECX, 4)
+    b.mov(Reg.EDX, 0x1000042)
+    b.mov(mem(base=Reg.ECX), Reg.EDX)
+    b.label("skip")
+
+
+def _build_trace_smc_image(patch=_patch_once):
     """Self-modifying code inside a trace: an outer loop runs two inner
     loops, each a trace.  The first calls ``fn_emit`` (inlined into its
-    trace), whose ``mov`` immediate emits 'A'; after the first loop of
-    iteration ``_PATCH_ITERATION`` the outer loop rewrites it to 'B'.
-    Under a small cache the second loop evicts the first loop's blocks
-    and trace, so the first trace is rebuilt in every iteration.
-    Returns the image and the first loop's head (its trace's tag)."""
+    trace), whose ``mov`` immediate emits 'A'; after the first loop,
+    ``patch(b)``'s code may rewrite it (by default to 'B', in iteration
+    ``_PATCH_ITERATION``).  Under a small cache the second loop evicts
+    the first loop's blocks and trace, so the first trace is rebuilt in
+    every iteration.  Returns the image and the first loop's head (its
+    trace's tag)."""
     b = CodeBuilder(base=0x1000)
     b.label("main")
     b.mov(Reg.ESI, 0)
@@ -400,13 +412,7 @@ def _build_trace_smc_image():
     b.call("fn_emit")
     b.sub(Reg.EDI, 1)
     b.jnz("emit_loop")
-    b.cmp(Reg.ESI, _PATCH_ITERATION)
-    b.jnz("skip")
-    b.mov(Reg.ECX, b.label_address("patch_end"))
-    b.sub(Reg.ECX, 4)
-    b.mov(Reg.EDX, 0x1000042)
-    b.mov(mem(base=Reg.ECX), Reg.EDX)
-    b.label("skip")
+    patch(b)
     b.mov(Reg.EDI, _INNER)
     b.label("mix_loop")
     b.add(Reg.EDX, Reg.EDI)
@@ -437,9 +443,10 @@ def _build_trace_smc_image():
 def test_smc_rewrites_a_memoized_trace(consistency):
     """The patched block sits inside a trace the memo has already
     served.  The rebuild after the patch decodes the new bytes (a new
-    block body), so its trace-memo key differs and the trace is
-    stitched afresh: with or without the write watch, the output is
-    native's, in both memo columns."""
+    block body), so its trace key differs and the trace is stitched
+    afresh: with or without the write watch, the output is native's, in
+    both memo columns.  The block's rebuild drops the trace key holding
+    its old body, so the memo ends with one entry for the head."""
     image, head = _build_trace_smc_image()
     patched_at = (_PATCH_ITERATION + 1) * _INNER  # output bytes so far
     native = native_result(image)
@@ -452,11 +459,11 @@ def test_smc_rewrites_a_memoized_trace(consistency):
         finalize = runtime._finalize_trace
 
         def recorded(recording):
-            before = len(runtime.trace_memo)
+            before = len(runtime.memo)
             fragment = finalize(recording)
             if recording.head_tag == head:
                 builds.append((
-                    runtime, len(runtime.trace_memo) == before,
+                    runtime, len(runtime.memo) == before,
                     len(runtime.system.output),
                 ))
             return fragment
@@ -473,7 +480,51 @@ def test_smc_rewrites_a_memoized_trace(consistency):
     assert any(hit for hit, out in hits if out < patched_at)
     after = [hit for hit, out in hits if out > patched_at]
     assert after and not after[0]  # the first rebuild after it stitches
-    assert sum(key[0] == head for key in runtime.trace_memo) == 2
+    assert [key[0] for key in memo_keys(runtime)[1]].count(head) == 1
+
+
+def _rewrite(rewrites):
+    """Patch code that stores 'B' + min(i, rewrites - 1) as the
+    immediate in every iteration i: a new one in the first ``rewrites``
+    iterations, the same one after.  It is branch-free, so every
+    rewrite count runs the same path and rebuilds alike."""
+
+    def patch(b):
+        b.mov(Reg.ECX, b.label_address("patch_end"))
+        b.sub(Reg.ECX, 4)
+        b.mov(Reg.EAX, Reg.ESI)
+        b.sub(Reg.EAX, rewrites - 1)
+        b.mov(Reg.EBX, Reg.EAX)
+        b.sar(Reg.EBX, 31)
+        b.and_(Reg.EAX, Reg.EBX)
+        b.add(Reg.EAX, 0x1000042 + rewrites - 1)
+        b.mov(mem(base=Reg.ECX), Reg.EAX)
+
+    return patch
+
+
+def test_rewritten_callee_keeps_the_memo_size():
+    """Each rewrite gives the callee a new block body (the write watch
+    invalidates it, and its rebuild decodes the new bytes), so every
+    trace key holding an old body is dead: the rebuild drops them, and
+    the memo ends the same size however often the callee was
+    rewritten."""
+    sizes = []
+    for rewrites in (1, 3, 6):
+        image, _head = _build_trace_smc_image(_rewrite(rewrites))
+        native = native_result(image)
+        assert native.output == b"".join(
+            bytes([ord("A") + min(i, rewrites)]) * _INNER
+            for i in range(_OUTER)
+        )
+        verdict = _check(
+            image, _smc_options(code_cache_limit=300),
+            columns=memo_columns(),
+        )
+        runtime = verdict["memo"].runtime
+        assert runtime.stats.traces_built > len(memo_keys(runtime)[1])
+        sizes.append(len(runtime.memo))
+    assert sizes[0] == sizes[1] == sizes[2], sizes
 
 
 # ------------------------------------------------------------- region map
