@@ -15,13 +15,18 @@ Every op kind is written as source, in op order:
 
 * a run (``OP_EXEC``) as straight-line code with guest memory accessed
   inline (:func:`_run_source`, :func:`_inline_instr`), charging cycles
-  and instructions in one batched update at its end;
+  and instructions in one batched update at its end.  Each templated
+  instruction is generated from its one row of ``_ROWS`` (its input
+  bindings, eflags template, stored results and rebuild method), and
+  which operands it reads, writes or only addresses comes from the
+  ISA's ``OPERAND_ROLES``;
 * conditional, direct and call exits with the link check inline
   (``ex.fragment.exits[i].linked_to``); an unlinked exit leaves through
   ``Executor._leave``;
-* inlined calls, indirect exits (the IBL probe, ``Executor._ibl``) and
-  trace-inlined checks with their dispatch chains, and clean calls,
-  with their client hooks bound per body;
+* inlined calls, indirect branches (``OP_IND_EXIT``: the target fetch,
+  then any trace-inlined check and dispatch chain, then the IBL probe,
+  ``Executor._ibl``) and clean calls, with their client hooks bound per
+  body;
 * a client's custom stub code at its exit, as runs and clean calls:
   after the link check (an always-stub exit reads its link first and
   follows it after the stub), or after an IBL miss.  It charges cycles
@@ -68,6 +73,7 @@ to ``execute_noncti``.
 
 import itertools
 import sys
+from collections import namedtuple
 from types import CodeType, FunctionType
 
 from repro.core.emit import (
@@ -77,7 +83,6 @@ from repro.core.emit import (
     OP_CLEAN_CALL,
     OP_COND_EXIT,
     OP_EXEC,
-    OP_IND_CHECK,
     OP_IND_EXIT,
     OP_JMP_EXIT,
     OP_LOCAL_BR,
@@ -92,7 +97,13 @@ from repro.isa.eflags import (
     ZF,
     writes_to_flags,
 )
-from repro.isa.opcodes import OP_INFO, SHIFT_OPCODES, Opcode, eflags_killed
+from repro.isa.opcodes import (
+    OP_INFO,
+    OPERAND_ROLES,
+    SHIFT_OPCODES,
+    Opcode,
+    eflags_killed,
+)
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cpu import _PARITY, CPU
 from repro.machine.errors import MachineFault
@@ -115,9 +126,8 @@ _ALL_FLAGS = CF | PF | AF | ZF | SF | OF
 # (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048) and the parity table
 # bound as ``_parity``.  ``_CLEAR`` drops all six arithmetic flags
 # before the new ones are OR-ed in.  Templates are formatted with the
-# instruction's input locals: ``{a}``/``{b}`` for sub/add, ``{a}`` for
-# inc/dec, and the result ``{a}`` for logic; sub/add/inc/dec leave the
-# 32-bit result in ``_r``.
+# instruction's bound inputs ``{a}`` and ``{b}`` (a logic op binds its
+# result to ``{a}``); sub/add/inc/dec leave the 32-bit result in ``_r``.
 _CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % _ALL_FLAGS
 _RESULT_FLAGS = (
     "(64 if {r} == 0 else 0) | (128 if {r} & 2147483648 else 0)"
@@ -156,77 +166,78 @@ _DEC_FLAGS = (
     " | (16 if ({a} ^ 1 ^ _r) & 16 else 0) | "
     + _RESULT_FLAGS.format(r="_r")
 )
-
-# The templated flag writers.  Each binds its inputs to per-instruction
-# locals, ``_a<k>`` and (two-input writers) ``_b<k>``: a logic op binds
-# its result, a shift its count masked to 0..31.  The fault path
-# recomputes a dead writer's flags from them with the CPU method.
-_LOGIC_OPS = {
-    Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^", Opcode.TEST: "&",
-}
-_FLAG_METHODS = {
-    Opcode.ADD: CPU.flags_add,
-    Opcode.SUB: CPU.flags_sub,
-    Opcode.CMP: CPU.flags_sub,
-    Opcode.INC: CPU.flags_inc,
-    Opcode.DEC: CPU.flags_dec,
-    Opcode.NEG: CPU.flags_neg,
-    Opcode.AND: CPU.flags_logic,
-    Opcode.OR: CPU.flags_logic,
-    Opcode.XOR: CPU.flags_logic,
-    Opcode.TEST: CPU.flags_logic,
-    Opcode.SHL: CPU.flags_shl,
-    Opcode.SHR: CPU.flags_shr,
-    Opcode.SAR: lambda cpu, a, n: cpu.flags_shr(a, n, arithmetic=True),
-    Opcode.IMUL: CPU.flags_imul,
-}
-_ONE_INPUT = frozenset(
-    (Opcode.INC, Opcode.DEC, Opcode.NEG) + tuple(_LOGIC_OPS)
-)
-# A live writer's result through its CPU method (the method sets the
-# flags); a dead writer's through the same arithmetic without flags.
-_FLAG_CALLS = {
-    Opcode.ADD: "cpu.flags_add({a}, {b})",
-    Opcode.SUB: "cpu.flags_sub({a}, {b})",
-    Opcode.INC: "cpu.flags_inc({a})",
-    Opcode.DEC: "cpu.flags_dec({a})",
-    Opcode.NEG: "cpu.flags_neg({a})",
-    Opcode.SHL: "cpu.flags_shl({a}, {b})",
-    Opcode.SHR: "cpu.flags_shr({a}, {b})",
-    Opcode.SAR: "cpu.flags_shr({a}, {b}, arithmetic=True)",
-    Opcode.IMUL: "cpu.flags_imul({a}, {b})",
-}
 _SIGNED = "({0} - 4294967296 if {0} & 2147483648 else {0})"
-_FLAG_FREE = {
-    Opcode.ADD: "({a} + {b}) & 4294967295",
-    Opcode.SUB: "({a} - {b}) & 4294967295",
-    Opcode.INC: "({a} + 1) & 4294967295",
-    Opcode.DEC: "({a} - 1) & 4294967295",
-    Opcode.NEG: "-{a} & 4294967295",
-    Opcode.SHL: "({a} << {b}) & 4294967295",
-    Opcode.SHR: "{a} >> {b}",
-    Opcode.SAR: "(({a} ^ 2147483648) - 2147483648 >> {b}) & 4294967295",
-    Opcode.IMUL: "(%s * %s) & 4294967295" % (
-        _SIGNED.format("{a}"), _SIGNED.format("{b}"),
-    ),
-}
+# The low 32 bits of the signed product of {a} and {b} (exec_ops._signed).
+_PRODUCT = "(%s * %s) & %s" % (_SIGNED.format("{a}"), _SIGNED.format("{b}"), _M)
 
-# Opcodes with an inline template (:func:`_inline_instr`); DIV, XCHG,
-# FDIV and SYSCALL always run through their compiled closures.
-_TEMPLATED = frozenset(_FLAG_METHODS) | frozenset((
+
+# How one templated instruction is generated (:func:`_inline_instr`):
+#
+# * ``bind``: the expressions, over the operand reads ``{0}`` and
+#   ``{1}``, bound to the locals ``_a<k>`` and ``_b<k>`` in turn;
+# * ``flags``: the name of the eflags template a live writer runs, or
+#   None (no flags, or ``live`` calls the CPU method).  The template is
+#   looked up by name when a body is generated, so a patched template
+#   takes effect in the next generated body;
+# * ``live``/``dead``: the result stored to the first operand with the
+#   flags live/dead, over the reads, ``{a}``, ``{b}`` and a memory
+#   source's sign bit ``{s}`` (None: nothing stored);
+# * ``method``: the ``CPU.flags_*`` method :func:`_rebuild_eflags`
+#   recomputes a dead writer's flags with, from its bound inputs.
+_Row = namedtuple("_Row", "bind flags live dead method")
+_TWO = ("{0}", "{1}")
+_SHIFT = ("{0}", "({1}) & 31")  # a shift's count masked to 0..31
+_TO32 = " & " + _M
+
+# One row per templated instruction.  NOP, LABEL, PUSH, POP and LEA
+# have lines of their own (:func:`_inline_instr`); DIV, XCHG, FDIV and
+# SYSCALL always run through their compiled closures.
+_ROWS = {
+    Opcode.ADD: _Row(_TWO, "_ADD_FLAGS", "_r", "({a} + {b})" + _TO32,
+                     CPU.flags_add),
+    Opcode.SUB: _Row(_TWO, "_SUB_FLAGS", "_r", "({a} - {b})" + _TO32,
+                     CPU.flags_sub),
+    Opcode.CMP: _Row(_TWO, "_SUB_FLAGS", None, None, CPU.flags_sub),
+    Opcode.INC: _Row(("{0}",), "_INC_FLAGS", "_r", "({a} + 1)" + _TO32,
+                     CPU.flags_inc),
+    Opcode.DEC: _Row(("{0}",), "_DEC_FLAGS", "_r", "({a} - 1)" + _TO32,
+                     CPU.flags_dec),
+    Opcode.AND: _Row(("({0}) & ({1})",), "_LOGIC_FLAGS", "{a}", "{a}",
+                     CPU.flags_logic),
+    Opcode.OR: _Row(("({0}) | ({1})",), "_LOGIC_FLAGS", "{a}", "{a}",
+                    CPU.flags_logic),
+    Opcode.XOR: _Row(("({0}) ^ ({1})",), "_LOGIC_FLAGS", "{a}", "{a}",
+                     CPU.flags_logic),
+    Opcode.TEST: _Row(("({0}) & ({1})",), "_LOGIC_FLAGS", None, None,
+                      CPU.flags_logic),
+    Opcode.NEG: _Row(("{0}",), None, "cpu.flags_neg({a})", "-{a}" + _TO32,
+                     CPU.flags_neg),
+    Opcode.SHL: _Row(_SHIFT, None, "cpu.flags_shl({a}, {b})",
+                     "({a} << {b})" + _TO32, CPU.flags_shl),
+    Opcode.SHR: _Row(_SHIFT, None, "cpu.flags_shr({a}, {b})", "{a} >> {b}",
+                     CPU.flags_shr),
+    Opcode.SAR: _Row(
+        _SHIFT, None, "cpu.flags_shr({a}, {b}, arithmetic=True)",
+        "(({a} ^ 2147483648) - 2147483648 >> {b})" + _TO32,
+        lambda cpu, a, n: cpu.flags_shr(a, n, arithmetic=True),
+    ),
+    Opcode.IMUL: _Row(_TWO, None, "cpu.flags_imul({a}, {b})", _PRODUCT,
+                      CPU.flags_imul),
+    Opcode.MOV: _Row((), None, "{1}", None, None),
+    Opcode.MOVZX: _Row((), None, "{1}", None, None),
+    Opcode.FLD: _Row((), None, "{1}", None, None),
+    Opcode.FST: _Row((), None, "{1}", None, None),
+    Opcode.MOVB_STORE: _Row((), None, "({1}) & 255", None, None),
+    Opcode.MOVSX: _Row((), None, "(({1} ^ {s}) - {s})" + _TO32, None, None),
+    Opcode.NOT: _Row((), None, "~({0})" + _TO32, None, None),
+    Opcode.FADD: _Row((), None, "(({0}) + ({1}))" + _TO32, None, None),
+    Opcode.FSUB: _Row((), None, "(({0}) - ({1}))" + _TO32, None, None),
+    Opcode.FMUL: _Row(_TWO, None, _PRODUCT, None, None),
+}
+_TEMPLATED = frozenset(_ROWS) | frozenset((
     Opcode.NOP, Opcode.LABEL, Opcode.PUSH, Opcode.POP, Opcode.LEA,
-    Opcode.MOV, Opcode.MOVZX, Opcode.FLD, Opcode.FST, Opcode.MOVB_STORE,
-    Opcode.MOVSX, Opcode.NOT, Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
 ))
-# Templated opcodes that write no explicit operand, and those whose
-# first operand is written without being read.
-_NO_DST = frozenset(
-    (Opcode.NOP, Opcode.LABEL, Opcode.CMP, Opcode.TEST, Opcode.PUSH)
-)
-_WRITE_ONLY_DST = frozenset((
-    Opcode.MOV, Opcode.MOVZX, Opcode.MOVSX, Opcode.FLD, Opcode.FST,
-    Opcode.MOVB_STORE, Opcode.POP,
-))
+
 
 def _ea_expr(op):
     """Source expression for a MemOperand's effective address —
@@ -302,98 +313,50 @@ def _store_stmt(op, value_expr, value="_t"):
 
 def _templated(opcode, ops):
     """Whether ``opcode`` over ``ops`` has an inline template: every
-    operand is a register, immediate or memory operand, and a written
-    operand is a register or a 1- or 4-byte memory operand."""
+    operand is a register, immediate or memory operand, an address-only
+    operand is in memory, and a written operand is a register or a 1-
+    or 4-byte memory operand (LEA writes a register, MOVSX reads
+    memory)."""
     if opcode not in _TEMPLATED or not all(
         isinstance(op, (RegOperand, ImmOperand, MemOperand)) for op in ops
     ):
         return False
-    if opcode == Opcode.LEA:
-        return isinstance(ops[0], RegOperand) and isinstance(
-            ops[1], MemOperand
-        )
+    if opcode == Opcode.LEA and not isinstance(ops[0], RegOperand):
+        return False
     if opcode == Opcode.MOVSX and not isinstance(ops[1], MemOperand):
         return False
-    if opcode in _NO_DST:
-        return True
-    dst = ops[0]
-    return isinstance(dst, RegOperand) or (
-        isinstance(dst, MemOperand) and dst.size in (1, 4)
-    )
+    for op, role in zip(ops, OPERAND_ROLES[OP_INFO[opcode].shape]):
+        if not role and not isinstance(op, MemOperand):
+            return False
+        if "w" in role and not (
+            isinstance(op, RegOperand)
+            or isinstance(op, MemOperand) and op.size in (1, 4)
+        ):
+            return False
+    return True
 
 
 def _memory_access(opcode, ops):
-    """``(mem, loads, stores)`` for a templated instruction: its memory
-    operand (RIO-32 has at most one) or None, and whether the
-    instruction reads it and writes it."""
-    for mem in ops:
-        if isinstance(mem, MemOperand) and opcode != Opcode.LEA:
-            stores = mem is ops[0] and opcode not in _NO_DST
-            return mem, not (stores and opcode in _WRITE_ONLY_DST), stores
+    """``(mem, loads, stores)`` for a templated instruction: the memory
+    operand it reads or writes (RIO-32 has at most one) or None, and
+    whether it reads and writes it.  LEA's operand is an address only."""
+    for mem, role in zip(ops, OPERAND_ROLES[OP_INFO[opcode].shape]):
+        if role and isinstance(mem, MemOperand):
+            return mem, "r" in role, "w" in role
     return None, False, False
-
-
-def _writer_source(opcode, ops, k, dead, reads, value):
-    """The source line of templated flag writer ``k``: bind its inputs,
-    then set its flags (live) or skip them (``dead``), then store its
-    result.  ``reads`` holds the operands' read expressions."""
-    a, b = "_a%d" % k, "_b%d" % k
-    logic = _LOGIC_OPS.get(opcode)
-    if logic is not None:
-        bind = "%s = (%s) %s (%s)" % (a, reads[0], logic, reads[1])
-    elif opcode in _ONE_INPUT:
-        bind = "%s = %s" % (a, reads[0])
-    elif opcode in SHIFT_OPCODES:
-        count = ops[1]
-        count = (
-            str(count.value & 31) if isinstance(count, ImmOperand)
-            else "(%s) & 31" % reads[1]
-        )
-        bind = "%s = %s; %s = %s" % (a, reads[0], b, count)
-    else:
-        bind = "%s = %s; %s = %s" % (a, reads[0], b, reads[1])
-    if opcode in (Opcode.CMP, Opcode.TEST):
-        if dead:
-            return bind
-        flags = _SUB_FLAGS if opcode == Opcode.CMP else _LOGIC_FLAGS
-        return "%s; %s" % (bind, flags.format(a=a, b=b))
-    dst = ops[0]
-    if isinstance(dst, RegOperand) and not dead and (
-        logic is not None or opcode in (Opcode.ADD, Opcode.SUB, Opcode.INC,
-                                        Opcode.DEC)
-    ):
-        # The templates are looked up per call, so a patched template
-        # takes effect in the next generated body.
-        if logic is not None:
-            flags, result = _LOGIC_FLAGS, a
-        else:
-            flags, result = {
-                Opcode.ADD: _ADD_FLAGS, Opcode.SUB: _SUB_FLAGS,
-                Opcode.INC: _INC_FLAGS, Opcode.DEC: _DEC_FLAGS,
-            }[opcode], "_r"
-        return "%s; %s; regs[%d] = %s" % (
-            bind, flags.format(a=a, b=b), dst.reg, result,
-        )
-    if logic is not None:
-        result = a if dead else "cpu.flags_logic(%s)" % a
-    else:
-        result = (_FLAG_FREE if dead else _FLAG_CALLS)[opcode].format(
-            a=a, b=b
-        )
-    return "%s; %s" % (bind, _store_stmt(dst, result, value))
 
 
 def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
     """One generated source line executing the templated (see
-    :func:`_templated`) non-CTI instruction ``k`` of a body (its
-    writer inputs bind ``_a<k>`` and ``_b<k>``).
+    :func:`_templated`) non-CTI instruction ``k`` of a body, from its
+    row (``_ROWS``): bind its inputs to ``_a<k>`` and ``_b<k>``, then
+    set its flags (live) or skip them (``dead``), then store its result.
 
     Each template mirrors the corresponding ``exec_ops`` compiler —
     same value masking, same flags, same evaluation order — so faults
     and results are identical; the win is purely fewer Python calls (no
     per-instruction closure, no operand-accessor thunks, no memory
-    method on an in-range access).  A flag writer whose flags are
-    ``dead`` computes its result alone.  ``load`` replaces the
+    method on an in-range access).  ``load`` replaces the
     instruction's memory read expression (a forwarded word's local, or
     the load bound to one); ``value`` names the local its memory store
     writes from.  Every instruction is exactly one source line
@@ -405,8 +368,6 @@ def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
         else _read_expr(op)
         for op in ops
     ]
-    if opcode in _FLAG_METHODS:
-        return _writer_source(opcode, ops, k, dead, reads, value)
     if opcode in (Opcode.NOP, Opcode.LABEL):
         return "pass"
     if opcode == Opcode.PUSH:
@@ -421,29 +382,22 @@ def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
         )
     if opcode == Opcode.LEA:
         return "regs[%d] = %s" % (ops[0].reg, _ea_expr(ops[1]))
-    dst = ops[0]
-    if opcode in (Opcode.MOV, Opcode.MOVZX, Opcode.FLD, Opcode.FST):
-        return _store_stmt(dst, reads[1], value)
-    if opcode == Opcode.MOVB_STORE:
-        return _store_stmt(dst, "(%s) & 255" % reads[1], value)
-    if opcode == Opcode.MOVSX:
-        sign_bit = 1 << (ops[1].size * 8 - 1)
-        return _store_stmt(
-            dst, "((%s ^ %d) - %d) & %s" % (reads[1], sign_bit, sign_bit, _M),
-            value,
-        )
-    if opcode == Opcode.NOT:
-        return _store_stmt(dst, "~(%s) & %s" % (reads[0], _M), value)
-    if opcode in (Opcode.FADD, Opcode.FSUB):
-        pyop = "+" if opcode == Opcode.FADD else "-"
-        return _store_stmt(
-            dst, "((%s) %s (%s)) & %s" % (reads[0], pyop, reads[1], _M), value,
-        )
-    # FMUL: both operands read, then signed (exec_ops._signed), then stored.
-    return "_a = %s; _b = %s; %s" % (reads[0], reads[1], _store_stmt(
-        dst, "(%s * %s) & %s" % (_SIGNED.format("_a"), _SIGNED.format("_b"), _M),
-        value,
-    ))
+    row = _ROWS[opcode]
+    names = {"a": "_a%d" % k, "b": "_b%d" % k}
+    source = [
+        "%s = %s" % (name, expr.format(*reads))
+        for name, expr in zip(names.values(), row.bind)
+    ]
+    if row.flags is not None and not dead:
+        source.append(globals()[row.flags].format(**names))
+    result = row.dead if dead else row.live
+    if result is not None:
+        last = ops[-1]
+        sign = 1 << (last.size * 8 - 1) if isinstance(last, MemOperand) else 0
+        source.append(_store_stmt(
+            ops[0], result.format(*reads, s=sign, **names), value,
+        ))
+    return "; ".join(source)
 
 
 def _dead_writers(instrs, templated):
@@ -512,10 +466,11 @@ def _forward_loads(instrs, templated):
                 del held[other]
             held[form] = k
             stored[k] = True
-        elif opcode not in _NO_DST:  # a register destination
-            reg = ops[0].reg
-            for other in [f for f in held if reg in (f[0], f[1])]:
-                del held[other]
+        else:
+            for op, role in zip(ops, OPERAND_ROLES[OP_INFO[opcode].shape]):
+                if "w" in role:  # a register destination
+                    for other in [f for f in held if op.reg in f[:2]]:
+                        del held[other]
     return source, {j: j in stored for j in source.values()}
 
 
@@ -546,8 +501,6 @@ def _rebuild_eflags(cpu, frame, writers):
         pending &= ~flags
         if not pending:
             return
-
-
 
 
 def _run_source(instrs, first):
@@ -583,14 +536,13 @@ def _run_source(instrs, first):
             mem_op = _memory_access(opcode, ops)[0]
             load = "(_m%d := %s)" % (n, _read_expr(mem_op))
         lines.append(_inline_instr(opcode, ops, n, k in dead, load, value))
-        if dead and opcode in _FLAG_METHODS:
-            inputs = ("_a%d" % n,) if opcode in _ONE_INPUT else (
-                "_a%d" % n, "_b%d" % n,
-            )
+        row = _ROWS.get(opcode)
+        if dead and row is not None and row.method is not None:
+            inputs = ("_a%d" % n, "_b%d" % n)[:len(row.bind)]
             flags = None if opcode in SHIFT_OPCODES else writes_to_flags(
                 OP_INFO[opcode].eflags
             )
-            writers.append((inputs, flags, _FLAG_METHODS[opcode], k in dead))
+            writers.append((inputs, flags, row.method, k in dead))
     return lines, prefix, fallbacks, tuple(writers) if dead else None
 
 
@@ -634,8 +586,9 @@ _code_names = itertools.count()
 # a longer function on its own.
 _PART_LINES = 60
 _PART_FRAME = 7  # def, regs, try, except, unwind, raise, tail call
-# Op kinds after which control never falls through to the next op.
-_NO_FALL_THROUGH = frozenset((OP_JMP_EXIT, OP_CALL_EXIT, OP_IND_EXIT))
+# Op kinds after which control never falls through to the next op (an
+# indirect branch falls through only on its inline check's hit).
+_NO_FALL_THROUGH = frozenset((OP_JMP_EXIT, OP_CALL_EXIT))
 
 
 def _shape(code):
@@ -647,8 +600,6 @@ def _shape(code):
         if kind == OP_CLEAN_CALL:
             op = (kind, None, op[2])
         elif kind == OP_IND_EXIT:
-            op = op[:5] + (op[5] is not None, op[6])
-        elif kind == OP_IND_CHECK:
             op = op[:7] + (op[7] is not None, op[8] is not None) + op[9:]
         shape.append(op)
     return tuple(shape)
@@ -704,6 +655,9 @@ def _op_entries(index, op, runs, stubs, penalty, poll):
         out.append(("line", depth, text, where))
 
     def charge(depth, cycles, count=0):
+        if out and out[-1][0] == "charge" and out[-1][1] == depth:
+            _kind, _depth, before, counted = out.pop()
+            cycles, count = before + cycles, counted + count
         out.append(("charge", depth, cycles, count))
 
     def stub(depth, exit_index):
@@ -785,17 +739,6 @@ def _op_entries(index, op, runs, stubs, penalty, poll):
         line(2, _push_source(ret_addr))
 
     elif kind == OP_IND_EXIT:
-        _k, exit_index, operand, is_call, ret_addr, checker, cost = op
-        charge(2, 0, 1)
-        line(2, _fetch_source(index, operand))
-        if checker:
-            clean_call(2, "checker", "_chk%d" % index, ", _tg")
-        if is_call:
-            line(2, _push_source(ret_addr))
-        charge(2, cost + penalty)
-        indirect_exit(2, exit_index)
-
-    elif kind == OP_IND_CHECK:
         (_k, ibl_index, operand, expected, dispatch, is_call, ret_addr,
          profiler, checker, cost, check_cost) = op
         charge(2, 0, 1)
@@ -964,6 +907,7 @@ def _generate(key, number):
         falls_through = end < len(code) and not (
             last[0] in _NO_FALL_THROUGH
             or last[0] == OP_LOCAL_BR and last[1] is None
+            or last[0] == OP_IND_EXIT and last[3] is None
         )
         entries = [entry for block in blocks[begin:end] for entry in block]
         part_code, line_maps["_part%d" % part] = _render_part(
@@ -1065,11 +1009,10 @@ def _bind_body(body, tag, runtime):
         kind = op[0]
         if kind == OP_CLEAN_CALL:
             env["_h%d" % index] = client_hook(op[1], tag, "clean_call")
-        elif kind == OP_IND_EXIT or kind == OP_IND_CHECK:
-            checker = op[5] if kind == OP_IND_EXIT else op[8]
-            if checker is not None:
-                env["_chk%d" % index] = client_hook(checker, tag, "checker")
-            if kind == OP_IND_CHECK and op[7] is not None:
+        elif kind == OP_IND_EXIT:
+            if op[8] is not None:
+                env["_chk%d" % index] = client_hook(op[8], tag, "checker")
+            if op[7] is not None:
                 env["_prof%d" % index] = client_hook(op[7], tag, "profiler")
             env["_op%d" % index] = op[2]
     for exit_index, desc in enumerate(body.exits):

@@ -149,11 +149,8 @@ class CacheUnit:
             # An empty cache always accepts (a single fragment larger
             # than the configured limit must still be placeable after
             # eviction has drained the unit — it becomes the sole
-            # resident).  Reset the allocator so the unit is compact.
-            self._holes = []
-            self.free_bytes = 0
-            self._order.clear()
-            self.cursor = self.base
+            # resident).
+            self._reset()
             addr = self.base
             self.cursor += size
         else:
@@ -180,6 +177,14 @@ class CacheUnit:
             self.regenerated += 1
             self._epoch_regenerated += 1
         return addr
+
+    def _reset(self):
+        """Empty the allocator: no holes, no order, the bump frontier at
+        the base (an empty unit is compact)."""
+        self._holes = []
+        self.free_bytes = 0
+        self._order.clear()
+        self.cursor = self.base
 
     def _take_hole(self, size):
         """First-fit: claim the front of the first hole that fits."""
@@ -238,11 +243,7 @@ class CacheUnit:
         if existing is fragment:
             del self.fragments[fragment.tag]
             if not self.fragments:
-                # Cheap full defragmentation: an empty unit is compact.
-                self._holes = []
-                self.free_bytes = 0
-                self._order.clear()
-                self.cursor = self.base
+                self._reset()  # cheap full defragmentation
             elif fragment.cache_addr is not None:
                 self._free_range(fragment.cache_addr, fragment.size)
             # _order entry is dropped lazily by next_eviction().
@@ -294,10 +295,7 @@ class CacheUnit:
         """Drop everything; returns the fragments that were resident."""
         dropped = list(self.fragments.values())
         self.fragments.clear()
-        self._holes = []
-        self.free_bytes = 0
-        self._order.clear()
-        self.cursor = self.base
+        self._reset()
         return dropped
 
     def __len__(self):

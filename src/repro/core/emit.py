@@ -29,22 +29,25 @@ Op tuples (first element is the kind):
 ``OP_JMP_EXIT``       ``(k, exit_index, cost)`` unconditional direct exit
 ``OP_CALL_EXIT``      ``(k, exit_index, return_addr, cost)`` push + exit
 ``OP_CALL_INLINE``    ``(k, return_addr, cost)`` push, stay on trace
-``OP_IND_EXIT``       ``(k, exit_index, operand|None, is_call,
-                      return_addr|None, checker, cost)``
-``OP_IND_CHECK``      ``(k, ibl_exit_index, operand|None, expected_tag,
-                      dispatch, is_call, return_addr|None, profiler,
-                      checker, cost, check_cost)`` trace-inlined
-                      indirect branch
+``OP_IND_EXIT``       ``(k, ibl_exit_index, operand,
+                      expected_tag|None, dispatch, is_call,
+                      return_addr|None, profiler, checker, cost,
+                      check_cost)`` indirect branch: fetch the target,
+                      then the inline checks, then the IBL
 ``OP_CLEAN_CALL``     ``(k, fn, cost)`` call into client Python code
 ====================  ===================================================
 
-``operand|None``: ``None`` means a ``ret`` (target popped off the app
-stack); otherwise the r/m operand the branch reads its target from.
-``dispatch`` is a tuple of ``(tag, exit_index)`` compare-and-branch
-pairs — the paper's Figure 4 chain, each a linkable direct exit.
-``profiler`` runs only when every inlined check misses (Figure 4's
-profiling call); an indirect branch with a profiler always lowers to
-``OP_IND_CHECK``.  ``checker`` runs on *every* execution before control
+``operand`` is ``"ret"`` or ``"iret"`` for the forms that pop their
+target off the app stack, otherwise the r/m operand the branch reads
+its target from.  ``expected_tag`` is a trace-inlined target: a hit
+falls through to the next op.  ``dispatch`` is a tuple of ``(tag,
+exit_index)`` compare-and-branch pairs — the paper's Figure 4 chain,
+each a linkable direct exit, the j-th hit charging ``check_cost`` per
+compare it ran.  ``profiler`` runs only when every inlined check misses
+(Figure 4's profiling call).  A branch with any of the three is the
+checked form: its cost includes one more compare
+(``INLINE_CHECK_COST``) and its code ``6 + 10 * len(dispatch)`` more
+bytes.  ``checker`` runs on *every* execution before control
 transfers — the enforcement hook security clients (program shepherding)
 use to validate indirect targets.
 
@@ -65,8 +68,7 @@ OP_JMP_EXIT = 3
 OP_CALL_EXIT = 4
 OP_CALL_INLINE = 5
 OP_IND_EXIT = 6
-OP_IND_CHECK = 7
-OP_CLEAN_CALL = 8
+OP_CLEAN_CALL = 7
 
 from repro.core.fragments import Fragment, FragmentBody, LinkStub
 
@@ -344,37 +346,33 @@ def _lower_ops(ilist, cost_model):
         profiler = _note(instr, "profiler")
         inline_target = _note(instr, "inline_target")
         dispatch_tags = _note(instr, "dispatch") or ()
-        if inline_target is not None or dispatch_tags or profiler is not None:
-            # Inlined-check form: used for trace-inlined branches and for
-            # any indirect branch carrying a client dispatch chain or
-            # profiler (the bottom-of-trace sequence of Figure 4).
-            dispatch = tuple(
-                (t, new_exit(LinkStub.KIND_DIRECT, t, None)) for t in dispatch_tags
-            )
-            ibl_idx = new_exit(LinkStub.KIND_INDIRECT, None, instr)
-            append(
-                (
-                    OP_IND_CHECK,
-                    ibl_idx,
-                    operand,
-                    inline_target,
-                    dispatch,
-                    is_call,
-                    return_addr,
-                    profiler,
-                    checker,
-                    cost + INLINE_CHECK_COST,
-                    INLINE_CHECK_COST,
-                ),
-                instr,
-            )
+        # The checked form: a trace-inlined target, a client dispatch
+        # chain or a profiler (the bottom-of-trace sequence of Figure 4).
+        checked = (
+            inline_target is not None or dispatch_tags or profiler is not None
+        )
+        dispatch = tuple(
+            (t, new_exit(LinkStub.KIND_DIRECT, t, None)) for t in dispatch_tags
+        )
+        idx = new_exit(LinkStub.KIND_INDIRECT, None, instr)
+        append(
+            (
+                OP_IND_EXIT,
+                idx,
+                operand,
+                inline_target,
+                dispatch,
+                is_call,
+                return_addr,
+                profiler,
+                checker,
+                cost + INLINE_CHECK_COST if checked else cost,
+                INLINE_CHECK_COST,
+            ),
+            instr,
+        )
+        if checked:
             size += 6 + 10 * len(dispatch)
-        else:
-            idx = new_exit(LinkStub.KIND_INDIRECT, None, instr)
-            append(
-                (OP_IND_EXIT, idx, operand, is_call, return_addr, checker, cost),
-                instr,
-            )
     close_run()
 
     for index in local_branches:

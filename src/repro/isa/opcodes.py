@@ -8,7 +8,10 @@ Every opcode carries:
   and trace builder dispatch on;
 * an *operand shape* describing how explicit operands map onto the full
   source/destination lists (including implicit operands such as ``esp``
-  for ``push``), used by ``repro.ir.create``;
+  for ``push``), used by ``repro.ir.create``, and the shape's operand
+  roles (``OPERAND_ROLES``: which explicit operands are read, written,
+  or used for their address alone), read by the cost model and the
+  fragment compiler;
 * a *cost class* consumed by the machine cost model.
 
 The table is deliberately IA-32-flavored: ``inc``/``dec`` do **not**
@@ -311,6 +314,31 @@ def _build_table():
 
 
 OP_INFO = _build_table()
+
+
+# How each operand shape (repro.ir.shapes) uses its explicit operands:
+# per operand, "r" if the instruction reads it and "w" if it writes it;
+# "" marks lea's source, whose address alone is used.  Implicit
+# operands (the stack slot of push/pop, eax/edx of div) are not
+# listed; the cost model folds them into the class base cost.  A
+# control transfer's target read is part of its base cost and of the
+# branch penalties it pays by outcome.
+OPERAND_ROLES = {
+    "mov": ("w", "r"),
+    "lea": ("w", ""),
+    "binary": ("rw", "r"),
+    "unary": ("rw",),
+    "compare": ("r", "r"),
+    "shift": ("rw", "r"),
+    "div": ("r",),
+    "push": ("r",),
+    "pop": ("w",),
+    "xchg": ("rw", "rw"),
+    "branch": (),
+    "call": (),
+    "ret": (),
+    "none": (),
+}
 
 
 SHIFT_OPCODES = frozenset((Opcode.SHL, Opcode.SHR, Opcode.SAR))

@@ -20,7 +20,7 @@ exactly what the paper reports (normalized execution time).
 
 from enum import Enum
 
-from repro.isa.opcodes import OP_INFO, Opcode
+from repro.isa.opcodes import OP_INFO, OPERAND_ROLES, Opcode
 from repro.isa.operands import ImmOperand, MemOperand
 
 
@@ -58,30 +58,6 @@ _BASE_COSTS = {
     "call": 2,
     "call_ind": 3,
     "ret": 2,
-}
-
-
-# How each operand shape (repro.ir.shapes) uses its explicit operands:
-# per operand, "r" if the instruction reads it and "w" if it writes it.
-# Implicit operands (the stack slot of push/pop, eax/edx of div) are
-# folded into the class base cost; lea only computes its source's
-# address; a control transfer's target read is part of its base cost
-# and of the branch penalties it pays by outcome.
-_OPERAND_ROLES = {
-    "mov": ("w", "r"),
-    "lea": ("w", ""),
-    "binary": ("rw", "r"),
-    "unary": ("rw",),
-    "compare": ("r", "r"),
-    "shift": ("rw", "r"),
-    "div": ("r",),
-    "push": ("r",),
-    "pop": ("w",),
-    "xchg": ("rw", "rw"),
-    "branch": (),
-    "call": (),
-    "ret": (),
-    "none": (),
 }
 _MASK32 = 0xFFFFFFFF
 
@@ -158,13 +134,14 @@ class CostModel:
 
         ``explicit`` is the instruction's explicit operand tuple; each
         memory operand is charged by its role in the opcode's operand
-        shape (read: ``mem_read_extra``, written: ``mem_write_extra``).
+        shape (``repro.isa.opcodes.OPERAND_ROLES``; read:
+        ``mem_read_extra``, written: ``mem_write_extra``).
         An add/sub of the immediate 1 or -1 is the strength-reduction
         alternative to inc/dec.
         """
         info = OP_INFO[opcode]
         reads = writes = False
-        for operand, role in zip(explicit, _OPERAND_ROLES[info.shape]):
+        for operand, role in zip(explicit, OPERAND_ROLES[info.shape]):
             if isinstance(operand, MemOperand):
                 reads = reads or "r" in role
                 writes = writes or "w" in role

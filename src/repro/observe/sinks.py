@@ -70,20 +70,12 @@ class JsonlSink:
 
 
 def write_jsonl(events, fp_or_path):
-    """Write events as JSON Lines; returns the number written."""
-    if hasattr(fp_or_path, "write"):
-        return _write_jsonl_fp(events, fp_or_path)
-    with open(fp_or_path, "w") as fp:
-        return _write_jsonl_fp(events, fp)
-
-
-def _write_jsonl_fp(events, fp):
-    n = 0
-    for event in events:
-        fp.write(json.dumps(event.to_dict(), sort_keys=True))
-        fp.write("\n")
-        n += 1
-    return n
+    """Write events as JSON Lines through a :class:`JsonlSink`; returns
+    the number written."""
+    with JsonlSink(fp_or_path) as sink:
+        for event in events:
+            sink(event)
+    return sink.written
 
 
 def format_event(event):

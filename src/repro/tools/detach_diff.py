@@ -36,6 +36,7 @@ from repro.core import RuntimeOptions
 from repro.resilience.faultinject import RuntimeFaultPlan
 from repro.tools.chaos import workload_images
 from repro.tools.oracle import Cell, sweep
+from repro.tools.run import check_benchmarks, check_names
 from repro.workloads import load_benchmark
 
 MODES = ("detach", "reattach")
@@ -147,9 +148,11 @@ def main(argv=None):
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    names = check_benchmarks(parser, args.benchmarks.split(","), args.scale)
+    modes = check_names(parser, "mode", args.modes.split(","), MODES)
 
     cells = []
-    for name in args.benchmarks.split(","):
+    for name in names:
         cells.append((name, load_benchmark(name, args.scale), args.at,
                       args.reattach_after))
     # Pending-signal variant: the chaos signal workload arms alarms, so
@@ -162,7 +165,7 @@ def main(argv=None):
     matrix = [
         ("%-8s %-8s" % (name, mode), detach_cell(image, mode, at, after))
         for name, image, at, after in cells
-        for mode in args.modes.split(",")
+        for mode in modes
     ]
     # Shield-triggered detach: the failsafe ladder, not a client, pulls
     # the plug — same native-identity contract as every other cell.

@@ -10,6 +10,7 @@ import argparse
 
 from repro.isa.decoder import DecodeError, decode_full
 from repro.isa.eflags import eflags_to_string
+from repro.tools.run import load_program
 
 
 def disassemble_image(image, show_eflags=False):
@@ -67,18 +68,7 @@ def main(argv=None):
     parser.add_argument("--benchmark", help="disassemble a suite benchmark")
     parser.add_argument("--eflags", action="store_true", help="show flag effects")
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        from repro.workloads import load_benchmark
-
-        image = load_benchmark(args.benchmark, "test")
-    elif args.source:
-        from repro.minicc import compile_source
-
-        with open(args.source) as f:
-            image = compile_source(f.read())
-    else:
-        parser.error("provide a source file or --benchmark")
+    image = load_program(parser, args.source, args.benchmark)
     for line in disassemble_image(image, show_eflags=args.eflags):
         print(line)
 

@@ -25,7 +25,7 @@ import time
 
 from repro.core import RuntimeOptions
 from repro.tools.oracle import Cell, sweep
-from repro.tools.run import CLIENTS
+from repro.tools.run import CLIENTS, check_benchmarks, check_names
 from repro.workloads import all_benchmarks, load_benchmark
 
 DEFAULT_CLIENTS = ("null", "rlr", "inc2add", "ctrace", "ibdisp", "all",
@@ -58,12 +58,12 @@ def main(argv=None):
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    names = (
+    names = check_benchmarks(parser, (
         args.benchmarks.split(",")
         if args.benchmarks
         else [b.name for b in all_benchmarks()]
-    )
-    clients = args.clients.split(",")
+    ), args.scale)
+    clients = check_names(parser, "client", args.clients.split(","), CLIENTS)
 
     def cells():
         for name in names:

@@ -47,7 +47,7 @@ from repro.isa.registers import Reg
 from repro.loader import Process
 from repro.machine.errors import MachineFault
 
-from repro.tools.run import CLIENTS
+from repro.tools.run import CLIENTS, check_names, load_program
 
 # Static exploration bound; real images here are far smaller.
 MAX_STATIC_BLOCKS = 10000
@@ -342,35 +342,13 @@ def main(argv=None):
 
     rules = None
     if args.rules:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        known = {rule.rule_id for rule in all_rules()}
-        for rule_id in rules:
-            if rule_id not in known:
-                parser.error(
-                    "unknown rule %r (see --list-rules)" % rule_id
-                )
+        rules = check_names(
+            parser, "rule",
+            [r.strip() for r in args.rules.split(",") if r.strip()],
+            [rule.rule_id for rule in all_rules()],
+        )
 
-    if args.benchmark:
-        from repro.workloads import all_benchmarks, load_benchmark
-
-        names = [b.name for b in all_benchmarks()]
-        if args.benchmark not in names:
-            parser.error(
-                "unknown benchmark %r (choices: %s)"
-                % (args.benchmark, ", ".join(sorted(names)))
-            )
-        image = load_benchmark(args.benchmark, args.scale)
-    elif args.source:
-        from repro.minicc import compile_source
-
-        try:
-            with open(args.source) as f:
-                src = f.read()
-        except OSError as exc:
-            parser.error("cannot read %s: %s" % (args.source, exc.strerror))
-        image = compile_source(src)
-    else:
-        parser.error("provide a source file or --benchmark")
+    image = load_program(parser, args.source, args.benchmark, args.scale)
 
     report = Report(rules, args.max_diagnostics)
     if args.equiv:

@@ -43,6 +43,54 @@ CLIENTS = {
 }
 
 
+def check_names(parser, kind, names, known):
+    """``names``, each of which must be in ``known``: the first that is
+    not is a usage error (``parser.error``, exit status 2)."""
+    for name in names:
+        if name not in known:
+            parser.error("unknown %s %r (choices: %s)" % (
+                kind, name, ", ".join(sorted(known)),
+            ))
+    return names
+
+
+def check_benchmarks(parser, names, scale):
+    """``names``, each a suite benchmark, to run at ``scale`` (a
+    ``SCALES`` preset or a number); a bad name is a usage error."""
+    from repro.workloads.spec import SCALES, all_benchmarks
+
+    check_names(parser, "benchmark", names, [b.name for b in all_benchmarks()])
+    if not str(scale).isdigit():
+        check_names(parser, "scale", [scale], SCALES)
+    return names
+
+
+def load_program(parser, source, benchmark=None, scale="test"):
+    """The image a tool's command line names: the suite benchmark
+    ``benchmark`` at ``scale``, else the MiniC file ``source``.  An
+    unknown name, a missing program, or a file that cannot be read or
+    does not compile is a usage error (``parser.error``, exit status
+    2)."""
+    if benchmark:
+        from repro.workloads import load_benchmark
+
+        check_benchmarks(parser, [benchmark], scale)
+        return load_benchmark(benchmark, scale)
+    if not source:
+        parser.error("provide a source file or --benchmark")
+    try:
+        with open(source) as f:
+            text = f.read()
+    except OSError as exc:
+        parser.error("cannot read %s: %s" % (source, exc.strerror))
+    from repro.minicc import CompileError, compile_source
+
+    try:
+        return compile_source(text)
+    except CompileError as exc:
+        parser.error("cannot compile %s: %s" % (source, exc))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("source", nargs="?", help="MiniC source file")
@@ -61,18 +109,7 @@ def main(argv=None):
         "to FILE ('-' prints the top entries instead)",
     )
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        from repro.workloads import load_benchmark
-
-        image = load_benchmark(args.benchmark, args.scale)
-    elif args.source:
-        from repro.minicc import compile_source
-
-        with open(args.source) as f:
-            image = compile_source(f.read())
-    else:
-        parser.error("provide a source file or --benchmark")
+    image = load_program(parser, args.source, args.benchmark, args.scale)
 
     family = Family.PENTIUM_IV if args.family == "p4" else Family.PENTIUM_III
     native = run_native(Process(image), cost_model=CostModel(family))

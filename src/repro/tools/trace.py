@@ -21,7 +21,7 @@ from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
 from repro.machine.cost import CostModel, Family
 from repro.observe import EVENT_KINDS, JsonlSink, format_event, format_report
-from repro.tools.run import CLIENTS
+from repro.tools.run import CLIENTS, load_program
 
 
 def main(argv=None):
@@ -53,18 +53,7 @@ def main(argv=None):
         help="event ring capacity (0 = unbounded; default 65536)",
     )
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        from repro.workloads import load_benchmark
-
-        image = load_benchmark(args.benchmark, args.scale)
-    elif args.source:
-        from repro.minicc import compile_source
-
-        with open(args.source) as f:
-            image = compile_source(f.read())
-    else:
-        parser.error("provide a source file or --benchmark")
+    image = load_program(parser, args.source, args.benchmark, args.scale)
 
     kinds = None
     if args.filter:
@@ -91,7 +80,11 @@ def main(argv=None):
     # if the run raises (the sink flushes on the way out), and the
     # export is not limited by the ring capacity.
     if args.jsonl:
-        with JsonlSink(args.jsonl, kinds=kinds) as sink:
+        try:
+            sink = JsonlSink(args.jsonl, kinds=kinds)
+        except OSError as exc:
+            parser.error("cannot write %s: %s" % (args.jsonl, exc.strerror))
+        with sink:
             runtime.observer.tracers.append(sink)
             result = runtime.run()
         print("wrote %d events to %s" % (sink.written, args.jsonl))

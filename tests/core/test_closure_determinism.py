@@ -12,10 +12,10 @@ the native interpreter.)
 
 Each sample client exercises a different lowered-op surface: redundant
 load removal rewrites straight-line exec ops, strength reduction changes
-instruction costs, indirect-branch dispatch emits OP_IND_CHECK chains
-with profilers, custom traces reshape fragment boundaries, and exit
-stubs put client code on the way out of the cache.  Signals and threads
-cover the alarm/safe-point and scheduler paths.
+instruction costs, indirect-branch dispatch gives OP_IND_EXIT compare
+chains and profilers, custom traces reshape fragment boundaries, and
+exit stubs put client code on the way out of the cache.  Signals and
+threads cover the alarm/safe-point and scheduler paths.
 """
 
 import pytest

@@ -9,6 +9,8 @@ import pytest
 from repro.api.client import Client
 from repro.core import RuntimeOptions
 from repro.core.emit import (
+    INLINE_CHECK_COST,
+    STUB_SIZE,
     EmitError,
     OP_COND_EXIT,
     OP_EXEC,
@@ -25,6 +27,7 @@ from repro.ir.create import (
     INSTR_CREATE_call,
     INSTR_CREATE_cmp,
     INSTR_CREATE_jmp,
+    INSTR_CREATE_jmp_ind,
     INSTR_CREATE_jnz,
     INSTR_CREATE_jz,
     INSTR_CREATE_mov,
@@ -79,6 +82,29 @@ class TestLoweringShapes:
         assert frag.body.code[0][0] == OP_IND_EXIT
         assert frag.body.code[0][2] == "ret"
         assert frag.exits[0].kind == "indirect"
+
+    def test_every_indirect_branch_is_one_op_kind(self):
+        """A plain ``ret`` and a ``jmp*`` carrying a dispatch chain both
+        lower to OP_IND_EXIT.  Only the checked form pays for its
+        checks: one more compare (INLINE_CHECK_COST) and the check's
+        ``6 + 10 * len(dispatch)`` bytes, beside one stub per
+        dispatch exit."""
+        ret = emit([INSTR_CREATE_ret()])
+        plain = emit([INSTR_CREATE_jmp_ind(OPND_CREATE_REG(Reg.EAX))])
+        jmp = INSTR_CREATE_jmp_ind(OPND_CREATE_REG(Reg.EAX))
+        jmp.note = {"dispatch": (0x2000, 0x3000)}
+        noted = emit([jmp])
+        for frag in (ret, plain, noted):
+            assert [op[0] for op in frag.body.code] == [OP_IND_EXIT]
+        (op,) = noted.body.code
+        assert op[3] is None  # no expected tag: nothing falls through
+        assert op[4] == ((0x2000, 0), (0x3000, 1))
+        assert op[9] == plain.body.code[0][9] + INLINE_CHECK_COST
+        assert op[10] == INLINE_CHECK_COST
+        assert noted.size - plain.size == (6 + 10 * 2) + STUB_SIZE * 2
+        assert [stub.kind for stub in noted.exits] == [
+            "direct", "direct", "indirect",
+        ]
 
     def test_call_requires_return_address(self):
         call = INSTR_CREATE_call(OPND_CREATE_PC(0x100))  # level 4, no raw
@@ -184,8 +210,6 @@ class TestLoweringShapes:
 
     def test_size_includes_stub_space(self):
         frag = emit([INSTR_CREATE_jmp(OPND_CREATE_PC(0x2000))])
-        from repro.core.emit import STUB_SIZE
-
         assert frag.size >= STUB_SIZE
 
 

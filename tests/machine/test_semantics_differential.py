@@ -230,6 +230,12 @@ def _assert_agree(opcode, ops, regs, eflags, data, guard):
             )
 
 
+def test_every_templated_opcode_is_swept():
+    """No row of the fragment generator escapes this differential
+    (LABEL never reaches a run)."""
+    assert closures._TEMPLATED - {Opcode.LABEL} <= set(SHAPES)
+
+
 @pytest.mark.parametrize("opcode", sorted(SHAPES), ids=lambda op: op.name)
 def test_single_instruction_sample(opcode):
     """Seeded sample: a few dozen random cases per opcode."""
@@ -414,6 +420,26 @@ def _instruction(rng, opcode, dst):
     else:
         src = MemOperand(disp=rng.randrange(0x800, 0x1000) & ~3)
     return opcode, (dst, src)
+
+
+@pytest.mark.parametrize("opcode", _WRITERS, ids=lambda op: op.name)
+def test_live_memory_writer_line(opcode):
+    """A live flag writer runs its row's eflags template whatever its
+    destination: ``inc dword [ebp-32]`` ending a run (its flags live
+    there, for the exit that may read them) sets the flags inline, as
+    ``inc eax`` does, and calls no ``cpu.flags_*``.  NEG, the shifts
+    and IMUL call their CPU method."""
+    dst = MemOperand(base=EBP, disp=-32)
+    _op, ops = _instruction(random.Random(0), opcode, dst)
+    (line,), _prefix, fallbacks, _writers = closures._run_source(
+        [(opcode, ops, 1)], 0
+    )
+    assert not fallbacks
+    calls = opcode in (
+        Opcode.NEG, Opcode.SHL, Opcode.SHR, Opcode.SAR, Opcode.IMUL,
+    )
+    assert ("cpu.flags_" in line) == calls, line
+    assert ("cpu.eflags = (cpu.eflags & ~2261)" in line) != calls, line
 
 
 def _straight_line(rng, n):

@@ -1,5 +1,8 @@
 """Smoke tests for the command-line tools."""
 
+import importlib
+
+import pytest
 
 from repro.tools.disasm import disassemble_image, main as disasm_main
 from repro.tools.run import main as run_main
@@ -77,3 +80,41 @@ class TestRun:
         run_main([str(path), "--family", "p3", "--client", "inc2add"])
         out = capsys.readouterr().out
         assert "TRANSPARENT" in out
+
+
+MISSING = "missing.mc"
+BROKEN = "broken.mc"  # written by the test: does not compile
+
+
+@pytest.mark.parametrize("tool, argv, named", [
+    ("run", ["--benchmark", "nosuch"], "nosuch"),
+    ("run", ["--benchmark", "mgrid", "--scale", "huge"], "huge"),
+    ("run", [MISSING], MISSING),
+    ("run", [BROKEN], BROKEN),
+    ("disasm", ["--benchmark", "nosuch"], "nosuch"),
+    ("disasm", [MISSING], MISSING),
+    ("trace", [MISSING], MISSING),
+    ("trace", ["--benchmark", "nosuch"], "nosuch"),
+    ("trace", ["--benchmark", "mgrid", "--jsonl", "nodir/x.jsonl"],
+     "nodir/x.jsonl"),
+    ("lint", ["--benchmark", "nosuch"], "nosuch"),
+    ("lint", [MISSING], MISSING),
+    ("lint", ["--benchmark", "mgrid", "--rules", "nosuch"], "nosuch"),
+    ("equiv_sweep", ["--benchmarks", "mgrid,nosuch"], "nosuch"),
+    ("equiv_sweep", ["--benchmarks", "mgrid", "--clients", "nosuch"],
+     "nosuch"),
+    ("detach_diff", ["--benchmarks", "nosuch"], "nosuch"),
+    ("detach_diff", ["--modes", "nosuch"], "nosuch"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_bad_name_or_file_is_a_usage_error(tool, argv, named, tmp_path,
+                                           monkeypatch, capsys):
+    """Every CLI reports a name it does not know, or a file it cannot
+    read, compile or write, as a usage error (exit status 2) that names
+    it, before running anything."""
+    monkeypatch.chdir(tmp_path)  # where missing.mc and nodir/ do not exist
+    (tmp_path / BROKEN).write_text("int main( {\n")
+    main = importlib.import_module("repro.tools." + tool).main
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 2
+    assert named in capsys.readouterr().err
