@@ -19,7 +19,10 @@ Every op kind is written as source, in op order:
   instruction is generated from its one row of ``_ROWS`` (its input
   bindings, eflags template, stored results and rebuild method), and
   which operands it reads, writes or only addresses comes from the
-  ISA's ``OPERAND_ROLES``;
+  ISA's ``OPERAND_ROLES``.  A 32-bit wrap is a comparison whose
+  correcting branch runs only when the value wraps, a sign test a
+  comparison with 2**31 - 1, and an effective address the unwrapped
+  sum, tested to lie in memory (:func:`_in_range`);
 * conditional, direct and call exits with the link check inline
   (``ex.fragment.exits[i].linked_to``); an unlinked exit leaves through
   ``Executor._leave``;
@@ -117,58 +120,95 @@ from repro.observe.events import (
 )
 
 _MASK32 = 0xFFFFFFFF
-_M = "4294967295"  # _MASK32 as a source literal
 _ALL_FLAGS = CF | PF | AF | ZF | SF | OF
 
-# Inline eflags templates mirroring the CPU's flag methods statement
-# for statement (repro.machine.cpu: flags_sub / flags_add / flags_inc /
-# flags_dec / flags_logic), with the flag bits as literals
-# (CF=1, PF=4, AF=16, ZF=64, SF=128, OF=2048) and the parity table
-# bound as ``_parity``.  ``_CLEAR`` drops all six arithmetic flags
-# before the new ones are OR-ed in.  Templates are formatted with the
-# instruction's bound inputs ``{a}`` and ``{b}`` (a logic op binds its
-# result to ``{a}``); sub/add/inc/dec leave the 32-bit result in ``_r``.
+# 32-bit arithmetic wraps with a comparison, not a mask.  2**32 - 1 and
+# 2**31 are two-digit ints in CPython (a digit holds 30 bits), so
+# ``x & 4294967295`` or ``x & 2147483648`` builds a new int on the
+# multi-digit path even when nothing wraps; a comparison keeps the
+# value, and each form's correcting branch runs only when it wraps.  A
+# sum of two 32-bit values wraps at most once, a difference borrows at
+# most once.  A product, a shift and an LEA's address may wrap more
+# than once (an index scales by up to 8), so those keep the mask, on
+# their out-of-range branch.
+
+
+def _wrap_sum(expr):
+    """The sum ``expr`` of two values in ``[0, 2**32)``, bound to
+    ``_q``, wrapped to 32 bits."""
+    return "(_q if (_q := %s) <= 4294967295 else _q - 4294967296)" % expr
+
+
+def _wrap_diff(expr):
+    """The difference ``expr`` of two values in ``[0, 2**32)``, bound
+    to ``_q``, wrapped to 32 bits."""
+    return "(_q if (_q := %s) >= 0 else _q + 4294967296)" % expr
+
+
+def _wrap_any(expr, low=True):
+    """Any integer ``expr``, bound to ``_q``, wrapped to 32 bits; its
+    lower bound is tested only when ``low`` (``expr`` can be
+    negative)."""
+    return "(_q if %s(_q := %s) <= 4294967295 else _q & 4294967295)" % (
+        "0 <= " if low else "", expr,
+    )
+
+
+# Inline eflags templates computing the CPU's flag methods
+# (repro.machine.cpu: flags_sub / flags_add / flags_inc / flags_dec /
+# flags_logic) bit for bit, with the flag bits as literals (CF=1, PF=4,
+# AF=16, ZF=64, SF=128, OF=2048), comparisons in place of the methods'
+# masks, and the parity table bound as ``_parity``.  ``_CLEAR`` drops
+# all six arithmetic flags before the new ones are OR-ed in.  Templates
+# are formatted with the instruction's bound inputs ``{a}`` and ``{b}``
+# (a logic op binds its result to ``{a}``); sub/add/inc/dec leave the
+# 32-bit result in ``_r`` (add's carry reads the unwrapped sum its wrap
+# binds to ``_q``).  A 32-bit value has its sign bit set exactly
+# when it is above 2**31 - 1; an increment overflows only from
+# 2**31 - 1 and a decrement only from 2**31.
 _CLEAR = "cpu.eflags = (cpu.eflags & ~%d)" % _ALL_FLAGS
 _RESULT_FLAGS = (
-    "(64 if {r} == 0 else 0) | (128 if {r} & 2147483648 else 0)"
+    "(64 if {r} == 0 else 0) | (128 if {r} > 2147483647 else 0)"
     " | (4 if _parity[{r} & 255] else 0)"
 )
 _LOGIC_FLAGS = _CLEAR + " | " + _RESULT_FLAGS.format(r="{a}")
 _SUB_FLAGS = (
-    "_r = ({a} - {b}) & 4294967295; "
+    "_r = " + _wrap_diff("{a} - {b}") + "; "
     + _CLEAR
     + " | (1 if {a} < {b} else 0)"
-    " | (2048 if (({a} ^ {b}) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (2048 if ({a} ^ {b}) & ({a} ^ _r) > 2147483647 else 0)"
     " | (16 if ({a} ^ {b} ^ _r) & 16 else 0) | "
     + _RESULT_FLAGS.format(r="_r")
 )
 _ADD_FLAGS = (
-    "_full = {a} + {b}; _r = _full & 4294967295; "
+    "_r = " + _wrap_sum("{a} + {b}") + "; "
     + _CLEAR
-    + " | (1 if _full > 4294967295 else 0)"
-    " | (2048 if (~({a} ^ {b}) & ({a} ^ _r)) & 2147483648 else 0)"
+    + " | (1 if _q > 4294967295 else 0)"
+    " | (2048 if ({a} ^ _r) & ({b} ^ _r) > 2147483647 else 0)"
     " | (16 if ({a} ^ {b} ^ _r) & 16 else 0) | "
     + _RESULT_FLAGS.format(r="_r")
 )
+_INC = "({a} + 1 if {a} != 4294967295 else 0)"
+_DEC = "({a} - 1 if {a} else 4294967295)"
 _INC_FLAGS = (
-    "_r = ({a} + 1) & 4294967295; "
+    "_r = " + _INC + "; "
     + _CLEAR
     + " | (cpu.eflags & 1)"
-    " | (2048 if (~({a} ^ 1) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (2048 if {a} == 2147483647 else 0)"
     " | (16 if ({a} ^ 1 ^ _r) & 16 else 0) | "
     + _RESULT_FLAGS.format(r="_r")
 )
 _DEC_FLAGS = (
-    "_r = ({a} - 1) & 4294967295; "
+    "_r = " + _DEC + "; "
     + _CLEAR
     + " | (cpu.eflags & 1)"
-    " | (2048 if (({a} ^ 1) & ({a} ^ _r)) & 2147483648 else 0)"
+    " | (2048 if {a} == 2147483648 else 0)"
     " | (16 if ({a} ^ 1 ^ _r) & 16 else 0) | "
     + _RESULT_FLAGS.format(r="_r")
 )
-_SIGNED = "({0} - 4294967296 if {0} & 2147483648 else {0})"
+_SIGNED = "({0} - 4294967296 if {0} > 2147483647 else {0})"
 # The low 32 bits of the signed product of {a} and {b} (exec_ops._signed).
-_PRODUCT = "(%s * %s) & %s" % (_SIGNED.format("{a}"), _SIGNED.format("{b}"), _M)
+_PRODUCT = _wrap_any("%s * %s" % (_SIGNED.format("{a}"), _SIGNED.format("{b}")))
 
 
 # How one templated instruction is generated (:func:`_inline_instr`):
@@ -187,21 +227,18 @@ _PRODUCT = "(%s * %s) & %s" % (_SIGNED.format("{a}"), _SIGNED.format("{b}"), _M)
 _Row = namedtuple("_Row", "bind flags live dead method")
 _TWO = ("{0}", "{1}")
 _SHIFT = ("{0}", "({1}) & 31")  # a shift's count masked to 0..31
-_TO32 = " & " + _M
 
 # One row per templated instruction.  NOP, LABEL, PUSH, POP and LEA
 # have lines of their own (:func:`_inline_instr`); DIV, XCHG, FDIV and
 # SYSCALL always run through their compiled closures.
 _ROWS = {
-    Opcode.ADD: _Row(_TWO, "_ADD_FLAGS", "_r", "({a} + {b})" + _TO32,
+    Opcode.ADD: _Row(_TWO, "_ADD_FLAGS", "_r", _wrap_sum("{a} + {b}"),
                      CPU.flags_add),
-    Opcode.SUB: _Row(_TWO, "_SUB_FLAGS", "_r", "({a} - {b})" + _TO32,
+    Opcode.SUB: _Row(_TWO, "_SUB_FLAGS", "_r", _wrap_diff("{a} - {b}"),
                      CPU.flags_sub),
     Opcode.CMP: _Row(_TWO, "_SUB_FLAGS", None, None, CPU.flags_sub),
-    Opcode.INC: _Row(("{0}",), "_INC_FLAGS", "_r", "({a} + 1)" + _TO32,
-                     CPU.flags_inc),
-    Opcode.DEC: _Row(("{0}",), "_DEC_FLAGS", "_r", "({a} - 1)" + _TO32,
-                     CPU.flags_dec),
+    Opcode.INC: _Row(("{0}",), "_INC_FLAGS", "_r", _INC, CPU.flags_inc),
+    Opcode.DEC: _Row(("{0}",), "_DEC_FLAGS", "_r", _DEC, CPU.flags_dec),
     Opcode.AND: _Row(("({0}) & ({1})",), "_LOGIC_FLAGS", "{a}", "{a}",
                      CPU.flags_logic),
     Opcode.OR: _Row(("({0}) | ({1})",), "_LOGIC_FLAGS", "{a}", "{a}",
@@ -210,15 +247,17 @@ _ROWS = {
                      CPU.flags_logic),
     Opcode.TEST: _Row(("({0}) & ({1})",), "_LOGIC_FLAGS", None, None,
                       CPU.flags_logic),
-    Opcode.NEG: _Row(("{0}",), None, "cpu.flags_neg({a})", "-{a}" + _TO32,
-                     CPU.flags_neg),
+    Opcode.NEG: _Row(("{0}",), None, "cpu.flags_neg({a})",
+                     "(4294967296 - {a} if {a} else 0)", CPU.flags_neg),
     Opcode.SHL: _Row(_SHIFT, None, "cpu.flags_shl({a}, {b})",
-                     "({a} << {b})" + _TO32, CPU.flags_shl),
+                     _wrap_any("{a} << {b}", low=False), CPU.flags_shl),
     Opcode.SHR: _Row(_SHIFT, None, "cpu.flags_shr({a}, {b})", "{a} >> {b}",
                      CPU.flags_shr),
     Opcode.SAR: _Row(
         _SHIFT, None, "cpu.flags_shr({a}, {b}, arithmetic=True)",
-        "(({a} ^ 2147483648) - 2147483648 >> {b})" + _TO32,
+        # A negative value shifts as its complement, which is positive.
+        "({a} >> {b} if {a} <= 2147483647"
+        " else 4294967295 - (4294967295 - {a} >> {b}))",
         lambda cpu, a, n: cpu.flags_shr(a, n, arithmetic=True),
     ),
     Opcode.IMUL: _Row(_TWO, None, "cpu.flags_imul({a}, {b})", _PRODUCT,
@@ -228,10 +267,10 @@ _ROWS = {
     Opcode.FLD: _Row((), None, "{1}", None, None),
     Opcode.FST: _Row((), None, "{1}", None, None),
     Opcode.MOVB_STORE: _Row((), None, "({1}) & 255", None, None),
-    Opcode.MOVSX: _Row((), None, "(({1} ^ {s}) - {s})" + _TO32, None, None),
-    Opcode.NOT: _Row((), None, "~({0})" + _TO32, None, None),
-    Opcode.FADD: _Row((), None, "(({0}) + ({1}))" + _TO32, None, None),
-    Opcode.FSUB: _Row((), None, "(({0}) - ({1}))" + _TO32, None, None),
+    Opcode.MOVSX: _Row((), None, _wrap_diff("({1} ^ {s}) - {s}"), None, None),
+    Opcode.NOT: _Row((), None, "4294967295 - ({0})", None, None),
+    Opcode.FADD: _Row((), None, _wrap_sum("({0}) + ({1})"), None, None),
+    Opcode.FSUB: _Row((), None, _wrap_diff("({0}) - ({1})"), None, None),
     Opcode.FMUL: _Row(_TWO, None, _PRODUCT, None, None),
 }
 _TEMPLATED = frozenset(_ROWS) | frozenset((
@@ -240,50 +279,69 @@ _TEMPLATED = frozenset(_ROWS) | frozenset((
 
 
 def _ea_expr(op):
-    """Source expression for a MemOperand's effective address —
-    mirrors ``exec_ops.compile_ea`` case for case."""
+    """Source expression for a MemOperand's effective address before
+    its wrap to 32 bits: ``disp + base + index * scale`` (an absolute
+    address is its 32-bit literal).  A sum that ``exec_ops.compile_ea``
+    would wrap lies outside ``[0, 2**32)``, so outside memory too: the
+    access it feeds fails its in-range test (:func:`_in_range`) and
+    calls the ``Memory`` method, which wraps its own address; an LEA
+    wraps it with :func:`_wrap_any`.  The sum is negative only through
+    a negative displacement."""
     base, index, scale, disp = op.base, op.index, op.scale, op.disp
     if base is None and index is None:
         return str(disp & _MASK32)
-    if index is None:
-        if disp == 0:
-            return "(regs[%d] & %s)" % (base, _M)
-        return "((%d + regs[%d]) & %s)" % (disp, base, _M)
-    if base is None:
-        return "((%d + regs[%d] * %d) & %s)" % (disp, index, scale, _M)
-    return "((%d + regs[%d] + regs[%d] * %d) & %s)" % (
-        disp, base, index, scale, _M,
-    )
+    terms = ["%d" % disp] if disp else []
+    if base is not None:
+        terms.append("regs[%d]" % base)
+    if index is not None:
+        terms.append("regs[%d] * %d" % (index, scale))
+    return " + ".join(terms)
 
 
-def _load_expr(size, addr):
-    """Source expression loading ``size`` bytes at the 32-bit address
-    expression ``addr``, evaluated once into ``_e``: unpacked from the
-    backing store in range, else the ``Memory`` method raises the exact
-    fault (the inline-access contract of repro.machine.memory)."""
+def _in_range(addr, limit, low):
+    """The test that the address expression ``addr``, bound to ``_e``,
+    lies in ``[0, limit]``.  The lower bound is written only when
+    ``low`` (a negative displacement), and is needed there: ``struct``
+    and ``mmap`` index a negative offset from the end, so a negative
+    ``_e`` that passed would read or write the end of memory where the
+    method faults."""
+    if low:
+        return "0 <= (_e := %s) <= %s" % (addr, limit)
+    return "(_e := %s) <= %s" % (addr, limit)
+
+
+def _load_expr(size, addr, low=False):
+    """Source expression loading ``size`` bytes at the address
+    expression ``addr`` (see :func:`_in_range` for ``low``), evaluated
+    once into ``_e``: unpacked from the backing store in range, else the
+    ``Memory`` method raises the exact fault (the inline-access contract
+    of repro.machine.memory)."""
+    test = _in_range(addr, "_l%d" % size, low)
     if size == 4:
-        return "(_u32(_mb, _e)[0] if (_e := %s) <= _l4 else read_u32(_e))" % addr
+        return "(_u32(_mb, _e)[0] if %s else read_u32(_e))" % test
     if size == 2:
-        return "(_u16(_mb, _e)[0] if (_e := %s) <= _l2 else read_u16(_e))" % addr
-    return "(_mb[_e] if (_e := %s) <= _l1 else read_u8(_e))" % addr
+        return "(_u16(_mb, _e)[0] if %s else read_u16(_e))" % test
+    return "(_mb[_e] if %s else read_u8(_e))" % test
 
 
-def _store_expr(size, addr, value="_t"):
-    """Source expression storing the local ``value`` (4 or 1 bytes) at
-    the 32-bit address expression ``addr``.  It packs inline only when a
-    store-time test finds the address in range, ``_protect`` off and
-    the touched watch lines unwatched; otherwise the ``Memory`` method
-    runs the protection check, the watchers, or raises the fault."""
+def _store_expr(size, addr, low=False, value="_t"):
+    """Source expression storing the 32-bit local ``value`` (4 bytes, or
+    its low byte) at the address expression ``addr`` (see
+    :func:`_in_range` for ``low``).  It packs inline only when a
+    store-time test finds the address in range, ``_protect`` off and the
+    touched watch lines unwatched; otherwise the ``Memory`` method runs
+    the protection check, the watchers, or raises the fault."""
     if size == 4:
-        pack, mask, limit, slow = "_p32", _M, "_l4", "write_u32"
+        pack, packed, slow = "_p32", value, "write_u32"
         lines = "_w[_e >> %d] or _w[(_e + 3) >> %d]" % (WATCH_SHIFT, WATCH_SHIFT)
     else:
-        pack, mask, limit, slow = "_p8", "255", "_l1", "write_u8"
+        pack, packed, slow = "_p8", value + " & 255", "write_u8"
         lines = "_w[_e >> %d]" % WATCH_SHIFT
     return (
-        "%s(_mb, _e, %s & %s) if (_e := %s) <= %s and not _mem._protect"
+        "%s(_mb, _e, %s) if %s and not _mem._protect"
         " and ((_w := _mem._watch_lines) is None or not (%s)) else %s(_e, %s)"
-        % (pack, value, mask, addr, limit, lines, slow, value)
+        % (pack, packed, _in_range(addr, "_l%d" % size, low), lines, slow,
+           value)
     )
 
 
@@ -294,12 +352,15 @@ def _read_expr(op):
         return "regs[%d]" % op.reg
     if isinstance(op, ImmOperand):
         return str(op.value & _MASK32)
-    return _load_expr(op.size if op.size in (2, 4) else 1, _ea_expr(op))
+    return _load_expr(
+        op.size if op.size in (2, 4) else 1, _ea_expr(op), op.disp < 0,
+    )
 
 
 def _store_stmt(op, value_expr, value="_t"):
     """Source statement writing the 32-bit ``value_expr`` (every
-    template's result is already masked) to operand ``op`` — mirrors
+    template's result lies in ``[0, 2**32)``; a 4-byte pack raises on
+    anything else) to operand ``op`` — mirrors
     ``exec_ops.compile_write``, including its value-before-address
     evaluation order for memory stores (the value read may fault; the
     address arithmetic cannot).  A memory store goes through the local
@@ -307,7 +368,8 @@ def _store_stmt(op, value_expr, value="_t"):
     if isinstance(op, RegOperand):
         return "regs[%d] = %s" % (op.reg, value_expr)
     return "%s = %s; %s" % (
-        value, value_expr, _store_expr(op.size, _ea_expr(op), value),
+        value, value_expr,
+        _store_expr(op.size, _ea_expr(op), op.disp < 0, value),
     )
 
 
@@ -352,11 +414,12 @@ def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
     row (``_ROWS``): bind its inputs to ``_a<k>`` and ``_b<k>``, then
     set its flags (live) or skip them (``dead``), then store its result.
 
-    Each template mirrors the corresponding ``exec_ops`` compiler —
-    same value masking, same flags, same evaluation order — so faults
-    and results are identical; the win is purely fewer Python calls (no
-    per-instruction closure, no operand-accessor thunks, no memory
-    method on an in-range access).  ``load`` replaces the
+    Each template computes what the corresponding ``exec_ops``
+    compiler computes — the same 32-bit values, flags and evaluation
+    order — so faults and results are identical; the win is fewer
+    Python calls (no per-instruction closure, no operand-accessor
+    thunks, no memory method on an in-range access) and no two-digit
+    mask on a path where nothing wraps.  ``load`` replaces the
     instruction's memory read expression (a forwarded word's local, or
     the load bound to one); ``value`` names the local its memory store
     writes from.  Every instruction is exactly one source line
@@ -372,16 +435,20 @@ def _inline_instr(opcode, ops, k, dead=False, load=None, value="_t"):
         return "pass"
     if opcode == Opcode.PUSH:
         # Value read before moving esp (push %esp semantics).
-        return "_t = %s; _sp = (regs[4] - 4) & %s; regs[4] = _sp; %s" % (
-            reads[0], _M, _store_expr(4, "_sp"),
+        return "_t = %s; _sp = %s; regs[4] = _sp; %s" % (
+            reads[0], _wrap_diff("regs[4] - 4"), _store_expr(4, "_sp"),
         )
     if opcode == Opcode.POP:
-        return "_t = %s; regs[4] = (regs[4] + 4) & %s; %s" % (
-            _load_expr(4, "(regs[4] & %s)" % _M), _M,
+        return "_t = %s; regs[4] = %s; %s" % (
+            _load_expr(4, "regs[4]"), _wrap_sum("regs[4] + 4"),
             _store_stmt(ops[0], "_t"),
         )
     if opcode == Opcode.LEA:
-        return "regs[%d] = %s" % (ops[0].reg, _ea_expr(ops[1]))
+        mem = ops[1]
+        addr = _ea_expr(mem)
+        if mem.index is not None or (mem.base is not None and mem.disp):
+            addr = _wrap_any(addr, mem.disp < 0)
+        return "regs[%d] = %s" % (ops[0].reg, addr)
     row = _ROWS[opcode]
     names = {"a": "_a%d" % k, "b": "_b%d" % k}
     source = [
@@ -620,8 +687,8 @@ def _body_key(body, penalty, polls):
 def _fetch_source(index, operand):
     """The statement binding an indirect branch's target to ``_tg``."""
     if operand == "ret":
-        return "_tg = %s; regs[4] = (regs[4] + 4) & %s" % (
-            _load_expr(4, "regs[4]"), _M,
+        return "_tg = %s; regs[4] = %s" % (
+            _load_expr(4, "regs[4]"), _wrap_sum("regs[4] + 4"),
         )
     if operand == "iret":
         return "_tg = _pop_frame(cpu, _mem)"
@@ -632,8 +699,8 @@ def _fetch_source(index, operand):
 
 def _push_source(ret_addr):
     """A call's push of its return address (the PUSH template)."""
-    return "_t = %d; _sp = (regs[4] - 4) & %s; regs[4] = _sp; %s" % (
-        ret_addr & _MASK32, _M, _store_expr(4, "_sp"),
+    return "_t = %d; _sp = %s; regs[4] = _sp; %s" % (
+        ret_addr & _MASK32, _wrap_diff("regs[4] - 4"), _store_expr(4, "_sp"),
     )
 
 

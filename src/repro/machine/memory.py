@@ -22,14 +22,22 @@ The accessor methods are the exact, checked path.  Compiled code may
 inline an access instead (``repro.machine.exec_ops`` accessor closures,
 ``repro.core.closures`` generated fragment code), under one contract:
 
-* a load of ``n`` bytes at a masked effective address ``addr`` unpacks
-  :meth:`Memory.view` directly when ``addr <= size - n``;
+* a load of ``n`` bytes at an effective address ``addr`` unpacks
+  :meth:`Memory.view` directly when ``0 <= addr <= size - n``.  ``addr``
+  is either wrapped to 32 bits or the unwrapped sum ``disp + base +
+  index * scale`` (generated fragment code): a sum that would wrap lies
+  outside that range, and every accessor wraps its own address.  The
+  lower bound is needed only for a sum with a negative displacement,
+  and there it is needed: an ``mmap`` index or ``struct`` offset below
+  0 counts from the end, so a negative address that passed would read
+  or write the last bytes of memory where the method faults;
 * a store does the same only when, tested at store time, ``_protect``
   is off and ``_watch_lines`` is ``None`` or holds zero for each watch
   line it touches (cache consistency, the shield and the interpreter's
   decode cache arm watches mid-run);
-* every other access calls the method, which raises the exact
-  :class:`MachineFault` or runs the protection check and watchers;
+* every other access calls the method with the address as it is, which
+  raises the exact :class:`MachineFault` or runs the protection check
+  and watchers;
 * a generated run may reuse a 4-byte value it already holds — one it
   loaded or stored through the same address form earlier in the run,
   with no possibly overlapping store, address-register write or call

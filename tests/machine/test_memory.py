@@ -45,6 +45,34 @@ class TestAccess:
         with pytest.raises(MachineFault):
             m.write_u8(0x4000, 1)
 
+    def test_accessors_wrap_their_own_address(self):
+        """Generated code hands an address that fails its in-range test
+        to the accessor unwrapped: a negative sum, or one past 2**32
+        (an index may wrap it several times).  Each accessor wraps it to
+        32 bits first, so it faults at, or reaches, the wrapped
+        address."""
+        m = Memory(size=0x100)
+        for n, read, write in (
+            (1, m.read_u8, m.write_u8), (2, m.read_u16, None),
+            (4, m.read_u32, m.write_u32),
+        ):
+            wrapped = "0x%x" % ((1 << 32) - n)
+            with pytest.raises(MachineFault) as fault:
+                read(-n)
+            assert str(fault.value) == "read past memory at " + wrapped
+            if write is not None:
+                with pytest.raises(MachineFault) as fault:
+                    write(-n, 1)
+                assert str(fault.value) == "write past memory at " + wrapped
+        m.write_bytes(8, bytes(range(1, 9)))
+        for past in (1 << 32, 8 << 32):
+            assert m.read_u8(past + 8) == 1
+            assert m.read_u16(past + 8) == 0x0201
+            assert m.read_u32(past + 8) == 0x04030201
+        m.write_u32((1 << 32) + 8, 0xDEADBEEF)
+        m.write_u8((8 << 32) + 12, 0xAB)
+        assert m.read_bytes(8, 5) == bytes((0xEF, 0xBE, 0xAD, 0xDE, 0xAB))
+
 
 class TestRegions:
     def test_overlap_rejected(self):

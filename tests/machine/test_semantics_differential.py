@@ -21,6 +21,7 @@ same in both engines: ``CostModel.static_cost``.
 
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -262,15 +263,36 @@ def test_single_instruction_sweep(opcode):
                         ))
 
 
-def _load(n, addr):
+def _load(n, addr, base=None):
+    """A load of ``n`` bytes at ``addr``, or at ``base``'s register plus
+    the displacement ``addr``."""
     return (Opcode.MOVZX if n < 4 else Opcode.MOV,
-            (RegOperand(0), MemOperand(disp=addr, size=n)))
+            (RegOperand(0), MemOperand(base=base, disp=addr, size=n)))
 
 
-def _store(n, addr):
+def _store(n, addr, base=None):
     return (Opcode.MOVB_STORE if n == 1 else Opcode.MOV,
-            (MemOperand(disp=addr, size=n), RegOperand(1)))
+            (MemOperand(base=base, disp=addr, size=n), RegOperand(1)))
 
+
+# The registers of every edge case: EDX + 0x200 wraps past 2**32 to
+# 0x100, EBX (0x10) is the base of the negative sums, ESI * 4 + 0x200
+# wraps once to 0x100 and EBX + EDI * 8 + 0x108 is 8 * 2**32 + 0x110.
+EDGE_REGS = [0x11223344 + r for r in range(8)]
+EDGE_REGS[2] = (0x100 - 0x200) & M32
+EDGE_REGS[3] = 0x10
+EDGE_REGS[6] = ((1 << 32) + 0x100 - 0x200) // 4
+EDGE_REGS[7] = M32
+
+# Unwrapped effective-address sums of -4..-1, a base plus a negative
+# displacement: each access faults at the wrapped address, as native
+# does, and never reaches the backing store.
+NEGATIVE_SUMS = [
+    pytest.param(*access(n, total - 0x10, base=3), None,
+                 id="%s%d_sum%d" % (access.__name__[1:], n, total))
+    for access, sizes in ((_load, (1, 2, 4)), (_store, (1, 4)))
+    for n in sizes for total in (-4, -3, -2, -1)
+]
 
 EDGES = [
     # The last valid word, halfword and byte; one byte past the end.
@@ -281,11 +303,32 @@ EDGES = [
     pytest.param(*_store(n, SIZE - n + past), None, id="store%d_%s" % (
         n, "past" if past else "last"))
     for n in (1, 4) for past in (0, 1)
-] + [
-    # An effective address that wraps past 2**32 to a valid address.
+] + NEGATIVE_SUMS + [
+    # An effective address that wraps past 2**32 to a valid address,
+    # through each address form with a register.
     pytest.param(
         Opcode.ADD, (MemOperand(base=2, disp=0x200, size=4), RegOperand(1)),
         None, id="wrap",
+    ),
+    pytest.param(
+        Opcode.ADD,
+        (MemOperand(index=6, scale=4, disp=0x200, size=4), RegOperand(1)),
+        None, id="wrap_index",
+    ),
+    pytest.param(
+        Opcode.ADD,
+        (MemOperand(base=3, index=7, scale=8, disp=0x108, size=4),
+         RegOperand(1)),
+        None, id="wrap_base_index",
+    ),
+    pytest.param(
+        Opcode.LEA, (RegOperand(0), MemOperand(base=3, disp=-0x14)), None,
+        id="lea_negative",
+    ),
+    pytest.param(
+        Opcode.LEA,
+        (RegOperand(0), MemOperand(base=3, index=7, scale=8, disp=0x108)),
+        None, id="lea_wrap",
     ),
     # A store into a read-only region under protection.
     pytest.param(*_store(4, 0x400), ("protect", 0x400, 0x440), id="readonly"),
@@ -295,16 +338,17 @@ EDGES = [
 ]
 
 
-@pytest.mark.parametrize("opcode, ops, guard", EDGES)
-def test_memory_edges(opcode, ops, guard):
-    regs = [0x11223344 + r for r in range(8)]
-    regs[2] = (0x100 - 0x200) & M32  # the wrap case's base
+def _edge(opcode, ops, guard):
+    """One edge case against the references, then the fragment's fault
+    (or none) from the wrapped effective address."""
+    regs = list(EDGE_REGS)
     data = bytes(range(256)) * (SIZE // 256)
     _assert_agree(opcode, ops, regs, 0x8D5, data, guard)
     outcome = _outcome(_by_fragment, [(opcode, ops, 1)],
                        (regs, 0x8D5, data, guard))
-    past = any(
-        isinstance(op, MemOperand) and op.disp + op.size > SIZE for op in ops
+    past = opcode != Opcode.LEA and any(
+        isinstance(op, MemOperand)
+        and _effective_address(op, regs) + op.size > SIZE for op in ops
     )
     if past or (guard and guard[0] == "protect"):
         assert outcome["error"][0] == MachineFault.__name__
@@ -313,6 +357,159 @@ def test_memory_edges(opcode, ops, guard):
     if guard and guard[0] == "watch":
         expected = [(0x43E, 4)] if ops[0].disp == 0x43E else []
         assert outcome["watch_calls"] == expected
+
+
+def _effective_address(op, regs):
+    total = op.disp
+    if op.base is not None:
+        total += regs[op.base]
+    if op.index is not None:
+        total += regs[op.index] * op.scale
+    return total & M32
+
+
+@pytest.mark.parametrize("opcode, ops, guard", EDGES)
+def test_memory_edges(opcode, ops, guard):
+    _edge(opcode, ops, guard)
+
+
+def test_dropped_lower_bound_fails_the_negative_sums(monkeypatch):
+    """Negative control: without the ``0 <=`` of its in-range test, an
+    access at a negative sum indexes the backing ``mmap`` from its end
+    (``_mb[-1]`` is the last byte, ``unpack_from(_mb, -4)`` the last
+    word) where native faults.  Every negative-sum case catches it."""
+    in_range = closures._in_range
+    monkeypatch.setattr(
+        closures, "_in_range",
+        lambda addr, limit, low: in_range(addr, limit, False),
+    )
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
+    caught = 0
+    for param in NEGATIVE_SUMS:
+        try:
+            _edge(*param.values)
+        except AssertionError as exc:
+            assert "on error" in str(exc)
+            caught += 1
+    assert caught == len(NEGATIVE_SUMS)
+
+
+# ------------------------------------------------------------ boundaries
+#
+# Generated code wraps a 32-bit value with a comparison whose
+# correcting branch runs only when the value wraps, and tests a sign as
+# ``> 2147483647``.  Each template therefore has edges at 0, 2**31 and
+# 2**32 that random operands reach only by chance: every row runs here
+# over each pair of boundary values.
+
+def _boundary(n):
+    """The boundary values of an ``n``-byte operand."""
+    sign = 1 << (8 * n - 1)
+    return (0, 1, sign - 1, sign, (sign << 1) - 1)
+
+
+_BOUNDARY_ADDR = 0x108  # a memory operand's word: 8 past EBX (0x100)
+
+
+def _boundary_cases(opcode):
+    """``(ops, regs, data)`` for every shape of ``opcode`` in ``SHAPES``
+    (one memory operand at most), each operand holding each of its
+    boundary values: ``EAX`` or ``ECX`` for a register, the immediate
+    itself, or the bytes at ``EBX + 8`` for a memory operand (4 bytes;
+    1 for a byte store's destination, 1, 2 and 4 for a MOVSX or MOVZX
+    source)."""
+    sizes = {Opcode.MOVB_STORE: (1,), Opcode.MOVSX: (1, 2, 4),
+             Opcode.MOVZX: (1, 2, 4)}.get(opcode, (4,))
+    slots = [slot for slot in SHAPES[opcode] if slot is not None]
+    for shapes in itertools.product(*slots):
+        if shapes.count("mem") > 1:
+            continue
+        for n in sizes if "mem" in shapes else (4,):
+            widths = [n if shape == "mem" else 4 for shape in shapes]
+            for picks in itertools.product(range(5), repeat=len(shapes)):
+                regs = [0x11223344 + r for r in range(8)]
+                regs[EBX] = _BOUNDARY_ADDR - 8
+                data = bytearray(SIZE)
+                ops = []
+                for slot, (shape, width, pick) in enumerate(
+                    zip(shapes, widths, picks)
+                ):
+                    value = _boundary(width)[pick]
+                    if shape == "reg":
+                        reg = (EAX, ECX)[slot]
+                        regs[reg] = value
+                        ops.append(RegOperand(reg))
+                    elif shape == "imm":
+                        ops.append(ImmOperand(value))
+                    else:
+                        data[_BOUNDARY_ADDR:_BOUNDARY_ADDR + width] = (
+                            value.to_bytes(width, "little")
+                        )
+                        ops.append(MemOperand(base=EBX, disp=8, size=width))
+                yield tuple(ops), regs, bytes(data)
+
+
+def _boundary_runs(opcodes):
+    for opcode in opcodes:
+        for ops, regs, data in _boundary_cases(opcode):
+            _assert_agree(opcode, ops, regs, 0x8D5, data, None)
+
+
+@pytest.mark.parametrize(
+    "opcode", sorted(closures._ROWS), ids=lambda op: op.name
+)
+def test_boundary_operands(opcode):
+    """Each row over register, immediate and memory operands holding 0,
+    1, 2**31 - 1, 2**31 and 2**32 - 1 (a narrower memory operand its
+    own width's), every pair: the same registers, eflags, memory and
+    faults as ``execute_noncti`` and the closures."""
+    _boundary_runs((opcode,))
+
+
+def test_sign_off_by_one_fails_the_boundary_operands(monkeypatch):
+    """Negative control: SF tested as ``> 2147483648`` misses a result
+    of exactly 2**31, which the random draws hit only by luck."""
+    for name in ("_LOGIC_FLAGS", "_SUB_FLAGS", "_ADD_FLAGS", "_INC_FLAGS",
+                 "_DEC_FLAGS"):
+        template = getattr(closures, name)
+        planted = re.sub(r"(128 if \S+ > )2147483647", r"\g<1>2147483648",
+                         template)
+        assert planted != template
+        monkeypatch.setattr(closures, name, planted)
+    monkeypatch.setattr(closures, "_FRAGMENT_CODE_CACHE", {})
+    with pytest.raises(AssertionError, match="on eflags"):
+        _boundary_runs(sorted(closures._ROWS))
+
+
+def test_generated_lines_wrap_without_two_digit_masks():
+    """A 32-bit wrap in generated code is a comparison: ``&
+    4294967295`` appears only on a wrap's out-of-range branch (``else _q
+    & 4294967295``, a product, a shift or an address with an index), and
+    no sign test masks ``2147483648``.  Every templated form with its
+    flags live and dead, each address form, PUSH and POP, a call's push
+    and a return's pop."""
+    forms = [(opcode, ops) for opcode, _shapes, ops in _cost_forms()]
+    for mem in (
+        MemOperand(disp=0x100), MemOperand(base=EBX),
+        MemOperand(base=EBX, disp=-8), MemOperand(index=ESI, scale=4),
+        MemOperand(base=EBX, index=ESI, scale=2, disp=-8),
+        MemOperand(base=EBX, index=ESI, disp=8),
+    ):
+        forms += [
+            (Opcode.MOV, (RegOperand(EAX), mem)),
+            (Opcode.MOV, (mem, RegOperand(EAX))),
+            (Opcode.ADD, (mem, ImmOperand(5))),
+            (Opcode.LEA, (RegOperand(EAX), mem)),
+        ]
+    kill = (Opcode.CMP, (RegOperand(EAX), RegOperand(ECX)), 1)
+    lines = [closures._push_source(0x1234), closures._fetch_source(0, "ret")]
+    for opcode, ops in forms:
+        for run in ([(opcode, ops, 1)], [(opcode, ops, 1), kill]):
+            lines.append(closures._run_source(run, 0)[0][0])
+    assert any("else _q & 4294967295" in line for line in lines)
+    for line in lines:
+        fast = line.replace("else _q & 4294967295", "")
+        assert "& 4294967295" not in fast and "& 2147483648" not in fast, line
 
 
 # ------------------------------------------------------------- the cost
