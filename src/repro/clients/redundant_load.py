@@ -24,6 +24,7 @@ Safety rules on the linear stream:
 """
 
 from repro.api.client import Client
+from repro.api.dr import dr_printf
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_REG
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import MemOperand, RegOperand
@@ -154,6 +155,17 @@ class RedundantLoadRemoval(Client):
                 return reg
         return None
 
+    # --------------------------------------------------------------- report
+
+    def exit(self):
+        dr_printf(
+            self,
+            "RLR: %d loads seen, %d removed, %d narrowed to register moves",
+            self.loads_seen,
+            self.loads_removed,
+            self.loads_rewritten,
+        )
+
 
 def _may_alias(a, b):
     """Whether two memory operands may address overlapping bytes.
@@ -167,16 +179,3 @@ def _may_alias(a, b):
     if a.base != b.base:
         return True
     return a.disp < b.disp + b.size and b.disp < a.disp + a.size
-
-    # --------------------------------------------------------------- report
-
-    def exit(self):
-        from repro.api.dr import dr_printf
-
-        dr_printf(
-            self,
-            "RLR: %d loads seen, %d removed, %d narrowed to register moves",
-            self.loads_seen,
-            self.loads_removed,
-            self.loads_rewritten,
-        )

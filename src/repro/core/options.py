@@ -17,9 +17,7 @@ class RuntimeOptions:
         link_indirect=True,
         traces=True,
         trace_threshold=20,
-        thread_private=True,
         code_cache_limit=None,
-        sideline_optimization=False,
         verify_fragments=False,
         trace_events=False,
         trace_buffer=65536,
@@ -40,8 +38,7 @@ class RuntimeOptions:
         # Trace construction parameter (the block limits are
         # bb_builder.MAX_BB_INSTRS and trace_builder.MAX_TRACE_BBS).
         self.trace_threshold = trace_threshold
-        # Cache organization.
-        self.thread_private = thread_private
+        # Cache organization (per thread: repro.core.threads).
         self.code_cache_limit = code_cache_limit  # bytes, None = unlimited
         # Capacity policy (paper Section 6), one of code_cache's three.
         # "flush" drops the whole unit when it fills (DELI's fallback;
@@ -57,11 +54,6 @@ class RuntimeOptions:
         # code_cache.REGEN_THRESHOLD — the cache sizes itself to the
         # application's working set instead of thrashing.
         self.cache_evict_policy = cache_evict_policy
-        # Sideline optimization (the paper's Section 3.4 future work):
-        # trace construction and client trace processing run on an idle
-        # processor, so their cycles leave the application's critical
-        # path (tracked separately as the "sideline_cycles" event).
-        self.sideline_optimization = sideline_optimization
         # Debug mode: full verification at every runtime emit, after
         # client hooks, raising on errors.  Every rule of the fragment
         # verifier (repro.analysis.verifier) runs: the structural rules

@@ -232,11 +232,10 @@ class DynamoRIO:
         region = self.memory.region_containing(addr)
         return region is not None and region.name in ("runtime_heap", "code_cache")
 
-    def _new_thread(self, lay, share_from=None):
+    def _new_thread(self, lay):
         base = lay.CODE_CACHE_BASE + len(self.threads) * 0x100000
         thread = ThreadContext(
-            self, base, cache_limit=self.options.code_cache_limit,
-            share_from=share_from,
+            self, base, cache_limit=self.options.code_cache_limit
         )
         self.threads.append(thread)
         return thread
@@ -302,8 +301,6 @@ class DynamoRIO:
         self.counter.cycles += (
             self.cost.bb_build_base + self.cost.bb_build_per_instr * count
         )
-        if not self.options.thread_private and len(self.threads) > 1:
-            self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
         if hooks_on:
             self.stats.client_bb_hooks += 1
             if observer is not None:
@@ -736,21 +733,9 @@ class DynamoRIO:
         else:
             report_stitch(observer, head, entry.detail)
         count = entry.count
-        build_cycles = (
+        self.counter.cycles += (
             self.cost.trace_build_base + self.cost.trace_build_per_instr * count
         )
-        if self.options.sideline_optimization:
-            # Section 3.4: optimization runs in a concurrent thread on
-            # an idle processor; only fragment replacement touches the
-            # application thread, so build cycles leave the critical
-            # path.
-            self.counter.events["sideline_cycles"] = (
-                self.counter.events.get("sideline_cycles", 0) + build_cycles
-            )
-        else:
-            self.counter.cycles += build_cycles
-        if not self.options.thread_private and len(self.threads) > 1:
-            self.counter.charge(self.cost.shared_cache_sync, "cache_sync")
         if hooks_on:
             self.stats.client_trace_hooks += 1
             if observer is not None:
@@ -758,13 +743,7 @@ class DynamoRIO:
                     EV_CLIENT_HOOK, head, phase="trace",
                     instrs=count, blocks=len(recording),
                 )
-            hook_cycles = self.cost.client_trace_hook_per_instr * count
-            if self.options.sideline_optimization:
-                self.counter.events["sideline_cycles"] = (
-                    self.counter.events.get("sideline_cycles", 0) + hook_cycles
-                )
-            else:
-                self.counter.cycles += hook_cycles
+            self.counter.cycles += self.cost.client_trace_hook_per_instr * count
 
         fragment = self._hook_then_emit(
             Fragment.KIND_TRACE, head, entry, ilist,
@@ -799,12 +778,9 @@ class DynamoRIO:
     # ------------------------------------------------------------------ run
 
     def _spawn_thread(self, entry, stack_pointer):
-        """A new application thread at ``entry`` with its own (private)
-        code caches — or shared ones in the ablation configuration."""
-        thread = self._new_thread(
-            self.process.layout,
-            None if self.options.thread_private else self.threads[0],
-        )
+        """A new application thread at ``entry`` with its own code
+        caches."""
+        thread = self._new_thread(self.process.layout)
         thread.cpu.pc = entry & 0xFFFFFFFF
         thread.cpu.regs[4] = stack_pointer & 0xFFFFFFFF
         thread.resume_tag = thread.cpu.pc
@@ -814,7 +790,6 @@ class DynamoRIO:
                 EV_THREAD_SPAWN,
                 thread.cpu.pc,
                 thread_index=len(self.threads) - 1,
-                private=self.options.thread_private,
             )
         return thread
 
@@ -1206,15 +1181,11 @@ class DynamoRIO:
         return system.signal_handler
 
     def cache_units(self):
-        """Each distinct code-cache unit as ``(thread, unit)``, in
-        thread order, bb unit first: shared caches (the ablation) are
-        visited once, with the first thread that holds them."""
-        seen = set()
+        """Each code-cache unit as ``(thread, unit)``, in thread order,
+        bb unit first."""
         for thread in self.threads:
-            for unit in (thread.bb_cache, thread.trace_cache):
-                if id(unit) not in seen:
-                    seen.add(id(unit))
-                    yield thread, unit
+            yield thread, thread.bb_cache
+            yield thread, thread.trace_cache
 
     def _events(self):
         events = dict(self.counter.events)

@@ -14,7 +14,7 @@ process so table and figure modules and the golden
 
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.loader import Process
-from repro.machine.cost import CostModel, Family
+from repro.machine.cost import CostModel
 from repro.machine.interp import Interpreter
 from repro.tools.oracle import final_state
 from repro.workloads import benchmark, load_benchmark
@@ -22,17 +22,16 @@ from repro.workloads.spec import SCALES
 
 
 class Config:
-    """One experimental configuration: the runtime under
-    ``options_factory`` and ``client_factory``, or, when ``interp`` is
-    ``"native"`` or ``"emulation"``, the reference interpreter in that
-    mode (Table 1's first row is pure emulation)."""
+    """One experimental configuration on the Pentium 4 cost model: the
+    runtime under ``options_factory`` and ``client_factory``, or, when
+    ``interp`` is ``"native"`` or ``"emulation"``, the reference
+    interpreter in that mode (Table 1's first row is pure emulation)."""
 
     def __init__(self, key, options_factory=None, client_factory=None,
-                 family=Family.PENTIUM_IV, interp=None):
+                 interp=None):
         self.key = key
         self.options_factory = options_factory or RuntimeOptions.with_traces
         self.client_factory = client_factory
-        self.family = family
         self.interp = interp
 
     def __repr__(self):
@@ -81,7 +80,7 @@ def measure(name, scale, config):
     repeated too, so normalization stays fair).  Raises AssertionError
     when a run's output or exit code differs from native's.
     """
-    cache_key = (name, SCALES.get(scale, scale), config.key, config.family)
+    cache_key = (name, SCALES.get(scale, scale), config.key)
     if cache_key in _cache:
         return _cache[cache_key]
     native = None if config.interp == "native" else measure(name, scale, NATIVE)
@@ -90,9 +89,7 @@ def measure(name, scale, config):
     for index in range(benchmark(name).runs):
         process = Process(image)
         if config.interp is not None:
-            runner = Interpreter(
-                process, CostModel(config.family), mode=config.interp
-            )
+            runner = Interpreter(process, CostModel(), mode=config.interp)
         else:
             client = (
                 config.client_factory() if config.client_factory else None
@@ -101,7 +98,7 @@ def measure(name, scale, config):
                 process,
                 options=config.options_factory(),
                 client=client,
-                cost_model=CostModel(config.family),
+                cost_model=CostModel(),
             )
         result = runner.run()
         if native is not None:

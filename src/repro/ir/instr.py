@@ -23,7 +23,7 @@ from repro.isa.decoder import decode_boundary, decode_full, decode_opcode
 from repro.isa.encoder import encode_instr
 from repro.isa.opcodes import OP_INFO, Opcode
 from repro.isa.operands import MemOperand, PcOperand
-from repro.ir.levels import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_3, LEVEL_4, LEVEL_NAMES
+from repro.ir.levels import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_3, LEVEL_4
 from repro.ir.shapes import expand_operands, extract_explicit
 
 
@@ -505,7 +505,3 @@ class Instr:
         if not ops:
             return self.info.name
         return "%s %s" % (self.info.name, " ".join(repr(op) for op in ops))
-
-
-def level_name(level):
-    return LEVEL_NAMES[level]

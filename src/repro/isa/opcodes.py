@@ -366,10 +366,6 @@ def opcode_info(opcode):
     return OP_INFO[opcode]
 
 
-def opcode_name(opcode):
-    return OP_INFO[opcode].name
-
-
 _NAME_TO_OPCODE = {info.name: opc for opc, info in OP_INFO.items()}
 
 

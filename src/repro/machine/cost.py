@@ -83,9 +83,8 @@ class CostModel:
         self.indirect_mispredict = 14
         self.ras_mispredict = 14
         self.ras_depth = 16
-        # Thread scheduling and (optional) shared-cache synchronization.
+        # Thread scheduling.
         self.thread_switch = 120
-        self.shared_cache_sync = 60
         # Asynchronous signal delivery (kernel → handler redirect).
         self.signal_delivery = 150
         # Runtime (software) event costs.

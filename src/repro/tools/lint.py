@@ -3,9 +3,6 @@
 Static mode (default) decodes every statically reachable basic block of
 the program image and verifies each one — including the drequiv
 equivalence rule, for which a pristine block is checked against itself.
-``--equiv`` runs the program *without* emit-time verification, then
-sweeps the final code-cache dump and checks every resident fragment
-against its source blocks; ``--client`` names the client it runs under.
 Client-transformed fragments verified at emit time, under every
 workload and client, are ``python -m repro.tools.equiv_sweep``'s job.
 
@@ -13,7 +10,6 @@ Usage::
 
     python -m repro.tools.lint --benchmark mgrid
     python -m repro.tools.lint program.mc --rules linearity,levels
-    python -m repro.tools.lint --benchmark mgrid --equiv --client all
     python -m repro.tools.lint --benchmark mgrid --inject   # exits 1
 
 ``--inject`` is the negative control: it runs one static sweep per
@@ -30,7 +26,6 @@ import argparse
 import sys
 
 from repro.analysis.verifier import all_rules, verify_fragment
-from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.bb_builder import build_basic_block
 from repro.ir.create import (
     INSTR_CREATE_add,
@@ -47,7 +42,7 @@ from repro.isa.registers import Reg
 from repro.loader import Process
 from repro.machine.errors import MachineFault
 
-from repro.tools.run import CLIENTS, check_names, load_program
+from repro.tools.run import check_names, load_program
 
 # Static exploration bound; real images here are far smaller.
 MAX_STATIC_BLOCKS = 10000
@@ -263,32 +258,6 @@ def _lint_static_inject(image, rules, report):
     return all_fired
 
 
-def _lint_equiv(image, client_name, report):
-    """Run without emit-time verification, then statically sweep the
-    final code-cache dump with the equivalence rule."""
-    client = CLIENTS[client_name](image) if client_name else None
-    options = RuntimeOptions.with_traces()
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    runtime.run()
-    checked = 0
-    for _thread, cache in runtime.cache_units():
-        for tag in sorted(cache.fragments):
-            fragment = cache.fragments[tag]
-            if fragment.deleted:
-                continue
-            diagnostics = verify_fragment(
-                fragment.body.instrs_source,
-                kind=fragment.kind,
-                rules=["equivalence"],
-                tag=fragment.tag,
-                source_tags=fragment.body.source_tags,
-                memory=runtime.memory,
-            )
-            checked += 1
-            report.add("%s@0x%x" % (fragment.kind, tag), diagnostics)
-    print("equiv: %d cache-resident fragment(s) checked" % checked)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.lint", description=__doc__,
@@ -297,19 +266,6 @@ def main(argv=None):
     parser.add_argument("source", nargs="?", help="MiniC source file")
     parser.add_argument("--benchmark", help="lint a suite benchmark instead")
     parser.add_argument("--scale", default="test")
-    parser.add_argument(
-        "--client",
-        default=None,
-        choices=sorted(CLIENTS),
-        help="the client --equiv runs the program under",
-    )
-    parser.add_argument(
-        "--equiv",
-        action="store_true",
-        help="run the program, then equivalence-check the final code "
-        "cache dump (combine with --client to check transformed "
-        "fragments)",
-    )
     parser.add_argument(
         "--rules",
         default=None,
@@ -335,11 +291,6 @@ def main(argv=None):
             print("%-18s %s" % (rule.rule_id, rule.description))
         return 0
 
-    if args.equiv and args.inject:
-        parser.error("--equiv and --inject are separate modes")
-    if args.client is not None and not args.equiv:
-        parser.error("--client names the client of an --equiv run")
-
     rules = None
     if args.rules:
         rules = check_names(
@@ -351,9 +302,7 @@ def main(argv=None):
     image = load_program(parser, args.source, args.benchmark, args.scale)
 
     report = Report(rules, args.max_diagnostics)
-    if args.equiv:
-        _lint_equiv(image, args.client, report)
-    elif args.inject:
+    if args.inject:
         all_fired = _lint_static_inject(image, rules, report)
         report.summary()
         return 1 if all_fired else 0

@@ -1,6 +1,12 @@
 """Unit tests for the drequiv symbolic evaluator."""
 
+import itertools
+
+import pytest
+
+from repro.analysis import symexec
 from repro.analysis.symexec import (
+    FLAG_ORDER,
     SymState,
     add,
     band,
@@ -25,7 +31,13 @@ from repro.ir.create import (
     OPND_CREATE_MEM,
     OPND_CREATE_REG,
 )
+from repro.isa.eflags import FLAG_BITS, FLAG_NAMES
+from repro.isa.opcodes import Opcode
 from repro.isa.registers import Reg
+from repro.machine.cpu import CPU
+from repro.machine.exec_ops import execute_noncti
+from repro.machine.memory import Memory
+from repro.machine.system import System
 
 EAX = OPND_CREATE_REG(Reg.EAX)
 EBX = OPND_CREATE_REG(Reg.EBX)
@@ -143,3 +155,120 @@ class TestRender:
         s = run(SymState(), INSTR_CREATE_push(EAX), INSTR_CREATE_pop(EBX))
         text = render(s.regs[Reg.EBX])
         assert isinstance(text, str) and text
+
+
+# ------------------------------------------- constant folding vs the CPU
+#
+# Equivalence compares two summaries that fold constants alike, so a
+# fold that disagrees with the machine cancels out there; this holds
+# every fold to execute_noncti.  ``a`` is in eax, ``b`` in ebx.
+
+BOUNDARY = (
+    0, 1, 2, 15, 16, 31, 32, 33,
+    0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF,
+)
+ALL_FLAGS = sum(FLAG_BITS)
+FLAG_BIT = {name: bit for bit, name in FLAG_NAMES.items()}
+STACK_TOP = 0x800  # esp: the byte store and push land in memory
+_BYTE = OPND_CREATE_MEM(base=Reg.ESP, disp=-8, size=1)
+
+# Each program runs from every (a, b) pair; MOVSX and MOVZX read a byte
+# that a MOVB_STORE just wrote, so their load forwards a constant.
+FOLD_PROGRAMS = {
+    op.name: ((op, (EAX, EBX)),)
+    for op in (
+        Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.CMP, Opcode.AND,
+        Opcode.OR, Opcode.XOR, Opcode.TEST, Opcode.IMUL, Opcode.SHL,
+        Opcode.SHR, Opcode.SAR, Opcode.XCHG, Opcode.FLD, Opcode.FST,
+        Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
+    )
+}
+FOLD_PROGRAMS.update(
+    {op.name: ((op, (EAX,)),) for op in (
+        Opcode.INC, Opcode.DEC, Opcode.NOT, Opcode.NEG,
+    )}
+)
+FOLD_PROGRAMS.update({
+    "DIV": ((Opcode.DIV, (EBX,)),),
+    "LEA": ((Opcode.LEA, (
+        EAX, OPND_CREATE_MEM(base=Reg.EAX, index=Reg.EBX, scale=4, disp=-8)
+    )),),
+    "MOVB_STORE+MOVSX": (
+        (Opcode.MOVB_STORE, (_BYTE, EBX)), (Opcode.MOVSX, (EAX, _BYTE)),
+    ),
+    "MOVB_STORE+MOVZX": (
+        (Opcode.MOVB_STORE, (_BYTE, EBX)), (Opcode.MOVZX, (EAX, _BYTE)),
+    ),
+    "PUSH+POP": (
+        (Opcode.PUSH, (EBX,)), (Opcode.POP, (OPND_CREATE_REG(Reg.ECX),)),
+    ),
+})
+
+
+def _flag_consts(eflags):
+    return {
+        flag: const(1 if eflags & FLAG_BIT[flag] else 0) for flag in FLAG_ORDER
+    }
+
+
+def _fold_mismatches():
+    """``(program, a, b, eflags, what, folded, concrete)`` for every
+    register or flag whose fold differs from the concrete result."""
+    memory, system = Memory(0x1000), System()
+    mismatches = []
+    for name, program in FOLD_PROGRAMS.items():
+        for a, b, eflags in itertools.product(
+            BOUNDARY, BOUNDARY, (0, ALL_FLAGS)
+        ):
+            if program[0][0] in (Opcode.DIV, Opcode.FDIV) and b == 0:
+                continue  # the machine faults; nothing folds
+            regs = [a, 0x11, 0x22, b, STACK_TOP, 0x55, 0x66, 0x77]
+            cpu = CPU()
+            cpu.regs = list(regs)
+            cpu.eflags = eflags
+            state = SymState()
+            state.regs = {r: const(v) for r, v in enumerate(regs)}
+            state.flags = _flag_consts(eflags)
+            for opcode, ops in program:
+                execute_noncti(cpu, memory, system, opcode, ops)
+                step(state, opcode, ops)
+            want = {Reg(r).name: const(v) for r, v in enumerate(cpu.regs)}
+            want.update(_flag_consts(cpu.eflags))
+            got = {Reg(r).name: v for r, v in state.regs.items()}
+            got.update(state.flags)
+            mismatches.extend(
+                (name, a, b, eflags, what, got[what], want[what])
+                for what in want if got[what] != want[what]
+            )
+    return mismatches
+
+
+def test_constant_folds_match_the_machine():
+    assert _fold_mismatches() == []
+
+
+def _sar_fills_with_zeros(monkeypatch):
+    monkeypatch.setattr(symexec, "_sar_v", lambda a, n: a >> (n & 31))
+
+
+def _neg_inverts_cf(monkeypatch):
+    flags_neg = symexec.flags_neg
+
+    def planted(flags, a):
+        r = flags_neg(flags, a)
+        flags["CF"] = const(1 - flags["CF"][1])
+        return r
+
+    monkeypatch.setattr(symexec, "flags_neg", planted)
+
+
+@pytest.mark.parametrize(
+    "plant, program",
+    [(_sar_fills_with_zeros, "SAR"), (_neg_inverts_cf, "NEG")],
+    ids=["sar_fills_with_zeros", "neg_inverts_cf"],
+)
+def test_planted_fold_bug_is_caught(monkeypatch, plant, program):
+    """Planted control: a fold bug that equivalence alone cannot see."""
+    plant(monkeypatch)
+    found = {m[0] for m in _fold_mismatches()}
+    assert found == {program}

@@ -1,5 +1,6 @@
 """Redundant load removal tests (paper Section 4.1)."""
 
+from repro.api.dr import dr_get_log
 from repro.clients import RedundantLoadRemoval
 from repro.core import RuntimeOptions
 from repro.ir.instrlist import InstrList
@@ -210,3 +211,12 @@ class TestEndToEnd:
         )
         assert result.output == native.output
         assert client.loads_removed + client.loads_rewritten > 0
+
+    def test_exit_reports_counts_to_the_log(self):
+        client = RedundantLoadRemoval()
+        run_under(compile_source(FP_STENCIL_SRC), client=client)
+        assert dr_get_log(client) == [
+            "RLR: %d loads seen, %d removed, %d narrowed to register moves"
+            % (client.loads_seen, client.loads_removed, client.loads_rewritten)
+        ]
+        assert client.loads_seen > 0

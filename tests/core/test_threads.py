@@ -136,24 +136,6 @@ class TestRuntimeThreads:
         # worker threads exit via the trampoline; main exits the program
         assert len(exits) >= 2
 
-    def test_thread_private_caches_duplicate_shared_code(self, shared_code_image):
-        """When threads run the same function, private caches hold a
-        copy per thread — the duplication the paper accepts in exchange
-        for not synchronizing (Section 2)."""
-        native = run_native(Process(shared_code_image))
-        private = DynamoRIO(
-            Process(shared_code_image), options=RuntimeOptions.with_traces()
-        ).run()
-        opts = RuntimeOptions.with_traces()
-        opts.thread_private = False
-        shared = DynamoRIO(Process(shared_code_image), options=opts).run()
-        assert private.output == native.output
-        assert shared.output == native.output
-        # private mode builds the shared function once per thread
-        assert private.events["bbs_built"] > shared.events["bbs_built"]
-        # shared mode pays synchronization on every build
-        assert shared.events.get("cache_sync", 0) > 0
-
     def test_each_thread_has_own_cache_region(self, threaded_image):
         dr = DynamoRIO(Process(threaded_image), options=RuntimeOptions.with_traces())
         dr.run()

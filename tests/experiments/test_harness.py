@@ -11,7 +11,6 @@ from repro.experiments.harness import (
     normalized_time,
 )
 from repro.loader import Process
-from repro.machine.cost import Family
 from repro.machine.interp import Interpreter
 from repro.workloads import benchmark, load_benchmark
 
@@ -64,11 +63,6 @@ class TestMeasure:
         monkeypatch.setattr(DynamoRIO, "run", second_run_differs)
         with pytest.raises(AssertionError, match="run 2"):
             measure("gcc", 1, Config("second_run_%s" % field))
-
-    def test_family_in_cache_key(self):
-        p4 = measure("vpr", 1, Config("fam", family=Family.PENTIUM_IV))
-        p3 = measure("vpr", 1, Config("fam", family=Family.PENTIUM_III))
-        assert p4 is not p3
 
 
 class TestNormalizedTime:

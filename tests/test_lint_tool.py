@@ -36,13 +36,6 @@ def test_static_inject_exits_nonzero(source_file, capsys):
     assert "[error]" in out
 
 
-def test_client_without_equiv_is_a_usage_error(source_file, capsys):
-    with pytest.raises(SystemExit) as usage:
-        main([source_file, "--client", "inscount-inline"])
-    assert usage.value.code == 2
-    assert "--equiv" in capsys.readouterr().err
-
-
 def test_rule_selection(source_file, capsys):
     # Injection is per-rule: each selected rule gets its own tabulated
     # violation planted and must flag it (exit 1 = every rule fired).
